@@ -1,28 +1,28 @@
 //! Ablations: reordering, capacity manager, preemption latency, work
 //! conservation.
 
-use std::time::Instant;
-
 use vpc::experiments::ablations;
 use vpc::prelude::*;
 
 fn main() {
-    let budget = vpc_bench::budget_from_args();
-    let jobs = vpc_bench::jobs_from_args();
-    let trace_path = vpc_bench::trace_from_args();
-    vpc_bench::header("Ablations", budget);
     let base = CmpConfig::table1();
-    let start = Instant::now();
-    println!("{}", ablations::reorder(&base, budget));
-    println!("{}", ablations::capacity(&base, budget));
-    println!("{}", ablations::preemption(&base, budget));
-    println!("{}", ablations::memory_fq(&base, budget));
-    println!("{}", ablations::prefetch(&base, budget));
-    println!("{}", ablations::fairness_policies(&base, budget));
-    println!("{}", ablations::scaling(&base, budget));
-    println!("{}", ablations::work_conservation(&base, budget));
-    vpc_bench::report_timings("ablations", jobs, start.elapsed());
-    if let Some(path) = &trace_path {
-        vpc_bench::write_job_traces(path);
-    }
+    vpc_bench::figure(
+        &vpc_bench::Cli::from_env(),
+        "ablations",
+        "Ablations",
+        |opts| {
+            [
+                ablations::reorder(&base, opts).to_string(),
+                ablations::capacity(&base, opts).to_string(),
+                ablations::preemption(&base, opts).to_string(),
+                ablations::memory_fq(&base, opts).to_string(),
+                ablations::prefetch(&base, opts).to_string(),
+                ablations::fairness_policies(&base, opts).to_string(),
+                ablations::scaling(&base, opts).to_string(),
+                ablations::work_conservation(&base, opts).to_string(),
+            ]
+            .join("\n")
+        },
+        None,
+    );
 }

@@ -109,32 +109,29 @@ fn bench_quiescence_skipping(suite: &mut Suite) {
     // The cycle-skipping headline, measured both ways on the most
     // DRAM-bound configuration we model: a single cache-hostile thread
     // (mcf's profile) on a tiny 64-set L2, so nearly every access misses
-    // and the system spends long stretches waiting on DRAM. `skip` and
-    // `no_skip` produce byte-identical state (see the `skip_equivalence`
-    // property tests); the ratio of the two medians is the honest speedup.
-    for (name, skip) in [("dram_bound_mcf/skip", true), ("dram_bound_mcf/no_skip", false)] {
-        suite.bench_batched(
-            name,
-            20,
-            move || {
-                let mut cfg = CmpConfig::table1();
-                cfg.processors = 1;
-                cfg.l2.total_sets = 64;
-                let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec("mcf")]);
-                sys.set_cycle_skipping(skip);
-                sys
-            },
-            |mut sys| {
-                sys.run(50_000);
-                black_box(sys.now());
-            },
-        );
-    }
+    // and the system spends long stretches waiting on DRAM. `skip` runs
+    // `CmpSystem::run`, `no_skip` the naive `run_reference` loop; both
+    // reach byte-identical state (see the `skip_equivalence` property
+    // tests), so the ratio of the two medians is the honest speedup.
+    let mcf_on_tiny_l2 = || {
+        let mut cfg = CmpConfig::table1();
+        cfg.processors = 1;
+        cfg.l2.total_sets = 64;
+        CmpSystem::new(cfg, &[WorkloadSpec::Spec("mcf")])
+    };
+    suite.bench_batched("dram_bound_mcf/skip", 20, mcf_on_tiny_l2, |mut sys| {
+        sys.run(50_000);
+        black_box(sys.now());
+    });
+    suite.bench_batched("dram_bound_mcf/no_skip", 20, mcf_on_tiny_l2, |mut sys| {
+        sys.run_reference(50_000);
+        black_box(sys.now());
+    });
 }
 
 fn main() {
-    vpc_bench::skip_from_args();
-    let mut suite = Suite::from_args("components");
+    let cli = vpc_bench::Cli::from_env();
+    let mut suite = Suite::new("components", cli.quick(), cli.json);
     bench_arbiters(&mut suite);
     bench_capacity(&mut suite);
     bench_dram_channel(&mut suite);

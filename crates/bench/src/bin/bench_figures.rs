@@ -13,13 +13,12 @@ use std::time::Instant;
 use vpc_bench::harness::Suite;
 
 fn main() {
-    vpc_bench::skip_from_args();
-    let mut suite = Suite::from_args("figures");
-    let jobs = vpc_bench::jobs_from_args();
+    let cli = vpc_bench::Cli::from_env();
+    let mut suite = Suite::new("figures", cli.quick(), cli.json);
     let start = Instant::now();
 
-    vpc_bench::scenarios::figures(&mut suite);
+    vpc_bench::scenarios::figures(&mut suite, cli.opts.jobs);
 
     suite.finish();
-    vpc_bench::report_timings("bench_figures", jobs, start.elapsed());
+    vpc_bench::report_timings("bench_figures", cli.opts.jobs, start.elapsed());
 }

@@ -4,7 +4,7 @@ use vpc::experiments::fig4;
 use vpc::prelude::*;
 
 fn main() {
-    vpc_bench::skip_from_args();
+    vpc_bench::no_flags();
     let base = CmpConfig::table1();
     println!("{}", fig4::run(&base));
 }

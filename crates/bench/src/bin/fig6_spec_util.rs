@@ -1,26 +1,15 @@
 //! Figure 6: SPEC solo L2 utilization.
 
-use std::time::Instant;
-
 use vpc::experiments::fig6;
 use vpc::prelude::*;
 use vpc::report::{to_json, Fig6Report};
 
 fn main() {
-    let budget = vpc_bench::budget_from_args();
-    let jobs = vpc_bench::jobs_from_args();
-    let trace_path = vpc_bench::trace_from_args();
-    let start = Instant::now();
-    let result = fig6::run(&CmpConfig::table1(), budget);
-    let wall = start.elapsed();
-    if vpc_bench::json_requested() {
-        println!("{}", to_json(&Fig6Report::from(&result)));
-    } else {
-        vpc_bench::header("Figure 6", budget);
-        println!("{result}");
-    }
-    vpc_bench::report_timings("fig6", jobs, wall);
-    if let Some(path) = &trace_path {
-        vpc_bench::write_job_traces(path);
-    }
+    vpc_bench::figure(
+        &vpc_bench::Cli::from_env(),
+        "fig6",
+        "Figure 6",
+        |opts| fig6::run(&CmpConfig::table1(), opts),
+        Some(|result| to_json(&Fig6Report::from(result))),
+    );
 }

@@ -7,7 +7,9 @@
 //! gate on. The printout exists so a regression (speedup well below 1x
 //! across the board) is visible in the CI log, not to fail the build.
 //!
-//! Usage: `perf_smoke [--baseline PATH]` (default `BENCH_5.json`).
+//! Usage: `perf_smoke [--baseline PATH] [--jobs N]` (default baseline
+//! `BENCH_5.json`); the other shared flags are accepted too, and the run
+//! is always quick.
 
 use vpc::json::JsonValue;
 use vpc_bench::harness::Suite;
@@ -43,26 +45,30 @@ fn baseline_medians(doc: &JsonValue) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn baseline_path() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--baseline=") {
-            return v.to_string();
+/// Splits `--baseline PATH` / `--baseline=PATH` off the arguments and
+/// parses the rest with the shared parser.
+fn parse_args() -> (String, vpc_bench::Cli) {
+    let mut baseline = "BENCH_5.json".to_string();
+    let mut rest = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.strip_prefix("--baseline=") {
+            Some(path) => baseline = path.to_string(),
+            None if arg == "--baseline" => match args.next() {
+                Some(path) => baseline = path,
+                None => {
+                    eprintln!("error: --baseline needs a path");
+                    std::process::exit(2);
+                }
+            },
+            None => rest.push(arg),
         }
-        if args[i] == "--baseline" {
-            if let Some(v) = args.get(i + 1) {
-                return v.clone();
-            }
-        }
-        i += 1;
     }
-    "BENCH_5.json".to_string()
+    (baseline, vpc_bench::Cli::from_args(rest))
 }
 
 fn main() {
-    vpc_bench::skip_from_args();
-    let path = baseline_path();
+    let (path, cli) = parse_args();
     let baseline = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| JsonValue::parse(&text).ok())
@@ -73,7 +79,7 @@ fn main() {
     }
 
     let mut suite = Suite::new("perf_smoke", true, false);
-    vpc_bench::scenarios::figures(&mut suite);
+    vpc_bench::scenarios::figures(&mut suite, cli.opts.jobs);
     let results = suite.finish();
 
     println!();

@@ -20,7 +20,7 @@ use vpc::experiments::fig5;
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
 use vpc_mem::ChannelMode;
-use vpc_sim::{exec, trace};
+use vpc_sim::trace;
 use vpc_workloads::SPEC_NAMES;
 
 #[derive(Debug)]
@@ -33,7 +33,8 @@ struct Args {
     cycles: u64,
     channels: String,
     lru_capacity: bool,
-    jobs: Option<usize>,
+    policy: ArbiterPolicy,
+    channel_mode: ChannelMode,
     trace: Option<PathBuf>,
     metrics: bool,
 }
@@ -66,7 +67,8 @@ fn parse_args() -> Result<Args, String> {
         cycles: 200_000,
         channels: "private".into(),
         lru_capacity: false,
-        jobs: None,
+        policy: ArbiterPolicy::Fcfs,
+        channel_mode: ChannelMode::PerThread,
         trace: None,
         metrics: false,
     };
@@ -98,13 +100,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--channels" => args.channels = value("--channels")?,
             "--lru-capacity" => args.lru_capacity = true,
-            "--jobs" => {
-                let n: usize = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer".into());
-                }
-                args.jobs = Some(n);
-            }
             "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
             "--metrics" => args.metrics = true,
             "--help" | "-h" => {
@@ -112,17 +107,20 @@ fn parse_args() -> Result<Args, String> {
                     "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|rr|vpc|drr|sfq]\n\
                      \x20               [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]\n\
                      \x20               [--channels private|shared-fcfs|shared-fq] [--lru-capacity]\n\
-                     \x20               [--jobs N] [--trace out.json] [--metrics]\n\
+                     \x20               [--trace out.json] [--metrics]\n\
                      \n\
                      --trace writes a Chrome trace_event JSON of the measured window\n\
                      (open in chrome://tracing or Perfetto); --metrics prints the\n\
                      per-thread QoS ledger and L2 latency percentiles to stderr.\n\
-                     Neither flag changes stdout."
+                     Neither flag changes stdout. Argument errors exit with code 2."
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
+    }
+    if args.workloads.len() > 8 {
+        return Err("1 to 8 workloads required".into());
     }
     if args.shares.is_empty() {
         let n = args.workloads.len() as u32;
@@ -131,6 +129,13 @@ fn parse_args() -> Result<Args, String> {
     if args.shares.len() != args.workloads.len() {
         return Err("need exactly one share per workload".into());
     }
+    args.policy = build_arbiter(&args)?;
+    args.channel_mode = match args.channels.as_str() {
+        "private" => ChannelMode::PerThread,
+        "shared-fcfs" => ChannelMode::SharedFcfs,
+        "shared-fq" => ChannelMode::SharedFq { shares: args.shares.clone() },
+        other => return Err(format!("unknown channel mode {other:?}")),
+    };
     Ok(args)
 }
 
@@ -147,30 +152,18 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
     })
 }
 
-fn run() -> Result<(), String> {
-    vpc_bench::skip_from_args();
-    let args = parse_args()?;
-    // Installed process-wide so any pooled work (and future parallel
-    // paths) honors the flag; the single CmpSystem run itself is serial.
-    exec::set_jobs(args.jobs);
+/// Runs the configured system; the only error is a trace that cannot be
+/// written.
+fn run(args: Args) -> Result<(), String> {
     let threads = args.workloads.len();
-    if threads == 0 || threads > 8 {
-        return Err("1 to 8 workloads required".into());
-    }
-
     let mut cfg = CmpConfig::table1_with_threads(threads).with_banks(args.banks);
-    cfg.l2.arbiter = build_arbiter(&args)?;
+    cfg.l2.arbiter = args.policy.clone();
     cfg.l2.capacity = if args.lru_capacity {
         CapacityPolicy::Lru
     } else {
         CapacityPolicy::Vpc { shares: args.shares.clone() }
     };
-    cfg.channels = match args.channels.as_str() {
-        "private" => ChannelMode::PerThread,
-        "shared-fcfs" => ChannelMode::SharedFcfs,
-        "shared-fq" => ChannelMode::SharedFq { shares: args.shares.clone() },
-        other => return Err(format!("unknown channel mode {other:?}")),
-    };
+    cfg.channels = args.channel_mode.clone();
 
     let base = CmpConfig::table1_with_threads(threads).with_banks(args.banks);
     let mut sys = CmpSystem::new(cfg, &args.workloads);
@@ -256,7 +249,14 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -3,9 +3,7 @@
 use vpc::prelude::*;
 
 fn main() {
-    // Accepted for CLI uniformity with the other binaries; printing the
-    // configuration spawns no simulation jobs.
-    let _ = vpc_bench::jobs_from_args();
+    vpc_bench::no_flags();
     let cfg = CmpConfig::table1();
     println!("== Table 1: 2 GHz CMP System Configuration ==");
     println!("Processors            : {} processors", cfg.processors);

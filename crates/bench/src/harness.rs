@@ -62,15 +62,8 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Creates a suite, reading `--quick` / `VPC_QUICK=1` and `--json`
-    /// from the process arguments and environment.
-    pub fn from_args(name: &str) -> Suite {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("VPC_QUICK").is_ok_and(|v| v == "1");
-        Suite::new(name, quick, crate::json_requested())
-    }
-
-    /// Creates a suite with explicit settings (used by tests).
+    /// Creates a suite; `quick` and `json` come from the binary's
+    /// [`crate::Cli`].
     pub fn new(name: &str, quick: bool, json: bool) -> Suite {
         Suite { name: name.to_string(), quick, json, results: Vec::new() }
     }

@@ -1,83 +1,167 @@
 //! Shared helpers for the figure-regeneration binaries.
 //!
-//! Every binary accepts `--quick` (or the `VPC_QUICK=1` environment
-//! variable) to run with short simulation windows, and prints the same
-//! rows/series as the corresponding figure or table of the paper.
-//! Reproduction notes for each experiment live in `EXPERIMENTS.md` at the
-//! repository root.
+//! Every experiment and bench binary parses its command line with
+//! [`Cli::from_env`] — the only place that reads `--quick`, `--json`,
+//! `--jobs`, `--trace`, `--metrics`, `VPC_QUICK` and `VPC_JOBS` — and
+//! prints the same rows/series as the corresponding figure or table of
+//! the paper. Reproduction notes for each experiment live in
+//! `EXPERIMENTS.md` at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use vpc::experiments::RunBudget;
+use vpc::experiments::{RunBudget, RunOptions};
+use vpc::json::JsonValue;
 use vpc::report::TimingReport;
-use vpc_sim::{exec, trace};
+use vpc_sim::trace::{self, TraceLog};
 
 pub mod harness;
 pub mod scenarios;
 
-/// Parses the standard CLI: `--quick` selects short windows. Also
-/// installs the `--no-skip` cycle-skipping override (see
-/// [`skip_from_args`]) so every experiment binary honors it.
-pub fn budget_from_args() -> RunBudget {
-    skip_from_args();
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("VPC_QUICK").is_ok_and(|v| v == "1");
-    if quick {
-        RunBudget::quick()
-    } else {
-        RunBudget::standard()
-    }
+/// The usage text of [`Cli::parse`], after the program name.
+const USAGE: &str = "\
+[--quick] [--json] [--jobs N] [--trace PATH] [--metrics]
+
+  --quick         short simulation windows (or VPC_QUICK=1)
+  --json          machine-readable report on stdout
+  --jobs N        worker threads for the job grid (or VPC_JOBS=N;
+                  default: the host's available parallelism)
+  --trace PATH    write Chrome trace_event JSON of every job next to PATH
+  --metrics       QoS ledger of the contention scenario on stderr
+                  (fig5_micro_util)
+
+An unknown flag or a malformed value prints this text and exits with code 2.";
+
+/// The parsed command line shared by the experiment and bench binaries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cli {
+    /// Simulation windows (`--quick`) and worker count (`--jobs`).
+    pub opts: RunOptions,
+    /// `--json`: print the machine-readable report.
+    pub json: bool,
+    /// `--trace PATH`: capture per-job traces and write them next to PATH.
+    pub trace: Option<PathBuf>,
+    /// `--metrics`: print QoS ledger summaries on **stderr** (stdout
+    /// stays byte-identical with or without the flag).
+    pub metrics: bool,
 }
 
-/// Parses `--no-skip` (or `VPC_NO_SKIP=1`): disables quiescence-aware
-/// cycle skipping for every system built afterwards, forcing the naive
-/// tick-every-cycle loop. Output is byte-identical either way (that is
-/// the protocol's contract, and `tests/skip_equivalence.rs` enforces
-/// it); the flag exists as a cross-check and for debugging the skipping
-/// machinery itself. Returns `true` when skipping stays enabled.
-pub fn skip_from_args() -> bool {
-    let no_skip = std::env::args().any(|a| a == "--no-skip")
-        || std::env::var("VPC_NO_SKIP").is_ok_and(|v| v == "1");
-    if no_skip {
-        vpc::set_cycle_skipping_default(false);
-    }
-    !no_skip
-}
-
-/// Parses `--jobs N` / `--jobs=N`, installs it as the process-wide worker
-/// count override, and returns the effective worker count (falling back
-/// to `VPC_JOBS`, then the host's available parallelism). Exits with an
-/// error on a malformed value — silently running serial would defeat the
-/// point of the flag.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut explicit = None;
-    let mut i = 1;
-    while i < args.len() {
-        let value = if let Some(v) = args[i].strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else if args[i] == "--jobs" {
-            i += 1;
-            args.get(i).cloned()
-        } else {
-            i += 1;
-            continue;
-        };
-        match value.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n > 0 => explicit = Some(n),
-            _ => {
-                eprintln!("error: --jobs needs a positive integer, got {value:?}");
-                std::process::exit(2);
+impl Cli {
+    /// Parses `args` (without the program name). `env` looks up an
+    /// environment variable: `VPC_QUICK=1` selects short windows and
+    /// `VPC_JOBS=N` sets the worker count, and the flags override both.
+    /// Without either, the worker count is the host's available
+    /// parallelism.
+    pub fn parse<I>(args: I, env: impl Fn(&str) -> Option<String>) -> Result<Cli, String>
+    where
+        I: IntoIterator<Item = String>,
+    {
+        let mut quick = env("VPC_QUICK").is_some_and(|v| v == "1");
+        let mut jobs = env("VPC_JOBS").map(|v| positive("VPC_JOBS", &v)).transpose()?;
+        let (mut json, mut trace, mut metrics) = (false, None, false);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, mut inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let mut value = || {
+                inline
+                    .take()
+                    .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--jobs" => jobs = Some(positive("--jobs", &value()?)?),
+                "--trace" => trace = Some(PathBuf::from(value()?)),
+                "--quick" if inline.is_none() => quick = true,
+                "--json" if inline.is_none() => json = true,
+                "--metrics" if inline.is_none() => metrics = true,
+                _ => return Err(format!("unknown flag {arg:?}")),
             }
         }
-        i += 1;
+        let budget = if quick { RunBudget::quick() } else { RunBudget::standard() };
+        let jobs =
+            jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
+        Ok(Cli { opts: RunOptions { budget, jobs }, json, trace, metrics })
     }
-    exec::set_jobs(explicit);
-    exec::jobs()
+
+    /// Parses the process's arguments and environment; on an error prints
+    /// it with the usage text on stderr and exits with code 2.
+    pub fn from_env() -> Cli {
+        Cli::from_args(std::env::args().skip(1))
+    }
+
+    /// Parses `args` against the process environment; on an error prints
+    /// it with the usage text on stderr and exits with code 2.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Cli {
+        Cli::parse(args, |key| std::env::var(key).ok())
+            .unwrap_or_else(|err| usage_error(&err, USAGE))
+    }
+
+    /// Whether `--quick` (or `VPC_QUICK=1`) selected short windows.
+    pub fn quick(&self) -> bool {
+        self.opts.budget == RunBudget::quick()
+    }
+}
+
+fn positive(what: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{what} needs a positive integer, got {value:?}")),
+    }
+}
+
+/// Prints `err` and the usage text (`usage` after the program name) on
+/// stderr, then exits with code 2.
+fn usage_error(err: &str, usage: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    let program = Path::new(&program).file_name().map_or("".into(), |n| n.to_string_lossy());
+    eprintln!("error: {err}\n\nusage: {program} {usage}");
+    std::process::exit(2);
+}
+
+/// For the binaries that take no flags (`table1`, `fig4_timing`): any
+/// argument prints usage and exits with code 2.
+pub fn no_flags() {
+    if let Some(arg) = std::env::args().nth(1) {
+        usage_error(&format!("unexpected argument {arg:?}"), "(takes no flags)");
+    }
+}
+
+/// The whole `main` of a figure binary after parsing. Runs `run` under
+/// the parsed options (capturing per-job traces when `--trace` is given),
+/// prints the JSON report (`--json` with a `json` renderer) or the header
+/// and the result's `Display` on stdout, reports per-job timings on
+/// stderr and writes the traces. Returns the result for any extras.
+pub fn figure<R: fmt::Display>(
+    cli: &Cli,
+    name: &str,
+    title: &str,
+    run: impl FnOnce(RunOptions) -> R,
+    json: Option<fn(&R) -> String>,
+) -> R {
+    trace::set_capture(cli.trace.as_ref().map(|_| trace::DEFAULT_CAPACITY));
+    let start = Instant::now();
+    let result = run(cli.opts);
+    let wall = start.elapsed();
+    match json.filter(|_| cli.json) {
+        Some(json) => println!("{}", json(&result)),
+        None => {
+            header(title, cli.opts.budget);
+            println!("{result}");
+        }
+    }
+    report_timings(name, cli.opts.jobs, wall);
+    if let Some(path) = &cli.trace {
+        write_job_traces(path, &trace::take_job_logs());
+    }
+    result
 }
 
 /// Drains the per-job timings behind the run just finished and prints
@@ -96,53 +180,9 @@ pub fn report_timings(what: &str, jobs: usize, wall: Duration) {
     eprint!("{timings}");
 }
 
-/// Whether `--json` was passed (machine-readable output).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Whether `--metrics` was passed (QoS ledger / histogram summaries on
-/// **stderr** — stdout stays byte-identical with or without the flag).
-pub fn metrics_requested() -> bool {
-    std::env::args().any(|a| a == "--metrics")
-}
-
-/// Parses `--trace <path>` / `--trace=path` and, when present, turns on
-/// per-job trace capture in the [`vpc_sim::exec`] pool (ring capacity
-/// [`trace::DEFAULT_CAPACITY`] per job). Exits with an error on a missing
-/// path — silently not tracing would defeat the point of the flag.
-pub fn trace_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut path = None;
-    let mut i = 1;
-    while i < args.len() {
-        let value = if let Some(v) = args[i].strip_prefix("--trace=") {
-            Some(v.to_string())
-        } else if args[i] == "--trace" {
-            i += 1;
-            args.get(i).cloned()
-        } else {
-            i += 1;
-            continue;
-        };
-        match value {
-            Some(v) if !v.is_empty() => path = Some(PathBuf::from(v)),
-            _ => {
-                eprintln!("error: --trace needs an output path");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if path.is_some() {
-        trace::set_capture(Some(trace::DEFAULT_CAPACITY));
-    }
-    path
-}
-
 /// Sanitizes a job label into a filename fragment (`fig5/Loads 2B` →
 /// `fig5-Loads-2B`).
-pub fn label_slug(label: &str) -> String {
+fn label_slug(label: &str) -> String {
     label
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '-' })
@@ -151,29 +191,31 @@ pub fn label_slug(label: &str) -> String {
 
 /// Derives the per-job trace path `out.<slug>.json` from the main
 /// `--trace` path `out.json`.
-pub fn job_trace_path(base: &Path, label: &str) -> PathBuf {
+fn job_trace_path(base: &Path, label: &str) -> PathBuf {
     let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
     base.with_file_name(format!("{stem}.{}.json", label_slug(label)))
 }
 
-/// Drains the per-job trace logs behind the run just finished, writes the
-/// merged Chrome trace to `base` (one process lane per job) and one file
-/// per job next to it, and reports what was written to **stderr**.
-pub fn write_job_traces(base: &Path) {
-    let jobs = trace::take_job_logs();
+/// Writes a Chrome trace document to `path`; exits with code 1 if it
+/// cannot.
+fn write_or_exit(path: &Path, doc: &JsonValue) {
+    if let Err(err) = vpc::trace::write_chrome_trace(path, doc) {
+        eprintln!("error: cannot write trace {}: {err}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// Writes the merged Chrome trace of `jobs` to `base` (one process lane
+/// per job) and one file per job next to it, and reports what was written
+/// to **stderr**.
+fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
     if jobs.is_empty() {
         eprintln!("-- no trace events captured; nothing written to {} --", base.display());
         return;
     }
-    let write = |path: &Path, doc: &vpc::json::JsonValue| {
-        if let Err(err) = vpc::trace::write_chrome_trace(path, doc) {
-            eprintln!("error: cannot write trace {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    };
-    write(base, &vpc::trace::chrome_trace_jobs(&jobs));
-    for (label, log) in &jobs {
-        write(&job_trace_path(base, label), &vpc::trace::chrome_trace(label, log));
+    write_or_exit(base, &vpc::trace::chrome_trace_jobs(jobs));
+    for (label, log) in jobs {
+        write_or_exit(&job_trace_path(base, label), &vpc::trace::chrome_trace(label, log));
     }
     eprintln!(
         "-- wrote {} ({} jobs, {} events, {} dropped) + per-job traces --",
@@ -184,8 +226,21 @@ pub fn write_job_traces(base: &Path) {
     );
 }
 
+/// Writes `log` as `out.<slug>.json` next to the `--trace` path `out.json`
+/// (the same naming as the per-job files) and reports it on **stderr**.
+pub fn write_trace_beside(base: &Path, label: &str, log: &TraceLog) {
+    let path = job_trace_path(base, label);
+    write_or_exit(&path, &vpc::trace::chrome_trace(label, log));
+    eprintln!(
+        "-- wrote {} ({} events, {} dropped) --",
+        path.display(),
+        log.events().len(),
+        log.dropped()
+    );
+}
+
 /// Prints a standard experiment header.
-pub fn header(title: &str, budget: RunBudget) {
+fn header(title: &str, budget: RunBudget) {
     println!("== {title} ==");
     println!("(warmup {} cycles, measured {} cycles)", budget.warmup, budget.window);
 }
@@ -194,14 +249,66 @@ pub fn header(title: &str, budget: RunBudget) {
 mod tests {
     use super::*;
 
+    type Args = &'static [&'static str];
+    type Env = &'static [(&'static str, &'static str)];
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Cli, String> {
+        let lookup = |key: &str| env.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string());
+        Cli::parse(args.iter().map(|a| a.to_string()), lookup)
+    }
+
+    fn cli(budget: RunBudget, jobs: usize) -> Cli {
+        Cli { opts: RunOptions { budget, jobs }, json: false, trace: None, metrics: false }
+    }
+
     #[test]
-    fn budget_selection_follows_env() {
-        // One test covers both states: the process environment is shared
-        // across tests, so mutate-and-restore must not race another test.
-        std::env::remove_var("VPC_QUICK");
-        assert_eq!(budget_from_args(), RunBudget::standard());
-        std::env::set_var("VPC_QUICK", "1");
-        assert_eq!(budget_from_args(), RunBudget::quick());
-        std::env::remove_var("VPC_QUICK");
+    fn parses_flags_and_env() {
+        let quick = RunBudget::quick();
+        let standard = RunBudget::standard();
+        let traced =
+            |budget, jobs, path: &str| Cli { trace: Some(path.into()), ..cli(budget, jobs) };
+        let cases: &[(Args, Env, Cli)] = &[
+            (&["--jobs=3"], &[], cli(standard, 3)),
+            (&["--quick", "--jobs", "5"], &[], cli(quick, 5)),
+            (&[], &[("VPC_QUICK", "1")], cli(quick, 4)),
+            (&[], &[("VPC_QUICK", "0")], cli(standard, 4)),
+            (&[], &[("VPC_JOBS", "3")], cli(standard, 3)),
+            (&["--jobs", "2"], &[("VPC_JOBS", "3")], cli(standard, 2)),
+            (&["--quick"], &[("VPC_QUICK", "0"), ("VPC_JOBS", "7")], cli(quick, 7)),
+            (&["--trace", "out.json"], &[], traced(standard, 4, "out.json")),
+            (&["--trace=t.json", "--quick"], &[], traced(quick, 4, "t.json")),
+            (&["--json", "--metrics"], &[], Cli { json: true, metrics: true, ..cli(standard, 4) }),
+        ];
+        for (args, env, want) in cases {
+            // Cases without a worker count pin it through the env lookup,
+            // so the host's parallelism never enters the table.
+            let mut env = env.to_vec();
+            if !env.iter().any(|(k, _)| *k == "VPC_JOBS") {
+                env.push(("VPC_JOBS", "4"));
+            }
+            assert_eq!(parse(args, &env).as_ref(), Ok(want), "args {args:?}, env {env:?}");
+        }
+        assert!(parse(&[], &[]).unwrap().opts.jobs >= 1, "default worker count");
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_malformed_values() {
+        let cases: &[(Args, Env, &str)] = &[
+            (&["--bogus"], &[], "unknown flag \"--bogus\""),
+            (&["--jbos", "4"], &[], "unknown flag \"--jbos\""),
+            (&["4"], &[], "unknown flag \"4\""),
+            (&["--jobs", "0"], &[], "--jobs needs a positive integer"),
+            (&["--jobs=x"], &[], "--jobs needs a positive integer"),
+            (&["--jobs"], &[], "--jobs needs a value"),
+            (&["--jobs", "--quick"], &[], "--jobs needs a value"),
+            (&["--trace"], &[], "--trace needs a value"),
+            (&["--trace="], &[], "--trace needs a value"),
+            (&["--quick=1"], &[], "unknown flag \"--quick=1\""),
+            (&[], &[("VPC_JOBS", "0")], "VPC_JOBS needs a positive integer"),
+        ];
+        for (args, env, want) in cases {
+            let err = parse(args, env).expect_err(&format!("{args:?} {env:?} parsed"));
+            assert!(err.contains(want), "args {args:?}: error {err:?} lacks {want:?}");
+        }
     }
 }

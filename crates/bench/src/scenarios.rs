@@ -6,7 +6,9 @@
 
 use std::hint::black_box;
 
-use vpc::experiments::{ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, RunBudget};
+use vpc::experiments::{
+    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, RunBudget, RunOptions,
+};
 use vpc::prelude::*;
 
 use crate::harness::Suite;
@@ -22,12 +24,13 @@ fn tiny() -> RunBudget {
 }
 
 /// Runs every figure scenario into `suite`, in the order the checked-in
-/// baselines list them.
-pub fn figures(suite: &mut Suite) {
+/// baselines list them; the figure grids run on `jobs` worker threads.
+pub fn figures(suite: &mut Suite, jobs: usize) {
     let base = small_base();
+    let opts = RunOptions { budget: tiny(), jobs };
 
     suite.bench("fig4_bank_timing", 100, || black_box(fig4::run(&base)));
-    suite.bench("fig5_micro_utilization", 30, || black_box(fig5::run(&base, tiny())));
+    suite.bench("fig5_micro_utilization", 30, || black_box(fig5::run(&base, opts)));
     // One representative benchmark per weight class keeps the bench quick.
     suite.bench("fig6_spec_utilization", 30, || {
         for name in ["art", "gcc", "sixtrack"] {
@@ -42,13 +45,13 @@ pub fn figures(suite: &mut Suite) {
         black_box(sys.run_measured(tiny().warmup, tiny().window).gathering_rate[0])
     });
     // The full 18-benchmark table:
-    suite.bench("fig7_full/all_benchmarks", 10, || black_box(fig7::run(&base, tiny())));
-    suite.bench("fig8/loads_stores_sweep", 10, || black_box(fig8::run(&base, tiny())));
-    suite.bench("fig9/subject_vs_stores", 10, || black_box(fig9::run(&base, &["gcc"], tiny())));
+    suite.bench("fig7_full/all_benchmarks", 10, || black_box(fig7::run(&base, opts)));
+    suite.bench("fig8/loads_stores_sweep", 10, || black_box(fig8::run(&base, opts)));
+    suite.bench("fig9/subject_vs_stores", 10, || black_box(fig9::run(&base, &["gcc"], opts)));
     suite.bench("fig10/heterogeneous_mix", 10, || {
-        black_box(fig10::run(&base, &[["gcc", "gzip", "twolf", "ammp"]], tiny()))
+        black_box(fig10::run(&base, &[["gcc", "gzip", "twolf", "ammp"]], opts))
     });
     suite.bench("ablations/work_conservation", 10, || {
-        black_box(ablations::work_conservation(&base, tiny()))
+        black_box(ablations::work_conservation(&base, opts))
     });
 }

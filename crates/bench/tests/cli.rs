@@ -1,0 +1,41 @@
+//! Command-line contract of the binaries: an unknown flag or a malformed
+//! value exits with code 2 before anything runs, and every binary on the
+//! shared parser prints its usage text on stderr.
+
+use std::process::Command;
+
+/// `(binary, arguments, prints the usage text)`.
+const CASES: &[(&str, &[&str], bool)] = &[
+    (env!("CARGO_BIN_EXE_fig5_micro_util"), &["--quick", "--jbos", "4", "--jsn"], true),
+    (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--jobs", "0"], true),
+    (env!("CARGO_BIN_EXE_fig7_store_gathering"), &["--quick", "--jobs"], true),
+    (env!("CARGO_BIN_EXE_fig8_loads_stores"), &["--trace"], true),
+    (env!("CARGO_BIN_EXE_fig9_spec_vs_stores"), &["--jobs=many"], true),
+    (env!("CARGO_BIN_EXE_fig10_heterogeneous"), &["--no-skip"], true),
+    (env!("CARGO_BIN_EXE_ablations"), &["--quick=1"], true),
+    (env!("CARGO_BIN_EXE_bench_components"), &["--bogus"], true),
+    (env!("CARGO_BIN_EXE_bench_figures"), &["--jobs", "-1"], true),
+    (env!("CARGO_BIN_EXE_perf_smoke"), &["--bogus"], true),
+    (env!("CARGO_BIN_EXE_table1"), &["--bogus"], true),
+    (env!("CARGO_BIN_EXE_fig4_timing"), &["--jobs", "0", "--quik"], true),
+    (env!("CARGO_BIN_EXE_simulate"), &["--bogus"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--jobs", "0"], false),
+];
+
+#[test]
+fn bad_arguments_exit_2() {
+    for (bin, args, usage) in CASES {
+        let out = Command::new(bin).args(*args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed to stdout");
+        assert!(!usage || stderr.contains("usage: "), "{bin} {args:?} printed no usage: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_environment_exits_2() {
+    let bin = env!("CARGO_BIN_EXE_fig6_spec_util");
+    let out = Command::new(bin).env("VPC_JOBS", "0").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+}

@@ -21,7 +21,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::RunBudget;
+use crate::experiments::RunOptions;
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
 
@@ -52,7 +52,8 @@ impl fmt::Display for ReorderResult {
 
 /// Runs a load+store mixed subject (vpr) against a Stores partner under
 /// VPC 50/50, with and without intra-thread RoW reordering.
-pub fn reorder(base: &CmpConfig, budget: RunBudget) -> ReorderResult {
+pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
+    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half share");
     let run_with = |order: IntraThreadOrder| {
         let mut cfg =
@@ -71,7 +72,7 @@ pub fn reorder(base: &CmpConfig, budget: RunBudget) -> ReorderResult {
         })
         .into_iter()
         .collect();
-    let results = exec::map_indexed(jobs, exec::jobs());
+    let results = exec::map_indexed(jobs, opts.jobs);
     let (fifo_ipc, fifo_partner_ipc) = results[0];
     let (row_ipc, row_partner_ipc) = results[1];
     ReorderResult { fifo_ipc, row_ipc, fifo_partner_ipc, row_partner_ipc }
@@ -101,7 +102,8 @@ impl fmt::Display for CapacityResult {
 /// streaming threads can actually flush it within the run) with three
 /// streaming threads, under identical FCFS arbiters — isolating the
 /// capacity effect.
-pub fn capacity(base: &CmpConfig, budget: RunBudget) -> CapacityResult {
+pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
+    let budget = opts.budget;
     let run_with = |capacity: CapacityPolicy| {
         let mut cfg = base.clone().with_capacity(capacity);
         cfg.processors = 4;
@@ -125,7 +127,7 @@ pub fn capacity(base: &CmpConfig, budget: RunBudget) -> CapacityResult {
         })
         .into_iter()
         .collect();
-    let results = exec::map_indexed(jobs, exec::jobs());
+    let results = exec::map_indexed(jobs, opts.jobs);
     CapacityResult { lru_ipc: results[0], vpc_ipc: results[1] }
 }
 
@@ -170,7 +172,8 @@ impl fmt::Display for PreemptionResult {
 /// the preemption latency of the non-preemptible resources does not often
 /// have a significant effect on meeting targets — holds if the normalized
 /// IPC stays at or above ~1.0 across the sweep.
-pub fn preemption(base: &CmpConfig, budget: RunBudget) -> PreemptionResult {
+pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
+    let budget = opts.budget;
     let quarter = Share::new(1, 4).expect("quarter");
     let subject = vpc_sim::ThreadId(0);
     let jobs = [4u64, 8, 16]
@@ -207,7 +210,7 @@ pub fn preemption(base: &CmpConfig, budget: RunBudget) -> PreemptionResult {
             })
         })
         .collect();
-    PreemptionResult { points: exec::map_indexed(jobs, exec::jobs()) }
+    PreemptionResult { points: exec::map_indexed(jobs, opts.jobs) }
 }
 
 /// Result of the shared-memory-channel scheduling ablation.
@@ -248,7 +251,8 @@ impl fmt::Display for MemoryFqResult {
 /// virtual-clock property: a bursty low-MLP client's back-to-back requests
 /// carry deadlines spaced at `1/beta`, so its *burst* latency can exceed
 /// FCFS even though its bandwidth share is guaranteed.
-pub fn memory_fq(base: &CmpConfig, budget: RunBudget) -> MemoryFqResult {
+pub fn memory_fq(base: &CmpConfig, opts: RunOptions) -> MemoryFqResult {
+    let budget = opts.budget;
     let run_with = |channels: ChannelMode| {
         let mut cfg =
             base.clone().with_arbiter(ArbiterPolicy::vpc_equal(4)).with_channels(channels);
@@ -278,7 +282,7 @@ pub fn memory_fq(base: &CmpConfig, budget: RunBudget) -> MemoryFqResult {
     })
     .into_iter()
     .collect();
-    let results = exec::map_indexed(jobs, exec::jobs());
+    let results = exec::map_indexed(jobs, opts.jobs);
     MemoryFqResult {
         fcfs_ipc: results[0],
         fq_equal_ipc: results[1],
@@ -345,7 +349,8 @@ impl fmt::Display for FairnessResult {
 /// fair queuing on (a) bandwidth-division precision (Loads+Stores, 50/50)
 /// and (b) a latency-sensitive subject against hostile stores (mcf at
 /// beta = 1/2 vs 3x Stores).
-pub fn fairness_policies(base: &CmpConfig, budget: RunBudget) -> FairnessResult {
+pub fn fairness_policies(base: &CmpConfig, opts: RunOptions) -> FairnessResult {
+    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half");
     let sixth = Share::new(1, 6).expect("sixth");
     let quarter = Share::new(1, 4).expect("quarter");
@@ -398,7 +403,7 @@ pub fn fairness_policies(base: &CmpConfig, budget: RunBudget) -> FairnessResult 
             })
         })
         .collect();
-    let rows = exec::map_indexed(jobs, exec::jobs());
+    let rows = exec::map_indexed(jobs, opts.jobs);
     FairnessResult {
         rows,
         loads_target: target_ipc(
@@ -465,7 +470,8 @@ impl fmt::Display for PrefetchResult {
 /// subject (gcc) under VPC arbiters. Prefetches consume the *issuing*
 /// thread's bandwidth share, so the neighbor speeds itself up without
 /// taking anything from the subject — VPC makes prefetching QoS-safe.
-pub fn prefetch(base: &CmpConfig, budget: RunBudget) -> PrefetchResult {
+pub fn prefetch(base: &CmpConfig, opts: RunOptions) -> PrefetchResult {
+    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half");
     let run_with = |degree: usize| {
         let mut cfg = base.clone().with_vpc_shares(vec![half, half]);
@@ -489,7 +495,7 @@ pub fn prefetch(base: &CmpConfig, budget: RunBudget) -> PrefetchResult {
         })
         .into_iter()
         .collect();
-    let results = exec::map_indexed(jobs, exec::jobs());
+    let results = exec::map_indexed(jobs, opts.jobs);
     let (subject_no_pf, neighbor_no_pf) = results[0];
     let (subject_with_pf, neighbor_with_pf) = results[1];
     PrefetchResult {
@@ -534,7 +540,8 @@ impl fmt::Display for ScalingResult {
 /// every thread running the same mid-weight profile (gcc) under equal VPC
 /// shares; checks that each thread still meets its `1/n` target. Bank
 /// count scales with threads as a designer would provision it.
-pub fn scaling(base: &CmpConfig, budget: RunBudget) -> ScalingResult {
+pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
+    let budget = opts.budget;
     let jobs = [2usize, 4, 8]
         .iter()
         .map(|&threads| {
@@ -568,7 +575,7 @@ pub fn scaling(base: &CmpConfig, budget: RunBudget) -> ScalingResult {
             })
         })
         .collect();
-    ScalingResult { points: exec::map_indexed(jobs, exec::jobs()) }
+    ScalingResult { points: exec::map_indexed(jobs, opts.jobs) }
 }
 
 /// Result of the work-conservation check.
@@ -604,7 +611,8 @@ impl fmt::Display for WorkConservationResult {
 
 /// Runs Loads at `beta = 1/2` against a busy Stores partner and against an
 /// idle partner.
-pub fn work_conservation(base: &CmpConfig, budget: RunBudget) -> WorkConservationResult {
+pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservationResult {
+    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half");
     let run_with = |partner: WorkloadSpec| {
         let mut cfg = base.clone().with_arbiter(ArbiterPolicy::Vpc {
@@ -625,7 +633,7 @@ pub fn work_conservation(base: &CmpConfig, budget: RunBudget) -> WorkConservatio
         })
         .into_iter()
         .collect();
-    let results = exec::map_indexed(jobs, exec::jobs());
+    let results = exec::map_indexed(jobs, opts.jobs);
     WorkConservationResult {
         busy_partner_ipc: results[0],
         idle_partner_ipc: results[1],
@@ -651,6 +659,9 @@ pub fn work_conservation(base: &CmpConfig, budget: RunBudget) -> WorkConservatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunBudget;
+
+    const QUICK: RunOptions = RunOptions { budget: RunBudget::quick(), jobs: 2 };
 
     fn quick_base() -> CmpConfig {
         let mut base = CmpConfig::table1();
@@ -660,7 +671,7 @@ mod tests {
 
     #[test]
     fn qos_scales_to_eight_threads() {
-        let r = scaling(&quick_base(), RunBudget::quick());
+        let r = scaling(&quick_base(), QUICK);
         for (threads, met) in &r.points {
             assert!(*met >= 0.99, "every thread must meet its 1/{threads} target: {r}");
         }
@@ -668,7 +679,7 @@ mod tests {
 
     #[test]
     fn work_conservation_redistributes_excess() {
-        let r = work_conservation(&quick_base(), RunBudget::quick());
+        let r = work_conservation(&quick_base(), QUICK);
         assert!(
             r.idle_partner_ipc > r.busy_partner_ipc * 1.2,
             "idle partner should free bandwidth: busy {:.3} vs idle {:.3}",
@@ -683,7 +694,7 @@ mod tests {
 
     #[test]
     fn reordering_does_not_break_partner_guarantee() {
-        let r = reorder(&quick_base(), RunBudget::quick());
+        let r = reorder(&quick_base(), QUICK);
         // RoW reordering is intra-thread: the partner's bandwidth share is
         // unchanged (within noise).
         let rel = (r.row_partner_ipc - r.fifo_partner_ipc).abs() / r.fifo_partner_ipc.max(1e-9);
@@ -692,7 +703,7 @@ mod tests {
 
     #[test]
     fn fq_memory_scheduling_protects_latency_sensitive_subject() {
-        let r = memory_fq(&quick_base(), RunBudget::quick());
+        let r = memory_fq(&quick_base(), QUICK);
         assert!(
             r.fq_half_ipc > r.fq_equal_ipc,
             "a larger channel share must help the subject: {r}"
@@ -705,7 +716,7 @@ mod tests {
 
     #[test]
     fn all_fairness_policies_divide_bandwidth() {
-        let r = fairness_policies(&quick_base(), RunBudget::quick());
+        let r = fairness_policies(&quick_base(), QUICK);
         assert_eq!(r.rows.len(), 3);
         for row in &r.rows {
             assert!(
@@ -725,7 +736,7 @@ mod tests {
 
     #[test]
     fn prefetching_neighbor_cannot_break_subject_qos() {
-        let r = prefetch(&quick_base(), RunBudget::quick());
+        let r = prefetch(&quick_base(), QUICK);
         assert!(
             r.neighbor_with_pf > r.neighbor_no_pf,
             "prefetching must help the low-MLP neighbor: {r}"
@@ -738,7 +749,7 @@ mod tests {
 
     #[test]
     fn capacity_manager_protects_working_set() {
-        let r = capacity(&quick_base(), RunBudget::quick());
+        let r = capacity(&quick_base(), QUICK);
         assert!(r.vpc_ipc >= r.lru_ipc * 0.95, "VPC quotas must not hurt the subject: {r}");
     }
 }

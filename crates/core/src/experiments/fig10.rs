@@ -25,7 +25,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::RunBudget;
+use crate::experiments::{RunBudget, RunOptions};
 use crate::metrics::{harmonic_mean, improvement_pct, minimum, normalized_ipcs, weighted_speedup};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
@@ -240,7 +240,8 @@ const CELLS_PER_MIX: usize = 10;
 /// Runs the full headline experiment over `mixes`. Every target,
 /// standalone baseline and co-scheduled run is an independent simulation,
 /// so the whole `mixes x 10` grid runs as one parallel job batch.
-pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], budget: RunBudget) -> Fig10Result {
+pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> Fig10Result {
+    let budget = opts.budget;
     let quarter = Share::new(1, 4).expect("quarter share");
     // Uniform cell type: single-thread cells report one IPC, co-scheduled
     // cells report all four.
@@ -272,7 +273,7 @@ pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], budget: RunBudget) -> 
         }));
     }
 
-    let cells = exec::map_indexed(jobs, exec::jobs());
+    let cells = exec::map_indexed(jobs, opts.jobs);
     let results = mixes
         .iter()
         .zip(cells.chunks_exact(CELLS_PER_MIX))
@@ -301,7 +302,11 @@ mod tests {
     fn vpc_meets_targets_where_fcfs_fails() {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 2048;
-        let r = run(&base, &[["art", "mcf", "equake", "gzip"]], RunBudget::quick());
+        let r = run(
+            &base,
+            &[["art", "mcf", "equake", "gzip"]],
+            RunOptions { budget: RunBudget::quick(), jobs: 2 },
+        );
         let m = &r.mixes[0];
         assert!(
             m.vpc_min() >= m.fcfs_min() * 0.98,

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, RunBudget};
+use crate::experiments::{bar, pct, RunBudget, RunOptions};
 use crate::metrics::QosLedger;
 use crate::system::CmpSystem;
 use vpc_arbiters::ArbiterPolicy;
@@ -67,7 +67,8 @@ impl fmt::Display for Fig5Result {
 }
 
 /// Runs the Figure 5 sweep, one parallel job per (benchmark, bank count).
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig5Result {
+pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
+    let budget = opts.budget;
     let mut jobs = Vec::new();
     for benchmark in [WorkloadSpec::Loads, WorkloadSpec::Stores] {
         for banks in [2usize, 4, 8, 16] {
@@ -81,7 +82,7 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig5Result {
             }));
         }
     }
-    Fig5Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig5Result { rows: exec::map_indexed(jobs, opts.jobs) }
 }
 
 /// Workloads of the 4-thread contention variant of the fig5
@@ -141,7 +142,7 @@ mod tests {
     fn microbenchmark_scaling_matches_paper_shape() {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 2048;
-        let r = run(&base, RunBudget::quick());
+        let r = run(&base, RunOptions { budget: RunBudget::quick(), jobs: 2 });
         let loads2 = r.row("Loads", 2).unwrap().util.data_array;
         let loads4 = r.row("Loads", 4).unwrap().util.data_array;
         let loads16 = r.row("Loads", 16).unwrap().util.data_array;

@@ -13,7 +13,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, RunBudget};
+use crate::experiments::{bar, pct, RunBudget, RunOptions};
 use crate::system::CmpSystem;
 
 /// One benchmark's bar group.
@@ -77,12 +77,13 @@ pub fn run_one(base: &CmpConfig, benchmark: &'static str, budget: RunBudget) -> 
 }
 
 /// Runs the full 18-benchmark series, one parallel job per benchmark.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig6Result {
+pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig6Result {
+    let budget = opts.budget;
     let jobs = SPEC_NAMES
         .iter()
         .map(|&b| Job::new(format!("fig6/{b}"), move || run_one(base, b, budget)))
         .collect();
-    Fig6Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig6Result { rows: exec::map_indexed(jobs, opts.jobs) }
 }
 
 #[cfg(test)]

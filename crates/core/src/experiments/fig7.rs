@@ -12,7 +12,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunBudget};
+use crate::experiments::{pct, RunOptions};
 use crate::system::CmpSystem;
 
 /// One benchmark's pair of bars.
@@ -74,7 +74,8 @@ impl fmt::Display for Fig7Result {
 
 /// Runs the full series (each benchmark alone on the baseline cache), one
 /// parallel job per benchmark.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig7Result {
+pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
+    let budget = opts.budget;
     let jobs = SPEC_NAMES
         .iter()
         .map(|&benchmark| {
@@ -92,12 +93,13 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig7Result {
             })
         })
         .collect();
-    Fig7Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig7Result { rows: exec::map_indexed(jobs, opts.jobs) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunBudget;
 
     fn quick_rows(benchmarks: &[&'static str]) -> Vec<Fig7Row> {
         let base = CmpConfig::table1();

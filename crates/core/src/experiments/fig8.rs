@@ -16,7 +16,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunBudget};
+use crate::experiments::{pct, RunBudget, RunOptions};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
 
@@ -89,7 +89,8 @@ fn run_pair(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> (f64
 /// Runs the Figure 8 sweep: RoW-FCFS, FCFS, and VPC with the Stores share
 /// at 0%, 25%, 50%, 75% and 100% — one parallel job per arbiter
 /// configuration.
-pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig8Result {
+pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
+    let budget = opts.budget;
     let alpha = Share::new(1, 2).expect("two threads, equal ways");
     let mut jobs: Vec<Job<'_, Fig8Row>> = Vec::new();
 
@@ -142,7 +143,7 @@ pub fn run(base: &CmpConfig, budget: RunBudget) -> Fig8Result {
             }
         }));
     }
-    Fig8Result { rows: exec::map_indexed(jobs, exec::jobs()) }
+    Fig8Result { rows: exec::map_indexed(jobs, opts.jobs) }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunBudget};
+use crate::experiments::{pct, RunBudget, RunOptions};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
 
@@ -174,7 +174,8 @@ const CELLS_PER_ROW: usize = 7;
 /// [`vpc_workloads::SPEC_NAMES`] for the paper's full set). Every target
 /// and every per-share run is an independent simulation, so the whole
 /// `benchmarks x 7` grid runs as one parallel job batch.
-pub fn run(base: &CmpConfig, benchmarks: &[&'static str], budget: RunBudget) -> Fig9Result {
+pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Fig9Result {
+    let budget = opts.budget;
     let quarter = Share::new(1, 4).expect("alpha = 1/4");
     // Each cell reports (ipc, data-array utilization); targets have no
     // utilization series and report 0.0 there.
@@ -200,7 +201,7 @@ pub fn run(base: &CmpConfig, benchmarks: &[&'static str], budget: RunBudget) -> 
         }
     }
 
-    let cells = exec::map_indexed(jobs, exec::jobs());
+    let cells = exec::map_indexed(jobs, opts.jobs);
     let rows = benchmarks
         .iter()
         .zip(cells.chunks_exact(CELLS_PER_ROW))
@@ -240,7 +241,7 @@ mod tests {
     fn vpc_protects_subject_from_stores_background() {
         let base = quick_base();
         let budget = RunBudget::quick();
-        let r = run(&base, &["art"], budget);
+        let r = run(&base, &["art"], RunOptions { budget, jobs: 2 });
         let row = r.row("art").unwrap();
         // Under VPC the subject's normalized IPC grows with its share and
         // meets the QoS floor; FCFS leaves it below its VPC-100% level.

@@ -1,10 +1,11 @@
 //! Experiment runners regenerating the paper's evaluation.
 //!
 //! One module per figure/table of the evaluation section, plus the
-//! ablations DESIGN.md calls out. Every runner takes a [`RunBudget`] so
-//! tests can use short windows while the bench binaries use full-length
-//! runs, and returns a typed result whose `Display` prints the same rows
-//! or series the paper reports.
+//! ablations DESIGN.md calls out. Every runner that builds a job batch
+//! takes a [`RunOptions`]: its [`RunBudget`] lets tests use short windows
+//! while the bench binaries use full-length runs, and its worker count
+//! sizes the batch's thread pool. Each runner returns a typed result whose
+//! `Display` prints the same rows or series the paper reports.
 //!
 //! | Runner | Paper content |
 //! |---|---|
@@ -37,12 +38,12 @@ pub struct RunBudget {
 
 impl RunBudget {
     /// Full-length runs for the bench binaries.
-    pub fn standard() -> RunBudget {
+    pub const fn standard() -> RunBudget {
         RunBudget { warmup: 60_000, window: 240_000 }
     }
 
     /// Short runs for tests.
-    pub fn quick() -> RunBudget {
+    pub const fn quick() -> RunBudget {
         RunBudget { warmup: 10_000, window: 40_000 }
     }
 }
@@ -51,6 +52,17 @@ impl Default for RunBudget {
     fn default() -> Self {
         RunBudget::standard()
     }
+}
+
+/// How a runner executes its job batch: the simulation windows and the
+/// number of worker threads. The worker count changes only wall-clock
+/// time, never a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Simulation windows of every job.
+    pub budget: RunBudget,
+    /// Worker threads for the job batch (see [`vpc_sim::exec::map_indexed`]).
+    pub jobs: usize,
 }
 
 /// Formats a fraction as a percent with one decimal (figure axes).

@@ -52,9 +52,7 @@ pub mod trace;
 pub mod vpm;
 
 pub use config::{CmpConfig, WorkloadSpec};
-pub use system::{
-    cycle_skipping_default, set_cycle_skipping_default, CmpSystem, Measurement, Snapshot,
-};
+pub use system::{CmpSystem, Measurement, Snapshot};
 pub use target::target_ipc;
 pub use vpm::{VpmAllocation, VpmConfig, VpmError};
 

@@ -286,8 +286,8 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// Drains every job timing the [`exec`] layer recorded since the last
-    /// drain and aggregates it.
+    /// Drains every job timing the [`exec`] layer recorded for batches the
+    /// current thread ran since the last drain, and aggregates it.
     pub fn drain() -> TimingReport {
         TimingReport::from_timings(exec::take_timings())
     }

@@ -1,29 +1,10 @@
 //! The simulated CMP: cores + shared L2 + memory, with measurement windows.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use vpc_cache::{L2Utilization, SgbStats, SharedL2};
 use vpc_cpu::Core;
 use vpc_sim::{Cycle, ThreadId};
 
 use crate::config::{CmpConfig, WorkloadSpec};
-
-/// Process-wide default for quiescence-aware cycle skipping. On by
-/// default; the experiment binaries' `--no-skip` escape hatch clears it.
-static SKIP_BY_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for quiescence-aware cycle skipping.
-/// Systems built afterwards capture this setting; systems that already
-/// exist are unaffected. Thread-safe (the parallel experiment pool builds
-/// systems from worker threads).
-pub fn set_cycle_skipping_default(enabled: bool) {
-    SKIP_BY_DEFAULT.store(enabled, Ordering::SeqCst);
-}
-
-/// The current process-wide default for quiescence-aware cycle skipping.
-pub fn cycle_skipping_default() -> bool {
-    SKIP_BY_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// Counter baseline captured at the start of a measurement window.
 #[derive(Debug, Clone)]
@@ -83,9 +64,6 @@ pub struct CmpSystem {
     cores: Vec<Core>,
     l2: SharedL2,
     now: Cycle,
-    /// Whether [`CmpSystem::run`] may fast-forward through quiescent
-    /// regions (captured from [`cycle_skipping_default`] at construction).
-    skip_enabled: bool,
 }
 
 impl CmpSystem {
@@ -119,7 +97,7 @@ impl CmpSystem {
             .collect();
         let l2 =
             SharedL2::with_channel_mode(config.l2.clone(), config.mem, config.channels.clone());
-        CmpSystem { cores, l2, now: 0, skip_enabled: cycle_skipping_default() }
+        CmpSystem { cores, l2, now: 0 }
     }
 
     /// Builds a system with heterogeneous cores: `core_configs[i]` runs
@@ -146,7 +124,7 @@ impl CmpSystem {
             .collect();
         let l2 =
             SharedL2::with_channel_mode(config.l2.clone(), config.mem, config.channels.clone());
-        CmpSystem { cores, l2, now: 0, skip_enabled: cycle_skipping_default() }
+        CmpSystem { cores, l2, now: 0 }
     }
 
     /// Current simulated time.
@@ -156,18 +134,14 @@ impl CmpSystem {
 
     /// Advances the whole system by `cycles` processor cycles.
     ///
-    /// With cycle skipping enabled (the default), after each real tick the
-    /// system asks every component for its next-activity cycle and, when
-    /// the minimum lies beyond the next cycle, fast-forwards straight to
-    /// it — advancing the cores' per-tick stall counters arithmetically so
-    /// every statistic matches the naive loop exactly. Output is
-    /// byte-identical to [`CmpSystem::run_reference`] (see `DESIGN.md`
-    /// §10 and the `skip_equivalence` property tests).
+    /// After each real tick the system asks every component for its
+    /// next-activity cycle and, when the minimum lies beyond the next
+    /// cycle, fast-forwards straight to it — advancing the cores' per-tick
+    /// stall counters arithmetically so every statistic matches the naive
+    /// loop exactly. Output is byte-identical to
+    /// [`CmpSystem::run_reference`] (see `DESIGN.md` §10 and the
+    /// `skip_equivalence` property tests).
     pub fn run(&mut self, cycles: Cycle) {
-        if !self.skip_enabled {
-            self.run_reference(cycles);
-            return;
-        }
         let end = self.now + cycles;
         // Exponential backoff on failed skip attempts: when the scan
         // concludes "next activity is the very next cycle", re-scanning
@@ -232,7 +206,8 @@ impl CmpSystem {
 
     /// Advances the whole system by `cycles` with the naive
     /// tick-every-cycle loop, never skipping — the reference the
-    /// quiescence property tests compare [`CmpSystem::run`] against.
+    /// quiescence property tests and the `dram_bound_mcf/no_skip` bench
+    /// compare [`CmpSystem::run`] against.
     pub fn run_reference(&mut self, cycles: Cycle) {
         let end = self.now + cycles;
         while self.now < end {
@@ -245,13 +220,6 @@ impl CmpSystem {
             }
             self.now += 1;
         }
-    }
-
-    /// Enables or disables quiescence-aware cycle skipping for this
-    /// system, overriding the process-wide default captured at
-    /// construction.
-    pub fn set_cycle_skipping(&mut self, enabled: bool) {
-        self.skip_enabled = enabled;
     }
 
     /// Captures a counter baseline for a measurement window.

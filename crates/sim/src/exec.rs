@@ -15,15 +15,17 @@
 //! across up to `parallelism` scoped worker threads (borrowing from the
 //! caller's stack is fine), returns the results in input order, and
 //! propagates the first panic (in input order) with the failing job's
-//! label attached. Per-job wall-clock timings are recorded into a
-//! process-global sink that [`take_timings`] drains, so figure binaries
-//! can report where simulation time goes.
+//! label attached. Per-job wall-clock timings are recorded into a sink
+//! owned by the thread that called [`map_indexed`], which [`take_timings`]
+//! on that same thread drains, so figure binaries can report where
+//! simulation time goes. Two threads running batches at the same time
+//! never see each other's timings.
 //!
 //! # Choosing parallelism
 //!
-//! [`jobs`] resolves the worker count used by the experiment runners:
-//! an explicit [`set_jobs`] override (the binaries' `--jobs N` flag) wins,
-//! then the `VPC_JOBS` environment variable, then
+//! The caller passes the worker count explicitly. The experiment runners
+//! take it from `vpc::experiments::RunOptions::jobs`, which the binaries'
+//! command-line parser fills from `--jobs N`, `VPC_JOBS` or
 //! [`std::thread::available_parallelism`].
 //!
 //! ```
@@ -34,15 +36,13 @@
 //! assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::trace::{self, TraceLog};
-
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "VPC_JOBS";
 
 /// A labeled unit of independent work.
 pub struct Job<'a, T> {
@@ -72,44 +72,16 @@ pub struct JobTiming {
     pub elapsed: Duration,
 }
 
-/// Process-global override set by `--jobs N` (0 = no override).
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-global sink of per-job timings, drained by [`take_timings`].
-static TIMINGS: Mutex<Vec<JobTiming>> = Mutex::new(Vec::new());
-
-/// Overrides the worker count used by [`jobs`] (`None` clears the
-/// override). The binaries call this when `--jobs N` is passed.
-pub fn set_jobs(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::Relaxed);
+thread_local! {
+    /// Per-job timings of the batches this thread ran through
+    /// [`map_indexed`], drained by [`take_timings`].
+    static TIMINGS: RefCell<Vec<JobTiming>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The effective worker count: the [`set_jobs`] override if present, else
-/// the `VPC_JOBS` environment variable, else the host's available
-/// parallelism.
-pub fn jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
-    }
-    if let Some(n) = jobs_from_env() {
-        return n;
-    }
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-}
-
-fn jobs_from_env() -> Option<usize> {
-    let raw = std::env::var(JOBS_ENV).ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
-}
-
-/// Drains and returns every job timing recorded since the last call, in
-/// completion batches' input order.
+/// Drains and returns every job timing recorded by batches that the
+/// current thread ran since its last call, in input order.
 pub fn take_timings() -> Vec<JobTiming> {
-    std::mem::take(&mut TIMINGS.lock().expect("timing sink poisoned"))
+    TIMINGS.with(|t| std::mem::take(&mut *t.borrow_mut()))
 }
 
 /// What one finished job leaves behind: its label, its result (or the
@@ -119,13 +91,12 @@ type Outcome<T> = (String, std::thread::Result<T>, Duration, Option<TraceLog>);
 
 /// Runs one job, catching panics so a worker thread never unwinds.
 ///
-/// When [`trace::set_capture`] requested per-job capture, the job runs
-/// with a fresh thread-local recorder (each job runs entirely on one
-/// thread, so its events cannot interleave with another job's) and the
-/// resulting log travels back with the outcome.
-fn run_one<T>(job: Job<'_, T>) -> Outcome<T> {
+/// With a `capture` capacity the job runs with a fresh thread-local
+/// recorder (each job runs entirely on one thread, so its events cannot
+/// interleave with another job's) and the resulting log travels back with
+/// the outcome.
+fn run_one<T>(job: Job<'_, T>, capture: Option<usize>) -> Outcome<T> {
     let Job { label, run } = job;
-    let capture = trace::capture_capacity();
     if let Some(capacity) = capture {
         trace::install(capacity);
     }
@@ -156,6 +127,10 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// byte-identical to `--jobs 1`. Per-job timings are recorded for
 /// [`take_timings`] in input order regardless of completion order.
 ///
+/// The calling thread's [`trace::set_capture`] request is read once, when
+/// the batch starts; the timings and any captured job logs land in the
+/// calling thread's sinks after the join.
+///
 /// # Panics
 ///
 /// If a job panics, every remaining job still runs (no hang, no detached
@@ -164,9 +139,10 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T> {
     let n = jobs.len();
     let workers = parallelism.clamp(1, n.max(1));
+    let capture = trace::capture_capacity();
 
     let mut outcomes: Vec<Option<Outcome<T>>> = if workers <= 1 || n <= 1 {
-        jobs.into_iter().map(|job| Some(run_one(job))).collect()
+        jobs.into_iter().map(|job| Some(run_one(job, capture))).collect()
     } else {
         let slots: Vec<Mutex<Option<Job<'_, T>>>> =
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -184,7 +160,7 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
                         .expect("job slot poisoned")
                         .take()
                         .expect("job claimed twice");
-                    *results[i].lock().expect("result slot poisoned") = Some(run_one(job));
+                    *results[i].lock().expect("result slot poisoned") = Some(run_one(job, capture));
                 });
             }
         });
@@ -210,7 +186,7 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
             }
         }
     }
-    TIMINGS.lock().expect("timing sink poisoned").extend(timings);
+    TIMINGS.with(|t| t.borrow_mut().extend(timings));
     trace::push_job_logs(job_logs);
     if let Some((label, message)) = failure {
         panic!("job '{label}' panicked: {message}");
@@ -220,6 +196,8 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+
     use super::*;
 
     #[test]
@@ -228,7 +206,6 @@ mod tests {
             let jobs = (0..17).map(|i| Job::new(format!("id/{i}"), move || i)).collect();
             assert_eq!(map_indexed(jobs, parallelism), (0..17).collect::<Vec<_>>());
         }
-        take_timings();
     }
 
     #[test]
@@ -242,12 +219,10 @@ mod tests {
         let inputs = [10u64, 20, 30];
         let jobs = inputs.iter().map(|v| Job::new("borrow", move || v * 2)).collect();
         assert_eq!(map_indexed(jobs, 2), vec![20, 40, 60]);
-        take_timings();
     }
 
     #[test]
     fn records_one_timing_per_job_in_input_order() {
-        take_timings();
         let jobs = (0..5).map(|i| Job::new(format!("t/{i}"), move || i)).collect();
         map_indexed(jobs, 3);
         let timings = take_timings();
@@ -273,14 +248,45 @@ mod tests {
             message.contains("'p/4'") && message.contains("boom 4"),
             "unexpected panic message: {message}"
         );
-        take_timings();
+    }
+
+    /// Runs a six-job batch at parallelism 3 on the calling thread, with
+    /// per-job capture requested or not, and returns the labels of the
+    /// caller's timings and job logs plus whether each job was recorded.
+    /// `both` lines the batch up with another thread's: both capture
+    /// requests are in place before either batch starts, and both batches
+    /// have finished before either thread drains its sinks.
+    fn sink_batch(
+        prefix: &str,
+        capture: bool,
+        both: &Barrier,
+    ) -> (Vec<String>, Vec<String>, Vec<bool>) {
+        if capture {
+            trace::set_capture(Some(16));
+        }
+        both.wait();
+        let jobs = (0..6).map(|i| Job::new(format!("{prefix}/{i}"), trace::is_enabled)).collect();
+        let recorded = map_indexed(jobs, 3);
+        both.wait();
+        let timings = take_timings().into_iter().map(|t| t.label).collect();
+        let logs = trace::take_job_logs().into_iter().map(|(label, _)| label).collect();
+        (timings, logs, recorded)
     }
 
     #[test]
-    fn set_jobs_overrides_the_environment() {
-        set_jobs(Some(3));
-        assert_eq!(jobs(), 3);
-        set_jobs(None);
-        assert!(jobs() >= 1);
+    fn concurrent_callers_keep_their_own_sinks() {
+        let both = Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| sink_batch("a", true, &both));
+            let b = s.spawn(|| sink_batch("b", false, &both));
+            (a.join().expect("thread a panicked"), b.join().expect("thread b panicked"))
+        });
+        let labels = |p: &str| (0..6).map(|i| format!("{p}/{i}")).collect::<Vec<_>>();
+        assert_eq!(a.0, labels("a"), "thread a's timings");
+        assert_eq!(b.0, labels("b"), "thread b's timings");
+        assert_eq!(a.1, labels("a"), "thread a's job logs");
+        assert!(b.1.is_empty(), "thread b got job logs it never asked for: {:?}", b.1);
+        assert_eq!(a.2, vec![true; 6], "thread a's jobs ran without a recorder");
+        assert_eq!(b.2, vec![false; 6], "thread b's jobs ran with a recorder");
     }
 }

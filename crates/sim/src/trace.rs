@@ -17,7 +17,10 @@
 //!   [`take`] disarms it and returns the log. Each [`crate::exec`] job
 //!   runs entirely on one worker thread, so per-job capture (see
 //!   [`set_capture`]) composes with the thread pool: job traces are
-//!   collected in input order regardless of worker count.
+//!   collected in input order regardless of worker count. The capture
+//!   request and the job-log sink belong to the thread that calls
+//!   [`crate::exec::map_indexed`], so concurrent callers never see each
+//!   other's logs.
 //! * **The log is bounded.** A [`TraceLog`] created with capacity `c`
 //!   retains the *first* `c` events and counts every later event in
 //!   [`TraceLog::dropped`]; retained events are never reordered or
@@ -51,10 +54,8 @@
 //! assert_eq!(log.dropped(), 0);
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::types::{AccessKind, Cycle, LineAddr, ThreadId};
 
@@ -313,15 +314,16 @@ impl TraceLog {
 thread_local! {
     /// The current thread's recorder, if armed.
     static RECORDER: RefCell<Option<TraceLog>> = const { RefCell::new(None) };
+
+    /// This thread's per-job capture request for the batches it runs
+    /// through [`crate::exec::map_indexed`].
+    static CAPTURE_CAPACITY: Cell<Option<usize>> = const { Cell::new(None) };
+
+    /// Per-job logs of the batches this thread ran, filled by
+    /// [`crate::exec::map_indexed`] in input order and drained by
+    /// [`take_job_logs`].
+    static JOB_LOGS: RefCell<Vec<(String, TraceLog)>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Process-global per-job capture request for the [`crate::exec`] pool
-/// (0 = capture off).
-static CAPTURE_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-global sink of per-job logs, filled by [`crate::exec::map_indexed`]
-/// in input order and drained by [`take_job_logs`].
-static JOB_LOGS: Mutex<Vec<(String, TraceLog)>> = Mutex::new(Vec::new());
 
 /// Arms the current thread with a fresh recorder of the given capacity,
 /// discarding any previous one.
@@ -352,32 +354,30 @@ pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
     });
 }
 
-/// Requests (or cancels, with `None`) per-job trace capture from the
-/// [`crate::exec`] pool: each subsequent job runs with a recorder of the
-/// given capacity, and its log lands in the [`take_job_logs`] sink under
-/// the job's label. The binaries call this when `--trace` is passed.
+/// Requests (or cancels, with `None`) per-job trace capture for the
+/// batches the current thread runs through the [`crate::exec`] pool: each
+/// job of a later batch runs with a recorder of the given capacity, and
+/// its log lands in this thread's [`take_job_logs`] sink under the job's
+/// label. The binaries call this when `--trace` is passed.
 pub fn set_capture(capacity: Option<usize>) {
-    CAPTURE_CAPACITY.store(capacity.unwrap_or(0), Ordering::Relaxed);
+    CAPTURE_CAPACITY.with(|c| c.set(capacity.filter(|&n| n > 0)));
 }
 
-/// The active per-job capture capacity, if capture is on.
+/// The current thread's per-job capture capacity, if capture is on.
 pub fn capture_capacity() -> Option<usize> {
-    match CAPTURE_CAPACITY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
+    CAPTURE_CAPACITY.with(Cell::get)
 }
 
-/// Drains and returns every per-job log captured since the last call, in
-/// job-batch input order.
+/// Drains and returns every per-job log captured by batches the current
+/// thread ran since its last call, in job-batch input order.
 pub fn take_job_logs() -> Vec<(String, TraceLog)> {
-    std::mem::take(&mut JOB_LOGS.lock().expect("job log sink poisoned"))
+    JOB_LOGS.with(|logs| std::mem::take(&mut *logs.borrow_mut()))
 }
 
-/// Appends a batch of per-job logs to the sink (called by
-/// [`crate::exec::map_indexed`] after joining a batch).
+/// Appends a batch of per-job logs to the current thread's sink (called
+/// by [`crate::exec::map_indexed`] on its caller after joining a batch).
 pub(crate) fn push_job_logs(logs: Vec<(String, TraceLog)>) {
-    JOB_LOGS.lock().expect("job log sink poisoned").extend(logs);
+    JOB_LOGS.with(|sink| sink.borrow_mut().extend(logs));
 }
 
 #[cfg(test)]

@@ -15,6 +15,20 @@ cargo build --release --workspace --bins
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 
+echo "== shared-state guard: exec tests x20 under parallel test threads =="
+# A test that observes another test's state fails only when the two
+# interleave; twenty runs catch such a flake reliably instead of by luck.
+for run in $(seq 20); do
+    for suite in "-p vpc-sim --lib" "--test exec_properties"; do
+        # shellcheck disable=SC2086
+        if ! out=$(cargo test -q $suite 2>&1); then
+            echo "$out"
+            echo "cargo test $suite failed on run $run"
+            exit 1
+        fi
+    done
+done
+
 echo "== rustdoc (warnings are errors, binaries included) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --bins
 

@@ -39,7 +39,6 @@ fn every_job_runs_exactly_once_in_input_order() {
         }
         Ok(())
     });
-    exec::take_timings();
 }
 
 #[test]
@@ -99,7 +98,6 @@ fn panicking_job_surfaces_its_label() {
         );
         Ok(())
     });
-    exec::take_timings();
 }
 
 #[test]
@@ -124,5 +122,4 @@ fn results_are_independent_of_parallelism() {
         }
         Ok(())
     });
-    exec::take_timings();
 }

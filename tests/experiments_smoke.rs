@@ -1,7 +1,7 @@
 //! Smoke tests: every figure runner executes on a reduced configuration
 //! and produces structurally complete, printable results.
 
-use vpc::experiments::{ablations, fig10, fig4, fig5, fig6, fig8, fig9, RunBudget};
+use vpc::experiments::{ablations, fig10, fig4, fig5, fig6, fig8, fig9, RunBudget, RunOptions};
 use vpc::prelude::*;
 
 fn small_base() -> CmpConfig {
@@ -14,6 +14,10 @@ fn tiny_budget() -> RunBudget {
     RunBudget { warmup: 6_000, window: 20_000 }
 }
 
+fn tiny() -> RunOptions {
+    RunOptions { budget: tiny_budget(), jobs: 4 }
+}
+
 #[test]
 fn fig4_smoke() {
     let r = fig4::run(&small_base());
@@ -23,7 +27,7 @@ fn fig4_smoke() {
 
 #[test]
 fn fig5_smoke() {
-    let r = fig5::run(&small_base(), tiny_budget());
+    let r = fig5::run(&small_base(), tiny());
     assert_eq!(r.rows.len(), 8, "2 benchmarks x 4 bank counts");
     for row in &r.rows {
         assert!(row.util.data_array >= 0.0 && row.util.data_array <= 1.0);
@@ -46,7 +50,7 @@ fn fig6_and_fig7_smoke_subset() {
 
 #[test]
 fn fig8_smoke() {
-    let r = fig8::run(&small_base(), tiny_budget());
+    let r = fig8::run(&small_base(), tiny());
     assert_eq!(r.rows.len(), 7, "RoW + FCFS + 5 VPC points");
     let row = r.row("RoW").expect("RoW row present");
     // With the tiny warm-up the load stream still has miss gaps that let a
@@ -65,7 +69,7 @@ fn fig8_smoke() {
 
 #[test]
 fn fig9_smoke_one_subject() {
-    let r = fig9::run(&small_base(), &["gcc"], tiny_budget());
+    let r = fig9::run(&small_base(), &["gcc"], tiny());
     assert_eq!(r.rows.len(), 1);
     let row = &r.rows[0];
     assert!(row.vpc100_norm > 0.8, "full share approaches standalone: {row:?}");
@@ -74,7 +78,7 @@ fn fig9_smoke_one_subject() {
 
 #[test]
 fn fig10_smoke_one_mix() {
-    let r = fig10::run(&small_base(), &[["gcc", "gzip", "twolf", "ammp"]], tiny_budget());
+    let r = fig10::run(&small_base(), &[["gcc", "gzip", "twolf", "ammp"]], tiny());
     assert_eq!(r.mixes.len(), 1);
     assert!(r.vpc_qos_met(0.10) > 0.7, "most threads meet targets: {r:?}");
     assert!(r.to_string().contains("hmean"));
@@ -83,12 +87,11 @@ fn fig10_smoke_one_mix() {
 #[test]
 fn ablation_displays_are_complete() {
     let base = small_base();
-    let budget = tiny_budget();
-    let wc = ablations::work_conservation(&base, budget);
+    let wc = ablations::work_conservation(&base, tiny());
     assert!(wc.to_string().contains("work conservation"));
-    let re = ablations::reorder(&base, budget);
+    let re = ablations::reorder(&base, tiny());
     assert!(re.to_string().contains("reordering"));
-    let pre = ablations::preemption(&base, budget);
+    let pre = ablations::preemption(&base, tiny());
     assert_eq!(pre.points.len(), 3);
     assert!(pre.to_string().contains("preemption"));
 }

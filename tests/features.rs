@@ -110,9 +110,9 @@ fn heterogeneous_cores_compose_with_the_system() {
 /// by default.
 #[test]
 fn spec_calibration_matches_figure6_shape() {
-    use vpc::experiments::{fig6, RunBudget};
+    use vpc::experiments::{fig6, RunBudget, RunOptions};
     let base = CmpConfig::table1();
-    let r = fig6::run(&base, RunBudget::standard());
+    let r = fig6::run(&base, RunOptions { budget: RunBudget::standard(), jobs: 4 });
     // Mean data-array utilization near the paper's 26%.
     let mean = r.mean_data_util();
     assert!(

@@ -2,33 +2,17 @@
 //! figure grid with `--jobs 4` produces output *byte-identical* to
 //! `--jobs 1`. Each runner here renders its `ToJson` report under both
 //! worker counts and compares the strings.
-//!
-//! The worker-count override is process-global, so every test serializes
-//! on one mutex and restores the default before releasing it.
 
-use std::sync::Mutex;
-
-use vpc::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, RunBudget};
+use vpc::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, RunBudget, RunOptions};
 use vpc::prelude::*;
 use vpc::report::{
     to_json, Fig10Report, Fig5Report, Fig6Report, Fig7Report, Fig8Report, Fig9Report,
 };
-use vpc_sim::exec;
-
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Renders `render()` once at 1 worker and once at 4, returning both
-/// strings. Holds the global jobs lock for the duration and always
-/// restores the default worker count.
-fn render_at_1_and_4(render: impl Fn() -> String) -> (String, String) {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_jobs(Some(1));
-    let serial = render();
-    exec::set_jobs(Some(4));
-    let parallel = render();
-    exec::set_jobs(None);
-    exec::take_timings();
-    (serial, parallel)
+/// Renders `render(opts)` once at 1 worker and once at 4, both at the
+/// quick budget, returning both strings.
+fn render_at_1_and_4(render: impl Fn(RunOptions) -> String) -> (String, String) {
+    let at = |jobs| render(RunOptions { budget: RunBudget::quick(), jobs });
+    (at(1), at(4))
 }
 
 fn small_base() -> CmpConfig {
@@ -41,7 +25,7 @@ fn small_base() -> CmpConfig {
 fn fig5_is_serial_equivalent() {
     let base = small_base();
     let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig5Report::from(&fig5::run(&base, RunBudget::quick()))));
+        render_at_1_and_4(|opts| to_json(&Fig5Report::from(&fig5::run(&base, opts))));
     assert_eq!(serial, parallel, "fig5 output depends on the worker count");
 }
 
@@ -49,7 +33,7 @@ fn fig5_is_serial_equivalent() {
 fn fig6_is_serial_equivalent() {
     let base = small_base();
     let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig6Report::from(&fig6::run(&base, RunBudget::quick()))));
+        render_at_1_and_4(|opts| to_json(&Fig6Report::from(&fig6::run(&base, opts))));
     assert_eq!(serial, parallel, "fig6 output depends on the worker count");
 }
 
@@ -57,7 +41,7 @@ fn fig6_is_serial_equivalent() {
 fn fig7_is_serial_equivalent() {
     let base = small_base();
     let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig7Report::from(&fig7::run(&base, RunBudget::quick()))));
+        render_at_1_and_4(|opts| to_json(&Fig7Report::from(&fig7::run(&base, opts))));
     assert_eq!(serial, parallel, "fig7 output depends on the worker count");
 }
 
@@ -69,7 +53,7 @@ fn fig8_is_serial_equivalent() {
         cfg
     };
     let (serial, parallel) =
-        render_at_1_and_4(|| to_json(&Fig8Report::from(&fig8::run(&base, RunBudget::quick()))));
+        render_at_1_and_4(|opts| to_json(&Fig8Report::from(&fig8::run(&base, opts))));
     assert_eq!(serial, parallel, "fig8 output depends on the worker count");
 }
 
@@ -78,8 +62,8 @@ fn fig9_is_serial_equivalent() {
     // Two benchmarks (14 simulations) keep the debug-mode runtime sane;
     // the full 18-benchmark grid goes through the same code path.
     let base = small_base();
-    let (serial, parallel) = render_at_1_and_4(|| {
-        to_json(&Fig9Report::from(&fig9::run(&base, &["gcc", "art"], RunBudget::quick())))
+    let (serial, parallel) = render_at_1_and_4(|opts| {
+        to_json(&Fig9Report::from(&fig9::run(&base, &["gcc", "art"], opts)))
     });
     assert_eq!(serial, parallel, "fig9 output depends on the worker count");
 }
@@ -87,9 +71,9 @@ fn fig9_is_serial_equivalent() {
 #[test]
 fn fig10_is_serial_equivalent() {
     let base = small_base();
-    let (serial, parallel) = render_at_1_and_4(|| {
+    let (serial, parallel) = render_at_1_and_4(|opts| {
         let mixes = [["gcc", "gzip", "twolf", "ammp"]];
-        to_json(&Fig10Report::from(&fig10::run(&base, &mixes, RunBudget::quick())))
+        to_json(&Fig10Report::from(&fig10::run(&base, &mixes, opts)))
     });
     assert_eq!(serial, parallel, "fig10 output depends on the worker count");
 }

@@ -103,8 +103,10 @@ fn measured_windows_agree_with_naive() {
     let fast = skipping.run_measured(5_000, 20_000);
 
     let mut naive = CmpSystem::new(cfg, &workloads);
-    naive.set_cycle_skipping(false);
-    let slow = naive.run_measured(5_000, 20_000);
+    naive.run_reference(5_000);
+    let snap = naive.snapshot();
+    naive.run_reference(20_000);
+    let slow = naive.measure(&snap);
 
     assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "measurements must be identical");
 }

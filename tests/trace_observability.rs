@@ -4,7 +4,6 @@
 //! contention trace matches its checked-in golden byte-for-byte.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use vpc::experiments::{fig5, RunBudget};
 use vpc::json::JsonValue;
@@ -13,10 +12,6 @@ use vpc_sim::check::{self, Config};
 use vpc_sim::exec::{self, Job};
 use vpc_sim::trace::{self, EventData, TraceEvent};
 use vpc_sim::{ensure_eq, Cycle};
-
-/// The worker-count and capture overrides are process-global, so the
-/// tests touching them serialize on one mutex and restore the defaults.
-static EXEC_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn ring_overflow_keeps_prefix_and_counts_drops() {
@@ -43,9 +38,8 @@ fn ring_overflow_keeps_prefix_and_counts_drops() {
 }
 
 /// Runs a small contention grid through the exec pool with per-job
-/// capture armed and returns the labeled logs, restoring all globals.
+/// capture armed on this thread and returns the labeled logs.
 fn captured_grid(workers: usize) -> Vec<(String, trace::TraceLog)> {
-    exec::set_jobs(Some(workers));
     trace::set_capture(Some(4096));
     let jobs: Vec<Job<()>> = [2usize, 4]
         .into_iter()
@@ -59,17 +53,13 @@ fn captured_grid(workers: usize) -> Vec<(String, trace::TraceLog)> {
             })
         })
         .collect();
-    exec::map_indexed(jobs, exec::jobs());
-    let logs = trace::take_job_logs();
+    exec::map_indexed(jobs, workers);
     trace::set_capture(None);
-    exec::set_jobs(None);
-    exec::take_timings();
-    logs
+    trace::take_job_logs()
 }
 
 #[test]
 fn job_trace_streams_identical_at_jobs_1_and_4() {
-    let _guard = EXEC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let serial = captured_grid(1);
     let parallel = captured_grid(4);
     assert_eq!(serial.len(), 2, "one log per job");
