@@ -5,6 +5,9 @@
 //! ```sh
 //! cargo run --release -p vpc-bench --bin record_trace -- art 10000 > art.trace
 //! ```
+//!
+//! An unknown workload, a malformed op count or an extra argument prints
+//! usage on stderr and exits with code 2.
 
 use std::process::ExitCode;
 
@@ -12,28 +15,40 @@ use vpc_cpu::Workload;
 use vpc_sim::ThreadId;
 use vpc_workloads::{loads_micro, record, spec, stores_micro, SPEC_NAMES};
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let name = args.next().unwrap_or_else(|| "art".into());
-    let count: usize = match args.next().unwrap_or_else(|| "10000".into()).parse() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: bad op count: {e}");
-            return ExitCode::FAILURE;
-        }
+/// Parses `[WORKLOAD] [OPS]` (defaults: `art`, 10000) into the workload
+/// name, the workload and the op count.
+fn parse(args: &[String]) -> Result<(String, Box<dyn Workload>, usize), String> {
+    let (name, count) = match args {
+        [] => ("art", "10000"),
+        [name] => (name.as_str(), "10000"),
+        [name, count] => (name.as_str(), count.as_str()),
+        [_, _, extra, ..] => return Err(format!("unexpected argument {extra:?}")),
     };
-    let mut workload: Box<dyn Workload> = match name.as_str() {
+    let count =
+        count.parse().map_err(|_| format!("the op count needs an integer, got {count:?}"))?;
+    let workload: Box<dyn Workload> = match name {
         "Loads" | "loads" => Box::new(loads_micro(ThreadId(0))),
         "Stores" | "stores" => Box::new(stores_micro(ThreadId(0))),
         other => match spec::workload(other, ThreadId(0)) {
             Some(w) => Box::new(w),
-            None => {
-                eprintln!(
-                    "error: unknown workload {other:?}; try Loads, Stores, or one of {SPEC_NAMES:?}"
-                );
-                return ExitCode::FAILURE;
-            }
+            None => return Err(format!("unknown workload {other:?}")),
         },
+    };
+    Ok((name.to_string(), workload, count))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (name, mut workload, count) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            eprintln!(
+                "error: {err}\n\nusage: record_trace [WORKLOAD] [OPS]\n\n\
+                 WORKLOAD is Loads, Stores or one of {SPEC_NAMES:?} (default art);\n\
+                 OPS is the number of ops to record (default 10000)."
+            );
+            return ExitCode::from(2);
+        }
     };
     print!(
         "# {count} ops of {name}, recorded by record_trace\n{}",

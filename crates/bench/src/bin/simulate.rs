@@ -96,7 +96,11 @@ fn parse_args() -> Result<Args, String> {
                 args.warmup = value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?;
             }
             "--cycles" => {
-                args.cycles = value("--cycles")?.parse().map_err(|e| format!("--cycles: {e}"))?;
+                let cycles = value("--cycles")?;
+                args.cycles =
+                    cycles.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        format!("--cycles needs a positive integer, got {cycles:?}")
+                    })?;
             }
             "--channels" => args.channels = value("--channels")?,
             "--lru-capacity" => args.lru_capacity = true,
@@ -201,9 +205,12 @@ fn run(args: Args) -> Result<(), String> {
             target_ipc(&base, *w, args.shares[i], args.shares[i], args.warmup, args.cycles)
         };
         let hist = sys.l2().read_latency(thread);
-        let norm = if target > 0.0 { m.ipc[i] / target } else { f64::NAN };
+        // A zero-share thread runs on excess bandwidth only and has no
+        // target to normalize by.
+        let norm =
+            if target > 0.0 { format!("{:.3}", m.ipc[i] / target) } else { "n/a".to_string() };
         println!(
-            "{:<10} {:>7} {:>8.3} {:>8.3} {:>9.3} {:>12.1} {:>9.1}%",
+            "{:<10} {:>7} {:>8.3} {:>8.3} {:>9} {:>12.1} {:>9.1}%",
             w.name(),
             args.shares[i].to_string(),
             m.ipc[i],

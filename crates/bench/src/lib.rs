@@ -1,6 +1,6 @@
 //! Shared helpers for the figure-regeneration binaries.
 //!
-//! Every experiment and bench binary parses its command line with
+//! Every experiment binary parses its command line with
 //! [`Cli::from_env`] — the only place that reads `--quick`, `--json`,
 //! `--jobs`, `--trace`, `--metrics`, `VPC_QUICK` and `VPC_JOBS` — and
 //! prints the same rows/series as the corresponding figure or table of
@@ -19,9 +19,6 @@ use vpc::json::JsonValue;
 use vpc::report::TimingReport;
 use vpc_sim::trace::{self, TraceLog};
 
-pub mod harness;
-pub mod scenarios;
-
 /// The usage text of [`Cli::parse`], after the program name.
 const USAGE: &str = "\
 [--quick] [--json] [--jobs N] [--trace PATH] [--metrics]
@@ -36,7 +33,7 @@ const USAGE: &str = "\
 
 An unknown flag or a malformed value prints this text and exits with code 2.";
 
-/// The parsed command line shared by the experiment and bench binaries.
+/// The parsed command line shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Simulation windows (`--quick`) and worker count (`--jobs`).
@@ -94,19 +91,8 @@ impl Cli {
     /// Parses the process's arguments and environment; on an error prints
     /// it with the usage text on stderr and exits with code 2.
     pub fn from_env() -> Cli {
-        Cli::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses `args` against the process environment; on an error prints
-    /// it with the usage text on stderr and exits with code 2.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Cli {
-        Cli::parse(args, |key| std::env::var(key).ok())
+        Cli::parse(std::env::args().skip(1), |key| std::env::var(key).ok())
             .unwrap_or_else(|err| usage_error(&err, USAGE))
-    }
-
-    /// Whether `--quick` (or `VPC_QUICK=1`) selected short windows.
-    pub fn quick(&self) -> bool {
-        self.opts.budget == RunBudget::quick()
     }
 }
 
@@ -167,7 +153,7 @@ pub fn figure<R: fmt::Display>(
 /// Drains the per-job timings behind the run just finished and prints
 /// them to **stderr** (stdout must stay byte-identical across `--jobs`
 /// settings, so wall-clock noise never lands there).
-pub fn report_timings(what: &str, jobs: usize, wall: Duration) {
+fn report_timings(what: &str, jobs: usize, wall: Duration) {
     let timings = TimingReport::drain();
     if timings.is_empty() {
         return;

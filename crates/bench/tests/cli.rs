@@ -13,13 +13,14 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_fig9_spec_vs_stores"), &["--jobs=many"], true),
     (env!("CARGO_BIN_EXE_fig10_heterogeneous"), &["--no-skip"], true),
     (env!("CARGO_BIN_EXE_ablations"), &["--quick=1"], true),
-    (env!("CARGO_BIN_EXE_bench_components"), &["--bogus"], true),
-    (env!("CARGO_BIN_EXE_bench_figures"), &["--jobs", "-1"], true),
-    (env!("CARGO_BIN_EXE_perf_smoke"), &["--bogus"], true),
     (env!("CARGO_BIN_EXE_table1"), &["--bogus"], true),
     (env!("CARGO_BIN_EXE_fig4_timing"), &["--jobs", "0", "--quik"], true),
     (env!("CARGO_BIN_EXE_simulate"), &["--bogus"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--jobs", "0"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "0"], false),
+    (env!("CARGO_BIN_EXE_record_trace"), &["nosuch", "5"], true),
+    (env!("CARGO_BIN_EXE_record_trace"), &["art", "x"], true),
+    (env!("CARGO_BIN_EXE_record_trace"), &["art", "3", "extra"], true),
 ];
 
 #[test]
@@ -38,4 +39,16 @@ fn malformed_environment_exits_2() {
     let bin = env!("CARGO_BIN_EXE_fig6_spec_util");
     let out = Command::new(bin).env("VPC_JOBS", "0").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn zero_share_thread_prints_no_nan() {
+    let bin = env!("CARGO_BIN_EXE_simulate");
+    let args = ["--workloads", "Loads,Stores", "--shares", "1/1,0/1", "--warmup", "1000"];
+    let out =
+        Command::new(bin).args(args).args(["--cycles", "5000"]).output().expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("n/a"), "zero-share thread has no target: {stdout}");
+    assert!(!stdout.contains("NaN"), "{stdout}");
 }

@@ -29,13 +29,7 @@ impl CmpConfig {
     /// channel per thread. Defaults to FCFS arbiters (the multiprocessor
     /// baseline) and equal VPC way quotas.
     pub fn table1() -> CmpConfig {
-        CmpConfig {
-            processors: 4,
-            core: CoreConfig::table1(),
-            l2: L2Config::table1(4, ArbiterPolicy::Fcfs),
-            mem: MemConfig::ddr2_800(),
-            channels: ChannelMode::PerThread,
-        }
+        CmpConfig::table1_with_threads(4)
     }
 
     /// Table 1 with `processors` threads (for 1- and 2-thread experiments).

@@ -3,7 +3,7 @@
 //! One module per figure/table of the evaluation section, plus the
 //! ablations DESIGN.md calls out. Every runner that builds a job batch
 //! takes a [`RunOptions`]: its [`RunBudget`] lets tests use short windows
-//! while the bench binaries use full-length runs, and its worker count
+//! while the figure binaries use full-length runs, and its worker count
 //! sizes the batch's thread pool. Each runner returns a typed result whose
 //! `Display` prints the same rows or series the paper reports.
 //!
@@ -37,7 +37,7 @@ pub struct RunBudget {
 }
 
 impl RunBudget {
-    /// Full-length runs for the bench binaries.
+    /// Full-length runs for the figure binaries.
     pub const fn standard() -> RunBudget {
         RunBudget { warmup: 60_000, window: 240_000 }
     }

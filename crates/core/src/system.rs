@@ -89,15 +89,12 @@ impl CmpSystem {
         config: CmpConfig,
         workloads: Vec<Box<dyn vpc_cpu::Workload>>,
     ) -> CmpSystem {
-        assert_eq!(workloads.len(), config.processors, "one workload per processor required");
         let cores = workloads
             .into_iter()
             .enumerate()
             .map(|(i, w)| Core::new(config.core, ThreadId(i as u8), w))
             .collect();
-        let l2 =
-            SharedL2::with_channel_mode(config.l2.clone(), config.mem, config.channels.clone());
-        CmpSystem { cores, l2, now: 0 }
+        CmpSystem::from_cores(config, cores)
     }
 
     /// Builds a system with heterogeneous cores: `core_configs[i]` runs
@@ -111,8 +108,7 @@ impl CmpSystem {
         core_configs: &[vpc_cpu::CoreConfig],
         workloads: &[WorkloadSpec],
     ) -> CmpSystem {
-        assert_eq!(workloads.len(), config.processors, "one workload per processor required");
-        assert_eq!(core_configs.len(), config.processors, "one core config per processor required");
+        assert_eq!(core_configs.len(), workloads.len(), "one core config per workload required");
         let cores = workloads
             .iter()
             .zip(core_configs)
@@ -122,8 +118,14 @@ impl CmpSystem {
                 Core::new(*core_cfg, thread, w.build(thread))
             })
             .collect();
-        let l2 =
-            SharedL2::with_channel_mode(config.l2.clone(), config.mem, config.channels.clone());
+        CmpSystem::from_cores(config, cores)
+    }
+
+    /// The one constructor body: `cores[i]` runs thread `i` in front of
+    /// the shared L2 that `config` describes.
+    fn from_cores(config: CmpConfig, cores: Vec<Core>) -> CmpSystem {
+        assert_eq!(cores.len(), config.processors, "one workload per processor required");
+        let l2 = SharedL2::with_channel_mode(config.l2, config.mem, config.channels);
         CmpSystem { cores, l2, now: 0 }
     }
 
