@@ -31,10 +31,10 @@ pub trait Arbiter: fmt::Debug {
         self.len() == 0
     }
 
-    /// Reconfigures `thread`'s bandwidth share, if this arbiter supports
+    /// Sets `thread`'s bandwidth share `beta_i`, if this arbiter supports
     /// QoS shares (the VPC arbiter's system-software-visible control
     /// registers, §4). Returns `false` for share-oblivious arbiters.
-    fn reconfigure_share(&mut self, _thread: vpc_sim::ThreadId, _share: vpc_sim::Share) -> bool {
+    fn set_share(&mut self, _thread: vpc_sim::ThreadId, _share: vpc_sim::Share) -> bool {
         false
     }
 
@@ -78,7 +78,6 @@ fn fifo_backlog<'a>(
 #[derive(Debug, Default)]
 pub struct FcfsArbiter {
     queue: VecDeque<ArbRequest>,
-    seq: u64,
 }
 
 impl FcfsArbiter {
@@ -93,7 +92,6 @@ impl Arbiter for FcfsArbiter {
         req.arrival = now;
         // FIFO insertion preserves arrival order; same-cycle arrivals keep
         // their enqueue order, which the caller makes deterministic.
-        self.seq += 1;
         self.queue.push_back(req);
     }
 

@@ -39,7 +39,7 @@ pub struct DrrArbiter {
 
 impl DrrArbiter {
     /// Creates an arbiter for `num_threads` threads, all with zero share
-    /// (configure with [`DrrArbiter::set_share`]).
+    /// (configure with [`Arbiter::set_share`]).
     ///
     /// # Panics
     ///
@@ -63,11 +63,6 @@ impl DrrArbiter {
             arb.set_share(ThreadId(t as u8), share);
         }
         arb
-    }
-
-    /// Sets `thread`'s bandwidth share.
-    pub fn set_share(&mut self, thread: ThreadId, share: Share) {
-        self.threads[thread.index()].share = share;
     }
 
     fn quantum_of(&self, t: usize) -> u64 {
@@ -120,8 +115,8 @@ impl Arbiter for DrrArbiter {
         self.pending
     }
 
-    fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
-        self.set_share(thread, share);
+    fn set_share(&mut self, thread: ThreadId, share: Share) -> bool {
+        self.threads[thread.index()].share = share;
         true
     }
 

@@ -11,13 +11,15 @@
 //! * [`RowFcfsArbiter`] — read-over-write FCFS, the uniprocessor policy that
 //!   *starves* stores when another thread issues a continuous load stream
 //!   (demonstrated in the paper's Figure 8 and in this crate's tests).
-//! * [`RoundRobinArbiter`] — per-thread round-robin, used by the cache
-//!   controller's thread-selection stage.
+//! * [`RoundRobinArbiter`] — per-thread round-robin over threads' oldest
+//!   requests (the `simulate --arbiter rr` policy).
 //! * [`VpcArbiter`] — the paper's contribution: a fair-queuing arbiter with
 //!   per-thread virtual-time registers (`R.S_i`) that guarantees each thread
 //!   its allocated share `beta_i` of the resource's bandwidth (§4.1), using
 //!   earliest-virtual-finish-time-first (EDF) selection and supporting
 //!   intra-thread read-over-write reordering without losing the guarantee.
+//!   Its registers are a [`vpc_sim::VirtualClock`], which [`SfqArbiter`]
+//!   shares; [`Arbiter::set_share`] writes any policy's shares.
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
 //!   arbiter and a utilization meter, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.
@@ -102,32 +104,20 @@ impl ArbiterPolicy {
 
     /// Instantiates a boxed arbiter for `threads` hardware threads.
     pub fn build(&self, threads: usize) -> Box<dyn Arbiter> {
-        match self {
-            ArbiterPolicy::Fcfs => Box::new(FcfsArbiter::new()),
-            ArbiterPolicy::RowFcfs => Box::new(RowFcfsArbiter::new()),
-            ArbiterPolicy::RoundRobin => Box::new(RoundRobinArbiter::new(threads)),
+        let (mut arb, shares): (Box<dyn Arbiter>, &[Share]) = match self {
+            ArbiterPolicy::Fcfs => (Box::new(FcfsArbiter::new()), &[]),
+            ArbiterPolicy::RowFcfs => (Box::new(RowFcfsArbiter::new()), &[]),
+            ArbiterPolicy::RoundRobin => (Box::new(RoundRobinArbiter::new(threads)), &[]),
             ArbiterPolicy::Vpc { shares, order } => {
-                let mut arb = VpcArbiter::new(threads, *order);
-                for (i, s) in shares.iter().enumerate().take(threads) {
-                    arb.set_share(vpc_sim::ThreadId(i as u8), *s);
-                }
-                Box::new(arb)
+                (Box::new(VpcArbiter::new(threads, *order)), shares)
             }
-            ArbiterPolicy::Drr { shares } => {
-                let mut arb = DrrArbiter::new(threads);
-                for (i, s) in shares.iter().enumerate().take(threads) {
-                    arb.set_share(vpc_sim::ThreadId(i as u8), *s);
-                }
-                Box::new(arb)
-            }
-            ArbiterPolicy::Sfq { shares } => {
-                let mut arb = SfqArbiter::new(threads);
-                for (i, s) in shares.iter().enumerate().take(threads) {
-                    arb.set_share(vpc_sim::ThreadId(i as u8), *s);
-                }
-                Box::new(arb)
-            }
+            ArbiterPolicy::Drr { shares } => (Box::new(DrrArbiter::new(threads)), shares),
+            ArbiterPolicy::Sfq { shares } => (Box::new(SfqArbiter::new(threads)), shares),
+        };
+        for (i, &share) in shares.iter().enumerate().take(threads) {
+            arb.set_share(vpc_sim::ThreadId(i as u8), share);
         }
+        arb
     }
 
     /// Short name used in experiment reports ("FCFS", "RoW", "VPC", ...).

@@ -9,26 +9,24 @@
 //! clock. The practical consequence: a thread that consumed excess
 //! bandwidth while others idled is **not** penalized later (no banked
 //! punishment), at the cost of a slightly weaker short-term latency bound.
+//!
+//! The per-thread registers are the same [`VirtualClock`] the VPC arbiter
+//! holds; SFQ passes the system virtual time as the Eq. 6 floor.
 
 use std::collections::VecDeque;
 
-use vpc_sim::{Cycle, Share, ThreadId};
+use vpc_sim::{Cycle, Share, ThreadId, VirtualClock};
 
 use crate::arbiter::Arbiter;
 use crate::request::ArbRequest;
 
-#[derive(Debug)]
-struct SfqThread {
-    queue: VecDeque<ArbRequest>,
-    /// Virtual finish tag of the thread's most recent grant.
-    finish: u64,
-    share: Share,
-}
-
 /// A start-time fair-queuing arbiter.
 #[derive(Debug)]
 pub struct SfqArbiter {
-    threads: Vec<SfqThread>,
+    queues: Vec<VecDeque<ArbRequest>>,
+    /// `beta_i` and, per thread, the virtual finish tag of its most recent
+    /// grant, which is also its next start tag.
+    clock: VirtualClock,
     /// System virtual time: the start tag of the last granted request.
     v: u64,
     pending: usize,
@@ -44,11 +42,9 @@ impl SfqArbiter {
     ///
     /// Panics if `num_threads` is zero.
     pub fn new(num_threads: usize) -> SfqArbiter {
-        assert!(num_threads > 0, "at least one thread required");
         SfqArbiter {
-            threads: (0..num_threads)
-                .map(|_| SfqThread { queue: VecDeque::new(), finish: 0, share: Share::ZERO })
-                .collect(),
+            clock: VirtualClock::new(num_threads, &[]),
+            queues: (0..num_threads).map(|_| VecDeque::new()).collect(),
             v: 0,
             pending: 0,
             last_virtual: None,
@@ -65,75 +61,61 @@ impl SfqArbiter {
         arb
     }
 
-    /// Sets `thread`'s bandwidth share.
-    pub fn set_share(&mut self, thread: ThreadId, share: Share) {
-        self.threads[thread.index()].share = share;
-    }
-
     /// The system virtual time (for tests).
     pub fn virtual_time(&self) -> u64 {
         self.v
-    }
-
-    /// A thread's next start tag: `max(v at arrival-to-idle, previous
-    /// finish)`. Because enqueue clamps `finish` up to `v` for idle
-    /// threads, the start tag is simply the stored finish tag.
-    fn start_tag(&self, t: usize) -> u64 {
-        self.threads[t].finish
     }
 }
 
 impl Arbiter for SfqArbiter {
     fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
         req.arrival = now;
-        let v = self.v;
-        let state = &mut self.threads[req.thread.index()];
+        let queue = &mut self.queues[req.thread.index()];
         // A thread re-entering from idle starts at the *system virtual
         // time* (not the wall clock — the SFQ/VC difference).
-        if state.queue.is_empty() && state.finish < v {
-            state.finish = v;
-        }
-        state.queue.push_back(req);
+        self.clock.on_arrival(req.thread, queue.is_empty(), self.v);
+        queue.push_back(req);
         self.pending += 1;
     }
 
     fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
         // Minimum start tag among guaranteed backlogged threads.
         let mut best: Option<(u64, usize)> = None;
-        for t in 0..self.threads.len() {
-            if self.threads[t].share.is_zero() || self.threads[t].queue.is_empty() {
+        for t in 0..self.queues.len() {
+            let thread = ThreadId(t as u8);
+            if self.clock.share(thread).is_zero() || self.queues[t].is_empty() {
                 continue;
             }
-            let start = self.start_tag(t);
+            let start = self.clock.start(thread);
             if best.is_none_or(|(s, _)| start < s) {
                 best = Some((start, t));
             }
         }
         if let Some((start, t)) = best {
-            let req = self.threads[t].queue.pop_front().expect("backlogged");
-            let virt =
-                self.threads[t].share.scaled_latency(req.service_time).expect("nonzero share");
+            let thread = ThreadId(t as u8);
+            let req = self.queues[t].pop_front().expect("backlogged");
+            let finish = self.clock.finish(thread, req.service_time).expect("nonzero share");
             self.v = start; // system virtual time = start tag in service
-            self.threads[t].finish = start + virt;
+            self.clock.grant(thread, finish);
             self.pending -= 1;
-            self.last_virtual = Some((start, start + virt));
+            self.last_virtual = Some((start, finish));
             return Some(req);
         }
         // Zero-share threads: oldest first.
-        let t = (0..self.threads.len())
-            .filter(|&t| !self.threads[t].queue.is_empty())
-            .min_by_key(|&t| self.threads[t].queue.front().expect("non-empty").arrival)?;
+        let t = (0..self.queues.len())
+            .filter(|&t| !self.queues[t].is_empty())
+            .min_by_key(|&t| self.queues[t].front().expect("non-empty").arrival)?;
         self.pending -= 1;
         self.last_virtual = None;
-        self.threads[t].queue.pop_front()
+        self.queues[t].pop_front()
     }
 
     fn len(&self) -> usize {
         self.pending
     }
 
-    fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
-        self.set_share(thread, share);
+    fn set_share(&mut self, thread: ThreadId, share: Share) -> bool {
+        self.clock.set_share(thread, share);
         true
     }
 
@@ -142,12 +124,11 @@ impl Arbiter for SfqArbiter {
     }
 
     fn backlogged_threads(&self, out: &mut Vec<(ThreadId, Option<u64>)>) {
-        out.extend(self.threads.iter().enumerate().filter(|(_, s)| !s.queue.is_empty()).map(
-            |(t, s)| {
-                let start = if s.share.is_zero() { None } else { Some(s.finish) };
-                (ThreadId(t as u8), start)
-            },
-        ));
+        out.extend(self.queues.iter().enumerate().filter(|(_, q)| !q.is_empty()).map(|(t, _)| {
+            let thread = ThreadId(t as u8);
+            let start = (!self.clock.share(thread).is_zero()).then(|| self.clock.start(thread));
+            (thread, start)
+        }));
     }
 }
 
@@ -170,7 +151,7 @@ mod tests {
         let mut now = 0;
         for _ in 0..4000 {
             for t in 0..2u8 {
-                while arb.threads[t as usize].queue.len() < 2 {
+                while arb.queues[t as usize].len() < 2 {
                     id += 1;
                     arb.enqueue(read(id, t, 8), now);
                 }

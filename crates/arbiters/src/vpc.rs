@@ -15,6 +15,9 @@
 //! * Eq. 6:  when a request arrives to an *empty* thread queue and
 //!   `R.S_i <= R.clk`, then `R.S_i <- R.clk`.
 //!
+//! The registers and their updates live in [`VirtualClock`]; this arbiter
+//! adds the per-thread request buffers and the EDF pick.
+//!
 //! Because `R.S_i` depends only on the amount of service the thread has
 //! received — not on which specific request is served — requests within a
 //! thread's buffer may be reordered (read-over-write) without changing the
@@ -22,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use vpc_sim::{Cycle, Share, ThreadId};
+use vpc_sim::{Cycle, Share, ThreadId, VirtualClock};
 
 use crate::arbiter::Arbiter;
 use crate::request::ArbRequest;
@@ -42,23 +45,6 @@ pub enum IntraThreadOrder {
     ReadOverWrite,
 }
 
-#[derive(Debug)]
-struct ThreadState {
-    /// Pending request IDs (Figure 3's per-thread buffer).
-    buffer: VecDeque<ArbRequest>,
-    /// `R.S_i`: the virtual time the thread's virtual resource next becomes
-    /// available.
-    r_s: u64,
-    /// `beta_i`: the thread's share of this resource's bandwidth.
-    share: Share,
-}
-
-impl ThreadState {
-    fn new() -> ThreadState {
-        ThreadState { buffer: VecDeque::new(), r_s: 0, share: Share::ZERO }
-    }
-}
-
 /// The paper's fair-queuing arbiter with per-thread virtual-time registers.
 ///
 /// See the [module documentation](self) for the algorithm. Threads with a
@@ -66,11 +52,12 @@ impl ThreadState {
 /// (oldest first) only when no guaranteed thread is backlogged.
 #[derive(Debug)]
 pub struct VpcArbiter {
-    threads: Vec<ThreadState>,
+    /// Pending requests per thread (Figure 3's per-thread buffers).
+    buffers: Vec<VecDeque<ArbRequest>>,
+    /// `beta_i` and `R.S_i` per thread.
+    clock: VirtualClock,
     order: IntraThreadOrder,
     pending: usize,
-    /// Virtual finish time of the most recent grant, for analysis/tests.
-    last_deadline: Option<u64>,
     /// Virtual `(start, finish)` of the most recent guaranteed grant, for
     /// trace observability.
     last_virtual: Option<(u64, u64)>,
@@ -78,60 +65,42 @@ pub struct VpcArbiter {
 
 impl VpcArbiter {
     /// Creates an arbiter for `num_threads` threads, all initially with zero
-    /// share; configure guarantees with [`VpcArbiter::set_share`].
+    /// share; configure guarantees with [`Arbiter::set_share`].
     ///
     /// # Panics
     ///
     /// Panics if `num_threads` is zero.
     pub fn new(num_threads: usize, order: IntraThreadOrder) -> VpcArbiter {
-        assert!(num_threads > 0, "at least one thread required");
         VpcArbiter {
-            threads: (0..num_threads).map(|_| ThreadState::new()).collect(),
+            clock: VirtualClock::new(num_threads, &[]),
+            buffers: (0..num_threads).map(|_| VecDeque::new()).collect(),
             order,
             pending: 0,
-            last_deadline: None,
             last_virtual: None,
         }
     }
 
-    /// Sets thread `thread`'s bandwidth share `beta_i`. In hardware this is
-    /// a system-software-visible control register; `R.L_i` values derived
-    /// from it are recomputed on the fly here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread` is out of range for this arbiter.
-    pub fn set_share(&mut self, thread: ThreadId, share: Share) {
-        self.threads[thread.index()].share = share;
-    }
-
     /// Returns thread `thread`'s configured share.
     pub fn share(&self, thread: ThreadId) -> Share {
-        self.threads[thread.index()].share
-    }
-
-    /// The sum of all configured shares, or `None` if they over-commit the
-    /// resource (`sum(beta_i) > 1`), which voids the EDF guarantee.
-    pub fn total_share(&self) -> Option<Share> {
-        Share::checked_sum(self.threads.iter().map(|t| t.share))
+        self.clock.share(thread)
     }
 
     /// `R.S_i` for thread `thread` — exposed for tests and analysis.
     pub fn virtual_start(&self, thread: ThreadId) -> u64 {
-        self.threads[thread.index()].r_s
+        self.clock.start(thread)
     }
 
     /// The virtual finish time (deadline) of the most recently granted
     /// request, if that request belonged to a guaranteed (nonzero-share)
     /// thread.
     pub fn last_deadline(&self) -> Option<u64> {
-        self.last_deadline
+        self.last_virtual.map(|(_, finish)| finish)
     }
 
     /// Index into the thread's buffer of the request its reorder policy
     /// would send next.
     fn candidate_index(&self, thread: usize) -> Option<usize> {
-        let buffer = &self.threads[thread].buffer;
+        let buffer = &self.buffers[thread];
         if buffer.is_empty() {
             return None;
         }
@@ -147,64 +116,59 @@ impl VpcArbiter {
 impl Arbiter for VpcArbiter {
     fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
         req.arrival = now;
-        let state = &mut self.threads[req.thread.index()];
+        let buffer = &mut self.buffers[req.thread.index()];
         // Eq. 6: arriving to an empty queue resets a stale virtual clock to
         // real time, so R.S_i always holds the next request's virtual start.
-        if state.buffer.is_empty() && state.r_s < now {
-            state.r_s = now;
-        }
-        state.buffer.push_back(req);
+        self.clock.on_arrival(req.thread, buffer.is_empty(), now);
+        buffer.push_back(req);
         self.pending += 1;
     }
 
-    fn select(&mut self, now: Cycle) -> Option<ArbRequest> {
+    fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
         // Guaranteed threads first: earliest virtual finish time (EDF).
         let mut best: Option<(u64, u64, usize, usize)> = None; // (F, arrival, thread, pos)
-        for t in 0..self.threads.len() {
-            if self.threads[t].share.is_zero() {
+        for t in 0..self.buffers.len() {
+            let thread = ThreadId(t as u8);
+            if self.clock.share(thread).is_zero() {
                 continue;
             }
             let Some(pos) = self.candidate_index(t) else { continue };
-            let req = self.threads[t].buffer[pos];
-            let virt_service = self.threads[t]
-                .share
-                .scaled_latency(req.service_time)
-                .expect("nonzero share has finite virtual service time");
-            let finish = self.threads[t].r_s + virt_service; // Eq. 3' + Eq. 4
+            let req = self.buffers[t][pos];
+            let finish = self
+                .clock
+                .finish(thread, req.service_time)
+                .expect("nonzero share has finite virtual service time"); // Eq. 3' + Eq. 4
             let key = (finish, req.arrival, t, pos);
             if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
                 best = Some(key);
             }
         }
         if let Some((finish, _arrival, t, pos)) = best {
-            let start = self.threads[t].r_s; // Eq. 3': S_i^k = R.S_i
-            let req = self.threads[t].buffer.remove(pos).expect("candidate position valid");
-            self.threads[t].r_s = finish; // Eq. 5
+            let thread = ThreadId(t as u8);
+            let start = self.clock.start(thread); // Eq. 3': S_i^k = R.S_i
+            let req = self.buffers[t].remove(pos).expect("candidate position valid");
+            self.clock.grant(thread, finish); // Eq. 5
             self.pending -= 1;
-            self.last_deadline = Some(finish);
             self.last_virtual = Some((start, finish));
             return Some(req);
         }
 
         // Excess bandwidth for zero-share threads: oldest request first.
+        // R.S_i is untouched because the thread holds no virtual resource.
         let mut best_free: Option<(u64, usize, usize)> = None; // (arrival, thread, pos)
-        for t in 0..self.threads.len() {
-            if !self.threads[t].share.is_zero() {
+        for t in 0..self.buffers.len() {
+            if !self.clock.share(ThreadId(t as u8)).is_zero() {
                 continue;
             }
             let Some(pos) = self.candidate_index(t) else { continue };
-            let req = self.threads[t].buffer[pos];
+            let req = self.buffers[t][pos];
             if best_free.is_none_or(|b| (req.arrival, t) < (b.0, b.1)) {
                 best_free = Some((req.arrival, t, pos));
             }
         }
         let (_, t, pos) = best_free?;
-        let req = self.threads[t].buffer.remove(pos).expect("candidate position valid");
-        // A zero-share grant still advances real time only; R.S_i is
-        // untouched because the thread holds no virtual resource.
-        let _ = now;
+        let req = self.buffers[t].remove(pos).expect("candidate position valid");
         self.pending -= 1;
-        self.last_deadline = None;
         self.last_virtual = None;
         Some(req)
     }
@@ -213,8 +177,8 @@ impl Arbiter for VpcArbiter {
         self.pending
     }
 
-    fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
-        self.set_share(thread, share);
+    fn set_share(&mut self, thread: ThreadId, share: Share) -> bool {
+        self.clock.set_share(thread, share);
         true
     }
 
@@ -223,13 +187,10 @@ impl Arbiter for VpcArbiter {
     }
 
     fn backlogged_threads(&self, out: &mut Vec<(ThreadId, Option<u64>)>) {
-        out.extend(
-            self.threads
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.buffer.is_empty())
-                .map(|(t, s)| (ThreadId(t as u8), Some(s.r_s))),
-        );
+        out.extend(self.buffers.iter().enumerate().filter(|(_, b)| !b.is_empty()).map(|(t, _)| {
+            let thread = ThreadId(t as u8);
+            (thread, Some(self.clock.start(thread)))
+        }));
     }
 }
 
@@ -311,11 +272,11 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..4000 {
             // Keep both queues non-empty.
-            while arb.threads[0].buffer.len() < 2 {
+            while arb.buffers[0].len() < 2 {
                 id += 1;
                 arb.enqueue(read(id, 0, 8), now);
             }
-            while arb.threads[1].buffer.len() < 2 {
+            while arb.buffers[1].len() < 2 {
                 id += 1;
                 arb.enqueue(read(id, 1, 8), now);
             }
@@ -337,11 +298,11 @@ mod tests {
         let mut grants = [0u64; 2];
         let mut now = 0u64;
         for _ in 0..3000 {
-            while arb.threads[0].buffer.len() < 2 {
+            while arb.buffers[0].len() < 2 {
                 id += 1;
                 arb.enqueue(read(id, 0, 8), now);
             }
-            while arb.threads[1].buffer.len() < 2 {
+            while arb.buffers[1].len() < 2 {
                 id += 1;
                 arb.enqueue(write(id, 1, 16), now);
             }
@@ -382,16 +343,6 @@ mod tests {
 
     fn arbiter_drain_one(arb: &mut VpcArbiter, now: Cycle) -> ArbRequest {
         arb.select(now).expect("request pending")
-    }
-
-    #[test]
-    fn total_share_detects_overcommit() {
-        let mut arb = VpcArbiter::new(3, IntraThreadOrder::Fifo);
-        arb.set_share(ThreadId(0), share(1, 2));
-        arb.set_share(ThreadId(1), share(1, 2));
-        assert_eq!(arb.total_share(), Some(Share::FULL));
-        arb.set_share(ThreadId(2), share(1, 4));
-        assert_eq!(arb.total_share(), None);
     }
 
     /// Reference model of the per-thread virtual clock used to check the

@@ -10,19 +10,7 @@ fn main() {
         &vpc_bench::Cli::from_env(),
         "ablations",
         "Ablations",
-        |opts| {
-            [
-                ablations::reorder(&base, opts).to_string(),
-                ablations::capacity(&base, opts).to_string(),
-                ablations::preemption(&base, opts).to_string(),
-                ablations::memory_fq(&base, opts).to_string(),
-                ablations::prefetch(&base, opts).to_string(),
-                ablations::fairness_policies(&base, opts).to_string(),
-                ablations::scaling(&base, opts).to_string(),
-                ablations::work_conservation(&base, opts).to_string(),
-            ]
-            .join("\n")
-        },
+        |opts| ablations::run_all(&base, opts),
         None,
     );
 }

@@ -133,6 +133,9 @@ fn parse_args() -> Result<Args, String> {
     if args.shares.len() != args.workloads.len() {
         return Err("need exactly one share per workload".into());
     }
+    if Share::checked_sum(args.shares.iter().copied()).is_none() {
+        return Err("shares sum to more than 1, which voids the bandwidth guarantee".into());
+    }
     args.policy = build_arbiter(&args)?;
     args.channel_mode = match args.channels.as_str() {
         "private" => ChannelMode::PerThread,

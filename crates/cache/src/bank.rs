@@ -345,9 +345,9 @@ impl L2Bank {
     /// resources (the VPC control registers). Returns `false` if the
     /// configured arbiters do not support shares.
     pub fn reconfigure_bandwidth(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
-        let a = self.tag.arbiter_mut().reconfigure_share(thread, share);
-        let b = self.data.arbiter_mut().reconfigure_share(thread, share);
-        let c = self.bus.arbiter_mut().reconfigure_share(thread, share);
+        let a = self.tag.arbiter_mut().set_share(thread, share);
+        let b = self.data.arbiter_mut().set_share(thread, share);
+        let c = self.bus.arbiter_mut().set_share(thread, share);
         a && b && c
     }
 

@@ -11,9 +11,8 @@
 //!
 //! This crate provides the reusable set-associative machinery ([`TagSet`])
 //! plus the [`ReplacementPolicy`] implementations: [`TrueLru`] (the shared
-//! baseline) and [`VpcCapacityManager`] with a configurable fairness
-//! refinement ([`OverQuotaTieBreak`]) for choosing among multiple over-quota
-//! threads.
+//! baseline) and [`VpcCapacityManager`], which takes the globally
+//! least-recently-used line when several threads are over quota.
 //!
 //! # Examples
 //!
@@ -43,5 +42,5 @@
 pub mod policy;
 pub mod set;
 
-pub use policy::{OverQuotaTieBreak, ReplacementPolicy, TrueLru, VpcCapacityManager};
+pub use policy::{ReplacementPolicy, TrueLru, VpcCapacityManager};
 pub use set::{Eviction, TagSet, Way};

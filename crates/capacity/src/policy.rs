@@ -31,19 +31,6 @@ impl ReplacementPolicy for TrueLru {
     }
 }
 
-/// How the VPC Capacity Manager's fairness refinement (§4.2.2) picks among
-/// multiple threads that all occupy more than their share of the set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverQuotaTieBreak {
-    /// Victimize the globally least-recently-used line among all over-quota
-    /// threads' LRU candidates.
-    #[default]
-    GlobalLru,
-    /// Victimize the thread exceeding its quota by the largest number of
-    /// ways (ties broken toward the LRU line).
-    MostOverQuota,
-}
-
 /// The paper's VPC Capacity Manager (§4.2): way-quota thread-aware
 /// replacement.
 ///
@@ -55,10 +42,12 @@ pub enum OverQuotaTieBreak {
 ///    would not be resident in `j`'s equivalent private cache);
 /// 2. otherwise evict the requester's own LRU line — exactly what a private
 ///    cache with `alpha_i` of the ways would do.
+///
+/// Among several over-quota threads, condition 1 takes the globally
+/// least-recently-used of their LRU lines (the §4.2.2 fairness refinement).
 #[derive(Debug, Clone)]
 pub struct VpcCapacityManager {
     quotas: [u32; MAX_THREADS],
-    tie_break: OverQuotaTieBreak,
 }
 
 impl VpcCapacityManager {
@@ -71,7 +60,7 @@ impl VpcCapacityManager {
         assert!(quotas.len() <= MAX_THREADS, "at most {MAX_THREADS} threads supported");
         let mut q = [0u32; MAX_THREADS];
         q[..quotas.len()].copy_from_slice(quotas);
-        VpcCapacityManager { quotas: q, tie_break: OverQuotaTieBreak::default() }
+        VpcCapacityManager { quotas: q }
     }
 
     /// Creates a manager from capacity shares `alpha_i` over `total_ways`
@@ -88,59 +77,36 @@ impl VpcCapacityManager {
         VpcCapacityManager::from_shares(&vec![share; threads], total_ways)
     }
 
-    /// Selects the fairness refinement for distributing excess capacity.
-    pub fn with_tie_break(mut self, tie_break: OverQuotaTieBreak) -> VpcCapacityManager {
-        self.tie_break = tie_break;
-        self
-    }
-
     /// The way quota guaranteed to `thread`.
     pub fn quota(&self, thread: ThreadId) -> u32 {
         self.quotas[thread.index()]
-    }
-
-    /// Sets `thread`'s way quota (system-software reconfiguration).
-    pub fn set_quota(&mut self, thread: ThreadId, ways: u32) {
-        self.quotas[thread.index()] = ways;
     }
 }
 
 impl ReplacementPolicy for VpcCapacityManager {
     fn reconfigure_quota(&mut self, thread: ThreadId, ways: u32) -> bool {
-        self.set_quota(thread, ways);
+        self.quotas[thread.index()] = ways;
         true
     }
 
     fn choose_victim(&self, set: &TagSet, requester: ThreadId) -> usize {
-        // Condition 1: LRU line of an over-quota thread other than the
-        // requester, refined by the fairness tie-break.
-        let mut candidate: Option<(usize, u64, i64)> = None; // (way, last_touch, over_by)
+        // Condition 1: the globally least-recently-used of the LRU lines of
+        // over-quota threads other than the requester.
+        let mut candidate: Option<(usize, u64)> = None; // (way, last_touch)
         for t in 0..MAX_THREADS {
             let thread = ThreadId(t as u8);
-            if thread == requester {
+            if thread == requester || set.occupancy(thread) <= self.quotas[t] as usize {
                 continue;
             }
-            let occ = set.occupancy(thread) as i64;
-            let quota = i64::from(self.quotas[t]);
-            if occ > quota {
-                if let Some(way) = set.lru_of_thread(thread) {
-                    let touch =
-                        set.iter().find(|(i, _)| *i == way).map(|(_, w)| w.last_touch).unwrap_or(0);
-                    let over_by = occ - quota;
-                    let better = match (candidate, self.tie_break) {
-                        (None, _) => true,
-                        (Some((_, lt, _)), OverQuotaTieBreak::GlobalLru) => touch < lt,
-                        (Some((_, lt, ob)), OverQuotaTieBreak::MostOverQuota) => {
-                            over_by > ob || (over_by == ob && touch < lt)
-                        }
-                    };
-                    if better {
-                        candidate = Some((way, touch, over_by));
-                    }
+            if let Some(way) = set.lru_of_thread(thread) {
+                let touch =
+                    set.iter().find(|(i, _)| *i == way).map(|(_, w)| w.last_touch).unwrap_or(0);
+                if candidate.is_none_or(|(_, lt)| touch < lt) {
+                    candidate = Some((way, touch));
                 }
             }
         }
-        if let Some((way, _, _)) = candidate {
+        if let Some((way, _)) = candidate {
             return way;
         }
         // Condition 2: the requester's own LRU line. If the requester owns
@@ -207,26 +173,14 @@ mod tests {
 
     #[test]
     fn tie_break_global_lru() {
-        // Threads 1 and 2 both over quota; GlobalLru picks the older line.
-        let policy =
-            VpcCapacityManager::new(&[2, 1, 1]).with_tie_break(OverQuotaTieBreak::GlobalLru);
+        // Threads 1 and 2 both over quota; the globally older line goes.
+        let policy = VpcCapacityManager::new(&[2, 1, 1]);
         let set = filled_set(&[(1, 1, 4), (2, 1, 8), (3, 2, 2), (4, 2, 6)]);
         let victim = policy.choose_victim(&set, ThreadId(0));
         assert_eq!(
             victim, 2,
             "thread 2's LRU (touch 2) is globally older than thread 1's (touch 4)"
         );
-    }
-
-    #[test]
-    fn tie_break_most_over_quota() {
-        // Thread 1 over by 2, thread 2 over by 1: MostOverQuota picks thread 1.
-        let policy =
-            VpcCapacityManager::new(&[1, 1, 1]).with_tie_break(OverQuotaTieBreak::MostOverQuota);
-        let set = filled_set(&[(1, 1, 4), (2, 1, 8), (3, 1, 9), (4, 2, 2), (5, 2, 6)]);
-        let victim = policy.choose_victim(&set, ThreadId(0));
-        assert_eq!(set.owner(victim), Some(ThreadId(1)));
-        assert_eq!(victim, 0, "thread 1's LRU line");
     }
 
     #[test]

@@ -388,12 +388,8 @@ pub fn fairness_policies(base: &CmpConfig, opts: RunOptions) -> FairnessResult {
                 let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
                 let m = sys.run_measured(budget.warmup, budget.window);
                 // (b) mcf at beta = 1/2 vs 3x Stores.
-                let subject_ipc = crate::experiments::fig9::run_subject_with(
-                    base,
-                    "mcf",
-                    four_way(label),
-                    budget,
-                );
+                let subject_ipc =
+                    crate::experiments::fig9::run_subject(base, "mcf", four_way(label), budget);
                 FairnessRow {
                     policy: label.to_string(),
                     loads_ipc: m.ipc[0],
@@ -654,6 +650,22 @@ pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservation
             budget.window,
         ),
     }
+}
+
+/// Runs all eight ablations in report order and renders them as the
+/// `ablations` binary prints them, one blank line apart.
+pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
+    [
+        reorder(base, opts).to_string(),
+        capacity(base, opts).to_string(),
+        preemption(base, opts).to_string(),
+        memory_fq(base, opts).to_string(),
+        prefetch(base, opts).to_string(),
+        fairness_policies(base, opts).to_string(),
+        scaling(base, opts).to_string(),
+        work_conservation(base, opts).to_string(),
+    ]
+    .join("\n")
 }
 
 #[cfg(test)]

@@ -112,19 +112,8 @@ impl fmt::Display for Fig9Result {
     }
 }
 
-/// Runs the subject benchmark against three Stores threads under an
-/// arbitrary arbiter policy, returning the subject's raw IPC.
-pub fn run_subject_with(
-    base: &CmpConfig,
-    benchmark: &'static str,
-    arbiter: ArbiterPolicy,
-    budget: RunBudget,
-) -> f64 {
-    run_subject(base, benchmark, arbiter, budget)
-}
-
-/// Runs the subject benchmark against three Stores threads with the given
-/// subject bandwidth share, returning the subject's raw IPC.
+/// Runs the subject benchmark against three Stores threads under the
+/// given arbiter policy, returning the subject's raw IPC.
 pub fn run_subject(
     base: &CmpConfig,
     benchmark: &'static str,

@@ -3,10 +3,9 @@
 use std::collections::VecDeque;
 
 use vpc_sim::trace::{self, EventData, ResourceId, TraceEvent};
-use vpc_sim::{AccessKind, Cycle, LineAddr, Share, ThreadId};
+use vpc_sim::{AccessKind, Cycle, LineAddr, Share, ThreadId, VirtualClock};
 
 use crate::channel::DramChannel;
-use crate::fq::FqClock;
 use crate::timing::MemConfig;
 
 /// How threads map onto SDRAM channels.
@@ -64,9 +63,9 @@ struct ThreadQueues {
 /// read entries), write buffers (8 entries), closed page policy, one private
 /// channel per thread.
 ///
-/// Reads have priority; buffered writes drain when the write buffer crosses
-/// its threshold or the thread has no pending reads. Responses surface
-/// through [`MemoryController::pop_response`] after [`MemoryController::tick`].
+/// Reads have priority; a thread's buffered writes issue once it has no
+/// read pending. Responses surface through
+/// [`MemoryController::pop_response`] after [`MemoryController::tick`].
 #[derive(Debug)]
 pub struct MemoryController {
     config: MemConfig,
@@ -79,12 +78,10 @@ pub struct MemoryController {
     /// Reused candidate list for shared-channel scheduling, so the
     /// per-tick scan allocates nothing in steady state.
     cand_scratch: Vec<(u64, MemRequest)>,
-    /// Reused `(thread, estimate)` list handed to the fair-queuing clock.
-    fq_scratch: Vec<(ThreadId, u64)>,
     /// (token -> (thread, line)) for in-flight reads.
     pending_reads: Vec<(u64, ThreadId, LineAddr)>,
-    /// Fair-queuing state for [`ChannelMode::SharedFq`].
-    fq: Option<FqClock>,
+    /// Per-thread shares and virtual clocks for [`ChannelMode::SharedFq`].
+    fq: Option<VirtualClock>,
     /// Arrival sequence numbers for shared-channel FCFS ordering.
     next_seq: u64,
 }
@@ -112,7 +109,7 @@ impl MemoryController {
             }
             ChannelMode::SharedFcfs => (vec![DramChannel::new(config)], None),
             ChannelMode::SharedFq { shares } => {
-                (vec![DramChannel::new(config)], Some(FqClock::new(threads, shares)))
+                (vec![DramChannel::new(config)], Some(VirtualClock::new(threads, shares)))
             }
         };
         MemoryController {
@@ -123,7 +120,6 @@ impl MemoryController {
             responses: VecDeque::new(),
             scratch: Vec::new(),
             cand_scratch: Vec::new(),
-            fq_scratch: Vec::new(),
             pending_reads: Vec::new(),
             fq,
             next_seq: 0,
@@ -147,12 +143,13 @@ impl MemoryController {
         if !self.can_accept(req.thread, req.kind) {
             return false;
         }
+        let q = &mut self.queues[req.thread.index()];
         if let Some(fq) = &mut self.fq {
-            fq.on_arrival(req.thread, now);
+            // Eq. 6 with real time as the floor.
+            fq.on_arrival(req.thread, q.reads.is_empty() && q.writes.is_empty(), now);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let q = &mut self.queues[req.thread.index()];
         match req.kind {
             AccessKind::Read => q.reads.push_back((seq, req)),
             AccessKind::Write => q.writes.push_back((seq, req)),
@@ -185,19 +182,11 @@ impl MemoryController {
         self.scratch.clear();
     }
 
-    /// The request thread `t` would send next, under read priority with
-    /// lazy write draining.
+    /// The request thread `t` would send next: its oldest read, else its
+    /// oldest write.
     fn thread_candidate(&self, t: usize) -> Option<(u64, MemRequest)> {
         let q = &self.queues[t];
-        let take_write = q.reads.is_empty() || q.writes.len() >= self.config.write_drain_threshold;
-        if let Some(&(seq, req)) = q.reads.front() {
-            let _ = take_write;
-            return Some((seq, req));
-        }
-        if take_write {
-            return q.writes.front().copied();
-        }
-        None
+        q.reads.front().or(q.writes.front()).copied()
     }
 
     fn pop_candidate(&mut self, t: usize, kind: AccessKind) {
@@ -260,16 +249,23 @@ impl MemoryController {
             return;
         }
         let winner = match &mut self.fq {
-            // Fair queuing: earliest virtual finish time first.
+            // Fair queuing: earliest virtual finish time among guaranteed
+            // threads (Eq. 4, charged by Eq. 5), else the first candidate —
+            // only zero-share threads are left, served from excess.
             Some(fq) => {
                 let estimate = self.config.timing.idle_read_latency();
-                let mut list = std::mem::take(&mut self.fq_scratch);
-                list.clear();
-                list.extend(candidates.iter().map(|(_, r)| (r.thread, estimate)));
-                let w = fq.pick(&list).expect("candidates nonempty");
-                list.clear();
-                self.fq_scratch = list;
-                w
+                let mut best: Option<(u64, usize)> = None;
+                for (i, (_, req)) in candidates.iter().enumerate() {
+                    if let Some(finish) = fq.finish(req.thread, estimate) {
+                        if best.is_none_or(|(f, _)| finish < f) {
+                            best = Some((finish, i));
+                        }
+                    }
+                }
+                best.map_or(0, |(finish, i)| {
+                    fq.grant(candidates[i].1.thread, finish);
+                    i
+                })
             }
             // FCFS: oldest arrival across all threads.
             None => candidates
@@ -288,7 +284,7 @@ impl MemoryController {
                 if i == winner {
                     continue;
                 }
-                let virtual_start = self.fq.as_ref().map(|fq| fq.virtual_start(loser.thread));
+                let virtual_start = self.fq.as_ref().map(|fq| fq.start(loser.thread));
                 trace::emit(|| TraceEvent {
                     at: now,
                     data: EventData::Defer {
@@ -345,18 +341,6 @@ impl MemoryController {
             }
         }
         best
-    }
-
-    /// Reconfigures `thread`'s share of a shared fair-queued channel.
-    /// Returns `false` in other channel modes.
-    pub fn reconfigure_share(&mut self, thread: ThreadId, share: Share) -> bool {
-        match &mut self.fq {
-            Some(fq) => {
-                fq.set_share(thread, share);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Pops the next completed read, if any.
@@ -560,17 +544,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_fq_reconfigures_at_runtime() {
+    fn shared_fq_serves_zero_share_thread_from_excess() {
         use vpc_sim::Share;
-        let shares = vec![Share::new(1, 2).unwrap(), Share::new(1, 2).unwrap()];
+        // Thread 0 holds no share and arrives first; the guaranteed thread
+        // 1 issues ahead of it, and thread 0 is still served.
+        let shares = vec![Share::ZERO, Share::FULL];
         let mut mc =
             MemoryController::with_mode(MemConfig::ddr2_800(), 2, ChannelMode::SharedFq { shares });
-        assert!(mc.reconfigure_share(ThreadId(0), Share::new(3, 4).unwrap()));
-        let mut plain = MemoryController::new(MemConfig::ddr2_800(), 2);
-        assert!(
-            !plain.reconfigure_share(ThreadId(0), Share::FULL),
-            "private channels have no shares"
-        );
+        mc.enqueue(read(0, 1, 10), 0);
+        mc.enqueue(read(1, 2, 20), 0);
+        let mut out = Vec::new();
+        run(&mut mc, 0, 400, &mut out);
+        let tokens: Vec<u64> = out.iter().map(|r| r.token).collect();
+        assert_eq!(tokens, [20, 10], "guaranteed thread first, zero share from excess");
     }
 
     #[test]

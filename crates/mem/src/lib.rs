@@ -40,10 +40,8 @@
 
 pub mod channel;
 pub mod controller;
-pub mod fq;
 pub mod timing;
 
 pub use channel::DramChannel;
 pub use controller::{ChannelMode, MemRequest, MemResponse, MemoryController};
-pub use fq::FqClock;
 pub use timing::{DramTiming, MemConfig};

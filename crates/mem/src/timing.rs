@@ -61,10 +61,6 @@ pub struct MemConfig {
     pub transaction_buffer: usize,
     /// Write buffer entries per thread.
     pub write_buffer: usize,
-    /// Writes start draining when a thread's write buffer reaches this
-    /// occupancy (closed-page controllers drain lazily so reads keep
-    /// priority).
-    pub write_drain_threshold: usize,
     /// Fixed controller pipeline overhead added to every transaction.
     pub controller_overhead: u64,
 }
@@ -80,7 +76,6 @@ impl MemConfig {
             banks_per_rank: 8,
             transaction_buffer: 16,
             write_buffer: 8,
-            write_drain_threshold: 4,
             controller_overhead: 10,
         }
     }
@@ -107,6 +102,5 @@ mod tests {
         assert_eq!(t.idle_read_latency(), 70);
         let c = MemConfig::ddr2_800();
         assert_eq!(c.total_banks(), 16);
-        assert!(c.write_drain_threshold <= c.write_buffer);
     }
 }

@@ -8,7 +8,8 @@
 //! * [`share`] — [`Share`], an exact rational bandwidth/capacity share
 //!   `p/q` used by the VPC arbiters and capacity manager. The paper's
 //!   virtual-time bookkeeping (`R.L_i = L / beta_i`) is done in integer
-//!   processor cycles with no floating-point drift.
+//!   processor cycles with no floating-point drift, once, in
+//!   [`VirtualClock`]: the per-thread `R.S_i` registers of Eq. 3'–6.
 //! * [`rng`] — [`SplitMix64`], a tiny deterministic RNG so every workload
 //!   and experiment is exactly reproducible from a seed.
 //! * [`stats`] — counters and utilization meters used to produce the
@@ -52,7 +53,7 @@ pub mod trace;
 pub mod types;
 
 pub use rng::SplitMix64;
-pub use share::{ParseShareError, Share, ShareError};
+pub use share::{ParseShareError, Share, ShareError, VirtualClock};
 pub use stats::{Counter, Histogram, RateMeter, UtilizationMeter};
 pub use types::{
     line_of, AccessKind, CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, MAX_THREADS,

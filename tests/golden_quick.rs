@@ -1,8 +1,10 @@
-//! Golden tests: every figure series at `RunBudget::quick()`, diffed
-//! byte-for-byte against the checked-in `results/quick/*.json` files.
+//! Golden tests: every figure series and the ablations at
+//! `RunBudget::quick()`, diffed byte-for-byte against the checked-in
+//! `results/quick/*` files.
 //!
 //! Each test regenerates exactly what the corresponding binary prints
-//! with `--quick --json` (same config, same full benchmark grid), so a
+//! with `--quick --json` (same config, same full benchmark grid; the
+//! ablations golden is the `--quick` text without its two header lines), so a
 //! behavioral change anywhere in the simulator surfaces as a golden
 //! diff. After an *intended* change, refresh the files with:
 //!
@@ -12,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use vpc::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, RunBudget, RunOptions};
+use vpc::experiments::{ablations, fig10, fig5, fig6, fig7, fig8, fig9, RunBudget, RunOptions};
 use vpc::prelude::*;
 use vpc::report::{
     to_json, Fig10Report, Fig5Report, Fig6Report, Fig7Report, Fig8Report, Fig9Report,
@@ -82,4 +84,9 @@ fn fig9_matches_golden() {
 fn fig10_matches_golden() {
     let result = fig10::run(&CmpConfig::table1(), &fig10::MIXES, QUICK);
     check_golden("fig10_heterogeneous.json", to_json(&Fig10Report::from(&result)));
+}
+
+#[test]
+fn ablations_matches_golden() {
+    check_golden("ablations.txt", ablations::run_all(&CmpConfig::table1(), QUICK));
 }
