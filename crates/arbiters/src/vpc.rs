@@ -90,13 +90,6 @@ impl VpcArbiter {
         self.clock.start(thread)
     }
 
-    /// The virtual finish time (deadline) of the most recently granted
-    /// request, if that request belonged to a guaranteed (nonzero-share)
-    /// thread.
-    pub fn last_deadline(&self) -> Option<u64> {
-        self.last_virtual.map(|(_, finish)| finish)
-    }
-
     /// Index into the thread's buffer of the request its reorder policy
     /// would send next.
     fn candidate_index(&self, thread: usize) -> Option<usize> {

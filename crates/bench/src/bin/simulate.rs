@@ -136,6 +136,10 @@ fn parse_args() -> Result<Args, String> {
     if Share::checked_sum(args.shares.iter().copied()).is_none() {
         return Err("shares sum to more than 1, which voids the bandwidth guarantee".into());
     }
+    let sets = CmpConfig::table1().l2.total_sets;
+    if args.banks == 0 || !sets.is_multiple_of(args.banks) {
+        return Err(format!("--banks must be a nonzero divisor of the {sets} L2 sets"));
+    }
     args.policy = build_arbiter(&args)?;
     args.channel_mode = match args.channels.as_str() {
         "private" => ChannelMode::PerThread,

@@ -21,13 +21,13 @@ fn main() {
     );
     println!(
         "D-cache               : {} sets x {} ways x {} B lines, {} cycle latency, {} MSHRs, {}-entry LMQ",
-        cfg.core.l1.sets, cfg.core.l1.ways, cfg.core.l1.line_bytes, cfg.core.l1.latency,
+        cfg.core.l1.sets, cfg.core.l1.ways, LINE_BYTES, cfg.core.l1.latency,
         cfg.core.l1.mshrs, cfg.core.l1.lmq_entries
     );
     println!(
         "L2 cache              : {} banks, {} sets x {} ways x {} B = {} MB, tag {} cycles, data {} cycles (writes x{}), bus {} cycles",
-        cfg.l2.banks, cfg.l2.total_sets, cfg.l2.ways, cfg.l2.line_bytes,
-        (cfg.l2.total_sets * cfg.l2.ways * cfg.l2.line_bytes as usize) >> 20,
+        cfg.l2.banks, cfg.l2.total_sets, cfg.l2.ways, LINE_BYTES,
+        (cfg.l2.total_sets * cfg.l2.ways * LINE_BYTES as usize) >> 20,
         cfg.l2.tag_latency, cfg.l2.data_latency, cfg.l2.write_data_accesses, cfg.l2.bus_latency
     );
     println!(

@@ -7,9 +7,11 @@
 //! conflict-checks the selected request against active state machines (so
 //! reordering downstream cannot violate consistency, §4.1.1), allocates a
 //! state machine, and the request then arbitrates for the tag array, then
-//! (hits) the data array, then (reads) the data bus. Misses evict/castout,
-//! fetch from memory, and fill; fill data returns to the processor directly
-//! over the data bus while the array is updated.
+//! (hits) the data array, then (reads) the data bus. A miss reads a dirty
+//! victim out for castout, updates the victim's tag state, fetches from
+//! memory, and fills: a tag update and a full-line data write, while (reads)
+//! the data returns to the processor directly over the data bus. Each of
+//! these accesses is one controller step, granted by the resource it names.
 //!
 //! The bank logic runs at half core frequency: [`L2Bank::tick`] acts only on
 //! even processor cycles.
@@ -25,37 +27,76 @@ use vpc_sim::{AccessKind, CacheRequest, CacheResponse, Counter, Cycle, LineAddr,
 use crate::config::{CapacityPolicy, L2Config};
 use crate::sgb::{SgbStats, ThreadPort};
 
-/// Phase codes packed into arbitration request ids (`id = sm << 3 | code`).
-mod phase {
-    pub const TAG_LOOKUP: u64 = 0;
-    pub const TAG_VICTIM: u64 = 1;
-    pub const TAG_FILL: u64 = 2;
-    pub const DATA_HIT: u64 = 0;
-    pub const DATA_CASTOUT: u64 = 1;
-    pub const DATA_FILL: u64 = 2;
-    pub const BUS_HIT: u64 = 0;
-    pub const BUS_FILL: u64 = 1;
+/// One controller step: a state machine's access to one of the bank's
+/// three arbitrated resources. Packed with the state machine's index into
+/// the arbitration request id ([`Step::id`], [`Step::decode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Tag lookup of a newly allocated request.
+    TagLookup,
+    /// Miss: victim/state tag update.
+    TagVictim,
+    /// Fill: tag state update.
+    TagFill,
+    /// Hit: data-array read, or a store's ECC read-merge-write.
+    DataHit,
+    /// Miss with a dirty victim: the victim line read out for castout.
+    DataCastout,
+    /// Fill: the full-line data-array write (fresh ECC).
+    DataFill,
+    /// Read hit: line transfer to the core.
+    BusHit,
+    /// Read miss: direct-from-memory transfer to the core.
+    BusFill,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmState {
-    /// Waiting for (or accessing) the tag array for the initial lookup.
-    TagLookup,
-    /// Hit: waiting for / accessing the data array.
-    DataAccess,
-    /// Read hit: waiting for / on the data bus.
-    BusTransfer,
-    /// Miss with a dirty victim: reading the victim line out of the data
-    /// array for castout.
-    Castout,
-    /// Miss: victim/state tag update access.
-    VictimTag,
-    /// Miss: fetch outstanding in the memory system.
-    MemWait,
-    /// Fill in progress; counts outstanding fill parts (tag update, data
-    /// write, bus return).
-    Fill { parts: u8 },
+impl Step {
+    /// Indexed by the step's id code (its discriminant).
+    const ALL: [Step; 8] = [
+        Step::TagLookup,
+        Step::TagVictim,
+        Step::TagFill,
+        Step::DataHit,
+        Step::DataCastout,
+        Step::DataFill,
+        Step::BusHit,
+        Step::BusFill,
+    ];
+
+    /// The arbitration request id of this step of state machine `sm_idx`.
+    fn id(self, sm_idx: usize) -> u64 {
+        ((sm_idx as u64) << 3) | self as u64
+    }
+
+    /// The state machine index and step packed into `id`.
+    fn decode(id: u64) -> (usize, Step) {
+        ((id >> 3) as usize, Step::ALL[(id & 0x7) as usize])
+    }
+
+    /// The resource the step arbitrates for.
+    fn resource(self) -> usize {
+        match self {
+            Step::TagLookup | Step::TagVictim | Step::TagFill => TAG,
+            Step::DataHit | Step::DataCastout | Step::DataFill => DATA,
+            Step::BusHit | Step::BusFill => BUS,
+        }
+    }
 }
+
+// `Step::decode` inverts `Step::id`: `ALL` lists the steps in
+// discriminant order.
+const _: () = {
+    let mut i = 0;
+    while i < Step::ALL.len() {
+        assert!(Step::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
+// Indices into the bank's resource array, in grant order.
+const TAG: usize = 0;
+const DATA: usize = 1;
+const BUS: usize = 2;
 
 #[derive(Debug, Clone, Copy)]
 struct Sm {
@@ -65,18 +106,12 @@ struct Sm {
     token: u64,
     /// Controller intake time, for read-latency accounting.
     started: Cycle,
-    state: SmState,
-}
-
-/// What finished when a scheduled resource access completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Completion {
-    TagLookup,
-    DataHit,
-    Bus,
-    Castout,
-    VictimTag,
-    FillPart,
+    /// The dirty victim a miss casts out, written back to memory once its
+    /// data-array read completes.
+    castout: Option<LineAddr>,
+    /// Fill accesses still outstanding (tag update, data write and, for
+    /// reads, the bus return); zero until the memory response arrives.
+    fill_parts: u8,
 }
 
 /// Per-bank transaction counters.
@@ -104,11 +139,10 @@ pub struct L2Bank {
     ports: Vec<ThreadPort>,
     sms: Vec<Option<Sm>>,
     sm_used: Vec<usize>,
-    tag: ArbitratedResource,
-    data: ArbitratedResource,
-    bus: ArbitratedResource,
+    /// Tag array, data array and data bus, in grant order.
+    resources: [ArbitratedResource; 3],
     rr_next: usize,
-    events: Vec<(Cycle, usize, Completion)>,
+    events: Vec<(Cycle, usize, Step)>,
     /// Cached minimum due-cycle over `events` (`u64::MAX` when empty), so
     /// the per-tick completion scan is O(1) when nothing is due.
     events_min: Cycle,
@@ -119,7 +153,6 @@ pub struct L2Bank {
     mem_out: VecDeque<MemRequest>,
     responses: VecDeque<(Cycle, CacheResponse)>,
     pending_fetches: Vec<(u64, usize)>,
-    castout_lines: Vec<Option<LineAddr>>,
     next_mem_token: u64,
     stats: BankStats,
     /// Per-thread read latency (controller intake to critical word).
@@ -145,28 +178,25 @@ impl L2Bank {
                 )
             })
             .collect();
+        let (tag, data, bus) = cfg.resource_arbiters();
+        let unit = bank_idx as u16;
+        let resources = [
+            (tag, trace::ResourceId::tag_array(unit)),
+            (data, trace::ResourceId::data_array(unit)),
+            (bus, trace::ResourceId::data_bus(unit)),
+        ]
+        .map(|(policy, id)| {
+            let mut r = ArbitratedResource::new(policy.build(cfg.threads));
+            r.set_trace_id(id);
+            r
+        });
         L2Bank {
             sets: (0..cfg.sets_per_bank()).map(|_| TagSet::new(cfg.ways)).collect(),
             policy,
             ports,
             sms: vec![None; cfg.threads * cfg.sm_per_thread],
-            castout_lines: vec![None; cfg.threads * cfg.sm_per_thread],
             sm_used: vec![0; cfg.threads],
-            tag: {
-                let mut r = ArbitratedResource::new(cfg.resource_arbiters().0.build(cfg.threads));
-                r.set_trace_id(trace::ResourceId::tag_array(bank_idx as u16));
-                r
-            },
-            data: {
-                let mut r = ArbitratedResource::new(cfg.resource_arbiters().1.build(cfg.threads));
-                r.set_trace_id(trace::ResourceId::data_array(bank_idx as u16));
-                r
-            },
-            bus: {
-                let mut r = ArbitratedResource::new(cfg.resource_arbiters().2.build(cfg.threads));
-                r.set_trace_id(trace::ResourceId::data_bus(bank_idx as u16));
-                r
-            },
+            resources,
             rr_next: 0,
             events: Vec::new(),
             events_min: u64::MAX,
@@ -209,9 +239,7 @@ impl L2Bank {
         }
         self.process_events(now);
         self.controller_intake(now);
-        self.grant_tag(now);
-        self.grant_data(now);
-        self.grant_bus(now);
+        self.grant(now);
     }
 
     /// Delivers a memory fetch completion for `token`.
@@ -227,46 +255,16 @@ impl L2Bank {
             .binary_search_by_key(&token, |&(t, _)| t)
             .expect("memory response matches an outstanding fetch");
         let (_, sm_idx) = self.pending_fetches.remove(idx);
-        let sm = self.sms[sm_idx].expect("fetching SM is live");
-        debug_assert_eq!(sm.state, SmState::MemWait);
-
-        // Fill parts: optional tag update, the data-array line write, and
-        // (reads) the direct-from-memory bus return.
-        let mut parts = 0u8;
-        if self.cfg.extra_tag_accesses_per_miss >= 1 {
-            self.tag.enqueue(
-                ArbRequest::new(
-                    arb_id(sm_idx, phase::TAG_FILL),
-                    sm.thread,
-                    sm.kind,
-                    self.cfg.tag_latency,
-                ),
-                now,
-            );
-            parts += 1;
-        }
-        // Full-line fill write: a single data-array access (fresh ECC).
-        self.data.enqueue(
-            ArbRequest::new(
-                arb_id(sm_idx, phase::DATA_FILL),
-                sm.thread,
-                AccessKind::Write,
-                self.cfg.data_latency,
-            ),
-            now,
-        );
-        parts += 1;
+        let sm = self.live_sm(sm_idx);
+        assert_eq!(sm.fill_parts, 0, "fetching SM is not already filling");
+        // Fill parts: the tag update, the data-array line write, and (reads)
+        // the direct-from-memory bus return.
+        sm.fill_parts = if sm.kind.is_read() { 3 } else { 2 };
+        let sm = *sm;
+        self.request(sm_idx, &sm, Step::TagFill, now);
+        self.request(sm_idx, &sm, Step::DataFill, now);
         if sm.kind.is_read() {
-            self.bus.enqueue(
-                ArbRequest::new(
-                    arb_id(sm_idx, phase::BUS_FILL),
-                    sm.thread,
-                    AccessKind::Read,
-                    self.cfg.bus_latency,
-                ),
-                now,
-            );
-            parts += 1;
+            self.request(sm_idx, &sm, Step::BusFill, now);
         }
         // The line was installed (reserved) at miss time; now make it
         // MRU and, for write-allocates, dirty.
@@ -277,7 +275,6 @@ impl L2Bank {
                 self.sets[set].mark_dirty(way);
             }
         }
-        self.set_state(sm_idx, SmState::Fill { parts });
     }
 
     /// Next memory request to forward, if the controller can accept it.
@@ -326,14 +323,12 @@ impl L2Bank {
 
     /// Data-array busy cycles attributable to `thread`.
     pub fn thread_data_busy(&self, thread: ThreadId) -> u64 {
-        self.data.thread_busy_cycles(thread)
+        self.resources[DATA].thread_busy_cycles(thread)
     }
 
-    /// Busy-cycle meters for (tag array, data array, data bus).
-    pub fn meters(
-        &self,
-    ) -> (vpc_sim::UtilizationMeter, vpc_sim::UtilizationMeter, vpc_sim::UtilizationMeter) {
-        (self.tag.meter(), self.data.meter(), self.bus.meter())
+    /// Busy-cycle meters for the tag array, data array and data bus.
+    pub fn meters(&self) -> [vpc_sim::UtilizationMeter; 3] {
+        self.resources.each_ref().map(ArbitratedResource::meter)
     }
 
     /// Looks a line up without side effects (for tests and debugging).
@@ -345,10 +340,11 @@ impl L2Bank {
     /// resources (the VPC control registers). Returns `false` if the
     /// configured arbiters do not support shares.
     pub fn reconfigure_bandwidth(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
-        let a = self.tag.arbiter_mut().set_share(thread, share);
-        let b = self.data.arbiter_mut().set_share(thread, share);
-        let c = self.bus.arbiter_mut().set_share(thread, share);
-        a && b && c
+        let mut ok = true;
+        for r in &mut self.resources {
+            ok &= r.arbiter_mut().set_share(thread, share);
+        }
+        ok
     }
 
     /// Reconfigures `thread`'s way quota. Returns `false` under plain LRU.
@@ -387,7 +383,7 @@ impl L2Bank {
         if self.events_min != u64::MAX {
             best = best.min(even(self.events_min.max(horizon)));
         }
-        for r in [&self.tag, &self.data, &self.bus] {
+        for r in &self.resources {
             if let Some(c) = r.next_activity(now) {
                 best = best.min(even(c));
             }
@@ -425,10 +421,8 @@ impl L2Bank {
     // Internals
     // ------------------------------------------------------------------
 
-    fn set_state(&mut self, sm_idx: usize, state: SmState) {
-        if let Some(sm) = self.sms[sm_idx].as_mut() {
-            sm.state = state;
-        }
+    fn live_sm(&mut self, sm_idx: usize) -> &mut Sm {
+        self.sms[sm_idx].as_mut().expect("state machine is live")
     }
 
     fn free_sm(&mut self, sm_idx: usize) {
@@ -456,9 +450,18 @@ impl L2Bank {
         panic!("SM pool has a free slot");
     }
 
-    fn schedule(&mut self, at: Cycle, sm_idx: usize, what: Completion) {
-        self.events_min = self.events_min.min(at);
-        self.events.push((at, sm_idx, what));
+    /// Enqueues `sm`'s `step` on the resource it arbitrates for.
+    fn request(&mut self, sm_idx: usize, sm: &Sm, step: Step, now: Cycle) {
+        let (kind, service) = match step {
+            Step::TagLookup | Step::TagVictim | Step::TagFill => (sm.kind, self.cfg.tag_latency),
+            Step::DataHit if sm.kind.is_read() => (sm.kind, self.cfg.data_latency),
+            Step::DataHit => (sm.kind, self.cfg.write_latency()),
+            Step::DataCastout => (AccessKind::Read, self.cfg.data_latency),
+            Step::DataFill => (AccessKind::Write, self.cfg.data_latency),
+            Step::BusHit | Step::BusFill => (AccessKind::Read, self.cfg.bus_latency),
+        };
+        let req = ArbRequest::new(step.id(sm_idx), sm.thread, kind, service);
+        self.resources[step.resource()].enqueue(req, now);
     }
 
     fn process_events(&mut self, now: Cycle) {
@@ -476,8 +479,8 @@ impl L2Bank {
         let mut i = 0;
         while i < self.events.len() {
             if self.events[i].0 <= now {
-                let (_, sm_idx, what) = self.events.swap_remove(i);
-                self.handle_completion(sm_idx, what, now);
+                let (_, sm_idx, step) = self.events.swap_remove(i);
+                self.complete(sm_idx, step, now);
             } else {
                 min = min.min(self.events[i].0);
                 i += 1;
@@ -486,50 +489,29 @@ impl L2Bank {
         self.events_min = min;
     }
 
-    fn handle_completion(&mut self, sm_idx: usize, what: Completion, now: Cycle) {
+    fn complete(&mut self, sm_idx: usize, step: Step, now: Cycle) {
         let sm = self.sms[sm_idx].expect("completion for live SM");
-        match what {
-            Completion::TagLookup => self.finish_tag_lookup(sm_idx, sm, now),
-            Completion::DataHit => {
-                if sm.kind.is_read() {
-                    // Read data goes through the read-claim queue onto the bus.
-                    self.bus.enqueue(
-                        ArbRequest::new(
-                            arb_id(sm_idx, phase::BUS_HIT),
-                            sm.thread,
-                            AccessKind::Read,
-                            self.cfg.bus_latency,
-                        ),
-                        now,
-                    );
-                    self.set_state(sm_idx, SmState::BusTransfer);
-                } else {
-                    // Write hit is complete once the ECC read-merge-write ends.
-                    self.free_sm(sm_idx);
-                }
-            }
-            Completion::Bus => self.free_sm(sm_idx),
-            Completion::Castout => {
+        match step {
+            Step::TagLookup => self.finish_tag_lookup(sm_idx, sm, now),
+            Step::DataCastout => {
                 self.stats.castouts.inc();
-                let victim =
-                    self.castout_lines[sm_idx].take().expect("castout line recorded at miss");
-                let token = self.make_token();
-                self.mem_out.push_back(MemRequest {
-                    thread: sm.thread,
-                    line: victim,
-                    kind: AccessKind::Write,
-                    token,
-                });
-                self.after_victim(sm_idx, sm, now);
+                let victim = sm.castout.expect("castout victim recorded at miss");
+                self.send_to_memory(sm.thread, victim, AccessKind::Write);
+                self.request(sm_idx, &sm, Step::TagVictim, now);
             }
-            Completion::VictimTag => self.issue_fetch(sm_idx, sm),
-            Completion::FillPart => {
-                if let SmState::Fill { parts } = sm.state {
-                    if parts <= 1 {
-                        self.free_sm(sm_idx);
-                    } else {
-                        self.set_state(sm_idx, SmState::Fill { parts: parts - 1 });
-                    }
+            Step::TagVictim => {
+                let token = self.send_to_memory(sm.thread, sm.line, AccessKind::Read);
+                self.pending_fetches.push((token, sm_idx));
+            }
+            // Read data goes through the read-claim queue onto the bus.
+            Step::DataHit if sm.kind.is_read() => self.request(sm_idx, &sm, Step::BusHit, now),
+            // A write hit is complete once the ECC read-merge-write ends.
+            Step::DataHit | Step::BusHit => self.free_sm(sm_idx),
+            Step::TagFill | Step::DataFill | Step::BusFill => {
+                if sm.fill_parts <= 1 {
+                    self.free_sm(sm_idx);
+                } else {
+                    self.live_sm(sm_idx).fill_parts -= 1;
                 }
             }
         }
@@ -537,7 +519,8 @@ impl L2Bank {
 
     fn finish_tag_lookup(&mut self, sm_idx: usize, sm: Sm, now: Cycle) {
         let set = self.cfg.set_of(sm.line);
-        let hit = self.sets[set].lookup(sm.line).is_some();
+        let way = self.sets[set].lookup(sm.line);
+        let hit = way.is_some();
         trace::emit(|| TraceEvent {
             at: now,
             data: EventData::BankAccess {
@@ -548,22 +531,15 @@ impl L2Bank {
                 hit,
             },
         });
-        if let Some(way) = self.sets[set].lookup(sm.line) {
-            // Hit.
+        if let Some(way) = way {
             self.sets[set].touch(way, now);
-            let service = if sm.kind.is_read() {
+            if sm.kind.is_read() {
                 self.stats.read_hits.inc();
-                self.cfg.data_latency
             } else {
                 self.stats.write_hits.inc();
                 self.sets[set].mark_dirty(way);
-                self.cfg.write_latency()
-            };
-            self.data.enqueue(
-                ArbRequest::new(arb_id(sm_idx, phase::DATA_HIT), sm.thread, sm.kind, service),
-                now,
-            );
-            self.set_state(sm_idx, SmState::DataAccess);
+            }
+            self.request(sm_idx, &sm, Step::DataHit, now);
             return;
         }
         // Miss: reserve the victim way immediately (the line is installed
@@ -592,54 +568,19 @@ impl L2Bank {
         match evicted {
             Some(ev) if ev.dirty => {
                 // Castout: read the dirty victim out of the data array.
-                self.data.enqueue(
-                    ArbRequest::new(
-                        arb_id(sm_idx, phase::DATA_CASTOUT),
-                        sm.thread,
-                        AccessKind::Read,
-                        self.cfg.data_latency,
-                    ),
-                    now,
-                );
-                self.castout_lines[sm_idx] = Some(ev.line);
-                self.set_state(sm_idx, SmState::Castout);
+                self.live_sm(sm_idx).castout = Some(ev.line);
+                self.request(sm_idx, &sm, Step::DataCastout, now);
             }
-            _ => self.after_victim(sm_idx, sm, now),
+            _ => self.request(sm_idx, &sm, Step::TagVictim, now),
         }
     }
 
-    fn after_victim(&mut self, sm_idx: usize, sm: Sm, now: Cycle) {
-        if self.cfg.extra_tag_accesses_per_miss >= 2 {
-            self.tag.enqueue(
-                ArbRequest::new(
-                    arb_id(sm_idx, phase::TAG_VICTIM),
-                    sm.thread,
-                    sm.kind,
-                    self.cfg.tag_latency,
-                ),
-                now,
-            );
-            self.set_state(sm_idx, SmState::VictimTag);
-        } else {
-            self.issue_fetch(sm_idx, sm);
-        }
-    }
-
-    fn issue_fetch(&mut self, sm_idx: usize, sm: Sm) {
-        let token = self.make_token();
-        self.mem_out.push_back(MemRequest {
-            thread: sm.thread,
-            line: sm.line,
-            kind: AccessKind::Read,
-            token,
-        });
-        self.pending_fetches.push((token, sm_idx));
-        self.set_state(sm_idx, SmState::MemWait);
-    }
-
-    fn make_token(&mut self) -> u64 {
+    /// Queues a memory request and returns its token (the bank index in
+    /// the top bits routes the response back).
+    fn send_to_memory(&mut self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> u64 {
         let token = ((self.bank_idx as u64) << 48) | self.next_mem_token;
         self.next_mem_token += 1;
+        self.mem_out.push_back(MemRequest { thread, line, kind, token });
         token
     }
 
@@ -656,92 +597,49 @@ impl L2Bank {
             let line = candidate.request.line;
             // Consistency conflict check: no active SM may work on the same
             // line (also merges secondary misses by making them wait).
-            let conflict = self.sms.iter().flatten().any(|sm| sm.line == line);
-            if conflict {
+            if self.sms.iter().flatten().any(|sm| sm.line == line) {
                 continue;
             }
             let sm_idx = self.alloc_sm();
             let req = candidate.request;
-            self.sms[sm_idx] = Some(Sm {
+            let sm = Sm {
                 thread: req.thread,
                 line: req.line,
                 kind: req.kind,
                 token: req.token,
                 started: now,
-                state: SmState::TagLookup,
-            });
+                castout: None,
+                fill_parts: 0,
+            };
+            self.sms[sm_idx] = Some(sm);
             self.sm_used[t] += 1;
             self.ports[t].take_candidate(&candidate, now);
-            self.tag.enqueue(
-                ArbRequest::new(
-                    arb_id(sm_idx, phase::TAG_LOOKUP),
-                    req.thread,
-                    req.kind,
-                    self.cfg.tag_latency,
-                ),
-                now,
-            );
+            self.request(sm_idx, &sm, Step::TagLookup, now);
             self.rr_next = (t + 1) % threads;
             break;
         }
     }
 
-    fn grant_tag(&mut self, now: Cycle) {
-        // At most one grant per free period; busy-until blocks the rest.
-        if let Some(granted) = self.tag.try_grant(now) {
-            let (sm_idx, code) = split_id(granted.id);
+    /// Grants the tag array, then the data array, then the data bus; each
+    /// grants at most once per free period (busy-until blocks the rest).
+    fn grant(&mut self, now: Cycle) {
+        for r in [TAG, DATA, BUS] {
+            let Some(granted) = self.resources[r].try_grant(now) else { continue };
+            let (sm_idx, step) = Step::decode(granted.id);
+            if r == BUS {
+                let sm = self.sms[sm_idx].expect("bus grant for live SM");
+                // The requesting core receives the critical word shortly
+                // after the transfer starts.
+                let ready = now + self.cfg.critical_word_latency;
+                self.read_latency[sm.thread.index()].record(ready - sm.started);
+                self.responses.push_back((
+                    ready,
+                    CacheResponse { thread: sm.thread, line: sm.line, token: sm.token },
+                ));
+            }
             let done = now + granted.service_time;
-            let completion = match code {
-                phase::TAG_LOOKUP => Completion::TagLookup,
-                phase::TAG_VICTIM => Completion::VictimTag,
-                phase::TAG_FILL => Completion::FillPart,
-                _ => unreachable!("unknown tag phase"),
-            };
-            self.schedule(done, sm_idx, completion);
+            self.events_min = self.events_min.min(done);
+            self.events.push((done, sm_idx, step));
         }
     }
-
-    fn grant_data(&mut self, now: Cycle) {
-        if let Some(granted) = self.data.try_grant(now) {
-            let (sm_idx, code) = split_id(granted.id);
-            let done = now + granted.service_time;
-            let completion = match code {
-                phase::DATA_HIT => Completion::DataHit,
-                phase::DATA_CASTOUT => Completion::Castout,
-                phase::DATA_FILL => Completion::FillPart,
-                _ => unreachable!("unknown data phase"),
-            };
-            self.schedule(done, sm_idx, completion);
-        }
-    }
-
-    fn grant_bus(&mut self, now: Cycle) {
-        if let Some(granted) = self.bus.try_grant(now) {
-            let (sm_idx, code) = split_id(granted.id);
-            let sm = self.sms[sm_idx].expect("bus grant for live SM");
-            // The requesting core receives the critical word shortly after
-            // the transfer starts.
-            let ready = now + self.cfg.critical_word_latency;
-            self.read_latency[sm.thread.index()].record(ready - sm.started);
-            self.responses.push_back((
-                ready,
-                CacheResponse { thread: sm.thread, line: sm.line, token: sm.token },
-            ));
-            let done = now + granted.service_time;
-            let completion = match code {
-                phase::BUS_HIT => Completion::Bus,
-                phase::BUS_FILL => Completion::FillPart,
-                _ => unreachable!("unknown bus phase"),
-            };
-            self.schedule(done, sm_idx, completion);
-        }
-    }
-}
-
-fn arb_id(sm_idx: usize, code: u64) -> u64 {
-    ((sm_idx as u64) << 3) | code
-}
-
-fn split_id(id: u64) -> (usize, u64) {
-    ((id >> 3) as usize, id & 0x7)
 }

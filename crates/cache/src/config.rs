@@ -4,6 +4,10 @@ use vpc_sim::Share;
 
 use vpc_arbiters::ArbiterPolicy;
 
+/// Line size in bytes of every cache in the hierarchy (Table 1: 64-byte
+/// lines). Addresses are line-granular throughout, so only reports read it.
+pub const LINE_BYTES: u64 = 64;
+
 /// Which replacement policy manages the shared L2's capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CapacityPolicy {
@@ -39,8 +43,6 @@ pub struct L2Config {
     pub total_sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
     /// Tag array access latency (processor cycles).
     pub tag_latency: u64,
     /// Data array read / single-access latency (processor cycles).
@@ -63,15 +65,8 @@ pub struct L2Config {
     /// Retire-at-n high-water mark: the SGB starts retiring stores (and
     /// inverts read-over-write) at this occupancy.
     pub sgb_retire_at: usize,
-    /// Cycles after which a quiescent SGB drains its stores anyway; `None`
-    /// parks stores indefinitely below the high-water mark, as the strict
-    /// retire-at-n policy would.
-    pub sgb_idle_drain: Option<u64>,
-    /// Tag-array accesses performed by a miss in addition to hits' single
-    /// lookup: victim/state update and fill update. Misses therefore make
-    /// `1 + extra_tag_accesses_per_miss` tag accesses (§5.2's observation
-    /// that equake and swim's misses require multiple tag accesses).
-    pub extra_tag_accesses_per_miss: u64,
+    /// Cycles after which a quiescent SGB drains its stores anyway.
+    pub sgb_idle_drain: u64,
     /// Per-thread per-bank input queue depth (crossbar port credits).
     pub input_queue_cap: usize,
     /// Arbiter policy for the tag array, data array and data bus.
@@ -98,7 +93,6 @@ impl L2Config {
             // 16 MB / 64 B lines / 32 ways = 8192 sets.
             total_sets: 8192,
             ways: 32,
-            line_bytes: 64,
             tag_latency: 4,
             data_latency: 8,
             write_data_accesses: 2,
@@ -108,8 +102,7 @@ impl L2Config {
             sm_per_thread: 8,
             sgb_entries: 8,
             sgb_retire_at: 6,
-            sgb_idle_drain: Some(2000),
-            extra_tag_accesses_per_miss: 2,
+            sgb_idle_drain: 2000,
             input_queue_cap: 4,
             arbiter,
             tag_arbiter: None,
@@ -189,8 +182,6 @@ pub struct L1Config {
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
     /// Hit latency in processor cycles.
     pub latency: u64,
     /// Miss status holding registers (outstanding line fetches).
@@ -209,7 +200,6 @@ impl L1Config {
             // 16 KB / 64 B / 4 ways = 64 sets.
             sets: 64,
             ways: 4,
-            line_bytes: 64,
             latency: 2,
             mshrs: 16,
             lmq_entries: 8,
@@ -228,7 +218,7 @@ mod tests {
         assert_eq!(cfg.sets_per_bank(), 4096);
         assert_eq!(cfg.write_latency(), 16);
         // 16 MB total.
-        assert_eq!(cfg.total_sets * cfg.ways * cfg.line_bytes as usize, 16 << 20);
+        assert_eq!(cfg.total_sets * cfg.ways * LINE_BYTES as usize, 16 << 20);
     }
 
     #[test]
@@ -277,6 +267,6 @@ mod tests {
     #[test]
     fn l1_table1_geometry() {
         let cfg = L1Config::table1();
-        assert_eq!(cfg.sets * cfg.ways * cfg.line_bytes as usize, 16 << 10);
+        assert_eq!(cfg.sets * cfg.ways * LINE_BYTES as usize, 16 << 10);
     }
 }

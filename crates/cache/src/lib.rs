@@ -51,7 +51,7 @@ pub mod sgb;
 pub mod shared_l2;
 
 pub use bank::{BankStats, L2Bank};
-pub use config::{CapacityPolicy, L1Config, L2Config};
+pub use config::{CapacityPolicy, L1Config, L2Config, LINE_BYTES};
 pub use l1::{L1Cache, L1LoadResult, L1Stats};
 pub use sgb::{PortCandidate, SgbStats, ThreadPort};
 pub use shared_l2::{L2Utilization, SharedL2};

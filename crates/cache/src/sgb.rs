@@ -71,7 +71,8 @@ pub struct ThreadPort {
     sgb: VecDeque<SgbEntry>,
     capacity: usize,
     retire_at: usize,
-    idle_drain: Option<u64>,
+    /// Quiet cycles after which stores below the high-water mark drain.
+    idle_drain: u64,
     /// Last cycle a store entered or retired (for idle draining).
     last_store_activity: Cycle,
     stats: SgbStats,
@@ -79,7 +80,8 @@ pub struct ThreadPort {
 
 impl ThreadPort {
     /// Creates an empty port for `thread` with an SGB of `capacity` entries
-    /// that begins retiring at `retire_at` occupancy.
+    /// that begins retiring at `retire_at` occupancy and drains stores below
+    /// it once they have been quiet for `idle_drain` cycles.
     ///
     /// # Panics
     ///
@@ -88,7 +90,7 @@ impl ThreadPort {
         thread: vpc_sim::ThreadId,
         capacity: usize,
         retire_at: usize,
-        idle_drain: Option<u64>,
+        idle_drain: u64,
     ) -> ThreadPort {
         assert!(retire_at > 0 && retire_at <= capacity, "retire-at must be in 1..=capacity");
         ThreadPort {
@@ -181,11 +183,9 @@ impl ThreadPort {
             }
             return Some(PortCandidate { request: load, is_store_retire: false });
         }
-        // No loads pending: drain quiescent stores if configured.
-        if let Some(timeout) = self.idle_drain {
-            if !self.sgb.is_empty() && now.saturating_sub(self.last_store_activity) >= timeout {
-                return self.oldest_store();
-            }
+        // No loads pending: drain quiescent stores.
+        if !self.sgb.is_empty() && now.saturating_sub(self.last_store_activity) >= self.idle_drain {
+            return self.oldest_store();
         }
         None
     }
@@ -246,8 +246,7 @@ impl ThreadPort {
     /// The earliest cycle at or after `after` this port would present a
     /// candidate, and that candidate's line — the read-only mirror of
     /// [`ThreadPort::peek_candidate`]'s priority order, for quiescence
-    /// queries. `None` if the port presents nothing regardless of time
-    /// (empty, or parked stores with no idle-drain configured).
+    /// queries. `None` if the port is empty.
     pub fn next_candidate_line(&self, after: Cycle) -> Option<(Cycle, LineAddr)> {
         if self.row_inverted() {
             return self.sgb.front().map(|e| (after, e.line));
@@ -259,12 +258,7 @@ impl ThreadPort {
             }
             return Some((after, load.line));
         }
-        if let Some(timeout) = self.idle_drain {
-            if let Some(e) = self.sgb.front() {
-                return Some((after.max(self.last_store_activity + timeout), e.line));
-            }
-        }
-        None
+        self.sgb.front().map(|e| (after.max(self.last_store_activity + self.idle_drain), e.line))
     }
 
     /// SGB occupancy.
@@ -291,8 +285,9 @@ mod tests {
         CacheRequest { thread: ThreadId(0), line: LineAddr(line), kind: AccessKind::Read, token }
     }
 
+    /// A Table 1 port: 8 entries, retire-at-6, a 2000-cycle idle drain.
     fn port() -> ThreadPort {
-        ThreadPort::new(ThreadId(0), 8, 6, None)
+        ThreadPort::new(ThreadId(0), 8, 6, 2000)
     }
 
     #[test]
@@ -385,20 +380,12 @@ mod tests {
 
     #[test]
     fn idle_drain_retires_quiescent_stores() {
-        let mut p = ThreadPort::new(ThreadId(0), 8, 6, Some(100));
+        let mut p = ThreadPort::new(ThreadId(0), 8, 6, 100);
         p.push(0, store(1, 0));
         p.pump(0);
         assert!(p.peek_candidate(50).is_none(), "below high water, no drain yet");
         let c = p.peek_candidate(150).unwrap();
         assert!(c.is_store_retire, "idle drain after timeout");
-    }
-
-    #[test]
-    fn no_idle_drain_parks_stores() {
-        let mut p = port();
-        p.push(0, store(1, 0));
-        p.pump(0);
-        assert!(p.peek_candidate(1_000_000).is_none());
     }
 
     #[test]
@@ -467,7 +454,7 @@ mod prop_tests {
     /// The body of `port_preserves_architectural_order`, shared with the
     /// saved-seed regression test below.
     fn architectural_order_property(rng: &mut SplitMix64) -> Result<(), String> {
-        let mut port = ThreadPort::new(ThreadId(0), 8, 6, Some(300));
+        let mut port = ThreadPort::new(ThreadId(0), 8, 6, 300);
         let mut checker = OrderChecker::default();
         let mut token = 0u64;
         let mut loads_in = 0u64;

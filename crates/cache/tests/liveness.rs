@@ -13,7 +13,7 @@ fn small_cfg(threads: usize, arbiter: ArbiterPolicy, capacity: CapacityPolicy) -
     let mut cfg = L2Config::table1(threads, arbiter);
     cfg.total_sets = 64;
     cfg.ways = 4;
-    cfg.sgb_idle_drain = Some(200);
+    cfg.sgb_idle_drain = 200;
     cfg.capacity = capacity;
     cfg
 }

@@ -22,7 +22,7 @@ fn random_cfg(rng: &mut SplitMix64, threads: usize) -> L2Config {
     );
     cfg.total_sets = 64;
     cfg.ways = 4;
-    cfg.sgb_idle_drain = Some(200);
+    cfg.sgb_idle_drain = 200;
     if rng.chance(0.5) {
         cfg.capacity = CapacityPolicy::vpc_equal(threads);
     }

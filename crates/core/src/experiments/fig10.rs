@@ -212,11 +212,6 @@ pub fn standalone_ipc(base: &CmpConfig, benchmark: &'static str, budget: RunBudg
     m.ipc[0]
 }
 
-/// Standalone IPC of each benchmark in the mix (see [`standalone_ipc`]).
-pub fn standalone_ipcs(base: &CmpConfig, mix: &[&'static str; 4], budget: RunBudget) -> Vec<f64> {
-    mix.iter().map(|&b| standalone_ipc(base, b, budget)).collect()
-}
-
 /// Equal-share targets for each benchmark in the mix: the IPC of the
 /// private machine with `beta = alpha = 1/4` (the paper's QoS reference).
 pub fn equal_share_targets(

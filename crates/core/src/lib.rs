@@ -65,6 +65,6 @@ pub mod prelude {
     pub use crate::system::{CmpSystem, Measurement};
     pub use crate::target::target_ipc;
     pub use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
-    pub use vpc_cache::CapacityPolicy;
+    pub use vpc_cache::{CapacityPolicy, LINE_BYTES};
     pub use vpc_sim::{Share, ThreadId};
 }

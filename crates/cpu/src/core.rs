@@ -56,7 +56,7 @@ impl CoreConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RobKind {
     NonMem,
-    Load { line: LineAddr, issued: bool },
+    Load { line: LineAddr },
     Store { line: LineAddr },
 }
 
@@ -162,11 +162,6 @@ impl Core {
         self.l1.stats()
     }
 
-    /// The workload's display name.
-    pub fn workload_name(&self) -> &str {
-        self.workload.name()
-    }
-
     /// Delivers an L2 read response (critical word) for `line`: fills the
     /// L1 and wakes every load waiting on the line.
     pub fn on_l2_response(&mut self, line: LineAddr, now: Cycle) {
@@ -265,7 +260,7 @@ impl Core {
             match self.entry(id) {
                 None => consider(horizon), // stale id: next tick pops it
                 Some(entry) => {
-                    let RobKind::Load { line, .. } = entry.kind else {
+                    let RobKind::Load { line } = entry.kind else {
                         unreachable!("unissued-load queue holds loads only")
                     };
                     if self.l1.probe(line)
@@ -339,7 +334,7 @@ impl Core {
                     }
                     self.lrq_count += 1;
                     self.unissued_loads.push_back(self.next_id);
-                    RobKind::Load { line, issued: false }
+                    RobKind::Load { line }
                 }
                 Op::Store(line) => {
                     if self.srq_count >= self.cfg.srq_entries {
@@ -372,14 +367,12 @@ impl Core {
                 self.unissued_loads.pop_front();
                 continue;
             };
-            let RobKind::Load { line, .. } = entry.kind else {
+            let RobKind::Load { line } = entry.kind else {
                 unreachable!("unissued-load queue holds loads only")
             };
             match self.try_issue_load(line, id, now, l2) {
                 Some(done_at) => {
-                    let e = self.entry_mut(id).expect("entry just seen");
-                    e.kind = RobKind::Load { line, issued: true };
-                    e.done_at = done_at;
+                    self.entry_mut(id).expect("entry just seen").done_at = done_at;
                     self.unissued_loads.pop_front();
                     issued += 1;
                 }

@@ -47,4 +47,16 @@ echo "== benchmark build (perfbench, offline) =="
 # so a crate API change that breaks the benchmark fails here.
 cargo build --release --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke (perfbench solo_spec, traced) =="
+# A one-second traced run: every row must equal its golden and the traced
+# loop replica must not diverge from the real run loop.
+last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload solo_spec --seed 1 --seconds 1 --trace 1 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]] ||
+    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
+    echo "$last"
+    echo "perfbench solo_spec: incorrect rows or a diverged replica"
+    exit 1
+fi
+
 echo "CI OK"
