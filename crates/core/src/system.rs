@@ -208,8 +208,8 @@ impl CmpSystem {
 
     /// Advances the whole system by `cycles` with the naive
     /// tick-every-cycle loop, never skipping — the reference the
-    /// quiescence property tests and the `dram_bound_mcf/no_skip` bench
-    /// compare [`CmpSystem::run`] against.
+    /// `skip_equivalence` property tests compare [`CmpSystem::run`]
+    /// against.
     pub fn run_reference(&mut self, cycles: Cycle) {
         let end = self.now + cycles;
         while self.now < end {

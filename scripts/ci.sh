@@ -59,4 +59,16 @@ if [[ "$last" != *'"correct": true'* ]] ||
     exit 1
 fi
 
+echo "== benchmark smoke (perfbench fig9_stores) =="
+# Three Stores threads keep their store gathering buffers full, so this is
+# the workload that runs the stalled-port path; every row must still equal
+# its golden.
+last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fig9_stores --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]]; then
+    echo "$last"
+    echo "perfbench fig9_stores: incorrect rows"
+    exit 1
+fi
+
 echo "CI OK"
