@@ -42,8 +42,8 @@ pub trait Arbiter: fmt::Debug {
     /// assigned to the request it granted (Eq. 3'/4 of the paper), for
     /// trace observability.
     ///
-    /// `None` for arbiters without a virtual clock (FCFS, round-robin,
-    /// DRR) and for excess-bandwidth grants to zero-share threads.
+    /// `None` for arbiters without a virtual clock (FCFS, RoW-FCFS) and for
+    /// excess-bandwidth grants to zero-share threads.
     /// Read-only: querying it never changes arbitration state.
     fn last_grant_virtual(&self) -> Option<(u64, u64)> {
         None
@@ -150,71 +150,6 @@ impl Arbiter for RowFcfsArbiter {
     }
 }
 
-/// Per-thread round-robin: grants threads' oldest requests in rotating
-/// order, skipping threads with nothing pending.
-///
-/// The baseline cache controller uses round-robin selection from the
-/// threads' requests after store gathering (§3.1).
-#[derive(Debug)]
-pub struct RoundRobinArbiter {
-    queues: Vec<VecDeque<ArbRequest>>,
-    next: usize,
-    pending: usize,
-}
-
-impl RoundRobinArbiter {
-    /// Creates a round-robin arbiter over `threads` hardware threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> RoundRobinArbiter {
-        assert!(threads > 0, "at least one thread required");
-        RoundRobinArbiter {
-            queues: (0..threads).map(|_| VecDeque::new()).collect(),
-            next: 0,
-            pending: 0,
-        }
-    }
-}
-
-impl Arbiter for RoundRobinArbiter {
-    fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
-        req.arrival = now;
-        let idx = req.thread.index();
-        assert!(idx < self.queues.len(), "thread {} out of range", req.thread);
-        self.queues[idx].push_back(req);
-        self.pending += 1;
-    }
-
-    fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
-        let n = self.queues.len();
-        for offset in 0..n {
-            let idx = (self.next + offset) % n;
-            if let Some(req) = self.queues[idx].pop_front() {
-                self.next = (idx + 1) % n;
-                self.pending -= 1;
-                return Some(req);
-            }
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.pending
-    }
-
-    fn backlogged_threads(&self, out: &mut Vec<(vpc_sim::ThreadId, Option<u64>)>) {
-        out.extend(
-            self.queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(t, _)| (vpc_sim::ThreadId(t as u8), None)),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,30 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates_across_threads() {
-        let mut arb = RoundRobinArbiter::new(3);
-        arb.enqueue(read(10, 0), 0);
-        arb.enqueue(read(11, 0), 0);
-        arb.enqueue(read(20, 1), 0);
-        arb.enqueue(read(30, 2), 0);
-        let order: Vec<u64> = std::iter::from_fn(|| arb.select(0)).map(|r| r.id).collect();
-        assert_eq!(order, vec![10, 20, 30, 11]);
-    }
-
-    #[test]
-    fn round_robin_skips_idle_threads() {
-        let mut arb = RoundRobinArbiter::new(4);
-        arb.enqueue(read(1, 3), 0);
-        assert_eq!(arb.select(0).unwrap().id, 1);
-        assert!(arb.is_empty());
-    }
-
-    #[test]
     fn len_tracks_pending() {
-        let mut arb = RoundRobinArbiter::new(2);
+        let mut arb = RowFcfsArbiter::new();
         assert!(arb.is_empty());
         arb.enqueue(read(1, 0), 0);
-        arb.enqueue(read(2, 1), 0);
+        arb.enqueue(write(2, 1), 0);
         assert_eq!(arb.len(), 2);
         arb.select(0);
         assert_eq!(arb.len(), 1);

@@ -11,15 +11,13 @@
 //! * [`RowFcfsArbiter`] — read-over-write FCFS, the uniprocessor policy that
 //!   *starves* stores when another thread issues a continuous load stream
 //!   (demonstrated in the paper's Figure 8 and in this crate's tests).
-//! * [`RoundRobinArbiter`] — per-thread round-robin over threads' oldest
-//!   requests (the `simulate --arbiter rr` policy).
 //! * [`VpcArbiter`] — the paper's contribution: a fair-queuing arbiter with
 //!   per-thread virtual-time registers (`R.S_i`) that guarantees each thread
 //!   its allocated share `beta_i` of the resource's bandwidth (§4.1), using
 //!   earliest-virtual-finish-time-first (EDF) selection and supporting
 //!   intra-thread read-over-write reordering without losing the guarantee.
-//!   Its registers are a [`vpc_sim::VirtualClock`], which [`SfqArbiter`]
-//!   shares; [`Arbiter::set_share`] writes any policy's shares.
+//!   Its registers are a [`vpc_sim::VirtualClock`], written through
+//!   [`Arbiter::set_share`].
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
 //!   arbiter and a utilization meter, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.
@@ -46,17 +44,13 @@
 #![warn(missing_docs)]
 
 pub mod arbiter;
-pub mod drr;
 pub mod request;
 pub mod resource;
-pub mod sfq;
 pub mod vpc;
 
-pub use arbiter::{Arbiter, FcfsArbiter, RoundRobinArbiter, RowFcfsArbiter};
-pub use drr::DrrArbiter;
+pub use arbiter::{Arbiter, FcfsArbiter, RowFcfsArbiter};
 pub use request::ArbRequest;
 pub use resource::ArbitratedResource;
-pub use sfq::SfqArbiter;
 pub use vpc::{IntraThreadOrder, VpcArbiter};
 
 use vpc_sim::Share;
@@ -70,26 +64,12 @@ pub enum ArbiterPolicy {
     /// Read-over-write, then first-come first-serve (uniprocessor policy;
     /// starves writers under shared load streams).
     RowFcfs,
-    /// Round-robin over threads.
-    RoundRobin,
     /// The VPC fair-queuing arbiter with the given per-thread shares.
     Vpc {
         /// Bandwidth share `beta_i` for each thread; missing entries are zero.
         shares: Vec<Share>,
         /// Ordering applied within each thread's arbitration buffer.
         order: IntraThreadOrder,
-    },
-    /// Deficit round robin with the given shares (alternative fairness
-    /// policy; coarser short-term latency than the VPC arbiter).
-    Drr {
-        /// Bandwidth share per thread; missing entries are zero.
-        shares: Vec<Share>,
-    },
-    /// Start-time fair queuing with the given shares (no banked
-    /// punishment for past excess service).
-    Sfq {
-        /// Bandwidth share per thread; missing entries are zero.
-        shares: Vec<Share>,
     },
 }
 
@@ -107,12 +87,9 @@ impl ArbiterPolicy {
         let (mut arb, shares): (Box<dyn Arbiter>, &[Share]) = match self {
             ArbiterPolicy::Fcfs => (Box::new(FcfsArbiter::new()), &[]),
             ArbiterPolicy::RowFcfs => (Box::new(RowFcfsArbiter::new()), &[]),
-            ArbiterPolicy::RoundRobin => (Box::new(RoundRobinArbiter::new(threads)), &[]),
             ArbiterPolicy::Vpc { shares, order } => {
                 (Box::new(VpcArbiter::new(threads, *order)), shares)
             }
-            ArbiterPolicy::Drr { shares } => (Box::new(DrrArbiter::new(threads)), shares),
-            ArbiterPolicy::Sfq { shares } => (Box::new(SfqArbiter::new(threads)), shares),
         };
         for (i, &share) in shares.iter().enumerate().take(threads) {
             arb.set_share(vpc_sim::ThreadId(i as u8), share);
@@ -120,15 +97,12 @@ impl ArbiterPolicy {
         arb
     }
 
-    /// Short name used in experiment reports ("FCFS", "RoW", "VPC", ...).
+    /// Short name used in experiment reports ("FCFS", "RoW" or "VPC").
     pub fn label(&self) -> &'static str {
         match self {
             ArbiterPolicy::Fcfs => "FCFS",
             ArbiterPolicy::RowFcfs => "RoW",
-            ArbiterPolicy::RoundRobin => "RR",
             ArbiterPolicy::Vpc { .. } => "VPC",
-            ArbiterPolicy::Drr { .. } => "DRR",
-            ArbiterPolicy::Sfq { .. } => "SFQ",
         }
     }
 }
@@ -140,15 +114,7 @@ mod tests {
 
     #[test]
     fn policy_builds_each_variant() {
-        let q = Share::new(1, 4).unwrap();
-        for policy in [
-            ArbiterPolicy::Fcfs,
-            ArbiterPolicy::RowFcfs,
-            ArbiterPolicy::RoundRobin,
-            ArbiterPolicy::vpc_equal(4),
-            ArbiterPolicy::Drr { shares: vec![q; 4] },
-            ArbiterPolicy::Sfq { shares: vec![q; 4] },
-        ] {
+        for policy in [ArbiterPolicy::Fcfs, ArbiterPolicy::RowFcfs, ArbiterPolicy::vpc_equal(4)] {
             let mut arb = policy.build(4);
             assert!(arb.is_empty());
             arb.enqueue(ArbRequest::new(1, ThreadId(0), AccessKind::Read, 8), 0);

@@ -13,13 +13,11 @@ fn random_policy(rng: &mut SplitMix64, threads: usize) -> ArbiterPolicy {
     // best-effort path, whose grant timing is still covered by the
     // contract, but equal nonzero shares keep every policy comparable.
     let equal: Vec<Share> = vec![Share::new(1, threads as u32).unwrap(); threads];
-    match rng.below(6) {
+    match rng.below(4) {
         0 => ArbiterPolicy::Fcfs,
         1 => ArbiterPolicy::RowFcfs,
-        2 => ArbiterPolicy::RoundRobin,
-        3 => ArbiterPolicy::Vpc { shares: equal, order: IntraThreadOrder::ReadOverWrite },
-        4 => ArbiterPolicy::Drr { shares: equal },
-        _ => ArbiterPolicy::Sfq { shares: equal },
+        2 => ArbiterPolicy::Vpc { shares: equal, order: IntraThreadOrder::ReadOverWrite },
+        _ => ArbiterPolicy::Vpc { shares: equal, order: IntraThreadOrder::Fifo },
     }
 }
 

@@ -1,6 +1,6 @@
-//! Cross-policy QoS properties: every share-aware arbiter (VPC, DRR, SFQ)
-//! must converge to share-proportional service under backlog, and the
-//! share-oblivious policies must at least not lose requests.
+//! Cross-policy QoS properties: the share-aware VPC arbiter, with either
+//! intra-thread buffer order, must converge to share-proportional service
+//! under backlog, and no policy may lose requests.
 
 use vpc_arbiters::{ArbRequest, ArbiterPolicy, IntraThreadOrder};
 use vpc_sim::check::{self, gen, Config};
@@ -9,8 +9,7 @@ use vpc_sim::{ensure, ensure_eq, AccessKind, Share, ThreadId};
 fn share_aware_policies(shares: Vec<Share>) -> Vec<ArbiterPolicy> {
     vec![
         ArbiterPolicy::Vpc { shares: shares.clone(), order: IntraThreadOrder::ReadOverWrite },
-        ArbiterPolicy::Drr { shares: shares.clone() },
-        ArbiterPolicy::Sfq { shares },
+        ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::Fifo },
     ]
 }
 
@@ -52,8 +51,7 @@ fn qos_arbiters_converge_to_proportional_service() {
             let want = shares[0].as_f64();
             ensure!(
                 (got - want).abs() < 0.10,
-                "{}: thread 0 got {got:.3} of service, share is {want:.3}",
-                policy.label()
+                "{policy:?}: thread 0 got {got:.3} of service, share is {want:.3}"
             );
         }
         Ok(())
@@ -65,13 +63,11 @@ fn qos_arbiters_converge_to_proportional_service() {
 fn arbiters_conserve_requests() {
     check::forall("arbiters_conserve_requests", Config::cases(20), |rng| {
         let shares = vec![Share::new(1, 2).unwrap(), Share::new(1, 2).unwrap()];
-        let policy = match rng.below(6) {
+        let policy = match rng.below(4) {
             0 => ArbiterPolicy::Fcfs,
             1 => ArbiterPolicy::RowFcfs,
-            2 => ArbiterPolicy::RoundRobin,
-            3 => ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::Fifo },
-            4 => ArbiterPolicy::Drr { shares },
-            _ => ArbiterPolicy::Sfq { shares },
+            2 => ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::ReadOverWrite },
+            _ => ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::Fifo },
         };
         let mut arb = policy.build(2);
         let mut submitted = std::collections::BTreeSet::new();
@@ -95,36 +91,6 @@ fn arbiters_conserve_requests() {
         }
         ensure_eq!(submitted, granted, "every request granted exactly once");
         ensure!(arb.is_empty());
-        Ok(())
-    });
-}
-
-/// Round robin visits backlogged threads in strict rotation.
-#[test]
-fn round_robin_is_fair_per_request() {
-    check::forall("round_robin_is_fair_per_request", Config::cases(20), |rng| {
-        let mut arb = ArbiterPolicy::RoundRobin.build(4);
-        let mut id = 0u64;
-        // Keep all four threads backlogged; over 4k grants each thread
-        // receives exactly 1k.
-        let mut queued = [0u32; 4];
-        let mut grants = [0u32; 4];
-        for now in 0..4000u64 {
-            for t in 0..4u8 {
-                while queued[t as usize] < 2 {
-                    id += 1;
-                    let kind = gen::access_kind(rng);
-                    arb.enqueue(ArbRequest::new(id, ThreadId(t), kind, 8), now);
-                    queued[t as usize] += 1;
-                }
-            }
-            let g = arb.select(now).expect("backlogged");
-            queued[g.thread.index()] -= 1;
-            grants[g.thread.index()] += 1;
-        }
-        for t in 0..4 {
-            ensure_eq!(grants[t], 1000, "thread {t} grants {grants:?}");
-        }
         Ok(())
     });
 }

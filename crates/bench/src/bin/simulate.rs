@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Workloads: any SPEC profile name, `Loads`, `Stores`, or `idle`.
-//! Arbiters: `fcfs`, `row`, `rr`, `vpc`, `drr`, `sfq`.
+//! Arbiters: `fcfs`, `row`, `vpc` (the three of the paper's Figure 8).
 //! Channels: `private` (default), `shared-fcfs`, `shared-fq`.
 
 use std::path::PathBuf;
@@ -108,7 +108,7 @@ fn parse_args() -> Result<Args, String> {
             "--metrics" => args.metrics = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|rr|vpc|drr|sfq]\n\
+                    "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|vpc]\n\
                      \x20               [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]\n\
                      \x20               [--channels private|shared-fcfs|shared-fq] [--lru-capacity]\n\
                      \x20               [--trace out.json] [--metrics]\n\
@@ -151,15 +151,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
-    let shares = args.shares.clone();
     Ok(match args.arbiter.as_str() {
         "fcfs" => ArbiterPolicy::Fcfs,
         "row" => ArbiterPolicy::RowFcfs,
-        "rr" => ArbiterPolicy::RoundRobin,
-        "vpc" => ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::ReadOverWrite },
-        "drr" => ArbiterPolicy::Drr { shares },
-        "sfq" => ArbiterPolicy::Sfq { shares },
-        other => return Err(format!("unknown arbiter {other:?}")),
+        "vpc" => ArbiterPolicy::Vpc {
+            shares: args.shares.clone(),
+            order: IntraThreadOrder::ReadOverWrite,
+        },
+        other => return Err(format!("unknown arbiter {other:?} (fcfs, row, vpc)")),
     })
 }
 

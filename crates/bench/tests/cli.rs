@@ -21,6 +21,9 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_simulate"), &["--shares", "3/4,3/4,3/4,3/4"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "0"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "3"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "rr"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "drr"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "sfq"], false),
     (env!("CARGO_BIN_EXE_record_trace"), &["nosuch", "5"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "x"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "3", "extra"], true),

@@ -3,11 +3,11 @@
 //! writes all retire, and the system drains to idle — under every arbiter
 //! and capacity policy combination.
 
-use vpc_arbiters::ArbiterPolicy;
+use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::{CapacityPolicy, L2Config, SharedL2};
 use vpc_mem::MemConfig;
 use vpc_sim::check::{self, Config};
-use vpc_sim::{ensure, ensure_eq, AccessKind, CacheRequest, LineAddr, ThreadId};
+use vpc_sim::{ensure, ensure_eq, AccessKind, CacheRequest, LineAddr, Share, ThreadId};
 
 fn small_cfg(threads: usize, arbiter: ArbiterPolicy, capacity: CapacityPolicy) -> L2Config {
     let mut cfg = L2Config::table1(threads, arbiter);
@@ -22,7 +22,10 @@ fn arbiter_policy(which: u8, threads: usize) -> ArbiterPolicy {
     match which % 4 {
         0 => ArbiterPolicy::Fcfs,
         1 => ArbiterPolicy::RowFcfs,
-        2 => ArbiterPolicy::RoundRobin,
+        2 => ArbiterPolicy::Vpc {
+            shares: vec![Share::new(1, threads as u32).unwrap(); threads],
+            order: IntraThreadOrder::Fifo,
+        },
         _ => ArbiterPolicy::vpc_equal(threads),
     }
 }

@@ -4,11 +4,11 @@
 //! same stats and histograms, same `Debug` rendering — to one ticked
 //! every cycle, under every arbiter and capacity policy.
 
-use vpc_arbiters::ArbiterPolicy;
+use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::{CapacityPolicy, L2Config, SharedL2};
 use vpc_mem::MemConfig;
 use vpc_sim::check::{self, gen, Config};
-use vpc_sim::{ensure, ensure_eq, AccessKind, CacheRequest, Cycle, SplitMix64, ThreadId};
+use vpc_sim::{ensure, ensure_eq, AccessKind, CacheRequest, Cycle, Share, SplitMix64, ThreadId};
 
 fn random_cfg(rng: &mut SplitMix64, threads: usize) -> L2Config {
     let mut cfg = L2Config::table1(
@@ -16,7 +16,10 @@ fn random_cfg(rng: &mut SplitMix64, threads: usize) -> L2Config {
         match rng.below(4) {
             0 => ArbiterPolicy::Fcfs,
             1 => ArbiterPolicy::RowFcfs,
-            2 => ArbiterPolicy::RoundRobin,
+            2 => ArbiterPolicy::Vpc {
+                shares: vec![Share::new(1, threads as u32).unwrap(); threads],
+                order: IntraThreadOrder::Fifo,
+            },
             _ => ArbiterPolicy::vpc_equal(threads),
         },
     );

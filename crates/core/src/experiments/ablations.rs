@@ -161,8 +161,7 @@ impl fmt::Display for PreemptionResult {
                 p.data_latency, p.normalized_ipc, p.mean_read_latency, p.p95_read_latency
             )?;
         }
-        writeln!(f, "  (normalized IPC >= ~1.0 everywhere: preemption latency does not break the QoS target, \u{00a7}4.1.2,")?;
-        writeln!(f, "   while the latency tail grows with the non-preemptible service quantum)")
+        writeln!(f, "  (normalized IPC >= ~1.0 everywhere: preemption latency does not break the QoS target, \u{00a7}4.1.2)")
     }
 }
 
@@ -288,144 +287,6 @@ pub fn memory_fq(base: &CmpConfig, opts: RunOptions) -> MemoryFqResult {
         fq_equal_ipc: results[1],
         fq_half_ipc: results[2],
         private_ipc: results[3],
-    }
-}
-
-/// One fairness policy's row in the comparison the paper defers to future
-/// work (§4.1.3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairnessRow {
-    /// Policy label ("VPC", "DRR", "SFQ").
-    pub policy: String,
-    /// Loads IPC at a 50/50 Loads+Stores split (target from the private
-    /// machine: how precisely the policy divides bandwidth).
-    pub loads_ipc: f64,
-    /// Stores IPC at the same split.
-    pub stores_ipc: f64,
-    /// A latency-sensitive subject's (mcf at beta=1/2) IPC against three
-    /// Stores threads: how well the policy bounds short-term latency.
-    pub subject_ipc: f64,
-}
-
-/// Results of the fairness-policy comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairnessResult {
-    /// One row per policy.
-    pub rows: Vec<FairnessRow>,
-    /// Loads target at beta = 1/2 (alpha = 1/2).
-    pub loads_target: f64,
-    /// Stores target at beta = 1/2 (alpha = 1/2).
-    pub stores_target: f64,
-    /// Subject target at beta = 1/2 (alpha = 1/4).
-    pub subject_target: f64,
-}
-
-impl fmt::Display for FairnessResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Ablation: fairness policies (the comparison §4.1.3 defers to future work)")?;
-        writeln!(
-            f,
-            "{:<6} {:>10} {:>11} {:>12} (targets: {:.3} / {:.3} / {:.3})",
-            "policy",
-            "Loads IPC",
-            "Stores IPC",
-            "subject IPC",
-            self.loads_target,
-            self.stores_target,
-            self.subject_target
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<6} {:>10.3} {:>11.3} {:>12.3}",
-                r.policy, r.loads_ipc, r.stores_ipc, r.subject_ipc
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Compares the VPC arbiter against deficit round robin and start-time
-/// fair queuing on (a) bandwidth-division precision (Loads+Stores, 50/50)
-/// and (b) a latency-sensitive subject against hostile stores (mcf at
-/// beta = 1/2 vs 3x Stores).
-pub fn fairness_policies(base: &CmpConfig, opts: RunOptions) -> FairnessResult {
-    let budget = opts.budget;
-    let half = Share::new(1, 2).expect("half");
-    let sixth = Share::new(1, 6).expect("sixth");
-    let quarter = Share::new(1, 4).expect("quarter");
-    let two_way = |label: &str| -> ArbiterPolicy {
-        match label {
-            "VPC" => ArbiterPolicy::Vpc {
-                shares: vec![half, half],
-                order: IntraThreadOrder::ReadOverWrite,
-            },
-            "DRR" => ArbiterPolicy::Drr { shares: vec![half, half] },
-            "SFQ" => ArbiterPolicy::Sfq { shares: vec![half, half] },
-            _ => unreachable!("unknown policy"),
-        }
-    };
-    let four_way = |label: &str| -> ArbiterPolicy {
-        let shares = vec![half, sixth, sixth, sixth];
-        match label {
-            "VPC" => ArbiterPolicy::Vpc { shares, order: IntraThreadOrder::ReadOverWrite },
-            "DRR" => ArbiterPolicy::Drr { shares },
-            "SFQ" => ArbiterPolicy::Sfq { shares },
-            _ => unreachable!("unknown policy"),
-        }
-    };
-    let two_way = &two_way;
-    let four_way = &four_way;
-    let jobs = ["VPC", "DRR", "SFQ"]
-        .iter()
-        .map(|&label| {
-            Job::new(format!("ablations/fairness/{label}"), move || {
-                // (a) Loads + Stores at 50/50.
-                let mut cfg = base.clone().with_arbiter(two_way(label));
-                cfg.processors = 2;
-                cfg.l2.threads = 2;
-                cfg.l2.capacity = CapacityPolicy::vpc_equal(2);
-                let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                // (b) mcf at beta = 1/2 vs 3x Stores.
-                let subject_ipc =
-                    crate::experiments::fig9::run_subject(base, "mcf", four_way(label), budget);
-                FairnessRow {
-                    policy: label.to_string(),
-                    loads_ipc: m.ipc[0],
-                    stores_ipc: m.ipc[1],
-                    subject_ipc,
-                }
-            })
-        })
-        .collect();
-    let rows = exec::map_indexed(jobs, opts.jobs);
-    FairnessResult {
-        rows,
-        loads_target: target_ipc(
-            base,
-            WorkloadSpec::Loads,
-            half,
-            half,
-            budget.warmup,
-            budget.window,
-        ),
-        stores_target: target_ipc(
-            base,
-            WorkloadSpec::Stores,
-            half,
-            half,
-            budget.warmup,
-            budget.window,
-        ),
-        subject_target: target_ipc(
-            base,
-            WorkloadSpec::Spec("mcf"),
-            half,
-            quarter,
-            budget.warmup,
-            budget.window,
-        ),
     }
 }
 
@@ -652,7 +513,7 @@ pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservation
     }
 }
 
-/// Runs all eight ablations in report order and renders them as the
+/// Runs all seven ablations in report order and renders them as the
 /// `ablations` binary prints them, one blank line apart.
 pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
     [
@@ -661,7 +522,6 @@ pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
         preemption(base, opts).to_string(),
         memory_fq(base, opts).to_string(),
         prefetch(base, opts).to_string(),
-        fairness_policies(base, opts).to_string(),
         scaling(base, opts).to_string(),
         work_conservation(base, opts).to_string(),
     ]
@@ -727,26 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn all_fairness_policies_divide_bandwidth() {
-        let r = fairness_policies(&quick_base(), QUICK);
-        assert_eq!(r.rows.len(), 3);
-        for row in &r.rows {
-            assert!(
-                row.loads_ipc >= r.loads_target * 0.85,
-                "{}: Loads near its 50% target: {row:?} vs {:.3}",
-                row.policy,
-                r.loads_target
-            );
-            assert!(
-                row.stores_ipc >= r.stores_target * 0.85,
-                "{}: Stores near its 50% target: {row:?} vs {:.3}",
-                row.policy,
-                r.stores_target
-            );
-        }
-    }
-
-    #[test]
     fn prefetching_neighbor_cannot_break_subject_qos() {
         let r = prefetch(&quick_base(), QUICK);
         assert!(
@@ -757,6 +597,24 @@ mod tests {
             r.subject_with_pf >= r.subject_target * 0.9,
             "subject must keep meeting its target despite neighbor prefetching: {r}"
         );
+    }
+
+    #[test]
+    fn preemption_latency_does_not_break_subject_target() {
+        // §4.1.2: the non-preemptible data array's service quantum rarely
+        // costs a thread its target. At this budget the subject sits at
+        // 1.004-1.009 of its target; the 3% floor absorbs the short window's
+        // sampling error, yet fails FCFS, which leaves the same mix at 0.78
+        // of the target (results/quick/fig9_spec_vs_stores.json).
+        let r = preemption(&quick_base(), QUICK);
+        assert_eq!(r.points.len(), 3);
+        for p in &r.points {
+            assert!(
+                p.normalized_ipc >= 0.97,
+                "data latency {}: subject below its target: {r}",
+                p.data_latency
+            );
+        }
     }
 
     #[test]

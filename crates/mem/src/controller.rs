@@ -145,7 +145,7 @@ impl MemoryController {
         }
         let q = &mut self.queues[req.thread.index()];
         if let Some(fq) = &mut self.fq {
-            // Eq. 6 with real time as the floor.
+            // Eq. 6: an idle thread's clock starts at `now`.
             fq.on_arrival(req.thread, q.reads.is_empty() && q.writes.is_empty(), now);
         }
         let seq = self.next_seq;

@@ -205,16 +205,16 @@ impl fmt::Display for Share {
 
 /// One resource's fair-queuing register file (Figure 3): for each thread,
 /// its share `beta_i` and its virtual-time register `R.S_i`, updated by
-/// Eq. 3'–6. The VPC arbiter, the start-time fair-queuing arbiter and the
-/// fair-queued shared memory channel each hold one and differ only in how
-/// they pick among the threads' finish times.
+/// Eq. 3'–6. The VPC arbiter and the fair-queued shared memory channel each
+/// hold one and differ only in how they pick among the threads' finish
+/// times.
 ///
 /// ```
 /// use vpc_sim::{Share, ThreadId, VirtualClock};
 ///
 /// let mut clock = VirtualClock::new(2, &[Share::new(1, 2).unwrap()]);
 /// let t0 = ThreadId(0);
-/// clock.on_arrival(t0, true, 100); // Eq. 6: an idle thread starts at the floor
+/// clock.on_arrival(t0, true, 100); // Eq. 6: an idle thread starts at `now`
 /// assert_eq!(clock.start(t0), 100); // Eq. 3'
 /// let finish = clock.finish(t0, 8).unwrap(); // Eq. 4: 100 + 8 / (1/2)
 /// clock.grant(t0, finish); // Eq. 5
@@ -263,15 +263,14 @@ impl VirtualClock {
         self.r_s[thread.index()]
     }
 
-    /// Eq. 6: a request arriving while `thread` is `idle` (nothing pending)
-    /// raises a stale `R.S_i` to `floor`, so an idle thread banks no
-    /// credit. The floor is real time for the virtual clock and the system
-    /// virtual time for start-time fair queuing; `R.S_i` never decreases.
+    /// Eq. 6: a request arriving at real time `now` while `thread` is
+    /// `idle` (nothing pending) raises a stale `R.S_i` to `now`, so an idle
+    /// thread banks no credit; `R.S_i` never decreases.
     #[inline]
-    pub fn on_arrival(&mut self, thread: ThreadId, idle: bool, floor: u64) {
+    pub fn on_arrival(&mut self, thread: ThreadId, idle: bool, now: u64) {
         let r_s = &mut self.r_s[thread.index()];
-        if idle && *r_s < floor {
-            *r_s = floor;
+        if idle && *r_s < now {
+            *r_s = now;
         }
     }
 

@@ -132,8 +132,8 @@ impl fmt::Display for ResourceId {
 ///
 /// Virtual times are the fair-queuing bookkeeping of Eq. 3'–6 of the
 /// paper, in *virtual* (share-scaled) cycles; they are `None` for
-/// arbiters that keep no virtual clock (FCFS, round-robin, DRR) and for
-/// zero-share excess-bandwidth grants.
+/// arbiters that keep no virtual clock (FCFS, RoW-FCFS) and for zero-share
+/// excess-bandwidth grants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventData {
     /// An arbiter granted `thread`'s request on `resource`.

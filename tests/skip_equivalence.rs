@@ -12,7 +12,7 @@
 //! cycle early — shows up as a string mismatch.
 
 use vpc::{CmpConfig, CmpSystem, WorkloadSpec};
-use vpc_arbiters::ArbiterPolicy;
+use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::CapacityPolicy;
 use vpc_mem::ChannelMode;
 use vpc_sim::check::{self, Config};
@@ -33,13 +33,11 @@ fn random_workload(rng: &mut SplitMix64) -> WorkloadSpec {
 
 fn random_arbiter(rng: &mut SplitMix64, threads: usize) -> ArbiterPolicy {
     let equal: Vec<Share> = vec![Share::new(1, threads as u32).unwrap(); threads];
-    match rng.below(6) {
+    match rng.below(4) {
         0 => ArbiterPolicy::Fcfs,
         1 => ArbiterPolicy::RowFcfs,
-        2 => ArbiterPolicy::RoundRobin,
-        3 => ArbiterPolicy::vpc_equal(threads),
-        4 => ArbiterPolicy::Drr { shares: equal },
-        _ => ArbiterPolicy::Sfq { shares: equal },
+        2 => ArbiterPolicy::vpc_equal(threads),
+        _ => ArbiterPolicy::Vpc { shares: equal, order: IntraThreadOrder::Fifo },
     }
 }
 
