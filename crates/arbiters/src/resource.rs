@@ -29,6 +29,9 @@ use crate::request::ArbRequest;
 #[derive(Debug)]
 pub struct ArbitratedResource {
     arbiter: Box<dyn Arbiter>,
+    /// Requests pending in `arbiter`, counted here so that a grant attempt
+    /// on an empty arbiter costs no dynamic `select` call.
+    pending: usize,
     busy_until: Cycle,
     meter: UtilizationMeter,
     per_thread_busy: [u64; MAX_THREADS],
@@ -44,6 +47,7 @@ impl ArbitratedResource {
     pub fn new(arbiter: Box<dyn Arbiter>) -> ArbitratedResource {
         ArbitratedResource {
             arbiter,
+            pending: 0,
             busy_until: 0,
             meter: UtilizationMeter::default(),
             per_thread_busy: [0; MAX_THREADS],
@@ -65,6 +69,7 @@ impl ArbitratedResource {
     /// Enters `req` into arbitration at `now`.
     pub fn enqueue(&mut self, req: ArbRequest, now: Cycle) {
         self.arbiter.enqueue(req, now);
+        self.pending += 1;
     }
 
     /// Whether the resource is servicing a request at `now`.
@@ -77,10 +82,11 @@ impl ArbitratedResource {
     /// granted request is returned so the owner can advance its state
     /// machine.
     pub fn try_grant(&mut self, now: Cycle) -> Option<ArbRequest> {
-        if self.is_busy(now) {
+        if self.pending == 0 || self.is_busy(now) {
             return None;
         }
-        let req = self.arbiter.select(now)?;
+        let req = self.arbiter.select(now).expect("an arbiter grants while requests are pending");
+        self.pending -= 1;
         self.busy_until = now + req.service_time;
         self.meter.add_busy(req.service_time);
         self.per_thread_busy[req.thread.index()] += req.service_time;
@@ -119,7 +125,7 @@ impl ArbitratedResource {
 
     /// Number of requests pending in arbitration.
     pub fn pending(&self) -> usize {
-        self.arbiter.len()
+        self.pending
     }
 
     /// Total requests granted.
@@ -138,9 +144,10 @@ impl ArbitratedResource {
         self.per_thread_busy[thread.index()]
     }
 
-    /// Access to the underlying arbiter (e.g. to reconfigure VPC shares).
-    pub fn arbiter_mut(&mut self) -> &mut dyn Arbiter {
-        self.arbiter.as_mut()
+    /// Sets `thread`'s bandwidth share on the arbiter (the VPC control
+    /// registers). Returns `false` for share-oblivious arbiters.
+    pub fn set_share(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
+        self.arbiter.set_share(thread, share)
     }
 
     /// The earliest cycle at which this resource can change observable
@@ -154,7 +161,7 @@ impl ArbitratedResource {
     /// real state change, which is the direction the quiescence protocol
     /// requires (see `DESIGN.md` §10).
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.arbiter.is_empty() {
+        if self.pending == 0 {
             None
         } else {
             Some(self.busy_until.max(now + 1))
@@ -166,7 +173,9 @@ impl ArbitratedResource {
 mod tests {
     use super::*;
     use crate::arbiter::FcfsArbiter;
-    use vpc_sim::{AccessKind, ThreadId};
+    use crate::{ArbiterPolicy, IntraThreadOrder};
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, ensure_eq, AccessKind, Share, ThreadId};
 
     fn req(id: u64, service: u64) -> ArbRequest {
         ArbRequest::new(id, ThreadId(0), AccessKind::Read, service)
@@ -204,6 +213,51 @@ mod tests {
         assert_eq!(res.thread_busy_cycles(ThreadId(0)), 8);
         assert_eq!(res.thread_busy_cycles(ThreadId(1)), 16);
         assert_eq!(res.meter().busy_cycles(), 24);
+    }
+
+    /// The resource's own pending count equals `Arbiter::len` after every
+    /// random enqueue and grant attempt, under FCFS, RoW-FCFS and VPC with
+    /// RoW or FIFO buffers and some zero shares.
+    #[test]
+    fn pending_count_matches_arbiter_len() {
+        check::forall("pending_count_matches_arbiter_len", Config::cases(64), |rng| {
+            let threads = gen::range(rng, 1, 4) as usize;
+            let shares = (0..threads)
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        Share::ZERO
+                    } else {
+                        gen::share(rng, 4 * threads as u32)
+                    }
+                })
+                .collect();
+            let order = if rng.chance(0.5) {
+                IntraThreadOrder::ReadOverWrite
+            } else {
+                IntraThreadOrder::Fifo
+            };
+            let policy = match rng.below(3) {
+                0 => ArbiterPolicy::Fcfs,
+                1 => ArbiterPolicy::RowFcfs,
+                _ => ArbiterPolicy::Vpc { shares, order },
+            };
+            let mut res = ArbitratedResource::new(policy.build(threads));
+            for now in 0..400u64 {
+                for _ in 0..rng.below(3) {
+                    let kind = gen::access_kind(rng);
+                    let service = if kind.is_read() { 8 } else { 16 };
+                    let thread = gen::thread_id(rng, threads);
+                    res.enqueue(ArbRequest::new(now, thread, kind, service), now);
+                }
+                let granted = res.try_grant(now);
+                ensure_eq!(res.pending(), res.arbiter.len(), "pending count at {now}");
+                ensure!(
+                    granted.is_some() || res.pending() == 0 || res.is_busy(now),
+                    "a free resource with pending requests granted nothing at {now}"
+                );
+            }
+            Ok(())
+        });
     }
 
     #[test]

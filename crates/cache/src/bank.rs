@@ -165,7 +165,12 @@ pub struct L2Bank {
 
 impl L2Bank {
     /// Creates bank `bank_idx` of a cache described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`L2Config::check_geometry`].
     pub fn new(cfg: &L2Config, bank_idx: usize) -> L2Bank {
+        cfg.check_geometry();
         let policy: Box<dyn ReplacementPolicy> = match &cfg.capacity {
             CapacityPolicy::Lru => Box::new(TrueLru),
             CapacityPolicy::Vpc { shares } => {
@@ -301,6 +306,12 @@ impl L2Bank {
         }
     }
 
+    /// The cycle the oldest queued response reaches its core (`u64::MAX`
+    /// when none is queued). Responses queue in the order they mature.
+    pub(crate) fn next_response_at(&self) -> Cycle {
+        self.responses.front().map_or(u64::MAX, |&(at, _)| at)
+    }
+
     /// Whether the bank holds no work at all.
     pub fn is_idle(&self) -> bool {
         self.sm_lines.is_empty()
@@ -347,7 +358,7 @@ impl L2Bank {
     pub fn reconfigure_bandwidth(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
         let mut ok = true;
         for r in &mut self.resources {
-            ok &= r.arbiter_mut().set_share(thread, share);
+            ok &= r.set_share(thread, share);
         }
         ok
     }
@@ -594,8 +605,14 @@ impl L2Bank {
         let threads = self.cfg.threads;
         for t in (self.rr_next..threads).chain(0..self.rr_next) {
             self.ports[t].pump(now);
+            let sm_full = self.sm_used[t] >= self.cfg.sm_per_thread;
+            // A row-inverted port's peek only offers its oldest store, so
+            // with no free state machine it has nothing to do.
+            if sm_full && self.ports[t].row_inverted() {
+                continue;
+            }
             let Some(candidate) = self.ports[t].peek_candidate(now) else { continue };
-            if self.sm_used[t] >= self.cfg.sm_per_thread {
+            if sm_full {
                 continue;
             }
             // Consistency conflict check: no active SM may work on the same

@@ -121,25 +121,46 @@ impl L2Config {
         )
     }
 
-    /// Sets per bank.
+    /// Checks the geometry that [`L2Config::bank_of`] and
+    /// [`L2Config::set_of`] index by shift and mask, once, where the cache
+    /// is built.
     ///
     /// # Panics
     ///
-    /// Panics if `total_sets` is not divisible by `banks`.
+    /// Panics, naming the field, unless `banks` and the sets per bank
+    /// (`total_sets / banks`) are nonzero powers of two.
+    pub fn check_geometry(&self) {
+        assert!(
+            self.banks.is_power_of_two(),
+            "L2Config::banks must be a nonzero power of two, got {}",
+            self.banks
+        );
+        assert!(
+            self.total_sets.is_multiple_of(self.banks)
+                && (self.total_sets / self.banks).is_power_of_two(),
+            "L2 sets per bank (L2Config::total_sets / banks) must be a nonzero power of two, \
+             got {} / {}",
+            self.total_sets,
+            self.banks
+        );
+    }
+
+    /// Sets per bank (the geometry is checked by
+    /// [`L2Config::check_geometry`]).
     pub fn sets_per_bank(&self) -> usize {
-        assert!(self.total_sets.is_multiple_of(self.banks), "sets must divide evenly across banks");
-        self.total_sets / self.banks
+        self.total_sets >> self.banks.trailing_zeros()
     }
 
     /// The bank a line maps to (low line-address bits, so a 64-byte-stride
     /// stream interleaves across banks).
     pub fn bank_of(&self, line: vpc_sim::LineAddr) -> usize {
-        (line.0 % self.banks as u64) as usize
+        (line.0 & (self.banks as u64 - 1)) as usize
     }
 
-    /// The set (within its bank) a line maps to.
+    /// The set (within its bank) a line maps to: the line-address bits
+    /// above the bank bits.
     pub fn set_of(&self, line: vpc_sim::LineAddr) -> usize {
-        ((line.0 / self.banks as u64) % self.sets_per_bank() as u64) as usize
+        ((line.0 >> self.banks.trailing_zeros()) & (self.sets_per_bank() as u64 - 1)) as usize
     }
 
     /// Data-array occupancy of a store write (ECC read-merge-write).
@@ -210,7 +231,8 @@ impl L1Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpc_sim::LineAddr;
+    use vpc_sim::check::{self, Config};
+    use vpc_sim::{ensure_eq, LineAddr};
 
     #[test]
     fn table1_geometry() {
@@ -229,6 +251,34 @@ mod tests {
         assert_eq!(cfg.bank_of(LineAddr(2)), 0);
         assert_eq!(cfg.set_of(LineAddr(0)), 0);
         assert_eq!(cfg.set_of(LineAddr(2)), 1);
+    }
+
+    /// Shift-and-mask indexing equals `/` and `%` on random power-of-two
+    /// geometries.
+    #[test]
+    fn mask_indexing_matches_division() {
+        check::forall("mask_indexing_matches_division", Config::cases(256), |rng| {
+            let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+            cfg.banks = 1 << rng.below(6);
+            cfg.total_sets = cfg.banks << rng.below(14);
+            cfg.check_geometry();
+            let (banks, sets) = (cfg.banks as u64, cfg.total_sets as u64 / cfg.banks as u64);
+            ensure_eq!(cfg.sets_per_bank() as u64, sets);
+            for _ in 0..64 {
+                let line = LineAddr(rng.next_u64() >> rng.below(64));
+                ensure_eq!(cfg.bank_of(line) as u64, line.0 % banks, "bank of {line:?}");
+                ensure_eq!(cfg.set_of(line) as u64, (line.0 / banks) % sets, "set of {line:?}");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sets per bank")]
+    fn uneven_sets_per_bank_are_rejected() {
+        let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+        cfg.total_sets = 3 * 1024;
+        cfg.check_geometry();
     }
 
     #[test]

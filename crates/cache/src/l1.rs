@@ -62,7 +62,17 @@ pub struct L1Cache {
 
 impl L1Cache {
     /// Creates an empty L1 for `thread`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.sets` is a nonzero power of two (sets are
+    /// indexed by mask).
     pub fn new(cfg: L1Config, thread: ThreadId) -> L1Cache {
+        assert!(
+            cfg.sets.is_power_of_two(),
+            "L1Config::sets must be a nonzero power of two, got {}",
+            cfg.sets
+        );
         L1Cache {
             sets: (0..cfg.sets).map(|_| TagSet::new(cfg.ways)).collect(),
             mshrs: Vec::new(),
@@ -73,13 +83,22 @@ impl L1Cache {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 % self.cfg.sets as u64) as usize
+        (line.0 & (self.cfg.sets as u64 - 1)) as usize
     }
 
-    /// Looks up a load for `line`. On [`L1LoadResult::MissPrimary`] the
-    /// caller must issue an L2 read; the load's `token` completes when
-    /// [`L1Cache::on_fill`] later returns it.
-    pub fn access_load(&mut self, line: LineAddr, token: u64, now: Cycle) -> L1LoadResult {
+    /// Looks up a load for `line`, with one tag lookup. A primary miss
+    /// also needs a free MSHR/LMQ entry and `can_send()` (a crossbar port
+    /// credit toward the L2), asked only when the entry is free; without
+    /// either the load is [`L1LoadResult::Blocked`]. On
+    /// [`L1LoadResult::MissPrimary`] the caller must issue an L2 read; the
+    /// load's `token` completes when [`L1Cache::on_fill`] later returns it.
+    pub fn access_load(
+        &mut self,
+        line: LineAddr,
+        token: u64,
+        now: Cycle,
+        can_send: impl FnOnce() -> bool,
+    ) -> L1LoadResult {
         let set = self.set_of(line);
         if let Some(way) = self.sets[set].lookup(line) {
             self.sets[set].touch(way, now);
@@ -91,7 +110,7 @@ impl L1Cache {
             mshr.tokens.push(token);
             return L1LoadResult::MissSecondary;
         }
-        if self.mshrs.len() >= self.cfg.mshrs.min(self.cfg.lmq_entries) {
+        if !self.can_allocate_miss() || !can_send() {
             return L1LoadResult::Blocked;
         }
         self.stats.load_misses.inc();
@@ -184,6 +203,8 @@ impl L1Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpc_sim::check::{self, Config};
+    use vpc_sim::ensure_eq;
 
     fn l1() -> L1Cache {
         L1Cache::new(L1Config::table1(), ThreadId(0))
@@ -192,11 +213,11 @@ mod tests {
     #[test]
     fn load_miss_fill_hit() {
         let mut c = l1();
-        assert_eq!(c.access_load(LineAddr(5), 1, 0), L1LoadResult::MissPrimary);
+        assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
         assert_eq!(c.outstanding_misses(), 1);
         let tokens = c.on_fill(LineAddr(5), 10);
         assert_eq!(tokens, vec![1]);
-        assert_eq!(c.access_load(LineAddr(5), 2, 20), L1LoadResult::Hit { ready_at: 22 });
+        assert_eq!(c.access_load(LineAddr(5), 2, 20, || true), L1LoadResult::Hit { ready_at: 22 });
         assert_eq!(c.stats().load_hits.get(), 1);
         assert_eq!(c.stats().load_misses.get(), 1);
     }
@@ -204,8 +225,8 @@ mod tests {
     #[test]
     fn secondary_misses_merge() {
         let mut c = l1();
-        assert_eq!(c.access_load(LineAddr(5), 1, 0), L1LoadResult::MissPrimary);
-        assert_eq!(c.access_load(LineAddr(5), 2, 1), L1LoadResult::MissSecondary);
+        assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
+        assert_eq!(c.access_load(LineAddr(5), 2, 1, || true), L1LoadResult::MissSecondary);
         assert_eq!(c.outstanding_misses(), 1, "one MSHR covers both");
         let mut tokens = c.on_fill(LineAddr(5), 10);
         tokens.sort_unstable();
@@ -217,11 +238,44 @@ mod tests {
         let mut c = l1();
         let lmq = L1Config::table1().lmq_entries;
         for i in 0..lmq as u64 {
-            assert_eq!(c.access_load(LineAddr(i), i, 0), L1LoadResult::MissPrimary);
+            assert_eq!(c.access_load(LineAddr(i), i, 0, || true), L1LoadResult::MissPrimary);
         }
-        assert_eq!(c.access_load(LineAddr(999), 99, 0), L1LoadResult::Blocked);
+        assert_eq!(c.access_load(LineAddr(999), 99, 0, || true), L1LoadResult::Blocked);
         // Secondary merges still allowed.
-        assert_eq!(c.access_load(LineAddr(0), 100, 0), L1LoadResult::MissSecondary);
+        assert_eq!(c.access_load(LineAddr(0), 100, 0, || true), L1LoadResult::MissSecondary);
+    }
+
+    #[test]
+    fn port_credit_gates_only_primary_misses() {
+        let mut c = l1();
+        assert_eq!(c.access_load(LineAddr(5), 1, 0, || false), L1LoadResult::Blocked);
+        assert_eq!(c.stats().load_misses.get(), 0, "a blocked load is not counted");
+        assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
+        let secondary = c.access_load(LineAddr(5), 2, 1, || unreachable!("no credit needed"));
+        assert_eq!(secondary, L1LoadResult::MissSecondary);
+        c.on_fill(LineAddr(5), 10);
+        let hit = c.access_load(LineAddr(5), 3, 20, || unreachable!("no credit needed"));
+        assert_eq!(hit, L1LoadResult::Hit { ready_at: 22 });
+    }
+
+    /// Mask indexing equals `%` on random power-of-two set counts.
+    #[test]
+    fn mask_indexing_matches_modulo() {
+        check::forall("l1_mask_indexing_matches_modulo", Config::cases(64), |rng| {
+            let sets = 1usize << rng.below(12);
+            let c = L1Cache::new(L1Config { sets, ..L1Config::table1() }, ThreadId(0));
+            for _ in 0..64 {
+                let line = LineAddr(rng.next_u64() >> rng.below(64));
+                ensure_eq!(c.set_of(line) as u64, line.0 % sets as u64, "set of {line:?}");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "L1Config::sets must be a nonzero power of two, got 48")]
+    fn non_power_of_two_sets_are_rejected() {
+        let _ = L1Cache::new(L1Config { sets: 48, ..L1Config::table1() }, ThreadId(0));
     }
 
     #[test]
@@ -229,7 +283,7 @@ mod tests {
         let mut c = l1();
         assert!(!c.access_store(LineAddr(5), 0), "store miss does not allocate");
         assert!(!c.probe(LineAddr(5)));
-        c.access_load(LineAddr(5), 1, 0);
+        c.access_load(LineAddr(5), 1, 0, || true);
         c.on_fill(LineAddr(5), 5);
         assert!(c.access_store(LineAddr(5), 10), "store hit updates in place");
         assert_eq!(c.stats().store_hits.get(), 1);
@@ -241,7 +295,7 @@ mod tests {
         let mut c = l1();
         let cfg = L1Config::table1();
         for i in 0..cfg.lmq_entries as u64 {
-            assert_eq!(c.access_load(LineAddr(i), i, 0), L1LoadResult::MissPrimary);
+            assert_eq!(c.access_load(LineAddr(i), i, 0, || true), L1LoadResult::MissPrimary);
         }
         assert!(!c.can_allocate_miss(), "LMQ exhausted for demand loads");
         assert!(c.can_allocate_prefetch(), "prefetch stream registers remain");
@@ -258,7 +312,7 @@ mod tests {
         let sets = L1Config::table1().sets as u64;
         // Fill one set's 4 ways plus one more; the LRU line is evicted.
         for i in 0..5u64 {
-            c.access_load(LineAddr(i * sets), i, i);
+            c.access_load(LineAddr(i * sets), i, i, || true);
             c.on_fill(LineAddr(i * sets), i);
         }
         assert!(!c.probe(LineAddr(0)), "LRU line evicted");

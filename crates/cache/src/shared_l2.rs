@@ -28,6 +28,10 @@ pub struct SharedL2 {
     cfg: L2Config,
     banks: Vec<L2Bank>,
     mem: MemoryController,
+    /// No bank's oldest queued response matures before this cycle
+    /// (`u64::MAX` when none is queued): lowered by every bank tick,
+    /// recomputed by a [`SharedL2::pop_response`] that finds nothing.
+    next_response: Cycle,
 }
 
 impl SharedL2 {
@@ -38,10 +42,16 @@ impl SharedL2 {
     }
 
     /// Builds the cache over the given memory channel topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`L2Config::check_geometry`] or `mem_cfg` has
+    /// a DRAM bank count that is not a nonzero power of two.
     pub fn with_channel_mode(cfg: L2Config, mem_cfg: MemConfig, mode: ChannelMode) -> SharedL2 {
+        cfg.check_geometry();
         let banks = (0..cfg.banks).map(|b| L2Bank::new(&cfg, b)).collect();
         let mem = MemoryController::with_mode(mem_cfg, cfg.threads, mode);
-        SharedL2 { banks, mem, cfg }
+        SharedL2 { banks, mem, cfg, next_response: u64::MAX }
     }
 
     /// The cache configuration.
@@ -69,6 +79,7 @@ impl SharedL2 {
     pub fn tick(&mut self, now: Cycle) {
         for bank in &mut self.banks {
             bank.tick(now);
+            self.next_response = self.next_response.min(bank.next_response_at());
             // Forward memory requests while the controller has room.
             while let Some(req) = bank.peek_mem_request() {
                 if self.mem.can_accept(req.thread, req.kind) {
@@ -121,11 +132,16 @@ impl SharedL2 {
 
     /// Pops the next read response whose critical word has arrived.
     pub fn pop_response(&mut self, now: Cycle) -> Option<CacheResponse> {
+        if now < self.next_response {
+            return None;
+        }
         for bank in &mut self.banks {
             if let Some(resp) = bank.pop_response(now) {
                 return Some(resp);
             }
         }
+        self.next_response =
+            self.banks.iter().map(L2Bank::next_response_at).min().unwrap_or(u64::MAX);
         None
     }
 
@@ -231,7 +247,8 @@ mod tests {
     use super::*;
     use crate::config::CapacityPolicy;
     use vpc_arbiters::ArbiterPolicy;
-    use vpc_sim::AccessKind;
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure_eq, AccessKind};
 
     fn small_cfg(threads: usize, arbiter: ArbiterPolicy) -> L2Config {
         let mut cfg = L2Config::table1(threads, arbiter);
@@ -283,6 +300,54 @@ mod tests {
             now += 1;
         }
         now
+    }
+
+    /// The response gate hides no matured response: on random traffic,
+    /// popped every k cycles, `pop_response` returns a response exactly
+    /// when polling every bank finds one, and from the first such bank.
+    #[test]
+    fn response_gate_matches_polling_every_bank() {
+        check::forall("response_gate_matches_polling_every_bank", Config::cases(24), |rng| {
+            let threads = 2;
+            let mut cfg = small_cfg(threads, ArbiterPolicy::vpc_equal(threads));
+            cfg.banks = 1 << rng.below(3);
+            let mut l2 = SharedL2::new(cfg, MemConfig::ddr2_800());
+            let pop_every = 1 + rng.below(8);
+            let mut token = 0;
+            for now in 0..3_000u64 {
+                if rng.chance(0.3) {
+                    let thread = gen::thread_id(rng, threads);
+                    let line = gen::line_addr(rng, 256);
+                    if l2.can_accept(thread, line) {
+                        token += 1;
+                        let kind = gen::access_kind(rng);
+                        l2.submit(CacheRequest { thread, line, kind, token }, now);
+                    }
+                }
+                l2.tick(now);
+                if now % pop_every != 0 {
+                    continue;
+                }
+                loop {
+                    let polled = l2.banks.iter().position(|b| b.next_response_at() <= now);
+                    let popped = l2.pop_response(now);
+                    ensure_eq!(popped.map(|r| l2.cfg.bank_of(r.line)), polled, "bank at {now}");
+                    if popped.is_none() {
+                        break;
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "L2Config::banks must be a nonzero power of two, got 3")]
+    fn three_banks_are_rejected_at_build() {
+        let mut cfg = small_cfg(1, ArbiterPolicy::Fcfs);
+        cfg.banks = 3;
+        cfg.total_sets = 3 * 64;
+        let _ = SharedL2::new(cfg, MemConfig::ddr2_800());
     }
 
     #[test]

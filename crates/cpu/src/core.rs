@@ -393,32 +393,17 @@ impl Core {
         now: Cycle,
         l2: &mut SharedL2,
     ) -> Option<Cycle> {
-        if self.l1.probe(line) {
-            match self.l1.access_load(line, token, now) {
-                L1LoadResult::Hit { ready_at } => return Some(ready_at),
-                other => unreachable!("probe said hit, access said {other:?}"),
-            }
-        }
-        if self.l1.has_mshr(line) {
-            match self.l1.access_load(line, token, now) {
-                L1LoadResult::MissSecondary => return Some(u64::MAX),
-                other => unreachable!("existing MSHR, access said {other:?}"),
-            }
-        }
-        // Primary miss: needs both an MSHR/LMQ slot and an L2 port credit.
-        if !self.l1.can_allocate_miss() || !l2.can_accept(self.thread, line) {
-            return None;
-        }
-        match self.l1.access_load(line, token, now) {
+        let thread = self.thread;
+        match self.l1.access_load(line, token, now, || l2.can_accept(thread, line)) {
+            L1LoadResult::Hit { ready_at } => Some(ready_at),
+            L1LoadResult::MissSecondary => Some(u64::MAX),
             L1LoadResult::MissPrimary => {
-                l2.submit(
-                    CacheRequest { thread: self.thread, line, kind: AccessKind::Read, token },
-                    now,
-                );
+                l2.submit(CacheRequest { thread, line, kind: AccessKind::Read, token }, now);
                 self.issue_prefetches(line, now, l2);
                 Some(u64::MAX)
             }
-            other => unreachable!("allocation checked, access said {other:?}"),
+            // No MSHR/LMQ entry or no port credit for a primary miss.
+            L1LoadResult::Blocked => None,
         }
     }
 

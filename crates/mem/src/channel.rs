@@ -37,7 +37,18 @@ pub struct DramChannel {
 
 impl DramChannel {
     /// Creates an idle channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the channel's bank count is a nonzero power of two
+    /// (banks are indexed by mask).
     pub fn new(config: MemConfig) -> DramChannel {
+        assert!(
+            config.total_banks().is_power_of_two(),
+            "DRAM banks per channel (MemConfig::ranks * banks_per_rank) must be a nonzero \
+             power of two, got {}",
+            config.total_banks()
+        );
         DramChannel {
             bank_ready: vec![0; config.total_banks()],
             bus_free: 0,
@@ -54,7 +65,7 @@ impl DramChannel {
     /// The bank (within this channel) a line maps to: low line-address bits,
     /// so consecutive lines hit different banks.
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.0 % self.config.total_banks() as u64) as usize
+        (line.0 & (self.bank_ready.len() as u64 - 1)) as usize
     }
 
     /// Whether `line`'s bank can accept a new activation at `now`.
@@ -281,6 +292,31 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Mask indexing equals `%` on random power-of-two bank counts.
+    #[test]
+    fn mask_indexing_matches_modulo() {
+        check::forall("dram_mask_indexing_matches_modulo", Config::cases(64), |rng| {
+            let mut cfg = MemConfig::ddr2_800();
+            cfg.ranks = 1 << rng.below(3);
+            cfg.banks_per_rank = 1 << rng.below(5);
+            let ch = DramChannel::new(cfg);
+            let banks = cfg.total_banks() as u64;
+            for _ in 0..64 {
+                let line = LineAddr(rng.next_u64() >> rng.below(64));
+                ensure_eq!(ch.bank_of(line) as u64, line.0 % banks, "bank of {line:?}");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must be a nonzero power of two, got 12")]
+    fn non_power_of_two_banks_are_rejected() {
+        let mut cfg = MemConfig::ddr2_800();
+        cfg.banks_per_rank = 6;
+        let _ = DramChannel::new(cfg);
     }
 
     #[test]

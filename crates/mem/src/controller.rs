@@ -84,6 +84,10 @@ pub struct MemoryController {
     fq: Option<VirtualClock>,
     /// Arrival sequence numbers for shared-channel FCFS ordering.
     next_seq: u64,
+    /// No tick before this cycle can issue or complete a transaction
+    /// (`u64::MAX` when nothing is buffered or in flight). Set by every
+    /// tick that acts, lowered by [`MemoryController::enqueue`].
+    wake: Cycle,
 }
 
 impl MemoryController {
@@ -109,7 +113,9 @@ impl MemoryController {
             }
             ChannelMode::SharedFcfs => (vec![DramChannel::new(config)], None),
             ChannelMode::SharedFq { shares } => {
-                (vec![DramChannel::new(config)], Some(VirtualClock::new(threads, shares)))
+                let mut fq = VirtualClock::new(threads, shares);
+                fq.add_service(config.timing.idle_read_latency());
+                (vec![DramChannel::new(config)], Some(fq))
             }
         };
         MemoryController {
@@ -123,6 +129,7 @@ impl MemoryController {
             pending_reads: Vec::new(),
             fq,
             next_seq: 0,
+            wake: u64::MAX,
             config,
             mode,
         }
@@ -154,12 +161,16 @@ impl MemoryController {
             AccessKind::Read => q.reads.push_back((seq, req)),
             AccessKind::Write => q.writes.push_back((seq, req)),
         }
+        self.wake = self.wake.min(now);
         true
     }
 
     /// Advances the controller one processor cycle: schedules eligible
     /// transactions onto each channel and collects completed reads.
     pub fn tick(&mut self, now: Cycle) {
+        if now < self.wake {
+            return;
+        }
         match self.mode {
             ChannelMode::PerThread => self.tick_private(now),
             ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => self.tick_shared(now),
@@ -180,6 +191,38 @@ impl MemoryController {
         // Leave all scratch buffers empty so controller state (and its
         // `Debug` rendering) never depends on how often we were ticked.
         self.scratch.clear();
+        self.wake = self.next_wake();
+    }
+
+    /// The earliest cycle a tick can act, absent new requests: an
+    /// in-flight transaction completing, or a buffered request becoming
+    /// schedulable. `u64::MAX` when there is neither. Queued responses
+    /// are not a term: the caller pops them, not a tick.
+    fn next_wake(&self) -> Cycle {
+        let mut wake = self.channels.iter().filter_map(DramChannel::next_completion).min();
+        let mut consider = |c: Cycle| wake = Some(wake.map_or(c, |w| w.min(c)));
+        match self.mode {
+            ChannelMode::PerThread => {
+                for t in 0..self.channels.len() {
+                    if let Some((_, req)) = self.thread_candidate(t) {
+                        consider(self.channels[t].bank_ready_at(req.line));
+                    }
+                }
+            }
+            ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => {
+                // Admission control re-opens once `now` catches up to the
+                // bus reservation horizon; a candidate then issues when its
+                // bank is also ready.
+                let t = self.config.timing;
+                let gate = self.channels[0].bus_free_at().saturating_sub(t.t_rcd + t.t_cl);
+                for thr in 0..self.queues.len() {
+                    if let Some((_, req)) = self.thread_candidate(thr) {
+                        consider(self.channels[0].bank_ready_at(req.line).max(gate));
+                    }
+                }
+            }
+        }
+        wake.unwrap_or(u64::MAX)
     }
 
     /// The request thread `t` would send next: its oldest read, else its
@@ -302,7 +345,8 @@ impl MemoryController {
     /// The earliest cycle at which this controller can change observable
     /// state absent new [`MemoryController::enqueue`] calls: a queued
     /// response waiting to pop, an in-flight transaction completing, or a
-    /// buffered request becoming schedulable. `None` when fully idle.
+    /// buffered request becoming schedulable. `None` when fully idle. The
+    /// last two terms are the wake cycle the last acting tick stored.
     ///
     /// Conservative by design: the returned cycle is never *later* than a
     /// real state change (see `DESIGN.md` §10) — an early wake-up is a
@@ -312,35 +356,7 @@ impl MemoryController {
         if !self.responses.is_empty() {
             return Some(horizon);
         }
-        let mut best: Option<Cycle> = None;
-        let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        for ch in &self.channels {
-            if let Some(done) = ch.next_completion() {
-                consider(done.max(horizon));
-            }
-        }
-        match self.mode {
-            ChannelMode::PerThread => {
-                for t in 0..self.channels.len() {
-                    if let Some((_, req)) = self.thread_candidate(t) {
-                        consider(self.channels[t].bank_ready_at(req.line).max(horizon));
-                    }
-                }
-            }
-            ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => {
-                // Admission control re-opens once `now` catches up to the
-                // bus reservation horizon; a candidate then issues when its
-                // bank is also ready.
-                let t = self.config.timing;
-                let gate = self.channels[0].bus_free_at().saturating_sub(t.t_rcd + t.t_cl);
-                for thr in 0..self.queues.len() {
-                    if let Some((_, req)) = self.thread_candidate(thr) {
-                        consider(self.channels[0].bank_ready_at(req.line).max(gate).max(horizon));
-                    }
-                }
-            }
-        }
-        best
+        (self.wake != u64::MAX).then(|| self.wake.max(horizon))
     }
 
     /// Pops the next completed read, if any.

@@ -204,15 +204,20 @@ impl fmt::Display for Share {
 }
 
 /// One resource's fair-queuing register file (Figure 3): for each thread,
-/// its share `beta_i` and its virtual-time register `R.S_i`, updated by
-/// Eq. 3'–6. The VPC arbiter and the fair-queued shared memory channel each
-/// hold one and differ only in how they pick among the threads' finish
-/// times.
+/// its share `beta_i`, its virtual service time `R.L_i = L / beta_i` for
+/// each service time `L` the resource uses, and its virtual-time register
+/// `R.S_i`, updated by Eq. 3'–6. The VPC arbiter and the fair-queued shared
+/// memory channel each hold one and differ only in how they pick among the
+/// threads' finish times.
+///
+/// `R.L_i` is stored, as in the paper's hardware, whenever a share or a
+/// service time is set, so [`VirtualClock::finish`] adds and never divides.
 ///
 /// ```
 /// use vpc_sim::{Share, ThreadId, VirtualClock};
 ///
 /// let mut clock = VirtualClock::new(2, &[Share::new(1, 2).unwrap()]);
+/// clock.add_service(8); // stores R.L_i = 8 / beta_i for every thread
 /// let t0 = ThreadId(0);
 /// clock.on_arrival(t0, true, 100); // Eq. 6: an idle thread starts at `now`
 /// assert_eq!(clock.start(t0), 100); // Eq. 3'
@@ -227,6 +232,11 @@ pub struct VirtualClock {
     r_s: Vec<u64>,
     /// `beta_i`: each thread's share of the resource's bandwidth.
     shares: Vec<Share>,
+    /// The service times `L` with a stored `R.L_i`, in registration order.
+    services: Vec<u64>,
+    /// `R.L_i`: entry `k * threads + i` is `services[k] / beta_i`, `None`
+    /// for a zero share.
+    r_l: Vec<Option<u64>>,
 }
 
 impl VirtualClock {
@@ -241,7 +251,18 @@ impl VirtualClock {
         let mut s = vec![Share::ZERO; threads];
         let given = shares.len().min(threads);
         s[..given].copy_from_slice(&shares[..given]);
-        VirtualClock { r_s: vec![0; threads], shares: s }
+        VirtualClock { r_s: vec![0; threads], shares: s, services: Vec::new(), r_l: Vec::new() }
+    }
+
+    /// Stores every thread's `R.L_i` for service time `service`, unless it
+    /// is already stored. A resource registers each of its service times
+    /// before asking [`VirtualClock::finish`] for it.
+    pub fn add_service(&mut self, service: u64) {
+        if self.services.contains(&service) {
+            return;
+        }
+        self.services.push(service);
+        self.r_l.extend(self.shares.iter().map(|s| s.scaled_latency(service)));
     }
 
     /// `thread`'s share `beta_i`.
@@ -251,9 +272,13 @@ impl VirtualClock {
     }
 
     /// Sets `thread`'s share `beta_i` (a system-software-visible control
-    /// register).
+    /// register), and stores its `R.L_i` for every registered service time.
     pub fn set_share(&mut self, thread: ThreadId, share: Share) {
-        self.shares[thread.index()] = share;
+        let (t, threads) = (thread.index(), self.shares.len());
+        self.shares[t] = share;
+        for (k, &service) in self.services.iter().enumerate() {
+            self.r_l[k * threads + t] = share.scaled_latency(service);
+        }
     }
 
     /// Eq. 3': the virtual start time of `thread`'s next request,
@@ -274,13 +299,23 @@ impl VirtualClock {
         }
     }
 
-    /// Eq. 4: the virtual finish time `R.S_i + service / beta_i` of a
-    /// `service`-cycle request from `thread`, or `None` for a zero share,
-    /// which holds no virtual resource.
+    /// Eq. 4: the virtual finish time `R.S_i + R.L_i` of a `service`-cycle
+    /// request from `thread`, or `None` for a zero share, which holds no
+    /// virtual resource.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `service` was never registered with
+    /// [`VirtualClock::add_service`].
     #[inline]
     pub fn finish(&self, thread: ThreadId, service: u64) -> Option<u64> {
         let t = thread.index();
-        self.shares[t].scaled_latency(service).map(|virt| self.r_s[t] + virt)
+        let k = self
+            .services
+            .iter()
+            .position(|&l| l == service)
+            .expect("service time registered with add_service");
+        self.r_l[k * self.shares.len() + t].map(|virt| self.r_s[t] + virt)
     }
 
     /// Eq. 5: granting `thread` a request with virtual finish time
@@ -399,6 +434,7 @@ mod tests {
     /// backlogged threads, earliest virtual finish first, and counts them.
     fn backlogged_grants(clock: &mut VirtualClock, rounds: usize, service: u64) -> Vec<u32> {
         let threads = clock.r_s.len();
+        clock.add_service(service);
         let mut grants = vec![0u32; threads];
         for _ in 0..rounds {
             let (finish, t) = (0..threads)
@@ -447,6 +483,7 @@ mod tests {
     #[test]
     fn clock_zero_share_has_no_finish_time() {
         let mut clock = VirtualClock::new(2, &[Share::FULL]);
+        clock.add_service(70);
         assert_eq!(clock.share(ThreadId(1)), Share::ZERO, "missing entries are zero");
         assert_eq!(clock.finish(ThreadId(1), 70), None);
         assert_eq!(clock.finish(ThreadId(0), 70), Some(70));
@@ -457,6 +494,7 @@ mod tests {
     #[test]
     fn clock_grant_sets_start_to_finish() {
         let mut clock = VirtualClock::new(1, &[Share::new(1, 4).unwrap()]);
+        clock.add_service(8);
         let t0 = ThreadId(0);
         clock.on_arrival(t0, true, 10);
         let finish = clock.finish(t0, 8).unwrap();
@@ -477,6 +515,45 @@ mod tests {
             ensure!((got as f64) < exact + 1.0, "{s}: {got} above ceiling of {exact}");
             Ok(())
         });
+    }
+
+    /// The stored `R.L_i` equals `Share::scaled_latency` for every thread
+    /// and registered service time, whichever order shares and service
+    /// times are set in, and for service times no L2 bank uses.
+    #[test]
+    fn stored_virtual_service_matches_scaled_latency() {
+        check::forall("stored_virtual_service_matches_scaled_latency", Config::cases(256), |rng| {
+            let threads = gen::range(rng, 1, 8) as usize;
+            let mut clock = VirtualClock::new(threads, &[]);
+            let mut services = Vec::new();
+            for _ in 0..24 {
+                if rng.chance(0.4) {
+                    let service = if rng.chance(0.5) { rng.below(1 << 20) } else { rng.below(32) };
+                    clock.add_service(service);
+                    services.push(service);
+                } else {
+                    let t = ThreadId(rng.below(threads as u64) as u8);
+                    let share = if rng.chance(0.2) { Share::ZERO } else { gen::share(rng, 64) };
+                    clock.set_share(t, share);
+                }
+                clock.on_arrival(ThreadId(0), true, rng.below(1000));
+                for &service in &services {
+                    for t in (0..threads).map(|t| ThreadId(t as u8)) {
+                        let expected = clock.share(t).scaled_latency(service);
+                        let got = clock.finish(t, service).map(|f| f - clock.start(t));
+                        ensure_eq!(got, expected, "R.L of {t:?} for service {service}");
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "registered")]
+    fn finish_requires_a_registered_service_time() {
+        let clock = VirtualClock::new(1, &[Share::FULL]);
+        let _ = clock.finish(ThreadId(0), 8);
     }
 
     #[test]

@@ -71,4 +71,16 @@ if [[ "$last" != *'"correct": true'* ]]; then
     exit 1
 fi
 
+echo "== benchmark smoke (perfbench fig10_mixes) =="
+# Four-thread SPEC mixes under FCFS and VPC with way quotas; with the two
+# runs above every benchmark workload is smoke-tested. Every row must
+# still equal its golden.
+last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fig10_mixes --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]]; then
+    echo "$last"
+    echo "perfbench fig10_mixes: incorrect rows"
+    exit 1
+fi
+
 echo "CI OK"
