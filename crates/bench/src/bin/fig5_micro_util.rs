@@ -8,8 +8,8 @@
 //! FCFS to stderr. Neither flag changes stdout.
 
 use vpc::experiments::fig5;
+use vpc::json::to_json;
 use vpc::prelude::*;
-use vpc::report::{to_json, Fig5Report};
 use vpc_sim::trace;
 
 /// Label of the contention scenario's trace.
@@ -18,13 +18,7 @@ const CONTENTION: &str = "fig5/contention Loads+3xStores";
 fn main() {
     let cli = vpc_bench::Cli::from_env();
     let base = CmpConfig::table1();
-    vpc_bench::figure(
-        &cli,
-        "fig5",
-        "Figure 5",
-        |opts| fig5::run(&base, opts),
-        Some(|result| to_json(&Fig5Report::from(result))),
-    );
+    vpc_bench::figure(&cli, "fig5", "Figure 5", |opts| fig5::run(&base, opts), Some(to_json));
 
     if let Some(path) = &cli.trace {
         // Grant/defer interleaving and virtual times only mean something

@@ -1,8 +1,8 @@
 //! Figure 6: SPEC solo L2 utilization.
 
 use vpc::experiments::fig6;
+use vpc::json::to_json;
 use vpc::prelude::*;
-use vpc::report::{to_json, Fig6Report};
 
 fn main() {
     vpc_bench::figure(
@@ -10,6 +10,6 @@ fn main() {
         "fig6",
         "Figure 6",
         |opts| fig6::run(&CmpConfig::table1(), opts),
-        Some(|result| to_json(&Fig6Report::from(result))),
+        Some(to_json),
     );
 }

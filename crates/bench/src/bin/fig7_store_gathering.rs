@@ -1,8 +1,8 @@
 //! Figure 7: L2 write fraction and store gathering rate.
 
 use vpc::experiments::fig7;
+use vpc::json::to_json;
 use vpc::prelude::*;
-use vpc::report::{to_json, Fig7Report};
 
 fn main() {
     vpc_bench::figure(
@@ -10,6 +10,6 @@ fn main() {
         "fig7",
         "Figure 7",
         |opts| fig7::run(&CmpConfig::table1(), opts),
-        Some(|result| to_json(&Fig7Report::from(result))),
+        Some(to_json),
     );
 }

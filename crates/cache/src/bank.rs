@@ -187,15 +187,14 @@ impl L2Bank {
                 )
             })
             .collect();
-        let (tag, data, bus) = cfg.resource_arbiters();
         let unit = bank_idx as u16;
         let resources = [
-            (tag, trace::ResourceId::tag_array(unit)),
-            (data, trace::ResourceId::data_array(unit)),
-            (bus, trace::ResourceId::data_bus(unit)),
+            trace::ResourceId::tag_array(unit),
+            trace::ResourceId::data_array(unit),
+            trace::ResourceId::data_bus(unit),
         ]
-        .map(|(policy, id)| {
-            let mut r = ArbitratedResource::new(policy.build(cfg.threads));
+        .map(|id| {
+            let mut r = ArbitratedResource::new(cfg.arbiter.build(cfg.threads));
             r.set_trace_id(id);
             r
         });

@@ -71,14 +71,6 @@ pub struct L2Config {
     pub input_queue_cap: usize,
     /// Arbiter policy for the tag array, data array and data bus.
     pub arbiter: ArbiterPolicy,
-    /// Optional per-resource overrides: in full generality the VPC control
-    /// registers allocate each bandwidth resource independently (§4); when
-    /// `None`, the resource uses `arbiter`.
-    pub tag_arbiter: Option<ArbiterPolicy>,
-    /// Override for the data array (see [`L2Config::tag_arbiter`]).
-    pub data_arbiter: Option<ArbiterPolicy>,
-    /// Override for the data bus (see [`L2Config::tag_arbiter`]).
-    pub bus_arbiter: Option<ArbiterPolicy>,
     /// Replacement / capacity management policy.
     pub capacity: CapacityPolicy,
 }
@@ -105,20 +97,15 @@ impl L2Config {
             sgb_idle_drain: 2000,
             input_queue_cap: 4,
             arbiter,
-            tag_arbiter: None,
-            data_arbiter: None,
-            bus_arbiter: None,
             capacity: CapacityPolicy::vpc_equal(threads),
         }
     }
 
-    /// The effective arbiter for each resource: (tag, data, bus).
+    /// The arbiter of each resource, (tag, data, bus): `arbiter` three
+    /// times. Kept for the frozen benchmark; goes with benchmark revision 2
+    /// (ROADMAP item 2).
     pub fn resource_arbiters(&self) -> (&ArbiterPolicy, &ArbiterPolicy, &ArbiterPolicy) {
-        (
-            self.tag_arbiter.as_ref().unwrap_or(&self.arbiter),
-            self.data_arbiter.as_ref().unwrap_or(&self.arbiter),
-            self.bus_arbiter.as_ref().unwrap_or(&self.arbiter),
-        )
+        (&self.arbiter, &self.arbiter, &self.arbiter)
     }
 
     /// Checks the geometry that [`L2Config::bank_of`] and
@@ -186,9 +173,6 @@ impl L2Config {
             bus_latency: scale(self.bus_latency),
             ways,
             arbiter: ArbiterPolicy::RowFcfs,
-            tag_arbiter: None,
-            data_arbiter: None,
-            bus_arbiter: None,
             capacity: CapacityPolicy::Lru,
             ..self.clone()
         }
@@ -299,19 +283,6 @@ mod tests {
     fn scaled_private_rejects_zero_share() {
         let cfg = L2Config::table1(4, ArbiterPolicy::Fcfs);
         let _ = cfg.scaled_private(Share::ZERO, Share::FULL);
-    }
-
-    #[test]
-    fn per_resource_overrides_apply() {
-        let mut cfg = L2Config::table1(2, ArbiterPolicy::Fcfs);
-        cfg.data_arbiter = Some(ArbiterPolicy::vpc_equal(2));
-        let (tag, data, bus) = cfg.resource_arbiters();
-        assert_eq!(tag.label(), "FCFS");
-        assert_eq!(data.label(), "VPC");
-        assert_eq!(bus.label(), "FCFS");
-        // The private machine drops the overrides.
-        let p = cfg.scaled_private(Share::new(1, 2).unwrap(), Share::FULL);
-        assert!(p.data_arbiter.is_none());
     }
 
     #[test]

@@ -26,6 +26,7 @@ use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{RunBudget, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::metrics::{harmonic_mean, improvement_pct, minimum, normalized_ipcs, weighted_speedup};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
@@ -174,6 +175,23 @@ impl fmt::Display for Fig10Result {
             "threads meeting their QoS target under VPC: {:.0}%",
             self.vpc_qos_met(0.05) * 100.0
         )
+    }
+}
+
+impl ToJson for Fig10Result {
+    fn to_json_value(&self) -> JsonValue {
+        let mixes = self.mixes.iter().map(|m| {
+            JsonValue::object([
+                ("mix", JsonValue::array(m.mix)),
+                ("fcfs_norm", JsonValue::array(m.fcfs_norm.iter().copied())),
+                ("vpc_norm", JsonValue::array(m.vpc_norm.iter().copied())),
+            ])
+        });
+        JsonValue::object([
+            ("mixes", JsonValue::array(mixes)),
+            ("hmean_improvement_pct", JsonValue::from(self.hmean_improvement_pct())),
+            ("min_improvement_pct", JsonValue::from(self.min_improvement_pct())),
+        ])
     }
 }
 

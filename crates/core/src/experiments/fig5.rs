@@ -10,6 +10,7 @@ use std::fmt;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{bar, pct, RunBudget, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::metrics::QosLedger;
 use crate::system::CmpSystem;
 use vpc_arbiters::ArbiterPolicy;
@@ -26,6 +27,13 @@ pub struct Fig5Row {
     pub banks: usize,
     /// Utilization of the three shared resources.
     pub util: L2Utilization,
+}
+
+impl Fig5Row {
+    /// The row's label, `"<benchmark> <banks>B"`.
+    pub fn label(&self) -> String {
+        format!("{} {}B", self.benchmark, self.banks)
+    }
 }
 
 /// The full Figure 5 sweep.
@@ -54,7 +62,7 @@ impl fmt::Display for Fig5Result {
             writeln!(
                 f,
                 "{:<12} {:>6} {:>10} {:>10} {:>10}  {}",
-                format!("{} {}B", r.benchmark, r.banks),
+                r.label(),
                 r.banks,
                 pct(r.util.data_array),
                 pct(r.util.data_bus),
@@ -63,6 +71,20 @@ impl fmt::Display for Fig5Result {
             )?;
         }
         Ok(())
+    }
+}
+
+impl ToJson for Fig5Result {
+    fn to_json_value(&self) -> JsonValue {
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::object([
+                ("label", JsonValue::from(r.label())),
+                ("tag_array", JsonValue::from(r.util.tag_array)),
+                ("data_array", JsonValue::from(r.util.data_array)),
+                ("data_bus", JsonValue::from(r.util.data_bus)),
+            ])
+        });
+        JsonValue::object([("rows", JsonValue::array(rows))])
     }
 }
 
@@ -137,6 +159,7 @@ pub fn qos_ledger(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::to_json;
 
     #[test]
     fn microbenchmark_scaling_matches_paper_shape() {
@@ -160,6 +183,49 @@ mod tests {
         // Stores: no bus traffic (writes return nothing).
         let s2 = r.row("Stores", 2).unwrap();
         assert!(s2.util.data_bus < 0.1, "stores use no return bus: {:?}", s2.util);
+    }
+
+    /// Golden output: a full figure-5 result serializes byte-for-byte in
+    /// the shape the checked-in `results/fig5_micro_util.json` uses.
+    #[test]
+    fn fig5_json_matches_golden_shape() {
+        let result = Fig5Result {
+            rows: vec![
+                Fig5Row {
+                    benchmark: "Loads",
+                    banks: 2,
+                    util: L2Utilization { tag_array: 0.5, data_array: 1.0, data_bus: 1.0 },
+                },
+                Fig5Row {
+                    benchmark: "Stores",
+                    banks: 4,
+                    util: L2Utilization {
+                        tag_array: 0.25,
+                        data_array: 0.22222916666666667,
+                        data_bus: 0.125,
+                    },
+                },
+            ],
+        };
+        let want = concat!(
+            "{\n",
+            "  \"rows\": [\n",
+            "    {\n",
+            "      \"label\": \"Loads 2B\",\n",
+            "      \"tag_array\": 0.5,\n",
+            "      \"data_array\": 1.0,\n",
+            "      \"data_bus\": 1.0\n",
+            "    },\n",
+            "    {\n",
+            "      \"label\": \"Stores 4B\",\n",
+            "      \"tag_array\": 0.25,\n",
+            "      \"data_array\": 0.22222916666666667,\n",
+            "      \"data_bus\": 0.125\n",
+            "    }\n",
+            "  ]\n",
+            "}"
+        );
+        assert_eq!(to_json(&result), want);
     }
 
     fn test_base() -> CmpConfig {

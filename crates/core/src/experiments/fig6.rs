@@ -14,6 +14,7 @@ use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{bar, pct, RunBudget, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::system::CmpSystem;
 
 /// One benchmark's bar group.
@@ -63,6 +64,24 @@ impl fmt::Display for Fig6Result {
             )?;
         }
         writeln!(f, "mean data-array utilization: {} (paper: ~26%)", pct(self.mean_data_util()))
+    }
+}
+
+impl ToJson for Fig6Result {
+    fn to_json_value(&self) -> JsonValue {
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::object([
+                ("benchmark", JsonValue::from(r.benchmark)),
+                ("data_array", JsonValue::from(r.util.data_array)),
+                ("data_bus", JsonValue::from(r.util.data_bus)),
+                ("tag_array", JsonValue::from(r.util.tag_array)),
+                ("ipc", JsonValue::from(r.ipc)),
+            ])
+        });
+        JsonValue::object([
+            ("rows", JsonValue::array(rows)),
+            ("mean_data_util", JsonValue::from(self.mean_data_util())),
+        ])
     }
 }
 

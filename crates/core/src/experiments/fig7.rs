@@ -13,6 +13,7 @@ use vpc_workloads::SPEC_NAMES;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{pct, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::system::CmpSystem;
 
 /// One benchmark's pair of bars.
@@ -72,6 +73,25 @@ impl fmt::Display for Fig7Result {
     }
 }
 
+impl ToJson for Fig7Result {
+    fn to_json_value(&self) -> JsonValue {
+        // Rows render as 3-element arrays, matching the historical shape of
+        // `results/fig7_store_gathering.json`.
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::Array(vec![
+                JsonValue::from(r.benchmark),
+                JsonValue::from(r.l2_write_frac),
+                JsonValue::from(r.gathering_rate),
+            ])
+        });
+        JsonValue::object([
+            ("rows", JsonValue::array(rows)),
+            ("mean_write_frac", JsonValue::from(self.mean_write_frac())),
+            ("mean_gathering", JsonValue::from(self.mean_gathering())),
+        ])
+    }
+}
+
 /// Runs the full series (each benchmark alone on the baseline cache), one
 /// parallel job per benchmark.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
@@ -100,6 +120,7 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
 mod tests {
     use super::*;
     use crate::experiments::RunBudget;
+    use crate::json::to_json;
 
     fn quick_rows(benchmarks: &[&'static str]) -> Vec<Fig7Row> {
         let base = CmpConfig::table1();
@@ -132,6 +153,19 @@ mod tests {
                 r.gathering_rate
             );
         }
+    }
+
+    /// Rows serialize as plain JSON arrays.
+    #[test]
+    fn fig7_rows_serialize_as_arrays() {
+        let result = Fig7Result {
+            rows: vec![Fig7Row { benchmark: "gcc", l2_write_frac: 0.55, gathering_rate: 0.8 }],
+        };
+        let got = to_json(&result);
+        assert!(
+            got.contains("\"rows\": [\n    [\n      \"gcc\",\n      0.55,\n      0.8\n    ]\n  ]")
+        );
+        assert!(got.contains("\"mean_write_frac\": 0.55"));
     }
 
     #[test]

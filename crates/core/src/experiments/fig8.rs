@@ -17,6 +17,7 @@ use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{pct, RunBudget, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
 
@@ -73,6 +74,22 @@ impl fmt::Display for Fig8Result {
             )?;
         }
         Ok(())
+    }
+}
+
+impl ToJson for Fig8Result {
+    fn to_json_value(&self) -> JsonValue {
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::object([
+                ("arbiter", JsonValue::from(r.label.as_str())),
+                ("loads_ipc", JsonValue::from(r.loads_ipc)),
+                ("loads_target", JsonValue::from(r.loads_target)),
+                ("stores_ipc", JsonValue::from(r.stores_ipc)),
+                ("stores_target", JsonValue::from(r.stores_target)),
+                ("data_util", JsonValue::from(r.data_util)),
+            ])
+        });
+        JsonValue::object([("rows", JsonValue::array(rows))])
     }
 }
 

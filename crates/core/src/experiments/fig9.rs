@@ -17,6 +17,7 @@ use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{pct, RunBudget, RunOptions};
+use crate::json::{JsonValue, ToJson};
 use crate::system::CmpSystem;
 use crate::target::target_ipc;
 
@@ -109,6 +110,30 @@ impl fmt::Display for Fig9Result {
             )?;
         }
         writeln!(f, "QoS targets met (5% slack): {}", pct(self.qos_met_fraction(0.05)))
+    }
+}
+
+impl ToJson for Fig9Result {
+    fn to_json_value(&self) -> JsonValue {
+        let rows = self.rows.iter().map(|r| {
+            JsonValue::object([
+                ("benchmark", JsonValue::from(r.benchmark)),
+                ("fcfs", JsonValue::from(r.fcfs_norm)),
+                ("vpc25", JsonValue::from(r.vpc25_norm)),
+                ("vpc50", JsonValue::from(r.vpc50_norm)),
+                ("vpc100", JsonValue::from(r.vpc100_norm)),
+                ("target25", JsonValue::from(r.target25_norm)),
+                ("target50", JsonValue::from(r.target50_norm)),
+                (
+                    "utils",
+                    JsonValue::array([r.fcfs_util, r.vpc25_util, r.vpc50_util, r.vpc100_util]),
+                ),
+            ])
+        });
+        JsonValue::object([
+            ("rows", JsonValue::array(rows)),
+            ("qos_met_fraction", JsonValue::from(self.qos_met_fraction(0.05))),
+        ])
     }
 }
 

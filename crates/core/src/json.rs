@@ -8,7 +8,9 @@
 //! trailing `.0` on integral values, and tuples rendered as arrays.
 //!
 //! Build documents with the [`JsonValue`] constructors, or implement
-//! [`ToJson`] for a report type and call [`crate::report::to_json`].
+//! [`ToJson`] for a result type and call [`to_json`]. Every figure result
+//! implements [`ToJson`] itself, so a figure's `--json` output has no
+//! second representation to keep in step.
 
 use std::fmt::Write as _;
 
@@ -420,12 +422,17 @@ impl<'a> Parser<'a> {
 
 /// Conversion into a JSON document node.
 ///
-/// Implemented by every report type in [`crate::report`]; implement it for
-/// new result types to make them `--json`-printable via
-/// [`crate::report::to_json`].
+/// Implemented by every figure result (`FigNResult` in
+/// [`crate::experiments`]) next to its `Display`; [`to_json`] renders it as
+/// the figure binary's `--json` output.
 pub trait ToJson {
     /// Converts `self` into a [`JsonValue`] tree.
     fn to_json_value(&self) -> JsonValue;
+}
+
+/// Serializes any [`ToJson`] value to pretty JSON (no trailing newline).
+pub fn to_json<T: ToJson>(value: &T) -> String {
+    value.to_json_value().pretty()
 }
 
 impl ToJson for JsonValue {

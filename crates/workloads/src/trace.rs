@@ -19,7 +19,6 @@
 //! B 4
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -84,33 +83,14 @@ fn parse_line_addr(s: &str) -> Result<LineAddr, String> {
 ///
 /// Repeated line addresses are accepted: a replay trace legitimately
 /// revisits its hot lines (and [`TraceWorkload`] loops the whole trace
-/// anyway). Use [`parse_trace_strict`] for footprint-shaped traces where
-/// every address must be distinct.
+/// anyway).
 ///
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] (with line and column context) on the
 /// first malformed line.
 pub fn parse_trace(text: &str) -> Result<Vec<Op>, ParseTraceError> {
-    parse_trace_impl(text, false)
-}
-
-/// Like [`parse_trace`], but additionally rejects a load or store whose
-/// line address was already used by an earlier memory op — the right
-/// contract for traces that *define a working set* (one op per line
-/// address), where a silent duplicate means the generator is broken.
-///
-/// # Errors
-///
-/// Returns [`ParseTraceError`] on the first malformed line or duplicate
-/// address; the duplicate message names the line that first used it.
-pub fn parse_trace_strict(text: &str) -> Result<Vec<Op>, ParseTraceError> {
-    parse_trace_impl(text, true)
-}
-
-fn parse_trace_impl(text: &str, strict: bool) -> Result<Vec<Op>, ParseTraceError> {
     let mut ops = Vec::new();
-    let mut first_use: HashMap<u64, usize> = HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let content = raw.split('#').next().unwrap_or("");
@@ -129,15 +109,6 @@ fn parse_trace_impl(text: &str, strict: bool) -> Result<Vec<Op>, ParseTraceError
                     .ok_or_else(|| err(tag_col, format!("'{tag}' needs a line address")))?;
                 let addr =
                     parse_line_addr(addr).map_err(|e| err(col, format!("bad address: {e}")))?;
-                if strict {
-                    if let Some(&first) = first_use.get(&addr.0) {
-                        return Err(err(
-                            col,
-                            format!("duplicate address {:#x} (first used at line {first})", addr.0),
-                        ));
-                    }
-                    first_use.insert(addr.0, line_no);
-                }
                 if tag == "L" {
                     Op::Load(addr)
                 } else {
@@ -286,23 +257,6 @@ mod tests {
         // A trailing token points at itself.
         let err = parse_trace("L 1 junk\n").unwrap_err();
         assert_eq!((err.line, err.column), (1, 5));
-    }
-
-    #[test]
-    fn strict_mode_rejects_duplicate_addresses() {
-        let text = "L 0x10\nS 2\nN\nS 0x10\n";
-        // The lenient parser replays revisited lines as-is.
-        assert_eq!(parse_trace(text).unwrap().len(), 4);
-        let err = parse_trace_strict(text).unwrap_err();
-        assert_eq!((err.line, err.column), (4, 3));
-        assert!(
-            err.message.contains("duplicate address 0x10")
-                && err.message.contains("first used at line 1"),
-            "got: {}",
-            err.message
-        );
-        // Distinct addresses pass strict mode untouched.
-        assert_eq!(parse_trace_strict("L 1\nS 2\nB 3\n").unwrap().len(), 3);
     }
 
     #[test]

@@ -12,6 +12,17 @@ echo "== build (release, offline) =="
 cargo build --release
 cargo build --release --workspace --bins
 
+echo "== figure binaries: --quick --json stdout equals results/quick =="
+# golden_quick checks the library call; this checks what each binary prints.
+for bin in fig5_micro_util fig6_spec_util fig7_store_gathering fig8_loads_stores \
+    fig9_spec_vs_stores fig10_heterogeneous; do
+    if ! target/release/"$bin" --quick --json --jobs 2 2>/dev/null |
+        cmp - "results/quick/$bin.json"; then
+        echo "$bin --quick --json differs from results/quick/$bin.json"
+        exit 1
+    fi
+done
+
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 

@@ -15,10 +15,8 @@
 use std::path::PathBuf;
 
 use vpc::experiments::{ablations, fig10, fig5, fig6, fig7, fig8, fig9, RunBudget, RunOptions};
+use vpc::json::to_json;
 use vpc::prelude::*;
-use vpc::report::{
-    to_json, Fig10Report, Fig5Report, Fig6Report, Fig7Report, Fig8Report, Fig9Report,
-};
 use vpc_workloads::SPEC_NAMES;
 
 /// The quick budget on four workers (the output is the same at any count).
@@ -53,37 +51,37 @@ fn check_golden(name: &str, rendered: String) {
 #[test]
 fn fig5_matches_golden() {
     let result = fig5::run(&CmpConfig::table1(), QUICK);
-    check_golden("fig5_micro_util.json", to_json(&Fig5Report::from(&result)));
+    check_golden("fig5_micro_util.json", to_json(&result));
 }
 
 #[test]
 fn fig6_matches_golden() {
     let result = fig6::run(&CmpConfig::table1(), QUICK);
-    check_golden("fig6_spec_util.json", to_json(&Fig6Report::from(&result)));
+    check_golden("fig6_spec_util.json", to_json(&result));
 }
 
 #[test]
 fn fig7_matches_golden() {
     let result = fig7::run(&CmpConfig::table1(), QUICK);
-    check_golden("fig7_store_gathering.json", to_json(&Fig7Report::from(&result)));
+    check_golden("fig7_store_gathering.json", to_json(&result));
 }
 
 #[test]
 fn fig8_matches_golden() {
     let result = fig8::run(&CmpConfig::table1_with_threads(2), QUICK);
-    check_golden("fig8_loads_stores.json", to_json(&Fig8Report::from(&result)));
+    check_golden("fig8_loads_stores.json", to_json(&result));
 }
 
 #[test]
 fn fig9_matches_golden() {
     let result = fig9::run(&CmpConfig::table1(), &SPEC_NAMES, QUICK);
-    check_golden("fig9_spec_vs_stores.json", to_json(&Fig9Report::from(&result)));
+    check_golden("fig9_spec_vs_stores.json", to_json(&result));
 }
 
 #[test]
 fn fig10_matches_golden() {
     let result = fig10::run(&CmpConfig::table1(), &fig10::MIXES, QUICK);
-    check_golden("fig10_heterogeneous.json", to_json(&Fig10Report::from(&result)));
+    check_golden("fig10_heterogeneous.json", to_json(&result));
 }
 
 #[test]
