@@ -67,6 +67,7 @@ impl ArbitratedResource {
     }
 
     /// Enters `req` into arbitration at `now`.
+    #[inline]
     pub fn enqueue(&mut self, req: ArbRequest, now: Cycle) {
         self.arbiter.enqueue(req, now);
         self.pending += 1;
@@ -81,10 +82,22 @@ impl ArbitratedResource {
     /// the resource becomes busy for the request's service time and the
     /// granted request is returned so the owner can advance its state
     /// machine.
+    ///
+    /// Called every bank cycle on each resource and usually a no-op, so
+    /// the no-op check is inlined into the caller and only a grant pays
+    /// for a call (DESIGN.md §10, "An idle poll is not a call").
+    #[inline]
     pub fn try_grant(&mut self, now: Cycle) -> Option<ArbRequest> {
-        if self.pending == 0 || self.is_busy(now) {
+        if self.pending == 0 || now < self.busy_until {
             return None;
         }
+        Some(self.grant(now))
+    }
+
+    /// The body of [`ArbitratedResource::try_grant`] once a request is
+    /// pending and the resource is free.
+    #[inline(never)]
+    fn grant(&mut self, now: Cycle) -> ArbRequest {
         let req = self.arbiter.select(now).expect("an arbiter grants while requests are pending");
         self.pending -= 1;
         self.busy_until = now + req.service_time;
@@ -115,7 +128,7 @@ impl ArbitratedResource {
                 }
             }
         }
-        Some(req)
+        req
     }
 
     /// The cycle the current service completes (or the past, if idle).
@@ -260,11 +273,24 @@ mod tests {
         });
     }
 
+    /// The inlined no-op check of `try_grant` changes nothing: on an empty
+    /// resource, and on a busy one with a request pending.
     #[test]
-    fn idle_resource_grants_nothing() {
+    fn refused_grants_change_nothing() {
         let mut res = ArbitratedResource::new(Box::new(FcfsArbiter::new()));
+        let state = |r: &ArbitratedResource| (r.grants(), r.pending(), r.busy_until(), r.meter());
+        let empty = state(&res);
         assert!(res.try_grant(0).is_none());
-        assert_eq!(res.pending(), 0);
+        assert_eq!(state(&res), empty, "empty resource");
         assert!(!res.is_busy(0));
+        res.enqueue(req(1, 8), 0);
+        res.enqueue(req(2, 8), 0);
+        assert_eq!(res.try_grant(0).unwrap().id, 1);
+        let busy = state(&res);
+        for now in 1..8 {
+            assert!(res.try_grant(now).is_none());
+            assert_eq!(state(&res), busy, "busy resource at {now}");
+        }
+        assert_eq!(res.try_grant(8).unwrap().id, 2);
     }
 }

@@ -123,6 +123,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
+    if args.warmup.checked_add(args.cycles).is_none() {
+        return Err("--warmup plus --cycles overflows the 64-bit cycle counter".into());
+    }
     if args.workloads.len() > 8 {
         return Err("1 to 8 workloads required".into());
     }

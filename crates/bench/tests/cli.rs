@@ -18,6 +18,7 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_simulate"), &["--bogus"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--jobs", "0"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "0"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "18446744073709551615"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--shares", "3/4,3/4,3/4,3/4"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "0"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "3"], false),

@@ -230,12 +230,14 @@ impl L2Bank {
 
     /// Whether `thread`'s input port can take another request (crossbar
     /// port credit).
+    #[inline]
     pub fn can_accept(&self, thread: ThreadId) -> bool {
         self.ports[thread.index()].input_occupancy() < self.cfg.input_queue_cap
     }
 
     /// Submits a request from the interconnect at `now`; it reaches the
     /// bank's port after the interconnect latency.
+    #[inline]
     pub fn submit(&mut self, req: CacheRequest, now: Cycle) {
         self.ports[req.thread.index()].push(now + self.cfg.interconnect_latency, req);
     }
@@ -602,7 +604,14 @@ impl L2Bank {
     fn controller_intake(&mut self, now: Cycle) {
         // One request enters the controller pipeline per L2 cycle.
         let threads = self.cfg.threads;
-        for t in (self.rr_next..threads).chain(0..self.rr_next) {
+        let mut next = self.rr_next;
+        for _ in 0..threads {
+            let t = next;
+            next = if t + 1 == threads { 0 } else { t + 1 };
+            // An empty port neither pumps nor offers a candidate.
+            if self.ports[t].is_empty() {
+                continue;
+            }
             self.ports[t].pump(now);
             let sm_full = self.sm_used[t] >= self.cfg.sm_per_thread;
             // A row-inverted port's peek only offers its oldest store, so
@@ -632,7 +641,7 @@ impl L2Bank {
             let sm_idx = self.alloc_sm(sm);
             self.ports[t].take_candidate(&candidate, now);
             self.request(sm_idx, &sm, Step::TagLookup, now);
-            self.rr_next = if t + 1 == threads { 0 } else { t + 1 };
+            self.rr_next = next;
             break;
         }
     }
@@ -658,5 +667,39 @@ impl L2Bank {
             self.events_min = self.events_min.min(done);
             self.events.push((done, sm_idx, step));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vpc_arbiters::ArbiterPolicy;
+
+    /// `L2Bank::tick` on an odd cycle changes nothing, even with arrivals
+    /// ready, state machines live and completions due. `SharedL2::tick`
+    /// relies on this when it ticks the banks on even cycles only.
+    #[test]
+    fn odd_cycle_ticks_change_nothing() {
+        let mut cfg = L2Config::table1(2, ArbiterPolicy::Fcfs);
+        cfg.total_sets = 64;
+        let mut bank = L2Bank::new(&cfg, 0);
+        let mut token = 0;
+        for now in 0..400u64 {
+            let thread = ThreadId((now % 2) as u8);
+            if now % 3 == 0 && bank.can_accept(thread) {
+                token += 1;
+                let kind = if now % 4 == 0 { AccessKind::Write } else { AccessKind::Read };
+                let line = LineAddr((now % 40) * cfg.banks as u64);
+                bank.submit(CacheRequest { thread, line, kind, token }, now);
+            }
+            if now % 2 == 1 {
+                let before = format!("{bank:?}");
+                bank.tick(now);
+                assert_eq!(format!("{bank:?}"), before, "odd cycle {now}");
+            } else {
+                bank.tick(now);
+            }
+        }
+        assert!(bank.stats().read_misses.get() > 0, "the bank did work on even cycles");
     }
 }

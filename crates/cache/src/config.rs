@@ -140,6 +140,7 @@ impl L2Config {
 
     /// The bank a line maps to (low line-address bits, so a 64-byte-stride
     /// stream interleaves across banks).
+    #[inline]
     pub fn bank_of(&self, line: vpc_sim::LineAddr) -> usize {
         (line.0 & (self.banks as u64 - 1)) as usize
     }

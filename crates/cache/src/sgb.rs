@@ -116,27 +116,39 @@ impl ThreadPort {
     }
 
     /// Requests buffered in the input queue (for crossbar port credits).
+    #[inline]
     pub fn input_occupancy(&self) -> usize {
         self.in_q.len()
     }
 
     /// Total requests anywhere in the port.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.in_q.is_empty() && self.loads.is_empty() && self.sgb.is_empty()
     }
 
     /// Accepts a request from the interconnect, to be processed once
     /// `ready_at` passes.
+    #[inline]
     pub fn push(&mut self, ready_at: Cycle, request: CacheRequest) {
         self.in_q.push_back((ready_at, request));
     }
 
     /// Moves arrived input-queue requests into the load queue / SGB, in
     /// order. Stops at a store that cannot allocate an SGB entry.
+    ///
+    /// Called every bank cycle and usually a no-op (stalled, or nothing
+    /// has arrived), so that check is inlined into the caller.
+    #[inline]
     pub fn pump(&mut self, now: Cycle) {
-        if self.stalled {
-            return;
+        if !self.stalled && self.in_q.front().is_some_and(|&(ready_at, _)| ready_at <= now) {
+            self.pump_arrived(now);
         }
+    }
+
+    /// The body of [`ThreadPort::pump`] once the head request has arrived.
+    #[inline(never)]
+    fn pump_arrived(&mut self, now: Cycle) {
         while let Some(&(ready_at, req)) = self.in_q.front() {
             if ready_at > now {
                 break;
@@ -399,6 +411,32 @@ mod tests {
         assert!(p.peek_candidate(50).is_none(), "below high water, no drain yet");
         let c = p.peek_candidate(150).unwrap();
         assert!(c.is_store_retire, "idle drain after timeout");
+    }
+
+    /// The inlined no-op check of `pump` changes nothing: before the head
+    /// request arrives, and while a full SGB stalls the input queue.
+    #[test]
+    fn idle_pumps_change_nothing() {
+        let state =
+            |p: &ThreadPort| (p.input_occupancy(), p.sgb_occupancy(), format!("{:?}", p.stats()));
+        let mut p = port();
+        p.push(10, load(1, 0));
+        let before = state(&p);
+        p.pump(9);
+        assert_eq!(state(&p), before, "head not yet arrived");
+        p.pump(10);
+        assert_ne!(state(&p), before, "the arrived load moves");
+
+        let mut p = port();
+        for i in 0..9 {
+            p.push(0, store(i, i));
+        }
+        p.pump(0);
+        assert_eq!((p.sgb_occupancy(), p.input_occupancy()), (8, 1), "ninth store stalls");
+        p.push(1, store(3, 9));
+        let stalled = state(&p);
+        p.pump(1);
+        assert_eq!(state(&p), stalled, "stalled port, gatherable store behind the stall");
     }
 
     #[test]

@@ -61,6 +61,7 @@ impl SharedL2 {
 
     /// Whether `thread` can send a request for `line` right now (crossbar
     /// port credit for the destination bank).
+    #[inline]
     pub fn can_accept(&self, thread: ThreadId, line: LineAddr) -> bool {
         self.banks[self.cfg.bank_of(line)].can_accept(thread)
     }
@@ -69,6 +70,7 @@ impl SharedL2 {
     ///
     /// The caller must respect [`SharedL2::can_accept`]; the input queue is
     /// a hardware structure and over-filling it panics.
+    #[inline]
     pub fn submit(&mut self, req: CacheRequest, now: Cycle) {
         debug_assert!(self.can_accept(req.thread, req.line), "input port over-filled");
         let bank = self.cfg.bank_of(req.line);
@@ -76,10 +78,18 @@ impl SharedL2 {
     }
 
     /// Advances the cache and memory system one processor cycle.
+    ///
+    /// The banks run at half core frequency ([`L2Bank::tick`] acts only on
+    /// even cycles), so they are ticked, and can queue a response, only
+    /// on even cycles. Memory requests forward every cycle: the
+    /// controller can make room on any cycle.
     pub fn tick(&mut self, now: Cycle) {
+        let bank_cycle = now.is_multiple_of(2);
         for bank in &mut self.banks {
-            bank.tick(now);
-            self.next_response = self.next_response.min(bank.next_response_at());
+            if bank_cycle {
+                bank.tick(now);
+                self.next_response = self.next_response.min(bank.next_response_at());
+            }
             // Forward memory requests while the controller has room.
             while let Some(req) = bank.peek_mem_request() {
                 if self.mem.can_accept(req.thread, req.kind) {
@@ -131,10 +141,20 @@ impl SharedL2 {
     }
 
     /// Pops the next read response whose critical word has arrived.
+    ///
+    /// Polled every cycle and usually empty-handed, so the response gate
+    /// is inlined into the caller.
+    #[inline]
     pub fn pop_response(&mut self, now: Cycle) -> Option<CacheResponse> {
         if now < self.next_response {
             return None;
         }
+        self.pop_matured(now)
+    }
+
+    /// The body of [`SharedL2::pop_response`] once the gate has opened.
+    #[inline(never)]
+    fn pop_matured(&mut self, now: Cycle) -> Option<CacheResponse> {
         for bank in &mut self.banks {
             if let Some(resp) = bank.pop_response(now) {
                 return Some(resp);

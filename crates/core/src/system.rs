@@ -143,8 +143,12 @@ impl CmpSystem {
     /// loop exactly. Output is byte-identical to
     /// [`CmpSystem::run_reference`] (see `DESIGN.md` §10 and the
     /// `skip_equivalence` property tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the end cycle `now() + cycles` overflows `u64`.
     pub fn run(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
+        let end = self.end_cycle(cycles);
         // Exponential backoff on failed skip attempts: when the scan
         // concludes "next activity is the very next cycle", re-scanning
         // immediately is pure overhead, so double the naive-tick stretch
@@ -210,8 +214,12 @@ impl CmpSystem {
     /// tick-every-cycle loop, never skipping — the reference the
     /// `skip_equivalence` property tests compare [`CmpSystem::run`]
     /// against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the end cycle `now() + cycles` overflows `u64`.
     pub fn run_reference(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
+        let end = self.end_cycle(cycles);
         while self.now < end {
             for core in &mut self.cores {
                 core.tick(self.now, &mut self.l2);
@@ -222,6 +230,14 @@ impl CmpSystem {
             }
             self.now += 1;
         }
+    }
+
+    /// The cycle a run of `cycles` from now ends at. A wrapped sum would
+    /// end the run before it starts, so it panics instead.
+    fn end_cycle(&self, cycles: Cycle) -> Cycle {
+        self.now.checked_add(cycles).unwrap_or_else(|| {
+            panic!("run end cycle overflows u64: now {} + {cycles} cycles", self.now)
+        })
     }
 
     /// Captures a counter baseline for a measurement window.
@@ -419,5 +435,21 @@ mod tests {
         // Idle workload: high IPC, no L2 traffic.
         assert!(m.ipc[0] > 4.0);
         assert_eq!(m.util.data_array, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "run end cycle overflows u64")]
+    fn run_past_the_last_cycle_panics() {
+        let mut sys = CmpSystem::new(quick_config(1), &[WorkloadSpec::Idle]);
+        sys.run(1);
+        sys.run(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "run end cycle overflows u64")]
+    fn reference_run_past_the_last_cycle_panics() {
+        let mut sys = CmpSystem::new(quick_config(1), &[WorkloadSpec::Idle]);
+        sys.run_reference(1);
+        sys.run_reference(u64::MAX);
     }
 }

@@ -25,6 +25,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next pseudorandom 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -38,6 +39,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Lemire-style rejection-free mapping is fine for simulation use.
@@ -45,11 +47,13 @@ impl SplitMix64 {
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }

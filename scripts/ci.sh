@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== shell scripts parse =="
+for script in scripts/*.sh; do
+    bash -n "$script"
+done
+
 echo "== build (release, offline) =="
 cargo build --release
 cargo build --release --workspace --bins
@@ -93,5 +98,8 @@ if [[ "$last" != *'"correct": true'* ]]; then
     echo "perfbench fig10_mixes: incorrect rows"
     exit 1
 fi
+
+echo "== non-test Rust lines under crates/ (report in every PR) =="
+scripts/loc.sh
 
 echo "CI OK"
