@@ -6,5 +6,5 @@ use vpc::prelude::*;
 fn main() {
     vpc_bench::no_flags();
     let base = CmpConfig::table1();
-    println!("{}", fig4::run(&base));
+    vpc_bench::outln!("{}", fig4::run(&base));
 }

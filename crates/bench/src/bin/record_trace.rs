@@ -50,9 +50,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    print!(
+    vpc_bench::write_stdout(format_args!(
         "# {count} ops of {name}, recorded by record_trace\n{}",
         record(workload.as_mut(), count)
-    );
+    ));
     ExitCode::SUCCESS
 }

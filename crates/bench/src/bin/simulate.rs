@@ -1,6 +1,7 @@
 //! A general-purpose driver for the simulated CMP: pick workloads, an
-//! arbiter policy, shares, banks and channel topology from the command
-//! line and get per-thread IPCs, QoS targets, utilization and latency.
+//! arbiter policy, shares and banks from the command line and get
+//! per-thread IPCs, QoS targets, utilization and latency. Every thread has
+//! a private memory channel (Table 1).
 //!
 //! ```sh
 //! cargo run --release -p vpc-bench --bin simulate -- \
@@ -11,7 +12,6 @@
 //!
 //! Workloads: any SPEC profile name, `Loads`, `Stores`, or `idle`.
 //! Arbiters: `fcfs`, `row`, `vpc` (the three of the paper's Figure 8).
-//! Channels: `private` (default), `shared-fcfs`, `shared-fq`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +19,6 @@ use std::process::ExitCode;
 use vpc::experiments::fig5;
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
-use vpc_mem::ChannelMode;
 use vpc_sim::trace;
 use vpc_workloads::SPEC_NAMES;
 
@@ -31,10 +30,8 @@ struct Args {
     banks: usize,
     warmup: u64,
     cycles: u64,
-    channels: String,
     lru_capacity: bool,
     policy: ArbiterPolicy,
-    channel_mode: ChannelMode,
     trace: Option<PathBuf>,
     metrics: bool,
 }
@@ -65,10 +62,8 @@ fn parse_args() -> Result<Args, String> {
         banks: 2,
         warmup: 50_000,
         cycles: 200_000,
-        channels: "private".into(),
         lru_capacity: false,
         policy: ArbiterPolicy::Fcfs,
-        channel_mode: ChannelMode::PerThread,
         trace: None,
         metrics: false,
     };
@@ -102,16 +97,14 @@ fn parse_args() -> Result<Args, String> {
                         format!("--cycles needs a positive integer, got {cycles:?}")
                     })?;
             }
-            "--channels" => args.channels = value("--channels")?,
             "--lru-capacity" => args.lru_capacity = true,
             "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
             "--metrics" => args.metrics = true,
             "--help" | "-h" => {
-                println!(
+                vpc_bench::outln!(
                     "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|vpc]\n\
                      \x20               [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]\n\
-                     \x20               [--channels private|shared-fcfs|shared-fq] [--lru-capacity]\n\
-                     \x20               [--trace out.json] [--metrics]\n\
+                     \x20               [--lru-capacity] [--trace out.json] [--metrics]\n\
                      \n\
                      --trace writes a Chrome trace_event JSON of the measured window\n\
                      (open in chrome://tracing or Perfetto); --metrics prints the\n\
@@ -144,12 +137,6 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("--banks must be a nonzero divisor of the {sets} L2 sets"));
     }
     args.policy = build_arbiter(&args)?;
-    args.channel_mode = match args.channels.as_str() {
-        "private" => ChannelMode::PerThread,
-        "shared-fcfs" => ChannelMode::SharedFcfs,
-        "shared-fq" => ChannelMode::SharedFq { shares: args.shares.clone() },
-        other => return Err(format!("unknown channel mode {other:?}")),
-    };
     Ok(args)
 }
 
@@ -176,7 +163,6 @@ fn run(args: Args) -> Result<(), String> {
     } else {
         CapacityPolicy::Vpc { shares: args.shares.clone() }
     };
-    cfg.channels = args.channel_mode.clone();
 
     let base = CmpConfig::table1_with_threads(threads).with_banks(args.banks);
     let mut sys = CmpSystem::new(cfg, &args.workloads);
@@ -198,13 +184,21 @@ fn run(args: Args) -> Result<(), String> {
     let m = sys.measure(&snap);
     let trace_log = if args.trace.is_some() { trace::take() } else { None };
 
-    println!(
-        "== simulate: {} threads, {} banks, arbiter {}, channels {} ==",
-        threads, args.banks, args.arbiter, args.channels
+    vpc_bench::outln!(
+        "== simulate: {} threads, {} banks, arbiter {} ==",
+        threads,
+        args.banks,
+        args.arbiter
     );
-    println!(
+    vpc_bench::outln!(
         "{:<10} {:>7} {:>8} {:>8} {:>9} {:>12} {:>10}",
-        "thread", "share", "IPC", "target", "IPC/tgt", "L2 lat mean", "gathering"
+        "thread",
+        "share",
+        "IPC",
+        "target",
+        "IPC/tgt",
+        "L2 lat mean",
+        "gathering"
     );
     for (i, w) in args.workloads.iter().enumerate() {
         let thread = ThreadId(i as u8);
@@ -218,7 +212,7 @@ fn run(args: Args) -> Result<(), String> {
         // target to normalize by.
         let norm =
             if target > 0.0 { format!("{:.3}", m.ipc[i] / target) } else { "n/a".to_string() };
-        println!(
+        vpc_bench::outln!(
             "{:<10} {:>7} {:>8.3} {:>8.3} {:>9} {:>12.1} {:>9.1}%",
             w.name(),
             args.shares[i].to_string(),
@@ -229,7 +223,7 @@ fn run(args: Args) -> Result<(), String> {
             m.gathering_rate[i] * 100.0,
         );
     }
-    println!(
+    vpc_bench::outln!(
         "utilization: data {:.1}%  bus {:.1}%  tag {:.1}%",
         m.util.data_array * 100.0,
         m.util.data_bus * 100.0,

@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -103,6 +104,30 @@ fn positive(what: &str, value: &str) -> Result<usize, String> {
     }
 }
 
+/// Writes `args` to stdout, the one path every binary's stdout takes. A
+/// reader that has gone away (`| head`) ends the program quietly with
+/// code 0, as it would end a Unix filter; any other write error is
+/// reported on stderr and exits with code 1. Neither ends in a panic.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(err) if err.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => {
+            eprintln!("error: cannot write to stdout: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Prints `err` and the usage text (`usage` after the program name) on
 /// stderr, then exits with code 2.
 fn usage_error(err: &str, usage: &str) -> ! {
@@ -137,10 +162,10 @@ pub fn figure<R: fmt::Display>(
     let result = run(cli.opts);
     let wall = start.elapsed();
     match json.filter(|_| cli.json) {
-        Some(json) => println!("{}", json(&result)),
+        Some(json) => outln!("{}", json(&result)),
         None => {
             header(title, cli.opts.budget);
-            println!("{result}");
+            outln!("{result}");
         }
     }
     report_timings(name, cli.opts.jobs, wall);
@@ -227,8 +252,8 @@ pub fn write_trace_beside(base: &Path, label: &str, log: &TraceLog) {
 
 /// Prints a standard experiment header.
 fn header(title: &str, budget: RunBudget) {
-    println!("== {title} ==");
-    println!("(warmup {} cycles, measured {} cycles)", budget.warmup, budget.window);
+    outln!("== {title} ==");
+    outln!("(warmup {} cycles, measured {} cycles)", budget.warmup, budget.window);
 }
 
 #[cfg(test)]

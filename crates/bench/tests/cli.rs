@@ -1,8 +1,9 @@
 //! Command-line contract of the binaries: an unknown flag or a malformed
-//! value exits with code 2 before anything runs, and every binary on the
-//! shared parser prints its usage text on stderr.
+//! value exits with code 2 before anything runs, every binary on the
+//! shared parser prints its usage text on stderr, and a reader that closes
+//! stdout early ends a run quietly.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// `(binary, arguments, prints the usage text)`.
 const CASES: &[(&str, &[&str], bool)] = &[
@@ -25,6 +26,7 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "rr"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "drr"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "sfq"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--channels", "private"], false),
     (env!("CARGO_BIN_EXE_record_trace"), &["nosuch", "5"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "x"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "3", "extra"], true),
@@ -58,4 +60,27 @@ fn zero_share_thread_prints_no_nan() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.contains("n/a"), "zero-share thread has no target: {stdout}");
     assert!(!stdout.contains("NaN"), "{stdout}");
+}
+
+/// `| head` closes stdout before the report is written: the write fails
+/// with a broken pipe, and the run must still exit 0 without a panic.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let runs: [(&str, &[&str]); 2] = [
+        (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--quick"]),
+        (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "20000"]),
+    ];
+    for (bin, args) in runs {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{bin} {args:?}: {:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
 }

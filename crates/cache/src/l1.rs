@@ -168,27 +168,6 @@ impl L1Cache {
         self.mshrs.len() < self.cfg.mshrs.min(self.cfg.lmq_entries)
     }
 
-    /// Whether a *prefetch* can allocate: prefetch engines have their own
-    /// stream registers, so prefetches may use the MSHRs beyond the
-    /// demand-load LMQ limit (up to the full MSHR pool).
-    pub fn can_allocate_prefetch(&self) -> bool {
-        self.mshrs.len() < self.cfg.mshrs
-    }
-
-    /// Allocates a prefetch MSHR for `line` (no waiting instruction; the
-    /// fill simply installs the line). The caller must have checked
-    /// [`L1Cache::probe`], [`L1Cache::has_mshr`] and
-    /// [`L1Cache::can_allocate_prefetch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is already outstanding or no MSHR is free.
-    pub fn allocate_prefetch(&mut self, line: LineAddr) {
-        assert!(!self.has_mshr(line), "prefetch line already outstanding");
-        assert!(self.can_allocate_prefetch(), "no MSHR free for prefetch");
-        self.mshrs.push(Mshr { line, tokens: Vec::new() });
-    }
-
     /// Whether `line` is resident.
     pub fn probe(&self, line: LineAddr) -> bool {
         self.sets[self.set_of(line)].lookup(line).is_some()
@@ -288,22 +267,6 @@ mod tests {
         assert!(c.access_store(LineAddr(5), 10), "store hit updates in place");
         assert_eq!(c.stats().store_hits.get(), 1);
         assert_eq!(c.stats().store_misses.get(), 1);
-    }
-
-    #[test]
-    fn prefetch_mshrs_extend_past_lmq() {
-        let mut c = l1();
-        let cfg = L1Config::table1();
-        for i in 0..cfg.lmq_entries as u64 {
-            assert_eq!(c.access_load(LineAddr(i), i, 0, || true), L1LoadResult::MissPrimary);
-        }
-        assert!(!c.can_allocate_miss(), "LMQ exhausted for demand loads");
-        assert!(c.can_allocate_prefetch(), "prefetch stream registers remain");
-        c.allocate_prefetch(LineAddr(100));
-        assert!(c.has_mshr(LineAddr(100)));
-        let tokens = c.on_fill(LineAddr(100), 10);
-        assert!(tokens.is_empty(), "prefetch fill wakes nobody");
-        assert!(c.probe(LineAddr(100)), "prefetched line is resident");
     }
 
     #[test]

@@ -37,21 +37,22 @@ pub struct SharedL2 {
 impl SharedL2 {
     /// Builds the cache and its memory system with per-thread private
     /// channels (Table 1's configuration).
-    pub fn new(cfg: L2Config, mem_cfg: MemConfig) -> SharedL2 {
-        SharedL2::with_channel_mode(cfg, mem_cfg, ChannelMode::PerThread)
-    }
-
-    /// Builds the cache over the given memory channel topology.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`L2Config::check_geometry`] or `mem_cfg` has
     /// a DRAM bank count that is not a nonzero power of two.
-    pub fn with_channel_mode(cfg: L2Config, mem_cfg: MemConfig, mode: ChannelMode) -> SharedL2 {
+    pub fn new(cfg: L2Config, mem_cfg: MemConfig) -> SharedL2 {
         cfg.check_geometry();
         let banks = (0..cfg.banks).map(|b| L2Bank::new(&cfg, b)).collect();
-        let mem = MemoryController::with_mode(mem_cfg, cfg.threads, mode);
+        let mem = MemoryController::new(mem_cfg, cfg.threads);
         SharedL2 { banks, mem, cfg, next_response: u64::MAX }
+    }
+
+    /// [`SharedL2::new`] under its former name; the frozen benchmark still
+    /// calls it. Benchmark revision 2 removes it.
+    pub fn with_channel_mode(cfg: L2Config, mem_cfg: MemConfig, _mode: ChannelMode) -> SharedL2 {
+        SharedL2::new(cfg, mem_cfg)
     }
 
     /// The cache configuration.

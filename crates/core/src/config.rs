@@ -18,8 +18,9 @@ pub struct CmpConfig {
     pub l2: L2Config,
     /// Memory system configuration.
     pub mem: MemConfig,
-    /// SDRAM channel topology: per-thread private channels (the paper's
-    /// isolation setup) or a shared channel (FCFS or fair-queued).
+    /// SDRAM channel topology: always per-thread private channels (the
+    /// paper's isolation setup). A vestige kept for the frozen benchmark,
+    /// which passes it on; benchmark revision 2 removes it.
     pub channels: ChannelMode,
 }
 
@@ -41,12 +42,6 @@ impl CmpConfig {
             mem: MemConfig::ddr2_800(),
             channels: ChannelMode::PerThread,
         }
-    }
-
-    /// Replaces the SDRAM channel topology.
-    pub fn with_channels(mut self, channels: ChannelMode) -> CmpConfig {
-        self.channels = channels;
-        self
     }
 
     /// Replaces the L2 arbiter policy on all three shared resources.

@@ -16,7 +16,6 @@ use std::fmt;
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::CapacityPolicy;
-use vpc_mem::ChannelMode;
 use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
@@ -212,165 +211,6 @@ pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
     PreemptionResult { points: exec::map_indexed(jobs, opts.jobs) }
 }
 
-/// Result of the shared-memory-channel scheduling ablation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryFqResult {
-    /// Latency-sensitive subject's IPC when the shared channel is FCFS.
-    pub fcfs_ipc: f64,
-    /// Subject's IPC under equal-share fair queuing (beta = 1/4 each).
-    pub fq_equal_ipc: f64,
-    /// Subject's IPC with differentiated service: beta = 1/2 for the
-    /// subject, 1/6 for each stream.
-    pub fq_half_ipc: f64,
-    /// Reference: subject's IPC with a private channel (the paper's
-    /// isolation configuration).
-    pub private_ipc: f64,
-}
-
-impl fmt::Display for MemoryFqResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Ablation: shared memory channel (mcf vs 3x swim, VPC cache arbiters)")?;
-        writeln!(f, "  shared channel, FCFS        : subject IPC {:.3}", self.fcfs_ipc)?;
-        writeln!(f, "  shared channel, FQ beta=1/4 : subject IPC {:.3}", self.fq_equal_ipc)?;
-        writeln!(f, "  shared channel, FQ beta=1/2 : subject IPC {:.3}", self.fq_half_ipc)?;
-        writeln!(
-            f,
-            "  private channel             : subject IPC {:.3} (isolation reference)",
-            self.private_ipc
-        )
-    }
-}
-
-/// Extends the VPM framework to main-memory bandwidth (§2.1's FQ memory
-/// scheduler): a latency-sensitive subject (mcf) and three streaming
-/// threads (swim) share *one* DDR2 channel. FCFS lets the streams crowd
-/// the channel; fair queuing enforces the subject's allocation, and
-/// growing the allocation (differentiated service) buys back most of the
-/// private-channel performance. Equal-share FQ also exposes a known
-/// virtual-clock property: a bursty low-MLP client's back-to-back requests
-/// carry deadlines spaced at `1/beta`, so its *burst* latency can exceed
-/// FCFS even though its bandwidth share is guaranteed.
-pub fn memory_fq(base: &CmpConfig, opts: RunOptions) -> MemoryFqResult {
-    let budget = opts.budget;
-    let run_with = |channels: ChannelMode| {
-        let mut cfg =
-            base.clone().with_arbiter(ArbiterPolicy::vpc_equal(4)).with_channels(channels);
-        cfg.processors = 4;
-        cfg.l2.threads = 4;
-        let workloads = [
-            WorkloadSpec::Spec("mcf"),
-            WorkloadSpec::Spec("swim"),
-            WorkloadSpec::Spec("swim"),
-            WorkloadSpec::Spec("swim"),
-        ];
-        let mut sys = CmpSystem::new(cfg, &workloads);
-        sys.run_measured(budget.warmup, budget.window).ipc[0]
-    };
-    let quarter = Share::new(1, 4).expect("quarter");
-    let half = Share::new(1, 2).expect("half");
-    let sixth = Share::new(1, 6).expect("sixth");
-    let run_with = &run_with;
-    let jobs = [
-        ("fcfs", ChannelMode::SharedFcfs),
-        ("fq_equal", ChannelMode::SharedFq { shares: vec![quarter; 4] }),
-        ("fq_half", ChannelMode::SharedFq { shares: vec![half, sixth, sixth, sixth] }),
-        ("private", ChannelMode::PerThread),
-    ]
-    .map(|(label, channels)| {
-        Job::new(format!("ablations/memory_fq/{label}"), move || run_with(channels))
-    })
-    .into_iter()
-    .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
-    MemoryFqResult {
-        fcfs_ipc: results[0],
-        fq_equal_ipc: results[1],
-        fq_half_ipc: results[2],
-        private_ipc: results[3],
-    }
-}
-
-/// Result of the VPC-with-prefetching ablation (the paper's future work).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchResult {
-    /// Subject IPC while the neighbor does not prefetch.
-    pub subject_no_pf: f64,
-    /// Subject IPC while the neighbor prefetches at degree 4.
-    pub subject_with_pf: f64,
-    /// Subject's QoS target (beta = alpha = 1/2).
-    pub subject_target: f64,
-    /// The prefetching neighbor's IPC without prefetching.
-    pub neighbor_no_pf: f64,
-    /// The prefetching neighbor's IPC with prefetching.
-    pub neighbor_with_pf: f64,
-}
-
-impl fmt::Display for PrefetchResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Ablation: VPC-supported prefetching (the paper's future work)")?;
-        writeln!(
-            f,
-            "  neighbor (swim, low-MLP core): IPC {:.3} -> {:.3} with degree-4 prefetch",
-            self.neighbor_no_pf, self.neighbor_with_pf
-        )?;
-        writeln!(
-            f,
-            "  subject  (gcc): IPC {:.3} -> {:.3} (target {:.3}) — prefetch traffic is charged to",
-            self.subject_no_pf, self.subject_with_pf, self.subject_target
-        )?;
-        writeln!(f, "  the issuing thread's share, so the subject's QoS guarantee is undisturbed")
-    }
-}
-
-/// A low-MLP streaming neighbor (swim on a 2-entry-LMQ core) turns on
-/// degree-4 sequential prefetching while sharing the cache 50/50 with a
-/// subject (gcc) under VPC arbiters. Prefetches consume the *issuing*
-/// thread's bandwidth share, so the neighbor speeds itself up without
-/// taking anything from the subject — VPC makes prefetching QoS-safe.
-pub fn prefetch(base: &CmpConfig, opts: RunOptions) -> PrefetchResult {
-    let budget = opts.budget;
-    let half = Share::new(1, 2).expect("half");
-    let run_with = |degree: usize| {
-        let mut cfg = base.clone().with_vpc_shares(vec![half, half]);
-        cfg.processors = 2;
-        cfg.l2.threads = 2;
-        cfg.l2.capacity = CapacityPolicy::vpc_equal(2);
-        let mut subject_core = cfg.core;
-        let mut neighbor_core = cfg.core;
-        neighbor_core.l1.lmq_entries = 2;
-        neighbor_core.prefetch_degree = degree;
-        subject_core.prefetch_degree = 0;
-        let workloads = [WorkloadSpec::Spec("gcc"), WorkloadSpec::Spec("swim")];
-        let mut sys = CmpSystem::with_core_configs(cfg, &[subject_core, neighbor_core], &workloads);
-        let m = sys.run_measured(budget.warmup, budget.window);
-        (m.ipc[0], m.ipc[1])
-    };
-    let run_with = &run_with;
-    let jobs = [("off", 0usize), ("degree4", 4)]
-        .map(|(label, degree)| {
-            Job::new(format!("ablations/prefetch/{label}"), move || run_with(degree))
-        })
-        .into_iter()
-        .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
-    let (subject_no_pf, neighbor_no_pf) = results[0];
-    let (subject_with_pf, neighbor_with_pf) = results[1];
-    PrefetchResult {
-        subject_no_pf,
-        subject_with_pf,
-        subject_target: target_ipc(
-            base,
-            WorkloadSpec::Spec("gcc"),
-            half,
-            half,
-            budget.warmup,
-            budget.window,
-        ),
-        neighbor_no_pf,
-        neighbor_with_pf,
-    }
-}
-
 /// Result of the thread-count scaling check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingResult {
@@ -513,15 +353,13 @@ pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservation
     }
 }
 
-/// Runs all seven ablations in report order and renders them as the
+/// Runs all five ablations in report order and renders them as the
 /// `ablations` binary prints them, one blank line apart.
 pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
     [
         reorder(base, opts).to_string(),
         capacity(base, opts).to_string(),
         preemption(base, opts).to_string(),
-        memory_fq(base, opts).to_string(),
-        prefetch(base, opts).to_string(),
         scaling(base, opts).to_string(),
         work_conservation(base, opts).to_string(),
     ]
@@ -571,32 +409,6 @@ mod tests {
         // unchanged (within noise).
         let rel = (r.row_partner_ipc - r.fifo_partner_ipc).abs() / r.fifo_partner_ipc.max(1e-9);
         assert!(rel < 0.15, "partner IPC moved {rel:.2} under subject-side reordering: {r}");
-    }
-
-    #[test]
-    fn fq_memory_scheduling_protects_latency_sensitive_subject() {
-        let r = memory_fq(&quick_base(), QUICK);
-        assert!(
-            r.fq_half_ipc > r.fq_equal_ipc,
-            "a larger channel share must help the subject: {r}"
-        );
-        assert!(
-            r.private_ipc >= r.fq_half_ipc * 0.9,
-            "private channels are the isolation ceiling: {r}"
-        );
-    }
-
-    #[test]
-    fn prefetching_neighbor_cannot_break_subject_qos() {
-        let r = prefetch(&quick_base(), QUICK);
-        assert!(
-            r.neighbor_with_pf > r.neighbor_no_pf,
-            "prefetching must help the low-MLP neighbor: {r}"
-        );
-        assert!(
-            r.subject_with_pf >= r.subject_target * 0.9,
-            "subject must keep meeting its target despite neighbor prefetching: {r}"
-        );
     }
 
     #[test]

@@ -74,8 +74,9 @@ impl CmpSystem {
     /// Panics if the number of workloads does not match
     /// `config.processors`.
     pub fn new(config: CmpConfig, workloads: &[WorkloadSpec]) -> CmpSystem {
-        let cores = vec![config.core; workloads.len()];
-        CmpSystem::with_core_configs(config, &cores, workloads)
+        let workloads =
+            workloads.iter().enumerate().map(|(i, w)| w.build(ThreadId(i as u8))).collect();
+        CmpSystem::with_workloads(config, workloads)
     }
 
     /// Builds a system from already-instantiated workloads (e.g.
@@ -89,43 +90,13 @@ impl CmpSystem {
         config: CmpConfig,
         workloads: Vec<Box<dyn vpc_cpu::Workload>>,
     ) -> CmpSystem {
+        assert_eq!(workloads.len(), config.processors, "one workload per processor required");
         let cores = workloads
             .into_iter()
             .enumerate()
             .map(|(i, w)| Core::new(config.core, ThreadId(i as u8), w))
             .collect();
-        CmpSystem::from_cores(config, cores)
-    }
-
-    /// Builds a system with heterogeneous cores: `core_configs[i]` runs
-    /// `workloads[i]` (e.g. one core prefetches while the others do not).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both slices have `config.processors` entries.
-    pub fn with_core_configs(
-        config: CmpConfig,
-        core_configs: &[vpc_cpu::CoreConfig],
-        workloads: &[WorkloadSpec],
-    ) -> CmpSystem {
-        assert_eq!(core_configs.len(), workloads.len(), "one core config per workload required");
-        let cores = workloads
-            .iter()
-            .zip(core_configs)
-            .enumerate()
-            .map(|(i, (w, core_cfg))| {
-                let thread = ThreadId(i as u8);
-                Core::new(*core_cfg, thread, w.build(thread))
-            })
-            .collect();
-        CmpSystem::from_cores(config, cores)
-    }
-
-    /// The one constructor body: `cores[i]` runs thread `i` in front of
-    /// the shared L2 that `config` describes.
-    fn from_cores(config: CmpConfig, cores: Vec<Core>) -> CmpSystem {
-        assert_eq!(cores.len(), config.processors, "one workload per processor required");
-        let l2 = SharedL2::with_channel_mode(config.l2, config.mem, config.channels);
+        let l2 = SharedL2::new(config.l2, config.mem);
         CmpSystem { cores, l2, now: 0 }
     }
 

@@ -26,11 +26,6 @@ pub struct CoreConfig {
     /// Minimum cycles between stores sent to the L2 (the crossbar write
     /// port runs at half core frequency).
     pub store_send_interval: u64,
-    /// Sequential prefetch degree: on a primary load miss for line X, also
-    /// fetch lines X+1..X+degree. Zero disables prefetching — the paper's
-    /// configuration (the 970 prefetchers are disabled; VPC-supported
-    /// prefetching is its stated future work, which this knob explores).
-    pub prefetch_degree: usize,
     /// Private L1 D-cache configuration.
     pub l1: L1Config,
 }
@@ -47,7 +42,6 @@ impl CoreConfig {
             lrq_entries: 32,
             srq_entries: 32,
             store_send_interval: 2,
-            prefetch_degree: 0,
             l1: L1Config::table1(),
         }
     }
@@ -68,9 +62,6 @@ struct RobEntry {
     done_at: Cycle,
 }
 
-/// Token used for prefetch requests: fills the L1 but wakes no ROB entry.
-const PREFETCH_TOKEN: u64 = u64::MAX;
-
 /// Instruction-mix and stall counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoreStats {
@@ -84,8 +75,6 @@ pub struct CoreStats {
     pub store_stall_cycles: Counter,
     /// Cycles no instruction could dispatch (ROB/LRQ/SRQ full).
     pub dispatch_stall_cycles: Counter,
-    /// Prefetch requests issued to the L2.
-    pub prefetches: Counter,
 }
 
 /// One simulated processor: workload, pipeline structures, and a private
@@ -170,9 +159,6 @@ impl Core {
             data: EventData::LoadReturn { thread: self.thread, line },
         });
         for token in self.l1.on_fill(line, now) {
-            if token == PREFETCH_TOKEN {
-                continue; // prefetch fill: no waiting instruction
-            }
             if let Some(entry) = self.entry_mut(token) {
                 entry.done_at = now;
             }
@@ -399,37 +385,10 @@ impl Core {
             L1LoadResult::MissSecondary => Some(u64::MAX),
             L1LoadResult::MissPrimary => {
                 l2.submit(CacheRequest { thread, line, kind: AccessKind::Read, token }, now);
-                self.issue_prefetches(line, now, l2);
                 Some(u64::MAX)
             }
             // No MSHR/LMQ entry or no port credit for a primary miss.
             L1LoadResult::Blocked => None,
-        }
-    }
-
-    /// Sequential prefetcher: fetch the next `prefetch_degree` lines behind
-    /// a primary miss, best effort (skipped when resident, already
-    /// outstanding, or out of MSHR/port capacity).
-    fn issue_prefetches(&mut self, miss_line: LineAddr, now: Cycle, l2: &mut SharedL2) {
-        for d in 1..=self.cfg.prefetch_degree as u64 {
-            let line = LineAddr(miss_line.0 + d);
-            if self.l1.probe(line) || self.l1.has_mshr(line) {
-                continue;
-            }
-            if !self.l1.can_allocate_prefetch() || !l2.can_accept(self.thread, line) {
-                return;
-            }
-            self.l1.allocate_prefetch(line);
-            l2.submit(
-                CacheRequest {
-                    thread: self.thread,
-                    line,
-                    kind: AccessKind::Read,
-                    token: PREFETCH_TOKEN,
-                },
-                now,
-            );
-            self.stats.prefetches.inc();
         }
     }
 
@@ -585,53 +544,6 @@ mod tests {
         assert!(s.loads.get() > 0 && s.stores.get() > 0 && s.non_mem.get() > 0);
         let diff = s.loads.get().abs_diff(s.stores.get());
         assert!(diff <= 1, "in-order retirement keeps the mix balanced");
-    }
-
-    #[test]
-    fn prefetching_accelerates_low_mlp_streams() {
-        // Prefetching hides latency, so it pays off when demand MLP is the
-        // bottleneck: a core whose LMQ holds only 2 demand misses walks a
-        // fresh-line stream. Degree-4 sequential prefetch raises the
-        // effective MLP through the spare MSHRs.
-        let ops: Vec<Op> = (0..4096).map(|i| Op::Load(LineAddr(i))).collect();
-        let mut base_cfg = CoreConfig::table1();
-        base_cfg.l1.lmq_entries = 2;
-        let mut pf_cfg = base_cfg;
-        pf_cfg.prefetch_degree = 4;
-        let mut with =
-            Core::new(pf_cfg, ThreadId(0), Box::new(FixedTrace::new("stream", ops.clone())));
-        let mut without =
-            Core::new(base_cfg, ThreadId(0), Box::new(FixedTrace::new("stream", ops)));
-        let mut l2a = small_l2(1);
-        let mut l2b = small_l2(1);
-        run(&mut with, &mut l2a, 60_000);
-        run(&mut without, &mut l2b, 60_000);
-        assert!(with.stats().prefetches.get() > 100, "prefetches must issue");
-        assert!(
-            with.retired() as f64 > without.retired() as f64 * 1.2,
-            "prefetching should lift a latency-bound stream: with {} vs without {}",
-            with.retired(),
-            without.retired()
-        );
-    }
-
-    #[test]
-    fn prefetch_fills_wake_no_instructions() {
-        // A single load with prefetching: the prefetched line's fill must
-        // not complete any ROB entry or corrupt retirement.
-        let mut cfg = CoreConfig::table1();
-        cfg.prefetch_degree = 4;
-        let w = FixedTrace::new("one", vec![Op::Load(LineAddr(8)), Op::NonMem]);
-        let mut core = Core::new(cfg, ThreadId(0), Box::new(w));
-        let mut l2 = small_l2(1);
-        run(&mut core, &mut l2, 20_000);
-        let s = core.stats();
-        assert_eq!(
-            s.loads.get() + s.non_mem.get(),
-            core.retired(),
-            "retired counts stay consistent with prefetching enabled"
-        );
-        assert!(core.retired() > 100);
     }
 
     #[test]

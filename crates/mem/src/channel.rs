@@ -134,13 +134,6 @@ impl DramChannel {
         self.in_flight.len()
     }
 
-    /// Earliest cycle the channel's shared data bus is free. Schedulers use
-    /// this for admission control: issuing far ahead of the bus just queues
-    /// transfers in bus order and defeats QoS ordering.
-    pub fn bus_free_at(&self) -> Cycle {
-        self.bus_free
-    }
-
     /// Earliest `data_done` among in-flight transactions (reads *and*
     /// writes — a completed write still changes channel state when it is
     /// drained). `None` when nothing is in flight.

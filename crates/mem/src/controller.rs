@@ -2,31 +2,22 @@
 
 use std::collections::VecDeque;
 
-use vpc_sim::trace::{self, EventData, ResourceId, TraceEvent};
-use vpc_sim::{AccessKind, Cycle, LineAddr, Share, ThreadId, VirtualClock};
+use vpc_sim::trace::{self, EventData, TraceEvent};
+use vpc_sim::{AccessKind, Cycle, LineAddr, ThreadId};
 
 use crate::channel::DramChannel;
 use crate::timing::MemConfig;
 
-/// How threads map onto SDRAM channels.
+/// How threads map onto SDRAM channels: one private channel per thread,
+/// the only topology the paper evaluates (§5.1).
 ///
-/// The paper's evaluation isolates cache sharing with one private channel
-/// per thread (§5.1); the VPM framework also covers the shared-channel
-/// case, scheduled either FCFS (no QoS) or by the fair-queuing memory
-/// scheduler the paper builds on (§2.1).
+/// A one-variant vestige kept for the frozen benchmark's call sites;
+/// benchmark revision 2 removes it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ChannelMode {
     /// One private channel per thread (Table 1's configuration).
     #[default]
     PerThread,
-    /// A single channel shared by all threads, scheduled oldest-first.
-    SharedFcfs,
-    /// A single shared channel under fair queuing with per-thread
-    /// bandwidth shares.
-    SharedFq {
-        /// Share of channel bandwidth per thread; missing entries are zero.
-        shares: Vec<Share>,
-    },
 }
 
 /// A line-granularity request from the L2 cache to memory.
@@ -55,8 +46,8 @@ pub struct MemResponse {
 
 #[derive(Debug)]
 struct ThreadQueues {
-    reads: VecDeque<(u64, MemRequest)>,
-    writes: VecDeque<(u64, MemRequest)>,
+    reads: VecDeque<MemRequest>,
+    writes: VecDeque<MemRequest>,
 }
 
 /// The on-chip memory controller (§5.1): per-thread transaction buffers (16
@@ -69,21 +60,13 @@ struct ThreadQueues {
 #[derive(Debug)]
 pub struct MemoryController {
     config: MemConfig,
-    mode: ChannelMode,
     channels: Vec<DramChannel>,
     queues: Vec<ThreadQueues>,
     responses: VecDeque<MemResponse>,
     /// Tokens completed by channels, pending conversion to responses.
     scratch: Vec<u64>,
-    /// Reused candidate list for shared-channel scheduling, so the
-    /// per-tick scan allocates nothing in steady state.
-    cand_scratch: Vec<(u64, MemRequest)>,
     /// (token -> (thread, line)) for in-flight reads.
     pending_reads: Vec<(u64, ThreadId, LineAddr)>,
-    /// Per-thread shares and virtual clocks for [`ChannelMode::SharedFq`].
-    fq: Option<VirtualClock>,
-    /// Arrival sequence numbers for shared-channel FCFS ordering.
-    next_seq: u64,
     /// No tick before this cycle can issue or complete a transaction
     /// (`u64::MAX` when nothing is buffered or in flight). Set by every
     /// tick that acts, lowered by [`MemoryController::enqueue`].
@@ -97,42 +80,24 @@ impl MemoryController {
     ///
     /// Panics if `threads` is zero.
     pub fn new(config: MemConfig, threads: usize) -> MemoryController {
-        MemoryController::with_mode(config, threads, ChannelMode::PerThread)
-    }
-
-    /// Creates a controller with the given channel topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_mode(config: MemConfig, threads: usize, mode: ChannelMode) -> MemoryController {
         assert!(threads > 0, "at least one thread required");
-        let (channels, fq) = match &mode {
-            ChannelMode::PerThread => {
-                ((0..threads).map(|_| DramChannel::new(config)).collect::<Vec<_>>(), None)
-            }
-            ChannelMode::SharedFcfs => (vec![DramChannel::new(config)], None),
-            ChannelMode::SharedFq { shares } => {
-                let mut fq = VirtualClock::new(threads, shares);
-                fq.add_service(config.timing.idle_read_latency());
-                (vec![DramChannel::new(config)], Some(fq))
-            }
-        };
         MemoryController {
-            channels,
+            channels: (0..threads).map(|_| DramChannel::new(config)).collect(),
             queues: (0..threads)
                 .map(|_| ThreadQueues { reads: VecDeque::new(), writes: VecDeque::new() })
                 .collect(),
             responses: VecDeque::new(),
             scratch: Vec::new(),
-            cand_scratch: Vec::new(),
             pending_reads: Vec::new(),
-            fq,
-            next_seq: 0,
             wake: u64::MAX,
             config,
-            mode,
         }
+    }
+
+    /// [`MemoryController::new`] under its former name; the frozen
+    /// benchmark still calls it. Benchmark revision 2 removes it.
+    pub fn with_mode(config: MemConfig, threads: usize, _mode: ChannelMode) -> MemoryController {
+        MemoryController::new(config, threads)
     }
 
     /// Whether `thread`'s buffer for `kind` has room.
@@ -152,15 +117,9 @@ impl MemoryController {
             return false;
         }
         let q = &mut self.queues[req.thread.index()];
-        if let Some(fq) = &mut self.fq {
-            // Eq. 6: an idle thread's clock starts at `now`.
-            fq.on_arrival(req.thread, q.reads.is_empty() && q.writes.is_empty(), now);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         match req.kind {
-            AccessKind::Read => q.reads.push_back((seq, req)),
-            AccessKind::Write => q.writes.push_back((seq, req)),
+            AccessKind::Read => q.reads.push_back(req),
+            AccessKind::Write => q.writes.push_back(req),
         }
         self.wake = self.wake.min(now);
         true
@@ -178,12 +137,34 @@ impl MemoryController {
         }
     }
 
-    /// The body of [`MemoryController::tick`] from the wake cycle on.
+    /// The body of [`MemoryController::tick`] from the wake cycle on: each
+    /// thread's next request issues on its private channel once its bank
+    /// is free, then completed reads become responses.
     #[inline(never)]
     fn tick_awake(&mut self, now: Cycle) {
-        match self.mode {
-            ChannelMode::PerThread => self.tick_private(now),
-            ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => self.tick_shared(now),
+        for t in 0..self.channels.len() {
+            let Some(req) = self.thread_candidate(t) else { continue };
+            if !self.channels[t].bank_available(req.line, now) {
+                continue;
+            }
+            let q = &mut self.queues[t];
+            match req.kind {
+                AccessKind::Read => q.reads.pop_front(),
+                AccessKind::Write => q.writes.pop_front(),
+            };
+            self.channels[t].issue(req.line, req.kind, req.token, now);
+            trace::emit(|| TraceEvent {
+                at: now,
+                data: EventData::DramIssue {
+                    channel: t as u16,
+                    thread: req.thread,
+                    line: req.line,
+                    kind: req.kind,
+                },
+            });
+            if req.kind.is_read() {
+                self.pending_reads.push((req.token, req.thread, req.line));
+            }
         }
         for c in 0..self.channels.len() {
             self.scratch.clear();
@@ -198,158 +179,29 @@ impl MemoryController {
                 self.responses.push_back(MemResponse { thread, line, token });
             }
         }
-        // Leave all scratch buffers empty so controller state (and its
+        // Leave the scratch buffer empty so controller state (and its
         // `Debug` rendering) never depends on how often we were ticked.
         self.scratch.clear();
         self.wake = self.next_wake();
     }
 
     /// The earliest cycle a tick can act, absent new requests: an
-    /// in-flight transaction completing, or a buffered request becoming
-    /// schedulable. `u64::MAX` when there is neither. Queued responses
+    /// in-flight transaction completing, or a buffered request's bank
+    /// becoming ready. `u64::MAX` when there is neither. Queued responses
     /// are not a term: the caller pops them, not a tick.
     fn next_wake(&self) -> Cycle {
-        let mut wake = self.channels.iter().filter_map(DramChannel::next_completion).min();
-        let mut consider = |c: Cycle| wake = Some(wake.map_or(c, |w| w.min(c)));
-        match self.mode {
-            ChannelMode::PerThread => {
-                for t in 0..self.channels.len() {
-                    if let Some((_, req)) = self.thread_candidate(t) {
-                        consider(self.channels[t].bank_ready_at(req.line));
-                    }
-                }
-            }
-            ChannelMode::SharedFcfs | ChannelMode::SharedFq { .. } => {
-                // Admission control re-opens once `now` catches up to the
-                // bus reservation horizon; a candidate then issues when its
-                // bank is also ready.
-                let t = self.config.timing;
-                let gate = self.channels[0].bus_free_at().saturating_sub(t.t_rcd + t.t_cl);
-                for thr in 0..self.queues.len() {
-                    if let Some((_, req)) = self.thread_candidate(thr) {
-                        consider(self.channels[0].bank_ready_at(req.line).max(gate));
-                    }
-                }
-            }
-        }
-        wake.unwrap_or(u64::MAX)
+        let completions = self.channels.iter().filter_map(DramChannel::next_completion);
+        let heads = (0..self.channels.len()).filter_map(|t| {
+            self.thread_candidate(t).map(|req| self.channels[t].bank_ready_at(req.line))
+        });
+        completions.chain(heads).min().unwrap_or(u64::MAX)
     }
 
     /// The request thread `t` would send next: its oldest read, else its
     /// oldest write.
-    fn thread_candidate(&self, t: usize) -> Option<(u64, MemRequest)> {
+    fn thread_candidate(&self, t: usize) -> Option<MemRequest> {
         let q = &self.queues[t];
         q.reads.front().or(q.writes.front()).copied()
-    }
-
-    fn pop_candidate(&mut self, t: usize, kind: AccessKind) {
-        let q = &mut self.queues[t];
-        match kind {
-            AccessKind::Read => q.reads.pop_front(),
-            AccessKind::Write => q.writes.pop_front(),
-        };
-    }
-
-    fn issue_on(&mut self, channel_idx: usize, req: MemRequest, now: Cycle) {
-        self.pop_candidate(req.thread.index(), req.kind);
-        self.channels[channel_idx].issue(req.line, req.kind, req.token, now);
-        trace::emit(|| TraceEvent {
-            at: now,
-            data: EventData::DramIssue {
-                channel: channel_idx as u16,
-                thread: req.thread,
-                line: req.line,
-                kind: req.kind,
-            },
-        });
-        if req.kind.is_read() {
-            self.pending_reads.push((req.token, req.thread, req.line));
-        }
-    }
-
-    fn tick_private(&mut self, now: Cycle) {
-        for t in 0..self.channels.len() {
-            if let Some((_, req)) = self.thread_candidate(t) {
-                if self.channels[t].bank_available(req.line, now) {
-                    self.issue_on(t, req, now);
-                }
-            }
-        }
-    }
-
-    fn tick_shared(&mut self, now: Cycle) {
-        // Admission control: keep at most one bus reservation ahead, so the
-        // scheduler (not bus FIFO order) decides who goes next while the
-        // data bus stays saturated.
-        let t = self.config.timing;
-        if self.channels[0].bus_free_at() > now + t.t_rcd + t.t_cl {
-            return;
-        }
-        // One transaction per cycle onto the single shared channel. The
-        // candidate list is a reused scratch buffer so steady-state ticks
-        // allocate nothing.
-        let mut candidates = std::mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        for t in 0..self.queues.len() {
-            if let Some((seq, req)) = self.thread_candidate(t) {
-                if self.channels[0].bank_available(req.line, now) {
-                    candidates.push((seq, req));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            self.cand_scratch = candidates;
-            return;
-        }
-        let winner = match &mut self.fq {
-            // Fair queuing: earliest virtual finish time among guaranteed
-            // threads (Eq. 4, charged by Eq. 5), else the first candidate —
-            // only zero-share threads are left, served from excess.
-            Some(fq) => {
-                let estimate = self.config.timing.idle_read_latency();
-                let mut best: Option<(u64, usize)> = None;
-                for (i, (_, req)) in candidates.iter().enumerate() {
-                    if let Some(finish) = fq.finish(req.thread, estimate) {
-                        if best.is_none_or(|(f, _)| finish < f) {
-                            best = Some((finish, i));
-                        }
-                    }
-                }
-                best.map_or(0, |(finish, i)| {
-                    fq.grant(candidates[i].1.thread, finish);
-                    i
-                })
-            }
-            // FCFS: oldest arrival across all threads.
-            None => candidates
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (seq, _))| *seq)
-                .map(|(i, _)| i)
-                .expect("candidates nonempty"),
-        };
-        let (_, req) = candidates[winner];
-        self.issue_on(0, req, now);
-        // Observability: the losing candidates were deferred this slot; a
-        // fair-queued channel also reports their virtual start times.
-        if trace::is_enabled() {
-            for (i, (_, loser)) in candidates.iter().enumerate() {
-                if i == winner {
-                    continue;
-                }
-                let virtual_start = self.fq.as_ref().map(|fq| fq.start(loser.thread));
-                trace::emit(|| TraceEvent {
-                    at: now,
-                    data: EventData::Defer {
-                        resource: ResourceId::dram_channel(0),
-                        thread: loser.thread,
-                        virtual_start,
-                    },
-                });
-            }
-        }
-        candidates.clear();
-        self.cand_scratch = candidates;
     }
 
     /// The earliest cycle at which this controller can change observable
@@ -384,10 +236,8 @@ impl MemoryController {
     }
 
     /// Per-thread channel statistics (reads, writes, mean read latency).
-    /// In shared-channel modes the single channel's aggregate statistics
-    /// are returned for every thread.
     pub fn channel_stats(&self, thread: ThreadId) -> (u64, u64, f64) {
-        let ch = &self.channels[thread.index().min(self.channels.len() - 1)];
+        let ch = &self.channels[thread.index()];
         (ch.reads(), ch.writes(), ch.mean_read_latency())
     }
 }
@@ -523,67 +373,6 @@ mod tests {
             done_parallel > done_serial,
             "bank-level parallelism must help ({done_parallel} vs {done_serial})"
         );
-    }
-
-    #[test]
-    fn shared_fcfs_orders_across_threads() {
-        let mut mc = MemoryController::with_mode(MemConfig::ddr2_800(), 2, ChannelMode::SharedFcfs);
-        // Thread 1's request arrives first; different banks so both are
-        // eligible immediately.
-        mc.enqueue(read(1, 1, 10), 0);
-        mc.enqueue(read(0, 2, 20), 0);
-        let mut out = Vec::new();
-        run(&mut mc, 0, 400, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].token, 10, "oldest arrival first on the shared channel");
-    }
-
-    #[test]
-    fn shared_fq_divides_channel_bandwidth() {
-        use vpc_sim::Share;
-        // Thread 0 gets 3/4 of the channel, thread 1 gets 1/4; both keep
-        // 16 reads queued. Grant counts should track the shares.
-        let shares = vec![Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()];
-        let mut mc =
-            MemoryController::with_mode(MemConfig::ddr2_800(), 2, ChannelMode::SharedFq { shares });
-        let mut served = [0u64; 2];
-        let mut tokens = 100u64;
-        for t in 0..2u8 {
-            for i in 0..8 {
-                tokens += 1;
-                mc.enqueue(read(t, i * 2 + u64::from(t), tokens), 0);
-            }
-        }
-        for now in 0..20_000u64 {
-            mc.tick(now);
-            while let Some(r) = mc.pop_response() {
-                served[r.thread.index()] += 1;
-                // Keep the queues backlogged.
-                tokens += 1;
-                mc.enqueue(read(r.thread.0, tokens % 64, tokens), now);
-            }
-        }
-        let ratio = served[0] as f64 / served[1] as f64;
-        assert!(
-            (2.2..4.0).contains(&ratio),
-            "3:1 shares should give ~3:1 service, got {ratio} ({served:?})"
-        );
-    }
-
-    #[test]
-    fn shared_fq_serves_zero_share_thread_from_excess() {
-        use vpc_sim::Share;
-        // Thread 0 holds no share and arrives first; the guaranteed thread
-        // 1 issues ahead of it, and thread 0 is still served.
-        let shares = vec![Share::ZERO, Share::FULL];
-        let mut mc =
-            MemoryController::with_mode(MemConfig::ddr2_800(), 2, ChannelMode::SharedFq { shares });
-        mc.enqueue(read(0, 1, 10), 0);
-        mc.enqueue(read(1, 2, 20), 0);
-        let mut out = Vec::new();
-        run(&mut mc, 0, 400, &mut out);
-        let tokens: Vec<u64> = out.iter().map(|r| r.token).collect();
-        assert_eq!(tokens, [20, 10], "guaranteed thread first, zero share from excess");
     }
 
     /// The inlined no-op check of `tick` changes nothing: every tick

@@ -2,21 +2,11 @@
 //! only at its reported next-activity cycles (plus request arrivals) ends
 //! up in exactly the state of one ticked every single cycle — same
 //! responses at the same cycles, same channel stats, same `Debug`
-//! rendering — under every channel mode.
+//! rendering.
 
-use vpc_mem::{ChannelMode, MemConfig, MemRequest, MemoryController};
+use vpc_mem::{MemConfig, MemRequest, MemoryController};
 use vpc_sim::check::{self, gen, Config};
-use vpc_sim::{ensure, ensure_eq, Cycle, Share, SplitMix64};
-
-fn random_mode(rng: &mut SplitMix64, threads: usize) -> ChannelMode {
-    match rng.below(3) {
-        0 => ChannelMode::PerThread,
-        1 => ChannelMode::SharedFcfs,
-        _ => {
-            ChannelMode::SharedFq { shares: vec![Share::new(1, threads as u32).unwrap(); threads] }
-        }
-    }
-}
+use vpc_sim::{ensure, ensure_eq, Cycle, SplitMix64};
 
 /// A pre-generated arrival schedule, identical for both instances.
 fn schedule(rng: &mut SplitMix64, threads: usize, horizon: Cycle) -> Vec<(Cycle, MemRequest)> {
@@ -45,11 +35,10 @@ fn schedule(rng: &mut SplitMix64, threads: usize, horizon: Cycle) -> Vec<(Cycle,
 fn sparse_ticking_matches_dense_ticking() {
     check::forall("sparse_ticking_matches_dense_ticking", Config::cases(24), |rng| {
         let threads = rng.below(3) as usize + 2;
-        let mode = random_mode(rng, threads);
         let arrivals = schedule(rng, threads, 4_000);
         let end: Cycle = 12_000; // long tail so both instances drain
 
-        let mut dense = MemoryController::with_mode(MemConfig::ddr2_800(), threads, mode.clone());
+        let mut dense = MemoryController::new(MemConfig::ddr2_800(), threads);
         let mut dense_log = Vec::new();
         let mut next = 0;
         for now in 0..end {
@@ -65,7 +54,7 @@ fn sparse_ticking_matches_dense_ticking() {
             }
         }
 
-        let mut sparse = MemoryController::with_mode(MemConfig::ddr2_800(), threads, mode);
+        let mut sparse = MemoryController::new(MemConfig::ddr2_800(), threads);
         let mut sparse_log = Vec::new();
         let mut next = 0;
         let mut now: Cycle = 0;

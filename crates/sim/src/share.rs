@@ -206,9 +206,7 @@ impl fmt::Display for Share {
 /// One resource's fair-queuing register file (Figure 3): for each thread,
 /// its share `beta_i`, its virtual service time `R.L_i = L / beta_i` for
 /// each service time `L` the resource uses, and its virtual-time register
-/// `R.S_i`, updated by Eq. 3'–6. The VPC arbiter and the fair-queued shared
-/// memory channel each hold one and differ only in how they pick among the
-/// threads' finish times.
+/// `R.S_i`, updated by Eq. 3'–6. Each VPC arbiter holds one.
 ///
 /// `R.L_i` is stored, as in the paper's hardware, whenever a share or a
 /// service time is set, so [`VirtualClock::finish`] adds and never divides.

@@ -71,7 +71,8 @@ pub enum ResourceKind {
     DataArray,
     /// An L2 bank's response bus port.
     DataBus,
-    /// A DRAM channel (the memory controller's shared-channel arbiter).
+    /// A DRAM channel. Nothing in the library emits it; the frozen
+    /// benchmark still matches on it, and benchmark revision 2 removes it.
     DramChannel,
 }
 
@@ -111,11 +112,6 @@ impl ResourceId {
     /// Bank `unit`'s response bus port.
     pub fn data_bus(unit: u16) -> ResourceId {
         ResourceId { kind: ResourceKind::DataBus, unit }
-    }
-
-    /// DRAM channel `unit`.
-    pub fn dram_channel(unit: u16) -> ResourceId {
-        ResourceId { kind: ResourceKind::DramChannel, unit }
     }
 }
 
@@ -429,7 +425,8 @@ mod tests {
         assert_eq!(ResourceId::tag_array(0).to_string(), "bank0.tag");
         assert_eq!(ResourceId::data_array(3).to_string(), "bank3.data");
         assert_eq!(ResourceId::data_bus(1).to_string(), "bank1.bus");
-        assert_eq!(ResourceId::dram_channel(2).to_string(), "chan2.dram");
+        let channel = ResourceId { kind: ResourceKind::DramChannel, unit: 2 };
+        assert_eq!(channel.to_string(), "chan2.dram");
     }
 
     #[test]

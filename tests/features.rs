@@ -84,26 +84,6 @@ fn per_thread_utilization_attribution_sums_to_total() {
     assert!(m.data_util_per_thread.iter().all(|&u| u > 0.0));
 }
 
-#[test]
-fn heterogeneous_cores_compose_with_the_system() {
-    // One prefetching low-MLP core next to a stock core.
-    let cfg = quick_config(2).with_arbiter(ArbiterPolicy::vpc_equal(2));
-    let mut stock = cfg.core;
-    stock.prefetch_degree = 0;
-    let mut prefetching = cfg.core;
-    prefetching.l1.lmq_entries = 2;
-    prefetching.prefetch_degree = 4;
-    let mut sys = CmpSystem::with_core_configs(
-        cfg,
-        &[stock, prefetching],
-        &[WorkloadSpec::Spec("gcc"), WorkloadSpec::Spec("swim")],
-    );
-    let m = sys.run_measured(10_000, 40_000);
-    assert!(m.ipc[0] > 0.0 && m.ipc[1] > 0.0);
-    assert!(sys.core(ThreadId(1)).stats().prefetches.get() > 0, "thread 1 prefetches");
-    assert_eq!(sys.core(ThreadId(0)).stats().prefetches.get(), 0, "thread 0 does not");
-}
-
 /// Full-length calibration regression: the 18 SPEC profiles preserve the
 /// paper's Figure 6 ordering and aggregate. All 18 standard-budget runs
 /// go through the `exec` job pool, which keeps this fast enough to run

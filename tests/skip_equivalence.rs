@@ -14,7 +14,6 @@
 use vpc::{CmpConfig, CmpSystem, WorkloadSpec};
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::CapacityPolicy;
-use vpc_mem::ChannelMode;
 use vpc_sim::check::{self, Config};
 use vpc_sim::{ensure, Share, SplitMix64};
 
@@ -49,19 +48,12 @@ fn random_config(rng: &mut SplitMix64) -> (CmpConfig, Vec<WorkloadSpec>) {
     if rng.chance(0.5) {
         cfg.l2.capacity = CapacityPolicy::vpc_equal(threads);
     }
-    cfg.channels = match rng.below(3) {
-        0 => ChannelMode::PerThread,
-        1 => ChannelMode::SharedFcfs,
-        _ => {
-            ChannelMode::SharedFq { shares: vec![Share::new(1, threads as u32).unwrap(); threads] }
-        }
-    };
     let workloads = (0..threads).map(|_| random_workload(rng)).collect();
     (cfg, workloads)
 }
 
-/// Randomized workloads, thread counts, arbiters, capacity policies, and
-/// channel modes: after every chunk of cycles, the skipping system's full
+/// Randomized workloads, thread counts, arbiters and capacity policies:
+/// after every chunk of cycles, the skipping system's full
 /// `Debug` state equals the naive reference's.
 #[test]
 fn skipping_is_state_identical_to_naive() {
