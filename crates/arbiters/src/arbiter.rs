@@ -31,13 +31,6 @@ pub trait Arbiter: fmt::Debug {
         self.len() == 0
     }
 
-    /// Sets `thread`'s bandwidth share `beta_i`, if this arbiter supports
-    /// QoS shares (the VPC arbiter's system-software-visible control
-    /// registers, §4). Returns `false` for share-oblivious arbiters.
-    fn set_share(&mut self, _thread: vpc_sim::ThreadId, _share: vpc_sim::Share) -> bool {
-        false
-    }
-
     /// Virtual `(start, finish)` times the most recent [`Arbiter::select`]
     /// assigned to the request it granted (Eq. 3'/4 of the paper), for
     /// trace observability.

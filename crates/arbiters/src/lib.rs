@@ -16,8 +16,8 @@
 //!   its allocated share `beta_i` of the resource's bandwidth (§4.1), using
 //!   earliest-virtual-finish-time-first (EDF) selection and supporting
 //!   intra-thread read-over-write reordering without losing the guarantee.
-//!   Its registers are a [`vpc_sim::VirtualClock`], written through
-//!   [`Arbiter::set_share`].
+//!   Its registers are a [`vpc_sim::VirtualClock`] whose shares are fixed
+//!   when the arbiter is built.
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
 //!   arbiter and a utilization meter, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.
@@ -28,9 +28,8 @@
 //! use vpc_arbiters::{Arbiter, ArbRequest, VpcArbiter, IntraThreadOrder};
 //! use vpc_sim::{AccessKind, Share, ThreadId};
 //!
-//! let mut arb = VpcArbiter::new(4, IntraThreadOrder::ReadOverWrite);
-//! arb.set_share(ThreadId(0), Share::new(3, 4).unwrap());
-//! arb.set_share(ThreadId(1), Share::new(1, 4).unwrap());
+//! let shares = [Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()];
+//! let mut arb = VpcArbiter::new(4, &shares, IntraThreadOrder::ReadOverWrite);
 //!
 //! arb.enqueue(ArbRequest::new(1, ThreadId(0), AccessKind::Read, 8), 0);
 //! arb.enqueue(ArbRequest::new(2, ThreadId(1), AccessKind::Read, 8), 0);
@@ -84,17 +83,13 @@ impl ArbiterPolicy {
 
     /// Instantiates a boxed arbiter for `threads` hardware threads.
     pub fn build(&self, threads: usize) -> Box<dyn Arbiter> {
-        let (mut arb, shares): (Box<dyn Arbiter>, &[Share]) = match self {
-            ArbiterPolicy::Fcfs => (Box::new(FcfsArbiter::new()), &[]),
-            ArbiterPolicy::RowFcfs => (Box::new(RowFcfsArbiter::new()), &[]),
+        match self {
+            ArbiterPolicy::Fcfs => Box::new(FcfsArbiter::new()),
+            ArbiterPolicy::RowFcfs => Box::new(RowFcfsArbiter::new()),
             ArbiterPolicy::Vpc { shares, order } => {
-                (Box::new(VpcArbiter::new(threads, *order)), shares)
+                Box::new(VpcArbiter::new(threads, shares, *order))
             }
-        };
-        for (i, &share) in shares.iter().enumerate().take(threads) {
-            arb.set_share(vpc_sim::ThreadId(i as u8), share);
         }
-        arb
     }
 
     /// Short name used in experiment reports ("FCFS", "RoW" or "VPC").

@@ -157,12 +157,6 @@ impl ArbitratedResource {
         self.per_thread_busy[thread.index()]
     }
 
-    /// Sets `thread`'s bandwidth share on the arbiter (the VPC control
-    /// registers). Returns `false` for share-oblivious arbiters.
-    pub fn set_share(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
-        self.arbiter.set_share(thread, share)
-    }
-
     /// The earliest cycle at which this resource can change observable
     /// state absent new enqueues: with requests pending, the next
     /// [`ArbitratedResource::try_grant`] that is not blocked by the busy

@@ -65,15 +65,16 @@ pub struct VpcArbiter {
 }
 
 impl VpcArbiter {
-    /// Creates an arbiter for `num_threads` threads, all initially with zero
-    /// share; configure guarantees with [`Arbiter::set_share`].
+    /// Creates an arbiter for `num_threads` threads with bandwidth shares
+    /// `shares` (`beta_i`; missing entries get [`Share::ZERO`], extra
+    /// entries are ignored). The shares are fixed for the arbiter's life.
     ///
     /// # Panics
     ///
     /// Panics if `num_threads` is zero.
-    pub fn new(num_threads: usize, order: IntraThreadOrder) -> VpcArbiter {
+    pub fn new(num_threads: usize, shares: &[Share], order: IntraThreadOrder) -> VpcArbiter {
         VpcArbiter {
-            clock: VirtualClock::new(num_threads, &[]),
+            clock: VirtualClock::new(num_threads, shares),
             buffers: (0..num_threads).map(|_| VecDeque::new()).collect(),
             order,
             pending: 0,
@@ -174,11 +175,6 @@ impl Arbiter for VpcArbiter {
         self.pending
     }
 
-    fn set_share(&mut self, thread: ThreadId, share: Share) -> bool {
-        self.clock.set_share(thread, share);
-        true
-    }
-
     fn last_grant_virtual(&self) -> Option<(u64, u64)> {
         self.last_virtual
     }
@@ -210,11 +206,7 @@ mod tests {
     }
 
     fn equal_share_arbiter(n: usize) -> VpcArbiter {
-        let mut arb = VpcArbiter::new(n, IntraThreadOrder::Fifo);
-        for t in 0..n {
-            arb.set_share(ThreadId(t as u8), share(1, n as u32));
-        }
-        arb
+        VpcArbiter::new(n, &vec![share(1, n as u32); n], IntraThreadOrder::Fifo)
     }
 
     #[test]
@@ -245,9 +237,7 @@ mod tests {
 
     #[test]
     fn edf_prefers_larger_share() {
-        let mut arb = VpcArbiter::new(2, IntraThreadOrder::Fifo);
-        arb.set_share(ThreadId(0), share(3, 4));
-        arb.set_share(ThreadId(1), share(1, 4));
+        let mut arb = VpcArbiter::new(2, &[share(3, 4), share(1, 4)], IntraThreadOrder::Fifo);
         arb.enqueue(read(1, 0, 8), 0);
         arb.enqueue(read(2, 1, 8), 0);
         // F0 = ceil(8/(3/4)) = 11, F1 = 32.
@@ -261,9 +251,7 @@ mod tests {
     fn bandwidth_split_matches_shares_when_both_backlogged() {
         // Two threads, shares 3/4 and 1/4, both continuously backlogged with
         // 8-cycle reads: over any long window thread 0 gets ~3x the grants.
-        let mut arb = VpcArbiter::new(2, IntraThreadOrder::Fifo);
-        arb.set_share(ThreadId(0), share(3, 4));
-        arb.set_share(ThreadId(1), share(1, 4));
+        let mut arb = VpcArbiter::new(2, &[share(3, 4), share(1, 4)], IntraThreadOrder::Fifo);
         let mut id = 0;
         let mut grants = [0u64; 2];
         let mut now = 0u64;
@@ -313,8 +301,7 @@ mod tests {
 
     #[test]
     fn zero_share_thread_only_gets_excess() {
-        let mut arb = VpcArbiter::new(2, IntraThreadOrder::Fifo);
-        arb.set_share(ThreadId(0), Share::FULL);
+        let mut arb = VpcArbiter::new(2, &[Share::FULL], IntraThreadOrder::Fifo);
         // Thread 1 has zero share.
         arb.enqueue(read(1, 1, 8), 0);
         arb.enqueue(read(2, 0, 8), 0);
@@ -324,9 +311,8 @@ mod tests {
 
     #[test]
     fn row_reordering_is_intra_thread_only() {
-        let mut arb = VpcArbiter::new(2, IntraThreadOrder::ReadOverWrite);
-        arb.set_share(ThreadId(0), share(1, 2));
-        arb.set_share(ThreadId(1), share(1, 2));
+        let mut arb =
+            VpcArbiter::new(2, &[share(1, 2), share(1, 2)], IntraThreadOrder::ReadOverWrite);
         // Thread 0: write then read. RoW lets its read jump its own write...
         arb.enqueue(write(1, 0, 16), 0);
         arb.enqueue(read(2, 0, 8), 0);
@@ -395,10 +381,7 @@ mod tests {
                 IntraThreadOrder::ReadOverWrite
             };
             let shares = vec![share(1, 2), share(1, 4), share(1, 8), Share::ZERO];
-            let mut arb = VpcArbiter::new(4, order);
-            for (t, s) in shares.iter().enumerate() {
-                arb.set_share(ThreadId(t as u8), *s);
-            }
+            let mut arb = VpcArbiter::new(4, &shares, order);
             let mut checker = GuaranteeChecker::new(shares);
             let mut id = 0u64;
             let mut busy_until = 0u64;
@@ -432,8 +415,7 @@ mod tests {
     #[test]
     fn work_conserving() {
         check::forall("work_conserving", Config::cases(64), |rng| {
-            let mut arb = VpcArbiter::new(3, IntraThreadOrder::ReadOverWrite);
-            arb.set_share(ThreadId(0), share(1, 4));
+            let mut arb = VpcArbiter::new(3, &[share(1, 4)], IntraThreadOrder::ReadOverWrite);
             // Threads 1, 2 left at zero share.
             let mut id = 0;
             for step in 0..500u64 {

@@ -6,7 +6,8 @@
 //! cargo run --release -p vpc-bench --bin record_trace -- art 10000 > art.trace
 //! ```
 //!
-//! An unknown workload, a malformed op count or an extra argument prints
+//! An unknown workload, an op count that is not a positive integer (a
+//! trace of zero ops would not parse back) or an extra argument prints
 //! usage on stderr and exits with code 2.
 
 use std::process::ExitCode;
@@ -24,8 +25,11 @@ fn parse(args: &[String]) -> Result<(String, Box<dyn Workload>, usize), String> 
         [name, count] => (name.as_str(), count.as_str()),
         [_, _, extra, ..] => return Err(format!("unexpected argument {extra:?}")),
     };
-    let count =
-        count.parse().map_err(|_| format!("the op count needs an integer, got {count:?}"))?;
+    let count = count
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("the op count needs a positive integer, got {count:?}"))?;
     let workload: Box<dyn Workload> = match name {
         "Loads" | "loads" => Box::new(loads_micro(ThreadId(0))),
         "Stores" | "stores" => Box::new(stores_micro(ThreadId(0))),
@@ -45,7 +49,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "error: {err}\n\nusage: record_trace [WORKLOAD] [OPS]\n\n\
                  WORKLOAD is Loads, Stores or one of {SPEC_NAMES:?} (default art);\n\
-                 OPS is the number of ops to record (default 10000)."
+                 OPS is the positive number of ops to record (default 10000)."
             );
             return ExitCode::from(2);
         }

@@ -31,7 +31,6 @@ struct Args {
     warmup: u64,
     cycles: u64,
     lru_capacity: bool,
-    policy: ArbiterPolicy,
     trace: Option<PathBuf>,
     metrics: bool,
 }
@@ -49,7 +48,9 @@ fn parse_workload(name: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line into the arguments and the machine they
+/// describe, which [`CmpConfig::validate`] has accepted.
+fn parse_args() -> Result<(Args, CmpConfig), String> {
     let mut args = Args {
         workloads: vec![
             WorkloadSpec::Spec("art"),
@@ -63,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
         warmup: 50_000,
         cycles: 200_000,
         lru_capacity: false,
-        policy: ArbiterPolicy::Fcfs,
         trace: None,
         metrics: false,
     };
@@ -119,8 +119,8 @@ fn parse_args() -> Result<Args, String> {
     if args.warmup.checked_add(args.cycles).is_none() {
         return Err("--warmup plus --cycles overflows the 64-bit cycle counter".into());
     }
-    if args.workloads.len() > 8 {
-        return Err("1 to 8 workloads required".into());
+    if let Some(path) = &args.trace {
+        vpc_bench::check_trace_dir(path)?;
     }
     if args.shares.is_empty() {
         let n = args.workloads.len() as u32;
@@ -129,15 +129,15 @@ fn parse_args() -> Result<Args, String> {
     if args.shares.len() != args.workloads.len() {
         return Err("need exactly one share per workload".into());
     }
-    if Share::checked_sum(args.shares.iter().copied()).is_none() {
-        return Err("shares sum to more than 1, which voids the bandwidth guarantee".into());
-    }
-    let sets = CmpConfig::table1().l2.total_sets;
-    if args.banks == 0 || !sets.is_multiple_of(args.banks) {
-        return Err(format!("--banks must be a nonzero divisor of the {sets} L2 sets"));
-    }
-    args.policy = build_arbiter(&args)?;
-    Ok(args)
+    let mut cfg = CmpConfig::table1_with_threads(args.workloads.len()).with_banks(args.banks);
+    cfg.l2.arbiter = build_arbiter(&args)?;
+    cfg.l2.capacity = if args.lru_capacity {
+        CapacityPolicy::Lru
+    } else {
+        CapacityPolicy::Vpc { shares: args.shares.clone() }
+    };
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok((args, cfg))
 }
 
 fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
@@ -154,18 +154,8 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
 
 /// Runs the configured system; the only error is a trace that cannot be
 /// written.
-fn run(args: Args) -> Result<(), String> {
-    let threads = args.workloads.len();
-    let mut cfg = CmpConfig::table1_with_threads(threads).with_banks(args.banks);
-    cfg.l2.arbiter = args.policy.clone();
-    cfg.l2.capacity = if args.lru_capacity {
-        CapacityPolicy::Lru
-    } else {
-        CapacityPolicy::Vpc { shares: args.shares.clone() }
-    };
-
-    let base = CmpConfig::table1_with_threads(threads).with_banks(args.banks);
-    let mut sys = CmpSystem::new(cfg, &args.workloads);
+fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
+    let mut sys = CmpSystem::new(cfg.clone(), &args.workloads);
     sys.run(args.warmup);
     if args.trace.is_some() {
         // The simulation runs on this thread, so the thread-local
@@ -186,7 +176,7 @@ fn run(args: Args) -> Result<(), String> {
 
     vpc_bench::outln!(
         "== simulate: {} threads, {} banks, arbiter {} ==",
-        threads,
+        args.workloads.len(),
         args.banks,
         args.arbiter
     );
@@ -202,11 +192,7 @@ fn run(args: Args) -> Result<(), String> {
     );
     for (i, w) in args.workloads.iter().enumerate() {
         let thread = ThreadId(i as u8);
-        let target = if args.shares[i].is_zero() {
-            0.0
-        } else {
-            target_ipc(&base, *w, args.shares[i], args.shares[i], args.warmup, args.cycles)
-        };
+        let target = target_ipc(&cfg, *w, args.shares[i], args.shares[i], args.warmup, args.cycles);
         let hist = sys.l2().read_latency(thread);
         // A zero-share thread runs on excess bandwidth only and has no
         // target to normalize by.
@@ -259,14 +245,14 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let (args, cfg) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    match run(args) {
+    match run(args, cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

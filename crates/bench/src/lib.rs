@@ -91,9 +91,30 @@ impl Cli {
 
     /// Parses the process's arguments and environment; on an error prints
     /// it with the usage text on stderr and exits with code 2.
+    /// A `--trace` path into a missing directory is such an error, so a
+    /// run never ends in a trace it cannot write.
     pub fn from_env() -> Cli {
         Cli::parse(std::env::args().skip(1), |key| std::env::var(key).ok())
+            .and_then(|cli| match &cli.trace {
+                Some(path) => check_trace_dir(path).map(|()| cli),
+                None => Ok(cli),
+            })
             .unwrap_or_else(|err| usage_error(&err, USAGE))
+    }
+}
+
+/// Checks, before anything runs, that the directory a `--trace` file goes
+/// into exists.
+///
+/// # Errors
+///
+/// Names the path when its parent directory does not exist.
+pub fn check_trace_dir(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => {
+            Err(format!("--trace {}: directory {} does not exist", path.display(), dir.display()))
+        }
+        _ => Ok(()),
     }
 }
 

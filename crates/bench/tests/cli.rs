@@ -11,6 +11,11 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--jobs", "0"], true),
     (env!("CARGO_BIN_EXE_fig7_store_gathering"), &["--quick", "--jobs"], true),
     (env!("CARGO_BIN_EXE_fig8_loads_stores"), &["--trace"], true),
+    (
+        env!("CARGO_BIN_EXE_fig5_micro_util"),
+        &["--quick", "--trace", "/nonexistent/dir/t.json"],
+        true,
+    ),
     (env!("CARGO_BIN_EXE_fig9_spec_vs_stores"), &["--jobs=many"], true),
     (env!("CARGO_BIN_EXE_fig10_heterogeneous"), &["--no-skip"], true),
     (env!("CARGO_BIN_EXE_ablations"), &["--quick=1"], true),
@@ -23,12 +28,20 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_simulate"), &["--shares", "3/4,3/4,3/4,3/4"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "0"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--banks", "3"], false),
+    (env!("CARGO_BIN_EXE_simulate"), &["--banks", "16384"], false),
+    (
+        env!("CARGO_BIN_EXE_simulate"),
+        &["--workloads", "art,mcf,gcc,gzip,vpr,mesa,swim,ammp,equake"],
+        false,
+    ),
+    (env!("CARGO_BIN_EXE_simulate"), &["--trace", "/nonexistent/dir/t.json"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "rr"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "drr"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "sfq"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--channels", "private"], false),
     (env!("CARGO_BIN_EXE_record_trace"), &["nosuch", "5"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "x"], true),
+    (env!("CARGO_BIN_EXE_record_trace"), &["art", "0"], true),
     (env!("CARGO_BIN_EXE_record_trace"), &["art", "3", "extra"], true),
 ];
 

@@ -353,22 +353,6 @@ impl L2Bank {
         self.sets[self.cfg.set_of(line)].lookup(line).is_some()
     }
 
-    /// Reconfigures `thread`'s bandwidth share on all three shared
-    /// resources (the VPC control registers). Returns `false` if the
-    /// configured arbiters do not support shares.
-    pub fn reconfigure_bandwidth(&mut self, thread: ThreadId, share: vpc_sim::Share) -> bool {
-        let mut ok = true;
-        for r in &mut self.resources {
-            ok &= r.set_share(thread, share);
-        }
-        ok
-    }
-
-    /// Reconfigures `thread`'s way quota. Returns `false` under plain LRU.
-    pub fn reconfigure_capacity(&mut self, thread: ThreadId, ways: u32) -> bool {
-        self.policy.reconfigure_quota(thread, ways)
-    }
-
     /// The earliest cycle at which this bank can change observable state
     /// absent new [`L2Bank::submit`] / [`L2Bank::on_mem_response`] input:
     /// a scheduled completion, a queued response maturing, a resource

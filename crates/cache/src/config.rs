@@ -108,28 +108,30 @@ impl L2Config {
         (&self.arbiter, &self.arbiter, &self.arbiter)
     }
 
-    /// Checks the geometry that [`L2Config::bank_of`] and
-    /// [`L2Config::set_of`] index by shift and mask, once, where the cache
-    /// is built.
+    /// The two counts that [`L2Config::bank_of`] and [`L2Config::set_of`]
+    /// index by shift and mask, each with the name it is reported under:
+    /// `banks` and the sets per bank (`total_sets / banks`, zero when
+    /// `banks` does not divide `total_sets`). Each must be a nonzero power
+    /// of two.
+    pub fn mask_geometry(&self) -> [(&'static str, usize); 2] {
+        let per_bank = self.total_sets.checked_div(self.banks);
+        let per_bank = per_bank.filter(|&q| q * self.banks == self.total_sets).unwrap_or(0);
+        [
+            ("L2Config::banks", self.banks),
+            ("L2 sets per bank (L2Config::total_sets / banks)", per_bank),
+        ]
+    }
+
+    /// Checks [`L2Config::mask_geometry`] once, where the cache is built.
     ///
     /// # Panics
     ///
-    /// Panics, naming the field, unless `banks` and the sets per bank
-    /// (`total_sets / banks`) are nonzero powers of two.
+    /// Panics, naming the field, unless each count is a nonzero power of
+    /// two.
     pub fn check_geometry(&self) {
-        assert!(
-            self.banks.is_power_of_two(),
-            "L2Config::banks must be a nonzero power of two, got {}",
-            self.banks
-        );
-        assert!(
-            self.total_sets.is_multiple_of(self.banks)
-                && (self.total_sets / self.banks).is_power_of_two(),
-            "L2 sets per bank (L2Config::total_sets / banks) must be a nonzero power of two, \
-             got {} / {}",
-            self.total_sets,
-            self.banks
-        );
+        for (field, n) in self.mask_geometry() {
+            assert!(n.is_power_of_two(), "{field} must be a nonzero power of two, got {n}");
+        }
     }
 
     /// Sets per bank (the geometry is checked by

@@ -243,24 +243,6 @@ impl SharedL2 {
         }
         total
     }
-
-    /// Reconfigures `thread`'s bandwidth share `beta` on every bank's
-    /// arbiters and its way quota to `alpha * ways`. Returns `false` if
-    /// either mechanism is not QoS-capable in this configuration.
-    pub fn reconfigure(
-        &mut self,
-        thread: ThreadId,
-        beta: vpc_sim::Share,
-        alpha: vpc_sim::Share,
-    ) -> bool {
-        let ways = alpha.of_ways(self.cfg.ways as u32);
-        let mut ok = true;
-        for bank in &mut self.banks {
-            ok &= bank.reconfigure_bandwidth(thread, beta);
-            ok &= bank.reconfigure_capacity(thread, ways);
-        }
-        ok
-    }
 }
 
 #[cfg(test)]

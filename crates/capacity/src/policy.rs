@@ -11,12 +11,6 @@ use crate::set::TagSet;
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Returns the way index to victimize for a fill by `requester`.
     fn choose_victim(&self, set: &TagSet, requester: ThreadId) -> usize;
-
-    /// Reconfigures `thread`'s way quota, if this policy enforces quotas.
-    /// Returns `false` for quota-oblivious policies (plain LRU).
-    fn reconfigure_quota(&mut self, _thread: ThreadId, _ways: u32) -> bool {
-        false
-    }
 }
 
 /// Global true-LRU replacement: the baseline *shared* cache, with no
@@ -84,11 +78,6 @@ impl VpcCapacityManager {
 }
 
 impl ReplacementPolicy for VpcCapacityManager {
-    fn reconfigure_quota(&mut self, thread: ThreadId, ways: u32) -> bool {
-        self.quotas[thread.index()] = ways;
-        true
-    }
-
     fn choose_victim(&self, set: &TagSet, requester: ThreadId) -> usize {
         // Condition 1: the globally least-recently-used of the LRU lines of
         // over-quota threads other than the requester.

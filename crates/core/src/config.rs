@@ -1,10 +1,13 @@
-//! Whole-system configuration (the paper's Table 1) and workload naming.
+//! Whole-system configuration (the paper's Table 1), its validation, and
+//! workload naming.
+
+use std::fmt;
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::{CapacityPolicy, L2Config};
 use vpc_cpu::{CoreConfig, FixedTrace, Op, Workload};
 use vpc_mem::{ChannelMode, MemConfig};
-use vpc_sim::{Share, ThreadId};
+use vpc_sim::{Share, ThreadId, MAX_THREADS};
 use vpc_workloads::{loads_micro, spec, stores_micro};
 
 /// Configuration of the simulated CMP: cores, shared L2, memory system.
@@ -82,7 +85,110 @@ impl CmpConfig {
             channels: ChannelMode::PerThread,
         }
     }
+
+    /// Checks that this configuration describes a runnable machine. It is
+    /// the one place that knows the rules; [`CmpSystem::with_workloads`]
+    /// calls it, and the shares it checks are fixed for the machine's life.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule broken, in this order:
+    /// * `processors` is 1 to [`MAX_THREADS`] and equals `l2.threads`;
+    /// * the L2 banks and sets per bank ([`L2Config::mask_geometry`]), the
+    ///   L1 sets and the DRAM banks per channel are nonzero powers of two;
+    /// * the L2 and L1 have at least one way;
+    /// * VPC bandwidth shares `beta_i` number at most `processors` and VPC
+    ///   capacity shares `alpha_i` at most [`MAX_THREADS`] (single-thread
+    ///   cells may keep Table 1's four), and neither sums above one.
+    ///
+    /// [`CmpSystem::with_workloads`]: crate::CmpSystem::with_workloads
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let processors = self.processors;
+        if !(1..=MAX_THREADS).contains(&processors) {
+            return Err(ConfigError::Processors(processors));
+        }
+        if self.l2.threads != processors {
+            return Err(ConfigError::L2Threads(self.l2.threads, processors));
+        }
+        let counts = [
+            ("L1Config::sets", self.core.l1.sets),
+            ("DRAM banks per channel (MemConfig::ranks * banks_per_rank)", self.mem.total_banks()),
+        ];
+        if let Some((field, n)) =
+            self.l2.mask_geometry().into_iter().chain(counts).find(|(_, n)| !n.is_power_of_two())
+        {
+            return Err(ConfigError::NotPowerOfTwo(field, n));
+        }
+        for (field, ways) in
+            [("L2Config::ways", self.l2.ways), ("L1Config::ways", self.core.l1.ways)]
+        {
+            if ways == 0 {
+                return Err(ConfigError::NoWays(field));
+            }
+        }
+        if let ArbiterPolicy::Vpc { shares, .. } = &self.l2.arbiter {
+            check_shares("bandwidth (beta)", shares, processors)?;
+        }
+        if let CapacityPolicy::Vpc { shares } = &self.l2.capacity {
+            check_shares("capacity (alpha)", shares, MAX_THREADS)?;
+        }
+        Ok(())
+    }
 }
+
+fn check_shares(resource: &'static str, shares: &[Share], limit: usize) -> Result<(), ConfigError> {
+    if shares.len() > limit {
+        return Err(ConfigError::TooManyShares(resource, shares.len(), limit));
+    }
+    if !Share::sum_at_most_one(shares.iter().copied()) {
+        return Err(ConfigError::OverCommitted(resource));
+    }
+    Ok(())
+}
+
+/// Why a [`CmpConfig`] is not a runnable machine ([`CmpConfig::validate`]).
+/// Its message names the field or resource at fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `processors` is zero or above [`MAX_THREADS`].
+    Processors(usize),
+    /// `l2.threads` (first) differs from `processors` (second).
+    L2Threads(usize, usize),
+    /// The named count is not a nonzero power of two.
+    NotPowerOfTwo(&'static str, usize),
+    /// The named cache has no ways.
+    NoWays(&'static str),
+    /// The named resource lists shares (first) for more threads than the
+    /// limit (second).
+    TooManyShares(&'static str, usize, usize),
+    /// The named resource's shares sum above one, voiding its guarantee.
+    OverCommitted(&'static str),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConfigError::Processors(n) => {
+                write!(f, "processors must be 1 to {MAX_THREADS}, got {n}")
+            }
+            ConfigError::L2Threads(threads, processors) => {
+                write!(f, "L2Config::threads ({threads}) must equal processors ({processors})")
+            }
+            ConfigError::NotPowerOfTwo(field, n) => {
+                write!(f, "{field} must be a nonzero power of two, got {n}")
+            }
+            ConfigError::NoWays(field) => write!(f, "{field} must be at least 1"),
+            ConfigError::TooManyShares(resource, given, limit) => {
+                write!(f, "{given} {resource} shares given, at most {limit} allowed")
+            }
+            ConfigError::OverCommitted(resource) => {
+                write!(f, "{resource} shares sum to more than 1, which voids the guarantee")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for CmpConfig {
     fn default() -> Self {
@@ -137,7 +243,133 @@ impl WorkloadSpec {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+
     use super::*;
+    use crate::system::CmpSystem;
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, ensure_eq, SplitMix64};
+
+    fn share(n: u32, d: u32) -> Share {
+        Share::new(n, d).unwrap()
+    }
+
+    #[test]
+    fn validation_rejects_overcommit() {
+        let cfg = CmpConfig::table1_with_threads(3);
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.clone().with_vpc_shares(vec![share(1, 2); 2]).validate(), Ok(()));
+        assert_eq!(
+            cfg.clone().with_vpc_shares(vec![share(1, 2); 3]).validate(),
+            Err(ConfigError::OverCommitted("bandwidth (beta)"))
+        );
+        let skew = cfg
+            .with_vpc_shares(vec![share(1, 4); 3])
+            .with_capacity(CapacityPolicy::Vpc { shares: vec![share(1, 2); 3] });
+        assert_eq!(skew.validate(), Err(ConfigError::OverCommitted("capacity (alpha)")));
+    }
+
+    #[test]
+    fn validation_names_the_field() {
+        let mut cfg = CmpConfig::table1_with_threads(2);
+        cfg.l2.threads = 4;
+        assert_eq!(
+            cfg.validate().unwrap_err().to_string(),
+            "L2Config::threads (4) must equal processors (2)"
+        );
+        let too_many = CmpConfig::table1_with_threads(2).with_vpc_shares(vec![share(1, 4); 3]);
+        assert_eq!(too_many.validate(), Err(ConfigError::TooManyShares("bandwidth (beta)", 3, 2)));
+        // A single-thread cell keeps Table 1's four capacity shares.
+        let mut solo = CmpConfig::table1();
+        (solo.processors, solo.l2.threads) = (1, 1);
+        assert_eq!(solo.validate(), Ok(()));
+    }
+
+    /// A random configuration near Table 1's; each rule of
+    /// [`CmpConfig::validate`] breaks in a few percent of draws.
+    fn arb_config(rng: &mut SplitMix64) -> CmpConfig {
+        let bad = |rng: &mut SplitMix64| rng.chance(0.05);
+        let pow2 = |rng: &mut SplitMix64, log2_max: u64| {
+            let n = 1 << rng.below(log2_max + 1);
+            if bad(rng) {
+                n * 3
+            } else {
+                n
+            }
+        };
+        let processors = if bad(rng) {
+            [0, MAX_THREADS + 1][rng.below(2) as usize]
+        } else {
+            gen::range(rng, 1, MAX_THREADS as u64) as usize
+        };
+        let mut cfg = CmpConfig::table1_with_threads(processors.max(1));
+        cfg.processors = processors;
+        if bad(rng) {
+            cfg.l2.threads = gen::range(rng, 0, 9) as usize;
+        }
+        cfg.l2.banks = pow2(rng, 3);
+        cfg.l2.total_sets = cfg.l2.banks * pow2(rng, 6) + usize::from(bad(rng));
+        cfg.l2.ways = if bad(rng) { 0 } else { gen::range(rng, 1, 16) as usize };
+        cfg.core.l1.sets = pow2(rng, 6);
+        cfg.core.l1.ways = if bad(rng) { 0 } else { gen::range(rng, 1, 4) as usize };
+        cfg.mem.banks_per_rank = pow2(rng, 3);
+        // Equal shares or random ones (which often over-commit), at times
+        // one more than the limit.
+        let shares = |rng: &mut SplitMix64, limit: usize| -> Vec<Share> {
+            let len = if bad(rng) { limit + 1 } else { rng.below(limit as u64 + 1) as usize };
+            if rng.chance(0.5) {
+                vec![share(1, len.max(1) as u32); len]
+            } else {
+                (0..len).map(|_| gen::share(rng, 64)).collect()
+            }
+        };
+        cfg.l2.arbiter = match rng.below(3) {
+            0 => ArbiterPolicy::Fcfs,
+            1 => ArbiterPolicy::RowFcfs,
+            _ => ArbiterPolicy::Vpc {
+                shares: shares(rng, processors),
+                order: IntraThreadOrder::ReadOverWrite,
+            },
+        };
+        cfg.l2.capacity = if rng.chance(0.2) {
+            CapacityPolicy::Lru
+        } else {
+            CapacityPolicy::Vpc { shares: shares(rng, MAX_THREADS) }
+        };
+        cfg
+    }
+
+    /// `validate` is the build boundary: a configuration it accepts runs
+    /// 5k cycles with every IPC finite, and one it rejects makes
+    /// `CmpSystem::new` panic with the error's message.
+    #[test]
+    fn validate_is_the_build_boundary() {
+        check::forall("validate_is_the_build_boundary", Config::cases(96), |rng| {
+            let cfg = arb_config(rng);
+            let workloads: Vec<WorkloadSpec> = (0..cfg.processors)
+                .map(|t| if t % 2 == 0 { WorkloadSpec::Loads } else { WorkloadSpec::Stores })
+                .collect();
+            let verdict = cfg.validate();
+            let built =
+                panic::catch_unwind(AssertUnwindSafe(|| CmpSystem::new(cfg.clone(), &workloads)));
+            match (verdict, built) {
+                (Ok(()), Ok(mut sys)) => {
+                    sys.run(5_000);
+                    for t in 0..cfg.processors {
+                        let ipc = sys.ipc(ThreadId(t as u8));
+                        ensure!(ipc.is_finite(), "thread {t} IPC {ipc} on {cfg:?}");
+                    }
+                }
+                (Ok(()), Err(_)) => return Err(format!("accepted config panicked: {cfg:?}")),
+                (Err(err), Ok(_)) => return Err(format!("rejected config built ({err}): {cfg:?}")),
+                (Err(err), Err(payload)) => {
+                    let msg = payload.downcast_ref::<String>();
+                    ensure_eq!(msg, Some(&err.to_string()), "panic message of {cfg:?}");
+                }
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn table1_shape() {

@@ -49,12 +49,10 @@ pub mod report;
 pub mod system;
 pub mod target;
 pub mod trace;
-pub mod vpm;
 
-pub use config::{CmpConfig, WorkloadSpec};
+pub use config::{CmpConfig, ConfigError, WorkloadSpec};
 pub use system::{CmpSystem, Measurement, Snapshot};
 pub use target::target_ipc;
-pub use vpm::{VpmAllocation, VpmConfig, VpmError};
 
 /// Convenient glob-import surface for examples and experiment binaries.
 pub mod prelude {

@@ -71,8 +71,7 @@ impl CmpSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the number of workloads does not match
-    /// `config.processors`.
+    /// Panics as [`CmpSystem::with_workloads`] does.
     pub fn new(config: CmpConfig, workloads: &[WorkloadSpec]) -> CmpSystem {
         let workloads =
             workloads.iter().enumerate().map(|(i, w)| w.build(ThreadId(i as u8))).collect();
@@ -85,11 +84,16 @@ impl CmpSystem {
     ///
     /// # Panics
     ///
-    /// Panics unless exactly `config.processors` workloads are given.
+    /// Panics with the [`ConfigError`](crate::ConfigError)'s message if
+    /// [`CmpConfig::validate`] rejects `config`, and unless exactly
+    /// `config.processors` workloads are given.
     pub fn with_workloads(
         config: CmpConfig,
         workloads: Vec<Box<dyn vpc_cpu::Workload>>,
     ) -> CmpSystem {
+        if let Err(err) = config.validate() {
+            panic!("{err}");
+        }
         assert_eq!(workloads.len(), config.processors, "one workload per processor required");
         let cores = workloads
             .into_iter()
@@ -315,18 +319,6 @@ impl CmpSystem {
     /// The core running thread `thread`.
     pub fn core(&self, thread: ThreadId) -> &Core {
         &self.cores[thread.index()]
-    }
-
-    /// Writes `thread`'s VPC control registers: bandwidth share `beta` on
-    /// every bank's arbiters and capacity share `alpha` as a way quota.
-    /// Returns `false` when the machine was built without QoS mechanisms.
-    pub fn reconfigure_thread(
-        &mut self,
-        thread: ThreadId,
-        beta: vpc_sim::Share,
-        alpha: vpc_sim::Share,
-    ) -> bool {
-        self.l2.reconfigure(thread, beta, alpha)
     }
 }
 

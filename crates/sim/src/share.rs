@@ -50,15 +50,6 @@ impl fmt::Display for ShareError {
 
 impl std::error::Error for ShareError {}
 
-fn gcd(mut a: u32, mut b: u32) -> u32 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
 impl Share {
     /// The zero share: the thread has no guaranteed allocation and is only
     /// served from excess bandwidth.
@@ -83,7 +74,7 @@ impl Share {
         if num == 0 {
             return Ok(Share::ZERO);
         }
-        let g = gcd(num, den);
+        let g = gcd(num.into(), den.into()) as u32;
         Ok(Share { num: num / g, den: den / g })
     }
 
@@ -142,32 +133,36 @@ impl Share {
         ((u64::from(self.num) * u64::from(total_ways)) / u64::from(self.den)) as u32
     }
 
-    /// Sums an iterator of shares, returning `None` on overflow above one.
+    /// Whether `shares` sum to at most one: no resource over-committed
+    /// (`sum(beta_i) <= 1`, the EDF schedulability condition of §3.2).
     ///
-    /// Used to validate that a set of allocations does not over-commit a
-    /// resource (`sum(beta_i) <= 1`, the EDF schedulability condition of
-    /// §3.2).
-    pub fn checked_sum<I: IntoIterator<Item = Share>>(shares: I) -> Option<Share> {
-        let mut num: u64 = 0;
-        let mut den: u64 = 1;
-        for s in shares {
-            // num/den + s.num/s.den
-            num = num * u64::from(s.den) + u64::from(s.num) * den;
-            den *= u64::from(s.den);
-            // den >= 1, so the gcd is always nonzero.
-            let g = gcd64(num, den);
-            num /= g;
-            den /= g;
+    /// Exact while the least common multiple of the denominators fits in
+    /// 127 bits, which holds for any three shares and for any shares with
+    /// denominators up to 64; past that the remaining terms are summed in
+    /// `f64`.
+    pub fn sum_at_most_one<I: IntoIterator<Item = Share>>(shares: I) -> bool {
+        // num/den: the exact partial sum in lowest terms, num <= den.
+        let (mut num, mut den): (u128, u128) = (0, 1);
+        let mut shares = shares.into_iter();
+        while let Some(s) = shares.next() {
+            let d = u128::from(s.den);
+            let lcm = (den / gcd(den, d)).checked_mul(d).filter(|&l| l <= u128::MAX / 2);
+            let Some(lcm) = lcm else {
+                let rest: f64 = shares.map(Share::as_f64).sum();
+                return num as f64 / den as f64 + s.as_f64() + rest <= 1.0;
+            };
+            num = num * (lcm / den) + u128::from(s.num) * (lcm / d);
+            let g = gcd(num, lcm);
+            (num, den) = (num / g, lcm / g);
             if num > den {
-                return None;
+                return false;
             }
         }
-        debug_assert!(num <= u64::from(u32::MAX) && den <= u64::from(u32::MAX));
-        Some(Share::new(num as u32, den as u32).expect("reduced sum is a valid share"))
+        true
     }
 }
 
-fn gcd64(mut a: u64, mut b: u64) -> u64 {
+fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -208,8 +203,9 @@ impl fmt::Display for Share {
 /// each service time `L` the resource uses, and its virtual-time register
 /// `R.S_i`, updated by Eq. 3'–6. Each VPC arbiter holds one.
 ///
-/// `R.L_i` is stored, as in the paper's hardware, whenever a share or a
-/// service time is set, so [`VirtualClock::finish`] adds and never divides.
+/// The shares are fixed at construction. `R.L_i` is stored, as in the
+/// paper's hardware, whenever a service time is registered, so
+/// [`VirtualClock::finish`] adds and never divides.
 ///
 /// ```
 /// use vpc_sim::{Share, ThreadId, VirtualClock};
@@ -267,16 +263,6 @@ impl VirtualClock {
     #[inline]
     pub fn share(&self, thread: ThreadId) -> Share {
         self.shares[thread.index()]
-    }
-
-    /// Sets `thread`'s share `beta_i` (a system-software-visible control
-    /// register), and stores its `R.L_i` for every registered service time.
-    pub fn set_share(&mut self, thread: ThreadId, share: Share) {
-        let (t, threads) = (thread.index(), self.shares.len());
-        self.shares[t] = share;
-        for (k, &service) in self.services.iter().enumerate() {
-            self.r_l[k * threads + t] = share.scaled_latency(service);
-        }
     }
 
     /// Eq. 3': the virtual start time of `thread`'s next request,
@@ -412,11 +398,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_sum_detects_overcommit() {
-        let q = Share::new(1, 4).unwrap();
-        assert_eq!(Share::checked_sum([q, q, q, q]), Some(Share::FULL));
-        let h = Share::new(1, 2).unwrap();
-        assert_eq!(Share::checked_sum([h, h, q]), None);
+    fn sum_at_most_one_detects_overcommit() {
+        let s = |n, d| Share::new(n, d).unwrap();
+        assert!(Share::sum_at_most_one([s(1, 4); 4]));
+        assert!(!Share::sum_at_most_one([s(1, 2), s(1, 2), s(1, 4)]));
+        assert!(Share::sum_at_most_one([s(1, 3); 3]), "thirds sum to exactly one");
+        assert!(!Share::sum_at_most_one([s(1, 3), s(1, 3), s(1, 3), s(1, u32::MAX)]));
+        // Coprime denominators whose exact sum needs more than 32 bits
+        // (a 32-bit sum of the first six once panicked as "above one").
+        let primes = [31, 37, 41, 43, 47, 53, 59, 61];
+        assert!(Share::sum_at_most_one(primes[..6].iter().map(|&p| s(2, p))));
+        assert!(Share::sum_at_most_one(primes.map(|p| s(1, p))));
+        assert!(!Share::sum_at_most_one(primes.map(|p| s(p - 27, p))));
+        // Six primes near 2^32: their product leaves the exact range.
+        let big = [4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161];
+        assert!(Share::sum_at_most_one(big.map(|p| s(p / 7, p))));
+        assert!(!Share::sum_at_most_one(big.map(|p| s(p / 5, p))));
     }
 
     #[test]
@@ -485,8 +482,6 @@ mod tests {
         assert_eq!(clock.share(ThreadId(1)), Share::ZERO, "missing entries are zero");
         assert_eq!(clock.finish(ThreadId(1), 70), None);
         assert_eq!(clock.finish(ThreadId(0), 70), Some(70));
-        clock.set_share(ThreadId(0), Share::ZERO);
-        assert_eq!(clock.finish(ThreadId(0), 70), None);
     }
 
     #[test]
@@ -516,23 +511,22 @@ mod tests {
     }
 
     /// The stored `R.L_i` equals `Share::scaled_latency` for every thread
-    /// and registered service time, whichever order shares and service
-    /// times are set in, and for service times no L2 bank uses.
+    /// and registered service time, for any shares (zero and missing
+    /// entries included) and for service times no L2 bank uses.
     #[test]
     fn stored_virtual_service_matches_scaled_latency() {
         check::forall("stored_virtual_service_matches_scaled_latency", Config::cases(256), |rng| {
             let threads = gen::range(rng, 1, 8) as usize;
-            let mut clock = VirtualClock::new(threads, &[]);
+            let shares: Vec<Share> = (0..rng.below(threads as u64 + 1))
+                .map(|_| if rng.chance(0.2) { Share::ZERO } else { gen::share(rng, 64) })
+                .collect();
+            let mut clock = VirtualClock::new(threads, &shares);
             let mut services = Vec::new();
             for _ in 0..24 {
                 if rng.chance(0.4) {
                     let service = if rng.chance(0.5) { rng.below(1 << 20) } else { rng.below(32) };
                     clock.add_service(service);
                     services.push(service);
-                } else {
-                    let t = ThreadId(rng.below(threads as u64) as u8);
-                    let share = if rng.chance(0.2) { Share::ZERO } else { gen::share(rng, 64) };
-                    clock.set_share(t, share);
                 }
                 clock.on_arrival(ThreadId(0), true, rng.below(1000));
                 for &service in &services {

@@ -81,35 +81,6 @@ impl UtilizationMeter {
     }
 }
 
-/// An events-per-cycle rate meter (e.g. IPC).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RateMeter {
-    events: u64,
-}
-
-impl RateMeter {
-    /// Records `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Total events recorded.
-    #[inline]
-    pub fn events(self) -> u64 {
-        self.events
-    }
-
-    /// Events per elapsed cycle (e.g. instructions per cycle).
-    pub fn rate(self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.events as f64 / elapsed as f64
-        }
-    }
-}
-
 /// A power-of-two-bucketed latency histogram.
 ///
 /// Bucket `k` counts samples in `[2^k, 2^(k+1))` (bucket 0 covers 0 and 1).
@@ -250,14 +221,6 @@ mod tests {
         assert_eq!(u.utilization(100), 1.0);
         assert!((u.utilization(300) - 0.5).abs() < 1e-12);
         assert_eq!(UtilizationMeter::default().utilization(0), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_ipc() {
-        let mut r = RateMeter::default();
-        r.add(500);
-        assert!((r.rate(1000) - 0.5).abs() < 1e-12);
-        assert_eq!(r.rate(0), 0.0);
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl Workload for TraceWorkload {
 mod tests {
     use super::*;
     use vpc_sim::check::{self, Config};
-    use vpc_sim::{ensure_eq, SplitMix64};
+    use vpc_sim::{ensure, ensure_eq, SplitMix64};
 
     #[test]
     fn parses_all_op_kinds() {
@@ -295,6 +295,42 @@ mod tests {
             2 => Op::Store(LineAddr(rng.below(1 << 40))),
             _ => Op::Bubble(1 + rng.below(64) as u8),
         }
+    }
+
+    /// `parse_trace` never panics: on random bytes and on random lines of
+    /// trace-like tokens it returns ops that format and parse back to
+    /// themselves, or an error pointing at a line of the input.
+    #[test]
+    fn parse_trace_never_panics() {
+        const TOKENS: [&str; 14] =
+            ["N", "L", "S", "B", "X", "#", "0x", "0x1F", "42", "255", "256", "-1", "1e3", "\u{e9}"];
+        check::forall("parse_trace_never_panics", Config::cases(512), |rng| {
+            let text = if rng.chance(0.5) {
+                let bytes: Vec<u8> = (0..rng.below(256)).map(|_| rng.below(256) as u8).collect();
+                String::from_utf8_lossy(&bytes).into_owned()
+            } else {
+                let mut text = String::new();
+                for _ in 0..rng.below(12) {
+                    for _ in 0..rng.below(4) {
+                        text.push_str(TOKENS[rng.below(TOKENS.len() as u64) as usize]);
+                        text.push_str([" ", "\t", ""][rng.below(3) as usize]);
+                    }
+                    text.push_str(["\n", "\r\n"][rng.below(2) as usize]);
+                }
+                text
+            };
+            match parse_trace(&text) {
+                Ok(ops) => {
+                    let back = parse_trace(&format_trace(&ops)).map_err(|e| e.to_string())?;
+                    ensure_eq!(back, ops);
+                }
+                Err(err) => {
+                    let lines = text.lines().count();
+                    ensure!((1..=lines).contains(&err.line), "{err} in a {lines}-line input");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the library's extension features: trace-driven
-//! workloads through the full system, and live VPM repartitioning.
+//! workloads through the full system and per-thread utilization.
 
 use vpc::prelude::*;
-use vpc::vpm::{VpmAllocation, VpmConfig};
 use vpc_sim::ThreadId;
 use vpc_workloads::{record, spec, TraceWorkload};
 
@@ -36,38 +35,6 @@ fn recorded_trace_reproduces_the_generator_through_the_full_system() {
         "trace replay must be cycle-identical to the generator"
     );
     assert!(sys_gen.core(ThreadId(0)).retired() > 1_000);
-}
-
-#[test]
-fn vpm_repartitioning_shifts_qos_between_live_threads() {
-    // Phase 1: thread 0 owns 3/4 of the machine. Phase 2: the OS flips the
-    // partitioning. Both phases' IPC ratios must follow the registers.
-    let shares = vec![Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()];
-    let cfg = quick_config(2).with_vpc_shares(shares);
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Loads]);
-
-    sys.run(10_000);
-    let snap = sys.snapshot();
-    sys.run(40_000);
-    let phase1 = sys.measure(&snap);
-    assert!(phase1.ipc[0] > phase1.ipc[1] * 2.0, "phase 1: thread 0 dominates: {:?}", phase1.ipc);
-
-    let flipped = VpmConfig::new(vec![
-        VpmAllocation::symmetric(Share::new(1, 4).unwrap()),
-        VpmAllocation::symmetric(Share::new(3, 4).unwrap()),
-    ])
-    .unwrap();
-    assert!(flipped.apply(&mut sys));
-
-    sys.run(10_000); // settle
-    let snap = sys.snapshot();
-    sys.run(40_000);
-    let phase2 = sys.measure(&snap);
-    assert!(
-        phase2.ipc[1] > phase2.ipc[0] * 2.0,
-        "phase 2: thread 1 dominates after repartitioning: {:?}",
-        phase2.ipc
-    );
 }
 
 #[test]
