@@ -66,6 +66,13 @@ impl CmpConfig {
         self
     }
 
+    /// Sets the number of processors, and the L2 threads to match.
+    pub fn with_processors(mut self, processors: usize) -> CmpConfig {
+        self.processors = processors;
+        self.l2.threads = processors;
+        self
+    }
+
     /// Sets the number of L2 banks (Figure 5's sweep).
     pub fn with_banks(mut self, banks: usize) -> CmpConfig {
         self.l2.banks = banks;
@@ -280,9 +287,7 @@ mod tests {
         let too_many = CmpConfig::table1_with_threads(2).with_vpc_shares(vec![share(1, 4); 3]);
         assert_eq!(too_many.validate(), Err(ConfigError::TooManyShares("bandwidth (beta)", 3, 2)));
         // A single-thread cell keeps Table 1's four capacity shares.
-        let mut solo = CmpConfig::table1();
-        (solo.processors, solo.l2.threads) = (1, 1);
-        assert_eq!(solo.validate(), Ok(()));
+        assert_eq!(CmpConfig::table1().with_processors(1).validate(), Ok(()));
     }
 
     /// A random configuration near Table 1's; each rule of

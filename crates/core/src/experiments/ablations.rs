@@ -16,13 +16,10 @@ use std::fmt;
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::CapacityPolicy;
-use vpc_sim::exec::{self, Job};
-use vpc_sim::Share;
+use vpc_sim::{Share, ThreadId};
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::RunOptions;
-use crate::system::CmpSystem;
-use crate::target::target_ipc;
+use crate::experiments::{fig9, run_cells, Cell, RunBudget, RunOptions};
 
 /// Result of the intra-thread reordering ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,29 +49,25 @@ impl fmt::Display for ReorderResult {
 /// Runs a load+store mixed subject (vpr) against a Stores partner under
 /// VPC 50/50, with and without intra-thread RoW reordering.
 pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
-    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half share");
-    let run_with = |order: IntraThreadOrder| {
-        let mut cfg =
-            base.clone().with_arbiter(ArbiterPolicy::Vpc { shares: vec![half, half], order });
-        cfg.processors = 2;
-        cfg.l2.threads = 2;
-        cfg.l2.capacity = CapacityPolicy::vpc_equal(2);
-        let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec("vpr"), WorkloadSpec::Stores]);
-        let m = sys.run_measured(budget.warmup, budget.window);
-        (m.ipc[0], m.ipc[1])
-    };
-    let run_with = &run_with;
-    let jobs = [("fifo", IntraThreadOrder::Fifo), ("row", IntraThreadOrder::ReadOverWrite)]
-        .map(|(label, order)| {
-            Job::new(format!("ablations/reorder/{label}"), move || run_with(order))
-        })
-        .into_iter()
-        .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
-    let (fifo_ipc, fifo_partner_ipc) = results[0];
-    let (row_ipc, row_partner_ipc) = results[1];
-    ReorderResult { fifo_ipc, row_ipc, fifo_partner_ipc, row_partner_ipc }
+    let cells = [("fifo", IntraThreadOrder::Fifo), ("row", IntraThreadOrder::ReadOverWrite)].map(
+        |(label, order)| {
+            let cfg = base
+                .clone()
+                .with_arbiter(ArbiterPolicy::Vpc { shares: vec![half, half], order })
+                .with_capacity(CapacityPolicy::vpc_equal(2));
+            let workloads = vec![WorkloadSpec::Spec("vpr"), WorkloadSpec::Stores];
+            (format!("ablations/reorder/{label}"), Cell::shared(cfg, workloads, opts.budget))
+        },
+    );
+    let [fifo, row] = <[Vec<f64>; 2]>::try_from(run_cells(&cells, opts, |_, m| m.ipc))
+        .expect("one result per cell");
+    ReorderResult {
+        fifo_ipc: fifo[0],
+        row_ipc: row[0],
+        fifo_partner_ipc: fifo[1],
+        row_partner_ipc: row[1],
+    }
 }
 
 /// Result of the capacity-manager ablation.
@@ -102,32 +95,18 @@ impl fmt::Display for CapacityResult {
 /// streaming threads, under identical FCFS arbiters — isolating the
 /// capacity effect.
 pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
-    let budget = opts.budget;
-    let run_with = |capacity: CapacityPolicy| {
-        let mut cfg = base.clone().with_capacity(capacity);
-        cfg.processors = 4;
-        cfg.l2.threads = 4;
-        // 512 sets x 32 ways x 64 B = 1 MB: small enough to thrash.
-        cfg.l2.total_sets = 512;
-        let workloads = [
-            WorkloadSpec::Spec("gzip"),
-            WorkloadSpec::Spec("swim"),
-            WorkloadSpec::Spec("equake"),
-            WorkloadSpec::Spec("swim"),
-        ];
-        let mut sys = CmpSystem::new(cfg, &workloads);
-        let m = sys.run_measured(budget.warmup, budget.window * 2);
-        m.ipc[0]
-    };
-    let run_with = &run_with;
-    let jobs = [("lru", CapacityPolicy::Lru), ("vpc", CapacityPolicy::vpc_equal(4))]
-        .map(|(label, policy)| {
-            Job::new(format!("ablations/capacity/{label}"), move || run_with(policy))
-        })
-        .into_iter()
-        .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
-    CapacityResult { lru_ipc: results[0], vpc_ipc: results[1] }
+    let budget = RunBudget { window: opts.budget.window * 2, ..opts.budget };
+    let cells = [("lru", CapacityPolicy::Lru), ("vpc", CapacityPolicy::vpc_equal(4))].map(
+        |(label, policy)| {
+            let mut cfg = base.clone().with_capacity(policy);
+            // 512 sets x 32 ways x 64 B = 1 MB: small enough to thrash.
+            cfg.l2.total_sets = 512;
+            let workloads = ["gzip", "swim", "equake", "swim"].map(WorkloadSpec::Spec).to_vec();
+            (format!("ablations/capacity/{label}"), Cell::shared(cfg, workloads, budget))
+        },
+    );
+    let ipc = run_cells(&cells, opts, |_, m| m.ipc[0]);
+    CapacityResult { lru_ipc: ipc[0], vpc_ipc: ipc[1] }
 }
 
 /// One point of the preemption-latency sweep.
@@ -171,44 +150,36 @@ impl fmt::Display for PreemptionResult {
 /// have a significant effect on meeting targets — holds if the normalized
 /// IPC stays at or above ~1.0 across the sweep.
 pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
-    let budget = opts.budget;
+    let half = Share::new(1, 2).expect("half");
     let quarter = Share::new(1, 4).expect("quarter");
-    let subject = vpc_sim::ThreadId(0);
-    let jobs = [4u64, 8, 16]
-        .iter()
-        .map(|&lat| {
-            Job::new(format!("ablations/preemption/data_latency_{lat}"), move || {
-                let mut cfg = base.clone();
-                cfg.l2.data_latency = lat;
-                let run_cfg =
-                    cfg.clone().with_arbiter(crate::experiments::fig9::subject_share_policy(1, 2));
-                let workloads = [
-                    WorkloadSpec::Spec("mcf"),
-                    WorkloadSpec::Stores,
-                    WorkloadSpec::Stores,
-                    WorkloadSpec::Stores,
-                ];
-                let mut sys = CmpSystem::new(run_cfg, &workloads);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                let hist = sys.l2().read_latency(subject);
-                let target = target_ipc(
-                    &cfg,
-                    WorkloadSpec::Spec("mcf"),
-                    Share::new(1, 2).unwrap(),
-                    quarter,
-                    budget.warmup,
-                    budget.window,
-                );
-                PreemptionPoint {
-                    data_latency: lat,
-                    normalized_ipc: if target > 0.0 { m.ipc[0] / target } else { 0.0 },
-                    mean_read_latency: hist.mean(),
-                    p95_read_latency: hist.percentile(0.95),
-                }
-            })
+    let latencies = [4u64, 8, 16];
+    let mut cells = Vec::new();
+    for lat in latencies {
+        let mut cfg = base.clone();
+        cfg.l2.data_latency = lat;
+        let label = format!("ablations/preemption/data_latency_{lat}");
+        let subject =
+            fig9::subject_cell(&cfg, "mcf", fig9::subject_share_policy(1, 2), opts.budget);
+        let target = Cell::target(&cfg, WorkloadSpec::Spec("mcf"), half, quarter, opts.budget);
+        cells.push((label.clone(), subject));
+        cells.push((format!("{label}/target"), target.expect("nonzero share")));
+    }
+    // Each cell reports thread 0's IPC and L2 read-latency histogram.
+    let results = run_cells(&cells, opts, |sys, m| (m.ipc[0], sys.l2().read_latency(ThreadId(0))));
+    let points = latencies
+        .into_iter()
+        .zip(results.chunks_exact(2))
+        .map(|(data_latency, pair)| {
+            let ((ipc, hist), (target, _)) = (&pair[0], &pair[1]);
+            PreemptionPoint {
+                data_latency,
+                normalized_ipc: if *target > 0.0 { ipc / target } else { 0.0 },
+                mean_read_latency: hist.mean(),
+                p95_read_latency: hist.percentile(0.95),
+            }
         })
         .collect();
-    PreemptionResult { points: exec::map_indexed(jobs, opts.jobs) }
+    PreemptionResult { points }
 }
 
 /// Result of the thread-count scaling check.
@@ -238,41 +209,32 @@ impl fmt::Display for ScalingResult {
 /// shares; checks that each thread still meets its `1/n` target. Bank
 /// count scales with threads as a designer would provision it.
 pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
-    let budget = opts.budget;
-    let jobs = [2usize, 4, 8]
-        .iter()
-        .map(|&threads| {
-            Job::new(format!("ablations/scaling/{threads}_threads"), move || {
-                let share = Share::new(1, threads as u32).expect("1/threads");
-                let banks = (threads / 2).max(2);
-                let mut cfg = base
-                    .clone()
-                    .with_banks(banks)
-                    .with_arbiter(ArbiterPolicy::Vpc {
-                        shares: vec![share; threads],
-                        order: IntraThreadOrder::ReadOverWrite,
-                    })
-                    .with_capacity(CapacityPolicy::Vpc { shares: vec![share; threads] });
-                cfg.processors = threads;
-                cfg.l2.threads = threads;
-                let workloads = vec![WorkloadSpec::Spec("gcc"); threads];
-                let mut sys = CmpSystem::new(cfg, &workloads);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                let target_base = base.clone().with_banks(banks);
-                let target = target_ipc(
-                    &target_base,
-                    WorkloadSpec::Spec("gcc"),
-                    share,
-                    share,
-                    budget.warmup,
-                    budget.window,
-                );
-                let met = m.ipc.iter().filter(|&&ipc| ipc >= target * 0.9).count();
-                (threads, met as f64 / threads as f64)
-            })
+    let counts = [2usize, 4, 8];
+    let mut cells = Vec::new();
+    for threads in counts {
+        let share = Share::new(1, threads as u32).expect("1/threads");
+        let banked = base.clone().with_banks((threads / 2).max(2));
+        let cfg = banked
+            .clone()
+            .with_vpc_shares(vec![share; threads])
+            .with_capacity(CapacityPolicy::Vpc { shares: vec![share; threads] });
+        let gcc = WorkloadSpec::Spec("gcc");
+        let label = format!("ablations/scaling/{threads}_threads");
+        let target = Cell::target(&banked, gcc, share, share, opts.budget);
+        cells.push((label.clone(), Cell::shared(cfg, vec![gcc; threads], opts.budget)));
+        cells.push((format!("{label}/target"), target.expect("nonzero share")));
+    }
+    let ipcs = run_cells(&cells, opts, |_, m| m.ipc);
+    let points = counts
+        .into_iter()
+        .zip(ipcs.chunks_exact(2))
+        .map(|(threads, pair)| {
+            let target = pair[1][0];
+            let met = pair[0].iter().filter(|&&ipc| ipc >= target * 0.9).count();
+            (threads, met as f64 / threads as f64)
         })
         .collect();
-    ScalingResult { points: exec::map_indexed(jobs, opts.jobs) }
+    ScalingResult { points }
 }
 
 /// Result of the work-conservation check.
@@ -309,47 +271,28 @@ impl fmt::Display for WorkConservationResult {
 /// Runs Loads at `beta = 1/2` against a busy Stores partner and against an
 /// idle partner.
 pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservationResult {
-    let budget = opts.budget;
     let half = Share::new(1, 2).expect("half");
-    let run_with = |partner: WorkloadSpec| {
-        let mut cfg = base.clone().with_arbiter(ArbiterPolicy::Vpc {
-            shares: vec![half, half],
-            order: IntraThreadOrder::ReadOverWrite,
-        });
-        cfg.processors = 2;
-        cfg.l2.threads = 2;
-        cfg.l2.capacity = CapacityPolicy::vpc_equal(2);
-        let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, partner]);
-        let m = sys.run_measured(budget.warmup, budget.window);
-        m.ipc[0]
-    };
-    let run_with = &run_with;
-    let jobs = [("busy", WorkloadSpec::Stores), ("idle", WorkloadSpec::Idle)]
-        .map(|(label, partner)| {
-            Job::new(format!("ablations/work_conservation/{label}"), move || run_with(partner))
-        })
-        .into_iter()
-        .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
+    let cfg =
+        base.clone().with_vpc_shares(vec![half, half]).with_capacity(CapacityPolicy::vpc_equal(2));
+    let mut cells: Vec<(String, Cell)> =
+        [("busy", WorkloadSpec::Stores), ("idle", WorkloadSpec::Idle)]
+            .map(|(label, partner)| {
+                let cell =
+                    Cell::shared(cfg.clone(), vec![WorkloadSpec::Loads, partner], opts.budget);
+                (format!("ablations/work_conservation/{label}"), cell)
+            })
+            .into();
+    for (label, beta) in [("half_target", half), ("full_target", Share::FULL)] {
+        let target = Cell::target(base, WorkloadSpec::Loads, beta, half, opts.budget);
+        cells
+            .push((format!("ablations/work_conservation/{label}"), target.expect("nonzero share")));
+    }
+    let ipc = run_cells(&cells, opts, |_, m| m.ipc[0]);
     WorkConservationResult {
-        busy_partner_ipc: results[0],
-        idle_partner_ipc: results[1],
-        half_target: target_ipc(
-            base,
-            WorkloadSpec::Loads,
-            half,
-            half,
-            budget.warmup,
-            budget.window,
-        ),
-        full_target: target_ipc(
-            base,
-            WorkloadSpec::Loads,
-            Share::FULL,
-            half,
-            budget.warmup,
-            budget.window,
-        ),
+        busy_partner_ipc: ipc[0],
+        idle_partner_ipc: ipc[1],
+        half_target: ipc[2],
+        full_target: ipc[3],
     }
 }
 
@@ -369,7 +312,6 @@ pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::RunBudget;
 
     const QUICK: RunOptions = RunOptions { budget: RunBudget::quick(), jobs: 2 };
 

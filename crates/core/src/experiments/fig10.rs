@@ -21,15 +21,14 @@ use std::fmt;
 
 use vpc_arbiters::ArbiterPolicy;
 use vpc_cache::CapacityPolicy;
-use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{RunBudget, RunOptions};
+use crate::experiments::{run_cells, Cell, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::metrics::{harmonic_mean, improvement_pct, minimum, normalized_ipcs, weighted_speedup};
-use crate::system::CmpSystem;
-use crate::target::target_ipc;
+use crate::metrics::{
+    harmonic_mean, improvement_pct, mean, minimum, normalized_ipcs, weighted_speedup,
+};
 
 /// Heterogeneous 4-benchmark mixes spanning light to aggressive profiles.
 pub const MIXES: [[&str; 4]; 8] = [
@@ -101,21 +100,18 @@ pub struct Fig10Result {
 impl Fig10Result {
     /// Mean-of-mixes harmonic-mean improvement, percent (paper: ~14%).
     pub fn hmean_improvement_pct(&self) -> f64 {
-        let fcfs: f64 =
-            self.mixes.iter().map(MixResult::fcfs_hmean).sum::<f64>() / self.mixes.len() as f64;
-        let vpc: f64 =
-            self.mixes.iter().map(MixResult::vpc_hmean).sum::<f64>() / self.mixes.len() as f64;
-        improvement_pct(fcfs, vpc)
+        improvement_pct(self.mean(MixResult::fcfs_hmean), self.mean(MixResult::vpc_hmean))
     }
 
     /// Mean-of-mixes minimum-normalized-IPC improvement, percent (paper:
     /// ~25%).
     pub fn min_improvement_pct(&self) -> f64 {
-        let fcfs: f64 =
-            self.mixes.iter().map(MixResult::fcfs_min).sum::<f64>() / self.mixes.len() as f64;
-        let vpc: f64 =
-            self.mixes.iter().map(MixResult::vpc_min).sum::<f64>() / self.mixes.len() as f64;
-        improvement_pct(fcfs, vpc)
+        improvement_pct(self.mean(MixResult::fcfs_min), self.mean(MixResult::vpc_min))
+    }
+
+    /// The mean over mixes of one per-mix metric.
+    fn mean(&self, metric: fn(&MixResult) -> f64) -> f64 {
+        mean(&self.mixes.iter().map(metric).collect::<Vec<_>>())
     }
 
     /// Fraction of (mix, thread) pairs meeting their QoS target under VPC
@@ -158,17 +154,13 @@ impl fmt::Display for Fig10Result {
                 m.vpc_min(),
             )?;
         }
-        let ws_fcfs: f64 =
-            self.mixes.iter().map(MixResult::fcfs_ws).sum::<f64>() / self.mixes.len() as f64;
-        let ws_vpc: f64 =
-            self.mixes.iter().map(MixResult::vpc_ws).sum::<f64>() / self.mixes.len() as f64;
         writeln!(
             f,
             "VPC improvement: hmean {:+.1}% (paper: +14%), min {:+.1}% (paper: +25%), weighted speedup {:.2} -> {:.2}",
             self.hmean_improvement_pct(),
             self.min_improvement_pct(),
-            ws_fcfs,
-            ws_vpc,
+            self.mean(MixResult::fcfs_ws),
+            self.mean(MixResult::vpc_ws),
         )?;
         writeln!(
             f,
@@ -195,101 +187,60 @@ impl ToJson for Fig10Result {
     }
 }
 
-/// Runs one mix under `arbiter`, returning the four raw IPCs.
-pub fn run_mix(
+/// One mix under `arbiter`. The unmanaged baseline shares capacity with
+/// plain LRU; VPC brings its capacity manager (equal quotas) along with
+/// its arbiters.
+pub fn mix_cell(
     base: &CmpConfig,
     mix: &[&'static str; 4],
     arbiter: ArbiterPolicy,
     budget: RunBudget,
-) -> Vec<f64> {
-    let mut cfg = base.clone().with_arbiter(arbiter);
-    cfg.processors = 4;
-    cfg.l2.threads = 4;
-    // The unmanaged baseline shares capacity with plain LRU; VPC brings its
-    // capacity manager (equal quotas) along with its arbiters.
-    cfg.l2.capacity = match cfg.l2.arbiter {
+) -> Cell {
+    let capacity = match arbiter {
         ArbiterPolicy::Vpc { .. } => CapacityPolicy::vpc_equal(4),
         _ => CapacityPolicy::Lru,
     };
-    let workloads: Vec<WorkloadSpec> = mix.iter().map(|b| WorkloadSpec::Spec(b)).collect();
-    let mut sys = CmpSystem::new(cfg, &workloads);
-    let m = sys.run_measured(budget.warmup, budget.window);
-    m.ipc
+    let cfg = base.clone().with_arbiter(arbiter).with_capacity(capacity);
+    Cell::shared(cfg, mix.iter().map(|b| WorkloadSpec::Spec(b)).collect(), budget)
 }
 
-/// Standalone IPC of one benchmark (alone on the full CMP with an
-/// unmanaged cache — the secondary normalization baseline).
-pub fn standalone_ipc(base: &CmpConfig, benchmark: &'static str, budget: RunBudget) -> f64 {
-    let mut cfg = base.clone();
-    cfg.processors = 1;
-    cfg.l2.threads = 1;
-    cfg.l2.arbiter = ArbiterPolicy::RowFcfs;
-    cfg.l2.capacity = CapacityPolicy::Lru;
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec(benchmark)]);
-    let m = sys.run_measured(budget.warmup, budget.window);
-    m.ipc[0]
-}
-
-/// Equal-share targets for each benchmark in the mix: the IPC of the
-/// private machine with `beta = alpha = 1/4` (the paper's QoS reference).
-pub fn equal_share_targets(
-    base: &CmpConfig,
-    mix: &[&'static str; 4],
-    budget: RunBudget,
-) -> Vec<f64> {
-    let quarter = Share::new(1, 4).expect("quarter share");
-    mix.iter()
-        .map(|b| {
-            target_ipc(base, WorkloadSpec::Spec(b), quarter, quarter, budget.warmup, budget.window)
-        })
-        .collect()
-}
-
-/// The number of independent simulations behind one mix: four
-/// equal-share targets, four standalone baselines, and the FCFS and VPC
-/// co-scheduled runs.
+/// The number of cells behind one mix: four equal-share targets, four
+/// standalone baselines, and the FCFS and VPC co-scheduled runs.
 const CELLS_PER_MIX: usize = 10;
 
-/// Runs the full headline experiment over `mixes`. Every target,
-/// standalone baseline and co-scheduled run is an independent simulation,
-/// so the whole `mixes x 10` grid runs as one parallel job batch.
+/// Runs the full headline experiment over `mixes`. Per mix it lists each
+/// thread's equal-share target (the private machine with
+/// `beta = alpha = 1/4`, the paper's QoS reference), each thread's
+/// standalone baseline (alone on the full CMP with an unmanaged cache),
+/// and the FCFS and VPC runs. A benchmark in several mixes has its target
+/// and baseline simulated once.
 pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> Fig10Result {
     let budget = opts.budget;
     let quarter = Share::new(1, 4).expect("quarter share");
-    // Uniform cell type: single-thread cells report one IPC, co-scheduled
-    // cells report all four.
-    let mut jobs: Vec<Job<'_, Vec<f64>>> = Vec::new();
+    let unmanaged =
+        base.clone().with_arbiter(ArbiterPolicy::RowFcfs).with_capacity(CapacityPolicy::Lru);
+    let mut cells = Vec::new();
     for mix in mixes {
         let name = mix.join("+");
         for &b in mix {
-            jobs.push(Job::new(format!("fig10/{name}/target/{b}"), move || {
-                vec![target_ipc(
-                    base,
-                    WorkloadSpec::Spec(b),
-                    quarter,
-                    quarter,
-                    budget.warmup,
-                    budget.window,
-                )]
-            }));
+            let cell = Cell::target(base, WorkloadSpec::Spec(b), quarter, quarter, budget);
+            cells.push((format!("fig10/{name}/target/{b}"), cell.expect("nonzero share")));
         }
         for &b in mix {
-            jobs.push(Job::new(format!("fig10/{name}/standalone/{b}"), move || {
-                vec![standalone_ipc(base, b, budget)]
-            }));
+            let cell = Cell::shared(unmanaged.clone(), vec![WorkloadSpec::Spec(b)], budget);
+            cells.push((format!("fig10/{name}/standalone/{b}"), cell));
         }
-        jobs.push(Job::new(format!("fig10/{name}/fcfs"), move || {
-            run_mix(base, mix, ArbiterPolicy::Fcfs, budget)
-        }));
-        jobs.push(Job::new(format!("fig10/{name}/vpc"), move || {
-            run_mix(base, mix, ArbiterPolicy::vpc_equal(4), budget)
-        }));
+        for (label, arbiter) in
+            [("fcfs", ArbiterPolicy::Fcfs), ("vpc", ArbiterPolicy::vpc_equal(4))]
+        {
+            cells.push((format!("fig10/{name}/{label}"), mix_cell(base, mix, arbiter, budget)));
+        }
     }
 
-    let cells = exec::map_indexed(jobs, opts.jobs);
+    let ipcs = run_cells(&cells, opts, |_, m| m.ipc);
     let results = mixes
         .iter()
-        .zip(cells.chunks_exact(CELLS_PER_MIX))
+        .zip(ipcs.chunks_exact(CELLS_PER_MIX))
         .map(|(mix, cell)| {
             let targets: Vec<f64> = cell[0..4].iter().map(|c| c[0]).collect();
             let alone: Vec<f64> = cell[4..8].iter().map(|c| c[0]).collect();
@@ -310,6 +261,28 @@ pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpc_sim::exec;
+
+    #[test]
+    fn shared_benchmarks_run_once() {
+        // Two mixes sharing art list 20 cells: art's target and standalone
+        // baseline repeat, so 18 distinct cells run.
+        let mut base = CmpConfig::table1();
+        base.l2.total_sets = 512;
+        let budget = RunBudget { warmup: 1_000, window: 3_000 };
+        exec::take_timings();
+        let mixes = [["art", "mcf", "equake", "gzip"], ["art", "vpr", "mesa", "crafty"]];
+        let r = run(&base, &mixes, RunOptions { budget, jobs: 2 });
+        assert_eq!(r.mixes.len(), 2);
+        let labels: Vec<String> = exec::take_timings().into_iter().map(|t| t.label).collect();
+        assert_eq!(labels.len(), 18, "{labels:#?}");
+        let name = mixes[0].join("+");
+        for kind in ["target", "standalone"] {
+            let art = labels.iter().filter(|l| l.ends_with(&format!("/{kind}/art"))).count();
+            assert_eq!(art, 1, "art's {kind} runs once");
+            assert!(labels.contains(&format!("fig10/{name}/{kind}/art")), "first mix's label");
+        }
+    }
 
     #[test]
     fn vpc_meets_targets_where_fcfs_fails() {

@@ -9,13 +9,12 @@
 use std::fmt;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, RunBudget, RunOptions};
+use crate::experiments::{bar, pct, run_cells, Cell, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::QosLedger;
 use crate::system::CmpSystem;
 use vpc_arbiters::ArbiterPolicy;
 use vpc_cache::L2Utilization;
-use vpc_sim::exec::{self, Job};
 use vpc_sim::{trace, Share};
 
 /// One bar group of Figure 5.
@@ -88,23 +87,26 @@ impl ToJson for Fig5Result {
     }
 }
 
-/// Runs the Figure 5 sweep, one parallel job per (benchmark, bank count).
+/// Runs the Figure 5 sweep, one cell per (benchmark, bank count).
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
-    let budget = opts.budget;
-    let mut jobs = Vec::new();
-    for benchmark in [WorkloadSpec::Loads, WorkloadSpec::Stores] {
-        for banks in [2usize, 4, 8, 16] {
-            jobs.push(Job::new(format!("fig5/{} {}B", benchmark.name(), banks), move || {
-                let mut cfg = base.clone().with_banks(banks);
-                cfg.processors = 1;
-                cfg.l2.threads = 1;
-                let mut sys = CmpSystem::new(cfg, &[benchmark]);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                Fig5Row { benchmark: benchmark.name(), banks, util: m.util }
-            }));
-        }
-    }
-    Fig5Result { rows: exec::map_indexed(jobs, opts.jobs) }
+    let grid: Vec<(WorkloadSpec, usize)> = [WorkloadSpec::Loads, WorkloadSpec::Stores]
+        .into_iter()
+        .flat_map(|benchmark| [2usize, 4, 8, 16].map(|banks| (benchmark, banks)))
+        .collect();
+    let cells: Vec<(String, Cell)> = grid
+        .iter()
+        .map(|&(benchmark, banks)| {
+            let cell = Cell::shared(base.clone().with_banks(banks), vec![benchmark], opts.budget);
+            (format!("fig5/{} {}B", benchmark.name(), banks), cell)
+        })
+        .collect();
+    let utils = run_cells(&cells, opts, |_, m| m.util);
+    let rows = grid
+        .iter()
+        .zip(utils)
+        .map(|(&(benchmark, banks), util)| Fig5Row { benchmark: benchmark.name(), banks, util })
+        .collect();
+    Fig5Result { rows }
 }
 
 /// Workloads of the 4-thread contention variant of the fig5

@@ -9,13 +9,12 @@
 use std::fmt;
 
 use vpc_cache::L2Utilization;
-use vpc_sim::exec::{self, Job};
 use vpc_workloads::SPEC_NAMES;
 
-use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, RunBudget, RunOptions};
+use crate::config::CmpConfig;
+use crate::experiments::{bar, pct, run_solo, RunOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::system::CmpSystem;
+use crate::metrics::mean;
 
 /// One benchmark's bar group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +42,7 @@ impl Fig6Result {
 
     /// Mean data-array utilization (the paper reports ~26%).
     pub fn mean_data_util(&self) -> f64 {
-        self.rows.iter().map(|r| r.util.data_array).sum::<f64>() / self.rows.len() as f64
+        mean(&self.rows.iter().map(|r| r.util.data_array).collect::<Vec<_>>())
     }
 }
 
@@ -85,59 +84,50 @@ impl ToJson for Fig6Result {
     }
 }
 
-/// Runs one benchmark alone on the baseline cache and returns its row.
-pub fn run_one(base: &CmpConfig, benchmark: &'static str, budget: RunBudget) -> Fig6Row {
-    let mut cfg = base.clone();
-    cfg.processors = 1;
-    cfg.l2.threads = 1;
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec(benchmark)]);
-    let m = sys.run_measured(budget.warmup, budget.window);
-    Fig6Row { benchmark, util: m.util, ipc: m.ipc[0] }
-}
-
-/// Runs the full 18-benchmark series, one parallel job per benchmark.
+/// Runs the full 18-benchmark series, one cell per benchmark alone on
+/// the baseline cache.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig6Result {
-    let budget = opts.budget;
-    let jobs = SPEC_NAMES
+    let rows = SPEC_NAMES
         .iter()
-        .map(|&b| Job::new(format!("fig6/{b}"), move || run_one(base, b, budget)))
+        .zip(run_solo(base, "fig6", &SPEC_NAMES, opts))
+        .map(|(&benchmark, m)| Fig6Row { benchmark, util: m.util, ipc: m.ipc[0] })
         .collect();
-    Fig6Result { rows: exec::map_indexed(jobs, opts.jobs) }
+    Fig6Result { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::RunBudget;
+
+    /// `benchmark` alone on the baseline cache at the quick budget.
+    fn solo(benchmark: &'static str) -> L2Utilization {
+        let opts = RunOptions { budget: RunBudget::quick(), jobs: 1 };
+        run_solo(&CmpConfig::table1(), "fig6", &[benchmark], opts)[0].util
+    }
 
     #[test]
     fn aggressive_benchmarks_use_more_data_bandwidth() {
-        let base = CmpConfig::table1();
-        let budget = RunBudget::quick();
-        let art = run_one(&base, "art", budget);
-        let sixtrack = run_one(&base, "sixtrack", budget);
+        let (art, sixtrack) = (solo("art"), solo("sixtrack"));
         assert!(
-            art.util.data_array > 2.0 * sixtrack.util.data_array,
+            art.data_array > 2.0 * sixtrack.data_array,
             "art ({:.3}) should dwarf sixtrack ({:.3})",
-            art.util.data_array,
-            sixtrack.util.data_array
+            art.data_array,
+            sixtrack.data_array
         );
     }
 
     #[test]
     fn streaming_benchmarks_invert_tag_vs_data() {
-        let base = CmpConfig::table1();
-        let budget = RunBudget::quick();
-        let swim = run_one(&base, "swim", budget);
+        let swim = solo("swim");
         assert!(
-            swim.util.tag_array > swim.util.data_array * 0.9,
-            "swim's misses make the tag array at least as busy as data: {:?}",
-            swim.util
+            swim.tag_array > swim.data_array * 0.9,
+            "swim's misses make the tag array at least as busy as data: {swim:?}"
         );
-        let crafty = run_one(&base, "crafty", budget);
+        let crafty = solo("crafty");
         assert!(
-            crafty.util.data_array > crafty.util.tag_array,
-            "hit-dominated crafty keeps the data array busier: {:?}",
-            crafty.util
+            crafty.data_array > crafty.tag_array,
+            "hit-dominated crafty keeps the data array busier: {crafty:?}"
         );
     }
 }

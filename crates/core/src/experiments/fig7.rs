@@ -8,13 +8,12 @@
 
 use std::fmt;
 
-use vpc_sim::exec::{self, Job};
 use vpc_workloads::SPEC_NAMES;
 
-use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunOptions};
+use crate::config::CmpConfig;
+use crate::experiments::{pct, run_solo, RunOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::system::CmpSystem;
+use crate::metrics::mean;
 
 /// One benchmark's pair of bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,12 +41,12 @@ impl Fig7Result {
 
     /// Mean write fraction (paper: ~55%).
     pub fn mean_write_frac(&self) -> f64 {
-        self.rows.iter().map(|r| r.l2_write_frac).sum::<f64>() / self.rows.len() as f64
+        mean(&self.rows.iter().map(|r| r.l2_write_frac).collect::<Vec<_>>())
     }
 
     /// Mean gathering rate (paper: ~80%).
     pub fn mean_gathering(&self) -> f64 {
-        self.rows.iter().map(|r| r.gathering_rate).sum::<f64>() / self.rows.len() as f64
+        mean(&self.rows.iter().map(|r| r.gathering_rate).collect::<Vec<_>>())
     }
 }
 
@@ -92,28 +91,22 @@ impl ToJson for Fig7Result {
     }
 }
 
-/// Runs the full series (each benchmark alone on the baseline cache), one
-/// parallel job per benchmark.
+/// Runs the full series, one cell per benchmark alone on the baseline
+/// cache.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
-    let budget = opts.budget;
-    let jobs = SPEC_NAMES
+    Fig7Result { rows: rows(base, &SPEC_NAMES, opts) }
+}
+
+fn rows(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Vec<Fig7Row> {
+    benchmarks
         .iter()
-        .map(|&benchmark| {
-            Job::new(format!("fig7/{benchmark}"), move || {
-                let mut cfg = base.clone();
-                cfg.processors = 1;
-                cfg.l2.threads = 1;
-                let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec(benchmark)]);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                Fig7Row {
-                    benchmark,
-                    l2_write_frac: m.l2_write_frac[0],
-                    gathering_rate: m.gathering_rate[0],
-                }
-            })
+        .zip(run_solo(base, "fig7", benchmarks, opts))
+        .map(|(&benchmark, m)| Fig7Row {
+            benchmark,
+            l2_write_frac: m.l2_write_frac[0],
+            gathering_rate: m.gathering_rate[0],
         })
-        .collect();
-    Fig7Result { rows: exec::map_indexed(jobs, opts.jobs) }
+        .collect()
 }
 
 #[cfg(test)]
@@ -123,23 +116,7 @@ mod tests {
     use crate::json::to_json;
 
     fn quick_rows(benchmarks: &[&'static str]) -> Vec<Fig7Row> {
-        let base = CmpConfig::table1();
-        let budget = RunBudget::quick();
-        benchmarks
-            .iter()
-            .map(|b| {
-                let mut cfg = base.clone();
-                cfg.processors = 1;
-                cfg.l2.threads = 1;
-                let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Spec(b)]);
-                let m = sys.run_measured(budget.warmup, budget.window);
-                Fig7Row {
-                    benchmark: b,
-                    l2_write_frac: m.l2_write_frac[0],
-                    gathering_rate: m.gathering_rate[0],
-                }
-            })
-            .collect()
+        rows(&CmpConfig::table1(), benchmarks, RunOptions { budget: RunBudget::quick(), jobs: 2 })
     }
 
     #[test]

@@ -12,14 +12,12 @@
 use std::fmt;
 
 use vpc_arbiters::ArbiterPolicy;
-use vpc_sim::exec::{self, Job};
+use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunBudget, RunOptions};
+use crate::experiments::{pct, run_cells, Cell, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::system::CmpSystem;
-use crate::target::target_ipc;
 
 /// One x-axis point of Figure 8.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,79 +91,76 @@ impl ToJson for Fig8Result {
     }
 }
 
-fn run_pair(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> (f64, f64, f64) {
-    let mut cfg = base.clone().with_arbiter(arbiter);
-    cfg.processors = 2;
-    cfg.l2.threads = 2;
-    cfg.l2.capacity = vpc_cache::CapacityPolicy::vpc_equal(2);
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-    let m = sys.run_measured(budget.warmup, budget.window);
-    (m.ipc[0], m.ipc[1], m.util.data_array)
+/// The Loads+Stores cell under `arbiter`, with equal way quotas.
+fn pair_cell(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> Cell {
+    let cfg = base.clone().with_arbiter(arbiter).with_capacity(CapacityPolicy::vpc_equal(2));
+    Cell::shared(cfg, vec![WorkloadSpec::Loads, WorkloadSpec::Stores], budget)
 }
 
 /// Runs the Figure 8 sweep: RoW-FCFS, FCFS, and VPC with the Stores share
-/// at 0%, 25%, 50%, 75% and 100% — one parallel job per arbiter
-/// configuration.
+/// at 0%, 25%, 50%, 75% and 100%. Each point lists its shared run and
+/// the targets of its nonzero bandwidth shares; the other arbiters
+/// guarantee nothing, so their shares count as zero.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
     let budget = opts.budget;
     let alpha = Share::new(1, 2).expect("two threads, equal ways");
-    let mut jobs: Vec<Job<'_, Fig8Row>> = Vec::new();
-
-    for (label, arbiter) in
-        [("RoW".to_string(), ArbiterPolicy::RowFcfs), ("FCFS".to_string(), ArbiterPolicy::Fcfs)]
-    {
-        jobs.push(Job::new(format!("fig8/{label}"), move || {
-            let (loads_ipc, stores_ipc, data_util) = run_pair(base, arbiter, budget);
-            Fig8Row {
-                label,
-                loads_ipc,
-                stores_ipc,
-                loads_target: 0.0,
-                stores_target: 0.0,
-                data_util,
-            }
-        }));
-    }
-
+    let mut points = vec![
+        ("RoW".to_string(), ArbiterPolicy::RowFcfs, [Share::ZERO; 2]),
+        ("FCFS".to_string(), ArbiterPolicy::Fcfs, [Share::ZERO; 2]),
+    ];
     for stores_pct in [0u32, 25, 50, 75, 100] {
-        jobs.push(Job::new(format!("fig8/VPC {stores_pct}%"), move || {
-            let stores_share = Share::from_percent(stores_pct).expect("valid percent");
-            let loads_share = Share::from_percent(100 - stores_pct).expect("valid percent");
-            let arbiter = ArbiterPolicy::Vpc {
-                shares: vec![loads_share, stores_share],
-                order: vpc_arbiters::IntraThreadOrder::ReadOverWrite,
-            };
-            let (loads_ipc, stores_ipc, data_util) = run_pair(base, arbiter, budget);
-            Fig8Row {
-                label: format!("VPC {stores_pct}%"),
-                loads_ipc,
-                stores_ipc,
-                loads_target: target_ipc(
-                    base,
-                    WorkloadSpec::Loads,
-                    loads_share,
-                    alpha,
-                    budget.warmup,
-                    budget.window,
-                ),
-                stores_target: target_ipc(
-                    base,
-                    WorkloadSpec::Stores,
-                    stores_share,
-                    alpha,
-                    budget.warmup,
-                    budget.window,
-                ),
-                data_util,
-            }
-        }));
+        let betas =
+            [100 - stores_pct, stores_pct].map(|p| Share::from_percent(p).expect("percent"));
+        let order = vpc_arbiters::IntraThreadOrder::ReadOverWrite;
+        let arbiter = ArbiterPolicy::Vpc { shares: betas.to_vec(), order };
+        points.push((format!("VPC {stores_pct}%"), arbiter, betas));
     }
-    Fig8Result { rows: exec::map_indexed(jobs, opts.jobs) }
+
+    let mut cells = Vec::new();
+    let mut push = |label: String, cell: Cell| {
+        cells.push((format!("fig8/{label}"), cell));
+        cells.len() - 1
+    };
+    let indices: Vec<(usize, [Option<usize>; 2])> = points
+        .iter()
+        .map(|(label, arbiter, betas)| {
+            let shared = push(label.clone(), pair_cell(base, arbiter.clone(), budget));
+            let targets = [0, 1].map(|t| {
+                let workload = [WorkloadSpec::Loads, WorkloadSpec::Stores][t];
+                Cell::target(base, workload, betas[t], alpha, budget)
+                    .map(|cell| push(format!("{label}/target/{}", workload.name()), cell))
+            });
+            (shared, targets)
+        })
+        .collect();
+
+    let results = run_cells(&cells, opts, |_, m| m);
+    let target = |i: Option<usize>| i.map_or(0.0, |i| results[i].ipc[0]);
+    let rows = points
+        .into_iter()
+        .zip(indices)
+        .map(|((label, ..), (shared, [loads, stores]))| Fig8Row {
+            label,
+            loads_ipc: results[shared].ipc[0],
+            stores_ipc: results[shared].ipc[1],
+            loads_target: target(loads),
+            stores_target: target(stores),
+            data_util: results[shared].util.data_array,
+        })
+        .collect();
+    Fig8Result { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target::target_ipc;
+
+    /// Loads and Stores IPCs and data-array utilization under `arbiter`.
+    fn run_pair(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> (f64, f64, f64) {
+        let m = pair_cell(base, arbiter, budget).run().1;
+        (m.ipc[0], m.ipc[1], m.util.data_array)
+    }
 
     fn quick_base() -> CmpConfig {
         let mut base = CmpConfig::table1_with_threads(2);

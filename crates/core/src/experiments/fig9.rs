@@ -12,14 +12,11 @@
 use std::fmt;
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
-use vpc_sim::exec::{self, Job};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, RunBudget, RunOptions};
+use crate::experiments::{pct, run_cells, Cell, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::system::CmpSystem;
-use crate::target::target_ipc;
 
 /// The subject's results for one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,39 +134,6 @@ impl ToJson for Fig9Result {
     }
 }
 
-/// Runs the subject benchmark against three Stores threads under the
-/// given arbiter policy, returning the subject's raw IPC.
-pub fn run_subject(
-    base: &CmpConfig,
-    benchmark: &'static str,
-    arbiter: ArbiterPolicy,
-    budget: RunBudget,
-) -> f64 {
-    run_subject_detailed(base, benchmark, arbiter, budget).0
-}
-
-/// Like [`run_subject`], also returning the subject's share of the
-/// data-array utilization (the second series of the paper's Figure 9).
-pub fn run_subject_detailed(
-    base: &CmpConfig,
-    benchmark: &'static str,
-    arbiter: ArbiterPolicy,
-    budget: RunBudget,
-) -> (f64, f64) {
-    let mut cfg = base.clone().with_arbiter(arbiter);
-    cfg.processors = 4;
-    cfg.l2.threads = 4;
-    let workloads = [
-        WorkloadSpec::Spec(benchmark),
-        WorkloadSpec::Stores,
-        WorkloadSpec::Stores,
-        WorkloadSpec::Stores,
-    ];
-    let mut sys = CmpSystem::new(cfg, &workloads);
-    let m = sys.run_measured(budget.warmup, budget.window);
-    (m.ipc[0], m.data_util_per_thread[0])
-}
-
 /// A VPC policy giving the subject `beta_1 = num/den` and splitting the
 /// remainder equally among the three background threads.
 pub fn subject_share_policy(num: u32, den: u32) -> ArbiterPolicy {
@@ -180,45 +144,60 @@ pub fn subject_share_policy(num: u32, den: u32) -> ArbiterPolicy {
     ArbiterPolicy::Vpc { shares: vec![subject, bg, bg, bg], order: IntraThreadOrder::ReadOverWrite }
 }
 
-/// The number of independent simulations behind one Figure 9 row: three
-/// private-machine targets plus four co-scheduled runs.
+/// The subject benchmark against three Stores threads under `arbiter`.
+pub fn subject_cell(
+    base: &CmpConfig,
+    benchmark: &'static str,
+    arbiter: ArbiterPolicy,
+    budget: RunBudget,
+) -> Cell {
+    let stores = WorkloadSpec::Stores;
+    let workloads = vec![WorkloadSpec::Spec(benchmark), stores, stores, stores];
+    Cell::shared(base.clone().with_arbiter(arbiter), workloads, budget)
+}
+
+/// The number of cells behind one Figure 9 row: three private-machine
+/// targets plus four co-scheduled runs.
 const CELLS_PER_ROW: usize = 7;
 
 /// Runs the full Figure 9 series for the given benchmarks (pass
-/// [`vpc_workloads::SPEC_NAMES`] for the paper's full set). Every target
-/// and every per-share run is an independent simulation, so the whole
-/// `benchmarks x 7` grid runs as one parallel job batch.
+/// [`vpc_workloads::SPEC_NAMES`] for the paper's full set): per subject,
+/// its targets at `beta_1` = 1, 1/2 and 1/4, and its runs under FCFS and
+/// VPC 25/50/100%.
 pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Fig9Result {
     let budget = opts.budget;
     let quarter = Share::new(1, 4).expect("alpha = 1/4");
-    // Each cell reports (ipc, data-array utilization); targets have no
-    // utilization series and report 0.0 there.
-    let mut jobs: Vec<Job<'_, (f64, f64)>> = Vec::new();
+    let mut cells = Vec::new();
     for &benchmark in benchmarks {
         let spec = WorkloadSpec::Spec(benchmark);
-        let target_cells = [("target100", Share::FULL), ("target50", Share::new(1, 2).unwrap())];
-        for (label, beta) in target_cells {
-            jobs.push(Job::new(format!("fig9/{benchmark}/{label}"), move || {
-                (target_ipc(base, spec, beta, quarter, budget.warmup, budget.window), 0.0)
-            }));
+        for (label, beta) in [
+            ("target100", Share::FULL),
+            ("target50", Share::new(1, 2).expect("half")),
+            ("target25", quarter),
+        ] {
+            let cell = Cell::target(base, spec, beta, quarter, budget).expect("nonzero share");
+            cells.push((format!("fig9/{benchmark}/{label}"), cell));
         }
-        jobs.push(Job::new(format!("fig9/{benchmark}/target25"), move || {
-            (target_ipc(base, spec, quarter, quarter, budget.warmup, budget.window), 0.0)
-        }));
-        jobs.push(Job::new(format!("fig9/{benchmark}/fcfs"), move || {
-            run_subject_detailed(base, benchmark, ArbiterPolicy::Fcfs, budget)
-        }));
-        for (label, num, den) in [("vpc25", 1u32, 4u32), ("vpc50", 1, 2), ("vpc100", 1, 1)] {
-            jobs.push(Job::new(format!("fig9/{benchmark}/{label}"), move || {
-                run_subject_detailed(base, benchmark, subject_share_policy(num, den), budget)
-            }));
+        let arbiters = [
+            ("fcfs", ArbiterPolicy::Fcfs),
+            ("vpc25", subject_share_policy(1, 4)),
+            ("vpc50", subject_share_policy(1, 2)),
+            ("vpc100", subject_share_policy(1, 1)),
+        ];
+        for (label, arbiter) in arbiters {
+            cells.push((
+                format!("fig9/{benchmark}/{label}"),
+                subject_cell(base, benchmark, arbiter, budget),
+            ));
         }
     }
 
-    let cells = exec::map_indexed(jobs, opts.jobs);
+    // Each cell reports the subject's (IPC, data-array utilization); the
+    // fold reads only the IPC of a target.
+    let results = run_cells(&cells, opts, |_, m| (m.ipc[0], m.data_util_per_thread[0]));
     let rows = benchmarks
         .iter()
-        .zip(cells.chunks_exact(CELLS_PER_ROW))
+        .zip(results.chunks_exact(CELLS_PER_ROW))
         .map(|(&benchmark, cell)| {
             let [t100, t50, t25, fcfs, vpc25, vpc50, vpc100] =
                 <[(f64, f64); CELLS_PER_ROW]>::try_from(cell).expect("7 cells per row");

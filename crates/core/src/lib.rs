@@ -21,7 +21,10 @@
 //! * [`target_ipc`] — the QoS reference: the thread's IPC on the
 //!   equivalently-provisioned private machine (§5.3).
 //! * [`experiments`] — one runner per figure (5 through 10 plus the
-//!   ablations), each returning a typed, printable result.
+//!   ablations). Each lists its [`experiments::Cell`]s (shared-machine
+//!   runs and §5.3 targets), runs them with [`experiments::run_cells`],
+//!   which simulates each distinct cell once, and folds the results into
+//!   a typed, printable result.
 //!
 //! # Quickstart
 //!

@@ -26,6 +26,15 @@ pub fn weighted_speedup(normalized: &[f64]) -> f64 {
     normalized.iter().sum()
 }
 
+/// The arithmetic mean of a slice (0 for empty slices).
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
 /// The minimum of a slice (0 for empty slices).
 pub fn minimum(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -211,6 +220,12 @@ mod tests {
     fn weighted_speedup_sums() {
         assert_eq!(weighted_speedup(&[0.5, 0.25, 1.0]), 1.75);
         assert_eq!(weighted_speedup(&[]), 0.0);
+    }
+
+    #[test]
+    fn mean_of_values() {
+        assert_eq!(mean(&[0.5, 0.25, 0.75]), 0.5);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

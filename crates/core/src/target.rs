@@ -10,11 +10,11 @@
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::system::CmpSystem;
+use crate::experiments::{Cell, RunBudget};
 
 /// Computes the target IPC of `workload` for a VPC with bandwidth share
 /// `beta` and capacity share `alpha`, by simulating the equivalent private
-/// machine for `warmup + window` cycles.
+/// machine ([`Cell::target`]) for `warmup + window` cycles.
 ///
 /// Returns `0.0` when `beta` is zero (a thread with no bandwidth allocation
 /// has no performance guarantee, as in the paper's Figure 8 "VPC 0%"
@@ -27,13 +27,8 @@ pub fn target_ipc(
     warmup: u64,
     window: u64,
 ) -> f64 {
-    if beta.is_zero() {
-        return 0.0;
-    }
-    let cfg = base.private_machine(beta, alpha);
-    let mut sys = CmpSystem::new(cfg, &[workload]);
-    let m = sys.run_measured(warmup, window);
-    m.ipc[0]
+    Cell::target(base, workload, beta, alpha, RunBudget { warmup, window })
+        .map_or(0.0, |cell| cell.run().1.ipc[0])
 }
 
 #[cfg(test)]

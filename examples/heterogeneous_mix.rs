@@ -8,7 +8,7 @@
 //! cargo run --release --example heterogeneous_mix
 //! ```
 
-use vpc::experiments::{fig10, RunBudget};
+use vpc::experiments::{fig10, run_cells, Cell, RunBudget, RunOptions};
 use vpc::prelude::*;
 
 fn main() {
@@ -18,9 +18,24 @@ fn main() {
 
     println!("== Heterogeneous mix: {} ==\n", mix.join(" + "));
 
-    let targets = fig10::equal_share_targets(&base, &mix, budget);
-    let fcfs = fig10::run_mix(&base, &mix, ArbiterPolicy::Fcfs, budget);
-    let vpc = fig10::run_mix(&base, &mix, ArbiterPolicy::vpc_equal(4), budget);
+    // One cell per simulation: each thread's equal-share target (the
+    // private machine with beta = alpha = 1/4), then the mix under FCFS
+    // and under VPC.
+    let quarter = Share::new(1, 4).unwrap();
+    let mut cells: Vec<(String, Cell)> = mix
+        .iter()
+        .map(|b| {
+            let target = Cell::target(&base, WorkloadSpec::Spec(b), quarter, quarter, budget);
+            (format!("target/{b}"), target.unwrap())
+        })
+        .collect();
+    for (label, arbiter) in [("fcfs", ArbiterPolicy::Fcfs), ("vpc", ArbiterPolicy::vpc_equal(4))] {
+        cells.push((label.to_string(), fig10::mix_cell(&base, &mix, arbiter, budget)));
+    }
+    let jobs = std::thread::available_parallelism().map_or(1, usize::from);
+    let ipcs = run_cells(&cells, RunOptions { budget, jobs }, |_, m| m.ipc);
+    let targets: Vec<f64> = ipcs[..4].iter().map(|ipc| ipc[0]).collect();
+    let (fcfs, vpc) = (&ipcs[4], &ipcs[5]);
 
     println!(
         "{:<10} {:>9} {:>10} {:>10} {:>11} {:>10}",
@@ -38,8 +53,8 @@ fn main() {
         );
     }
 
-    let fcfs_norm = normalized_ipcs(&fcfs, &targets);
-    let vpc_norm = normalized_ipcs(&vpc, &targets);
+    let fcfs_norm = normalized_ipcs(fcfs, &targets);
+    let vpc_norm = normalized_ipcs(vpc, &targets);
     println!(
         "\nharmonic mean: FCFS {:.3} -> VPC {:.3} ({:+.1}%)",
         harmonic_mean(&fcfs_norm),

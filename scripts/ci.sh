@@ -28,6 +28,15 @@ for bin in fig5_micro_util fig6_spec_util fig7_store_gathering fig8_loads_stores
     fi
 done
 
+echo "== ablations: --quick stdout, after its two header lines, equals results/quick =="
+# ablations prints text only; results/quick/ablations.txt holds it without
+# the header.
+if ! target/release/ablations --quick --jobs 2 2>/dev/null | tail -n +3 |
+    cmp - results/quick/ablations.txt; then
+    echo "ablations --quick differs from results/quick/ablations.txt"
+    exit 1
+fi
+
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 

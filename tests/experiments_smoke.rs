@@ -1,7 +1,10 @@
 //! Smoke tests: every figure runner executes on a reduced configuration
 //! and produces structurally complete, printable results.
 
-use vpc::experiments::{ablations, fig10, fig4, fig5, fig6, fig8, fig9, RunBudget, RunOptions};
+use vpc::experiments::{
+    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, run_cells, Cell, RunBudget, RunOptions,
+};
+use vpc::json::to_json;
 use vpc::prelude::*;
 
 fn small_base() -> CmpConfig {
@@ -39,12 +42,13 @@ fn fig5_smoke() {
 fn fig6_and_fig7_smoke_subset() {
     // The full 18-benchmark series runs in the bench binary; here a
     // 3-benchmark subset checks the machinery.
-    let base = small_base();
-    let budget = tiny_budget();
-    for b in ["art", "swim", "sixtrack"] {
-        let row = fig6::run_one(&base, b, budget);
-        assert!(row.ipc > 0.0, "{b} must make progress");
-        assert!(row.util.data_array > 0.0, "{b} must touch the L2");
+    let benchmarks = ["art", "swim", "sixtrack"];
+    let cells = benchmarks.map(|b| {
+        (b.to_string(), Cell::shared(small_base(), vec![WorkloadSpec::Spec(b)], tiny_budget()))
+    });
+    for (b, m) in benchmarks.iter().zip(run_cells(&cells, tiny(), |_, m| m)) {
+        assert!(m.ipc[0] > 0.0, "{b} must make progress");
+        assert!(m.util.data_array > 0.0, "{b} must touch the L2");
     }
 }
 
@@ -94,4 +98,20 @@ fn ablation_displays_are_complete() {
     let pre = ablations::preemption(&base, tiny());
     assert_eq!(pre.points.len(), 3);
     assert!(pre.to_string().contains("preemption"));
+}
+
+#[test]
+fn empty_figures_render_without_nan() {
+    // JSON writes a non-finite float as null, so the JSON must hold none.
+    let fig6 = fig6::Fig6Result { rows: vec![] };
+    let fig7 = fig7::Fig7Result { rows: vec![] };
+    let fig10 = fig10::run(&small_base(), &[], tiny());
+    for (name, text, json) in [
+        ("fig6", fig6.to_string(), to_json(&fig6)),
+        ("fig7", fig7.to_string(), to_json(&fig7)),
+        ("fig10", fig10.to_string(), to_json(&fig10)),
+    ] {
+        assert!(!text.contains("NaN"), "empty {name} prints a NaN:\n{text}");
+        assert!(!json.contains("null"), "empty {name} serializes a non-finite value:\n{json}");
+    }
 }
