@@ -14,6 +14,12 @@
 //! baseline) and [`VpcCapacityManager`], which takes the globally
 //! least-recently-used line when several threads are over quota.
 //!
+//! A [`TagSet`] stores only its valid ways and grows as lines are filled:
+//! a new set allocates nothing, and way `i` is valid exactly when `i` is
+//! below the number of lines held. A machine therefore pays, in memory and
+//! in lookup time, only for the lines it holds, not for its full
+//! associativity.
+//!
 //! # Examples
 //!
 //! ```

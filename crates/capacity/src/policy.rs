@@ -6,8 +6,8 @@ use crate::set::TagSet;
 
 /// Chooses a victim way in a full set.
 ///
-/// Invalid ways are consumed by [`TagSet::find_way_for`] before the policy
-/// is consulted, so implementations may assume every way is valid.
+/// [`TagSet::find_way_for`] consults the policy only when the set is full,
+/// so implementations may assume every way is valid.
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Returns the way index to victimize for a fill by `requester`.
     fn choose_victim(&self, set: &TagSet, requester: ThreadId) -> usize;

@@ -32,12 +32,16 @@ pub struct Eviction {
 
 /// One set of a set-associative cache.
 ///
-/// The set stores per-way state; *which* way to victimize on a fill is
-/// delegated to a [`ReplacementPolicy`] (invalid ways are always used
-/// first).
+/// The set stores only its valid ways, densely: way `i` is valid exactly
+/// when `i` is below the number of lines held. A new set allocates
+/// nothing, and the storage grows as fills arrive, so a machine pays only
+/// for the lines it holds. Nothing ever invalidates a way, so "the first
+/// invalid way" is always the next index. *Which* way to victimize on a
+/// fill into a full set is delegated to a [`ReplacementPolicy`].
 #[derive(Debug, Clone)]
 pub struct TagSet {
-    ways: Vec<Option<Way>>,
+    ways: Vec<Way>,
+    associativity: usize,
 }
 
 impl TagSet {
@@ -48,17 +52,17 @@ impl TagSet {
     /// Panics if `associativity` is zero.
     pub fn new(associativity: usize) -> TagSet {
         assert!(associativity > 0, "associativity must be positive");
-        TagSet { ways: vec![None; associativity] }
+        TagSet { ways: Vec::new(), associativity }
     }
 
     /// Number of ways in the set.
     pub fn associativity(&self) -> usize {
-        self.ways.len()
+        self.associativity
     }
 
     /// Finds the way holding `line`, if resident.
     pub fn lookup(&self, line: LineAddr) -> Option<usize> {
-        self.ways.iter().position(|w| w.is_some_and(|w| w.line == line))
+        self.ways.iter().position(|w| w.line == line)
     }
 
     /// Marks way `way` as touched at `now` (moves it to MRU position).
@@ -67,8 +71,7 @@ impl TagSet {
     ///
     /// Panics if the way is invalid.
     pub fn touch(&mut self, way: usize, now: Cycle) {
-        let w = self.ways[way].as_mut().expect("touched way must be valid");
-        w.last_touch = now;
+        self.ways[way].last_touch = now;
     }
 
     /// Marks way `way` dirty (a store hit).
@@ -77,27 +80,33 @@ impl TagSet {
     ///
     /// Panics if the way is invalid.
     pub fn mark_dirty(&mut self, way: usize) {
-        self.ways[way].as_mut().expect("dirtied way must be valid").dirty = true;
+        self.ways[way].dirty = true;
     }
 
     /// Chooses the way a fill by `requester` for `line` should use: the
-    /// first invalid way if any, otherwise the policy's victim.
+    /// first invalid way while the set is not full, otherwise the policy's
+    /// victim.
     pub fn find_way_for<P: ReplacementPolicy + ?Sized>(
         &self,
         _line: LineAddr,
         requester: ThreadId,
         policy: &P,
     ) -> usize {
-        if let Some(idx) = self.ways.iter().position(Option::is_none) {
-            return idx;
+        if self.ways.len() < self.associativity {
+            return self.ways.len();
         }
         let victim = policy.choose_victim(self, requester);
-        assert!(victim < self.ways.len(), "policy returned way out of range");
+        assert!(victim < self.associativity, "policy returned way out of range");
         victim
     }
 
     /// Installs `line` (owned by `owner`, clean) into `way`, returning the
     /// displaced line if the way was valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `way` is valid or the first invalid way (what
+    /// [`TagSet::find_way_for`] returns).
     pub fn fill(
         &mut self,
         way: usize,
@@ -105,35 +114,34 @@ impl TagSet {
         owner: ThreadId,
         now: Cycle,
     ) -> Option<Eviction> {
-        let evicted =
-            self.ways[way].map(|w| Eviction { line: w.line, owner: w.owner, dirty: w.dirty });
-        self.ways[way] = Some(Way { line, owner, last_touch: now, dirty: false });
-        evicted
-    }
-
-    /// Invalidates way `way` (used by tests and flush paths).
-    pub fn invalidate(&mut self, way: usize) -> Option<Eviction> {
-        self.ways[way].take().map(|w| Eviction { line: w.line, owner: w.owner, dirty: w.dirty })
+        let new = Way { line, owner, last_touch: now, dirty: false };
+        if way == self.ways.len() {
+            assert!(way < self.associativity, "fill into a full set must displace a way");
+            self.ways.push(new);
+            return None;
+        }
+        let old = std::mem::replace(&mut self.ways[way], new);
+        Some(Eviction { line: old.line, owner: old.owner, dirty: old.dirty })
     }
 
     /// The owner of way `way`, if valid.
     pub fn owner(&self, way: usize) -> Option<ThreadId> {
-        self.ways[way].map(|w| w.owner)
+        self.ways.get(way).map(|w| w.owner)
     }
 
     /// Iterates over `(way_index, &Way)` for all valid ways.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Way)> {
-        self.ways.iter().enumerate().filter_map(|(i, w)| w.as_ref().map(|w| (i, w)))
+        self.ways.iter().enumerate()
     }
 
     /// How many valid ways `thread` owns in this set.
     pub fn occupancy(&self, thread: ThreadId) -> usize {
-        self.iter().filter(|(_, w)| w.owner == thread).count()
+        self.ways.iter().filter(|w| w.owner == thread).count()
     }
 
     /// Number of valid ways.
     pub fn valid_count(&self) -> usize {
-        self.ways.iter().filter(|w| w.is_some()).count()
+        self.ways.len()
     }
 
     /// The LRU way among valid ways owned by `thread`, if any.
@@ -211,13 +219,123 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears_way() {
-        let mut set = TagSet::new(2);
-        set.fill(0, LineAddr(1), ThreadId(0), 0);
-        let ev = set.invalidate(0).unwrap();
-        assert_eq!(ev.line, LineAddr(1));
-        assert_eq!(set.valid_count(), 0);
-        assert!(set.invalidate(0).is_none());
+    fn storage_grows_with_fills() {
+        let mut set = TagSet::new(32);
+        assert_eq!(set.ways.capacity(), 0, "a new set allocates nothing");
+        for way in 0..3 {
+            set.fill(way, LineAddr(way as u64), ThreadId(0), 0);
+        }
+        let capacity = set.ways.capacity();
+        assert!(capacity < 32, "3 lines must not reserve all 32 ways, got {capacity}");
+    }
+}
+
+#[cfg(test)]
+mod reference_tests {
+    use super::*;
+    use crate::policy::{TrueLru, VpcCapacityManager};
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure_eq, MAX_THREADS};
+
+    /// The reference set: one `Option<Way>` slot per way. A fill takes the
+    /// first empty slot; the policy is consulted only when every slot is
+    /// valid.
+    struct SlotSet {
+        slots: Vec<Option<Way>>,
+    }
+
+    impl SlotSet {
+        fn lookup(&self, line: LineAddr) -> Option<usize> {
+            self.slots.iter().position(|w| w.is_some_and(|w| w.line == line))
+        }
+
+        fn way_mut(&mut self, way: usize) -> &mut Way {
+            self.slots[way].as_mut().expect("reference way must be valid")
+        }
+
+        fn find_way_for(&self, requester: ThreadId, policy: &dyn ReplacementPolicy) -> usize {
+            if let Some(way) = self.slots.iter().position(Option::is_none) {
+                return way;
+            }
+            // Every slot is valid: the policy sees the same lines in the
+            // same ways.
+            let full = TagSet {
+                ways: self.slots.iter().map(|w| w.expect("slot is valid")).collect(),
+                associativity: self.slots.len(),
+            };
+            policy.choose_victim(&full, requester)
+        }
+
+        fn fill(
+            &mut self,
+            way: usize,
+            line: LineAddr,
+            owner: ThreadId,
+            now: Cycle,
+        ) -> Option<Eviction> {
+            self.slots[way]
+                .replace(Way { line, owner, last_touch: now, dirty: false })
+                .map(|w| Eviction { line: w.line, owner: w.owner, dirty: w.dirty })
+        }
+
+        fn valid(&self) -> Vec<(usize, Way)> {
+            self.slots.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i, w))).collect()
+        }
+    }
+
+    /// The dense set behaves exactly like the slot array it replaced: the
+    /// same `lookup`, `find_way_for`, `fill` eviction and `iter()` after
+    /// every step of a random trace, under either policy.
+    #[test]
+    fn dense_set_matches_slot_reference() {
+        check::forall("dense_set_matches_slot_reference", Config::cases(128), |rng| {
+            let ways = gen::range(rng, 1, 32) as usize;
+            let threads = gen::range(rng, 1, MAX_THREADS as u64) as usize;
+            let policy: Box<dyn ReplacementPolicy> = if rng.chance(0.5) {
+                Box::new(TrueLru)
+            } else {
+                let quotas: Vec<u32> =
+                    (0..threads).map(|_| gen::range(rng, 0, ways as u64) as u32).collect();
+                Box::new(VpcCapacityManager::new(&quotas))
+            };
+            let mut dense = TagSet::new(ways);
+            let mut reference = SlotSet { slots: vec![None; ways] };
+            let lines = 2 * ways as u64 + 2;
+            for now in 0..300u64 {
+                let line = gen::line_addr(rng, lines);
+                let owner = gen::thread_id(rng, threads);
+                let hit = dense.lookup(line);
+                ensure_eq!(hit, reference.lookup(line), "lookup of {line} at step {now}");
+                match hit {
+                    Some(way) => {
+                        if rng.chance(0.7) {
+                            dense.touch(way, now);
+                            reference.way_mut(way).last_touch = now;
+                        }
+                        if rng.chance(0.3) {
+                            dense.mark_dirty(way);
+                            reference.way_mut(way).dirty = true;
+                        }
+                    }
+                    None => {
+                        let way = dense.find_way_for(line, owner, policy.as_ref());
+                        ensure_eq!(
+                            way,
+                            reference.find_way_for(owner, policy.as_ref()),
+                            "fill way for {line} by {owner} at step {now}"
+                        );
+                        ensure_eq!(
+                            dense.fill(way, line, owner, now),
+                            reference.fill(way, line, owner, now),
+                            "eviction at step {now}"
+                        );
+                    }
+                }
+                let valid: Vec<(usize, Way)> = dense.iter().map(|(i, w)| (i, *w)).collect();
+                ensure_eq!(valid, reference.valid(), "valid ways after step {now}");
+            }
+            Ok(())
+        });
     }
 }
 

@@ -296,7 +296,9 @@ impl Core {
         }
         let mut dispatched = 0;
         while dispatched < self.cfg.dispatch_width {
-            if self.rob.len() >= self.cfg.rob_entries {
+            // A full ROB, or a skid-buffered op without its queue slot,
+            // counts a stall and leaves the skid buffer where it is.
+            if self.dispatch_blocked() {
                 self.stats.dispatch_stall_cycles.inc();
                 return;
             }
@@ -544,6 +546,22 @@ mod tests {
         assert!(s.loads.get() > 0 && s.stores.get() > 0 && s.non_mem.get() > 0);
         let diff = s.loads.get().abs_diff(s.stores.get());
         assert!(diff <= 1, "in-order retirement keeps the mix balanced");
+    }
+
+    #[test]
+    fn blocked_skid_buffered_store_counts_one_stall_in_place() {
+        let ops = vec![Op::Store(LineAddr(1)), Op::NonMem];
+        let mut core =
+            Core::new(CoreConfig::table1(), ThreadId(0), Box::new(FixedTrace::new("st", ops)));
+        let mut l2 = small_l2(1);
+        core.pending_op = Some(Op::Store(LineAddr(7)));
+        core.srq_count = core.cfg.srq_entries;
+        let rob_len = core.rob.len();
+        core.tick(0, &mut l2);
+        assert_eq!(core.stats().dispatch_stall_cycles.get(), 1, "one stalled tick, one stall");
+        assert_eq!(core.pending_op, Some(Op::Store(LineAddr(7))), "the skid buffer is kept");
+        assert_eq!(core.rob.len(), rob_len, "nothing dispatched");
+        assert_eq!(core.workload.next_op(), Op::Store(LineAddr(1)), "no op was consumed");
     }
 
     #[test]

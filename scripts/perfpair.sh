@@ -2,9 +2,11 @@
 # Runs interleaved perfbench pairs: the benchmark built at a parent commit
 # against the benchmark built from this checkout, one pair per seed. The
 # side that runs first alternates from pair to pair. Prints each pair's
-# `wall_s`, the pairs the change won, both medians and the parent's
-# interquartile range: the inputs to the claim rule of perfbench/README.md.
-# Fails if any run does not report `"correct": true`.
+# `wall_s`, then one line per end-to-end metric that BENCHMARK.json lists,
+# judged in that metric's own `better` direction: both medians, their
+# ratio, the pairs the change won and the parent's interquartile range,
+# the inputs to the claim rule of perfbench/README.md. Fails if any run
+# does not report `"correct": true`.
 #
 # Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED...
 #
@@ -37,8 +39,29 @@ if [[ ! -x $parent_root/$bench ]]; then
 fi
 cargo build --release --quiet --manifest-path perfbench/Cargo.toml
 
+# The end-to-end metrics, one "name better" line each, read from the
+# `end_to_end` list of BENCHMARK.json (one metric object per line).
+metrics=$(awk '
+    /"end_to_end"/ { on = 1; next }
+    on && /\]/ { exit }
+    on && /"name"/ {
+        name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
+        better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
+        print name, better
+    }' BENCHMARK.json)
+if [[ -z $metrics ]]; then
+    echo "perfpair: no end_to_end metrics found in BENCHMARK.json" >&2
+    exit 1
+fi
+
+# Prints metric $1's value from the perfbench JSON line $2 (nothing if the
+# line lacks it).
+value_of() {
+    sed -nE "s/.*\"$1\": \{\"value\": ([0-9.eE+-]+).*/\1/p" <<<"$2"
+}
+
 # Runs one side from its own checkout (perfbench reads that checkout's
-# goldens), logs its JSON line and prints its wall_s.
+# goldens), logs its JSON line and prints it.
 run() {
     local side=$1 root=$2 seed=$3 last
     last=$(cd "$root" && "$bench" --workload "$workload" --seed "$seed" \
@@ -49,12 +72,13 @@ run() {
         return 1
     fi
     echo "$side $workload $seed $last" >>target/perfpair/runs.log
-    sed -E 's/.*"wall_s": \{"value": ([0-9.eE+-]+).*/\1/' <<<"$last"
+    echo "$last"
 }
 
 echo "workload $workload, --seconds $seconds, parent ${parent:0:12} vs this checkout"
 echo "seed parent_wall_s change_wall_s"
-pairs=()
+parent_runs=()
+change_runs=()
 i=0
 for seed in "$@"; do
     if ((i % 2 == 0)); then
@@ -64,31 +88,46 @@ for seed in "$@"; do
         c=$(run change "$change_root" "$seed")
         p=$(run parent "$parent_root" "$seed")
     fi
-    echo "$seed $p $c"
-    pairs+=("$p $c")
+    echo "$seed $(value_of wall_s "$p") $(value_of wall_s "$c")"
+    parent_runs+=("$p")
+    change_runs+=("$c")
     i=$((i + 1))
 done
 
-printf '%s\n' "${pairs[@]}" | awk '
-    # Quantile q of the sorted values v[1..n], interpolated linearly.
-    function quantile(v, n, q,    h, lo) {
-        h = (n - 1) * q + 1
-        lo = int(h)
-        return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-    }
-    function sort(v, n,    i, j, x) {
-        for (i = 2; i <= n; i++) {
-            x = v[i]
-            for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
-            v[j + 1] = x
+printf '%-18s %-6s %12s %12s %8s %5s %12s\n' \
+    metric better parent_med change_med ratio won parent_iqr
+while read -r name better; do
+    for i in "${!parent_runs[@]}"; do
+        echo "$(value_of "$name" "${parent_runs[$i]}") $(value_of "$name" "${change_runs[$i]}")"
+    done | awk -v name="$name" -v better="$better" '
+        # Quantile q of the sorted values v[1..n], interpolated linearly.
+        function quantile(v, n, q,    h, lo) {
+            h = (n - 1) * q + 1
+            lo = int(h)
+            return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
         }
-    }
-    { n++; p[n] = $1; c[n] = $2; if ($2 < $1) won++ }
-    END {
-        sort(p, n); sort(c, n)
-        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-        iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-        printf "change won %d of %d pairs\n", won, n
-        printf "median wall_s: parent %.4f, change %.4f (change/parent %.3f)\n", pm, cm, cm / pm
-        printf "median gap %.4f s, parent IQR %.4f s\n", pm - cm, iqr
-    }'
+        function sort(v, n,    i, j, x) {
+            for (i = 2; i <= n; i++) {
+                x = v[i]
+                for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+                v[j + 1] = x
+            }
+        }
+        NF < 2 { missing = 1; next }
+        {
+            n++; p[n] = $1; c[n] = $2
+            if (better == "higher" ? $2 > $1 : $2 < $1) won++
+        }
+        END {
+            if (missing || n == 0) {
+                printf "%-18s %-6s missing from some runs\n", name, better
+                exit
+            }
+            sort(p, n); sort(c, n)
+            pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+            iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+            ratio = pm == 0 ? "n/a" : sprintf("%.3f", cm / pm)
+            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g\n", \
+                name, better, pm, cm, ratio, won, n, iqr
+        }'
+done <<<"$metrics"
