@@ -39,10 +39,6 @@ const CASES: &[(&str, &[&str], bool)] = &[
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "drr"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--arbiter", "sfq"], false),
     (env!("CARGO_BIN_EXE_simulate"), &["--channels", "private"], false),
-    (env!("CARGO_BIN_EXE_record_trace"), &["nosuch", "5"], true),
-    (env!("CARGO_BIN_EXE_record_trace"), &["art", "x"], true),
-    (env!("CARGO_BIN_EXE_record_trace"), &["art", "0"], true),
-    (env!("CARGO_BIN_EXE_record_trace"), &["art", "3", "extra"], true),
 ];
 
 #[test]

@@ -171,13 +171,6 @@ impl SharedL2 {
         self.banks.iter().all(L2Bank::is_idle) && self.mem.is_idle()
     }
 
-    /// Average utilization of each shared resource over `elapsed` cycles.
-    pub fn utilization(&self, elapsed: Cycle) -> L2Utilization {
-        let window = elapsed * self.banks.len() as u64;
-        let [tag_array, data_array, data_bus] = self.meters().map(|m| m.utilization(window));
-        L2Utilization { tag_array, data_array, data_bus }
-    }
-
     /// Raw busy-cycle totals for (tag array, data array, data bus), summed
     /// across banks — the primitive measurement windows are built from.
     pub fn busy_cycles(&self) -> (u64, u64, u64) {
@@ -524,10 +517,11 @@ mod tests {
             l2.submit(read(0, 8, i + 1), now);
             now = drain(&mut l2, now, 20);
         }
-        let u = l2.utilization(now);
-        assert!(u.data_array > 0.05, "data array saw traffic: {u:?}");
-        assert!(u.tag_array > 0.0 && u.data_bus > 0.0);
-        assert!(u.tag_array <= 1.0 && u.data_array <= 1.0 && u.data_bus <= 1.0);
+        let (tag, data, bus) = l2.busy_cycles();
+        let window = now * l2.config().banks as u64;
+        assert!(data as f64 > 0.05 * window as f64, "data array saw traffic: {data}/{window}");
+        assert!(tag > 0 && bus > 0);
+        assert!(tag <= window && data <= window && bus <= window);
     }
 
     #[test]

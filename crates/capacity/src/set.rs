@@ -139,11 +139,6 @@ impl TagSet {
         self.ways.iter().filter(|w| w.owner == thread).count()
     }
 
-    /// Number of valid ways.
-    pub fn valid_count(&self) -> usize {
-        self.ways.len()
-    }
-
     /// The LRU way among valid ways owned by `thread`, if any.
     pub fn lru_of_thread(&self, thread: ThreadId) -> Option<usize> {
         self.iter()
@@ -204,7 +199,7 @@ mod tests {
         assert_eq!(set.occupancy(ThreadId(0)), 2);
         assert_eq!(set.occupancy(ThreadId(1)), 1);
         assert_eq!(set.occupancy(ThreadId(2)), 0);
-        assert_eq!(set.valid_count(), 3);
+        assert_eq!(set.iter().count(), 3);
     }
 
     #[test]

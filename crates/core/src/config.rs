@@ -359,9 +359,8 @@ mod tests {
                 panic::catch_unwind(AssertUnwindSafe(|| CmpSystem::new(cfg.clone(), &workloads)));
             match (verdict, built) {
                 (Ok(()), Ok(mut sys)) => {
-                    sys.run(5_000);
-                    for t in 0..cfg.processors {
-                        let ipc = sys.ipc(ThreadId(t as u8));
+                    let m = sys.run_measured(0, 5_000);
+                    for (t, ipc) in m.ipc.iter().enumerate() {
                         ensure!(ipc.is_finite(), "thread {t} IPC {ipc} on {cfg:?}");
                     }
                 }

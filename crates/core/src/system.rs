@@ -78,8 +78,8 @@ impl CmpSystem {
         CmpSystem::with_workloads(config, workloads)
     }
 
-    /// Builds a system from already-instantiated workloads (e.g.
-    /// [`vpc_workloads::TraceWorkload`]s loaded from files), one per
+    /// Builds a system from already-instantiated workloads (e.g. a
+    /// [`vpc_cpu::FixedTrace`] replaying a fixed op stream), one per
     /// processor.
     ///
     /// # Panics
@@ -306,11 +306,6 @@ impl CmpSystem {
         self.run(remaining);
     }
 
-    /// IPC of `thread` since time zero.
-    pub fn ipc(&self, thread: ThreadId) -> f64 {
-        self.cores[thread.index()].ipc(self.now)
-    }
-
     /// The shared L2 (for inspection).
     pub fn l2(&self) -> &SharedL2 {
         &self.l2
@@ -369,8 +364,12 @@ mod tests {
 
     #[test]
     fn trace_workloads_drive_the_system() {
+        use vpc_cpu::{FixedTrace, Op};
+        use vpc_sim::LineAddr;
         let cfg = quick_config(1);
-        let trace: vpc_workloads::TraceWorkload = "L 0x10\nN\nS 0x20\nB 2\n".parse().unwrap();
+        let ops =
+            vec![Op::Load(LineAddr(0x10)), Op::NonMem, Op::Store(LineAddr(0x20)), Op::Bubble(2)];
+        let trace = FixedTrace::new("trace", ops);
         let mut sys = CmpSystem::with_workloads(cfg, vec![Box::new(trace)]);
         sys.run(20_000);
         assert!(sys.core(ThreadId(0)).retired() > 1000, "trace replays in a loop");

@@ -35,11 +35,6 @@ impl DramTiming {
             burst: 20, // BL8 = 4 DRAM clocks
         }
     }
-
-    /// The idle-bank read latency: ACT + CAS + full burst.
-    pub fn idle_read_latency(&self) -> u64 {
-        self.t_rcd + self.t_cl + self.burst
-    }
 }
 
 impl Default for DramTiming {
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn ddr2_defaults() {
         let t = DramTiming::ddr2_800();
-        assert_eq!(t.idle_read_latency(), 70);
+        assert_eq!(t.t_rcd + t.t_cl + t.burst, 70, "idle read: ACT + CAS + burst");
         let c = MemConfig::ddr2_800();
         assert_eq!(c.total_banks(), 16);
     }

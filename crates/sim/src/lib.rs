@@ -55,6 +55,4 @@ pub mod types;
 pub use rng::SplitMix64;
 pub use share::{ParseShareError, Share, ShareError, VirtualClock};
 pub use stats::{Counter, Histogram, UtilizationMeter};
-pub use types::{
-    line_of, AccessKind, CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, MAX_THREADS,
-};
+pub use types::{AccessKind, CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, MAX_THREADS};

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::types::Cycle;
-
 /// A simple monotonically increasing event counter.
 ///
 /// ```
@@ -69,15 +67,6 @@ impl UtilizationMeter {
     #[inline]
     pub fn busy_cycles(self) -> u64 {
         self.busy
-    }
-
-    /// Utilization over an elapsed window, clamped to `[0, 1]`.
-    pub fn utilization(self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            (self.busy as f64 / elapsed as f64).min(1.0)
-        }
     }
 }
 
@@ -212,15 +201,6 @@ mod tests {
         assert_eq!(c.get(), 10);
         assert!((c.fraction_of(40) - 0.25).abs() < 1e-12);
         assert_eq!(c.fraction_of(0), 0.0);
-    }
-
-    #[test]
-    fn utilization_clamps() {
-        let mut u = UtilizationMeter::default();
-        u.add_busy(150);
-        assert_eq!(u.utilization(100), 1.0);
-        assert!((u.utilization(300) - 0.5).abs() < 1e-12);
-        assert_eq!(UtilizationMeter::default().utilization(0), 0.0);
     }
 
     #[test]

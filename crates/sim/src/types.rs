@@ -6,9 +6,6 @@ use std::fmt;
 /// paper's Table 1 configuration).
 pub type Cycle = u64;
 
-/// A byte address in the simulated physical address space.
-pub type Addr = u64;
-
 /// A cache-line address: a byte address with the line offset stripped.
 ///
 /// Line addresses are what the store-gathering buffers, cache tags, and
@@ -20,22 +17,6 @@ impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L{:#x}", self.0)
     }
-}
-
-/// Returns the [`LineAddr`] containing byte address `addr` for a cache with
-/// `line_bytes` bytes per line.
-///
-/// # Panics
-///
-/// Panics if `line_bytes` is not a power of two.
-///
-/// ```
-/// use vpc_sim::{line_of, LineAddr};
-/// assert_eq!(line_of(0x1234, 64), LineAddr(0x48));
-/// ```
-pub fn line_of(addr: Addr, line_bytes: u64) -> LineAddr {
-    assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
-    LineAddr(addr >> line_bytes.trailing_zeros())
 }
 
 /// Maximum number of hardware threads / processors the fixed-size per-thread
@@ -52,16 +33,6 @@ impl ThreadId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Iterates over the first `n` thread ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > MAX_THREADS`.
-    pub fn first_n(n: usize) -> impl Iterator<Item = ThreadId> {
-        assert!(n <= MAX_THREADS, "at most {MAX_THREADS} threads supported");
-        (0..n as u8).map(ThreadId)
     }
 }
 
@@ -118,26 +89,6 @@ pub struct CacheResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_of_strips_offset() {
-        assert_eq!(line_of(0, 64), LineAddr(0));
-        assert_eq!(line_of(63, 64), LineAddr(0));
-        assert_eq!(line_of(64, 64), LineAddr(1));
-        assert_eq!(line_of(0xFFFF, 128), LineAddr(0x1FF));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn line_of_rejects_non_power_of_two() {
-        let _ = line_of(0, 48);
-    }
-
-    #[test]
-    fn thread_id_iteration() {
-        let ids: Vec<_> = ThreadId::first_n(4).collect();
-        assert_eq!(ids, vec![ThreadId(0), ThreadId(1), ThreadId(2), ThreadId(3)]);
-    }
 
     #[test]
     fn display_formats() {

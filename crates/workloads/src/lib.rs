@@ -4,9 +4,6 @@
 //!   stream of L2 read hits) and **Stores** (a constant stream of L2
 //!   writes), operating on a 32 KB array with 64-byte rows — twice the L1
 //!   size, so every access reaches the L2.
-//! * [`trace`] — trace-driven workloads: a line-oriented text format, a
-//!   replaying [`TraceWorkload`], and a recorder — for users with real
-//!   traces.
 //! * [`spec`] — synthetic stand-ins for the 18 SPEC CPU 2000 benchmarks the
 //!   paper plots. The real sampled traces are proprietary; each
 //!   [`spec::SyntheticSpec`] generator is parameterized (instruction mix,
@@ -33,8 +30,6 @@
 
 pub mod micro;
 pub mod spec;
-pub mod trace;
 
 pub use micro::{loads_micro, stores_micro};
 pub use spec::{SpecParams, SyntheticSpec, SPEC_NAMES};
-pub use trace::{format_trace, parse_trace, record, TraceWorkload};

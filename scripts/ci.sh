@@ -37,6 +37,16 @@ if ! target/release/ablations --quick --jobs 2 2>/dev/null | tail -n +3 |
     exit 1
 fi
 
+echo "== table1, fig4_timing: stdout equals results =="
+# Both take no flags and finish in milliseconds; their full output is the
+# golden.
+for bin in table1 fig4_timing; do
+    if ! target/release/"$bin" | cmp - "results/$bin.txt"; then
+        echo "$bin differs from results/$bin.txt"
+        exit 1
+    fi
+done
+
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 

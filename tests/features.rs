@@ -1,9 +1,10 @@
-//! Integration tests for the library's extension features: trace-driven
-//! workloads through the full system and per-thread utilization.
+//! Integration tests for the library's extension features: replayed op
+//! streams through the full system and per-thread utilization.
 
 use vpc::prelude::*;
+use vpc_cpu::{FixedTrace, Workload};
 use vpc_sim::ThreadId;
-use vpc_workloads::{record, spec, TraceWorkload};
+use vpc_workloads::spec;
 
 fn quick_config(threads: usize) -> CmpConfig {
     let mut cfg = CmpConfig::table1_with_threads(threads);
@@ -14,13 +15,11 @@ fn quick_config(threads: usize) -> CmpConfig {
 #[test]
 fn recorded_trace_reproduces_the_generator_through_the_full_system() {
     // Record a long prefix of the art generator, then run the generator
-    // and the recorded trace through identical systems: as long as the
-    // trace has not wrapped, the machines are cycle-identical.
-    let ops = 200_000;
+    // and the recorded ops through identical systems: as long as the
+    // replay has not wrapped, the machines are cycle-identical.
     let mut generator = spec::workload("art", ThreadId(0)).unwrap();
-    let text = record(&mut generator, ops);
-    let trace: TraceWorkload = text.parse().unwrap();
-    assert_eq!(trace.len(), ops);
+    let ops = (0..200_000).map(|_| generator.next_op()).collect();
+    let trace = FixedTrace::new("art", ops);
 
     let fresh_generator = spec::workload("art", ThreadId(0)).unwrap();
     let mut sys_gen = CmpSystem::with_workloads(quick_config(1), vec![Box::new(fresh_generator)]);
