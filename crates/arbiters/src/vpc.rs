@@ -46,6 +46,12 @@ pub enum IntraThreadOrder {
     ReadOverWrite,
 }
 
+/// One thread's pending requests (Figure 3's per-thread buffer), kept as
+/// two FIFO queues: reads at index 0, writes at index 1. Each request
+/// carries its enqueue sequence number, which orders the two fronts for
+/// [`IntraThreadOrder::Fifo`].
+type ThreadQueues = [VecDeque<(u64, ArbRequest)>; 2];
+
 /// The paper's fair-queuing arbiter with per-thread virtual-time registers.
 ///
 /// See the [module documentation](self) for the algorithm. Threads with a
@@ -53,12 +59,14 @@ pub enum IntraThreadOrder {
 /// (oldest first) only when no guaranteed thread is backlogged.
 #[derive(Debug)]
 pub struct VpcArbiter {
-    /// Pending requests per thread (Figure 3's per-thread buffers).
-    buffers: Vec<VecDeque<ArbRequest>>,
+    /// Pending requests per thread.
+    buffers: Vec<ThreadQueues>,
     /// `beta_i`, `R.L_i` and `R.S_i` per thread.
     clock: VirtualClock,
     order: IntraThreadOrder,
     pending: usize,
+    /// Sequence number of the next enqueued request.
+    next_seq: u64,
     /// Virtual `(start, finish)` of the most recent guaranteed grant, for
     /// trace observability.
     last_virtual: Option<(u64, u64)>,
@@ -75,9 +83,10 @@ impl VpcArbiter {
     pub fn new(num_threads: usize, shares: &[Share], order: IntraThreadOrder) -> VpcArbiter {
         VpcArbiter {
             clock: VirtualClock::new(num_threads, shares),
-            buffers: (0..num_threads).map(|_| VecDeque::new()).collect(),
+            buffers: (0..num_threads).map(|_| Default::default()).collect(),
             order,
             pending: 0,
+            next_seq: 0,
             last_virtual: None,
         }
     }
@@ -92,19 +101,24 @@ impl VpcArbiter {
         self.clock.start(thread)
     }
 
-    /// Index into the thread's buffer of the request its reorder policy
-    /// would send next.
-    fn candidate_index(&self, thread: usize) -> Option<usize> {
-        let buffer = &self.buffers[thread];
-        if buffer.is_empty() {
-            return None;
-        }
-        match self.order {
-            IntraThreadOrder::Fifo => Some(0),
-            IntraThreadOrder::ReadOverWrite => {
-                Some(buffer.iter().position(|r| r.kind.is_read()).unwrap_or(0))
+    /// The queue (0 reads, 1 writes) whose front is the request the
+    /// thread's reorder policy would send next, and that request.
+    fn candidate(&self, thread: usize) -> Option<(usize, ArbRequest)> {
+        let [reads, writes] = &self.buffers[thread];
+        match (reads.front(), writes.front()) {
+            (Some(&(r, _)), Some(&(w, write))) if self.order == IntraThreadOrder::Fifo && w < r => {
+                Some((1, write))
             }
+            (Some(&(_, read)), _) => Some((0, read)),
+            (None, Some(&(_, write))) => Some((1, write)),
+            (None, None) => None,
         }
+    }
+
+    /// Removes and returns the front of `thread`'s queue `queue`.
+    fn take(&mut self, thread: usize, queue: usize) -> ArbRequest {
+        self.pending -= 1;
+        self.buffers[thread][queue].pop_front().expect("candidate queue is nonempty").1
     }
 }
 
@@ -114,59 +128,56 @@ impl Arbiter for VpcArbiter {
         // Figure 3 keeps R.L_i in a register: the clock stores it for each
         // service time the first time a request carries it.
         self.clock.add_service(req.service_time);
-        let buffer = &mut self.buffers[req.thread.index()];
+        let queues = &mut self.buffers[req.thread.index()];
         // Eq. 6: arriving to an empty queue resets a stale virtual clock to
         // real time, so R.S_i always holds the next request's virtual start.
-        self.clock.on_arrival(req.thread, buffer.is_empty(), now);
-        buffer.push_back(req);
+        self.clock.on_arrival(req.thread, queues.iter().all(VecDeque::is_empty), now);
+        queues[usize::from(!req.kind.is_read())].push_back((self.next_seq, req));
+        self.next_seq += 1;
         self.pending += 1;
     }
 
     fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
         // Guaranteed threads first: earliest virtual finish time (EDF).
-        let mut best: Option<(u64, u64, usize, usize)> = None; // (F, arrival, thread, pos)
+        let mut best: Option<(u64, u64, usize, usize)> = None; // (F, arrival, thread, queue)
         for t in 0..self.buffers.len() {
             let thread = ThreadId(t as u8);
             if self.clock.share(thread).is_zero() {
                 continue;
             }
-            let Some(pos) = self.candidate_index(t) else { continue };
-            let req = self.buffers[t][pos];
+            let Some((queue, req)) = self.candidate(t) else { continue };
             let finish = self
                 .clock
                 .finish(thread, req.service_time)
                 .expect("nonzero share has finite virtual service time"); // Eq. 3' + Eq. 4
-            let key = (finish, req.arrival, t, pos);
+            let key = (finish, req.arrival, t, queue);
             if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
                 best = Some(key);
             }
         }
-        if let Some((finish, _arrival, t, pos)) = best {
+        if let Some((finish, _arrival, t, queue)) = best {
             let thread = ThreadId(t as u8);
             let start = self.clock.start(thread); // Eq. 3': S_i^k = R.S_i
-            let req = self.buffers[t].remove(pos).expect("candidate position valid");
+            let req = self.take(t, queue);
             self.clock.grant(thread, finish); // Eq. 5
-            self.pending -= 1;
             self.last_virtual = Some((start, finish));
             return Some(req);
         }
 
         // Excess bandwidth for zero-share threads: oldest request first.
         // R.S_i is untouched because the thread holds no virtual resource.
-        let mut best_free: Option<(u64, usize, usize)> = None; // (arrival, thread, pos)
+        let mut best_free: Option<(u64, usize, usize)> = None; // (arrival, thread, queue)
         for t in 0..self.buffers.len() {
             if !self.clock.share(ThreadId(t as u8)).is_zero() {
                 continue;
             }
-            let Some(pos) = self.candidate_index(t) else { continue };
-            let req = self.buffers[t][pos];
+            let Some((queue, req)) = self.candidate(t) else { continue };
             if best_free.is_none_or(|b| (req.arrival, t) < (b.0, b.1)) {
-                best_free = Some((req.arrival, t, pos));
+                best_free = Some((req.arrival, t, queue));
             }
         }
-        let (_, t, pos) = best_free?;
-        let req = self.buffers[t].remove(pos).expect("candidate position valid");
-        self.pending -= 1;
+        let (_, t, queue) = best_free?;
+        let req = self.take(t, queue);
         self.last_virtual = None;
         Some(req)
     }
@@ -180,7 +191,8 @@ impl Arbiter for VpcArbiter {
     }
 
     fn backlogged_threads(&self, out: &mut Vec<(ThreadId, Option<u64>)>) {
-        out.extend(self.buffers.iter().enumerate().filter(|(_, b)| !b.is_empty()).map(|(t, _)| {
+        let backlogged = |(_, q): &(usize, &ThreadQueues)| q.iter().any(|b| !b.is_empty());
+        out.extend(self.buffers.iter().enumerate().filter(backlogged).map(|(t, _)| {
             let thread = ThreadId(t as u8);
             (thread, Some(self.clock.start(thread)))
         }));
@@ -190,8 +202,8 @@ impl Arbiter for VpcArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpc_sim::check::{self, Config};
-    use vpc_sim::{ensure, AccessKind};
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, ensure_eq, AccessKind};
 
     fn share(n: u32, d: u32) -> Share {
         Share::new(n, d).unwrap()
@@ -203,6 +215,10 @@ mod tests {
 
     fn write(id: u64, t: u8, service: u64) -> ArbRequest {
         ArbRequest::new(id, ThreadId(t), AccessKind::Write, service)
+    }
+
+    fn queued(arb: &VpcArbiter, thread: usize) -> usize {
+        arb.buffers[thread].iter().map(VecDeque::len).sum()
     }
 
     fn equal_share_arbiter(n: usize) -> VpcArbiter {
@@ -257,11 +273,11 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..4000 {
             // Keep both queues non-empty.
-            while arb.buffers[0].len() < 2 {
+            while queued(&arb, 0) < 2 {
                 id += 1;
                 arb.enqueue(read(id, 0, 8), now);
             }
-            while arb.buffers[1].len() < 2 {
+            while queued(&arb, 1) < 2 {
                 id += 1;
                 arb.enqueue(read(id, 1, 8), now);
             }
@@ -283,11 +299,11 @@ mod tests {
         let mut grants = [0u64; 2];
         let mut now = 0u64;
         for _ in 0..3000 {
-            while arb.buffers[0].len() < 2 {
+            while queued(&arb, 0) < 2 {
                 id += 1;
                 arb.enqueue(read(id, 0, 8), now);
             }
-            while arb.buffers[1].len() < 2 {
+            while queued(&arb, 1) < 2 {
                 id += 1;
                 arb.enqueue(write(id, 1, 16), now);
             }
@@ -450,6 +466,110 @@ mod tests {
                     *slot = v;
                 }
                 now += rng.below(4);
+            }
+            Ok(())
+        });
+    }
+
+    /// The scan-based arbiter the two queues replaced: one buffer per
+    /// thread in arrival order, the read-over-write candidate found by a
+    /// scan and granted by `VecDeque::remove`.
+    struct ScanArbiter {
+        buffers: Vec<VecDeque<ArbRequest>>,
+        clock: VirtualClock,
+        order: IntraThreadOrder,
+    }
+
+    impl ScanArbiter {
+        fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
+            req.arrival = now;
+            self.clock.add_service(req.service_time);
+            let buffer = &mut self.buffers[req.thread.index()];
+            self.clock.on_arrival(req.thread, buffer.is_empty(), now);
+            buffer.push_back(req);
+        }
+
+        fn candidate_index(&self, t: usize) -> Option<usize> {
+            let buffer = &self.buffers[t];
+            if buffer.is_empty() {
+                return None;
+            }
+            match self.order {
+                IntraThreadOrder::Fifo => Some(0),
+                IntraThreadOrder::ReadOverWrite => {
+                    Some(buffer.iter().position(|r| r.kind.is_read()).unwrap_or(0))
+                }
+            }
+        }
+
+        fn select(&mut self) -> Option<ArbRequest> {
+            let mut best: Option<(u64, u64, usize, usize)> = None;
+            for t in 0..self.buffers.len() {
+                let thread = ThreadId(t as u8);
+                if self.clock.share(thread).is_zero() {
+                    continue;
+                }
+                let Some(pos) = self.candidate_index(t) else { continue };
+                let req = self.buffers[t][pos];
+                let finish = self.clock.finish(thread, req.service_time).unwrap();
+                if best.is_none_or(|b| (finish, req.arrival, t) < (b.0, b.1, b.2)) {
+                    best = Some((finish, req.arrival, t, pos));
+                }
+            }
+            if let Some((finish, _, t, pos)) = best {
+                self.clock.grant(ThreadId(t as u8), finish);
+                return self.buffers[t].remove(pos);
+            }
+            let mut best_free: Option<(u64, usize, usize)> = None;
+            for t in 0..self.buffers.len() {
+                if !self.clock.share(ThreadId(t as u8)).is_zero() {
+                    continue;
+                }
+                let Some(pos) = self.candidate_index(t) else { continue };
+                let req = self.buffers[t][pos];
+                if best_free.is_none_or(|b| (req.arrival, t) < (b.0, b.1)) {
+                    best_free = Some((req.arrival, t, pos));
+                }
+            }
+            let (_, t, pos) = best_free?;
+            self.buffers[t].remove(pos)
+        }
+    }
+
+    /// The two-queue buffers grant exactly what the scan-based buffer
+    /// granted, under either intra-thread order and with some zero-share
+    /// threads, after every step of a random enqueue/select trace.
+    #[test]
+    fn queues_match_scan_reference() {
+        check::forall("queues_match_scan_reference", Config::cases(128), |rng| {
+            let threads = gen::range(rng, 1, 4) as usize;
+            let shares: Vec<Share> = (0..threads)
+                .map(|_| if rng.chance(0.25) { Share::ZERO } else { share(1, threads as u32) })
+                .collect();
+            let order = if rng.chance(0.5) {
+                IntraThreadOrder::Fifo
+            } else {
+                IntraThreadOrder::ReadOverWrite
+            };
+            let mut arb = VpcArbiter::new(threads, &shares, order);
+            let mut reference = ScanArbiter {
+                buffers: vec![VecDeque::new(); threads],
+                clock: VirtualClock::new(threads, &shares),
+                order,
+            };
+            let mut now = 0;
+            for id in 0..400u64 {
+                if rng.chance(0.55) {
+                    let kind = gen::access_kind(rng);
+                    let service = if kind.is_read() { 8 } else { 16 };
+                    let req = ArbRequest::new(id, gen::thread_id(rng, threads), kind, service);
+                    arb.enqueue(req, now);
+                    reference.enqueue(req, now);
+                } else {
+                    ensure_eq!(arb.select(now), reference.select(), "grant at step {id}");
+                }
+                ensure_eq!(arb.len(), reference.buffers.iter().map(VecDeque::len).sum::<usize>());
+                now += rng.below(3);
             }
             Ok(())
         });

@@ -9,8 +9,7 @@
 //! limited depth keeps a single thread from saturating many banks —
 //! Figure 5's discussion).
 
-use vpc_capacity::{TagSet, TrueLru};
-use vpc_sim::{Counter, Cycle, LineAddr, ThreadId};
+use vpc_sim::{Counter, Cycle, LineAddr};
 
 use crate::config::L1Config;
 
@@ -50,40 +49,75 @@ pub struct L1Stats {
     pub store_misses: Counter,
 }
 
+/// One L1 way: the resident line and its last access, for LRU.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    line: LineAddr,
+    last_touch: Cycle,
+}
+
 /// A private, write-through L1 data cache.
+///
+/// The tags live in one flat `sets × ways` array, set-major. A set fills
+/// its ways in order and nothing invalidates a line, so set `s` holds its
+/// valid lines in its first `held[s]` ways. A fill into a full set evicts
+/// the true-LRU line: the first way with the smallest last touch.
 #[derive(Debug)]
 pub struct L1Cache {
     cfg: L1Config,
-    thread: ThreadId,
-    sets: Vec<TagSet>,
+    ways: Vec<Way>,
+    /// Valid ways per set.
+    held: Vec<usize>,
     mshrs: Vec<Mshr>,
     stats: L1Stats,
 }
 
 impl L1Cache {
-    /// Creates an empty L1 for `thread`.
+    /// Creates an empty L1.
     ///
     /// # Panics
     ///
     /// Panics unless `cfg.sets` is a nonzero power of two (sets are
     /// indexed by mask).
-    pub fn new(cfg: L1Config, thread: ThreadId) -> L1Cache {
+    pub fn new(cfg: L1Config) -> L1Cache {
         assert!(
             cfg.sets.is_power_of_two(),
             "L1Config::sets must be a nonzero power of two, got {}",
             cfg.sets
         );
         L1Cache {
-            sets: (0..cfg.sets).map(|_| TagSet::new(cfg.ways)).collect(),
+            ways: vec![Way { line: LineAddr(0), last_touch: 0 }; cfg.sets * cfg.ways],
+            held: vec![0; cfg.sets],
             mshrs: Vec::new(),
             stats: L1Stats::default(),
             cfg,
-            thread,
         }
     }
 
+    #[inline]
     fn set_of(&self, line: LineAddr) -> usize {
         (line.0 & (self.cfg.sets as u64 - 1)) as usize
+    }
+
+    /// The flat index of the way holding `line`, if resident.
+    #[inline]
+    fn lookup(&self, line: LineAddr) -> Option<usize> {
+        let set = self.set_of(line);
+        let base = set * self.cfg.ways;
+        let valid = &self.ways[base..base + self.held[set]];
+        valid.iter().position(|w| w.line == line).map(|way| base + way)
+    }
+
+    /// The way of `set` a fill takes: the first invalid way while the set
+    /// is not full, otherwise the first way with the smallest last touch.
+    fn fill_way(&self, set: usize) -> usize {
+        if self.held[set] < self.cfg.ways {
+            return self.held[set];
+        }
+        let base = set * self.cfg.ways;
+        let ways = &self.ways[base..base + self.cfg.ways];
+        let lru = ways.iter().enumerate().min_by_key(|(_, w)| w.last_touch);
+        lru.expect("a set has at least one way").0
     }
 
     /// Looks up a load for `line`, with one tag lookup. A primary miss
@@ -99,9 +133,8 @@ impl L1Cache {
         now: Cycle,
         can_send: impl FnOnce() -> bool,
     ) -> L1LoadResult {
-        let set = self.set_of(line);
-        if let Some(way) = self.sets[set].lookup(line) {
-            self.sets[set].touch(way, now);
+        if let Some(way) = self.lookup(line) {
+            self.ways[way].last_touch = now;
             self.stats.load_hits.inc();
             return L1LoadResult::Hit { ready_at: now + self.cfg.latency };
         }
@@ -122,9 +155,8 @@ impl L1Cache {
     /// on an L1 hit (the line is updated in place either way the store is
     /// forwarded to the L2 by the caller).
     pub fn access_store(&mut self, line: LineAddr, now: Cycle) -> bool {
-        let set = self.set_of(line);
-        if let Some(way) = self.sets[set].lookup(line) {
-            self.sets[set].touch(way, now);
+        if let Some(way) = self.lookup(line) {
+            self.ways[way].last_touch = now;
             self.stats.store_hits.inc();
             true
         } else {
@@ -147,8 +179,9 @@ impl L1Cache {
             .expect("fill matches an outstanding MSHR");
         let mshr = self.mshrs.swap_remove(idx);
         let set = self.set_of(line);
-        let way = self.sets[set].find_way_for(line, self.thread, &TrueLru);
-        self.sets[set].fill(way, line, self.thread, now);
+        let way = self.fill_way(set);
+        self.held[set] = self.held[set].max(way + 1);
+        self.ways[set * self.cfg.ways + way] = Way { line, last_touch: now };
         mshr.tokens
     }
 
@@ -170,7 +203,7 @@ impl L1Cache {
 
     /// Whether `line` is resident.
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.sets[self.set_of(line)].lookup(line).is_some()
+        self.lookup(line).is_some()
     }
 
     /// Hit/miss counters.
@@ -182,11 +215,12 @@ impl L1Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpc_sim::check::{self, Config};
-    use vpc_sim::ensure_eq;
+    use vpc_capacity::{TagSet, TrueLru};
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure_eq, ThreadId};
 
     fn l1() -> L1Cache {
-        L1Cache::new(L1Config::table1(), ThreadId(0))
+        L1Cache::new(L1Config::table1())
     }
 
     #[test]
@@ -242,7 +276,7 @@ mod tests {
     fn mask_indexing_matches_modulo() {
         check::forall("l1_mask_indexing_matches_modulo", Config::cases(64), |rng| {
             let sets = 1usize << rng.below(12);
-            let c = L1Cache::new(L1Config { sets, ..L1Config::table1() }, ThreadId(0));
+            let c = L1Cache::new(L1Config { sets, ..L1Config::table1() });
             for _ in 0..64 {
                 let line = LineAddr(rng.next_u64() >> rng.below(64));
                 ensure_eq!(c.set_of(line) as u64, line.0 % sets as u64, "set of {line:?}");
@@ -254,7 +288,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "L1Config::sets must be a nonzero power of two, got 48")]
     fn non_power_of_two_sets_are_rejected() {
-        let _ = L1Cache::new(L1Config { sets: 48, ..L1Config::table1() }, ThreadId(0));
+        let _ = L1Cache::new(L1Config { sets: 48, ..L1Config::table1() });
     }
 
     #[test]
@@ -280,5 +314,60 @@ mod tests {
         }
         assert!(!c.probe(LineAddr(0)), "LRU line evicted");
         assert!(c.probe(LineAddr(4 * sets)));
+    }
+
+    /// The flat tag array behaves exactly like one `TagSet` per set under
+    /// `TrueLru`: the same hit or miss, the same victim and the same
+    /// `probe` of every line after each step of a random trace of loads,
+    /// stores and fills. Several steps share a cycle, so last touches tie
+    /// and the victim must be the first of the least recent ways.
+    #[test]
+    fn flat_tags_match_tag_set_reference() {
+        check::forall("flat_tags_match_tag_set_reference", Config::cases(128), |rng| {
+            let sets = 1usize << rng.below(4);
+            let ways = gen::range(rng, 1, 8) as usize;
+            let mut flat = L1Cache::new(L1Config { sets, ways, ..L1Config::table1() });
+            let mut reference: Vec<TagSet> = (0..sets).map(|_| TagSet::new(ways)).collect();
+            let lines = 3 * (sets * ways) as u64;
+            let mut now = 0;
+            for step in 0..300 {
+                now += rng.below(2);
+                let line = gen::line_addr(rng, lines);
+                let set = flat.set_of(line);
+                match rng.below(3) {
+                    0 => {
+                        let hit = reference[set].lookup(line);
+                        if let Some(way) = hit {
+                            reference[set].touch(way, now);
+                        }
+                        let result = flat.access_load(line, now, now, || true);
+                        let flat_hit = matches!(result, L1LoadResult::Hit { .. });
+                        ensure_eq!(flat_hit, hit.is_some(), "load of {line:?} at step {step}");
+                    }
+                    1 => {
+                        let hit = reference[set].lookup(line);
+                        if let Some(way) = hit {
+                            reference[set].touch(way, now);
+                        }
+                        let flat_hit = flat.access_store(line, now);
+                        ensure_eq!(flat_hit, hit.is_some(), "store to {line:?} at step {step}");
+                    }
+                    _ if !flat.mshrs.is_empty() => {
+                        let line = flat.mshrs[rng.below(flat.mshrs.len() as u64) as usize].line;
+                        let set = flat.set_of(line);
+                        let way = reference[set].find_way_for(line, ThreadId(0), &TrueLru);
+                        ensure_eq!(flat.fill_way(set), way, "victim for {line:?} at step {step}");
+                        reference[set].fill(way, line, ThreadId(0), now);
+                        flat.on_fill(line, now);
+                    }
+                    _ => {}
+                }
+                for line in (0..lines).map(LineAddr) {
+                    let resident = reference[flat.set_of(line)].lookup(line).is_some();
+                    ensure_eq!(flat.probe(line), resident, "probe of {line:?} after step {step}");
+                }
+            }
+            Ok(())
+        });
     }
 }

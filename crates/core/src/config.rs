@@ -8,7 +8,7 @@ use vpc_cache::{CapacityPolicy, L2Config};
 use vpc_cpu::{CoreConfig, FixedTrace, Op, Workload};
 use vpc_mem::{ChannelMode, MemConfig};
 use vpc_sim::{Share, ThreadId, MAX_THREADS};
-use vpc_workloads::{loads_micro, spec, stores_micro};
+use vpc_workloads::{loads_micro, spec, stores_micro, Generator};
 
 /// Configuration of the simulated CMP: cores, shared L2, memory system.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,21 +220,30 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Instantiates the workload for `thread`.
+    /// Instantiates the workload for `thread`, statically dispatched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`WorkloadSpec::Spec`] name is unknown.
+    pub fn generator(&self, thread: ThreadId) -> Generator {
+        match self {
+            WorkloadSpec::Loads => Generator::Trace(loads_micro(thread)),
+            WorkloadSpec::Stores => Generator::Trace(stores_micro(thread)),
+            WorkloadSpec::Spec(name) => Generator::Spec(
+                spec::workload(name, thread)
+                    .unwrap_or_else(|| panic!("unknown SPEC profile {name:?}")),
+            ),
+            WorkloadSpec::Idle => Generator::Trace(FixedTrace::new("idle", vec![Op::NonMem])),
+        }
+    }
+
+    /// Instantiates the workload for `thread` as a boxed [`Workload`].
     ///
     /// # Panics
     ///
     /// Panics if a [`WorkloadSpec::Spec`] name is unknown.
     pub fn build(&self, thread: ThreadId) -> Box<dyn Workload> {
-        match self {
-            WorkloadSpec::Loads => Box::new(loads_micro(thread)),
-            WorkloadSpec::Stores => Box::new(stores_micro(thread)),
-            WorkloadSpec::Spec(name) => Box::new(
-                spec::workload(name, thread)
-                    .unwrap_or_else(|| panic!("unknown SPEC profile {name:?}")),
-            ),
-            WorkloadSpec::Idle => Box::new(FixedTrace::new("idle", vec![Op::NonMem])),
-        }
+        Box::new(self.generator(thread))
     }
 
     /// Display name.

@@ -1,8 +1,9 @@
 //! The simulated CMP: cores + shared L2 + memory, with measurement windows.
 
 use vpc_cache::{L2Utilization, SgbStats, SharedL2};
-use vpc_cpu::Core;
+use vpc_cpu::{Core, Workload};
 use vpc_sim::{Cycle, ThreadId};
+use vpc_workloads::Generator;
 
 use crate::config::{CmpConfig, WorkloadSpec};
 
@@ -61,7 +62,7 @@ impl std::fmt::Display for Measurement {
 /// The simulated CMP system.
 #[derive(Debug)]
 pub struct CmpSystem {
-    cores: Vec<Core>,
+    cores: Vec<Core<Generator>>,
     l2: SharedL2,
     now: Cycle,
 }
@@ -74,23 +75,24 @@ impl CmpSystem {
     /// Panics as [`CmpSystem::with_workloads`] does.
     pub fn new(config: CmpConfig, workloads: &[WorkloadSpec]) -> CmpSystem {
         let workloads =
-            workloads.iter().enumerate().map(|(i, w)| w.build(ThreadId(i as u8))).collect();
-        CmpSystem::with_workloads(config, workloads)
+            workloads.iter().enumerate().map(|(i, w)| w.generator(ThreadId(i as u8))).collect();
+        CmpSystem::with_generators(config, workloads)
     }
 
     /// Builds a system from already-instantiated workloads (e.g. a
     /// [`vpc_cpu::FixedTrace`] replaying a fixed op stream), one per
-    /// processor.
+    /// processor. Each runs through its vtable ([`Generator::Boxed`]).
     ///
     /// # Panics
     ///
     /// Panics with the [`ConfigError`](crate::ConfigError)'s message if
     /// [`CmpConfig::validate`] rejects `config`, and unless exactly
     /// `config.processors` workloads are given.
-    pub fn with_workloads(
-        config: CmpConfig,
-        workloads: Vec<Box<dyn vpc_cpu::Workload>>,
-    ) -> CmpSystem {
+    pub fn with_workloads(config: CmpConfig, workloads: Vec<Box<dyn Workload>>) -> CmpSystem {
+        CmpSystem::with_generators(config, workloads.into_iter().map(Generator::Boxed).collect())
+    }
+
+    fn with_generators(config: CmpConfig, workloads: Vec<Generator>) -> CmpSystem {
         if let Err(err) = config.validate() {
             panic!("{err}");
         }
@@ -312,7 +314,7 @@ impl CmpSystem {
     }
 
     /// The core running thread `thread`.
-    pub fn core(&self, thread: ThreadId) -> &Core {
+    pub fn core(&self, thread: ThreadId) -> &Core<Generator> {
         &self.cores[thread.index()]
     }
 }

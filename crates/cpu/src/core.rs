@@ -47,19 +47,20 @@ impl CoreConfig {
     }
 }
 
+/// One reorder-buffer entry. Non-memory instructions dispatched back to
+/// back share one entry, so the ROB holds one entry per memory
+/// instruction and per run between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RobKind {
-    NonMem,
-    Load { line: LineAddr },
-    Store { line: LineAddr },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    id: u64,
-    kind: RobKind,
-    /// Completion time; `u64::MAX` while unknown (loads in flight).
-    done_at: Cycle,
+enum RobEntry {
+    /// A run of this many non-memory instructions. [`Core::tick`] retires
+    /// before it dispatches, so every instruction of a run seen at
+    /// retirement was dispatched in an earlier cycle and has completed
+    /// (unit execute latency).
+    NonMem(usize),
+    /// A load; `done_at` is `u64::MAX` while it is unissued or in flight.
+    Load { line: LineAddr, done_at: Cycle },
+    /// A store, architecturally complete one cycle after dispatch.
+    Store { line: LineAddr, done_at: Cycle },
 }
 
 /// Instruction-mix and stall counters.
@@ -79,40 +80,58 @@ pub struct CoreStats {
 
 /// One simulated processor: workload, pipeline structures, and a private
 /// write-through L1 D-cache.
+///
+/// The core is generic over its instruction stream so that a system of
+/// known workloads calls the generator directly; the default boxed
+/// [`Workload`] runs any other stream.
 #[derive(Debug)]
-pub struct Core {
+pub struct Core<W: Workload = Box<dyn Workload>> {
     cfg: CoreConfig,
     thread: ThreadId,
-    workload: Box<dyn Workload>,
+    workload: W,
     l1: L1Cache,
-    rob: VecDeque<RobEntry>,
+    /// The ROB: a ring of entries indexed by slot number. Slots are dense
+    /// and monotonic; the live ones are `head..next_slot`, and slot `s`
+    /// sits at `s % rob.len()`. The ring's power-of-two length is at least
+    /// `rob_entries`, and an entry holds at least one instruction, so no
+    /// live entry is overwritten. A load's slot is its token toward the
+    /// L1.
+    rob: Vec<RobEntry>,
+    /// Slot of the oldest live entry.
+    head: u64,
+    /// Slot the next new entry gets.
+    next_slot: u64,
+    /// Instructions in the ROB (a run counts all of its instructions).
+    rob_len: usize,
     /// One-op skid buffer for an op consumed from the workload but stalled
     /// by a structural hazard.
     pending_op: Option<Op>,
     /// Dispatch is stalled until this cycle (frontend bubbles).
     frontend_stall_until: Cycle,
-    /// Unissued loads' ids, oldest first (loads issue in LRQ order).
-    unissued_loads: VecDeque<u64>,
+    /// Unissued loads' slots and lines, oldest first (loads issue in LRQ
+    /// order). An unissued load cannot complete, so it is still live.
+    unissued_loads: VecDeque<(u64, LineAddr)>,
     lrq_count: usize,
     srq_count: usize,
-    next_id: u64,
     next_store_at: Cycle,
     retired: u64,
     stats: CoreStats,
 }
 
-impl Core {
+impl<W: Workload> Core<W> {
     /// Creates a core running `workload` as hardware thread `thread`.
-    pub fn new(cfg: CoreConfig, thread: ThreadId, workload: Box<dyn Workload>) -> Core {
+    pub fn new(cfg: CoreConfig, thread: ThreadId, workload: W) -> Core<W> {
         Core {
-            l1: L1Cache::new(cfg.l1, thread),
-            rob: VecDeque::with_capacity(cfg.rob_entries),
+            l1: L1Cache::new(cfg.l1),
+            rob: vec![RobEntry::NonMem(0); cfg.rob_entries.next_power_of_two()],
+            head: 0,
+            next_slot: 0,
+            rob_len: 0,
             pending_op: None,
             frontend_stall_until: 0,
             unissued_loads: VecDeque::new(),
             lrq_count: 0,
             srq_count: 0,
-            next_id: 0,
             next_store_at: 0,
             retired: 0,
             stats: CoreStats::default(),
@@ -149,29 +168,30 @@ impl Core {
             at: now,
             data: EventData::LoadReturn { thread: self.thread, line },
         });
-        for token in self.l1.on_fill(line, now) {
-            if let Some(entry) = self.entry_mut(token) {
-                entry.done_at = now;
+        for slot in self.l1.on_fill(line, now) {
+            if let Some(RobEntry::Load { done_at, .. }) = self.entry_mut(slot) {
+                *done_at = now;
             }
         }
     }
 
-    /// O(1) ROB access by instruction id (ids are dense and monotonic).
-    fn entry_mut(&mut self, id: u64) -> Option<&mut RobEntry> {
-        let head = self.rob.front()?.id;
-        if id < head {
-            return None;
-        }
-        self.rob.get_mut((id - head) as usize)
+    /// The ring position of `slot`.
+    #[inline]
+    fn at(&self, slot: u64) -> usize {
+        slot as usize & (self.rob.len() - 1)
     }
 
-    /// Read-only counterpart of [`Core::entry_mut`].
-    fn entry(&self, id: u64) -> Option<&RobEntry> {
-        let head = self.rob.front()?.id;
-        if id < head {
-            return None;
-        }
-        self.rob.get((id - head) as usize)
+    /// The live ROB entry in `slot`, if any.
+    #[inline]
+    fn entry(&self, slot: u64) -> Option<RobEntry> {
+        (self.head..self.next_slot).contains(&slot).then(|| self.rob[self.at(slot)])
+    }
+
+    /// Mutable counterpart of [`Core::entry`].
+    #[inline]
+    fn entry_mut(&mut self, slot: u64) -> Option<&mut RobEntry> {
+        let at = self.at(slot);
+        (self.head..self.next_slot).contains(&slot).then(|| &mut self.rob[at])
     }
 
     /// Advances the core one cycle: retire, issue loads, dispatch.
@@ -185,7 +205,7 @@ impl Core {
     /// or the skid-buffered op cannot take an LRQ/SRQ slot) — exactly the
     /// conditions under which [`Core::dispatch`] counts a stall cycle.
     fn dispatch_blocked(&self) -> bool {
-        self.rob.len() >= self.cfg.rob_entries
+        self.rob_len >= self.cfg.rob_entries
             || match &self.pending_op {
                 Some(Op::Load(_)) => self.lrq_count >= self.cfg.lrq_entries,
                 Some(Op::Store(_)) => self.srq_count >= self.cfg.srq_entries,
@@ -212,41 +232,32 @@ impl Core {
         }
         let mut best: Option<Cycle> = None;
         let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        // Retirement: a finite completion time bounds the skip; a store at
-        // the head with an open port retires once the send interval allows.
-        if let Some(head) = self.rob.front() {
-            match head.kind {
-                RobKind::NonMem | RobKind::Load { .. } => {
-                    if head.done_at != u64::MAX {
-                        consider(head.done_at.max(horizon));
-                    }
-                }
-                RobKind::Store { line } => {
-                    if head.done_at > now {
-                        consider(head.done_at.max(horizon));
-                    } else if l2.can_accept(self.thread, line) {
-                        consider(self.next_store_at.max(horizon));
-                    }
-                    // else: port-blocked; unblocking is bank activity.
-                }
+        // Retirement: a run at the head retires next tick, a finite load
+        // completion time bounds the skip, and a store at the head with
+        // an open port retires once the send interval allows.
+        match self.entry(self.head) {
+            Some(RobEntry::NonMem(_)) => consider(horizon),
+            Some(RobEntry::Load { done_at, .. }) if done_at != u64::MAX => {
+                consider(done_at.max(horizon));
             }
+            Some(RobEntry::Store { line, done_at }) => {
+                if done_at > now {
+                    consider(done_at.max(horizon));
+                } else if l2.can_accept(self.thread, line) {
+                    consider(self.next_store_at.max(horizon));
+                }
+                // else: port-blocked; unblocking is bank activity.
+            }
+            Some(RobEntry::Load { .. }) | None => {}
         }
         // Load issue: an issuable head load acts next tick. A blocked one
         // waits on an L1 fill or port credit, which the cache reports.
-        if let Some(&id) = self.unissued_loads.front() {
-            match self.entry(id) {
-                None => consider(horizon), // stale id: next tick pops it
-                Some(entry) => {
-                    let RobKind::Load { line } = entry.kind else {
-                        unreachable!("unissued-load queue holds loads only")
-                    };
-                    if self.l1.probe(line)
-                        || self.l1.has_mshr(line)
-                        || (self.l1.can_allocate_miss() && l2.can_accept(self.thread, line))
-                    {
-                        consider(horizon);
-                    }
-                }
+        if let Some(&(_, line)) = self.unissued_loads.front() {
+            if self.l1.probe(line)
+                || self.l1.has_mshr(line)
+                || (self.l1.can_allocate_miss() && l2.can_accept(self.thread, line))
+            {
+                consider(horizon);
             }
         }
         // Dispatch: an unblocked frontend consumes workload ops as soon as
@@ -269,10 +280,10 @@ impl Core {
         if skipped == 0 {
             return;
         }
-        if let Some(head) = self.rob.front() {
-            // A completed store still at the head is being held back by the
-            // port or the send interval on every skipped tick.
-            if matches!(head.kind, RobKind::Store { .. }) && head.done_at <= now {
+        // A completed store still at the head is being held back by the
+        // port or the send interval on every skipped tick.
+        if let Some(RobEntry::Store { done_at, .. }) = self.entry(self.head) {
+            if done_at <= now {
                 self.stats.store_stall_cycles.add(skipped);
             }
         }
@@ -299,12 +310,21 @@ impl Core {
                 Some(op) => op,
                 None => self.workload.next_op(),
             };
-            let kind = match op {
+            let entry = match op {
                 Op::Bubble(n) => {
                     self.frontend_stall_until = now + u64::from(n);
                     return;
                 }
-                Op::NonMem => RobKind::NonMem,
+                Op::NonMem => {
+                    let tail = self.next_slot.wrapping_sub(1);
+                    if let Some(RobEntry::NonMem(run)) = self.entry_mut(tail) {
+                        *run += 1;
+                        self.rob_len += 1;
+                        dispatched += 1;
+                        continue;
+                    }
+                    RobEntry::NonMem(1)
+                }
                 Op::Load(line) => {
                     if self.lrq_count >= self.cfg.lrq_entries {
                         self.pending_op = Some(op);
@@ -312,8 +332,8 @@ impl Core {
                         return;
                     }
                     self.lrq_count += 1;
-                    self.unissued_loads.push_back(self.next_id);
-                    RobKind::Load { line }
+                    self.unissued_loads.push_back((self.next_slot, line));
+                    RobEntry::Load { line, done_at: u64::MAX }
                 }
                 Op::Store(line) => {
                     if self.srq_count >= self.cfg.srq_entries {
@@ -322,18 +342,16 @@ impl Core {
                         return;
                     }
                     self.srq_count += 1;
-                    RobKind::Store { line }
+                    // Stores are architecturally complete at dispatch (weak
+                    // consistency; data waits in the SRQ); they gate at
+                    // retire.
+                    RobEntry::Store { line, done_at: now + 1 }
                 }
             };
-            let done_at = match kind {
-                RobKind::NonMem => now + 1,
-                // Stores are architecturally complete at dispatch (weak
-                // consistency; data waits in the SRQ); they gate at retire.
-                RobKind::Store { .. } => now + 1,
-                RobKind::Load { .. } => u64::MAX,
-            };
-            self.rob.push_back(RobEntry { id: self.next_id, kind, done_at });
-            self.next_id += 1;
+            let at = self.at(self.next_slot);
+            self.rob[at] = entry;
+            self.next_slot += 1;
+            self.rob_len += 1;
             dispatched += 1;
         }
     }
@@ -341,17 +359,12 @@ impl Core {
     fn issue_loads(&mut self, now: Cycle, l2: &mut SharedL2) {
         let mut issued = 0;
         while issued < self.cfg.load_issue_width {
-            let Some(&id) = self.unissued_loads.front() else { return };
-            let Some(entry) = self.entry_mut(id) else {
-                self.unissued_loads.pop_front();
-                continue;
-            };
-            let RobKind::Load { line } = entry.kind else {
-                unreachable!("unissued-load queue holds loads only")
-            };
-            match self.try_issue_load(line, id, now, l2) {
-                Some(done_at) => {
-                    self.entry_mut(id).expect("entry just seen").done_at = done_at;
+            let Some(&(slot, line)) = self.unissued_loads.front() else { return };
+            match self.try_issue_load(line, slot, now, l2) {
+                Some(ready_at) => {
+                    if let Some(RobEntry::Load { done_at, .. }) = self.entry_mut(slot) {
+                        *done_at = ready_at;
+                    }
                     self.unissued_loads.pop_front();
                     issued += 1;
                 }
@@ -385,18 +398,35 @@ impl Core {
         }
     }
 
+    /// Retires up to `retire_width` instructions in order. A run of
+    /// non-memory instructions at the head retires in bulk.
     fn retire(&mut self, now: Cycle, l2: &mut SharedL2) {
-        let mut retired = 0;
-        while retired < self.cfg.retire_width {
-            let Some(&head) = self.rob.front() else { return };
-            match head.kind {
-                RobKind::NonMem | RobKind::Load { .. } => {
-                    if head.done_at > now {
+        let mut budget = self.cfg.retire_width;
+        while budget > 0 {
+            let Some(entry) = self.entry(self.head) else { return };
+            let retired = match entry {
+                RobEntry::NonMem(run) => {
+                    let n = run.min(budget);
+                    if n < run {
+                        let at = self.at(self.head);
+                        self.rob[at] = RobEntry::NonMem(run - n);
+                    } else {
+                        self.head += 1;
+                    }
+                    self.stats.non_mem.add(n as u64);
+                    n
+                }
+                RobEntry::Load { done_at, .. } => {
+                    if done_at > now {
                         return;
                     }
+                    self.head += 1;
+                    self.stats.loads.inc();
+                    self.lrq_count -= 1;
+                    1
                 }
-                RobKind::Store { line } => {
-                    if head.done_at > now {
+                RobEntry::Store { line, done_at } => {
+                    if done_at > now {
                         return;
                     }
                     // Write-through: the store must leave for the L2 at
@@ -412,27 +442,20 @@ impl Core {
                             thread: self.thread,
                             line,
                             kind: AccessKind::Write,
-                            token: head.id,
+                            token: self.head,
                         },
                         now,
                     );
                     self.next_store_at = now + self.cfg.store_send_interval;
-                }
-            }
-            match head.kind {
-                RobKind::NonMem => self.stats.non_mem.inc(),
-                RobKind::Load { .. } => {
-                    self.stats.loads.inc();
-                    self.lrq_count -= 1;
-                }
-                RobKind::Store { .. } => {
+                    self.head += 1;
                     self.stats.stores.inc();
                     self.srq_count -= 1;
+                    1
                 }
-            }
-            self.rob.pop_front();
-            self.retired += 1;
-            retired += 1;
+            };
+            self.rob_len -= retired;
+            self.retired += retired as u64;
+            budget -= retired;
         }
     }
 }
@@ -451,7 +474,7 @@ mod tests {
         SharedL2::new(cfg, MemConfig::ddr2_800())
     }
 
-    fn run(core: &mut Core, l2: &mut SharedL2, cycles: Cycle) {
+    fn run<W: Workload>(core: &mut Core<W>, l2: &mut SharedL2, cycles: Cycle) {
         for now in 0..cycles {
             core.tick(now, l2);
             l2.tick(now);
@@ -547,11 +570,11 @@ mod tests {
         let mut l2 = small_l2(1);
         core.pending_op = Some(Op::Store(LineAddr(7)));
         core.srq_count = core.cfg.srq_entries;
-        let rob_len = core.rob.len();
+        let rob_len = core.rob_len;
         core.tick(0, &mut l2);
         assert_eq!(core.stats().dispatch_stall_cycles.get(), 1, "one stalled tick, one stall");
         assert_eq!(core.pending_op, Some(Op::Store(LineAddr(7))), "the skid buffer is kept");
-        assert_eq!(core.rob.len(), rob_len, "nothing dispatched");
+        assert_eq!(core.rob_len, rob_len, "nothing dispatched");
         assert_eq!(core.workload.next_op(), Op::Store(LineAddr(1)), "no op was consumed");
     }
 
@@ -577,5 +600,84 @@ mod tests {
             wide.retired(),
             throttled.retired()
         );
+    }
+
+    /// A core holding `entries` at the head of its ROB, with the queue
+    /// counts they imply.
+    fn core_with_rob(entries: &[RobEntry]) -> Core<FixedTrace> {
+        let mut core =
+            Core::new(CoreConfig::table1(), ThreadId(0), FixedTrace::new("spin", vec![Op::NonMem]));
+        for &entry in entries {
+            core.rob_len += match entry {
+                RobEntry::NonMem(run) => run,
+                RobEntry::Load { .. } => {
+                    core.lrq_count += 1;
+                    1
+                }
+                RobEntry::Store { .. } => {
+                    core.srq_count += 1;
+                    1
+                }
+            };
+            let at = core.at(core.next_slot);
+            core.rob[at] = entry;
+            core.next_slot += 1;
+        }
+        core
+    }
+
+    #[test]
+    fn run_longer_than_retire_width_retires_over_two_cycles() {
+        let mut core = core_with_rob(&[RobEntry::NonMem(8)]);
+        let mut l2 = small_l2(1);
+        core.retire(1, &mut l2);
+        assert_eq!(core.retired(), 5, "one cycle retires retire_width instructions");
+        assert_eq!(core.entry(core.head), Some(RobEntry::NonMem(3)), "the run keeps its rest");
+        core.retire(2, &mut l2);
+        assert_eq!(core.retired(), 8);
+        assert_eq!((core.head, core.next_slot, core.rob_len), (1, 1, 0), "the ROB is empty");
+        assert_eq!(core.stats().non_mem.get(), 8);
+    }
+
+    #[test]
+    fn memory_ops_behind_a_run_wait_for_it() {
+        let line = LineAddr(3);
+        let mut core = core_with_rob(&[
+            RobEntry::NonMem(7),
+            RobEntry::Load { line, done_at: 0 },
+            RobEntry::Store { line, done_at: 0 },
+        ]);
+        let mut l2 = small_l2(1);
+        core.retire(1, &mut l2);
+        assert_eq!(core.retired(), 5);
+        assert_eq!(core.stats().loads.get() + core.stats().stores.get(), 0, "both wait");
+        core.retire(2, &mut l2);
+        let s = core.stats();
+        assert_eq!((s.non_mem.get(), s.loads.get(), s.stores.get()), (7, 1, 1));
+        assert_eq!((core.lrq_count, core.srq_count, core.rob_len), (0, 0, 0));
+    }
+
+    #[test]
+    fn retired_counts_equal_the_op_counts() {
+        let mut ops = vec![Op::NonMem; 9];
+        ops.extend([Op::Load(LineAddr(8)), Op::NonMem, Op::Bubble(1), Op::Store(LineAddr(16))]);
+        ops.extend(vec![Op::NonMem; 12]);
+        ops.push(Op::Load(LineAddr(700)));
+        let mut core = Core::new(CoreConfig::table1(), ThreadId(0), FixedTrace::new("mix", ops));
+        let mut reference = core.workload.clone();
+        let mut l2 = small_l2(1);
+        run(&mut core, &mut l2, 20_000);
+        let (mut non_mem, mut loads, mut stores) = (0, 0, 0);
+        while non_mem + loads + stores < core.retired() {
+            match reference.next_op() {
+                Op::NonMem => non_mem += 1,
+                Op::Load(_) => loads += 1,
+                Op::Store(_) => stores += 1,
+                Op::Bubble(_) => {}
+            }
+        }
+        let s = core.stats();
+        assert_eq!((s.non_mem.get(), s.loads.get(), s.stores.get()), (non_mem, loads, stores));
+        assert!(loads > 100, "the trace ran many loops, retired {}", core.retired());
     }
 }

@@ -6,7 +6,9 @@
 //! two load/store units, a private write-through L1 D-cache with MSHRs and
 //! an LMQ depth limit, and in-order retirement. Instructions come from a
 //! [`Workload`] — an infinite generator that produces non-memory
-//! instructions, loads and stores at line granularity.
+//! instructions, loads and stores at line granularity. [`Core`] is generic
+//! over it, so a known workload type is called directly; the default,
+//! `Box<dyn Workload>`, runs any other.
 //!
 //! The performance-relevant behaviors the sharing experiments depend on are
 //! modeled explicitly:

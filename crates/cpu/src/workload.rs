@@ -34,6 +34,16 @@ pub trait Workload: fmt::Debug {
     fn name(&self) -> &str;
 }
 
+impl<W: Workload + ?Sized> Workload for Box<W> {
+    fn next_op(&mut self) -> Op {
+        (**self).next_op()
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+}
+
 /// A workload replaying a fixed sequence of operations in a loop.
 ///
 /// Useful in tests and for microbenchmark-style kernels.
@@ -67,6 +77,7 @@ impl FixedTrace {
 }
 
 impl Workload for FixedTrace {
+    #[inline]
     fn next_op(&mut self) -> Op {
         let op = self.ops[self.pos];
         self.pos = (self.pos + 1) % self.ops.len();

@@ -25,7 +25,7 @@ fn random_trace(rng: &mut SplitMix64, len: usize) -> FixedTrace {
     FixedTrace::new("random", ops)
 }
 
-fn build(trace: FixedTrace) -> (Core, SharedL2) {
+fn build(trace: FixedTrace) -> (Core<Box<FixedTrace>>, SharedL2) {
     let core = Core::new(CoreConfig::table1(), ThreadId(0), Box::new(trace));
     let mut cfg = L2Config::table1(1, ArbiterPolicy::RowFcfs);
     cfg.total_sets = 128;

@@ -33,3 +33,37 @@ pub mod spec;
 
 pub use micro::{loads_micro, stores_micro};
 pub use spec::{SpecParams, SyntheticSpec, SPEC_NAMES};
+
+use vpc_cpu::{FixedTrace, Op, Workload};
+
+/// The instruction stream of one simulated core. The simulator's own
+/// workloads are dispatched statically, so a core's `next_op` call
+/// inlines into its dispatch stage; any other [`Workload`] runs boxed.
+#[derive(Debug)]
+pub enum Generator {
+    /// A synthetic SPEC profile.
+    Spec(SyntheticSpec),
+    /// A looping fixed trace (the microbenchmarks, the idle spinner).
+    Trace(FixedTrace),
+    /// Any other workload, called through its vtable.
+    Boxed(Box<dyn Workload>),
+}
+
+impl Workload for Generator {
+    #[inline]
+    fn next_op(&mut self) -> Op {
+        match self {
+            Generator::Spec(w) => w.next_op(),
+            Generator::Trace(w) => w.next_op(),
+            Generator::Boxed(w) => w.next_op(),
+        }
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            Generator::Spec(w) => w.name(),
+            Generator::Trace(w) => w.name(),
+            Generator::Boxed(w) => w.name(),
+        }
+    }
+}

@@ -336,6 +336,7 @@ impl SyntheticSpec {
         &self.params
     }
 
+    #[inline]
     fn gen_load(&mut self) -> Op {
         let p = self.params;
         if self.burst_left > 0 {
@@ -359,6 +360,7 @@ impl SyntheticSpec {
         Op::Load(LineAddr(line))
     }
 
+    #[inline]
     fn gen_store(&mut self) -> Op {
         let p = self.params;
         if !self.rng.chance(p.store_locality) {
@@ -372,6 +374,7 @@ impl SyntheticSpec {
 const BUBBLE_LEN: u8 = 4;
 
 impl Workload for SyntheticSpec {
+    #[inline]
     fn next_op(&mut self) -> Op {
         if self.rng.chance(self.bubble_chance) {
             return Op::Bubble(BUBBLE_LEN);

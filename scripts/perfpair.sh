@@ -4,8 +4,11 @@
 # side that runs first alternates from pair to pair. Prints each pair's
 # `wall_s`, then one line per end-to-end metric that BENCHMARK.json lists,
 # judged in that metric's own `better` direction: both medians, their
-# ratio, the pairs the change won and the parent's interquartile range,
-# the inputs to the claim rule of perfbench/README.md. Fails if any run
+# ratio, the pairs the change won (a tie counts for neither side), the
+# parent's interquartile range and the verdict of the claim rule of
+# perfbench/README.md: `yes` when the change won at least 9 pairs in 10
+# and its median beats the parent's by more than the parent's IQR. Warns
+# when the held-out seed 4242 is not among the seeds. Fails if any run
 # does not report `"correct": true`.
 #
 # Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED...
@@ -94,8 +97,8 @@ for seed in "$@"; do
     i=$((i + 1))
 done
 
-printf '%-18s %-6s %12s %12s %8s %5s %12s\n' \
-    metric better parent_med change_med ratio won parent_iqr
+printf '%-18s %-6s %12s %12s %8s %5s %12s %5s\n' \
+    metric better parent_med change_med ratio won parent_iqr claim
 while read -r name better; do
     for i in "${!parent_runs[@]}"; do
         echo "$(value_of "$name" "${parent_runs[$i]}") $(value_of "$name" "${change_runs[$i]}")"
@@ -127,7 +130,15 @@ while read -r name better; do
             pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
             iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
             ratio = pm == 0 ? "n/a" : sprintf("%.3f", cm / pm)
-            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g\n", \
-                name, better, pm, cm, ratio, won, n, iqr
+            gap = better == "higher" ? cm - pm : pm - cm
+            claim = 10 * won >= 9 * n && gap > iqr ? "yes" : "no"
+            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g %5s\n", \
+                name, better, pm, cm, ratio, won, n, iqr, claim
         }'
 done <<<"$metrics"
+
+held_out=4242
+if [[ " $* " != *" $held_out "* ]]; then
+    echo "perfpair: warning: the held-out seed $held_out is not among the seeds;" \
+        "a claim must include it" >&2
+fi

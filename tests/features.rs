@@ -1,6 +1,7 @@
 //! Integration tests for the library's extension features: replayed op
 //! streams through the full system and per-thread utilization.
 
+use vpc::experiments::{fig10, fig9, Cell, RunBudget};
 use vpc::prelude::*;
 use vpc_cpu::{FixedTrace, Workload};
 use vpc_sim::ThreadId;
@@ -34,6 +35,33 @@ fn recorded_trace_reproduces_the_generator_through_the_full_system() {
         "trace replay must be cycle-identical to the generator"
     );
     assert!(sys_gen.core(ThreadId(0)).retired() > 1_000);
+}
+
+/// `CmpSystem::new` runs the simulator's workloads statically dispatched;
+/// `CmpSystem::with_workloads` runs the same workloads boxed. Both must
+/// measure the same machine, on a Figure 9 and a Figure 10 cell.
+#[test]
+fn boxed_workloads_measure_what_static_ones_do() {
+    let base = CmpConfig::table1();
+    let budget = RunBudget::quick();
+    let cells: [Cell; 2] = [
+        fig9::subject_cell(&base, "art", fig9::subject_share_policy(1, 2), budget),
+        fig10::mix_cell(&base, &fig10::MIXES[0], ArbiterPolicy::vpc_equal(4), budget),
+    ];
+    for cell in cells {
+        let boxed: Vec<Box<dyn Workload>> =
+            cell.workloads.iter().enumerate().map(|(i, w)| w.build(ThreadId(i as u8))).collect();
+        let mut statics = CmpSystem::new(cell.cfg.clone(), &cell.workloads);
+        let mut dynamic = CmpSystem::with_workloads(cell.cfg.clone(), boxed);
+        let m_static = statics.run_measured(budget.warmup, budget.window);
+        let m_dynamic = dynamic.run_measured(budget.warmup, budget.window);
+        assert_eq!(format!("{m_static:?}"), format!("{m_dynamic:?}"), "{:?}", cell.workloads);
+        for t in (0..cell.workloads.len()).map(|t| ThreadId(t as u8)) {
+            assert_eq!(statics.core(t).retired(), dynamic.core(t).retired());
+        }
+        assert_eq!(statics.l2().busy_cycles(), dynamic.l2().busy_cycles());
+        assert!(statics.core(ThreadId(0)).retired() > 0);
+    }
 }
 
 #[test]
