@@ -7,7 +7,7 @@ use vpc::prelude::*;
 fn main() {
     let base = CmpConfig::table1();
     vpc_bench::figure(
-        &vpc_bench::Cli::from_env(),
+        &vpc_bench::Cli::from_env(false),
         "ablations",
         "Ablations",
         |opts| ablations::run_all(&base, opts),

@@ -1,37 +1,48 @@
-//! Figure 5: microbenchmark L2 utilization vs. number of banks.
+//! Figure 5: microbenchmark L2 utilization vs. bank count.
 //!
-//! `--trace out.json` writes one trace per grid point (merged in
-//! `out.json`, one file per job next to it) plus the 4-thread contention
-//! variant (one Loads stream vs. three Stores streams under equal-share
-//! VPC arbiters) as `out.fig5-contention-Loads-3xStores.json`.
-//! `--metrics` prints the QoS ledger of the same scenario under VPC and
-//! FCFS to stderr. Neither flag changes stdout.
+//! `--trace out.json` and `--metrics` also run the 4-thread contention
+//! variant (one Loads stream vs. three Stores streams) under equal-share
+//! VPC arbiters and under FCFS. `--trace` writes one trace per job (merged
+//! in `out.json`, one file per job next to it; the VPC contention run is
+//! `out.fig5-contention-Loads-3xStores.json`). `--metrics` prints both
+//! contention runs' QoS ledgers to stderr. Neither flag changes stdout.
 
-use vpc::experiments::fig5;
+use vpc::experiments::{fig5, run_cells};
 use vpc::json::to_json;
 use vpc::prelude::*;
-use vpc_sim::trace;
-
-/// Label of the contention scenario's trace.
-const CONTENTION: &str = "fig5/contention Loads+3xStores";
 
 fn main() {
-    let cli = vpc_bench::Cli::from_env();
+    let cli = vpc_bench::Cli::from_env(true);
     let base = CmpConfig::table1();
-    vpc_bench::figure(&cli, "fig5", "Figure 5", |opts| fig5::run(&base, opts), Some(to_json));
-
-    if let Some(path) = &cli.trace {
-        // Grant/defer interleaving and virtual times only mean something
-        // under contention, which the single-thread grid points lack.
-        let log = fig5::trace_scenario(&base, cli.opts.budget, trace::DEFAULT_CAPACITY);
-        vpc_bench::write_trace_beside(path, CONTENTION, &log);
-    }
+    let scenarios = [
+        ("VPC (equal shares)", "", ArbiterPolicy::vpc_equal(4)),
+        ("FCFS", " FCFS", ArbiterPolicy::Fcfs),
+    ];
+    let mut ledgers = Vec::new();
+    let run = |opts| {
+        let result = fig5::run(&base, opts);
+        if cli.trace.is_some() || cli.metrics {
+            // Grant/defer interleaving, virtual times and ledgers only mean
+            // something under contention, which the grid points lack.
+            let cells: Vec<(String, Cell)> = scenarios
+                .iter()
+                .map(|(_, suffix, arbiter)| {
+                    let cell = fig5::contention_cell(&base, arbiter.clone(), opts.budget);
+                    (format!("fig5/contention Loads+3xStores{suffix}"), cell)
+                })
+                .collect();
+            ledgers = run_cells(&cells, opts, |cell| {
+                let mut ledger = fig5::contention_ledger();
+                cell.run_with_ledger(Some(&mut ledger));
+                ledger
+            });
+        }
+        result
+    };
+    vpc_bench::figure(&cli, "fig5", "Figure 5", run, Some(to_json));
 
     if cli.metrics {
-        for (name, arbiter) in
-            [("VPC (equal shares)", ArbiterPolicy::vpc_equal(4)), ("FCFS", ArbiterPolicy::Fcfs)]
-        {
-            let ledger = fig5::qos_ledger(&base, arbiter, cli.opts.budget);
+        for ((name, ..), ledger) in scenarios.iter().zip(&ledgers) {
             eprintln!("-- contention scenario under {name} --");
             eprint!("{ledger}");
         }

@@ -6,7 +6,7 @@ use vpc::prelude::*;
 
 fn main() {
     vpc_bench::figure(
-        &vpc_bench::Cli::from_env(),
+        &vpc_bench::Cli::from_env(false),
         "fig6",
         "Figure 6",
         |opts| fig6::run(&CmpConfig::table1(), opts),

@@ -6,7 +6,7 @@ use vpc::prelude::*;
 
 fn main() {
     vpc_bench::figure(
-        &vpc_bench::Cli::from_env(),
+        &vpc_bench::Cli::from_env(false),
         "fig8",
         "Figure 8",
         |opts| fig8::run(&CmpConfig::table1_with_threads(2), opts),

@@ -7,7 +7,7 @@ use vpc_workloads::SPEC_NAMES;
 
 fn main() {
     vpc_bench::figure(
-        &vpc_bench::Cli::from_env(),
+        &vpc_bench::Cli::from_env(false),
         "fig9",
         "Figure 9",
         |opts| fig9::run(&CmpConfig::table1(), &SPEC_NAMES, opts),

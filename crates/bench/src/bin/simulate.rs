@@ -14,13 +14,24 @@
 //! Arbiters: `fcfs`, `row`, `vpc` (the three of the paper's Figure 8).
 
 use std::path::PathBuf;
-use std::process::ExitCode;
 
-use vpc::experiments::fig5;
+use vpc::experiments::{fig5, run_cells, RunOptions};
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
 use vpc_sim::trace;
 use vpc_workloads::SPEC_NAMES;
+
+/// The usage text, after the program name.
+const USAGE: &str = "\
+[--workloads a,b,c,d] [--arbiter fcfs|row|vpc]
+                [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]
+                [--lru-capacity] [--trace out.json] [--metrics]
+
+--trace writes a Chrome trace_event JSON of every cell's measured window
+(the shared machine, then each distinct target; open in chrome://tracing
+or Perfetto): merged in out.json, one file per cell next to it. --metrics
+prints the per-thread QoS ledger and L2 latency percentiles to stderr.
+Neither flag changes stdout. Argument errors exit with code 2.";
 
 #[derive(Debug)]
 struct Args {
@@ -48,9 +59,9 @@ fn parse_workload(name: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-/// Parses the command line into the arguments and the machine they
-/// describe, which [`CmpConfig::validate`] has accepted.
-fn parse_args() -> Result<(Args, CmpConfig), String> {
+/// Parses `argv` (without the program name) into the arguments and the
+/// machine they describe, which [`CmpConfig::validate`] has accepted.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, CmpConfig), String> {
     let mut args = Args {
         workloads: vec![
             WorkloadSpec::Spec("art"),
@@ -67,55 +78,39 @@ fn parse_args() -> Result<(Args, CmpConfig), String> {
         trace: None,
         metrics: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    vpc_bench::parse_flags(argv, |flag, value| {
+        match flag {
             "--workloads" => {
-                args.workloads = value("--workloads")?
-                    .split(',')
-                    .map(parse_workload)
-                    .collect::<Result<_, _>>()?;
+                args.workloads =
+                    value()?.split(',').map(parse_workload).collect::<Result<_, _>>()?;
             }
-            "--arbiter" => args.arbiter = value("--arbiter")?,
+            "--arbiter" => args.arbiter = value()?,
             "--shares" => {
-                args.shares = value("--shares")?
+                args.shares = value()?
                     .split(',')
                     .map(|s| s.parse::<Share>().map_err(|e| e.to_string()))
                     .collect::<Result<_, _>>()?;
             }
-            "--banks" => {
-                args.banks = value("--banks")?.parse().map_err(|e| format!("--banks: {e}"))?;
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?;
-            }
+            "--banks" => args.banks = value()?.parse().map_err(|e| format!("--banks: {e}"))?,
+            "--warmup" => args.warmup = value()?.parse().map_err(|e| format!("--warmup: {e}"))?,
             "--cycles" => {
-                let cycles = value("--cycles")?;
+                let cycles = value()?;
                 args.cycles =
                     cycles.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                         format!("--cycles needs a positive integer, got {cycles:?}")
                     })?;
             }
             "--lru-capacity" => args.lru_capacity = true,
-            "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
+            "--trace" => args.trace = Some(PathBuf::from(value()?)),
             "--metrics" => args.metrics = true,
             "--help" | "-h" => {
-                vpc_bench::outln!(
-                    "usage: simulate [--workloads a,b,c,d] [--arbiter fcfs|row|vpc]\n\
-                     \x20               [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]\n\
-                     \x20               [--lru-capacity] [--trace out.json] [--metrics]\n\
-                     \n\
-                     --trace writes a Chrome trace_event JSON of the measured window\n\
-                     (open in chrome://tracing or Perfetto); --metrics prints the\n\
-                     per-thread QoS ledger and L2 latency percentiles to stderr.\n\
-                     Neither flag changes stdout. Argument errors exit with code 2."
-                );
+                vpc_bench::outln!("usage: simulate {USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if args.warmup.checked_add(args.cycles).is_none() {
         return Err("--warmup plus --cycles overflows the 64-bit cycle counter".into());
     }
@@ -152,27 +147,36 @@ fn build_arbiter(args: &Args) -> Result<ArbiterPolicy, String> {
     })
 }
 
-/// Runs the configured system; the only error is a trace that cannot be
-/// written.
-fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
-    let mut sys = CmpSystem::new(cfg.clone(), &args.workloads);
-    sys.run(args.warmup);
-    if args.trace.is_some() {
-        // The simulation runs on this thread, so the thread-local
-        // recorder sees the whole measured window.
-        trace::install(trace::DEFAULT_CAPACITY);
-    }
-    let snap = sys.snapshot();
-    let mut ledger = args.metrics.then(|| {
-        let entitlements = args.shares.iter().map(|&s| (s, s)).collect();
-        QosLedger::new(entitlements, fig5::QOS_WINDOW, fig5::QOS_SLACK)
+/// Runs the configured machine and each distinct per-thread target as one
+/// batch of cells, prints the report, and writes the trace and the
+/// ledger when asked.
+fn run(args: Args, cfg: CmpConfig) {
+    let budget = RunBudget { warmup: args.warmup, window: args.cycles };
+    let shared = Cell::shared(cfg.clone(), args.workloads.clone(), budget);
+    let mut cells = vec![("simulate".to_string(), shared.clone())];
+    let targets: Vec<Option<usize>> = args
+        .workloads
+        .iter()
+        .zip(&args.shares)
+        .map(|(&w, &share)| {
+            Cell::target(&cfg, w, share, share, budget).map(|cell| {
+                cells.push((format!("simulate/target/{} {share}", w.name()), cell));
+                cells.len() - 1
+            })
+        })
+        .collect();
+    trace::set_capture(args.trace.as_ref().map(|_| trace::DEFAULT_CAPACITY));
+    let entitlements: Vec<(Share, Share)> = args.shares.iter().map(|&s| (s, s)).collect();
+    let opts = RunOptions { budget, jobs: vpc_bench::default_jobs() };
+    let results = run_cells(&cells, opts, |cell| {
+        let mut ledger = (args.metrics && *cell == shared)
+            .then(|| QosLedger::new(entitlements.clone(), fig5::QOS_WINDOW, fig5::QOS_SLACK));
+        let (sys, m) = cell.run_with_ledger(ledger.as_mut());
+        let latency: Vec<_> =
+            (0..cell.workloads.len()).map(|t| sys.l2().read_latency(ThreadId(t as u8))).collect();
+        (m, latency, ledger)
     });
-    match &mut ledger {
-        Some(ledger) => sys.run_with_ledger(args.cycles, ledger),
-        None => sys.run(args.cycles),
-    }
-    let m = sys.measure(&snap);
-    let trace_log = if args.trace.is_some() { trace::take() } else { None };
+    let (m, latency, ledger) = &results[0];
 
     vpc_bench::outln!(
         "== simulate: {} threads, {} banks, arbiter {} ==",
@@ -191,9 +195,7 @@ fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
         "gathering"
     );
     for (i, w) in args.workloads.iter().enumerate() {
-        let thread = ThreadId(i as u8);
-        let target = target_ipc(&cfg, *w, args.shares[i], args.shares[i], args.warmup, args.cycles);
-        let hist = sys.l2().read_latency(thread);
+        let target = targets[i].map_or(0.0, |t| results[t].0.ipc[0]);
         // A zero-share thread runs on excess bandwidth only and has no
         // target to normalize by.
         let norm =
@@ -205,7 +207,7 @@ fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
             m.ipc[i],
             target,
             norm,
-            hist.mean(),
+            latency[i].mean(),
             m.gathering_rate[i] * 100.0,
         );
     }
@@ -217,21 +219,11 @@ fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
     );
 
     if let Some(path) = &args.trace {
-        let log = trace_log.expect("recorder installed before the measured window");
-        let doc = vpc::trace::chrome_trace("simulate", &log);
-        vpc::trace::write_chrome_trace(path, &doc)
-            .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-        eprintln!(
-            "-- wrote {} ({} events, {} dropped) --",
-            path.display(),
-            log.events().len(),
-            log.dropped(),
-        );
+        vpc_bench::write_job_traces(path, &trace::take_job_logs());
     }
-    if let Some(ledger) = &ledger {
+    if let Some(ledger) = ledger {
         eprint!("{ledger}");
-        for (i, w) in args.workloads.iter().enumerate() {
-            let hist = sys.l2().read_latency(ThreadId(i as u8));
+        for (w, hist) in args.workloads.iter().zip(latency) {
             eprintln!(
                 "  {} L2 read latency p50/p90/p99: {}/{}/{} cycles",
                 w.name(),
@@ -241,22 +233,10 @@ fn run(args: Args, cfg: CmpConfig) -> Result<(), String> {
             );
         }
     }
-    Ok(())
 }
 
-fn main() -> ExitCode {
-    let (args, cfg) = match parse_args() {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(args, cfg) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    let (args, cfg) = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|err| vpc_bench::usage_error(&err, USAGE));
+    run(args, cfg);
 }

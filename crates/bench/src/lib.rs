@@ -4,7 +4,9 @@
 //! [`Cli::from_env`] — the only place that reads `--quick`, `--json`,
 //! `--jobs`, `--trace`, `--metrics`, `VPC_QUICK` and `VPC_JOBS` — and
 //! prints the same rows/series as the corresponding figure or table of
-//! the paper. Reproduction notes for each experiment live in
+//! the paper. `simulate` reads its own flags through the same grammar
+//! ([`parse_flags`]), and every binary's `--trace` goes through
+//! [`write_job_traces`]. Reproduction notes for each experiment live in
 //! `EXPERIMENTS.md` at the repository root.
 
 #![forbid(unsafe_code)]
@@ -28,11 +30,13 @@ const USAGE: &str = "\
   --json          machine-readable report on stdout
   --jobs N        worker threads for the job grid (or VPC_JOBS=N;
                   default: the host's available parallelism)
-  --trace PATH    write Chrome trace_event JSON of every job next to PATH
-  --metrics       QoS ledger of the contention scenario on stderr
-                  (fig5_micro_util)
+  --trace PATH    write Chrome trace_event JSON of every job's measured
+                  window next to PATH
+  --metrics       QoS ledgers of the contention scenario on stderr
+                  (fig5_micro_util only)
 
-An unknown flag or a malformed value prints this text and exits with code 2.";
+An unknown flag, a flag the binary does not read or a malformed value
+prints this text and exits with code 2.";
 
 /// The parsed command line shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +48,8 @@ pub struct Cli {
     /// `--trace PATH`: capture per-job traces and write them next to PATH.
     pub trace: Option<PathBuf>,
     /// `--metrics`: print QoS ledger summaries on **stderr** (stdout
-    /// stays byte-identical with or without the flag).
+    /// stays byte-identical with or without the flag). Only a binary that
+    /// reads it accepts it.
     pub metrics: bool,
 }
 
@@ -52,55 +57,89 @@ impl Cli {
     /// Parses `args` (without the program name). `env` looks up an
     /// environment variable: `VPC_QUICK=1` selects short windows and
     /// `VPC_JOBS=N` sets the worker count, and the flags override both.
-    /// Without either, the worker count is the host's available
-    /// parallelism.
-    pub fn parse<I>(args: I, env: impl Fn(&str) -> Option<String>) -> Result<Cli, String>
+    /// Without either, the worker count is [`default_jobs`]. `--metrics`
+    /// is a flag only for a binary that `reads_metrics`.
+    pub fn parse<I>(
+        args: I,
+        env: impl Fn(&str) -> Option<String>,
+        reads_metrics: bool,
+    ) -> Result<Cli, String>
     where
         I: IntoIterator<Item = String>,
     {
         let mut quick = env("VPC_QUICK").is_some_and(|v| v == "1");
         let mut jobs = env("VPC_JOBS").map(|v| positive("VPC_JOBS", &v)).transpose()?;
         let (mut json, mut trace, mut metrics) = (false, None, false);
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let (flag, mut inline) = match arg.split_once('=') {
-                Some((flag, value)) => (flag, Some(value.to_string())),
-                None => (arg.as_str(), None),
-            };
-            let mut value = || {
-                inline
-                    .take()
-                    .or_else(|| args.next().filter(|v| !v.starts_with("--")))
-                    .filter(|v| !v.is_empty())
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
+        parse_flags(args, |flag, value| {
             match flag {
                 "--jobs" => jobs = Some(positive("--jobs", &value()?)?),
                 "--trace" => trace = Some(PathBuf::from(value()?)),
-                "--quick" if inline.is_none() => quick = true,
-                "--json" if inline.is_none() => json = true,
-                "--metrics" if inline.is_none() => metrics = true,
-                _ => return Err(format!("unknown flag {arg:?}")),
+                "--quick" => quick = true,
+                "--json" => json = true,
+                "--metrics" if reads_metrics => metrics = true,
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         let budget = if quick { RunBudget::quick() } else { RunBudget::standard() };
-        let jobs =
-            jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
+        let jobs = jobs.unwrap_or_else(default_jobs);
         Ok(Cli { opts: RunOptions { budget, jobs }, json, trace, metrics })
     }
 
-    /// Parses the process's arguments and environment; on an error prints
-    /// it with the usage text on stderr and exits with code 2.
-    /// A `--trace` path into a missing directory is such an error, so a
-    /// run never ends in a trace it cannot write.
-    pub fn from_env() -> Cli {
-        Cli::parse(std::env::args().skip(1), |key| std::env::var(key).ok())
+    /// Parses the process's arguments and environment as [`Cli::parse`]
+    /// does; on an error prints it with the usage text on stderr and exits
+    /// with code 2. A `--trace` path into a missing directory is such an
+    /// error, so a run never ends in a trace it cannot write.
+    pub fn from_env(reads_metrics: bool) -> Cli {
+        Cli::parse(std::env::args().skip(1), |key| std::env::var(key).ok(), reads_metrics)
             .and_then(|cli| match &cli.trace {
                 Some(path) => check_trace_dir(path).map(|()| cli),
                 None => Ok(cli),
             })
             .unwrap_or_else(|err| usage_error(&err, USAGE))
     }
+}
+
+/// The worker count when none is given: the host's available parallelism.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// The flag grammar of every binary that takes flags: `--flag`,
+/// `--flag value` and `--flag=value`. Calls `set(flag, value)` per flag,
+/// which returns whether the binary reads it; a valued flag calls
+/// `value()` for the text after `=`, or else the next argument unless it
+/// starts with `--`.
+///
+/// # Errors
+///
+/// `value()` finding no value or an empty one, a flag `set` does not read
+/// or a switch given a `=value`, and any error `set` returns.
+pub fn parse_flags<I>(
+    args: I,
+    mut set: impl FnMut(&str, &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String>,
+) -> Result<(), String>
+where
+    I: IntoIterator<Item = String>,
+{
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let (flag, mut inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .take()
+                .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                .filter(|v| !v.is_empty())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        if !set(flag, &mut value)? || inline.is_some() {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// Checks, before anything runs, that the directory a `--trace` file goes
@@ -150,8 +189,9 @@ macro_rules! outln {
 }
 
 /// Prints `err` and the usage text (`usage` after the program name) on
-/// stderr, then exits with code 2.
-fn usage_error(err: &str, usage: &str) -> ! {
+/// stderr, then exits with code 2: the one way a binary rejects its
+/// command line.
+pub fn usage_error(err: &str, usage: &str) -> ! {
     let program = std::env::args().next().unwrap_or_default();
     let program = Path::new(&program).file_name().map_or("".into(), |n| n.to_string_lossy());
     eprintln!("error: {err}\n\nusage: {program} {usage}");
@@ -239,8 +279,8 @@ fn write_or_exit(path: &Path, doc: &JsonValue) {
 
 /// Writes the merged Chrome trace of `jobs` to `base` (one process lane
 /// per job) and one file per job next to it, and reports what was written
-/// to **stderr**.
-fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
+/// to **stderr**. The trace writer of every binary's `--trace`.
+pub fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
     if jobs.is_empty() {
         eprintln!("-- no trace events captured; nothing written to {} --", base.display());
         return;
@@ -258,19 +298,6 @@ fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
     );
 }
 
-/// Writes `log` as `out.<slug>.json` next to the `--trace` path `out.json`
-/// (the same naming as the per-job files) and reports it on **stderr**.
-pub fn write_trace_beside(base: &Path, label: &str, log: &TraceLog) {
-    let path = job_trace_path(base, label);
-    write_or_exit(&path, &vpc::trace::chrome_trace(label, log));
-    eprintln!(
-        "-- wrote {} ({} events, {} dropped) --",
-        path.display(),
-        log.events().len(),
-        log.dropped()
-    );
-}
-
 /// Prints a standard experiment header.
 fn header(title: &str, budget: RunBudget) {
     outln!("== {title} ==");
@@ -284,9 +311,10 @@ mod tests {
     type Args = &'static [&'static str];
     type Env = &'static [(&'static str, &'static str)];
 
+    /// Parses as fig5 does, reading `--metrics`.
     fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Cli, String> {
         let lookup = |key: &str| env.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string());
-        Cli::parse(args.iter().map(|a| a.to_string()), lookup)
+        Cli::parse(args.iter().map(|a| a.to_string()), lookup, true)
     }
 
     fn cli(budget: RunBudget, jobs: usize) -> Cli {
@@ -342,5 +370,8 @@ mod tests {
             let err = parse(args, env).expect_err(&format!("{args:?} {env:?} parsed"));
             assert!(err.contains(want), "args {args:?}: error {err:?} lacks {want:?}");
         }
+        let args = ["--quick", "--metrics"].map(String::from);
+        let err = Cli::parse(args, |_| None, false).expect_err("--metrics parsed");
+        assert!(err.contains("unknown flag \"--metrics\""), "{err}");
     }
 }

@@ -60,7 +60,7 @@ pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
             (format!("ablations/reorder/{label}"), Cell::shared(cfg, workloads, opts.budget))
         },
     );
-    let [fifo, row] = <[Vec<f64>; 2]>::try_from(run_cells(&cells, opts, |_, m| m.ipc))
+    let [fifo, row] = <[Vec<f64>; 2]>::try_from(run_cells(&cells, opts, |cell| cell.run().1.ipc))
         .expect("one result per cell");
     ReorderResult {
         fifo_ipc: fifo[0],
@@ -105,7 +105,7 @@ pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
             (format!("ablations/capacity/{label}"), Cell::shared(cfg, workloads, budget))
         },
     );
-    let ipc = run_cells(&cells, opts, |_, m| m.ipc[0]);
+    let ipc = run_cells(&cells, opts, |cell| cell.run().1.ipc[0]);
     CapacityResult { lru_ipc: ipc[0], vpc_ipc: ipc[1] }
 }
 
@@ -165,7 +165,10 @@ pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
         cells.push((format!("{label}/target"), target.expect("nonzero share")));
     }
     // Each cell reports thread 0's IPC and L2 read-latency histogram.
-    let results = run_cells(&cells, opts, |sys, m| (m.ipc[0], sys.l2().read_latency(ThreadId(0))));
+    let results = run_cells(&cells, opts, |cell| {
+        let (sys, m) = cell.run();
+        (m.ipc[0], sys.l2().read_latency(ThreadId(0)))
+    });
     let points = latencies
         .into_iter()
         .zip(results.chunks_exact(2))
@@ -224,7 +227,7 @@ pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
         cells.push((label.clone(), Cell::shared(cfg, vec![gcc; threads], opts.budget)));
         cells.push((format!("{label}/target"), target.expect("nonzero share")));
     }
-    let ipcs = run_cells(&cells, opts, |_, m| m.ipc);
+    let ipcs = run_cells(&cells, opts, |cell| cell.run().1.ipc);
     let points = counts
         .into_iter()
         .zip(ipcs.chunks_exact(2))
@@ -287,7 +290,7 @@ pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservation
         cells
             .push((format!("ablations/work_conservation/{label}"), target.expect("nonzero share")));
     }
-    let ipc = run_cells(&cells, opts, |_, m| m.ipc[0]);
+    let ipc = run_cells(&cells, opts, |cell| cell.run().1.ipc[0]);
     WorkConservationResult {
         busy_partner_ipc: ipc[0],
         idle_partner_ipc: ipc[1],

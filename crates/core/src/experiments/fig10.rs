@@ -237,7 +237,7 @@ pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> F
         }
     }
 
-    let ipcs = run_cells(&cells, opts, |_, m| m.ipc);
+    let ipcs = run_cells(&cells, opts, |cell| cell.run().1.ipc);
     let results = mixes
         .iter()
         .zip(ipcs.chunks_exact(CELLS_PER_MIX))

@@ -12,10 +12,9 @@ use crate::config::{CmpConfig, WorkloadSpec};
 use crate::experiments::{bar, pct, run_cells, Cell, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::QosLedger;
-use crate::system::CmpSystem;
 use vpc_arbiters::ArbiterPolicy;
 use vpc_cache::L2Utilization;
-use vpc_sim::{trace, Share};
+use vpc_sim::Share;
 
 /// One bar group of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +99,7 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
             (format!("fig5/{} {}B", benchmark.name(), banks), cell)
         })
         .collect();
-    let utils = run_cells(&cells, opts, |_, m| m.util);
+    let utils = run_cells(&cells, opts, |cell| cell.run().1.util);
     let rows = grid
         .iter()
         .zip(utils)
@@ -109,59 +108,41 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
     Fig5Result { rows }
 }
 
-/// Workloads of the 4-thread contention variant of the fig5
-/// microbenchmarks: one Loads stream against three Stores streams on the
-/// shared two-bank L2. Writes occupy the data array twice as long as
-/// reads, so a share-oblivious arbiter lets the store threads over-serve
-/// — which is what the trace and the QoS ledger make visible.
-pub fn contention_workloads() -> [WorkloadSpec; 4] {
-    [WorkloadSpec::Loads, WorkloadSpec::Stores, WorkloadSpec::Stores, WorkloadSpec::Stores]
-}
-
-/// Accounting window (cycles) used by [`qos_ledger`].
+/// Accounting window (cycles) of [`contention_ledger`].
 pub const QOS_WINDOW: u64 = 4096;
 
-/// Per-window tolerance (data-array cycles) used by [`qos_ledger`]: a
+/// Per-window tolerance (data-array cycles) of [`contention_ledger`]: a
 /// handful of maximum-service (write) quanta, absorbing the indivisible-
 /// grant quantization an EDF schedule can overshoot an entitlement by.
 pub const QOS_SLACK: u64 = 128;
 
-/// Records a cycle-level trace of the contention scenario under VPC
-/// arbiters with equal shares: warm up untraced, then record `capacity`
-/// events of the steady state (later events only bump the drop counter).
-///
-/// Installs the calling thread's [`vpc_sim::trace`] recorder; any
-/// recorder previously installed on this thread is discarded.
-pub fn trace_scenario(base: &CmpConfig, budget: RunBudget, capacity: usize) -> trace::TraceLog {
-    let beta = Share::new(1, 4).expect("1/4 is a valid share");
-    let cfg = base.clone().with_vpc_shares(vec![beta; 4]);
-    let mut sys = CmpSystem::new(cfg, &contention_workloads());
-    sys.run(budget.warmup);
-    trace::install(capacity);
-    sys.run(budget.window);
-    trace::take().expect("recorder installed above")
+/// The 4-thread contention variant of the fig5 microbenchmarks on `base`
+/// under `arbiter`: one Loads stream against three Stores streams on the
+/// shared L2. Writes occupy the data array twice as long as reads, so a
+/// share-oblivious arbiter lets the store threads over-serve, which the
+/// trace and the QoS ledger make visible. Under
+/// [`ArbiterPolicy::vpc_equal`] its trace shows grants and defers with
+/// their virtual times for every thread.
+pub fn contention_cell(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> Cell {
+    let (loads, stores) = (WorkloadSpec::Loads, WorkloadSpec::Stores);
+    Cell::shared(base.clone().with_arbiter(arbiter), vec![loads, stores, stores, stores], budget)
 }
 
-/// Runs the contention scenario under `arbiter` and returns the filled
-/// [`QosLedger`] (equal `1/4` entitlements, [`QOS_WINDOW`]-cycle windows,
-/// [`QOS_SLACK`] tolerance). With [`ArbiterPolicy::vpc_equal`] every
+/// An empty ledger for [`contention_cell`]: equal `1/4` entitlements,
+/// [`QOS_WINDOW`]-cycle windows, [`QOS_SLACK`] tolerance. Filled by
+/// [`Cell::run_with_ledger`] under [`ArbiterPolicy::vpc_equal`], every
 /// thread's sustained excess is zero; under [`ArbiterPolicy::Fcfs`] the
 /// store threads run up nonzero excess at the Loads thread's expense.
-pub fn qos_ledger(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> QosLedger {
+pub fn contention_ledger() -> QosLedger {
     let beta = Share::new(1, 4).expect("1/4 is a valid share");
-    let mut cfg = base.clone();
-    cfg.l2.arbiter = arbiter;
-    let mut sys = CmpSystem::new(cfg, &contention_workloads());
-    sys.run(budget.warmup);
-    let mut ledger = QosLedger::new(vec![(beta, beta); 4], QOS_WINDOW, QOS_SLACK);
-    sys.run_with_ledger(budget.window, &mut ledger);
-    ledger
+    QosLedger::new(vec![(beta, beta); 4], QOS_WINDOW, QOS_SLACK)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::to_json;
+    use vpc_sim::trace;
 
     #[test]
     fn microbenchmark_scaling_matches_paper_shape() {
@@ -236,11 +217,17 @@ mod tests {
         base
     }
 
+    fn ledger(arbiter: ArbiterPolicy) -> QosLedger {
+        let mut ledger = contention_ledger();
+        contention_cell(&test_base(), arbiter, RunBudget::quick())
+            .run_with_ledger(Some(&mut ledger));
+        ledger
+    }
+
     #[test]
     fn qos_ledger_separates_vpc_from_fcfs() {
-        let base = test_base();
-        let vpc = qos_ledger(&base, ArbiterPolicy::vpc_equal(4), RunBudget::quick());
-        let fcfs = qos_ledger(&base, ArbiterPolicy::Fcfs, RunBudget::quick());
+        let vpc = ledger(ArbiterPolicy::vpc_equal(4));
+        let fcfs = ledger(ArbiterPolicy::Fcfs);
         for t in 0..4 {
             assert!(
                 !vpc.has_sustained_excess(t),
@@ -263,9 +250,18 @@ mod tests {
         );
     }
 
+    /// The measured window of `cell`, traced with a `capacity`-event
+    /// recorder installed on this thread.
+    fn traced(cell: &Cell, capacity: usize) -> (trace::TraceLog, String) {
+        trace::install(capacity);
+        let m = cell.run().1;
+        (trace::take().expect("installed above"), format!("{m:?}"))
+    }
+
     #[test]
-    fn trace_scenario_emits_grants_with_virtual_times_for_all_threads() {
-        let log = trace_scenario(&test_base(), RunBudget::quick(), 4096);
+    fn contention_trace_emits_grants_with_virtual_times_for_all_threads() {
+        let cell = contention_cell(&test_base(), ArbiterPolicy::vpc_equal(4), RunBudget::quick());
+        let (log, _) = traced(&cell, 4096);
         let mut granted = [false; 4];
         let mut deferred = [false; 4];
         for event in log.events() {
@@ -294,18 +290,12 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_measurement() {
-        let run = |traced: bool| {
-            let cfg = test_base().with_vpc_shares(vec![Share::new(1, 4).unwrap(); 4]);
-            let mut sys = CmpSystem::new(cfg, &contention_workloads());
-            if traced {
-                trace::install(1024);
-            }
-            let m = sys.run_measured(5_000, 10_000);
-            if traced {
-                trace::take();
-            }
-            format!("{m:?}")
-        };
-        assert_eq!(run(false), run(true), "tracing changed simulated behavior");
+        let budget = RunBudget { warmup: 5_000, window: 10_000 };
+        let cell = contention_cell(&test_base(), ArbiterPolicy::vpc_equal(4), budget);
+        assert_eq!(
+            format!("{:?}", cell.run().1),
+            traced(&cell, 1024).1,
+            "tracing changed simulated behavior"
+        );
     }
 }

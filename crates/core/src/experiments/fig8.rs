@@ -134,7 +134,7 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
         })
         .collect();
 
-    let results = run_cells(&cells, opts, |_, m| m);
+    let results = run_cells(&cells, opts, |cell| cell.run().1);
     let target = |i: Option<usize>| i.map_or(0.0, |i| results[i].ipc[0]);
     let rows = points
         .into_iter()
@@ -154,7 +154,6 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::target_ipc;
 
     /// Loads and Stores IPCs and data-array utilization under `arbiter`.
     fn run_pair(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> (f64, f64, f64) {
@@ -201,10 +200,9 @@ mod tests {
             order: vpc_arbiters::IntraThreadOrder::ReadOverWrite,
         };
         let (loads, stores, _) = run_pair(&base, arbiter, budget);
-        let loads_target =
-            target_ipc(&base, WorkloadSpec::Loads, half, half, budget.warmup, budget.window);
-        let stores_target =
-            target_ipc(&base, WorkloadSpec::Stores, half, half, budget.warmup, budget.window);
+        let [loads_target, stores_target] = [WorkloadSpec::Loads, WorkloadSpec::Stores].map(|w| {
+            Cell::target(&base, w, half, half, budget).expect("nonzero share").run().1.ipc[0]
+        });
         assert!(
             loads >= loads_target * 0.9,
             "Loads must meet its target: got {loads}, target {loads_target}"

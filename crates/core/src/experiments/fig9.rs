@@ -194,7 +194,10 @@ pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> F
 
     // Each cell reports the subject's (IPC, data-array utilization); the
     // fold reads only the IPC of a target.
-    let results = run_cells(&cells, opts, |_, m| (m.ipc[0], m.data_util_per_thread[0]));
+    let results = run_cells(&cells, opts, |cell| {
+        let m = cell.run().1;
+        (m.ipc[0], m.data_util_per_thread[0])
+    });
     let rows = benchmarks
         .iter()
         .zip(results.chunks_exact(CELLS_PER_ROW))

@@ -26,9 +26,10 @@
 //! | [`ablations`] | reordering, capacity, preemption latency, work conservation |
 
 use vpc_sim::exec::{self, Job};
-use vpc_sim::Share;
+use vpc_sim::{trace, Share, ThreadId};
 
 use crate::config::{CmpConfig, WorkloadSpec};
+use crate::metrics::QosLedger;
 use crate::system::{CmpSystem, Measurement};
 
 pub mod ablations;
@@ -119,23 +120,64 @@ impl Cell {
 
     /// Builds the cell's machine, runs its warm-up and measures its window.
     pub fn run(&self) -> (CmpSystem, Measurement) {
+        self.run_with_ledger(None)
+    }
+
+    /// [`Cell::run`], also filling `ledger`, when given, from the measured
+    /// window: the data-array service each thread received in every full
+    /// ledger window, out of window cycles × banks (the denominator of
+    /// [`CmpSystem::measure`]). A trailing partial window is not recorded.
+    ///
+    /// This is where every simulation's warm-up ends. A trace recorder
+    /// armed on the calling thread (the exec pool's per-job capture, or
+    /// [`trace::install`]) is set aside for the warm-up and re-armed, empty
+    /// and at its capacity, when the measured window starts, so a trace is
+    /// a prefix of the measured window.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ledger` tracks one thread per processor.
+    pub fn run_with_ledger(&self, ledger: Option<&mut QosLedger>) -> (CmpSystem, Measurement) {
         let mut sys = CmpSystem::new(self.cfg.clone(), &self.workloads);
-        let m = sys.run_measured(self.budget.warmup, self.budget.window);
+        let recorder = trace::take();
+        sys.run(self.budget.warmup);
+        if let Some(log) = recorder {
+            trace::install(log.capacity());
+        }
+        let snap = sys.snapshot();
+        let mut left = self.budget.window;
+        if let Some(ledger) = ledger {
+            assert_eq!(ledger.threads(), self.workloads.len(), "one ledger entry per thread");
+            let step = ledger.window().max(1);
+            let threads = 0..self.workloads.len() as u8;
+            let busy = |sys: &CmpSystem, t| sys.l2().thread_data_busy(ThreadId(t));
+            while left >= step {
+                let before: Vec<u64> = threads.clone().map(|t| busy(&sys, t)).collect();
+                sys.run(step);
+                let service: Vec<u64> =
+                    threads.clone().map(|t| busy(&sys, t) - before[t as usize]).collect();
+                ledger.record_window(&service, step * self.cfg.l2.banks as u64);
+                left -= step;
+            }
+        }
+        sys.run(left);
+        let m = sys.measure(&snap);
         (sys, m)
     }
 }
 
 /// Runs labelled cells as one [`exec::map_indexed`] batch and returns
-/// `read`'s view of each, one per input cell, in input order.
+/// `run`'s result for each, one per input cell, in input order.
 ///
 /// Each distinct cell (by `==` on the whole cell) is simulated once, as a
 /// job carrying the label of its first occurrence; a repeated cell gets a
-/// copy of that result. `read` sees the finished system and its window's
-/// measurement, for a runner that needs more than the [`Measurement`].
+/// copy of that result. `run` simulates the cell it is given, with
+/// [`Cell::run`] or [`Cell::run_with_ledger`], and keeps what the caller
+/// needs of the finished system and its window's [`Measurement`].
 pub fn run_cells<T: Clone + Send>(
     cells: &[(String, Cell)],
     opts: RunOptions,
-    read: impl Fn(&CmpSystem, Measurement) -> T + Sync,
+    run: impl Fn(&Cell) -> T + Sync,
 ) -> Vec<T> {
     let mut distinct: Vec<&(String, Cell)> = Vec::new();
     let slots: Vec<usize> = cells
@@ -147,15 +189,10 @@ pub fn run_cells<T: Clone + Send>(
             })
         })
         .collect();
-    let read = &read;
+    let run = &run;
     let jobs = distinct
         .into_iter()
-        .map(|(label, cell)| {
-            Job::new(label.clone(), move || {
-                let (sys, m) = cell.run();
-                read(&sys, m)
-            })
-        })
+        .map(|(label, cell)| Job::new(label.clone(), move || run(cell)))
         .collect();
     let results = exec::map_indexed(jobs, opts.jobs);
     slots.into_iter().map(|i| results[i].clone()).collect()
@@ -176,7 +213,7 @@ pub(crate) fn run_solo(
             (format!("{figure}/{b}"), cell)
         })
         .collect();
-    run_cells(&cells, opts, |_, m| m)
+    run_cells(&cells, opts, |cell| cell.run().1)
 }
 
 /// Formats a fraction as a percent with one decimal (figure axes).
@@ -230,7 +267,8 @@ mod tests {
     }
 
     fn debug_run(cells: &[(String, Cell)], jobs: usize) -> Vec<String> {
-        run_cells(cells, RunOptions { budget: RunBudget::quick(), jobs }, |_, m| format!("{m:?}"))
+        let opts = RunOptions { budget: RunBudget::quick(), jobs };
+        run_cells(cells, opts, |cell| format!("{:?}", cell.run().1))
     }
 
     #[test]
@@ -277,6 +315,47 @@ mod tests {
             ensure!(debug_run(&cells, 1) == debug_run(&cells, 4), "jobs 1 and 4 differ");
             Ok(())
         });
+    }
+
+    /// The §5.3 target IPC of `workload` at shares `(beta, alpha)` on the
+    /// pool's base machine: 0.0 without a bandwidth share.
+    fn target(workload: WorkloadSpec, beta: Share, alpha: Share, budget: RunBudget) -> f64 {
+        let mut base = CmpConfig::table1();
+        base.l2.total_sets = 512;
+        Cell::target(&base, workload, beta, alpha, budget).map_or(0.0, |cell| cell.run().1.ipc[0])
+    }
+
+    #[test]
+    fn zero_share_has_zero_target() {
+        let budget = RunBudget { warmup: 100, window: 100 };
+        let t = target(WorkloadSpec::Loads, Share::ZERO, Share::FULL, budget);
+        assert_eq!(t, 0.0);
+    }
+
+    #[test]
+    fn target_scales_with_bandwidth_share() {
+        let alpha = Share::new(1, 4).unwrap();
+        let budget = RunBudget { warmup: 20_000, window: 40_000 };
+        let full = target(WorkloadSpec::Loads, Share::FULL, alpha, budget);
+        let half = target(WorkloadSpec::Loads, Share::new(1, 2).unwrap(), alpha, budget);
+        assert!(full > 0.0 && half > 0.0);
+        // The Loads microbenchmark is pure L2 bandwidth: halving the share
+        // roughly halves the target.
+        let ratio = full / half;
+        assert!((1.6..=2.4).contains(&ratio), "bandwidth scaling ratio {ratio} != ~2");
+    }
+
+    #[test]
+    fn target_is_monotone_in_share_for_stores() {
+        let alpha = Share::new(1, 4).unwrap();
+        let budget = RunBudget { warmup: 20_000, window: 40_000 };
+        let shares = [Share::new(1, 4).unwrap(), Share::new(1, 2).unwrap(), Share::FULL];
+        let targets: Vec<f64> =
+            shares.iter().map(|&b| target(WorkloadSpec::Stores, b, alpha, budget)).collect();
+        assert!(
+            targets.windows(2).all(|w| w[0] <= w[1] * 1.05),
+            "targets should increase with share: {targets:?}"
+        );
     }
 
     #[test]

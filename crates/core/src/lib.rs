@@ -18,8 +18,9 @@
 //!   per-thread channels).
 //! * [`CmpSystem`] — cores + shared L2 + memory, with warm-up/measure
 //!   windows.
-//! * [`target_ipc`] — the QoS reference: the thread's IPC on the
-//!   equivalently-provisioned private machine (§5.3).
+//! * [`experiments::Cell::target`] — the QoS reference: the thread alone
+//!   on the equivalently-provisioned private machine (§5.3), whose IPC is
+//!   its target.
 //! * [`experiments`] — one runner per figure (5 through 10 plus the
 //!   ablations). Each lists its [`experiments::Cell`]s (shared-machine
 //!   runs and §5.3 targets), runs them with [`experiments::run_cells`],
@@ -34,11 +35,19 @@
 //! // A 2-thread system: Loads vs Stores under VPC arbiters with a 75/25
 //! // bandwidth split (Figure 8's "VPC 25%" point).
 //! let shares = vec![Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()];
-//! let mut cfg = CmpConfig::table1_with_threads(2).with_vpc_shares(shares);
+//! let mut cfg = CmpConfig::table1_with_threads(2).with_vpc_shares(shares.clone());
 //! cfg.l2.total_sets = 512; // doc-test sized
-//! let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-//! let m = sys.run_measured(10_000, 20_000);
+//! let budget = RunBudget { warmup: 10_000, window: 20_000 };
+//! let workloads = vec![WorkloadSpec::Loads, WorkloadSpec::Stores];
+//! let (_, m) = Cell::shared(cfg.clone(), workloads, budget).run();
 //! assert!(m.ipc[0] > 0.0 && m.ipc[1] > 0.0);
+//!
+//! // Stores' QoS target: its IPC alone on the private machine with a
+//! // quarter of the bandwidth and half of the ways.
+//! let half = Share::new(1, 2).unwrap();
+//! let target = Cell::target(&cfg, WorkloadSpec::Stores, shares[1], half, budget)
+//!     .map_or(0.0, |cell| cell.run().1.ipc[0]);
+//! assert!(target > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,21 +59,19 @@ pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod system;
-pub mod target;
 pub mod trace;
 
 pub use config::{CmpConfig, ConfigError, WorkloadSpec};
 pub use system::{CmpSystem, Measurement, Snapshot};
-pub use target::target_ipc;
 
 /// Convenient glob-import surface for examples and experiment binaries.
 pub mod prelude {
     pub use crate::config::{CmpConfig, WorkloadSpec};
+    pub use crate::experiments::{Cell, RunBudget};
     pub use crate::metrics::{
         harmonic_mean, improvement_pct, minimum, normalized_ipcs, weighted_speedup,
     };
     pub use crate::system::{CmpSystem, Measurement};
-    pub use crate::target::target_ipc;
     pub use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
     pub use vpc_cache::{CapacityPolicy, LINE_BYTES};
     pub use vpc_sim::{Share, ThreadId};

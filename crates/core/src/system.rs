@@ -283,31 +283,6 @@ impl CmpSystem {
         self.measure(&snap)
     }
 
-    /// Advances the system by `cycles`, feeding the data-array service
-    /// each thread received in every ledger-window-sized chunk into
-    /// `ledger` (capacity per window = window cycles × banks, the same
-    /// denominator as [`CmpSystem::measure`]). A trailing partial window
-    /// shorter than [`crate::metrics::QosLedger::window`] is not
-    /// recorded.
-    pub fn run_with_ledger(&mut self, cycles: Cycle, ledger: &mut crate::metrics::QosLedger) {
-        assert_eq!(ledger.threads(), self.cores.len(), "one ledger entry per thread");
-        let window = ledger.window().max(1);
-        let banks = self.l2.config().banks as u64;
-        let mut remaining = cycles;
-        while remaining >= window {
-            let before: Vec<u64> = (0..self.cores.len())
-                .map(|t| self.l2.thread_data_busy(ThreadId(t as u8)))
-                .collect();
-            self.run(window);
-            let service: Vec<u64> = (0..self.cores.len())
-                .map(|t| self.l2.thread_data_busy(ThreadId(t as u8)) - before[t])
-                .collect();
-            ledger.record_window(&service, window * banks);
-            remaining -= window;
-        }
-        self.run(remaining);
-    }
-
     /// The shared L2 (for inspection).
     pub fn l2(&self) -> &SharedL2 {
         &self.l2

@@ -42,7 +42,9 @@ fn main() {
     let base = CmpConfig::table1();
     println!("{:<12} {:>6} {:>8} {:>8} {:>10}", "thread", "share", "IPC", "target", "status");
     for (i, w) in workloads.iter().enumerate() {
-        let target = target_ipc(&base, *w, shares[i], shares[i], warmup, window);
+        let budget = RunBudget { warmup, window };
+        let target = Cell::target(&base, *w, shares[i], shares[i], budget)
+            .map_or(0.0, |cell| cell.run().1.ipc[0]);
         let status = if m.ipc[i] >= target * 0.95 { "QoS met" } else { "MISSED" };
         println!(
             "{:<12} {:>6} {:>8.3} {:>8.3} {:>10}",

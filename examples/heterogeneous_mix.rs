@@ -33,7 +33,7 @@ fn main() {
         cells.push((label.to_string(), fig10::mix_cell(&base, &mix, arbiter, budget)));
     }
     let jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    let ipcs = run_cells(&cells, RunOptions { budget, jobs }, |_, m| m.ipc);
+    let ipcs = run_cells(&cells, RunOptions { budget, jobs }, |cell| cell.run().1.ipc);
     let targets: Vec<f64> = ipcs[..4].iter().map(|ipc| ipc[0]).collect();
     let (fcfs, vpc) = (&ipcs[4], &ipcs[5]);
 

@@ -38,7 +38,7 @@ fn main() {
         cells.push((format!("target {num}/{den}"), target(Share::new(num, den).unwrap())));
     }
     let jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    let ipc = run_cells(&cells, RunOptions { budget, jobs }, |_, m| m.ipc[0]);
+    let ipc = run_cells(&cells, RunOptions { budget, jobs }, |cell| cell.run().1.ipc[0]);
 
     let full = ipc[0];
     println!("standalone (full bandwidth): IPC {full:.3}\n");

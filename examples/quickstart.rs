@@ -36,22 +36,13 @@ fn main() {
     // provisioned like its VPC (Section 5.3 of the paper).
     let base = CmpConfig::table1_with_threads(2);
     let half_ways = Share::new(1, 2).unwrap();
-    let loads_target = target_ipc(
-        &base,
-        WorkloadSpec::Loads,
-        Share::new(3, 4).unwrap(),
-        half_ways,
-        30_000,
-        120_000,
-    );
-    let stores_target = target_ipc(
-        &base,
-        WorkloadSpec::Stores,
-        Share::new(1, 4).unwrap(),
-        half_ways,
-        30_000,
-        120_000,
-    );
+    let budget = RunBudget { warmup: 30_000, window: 120_000 };
+    let [loads_target, stores_target] =
+        [(WorkloadSpec::Loads, 3), (WorkloadSpec::Stores, 1)].map(|(workload, quarters)| {
+            let beta = Share::new(quarters, 4).unwrap();
+            let cell = Cell::target(&base, workload, beta, half_ways, budget).unwrap();
+            cell.run().1.ipc[0]
+        });
 
     println!("VPC arbiters (Loads 75% / Stores 25%):");
     println!("  Loads  IPC = {:.3}  (target {:.3})", m.ipc[0], loads_target);

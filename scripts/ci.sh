@@ -47,6 +47,19 @@ for bin in table1 fig4_timing; do
     fi
 done
 
+echo "== simulate: three runs' output equals results/simulate.txt =="
+# The default mix; a Loads+3xStores run with --metrics, its stderr ledger
+# block after its stdout; and a zero-share thread.
+sim=target/release/simulate
+if ! {
+    "$sim"
+    "$sim" --workloads Loads,Stores,Stores,Stores --warmup 10000 --cycles 40000 --metrics 2>&1
+    "$sim" --workloads Loads,Stores --shares 1/1,0/1 --warmup 1000 --cycles 5000
+} | cmp - results/simulate.txt; then
+    echo "simulate differs from results/simulate.txt"
+    exit 1
+fi
+
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 

@@ -46,7 +46,7 @@ fn fig6_and_fig7_smoke_subset() {
     let cells = benchmarks.map(|b| {
         (b.to_string(), Cell::shared(small_base(), vec![WorkloadSpec::Spec(b)], tiny_budget()))
     });
-    for (b, m) in benchmarks.iter().zip(run_cells(&cells, tiny(), |_, m| m)) {
+    for (b, m) in benchmarks.iter().zip(run_cells(&cells, tiny(), |cell| cell.run().1)) {
         assert!(m.ipc[0] > 0.0, "{b} must make progress");
         assert!(m.util.data_array > 0.0, "{b} must touch the L2");
     }

@@ -20,7 +20,7 @@ fn with_background(arbiter: ArbiterPolicy, subject: &'static str, bg: WorkloadSp
 
 /// Thread 0's IPC in each cell.
 fn subject_ipcs(cells: &[(String, Cell)], opts: RunOptions) -> Vec<f64> {
-    run_cells(cells, opts, |_, m| m.ipc[0])
+    run_cells(cells, opts, |cell| cell.run().1.ipc[0])
 }
 
 #[test]

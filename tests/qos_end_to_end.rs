@@ -11,6 +11,13 @@ fn quick_base(threads: usize) -> CmpConfig {
     cfg
 }
 
+/// The §5.3 target IPC of `workload` at shares `(beta, alpha)`: 0.0
+/// without a bandwidth share.
+fn qos_target(base: &CmpConfig, workload: WorkloadSpec, beta: Share, alpha: Share) -> f64 {
+    Cell::target(base, workload, beta, alpha, RunBudget::quick())
+        .map_or(0.0, |cell| cell.run().1.ipc[0])
+}
+
 fn run_pair(cfg: CmpConfig, budget: RunBudget) -> Vec<f64> {
     let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
     sys.run_measured(budget.warmup, budget.window).ipc
@@ -68,7 +75,7 @@ fn vpc_meets_private_machine_targets() {
     let half = Share::new(1, 2).unwrap();
     let ipc = run_pair(base.clone().with_vpc_shares(vec![half, half]), budget);
     for (i, spec) in [WorkloadSpec::Loads, WorkloadSpec::Stores].iter().enumerate() {
-        let target = target_ipc(&base, *spec, half, half, budget.warmup, budget.window);
+        let target = qos_target(&base, *spec, half, half);
         assert!(
             ipc[i] >= target * 0.9,
             "{} IPC {:.3} below target {:.3}",
@@ -89,8 +96,7 @@ fn excess_bandwidth_is_work_conserved() {
     let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Idle]);
     let m = sys.run_measured(budget.warmup, budget.window);
     let base = quick_base(2);
-    let guarantee =
-        target_ipc(&base, WorkloadSpec::Loads, half, half, budget.warmup, budget.window);
+    let guarantee = qos_target(&base, WorkloadSpec::Loads, half, half);
     assert!(
         m.ipc[0] > guarantee * 1.5,
         "idle partner's bandwidth should flow to Loads: IPC {:.3} vs guarantee {:.3}",
@@ -123,14 +129,7 @@ fn four_thread_system_meets_equal_share_targets() {
     let m = sys.run_measured(budget.warmup, budget.window);
     let quarter = Share::new(1, 4).unwrap();
     for (i, b) in mix.iter().enumerate() {
-        let target = target_ipc(
-            &base,
-            WorkloadSpec::Spec(b),
-            quarter,
-            quarter,
-            budget.warmup,
-            budget.window,
-        );
+        let target = qos_target(&base, WorkloadSpec::Spec(b), quarter, quarter);
         assert!(
             m.ipc[i] >= target * 0.9,
             "{b}: shared IPC {:.3} below equal-share target {:.3}",

@@ -1,15 +1,15 @@
 //! End-to-end guarantees of the observability layer: the trace stream is
 //! a pure function of the simulated system (identical at any worker
-//! count), ring overflow never disturbs retained events, and the fig5
-//! contention trace matches its checked-in golden byte-for-byte.
+//! count), a job's trace starts at its cell's measured window, ring
+//! overflow never disturbs retained events, and the fig5 contention trace
+//! matches its checked-in golden byte-for-byte.
 
 use std::path::PathBuf;
 
-use vpc::experiments::{fig5, RunBudget};
+use vpc::experiments::{fig5, run_cells, RunOptions};
 use vpc::json::JsonValue;
 use vpc::prelude::*;
 use vpc_sim::check::{self, Config};
-use vpc_sim::exec::{self, Job};
 use vpc_sim::trace::{self, EventData, TraceEvent};
 use vpc_sim::{ensure_eq, Cycle};
 
@@ -37,36 +37,57 @@ fn ring_overflow_keeps_prefix_and_counts_drops() {
     });
 }
 
-/// Runs a small contention grid through the exec pool with per-job
-/// capture armed on this thread and returns the labeled logs.
-fn captured_grid(workers: usize) -> Vec<(String, trace::TraceLog)> {
-    trace::set_capture(Some(4096));
-    let jobs: Vec<Job<()>> = [2usize, 4]
+/// Runs a small contention grid as one `run_cells` batch with per-job
+/// capture of `capacity` events armed on this thread and returns the
+/// labeled logs. The warm-up emits far more than 512 events.
+fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLog)> {
+    let cells: Vec<(String, Cell)> = [2usize, 4]
         .into_iter()
         .map(|banks| {
-            Job::new(format!("grid/{banks}B"), move || {
-                let mut cfg = CmpConfig::table1().with_banks(banks);
-                cfg.l2.total_sets = 512;
-                let cfg = cfg.with_vpc_shares(vec![Share::new(1, 4).unwrap(); 4]);
-                let mut sys = CmpSystem::new(cfg, &fig5::contention_workloads());
-                sys.run(4_000);
-            })
+            let mut base = CmpConfig::table1().with_banks(banks);
+            base.l2.total_sets = 512;
+            let cell = fig5::contention_cell(&base, ArbiterPolicy::vpc_equal(4), GRID_BUDGET);
+            (format!("grid/{banks}B"), cell)
         })
         .collect();
-    exec::map_indexed(jobs, workers);
+    trace::set_capture(Some(capacity));
+    run_cells(&cells, RunOptions { budget: GRID_BUDGET, jobs: workers }, |cell| {
+        cell.run();
+    });
     trace::set_capture(None);
     trace::take_job_logs()
 }
 
+/// Windows of [`captured_grid`]'s cells.
+const GRID_BUDGET: RunBudget = RunBudget { warmup: 4_000, window: 2_000 };
+
 #[test]
 fn job_trace_streams_identical_at_jobs_1_and_4() {
-    let serial = captured_grid(1);
-    let parallel = captured_grid(4);
+    let serial = captured_grid(1, 4096);
+    let parallel = captured_grid(4, 4096);
     assert_eq!(serial.len(), 2, "one log per job");
     for ((label_s, log_s), (label_p, log_p)) in serial.iter().zip(&parallel) {
         assert_eq!(label_s, label_p, "job logs arrive in input order");
         assert_eq!(log_s, log_p, "trace stream for {label_s} depends on the worker count");
         assert!(!log_s.events().is_empty(), "{label_s} recorded no events");
+    }
+}
+
+/// A job's trace is a prefix of its cell's measured window, even when the
+/// warm-up alone would overflow the ring.
+#[test]
+fn job_traces_record_the_measured_window() {
+    let logs = captured_grid(2, 512);
+    assert_eq!(logs.len(), 2, "one log per job");
+    for (label, log) in &logs {
+        let first = log.events().first().unwrap_or_else(|| panic!("{label} recorded no events"));
+        assert!(
+            first.at >= GRID_BUDGET.warmup,
+            "{label}'s first event is at cycle {}, inside the {}-cycle warm-up",
+            first.at,
+            GRID_BUDGET.warmup
+        );
+        assert!(log.dropped() > 0, "{label}: the window should overflow a 512-event ring");
     }
 }
 
@@ -76,7 +97,10 @@ const UPDATE_ENV: &str = "VPC_UPDATE_GOLDENS";
 
 #[test]
 fn trace_fig5_matches_golden() {
-    let log = fig5::trace_scenario(&CmpConfig::table1(), RunBudget::quick(), 512);
+    trace::install(512);
+    fig5::contention_cell(&CmpConfig::table1(), ArbiterPolicy::vpc_equal(4), RunBudget::quick())
+        .run();
+    let log = trace::take().expect("installed above");
     let doc = vpc::trace::chrome_trace("fig5/contention Loads+3xStores", &log);
     let rendered = doc.pretty() + "\n";
     // The export must round-trip through the in-tree parser.
