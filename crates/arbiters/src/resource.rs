@@ -131,11 +131,6 @@ impl ArbitratedResource {
         req
     }
 
-    /// The cycle the current service completes (or the past, if idle).
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
-    }
-
     /// Number of requests pending in arbitration.
     pub fn pending(&self) -> usize {
         self.pending
@@ -155,24 +150,6 @@ impl ArbitratedResource {
     /// utilization breakdown the paper's sharing figures plot.
     pub fn thread_busy_cycles(&self, thread: ThreadId) -> u64 {
         self.per_thread_busy[thread.index()]
-    }
-
-    /// The earliest cycle at which this resource can change observable
-    /// state absent new enqueues: with requests pending, the next
-    /// [`ArbitratedResource::try_grant`] that is not blocked by the busy
-    /// window will grant one. `None` when nothing is pending — an idle
-    /// resource never acts spontaneously (`busy_until` elapsing is not
-    /// itself an observable change; it only enables a future grant).
-    ///
-    /// Conservative by design: the returned cycle is never *later* than a
-    /// real state change, which is the direction the quiescence protocol
-    /// requires (see `DESIGN.md` §10).
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.pending == 0 {
-            None
-        } else {
-            Some(self.busy_until.max(now + 1))
-        }
     }
 }
 
@@ -271,7 +248,7 @@ mod tests {
     #[test]
     fn refused_grants_change_nothing() {
         let mut res = ArbitratedResource::new(Box::new(FcfsArbiter::new()));
-        let state = |r: &ArbitratedResource| (r.grants(), r.pending(), r.busy_until(), r.meter());
+        let state = |r: &ArbitratedResource| (r.grants(), r.pending(), r.busy_until, r.meter());
         let empty = state(&res);
         assert!(res.try_grant(0).is_none());
         assert_eq!(state(&res), empty, "empty resource");

@@ -140,8 +140,8 @@ pub struct L2Bank {
     sms: Vec<Option<Sm>>,
     sm_used: Vec<usize>,
     /// The lines of the live state machines, in no particular order: the
-    /// line-conflict predicate of intake and `next_activity`, kept by
-    /// `alloc_sm`/`free_sm` so it never scans the SM pool.
+    /// line-conflict predicate of intake, kept by `alloc_sm`/`free_sm` so
+    /// it never scans the SM pool.
     sm_lines: Vec<LineAddr>,
     /// Tag array, data array and data bus, in grant order.
     resources: [ArbitratedResource; 3],
@@ -351,69 +351,6 @@ impl L2Bank {
     /// Looks a line up without side effects (for tests and debugging).
     pub fn probe(&self, line: LineAddr) -> bool {
         self.sets[self.cfg.set_of(line)].lookup(line).is_some()
-    }
-
-    /// The earliest cycle at which this bank can change observable state
-    /// absent new [`L2Bank::submit`] / [`L2Bank::on_mem_response`] input:
-    /// a scheduled completion, a queued response maturing, a resource
-    /// grant, a port arrival, or a controller intake the bank would
-    /// accept. `None` when nothing is pending at any future cycle.
-    ///
-    /// Bank-cycle terms round up to even (the bank acts at half core
-    /// frequency); response maturation does not (responses are polled
-    /// every core cycle). Conservative by design: the returned cycle is
-    /// never *later* than a real state change (see `DESIGN.md` §10) — an
-    /// early wake-up is a harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let horizon = now + 1;
-        let even = |c: Cycle| c + (c & 1);
-        // A matured response is deliverable on the very next cycle — the
-        // only term not rounded to a bank (even) cycle, so check it first
-        // and then early-return whenever a term hits the bank-cycle floor:
-        // no later check can improve on it.
-        if let Some(&(at, _)) = self.responses.front() {
-            if at <= horizon {
-                return Some(horizon);
-            }
-        }
-        let floor = even(horizon);
-        let mut best: Cycle = u64::MAX;
-        if let Some(&(at, _)) = self.responses.front() {
-            best = best.min(at);
-        }
-        if self.events_min != u64::MAX {
-            best = best.min(even(self.events_min.max(horizon)));
-        }
-        for r in &self.resources {
-            if let Some(c) = r.next_activity(now) {
-                best = best.min(even(c));
-            }
-        }
-        if best == floor {
-            return Some(floor);
-        }
-        for (t, port) in self.ports.iter().enumerate() {
-            if let Some(ready) = port.next_arrival() {
-                best = best.min(even(ready.max(horizon)));
-            }
-            if port.peek_would_mutate() {
-                // The naive loop's next bank cycle performs the mutating
-                // peek (partial-flush marking), so it is real activity.
-                best = best.min(even(horizon));
-            }
-            if let Some((c, line)) = port.next_candidate_line(horizon) {
-                // The candidate only constitutes activity if intake would
-                // accept it; a blocked candidate unblocks via events or
-                // new input, which the other terms cover.
-                if self.sm_used[t] < self.cfg.sm_per_thread && !self.sm_lines.contains(&line) {
-                    best = best.min(even(c));
-                }
-            }
-            if best == floor {
-                return Some(floor);
-            }
-        }
-        (best != u64::MAX).then_some(best)
     }
 
     // ------------------------------------------------------------------

@@ -190,12 +190,6 @@ impl L1Cache {
         self.mshrs.len()
     }
 
-    /// Whether an MSHR already covers `line` (a load to it merges as a
-    /// secondary miss).
-    pub fn has_mshr(&self, line: LineAddr) -> bool {
-        self.mshrs.iter().any(|m| m.line == line)
-    }
-
     /// Whether a new primary miss can allocate (MSHR and LMQ capacity).
     pub fn can_allocate_miss(&self) -> bool {
         self.mshrs.len() < self.cfg.mshrs.min(self.cfg.lmq_entries)

@@ -254,38 +254,6 @@ impl ThreadPort {
         }
     }
 
-    /// The cycle the oldest input-queue entry becomes intakeable, if any.
-    pub fn next_arrival(&self) -> Option<Cycle> {
-        self.in_q.front().map(|&(ready_at, _)| ready_at)
-    }
-
-    /// Whether [`ThreadPort::peek_candidate`] would *mutate* port state
-    /// (mark partial-flush entries and count the flush) if called now.
-    /// The quiescence protocol treats a mutating peek as pending activity,
-    /// because the naive loop performs it on the very next bank cycle.
-    pub fn peek_would_mutate(&self) -> bool {
-        !self.row_inverted()
-            && self.loads.front().is_some_and(|l| self.sgb.iter().any(|e| e.line == l.line))
-    }
-
-    /// The earliest cycle at or after `after` this port would present a
-    /// candidate, and that candidate's line — the read-only mirror of
-    /// [`ThreadPort::peek_candidate`]'s priority order, for quiescence
-    /// queries. `None` if the port is empty.
-    pub fn next_candidate_line(&self, after: Cycle) -> Option<(Cycle, LineAddr)> {
-        if self.row_inverted() {
-            return self.sgb.front().map(|e| (after, e.line));
-        }
-        if let Some(load) = self.loads.front() {
-            if self.sgb.iter().any(|e| e.line == load.line) {
-                // Conflict: peek would flush and offer the oldest store.
-                return self.sgb.front().map(|e| (after, e.line));
-            }
-            return Some((after, load.line));
-        }
-        self.sgb.front().map(|e| (after.max(self.last_store_activity + self.idle_drain), e.line))
-    }
-
     /// SGB occupancy.
     pub fn sgb_occupancy(&self) -> usize {
         self.sgb.len()

@@ -111,92 +111,18 @@ impl CmpSystem {
         self.now
     }
 
-    /// Advances the whole system by `cycles` processor cycles.
-    ///
-    /// After each real tick the system asks every component for its
-    /// next-activity cycle and, when the minimum lies beyond the next
-    /// cycle, fast-forwards straight to it — advancing the cores' per-tick
-    /// stall counters arithmetically so every statistic matches the naive
-    /// loop exactly. Output is byte-identical to
-    /// [`CmpSystem::run_reference`] (see `DESIGN.md` §10 and the
-    /// `skip_equivalence` property tests).
+    /// Advances the whole system by `cycles` processor cycles, ticking
+    /// every core, then the L2, then delivering matured responses, once
+    /// per cycle (see `DESIGN.md` §10).
     ///
     /// # Panics
     ///
     /// Panics if the end cycle `now() + cycles` overflows `u64`.
     pub fn run(&mut self, cycles: Cycle) {
-        let end = self.end_cycle(cycles);
-        // Exponential backoff on failed skip attempts: when the scan
-        // concludes "next activity is the very next cycle", re-scanning
-        // immediately is pure overhead, so double the naive-tick stretch
-        // before trying again (capped). This is a scheduling heuristic
-        // only — whether a cycle is reached by ticking or by a skip
-        // attempt that found nothing, the simulated history is identical.
-        let mut backoff: Cycle = 0;
-        let mut failures: u32 = 0;
-        while self.now < end {
-            for core in &mut self.cores {
-                core.tick(self.now, &mut self.l2);
-            }
-            self.l2.tick(self.now);
-            while let Some(resp) = self.l2.pop_response(self.now) {
-                self.cores[resp.thread.index()].on_l2_response(resp.line, self.now);
-            }
-            if backoff > 0 {
-                backoff -= 1;
-                self.now += 1;
-                continue;
-            }
-            // Cores first, cheapest check leading: any core acting on the
-            // very next cycle caps the target at now + 1, making the much
-            // pricier L2/memory scan pointless — skip it entirely. This
-            // keeps the protocol's overhead negligible while cores run;
-            // the full scan only happens once every core is stalled.
-            let horizon = self.now + 1;
-            let mut na: Option<Cycle> = None;
-            for core in &self.cores {
-                if let Some(c) = core.next_activity(self.now, &self.l2) {
-                    na = Some(na.map_or(c, |b| b.min(c)));
-                    if c == horizon {
-                        break;
-                    }
-                }
-            }
-            if na != Some(horizon) {
-                if let Some(c) = self.l2.next_activity(self.now) {
-                    na = Some(na.map_or(c, |b| b.min(c)));
-                }
-            }
-            // A fully quiescent system (na == None) sleeps to the end of
-            // the requested span; new input can only come from a caller.
-            let target = na.unwrap_or(end).clamp(horizon, end);
-            // Only engage for skips long enough to beat the cost of the
-            // scan that found them; a shorter window is ticked naively
-            // (identical history either way) and counts toward backoff.
-            if target > self.now + 8 || (target > horizon && target == end) {
-                for core in &mut self.cores {
-                    core.fast_forward(self.now, target);
-                }
-                failures = 0;
-                self.now = target;
-            } else {
-                failures = (failures + 1).min(6);
-                backoff = 1 << failures; // 2, 4, ... capped at 64
-                self.now += 1;
-            }
-        }
-    }
-
-    /// Advances the whole system by `cycles` with the naive
-    /// tick-every-cycle loop, never skipping — the reference the
-    /// `skip_equivalence` property tests compare [`CmpSystem::run`]
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the end cycle `now() + cycles` overflows `u64`.
-    pub fn run_reference(&mut self, cycles: Cycle) {
-        let end = self.end_cycle(cycles);
+        // A wrapped sum would end the run before it starts.
+        let end = self.now.checked_add(cycles).unwrap_or_else(|| {
+            panic!("run end cycle overflows u64: now {} + {cycles} cycles", self.now)
+        });
         while self.now < end {
             for core in &mut self.cores {
                 core.tick(self.now, &mut self.l2);
@@ -207,14 +133,6 @@ impl CmpSystem {
             }
             self.now += 1;
         }
-    }
-
-    /// The cycle a run of `cycles` from now ends at. A wrapped sum would
-    /// end the run before it starts, so it panics instead.
-    fn end_cycle(&self, cycles: Cycle) -> Cycle {
-        self.now.checked_add(cycles).unwrap_or_else(|| {
-            panic!("run end cycle overflows u64: now {} + {cycles} cycles", self.now)
-        })
     }
 
     /// Captures a counter baseline for a measurement window.
@@ -382,13 +300,5 @@ mod tests {
         let mut sys = CmpSystem::new(quick_config(1), &[WorkloadSpec::Idle]);
         sys.run(1);
         sys.run(u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "run end cycle overflows u64")]
-    fn reference_run_past_the_last_cycle_panics() {
-        let mut sys = CmpSystem::new(quick_config(1), &[WorkloadSpec::Idle]);
-        sys.run_reference(1);
-        sys.run_reference(u64::MAX);
     }
 }

@@ -213,83 +213,22 @@ impl<W: Workload> Core<W> {
             }
     }
 
-    /// The earliest cycle at which a [`Core::tick`] can change observable
-    /// state (including stall counters' *regime boundaries*), given that no
-    /// L2 response arrives before then. `None` when every pipeline stage is
-    /// blocked on input only the memory system can deliver — the cache's
-    /// own [`SharedL2::next_activity`] covers those wake-ups.
-    ///
-    /// Conservative by design: never *later* than a real change (see
-    /// `DESIGN.md` §10); an early wake-up is a harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle, l2: &SharedL2) -> Option<Cycle> {
-        let horizon = now + 1;
-        // Fast path for the overwhelmingly common case — an unblocked
-        // frontend dispatches next tick, so no cheaper wake-up exists and
-        // the checks below cannot improve on it. This keeps the skip
-        // protocol's per-cycle cost near zero while a core is running.
-        if self.frontend_stall_until <= horizon && !self.dispatch_blocked() {
-            return Some(horizon);
-        }
-        let mut best: Option<Cycle> = None;
-        let mut consider = |c: Cycle| best = Some(best.map_or(c, |b: Cycle| b.min(c)));
-        // Retirement: a run at the head retires next tick, a finite load
-        // completion time bounds the skip, and a store at the head with
-        // an open port retires once the send interval allows.
-        match self.entry(self.head) {
-            Some(RobEntry::NonMem(_)) => consider(horizon),
-            Some(RobEntry::Load { done_at, .. }) if done_at != u64::MAX => {
-                consider(done_at.max(horizon));
-            }
-            Some(RobEntry::Store { line, done_at }) => {
-                if done_at > now {
-                    consider(done_at.max(horizon));
-                } else if l2.can_accept(self.thread, line) {
-                    consider(self.next_store_at.max(horizon));
-                }
-                // else: port-blocked; unblocking is bank activity.
-            }
-            Some(RobEntry::Load { .. }) | None => {}
-        }
-        // Load issue: an issuable head load acts next tick. A blocked one
-        // waits on an L1 fill or port credit, which the cache reports.
-        if let Some(&(_, line)) = self.unissued_loads.front() {
-            if self.l1.probe(line)
-                || self.l1.has_mshr(line)
-                || (self.l1.can_allocate_miss() && l2.can_accept(self.thread, line))
-            {
-                consider(horizon);
-            }
-        }
-        // Dispatch: an unblocked frontend consumes workload ops as soon as
-        // any bubble expires. (A structurally blocked frontend only counts
-        // stall cycles, which fast_forward advances arithmetically.)
-        if !self.dispatch_blocked() {
-            consider(self.frontend_stall_until.max(horizon));
-        }
-        best
+    /// Always the next cycle: the run loop ticks every cycle. A vestige
+    /// kept for the frozen benchmark's call sites; benchmark revision 2
+    /// removes it.
+    pub fn next_activity(&self, now: Cycle, _l2: &SharedL2) -> Option<Cycle> {
+        Some(now + 1)
     }
 
-    /// Advances the stall counters over the skipped ticks
-    /// `now + 1 ..= target - 1`, exactly as if [`Core::tick`] had run on
-    /// each of them. Sound because `target` never exceeds
-    /// [`Core::next_activity`]: within the region every blocking predicate
-    /// is constant, so each skipped tick increments the same counters a
-    /// naive tick would (see `DESIGN.md` §10).
+    /// Skips nothing, since [`Core::next_activity`] never reports a cycle
+    /// past the next one. A vestige kept for the frozen benchmark's call
+    /// sites; benchmark revision 2 removes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` lies past the next cycle.
     pub fn fast_forward(&mut self, now: Cycle, target: Cycle) {
-        let skipped = target - now - 1;
-        if skipped == 0 {
-            return;
-        }
-        // A completed store still at the head is being held back by the
-        // port or the send interval on every skipped tick.
-        if let Some(RobEntry::Store { done_at, .. }) = self.entry(self.head) {
-            if done_at <= now {
-                self.stats.store_stall_cycles.add(skipped);
-            }
-        }
-        if self.frontend_stall_until <= now + 1 && self.dispatch_blocked() {
-            self.stats.dispatch_stall_cycles.add(skipped);
-        }
+        assert!(target <= now + 1, "no cycle can be skipped: {now} to {target}");
     }
 
     fn dispatch(&mut self, now: Cycle) {

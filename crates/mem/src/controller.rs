@@ -204,23 +204,6 @@ impl MemoryController {
         q.reads.front().or(q.writes.front()).copied()
     }
 
-    /// The earliest cycle at which this controller can change observable
-    /// state absent new [`MemoryController::enqueue`] calls: a queued
-    /// response waiting to pop, an in-flight transaction completing, or a
-    /// buffered request becoming schedulable. `None` when fully idle. The
-    /// last two terms are the wake cycle the last acting tick stored.
-    ///
-    /// Conservative by design: the returned cycle is never *later* than a
-    /// real state change (see `DESIGN.md` §10) — an early wake-up is a
-    /// harmless no-op tick.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let horizon = now + 1;
-        if !self.responses.is_empty() {
-            return Some(horizon);
-        }
-        (self.wake != u64::MAX).then(|| self.wake.max(horizon))
-    }
-
     /// Pops the next completed read, if any.
     #[inline]
     pub fn pop_response(&mut self) -> Option<MemResponse> {
@@ -245,6 +228,8 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, ensure_eq};
 
     fn read(thread: u8, line: u64, token: u64) -> MemRequest {
         MemRequest { thread: ThreadId(thread), line: LineAddr(line), kind: AccessKind::Read, token }
@@ -382,8 +367,8 @@ mod tests {
         let mut mc = MemoryController::new(MemConfig::ddr2_800(), 1);
         mc.enqueue(read(0, 0, 1), 0);
         mc.tick(0);
-        let wake = mc.next_activity(0).expect("the read is in flight");
-        assert!(wake > 1, "an issued read takes more than a cycle");
+        let wake = mc.wake;
+        assert!((2..u64::MAX).contains(&wake), "the read is in flight for more than a cycle");
         let before = format!("{mc:?}");
         for now in 1..wake {
             mc.tick(now);
@@ -391,6 +376,52 @@ mod tests {
         }
         mc.tick(wake);
         assert_ne!(format!("{mc:?}"), before, "the read completes at the wake cycle");
+    }
+
+    /// The wake guard skips only ticks that would act on nothing: over a
+    /// random arrival schedule, a controller ticked through `tick` gives
+    /// the same responses at the same cycles, and ends in the same state,
+    /// as one whose `tick_awake` runs every cycle.
+    #[test]
+    fn guarded_ticks_match_ticking_awake_every_cycle() {
+        check::forall("guarded_ticks_match_ticking_awake_every_cycle", Config::cases(24), |rng| {
+            let threads = rng.below(3) as usize + 2;
+            let mut arrivals = Vec::new();
+            let (mut at, mut token) = (0, 0);
+            while at < 4_000 {
+                at += rng.below(40) + 1;
+                token += 1;
+                let req = MemRequest {
+                    thread: gen::thread_id(rng, threads),
+                    line: gen::line_addr(rng, 64),
+                    kind: gen::access_kind(rng),
+                    token,
+                };
+                arrivals.push((at, req));
+            }
+            let drive = |tick: fn(&mut MemoryController, Cycle)| {
+                let mut mc = MemoryController::new(MemConfig::ddr2_800(), threads);
+                let mut log = Vec::new();
+                let mut next = arrivals.iter().peekable();
+                // A long tail after the last arrival, so both drain.
+                for now in 0..12_000 {
+                    while let Some((_, req)) = next.next_if(|&&(at, _)| at == now) {
+                        mc.enqueue(*req, now);
+                    }
+                    tick(&mut mc, now);
+                    while let Some(resp) = mc.pop_response() {
+                        log.push((now, resp));
+                    }
+                }
+                (log, mc)
+            };
+            let (guarded_log, guarded) = drive(MemoryController::tick);
+            let (awake_log, awake) = drive(MemoryController::tick_awake);
+            ensure_eq!(guarded_log, awake_log, "response streams diverged");
+            ensure!(guarded.is_idle(), "the controllers drained");
+            ensure_eq!(format!("{guarded:?}"), format!("{awake:?}"), "final states diverged");
+            Ok(())
+        });
     }
 
     #[test]

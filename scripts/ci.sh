@@ -119,15 +119,17 @@ if [[ "$last" != *'"correct": true'* ]]; then
     exit 1
 fi
 
-echo "== benchmark smoke (perfbench fig10_mixes) =="
+echo "== benchmark smoke (perfbench fig10_mixes, traced) =="
 # Four-thread SPEC mixes under FCFS and VPC with way quotas; with the two
 # runs above every benchmark workload is smoke-tested. Every row must
-# still equal its golden.
+# still equal its golden, and the traced loop replica must not diverge
+# from the real run loop on a multi-thread workload either.
 last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload fig10_mixes --seed 1 --seconds 1 --trace 0 | tail -n 1)
-if [[ "$last" != *'"correct": true'* ]]; then
+    --workload fig10_mixes --seed 1 --seconds 1 --trace 1 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]] ||
+    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
     echo "$last"
-    echo "perfbench fig10_mixes: incorrect rows"
+    echo "perfbench fig10_mixes: incorrect rows or a diverged replica"
     exit 1
 fi
 

@@ -13,11 +13,17 @@
 #
 # Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED...
 #
-# The parent is exported with `git archive` into target/perfpair/<commit>/
-# and its perfbench is built there once; later calls reuse the build.
-# Uncommitted changes in this checkout are part of the change side. Every
-# run's JSON line, prefixed by side, workload and seed, is appended to
-# target/perfpair/runs.log for the metrics this summary leaves out.
+# Both sides are built from the same source path, target/perfpair/src/,
+# each into its own target directory: the build embeds the source path,
+# and two copies of one commit built at two paths lay out different
+# binaries. Each side's sources are first exported to
+# target/perfpair/<side>/tree/ (the parent with `git archive`; the change
+# as this checkout's tracked and untracked non-ignored files, uncommitted
+# edits included), then copied, modification times kept, to the shared
+# path and built into target/perfpair/<side>/target/. Each side's
+# perfbench runs from its own tree, so it reads that side's goldens.
+# Every run's JSON line, prefixed by side, workload and seed, is appended
+# to target/perfpair/runs.log for the metrics this summary leaves out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
@@ -31,16 +37,40 @@ workload=$2
 seconds=$3
 shift 3
 
-change_root=$PWD
-parent_root=$change_root/target/perfpair/$parent
-bench=perfbench/target/release/perfbench
-if [[ ! -x $parent_root/$bench ]]; then
-    rm -rf "$parent_root"
-    mkdir -p "$parent_root"
-    git archive "$parent" | tar -x -C "$parent_root"
-    cargo build --release --quiet --manifest-path "$parent_root/perfbench/Cargo.toml"
+perf=$PWD/target/perfpair
+parent_root=$perf/$parent
+change_root=$perf/change
+
+# Copies side root $1's exported tree to the shared source path and builds
+# its perfbench into the side's own target directory.
+build() {
+    rm -rf "$perf/src"
+    cp -a "$1/tree" "$perf/src"
+    CARGO_TARGET_DIR=$1/target cargo build --release --quiet \
+        --manifest-path "$perf/src/perfbench/Cargo.toml"
+}
+
+if [[ ! -d $parent_root/tree ]]; then
+    rm -rf "$parent_root/export"
+    mkdir -p "$parent_root/export"
+    git archive "$parent" | tar -x -C "$parent_root/export"
+    mv "$parent_root/export" "$parent_root/tree"
 fi
-cargo build --release --quiet --manifest-path perfbench/Cargo.toml
+build "$parent_root"
+rm -rf "$change_root/tree"
+mkdir -p "$change_root/tree"
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' file; do
+        if [[ -e $file ]]; then
+            printf '%s\0' "$file"
+        fi
+    done |
+    tar --null -T - -cf - | tar -x -C "$change_root/tree"
+build "$change_root"
+bench=target/release/perfbench
+if cmp -s "$parent_root/$bench" "$change_root/$bench"; then
+    echo "both sides built the same perfbench binary"
+fi
 
 # The end-to-end metrics, one "name better" line each, read from the
 # `end_to_end` list of BENCHMARK.json (one metric object per line).
@@ -63,18 +93,18 @@ value_of() {
     sed -nE "s/.*\"$1\": \{\"value\": ([0-9.eE+-]+).*/\1/p" <<<"$2"
 }
 
-# Runs one side from its own checkout (perfbench reads that checkout's
-# goldens), logs its JSON line and prints it.
+# Runs one side's perfbench from that side's tree (perfbench reads the
+# tree's goldens), logs its JSON line and prints it.
 run() {
     local side=$1 root=$2 seed=$3 last
-    last=$(cd "$root" && "$bench" --workload "$workload" --seed "$seed" \
+    last=$(cd "$root/tree" && "$root/$bench" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
     if [[ "$last" != *'"correct": true'* ]]; then
         echo "$last" >&2
         echo "perfpair: $side seed $seed did not report \"correct\": true" >&2
         return 1
     fi
-    echo "$side $workload $seed $last" >>target/perfpair/runs.log
+    echo "$side $workload $seed $last" >>"$perf/runs.log"
     echo "$last"
 }
 
