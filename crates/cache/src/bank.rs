@@ -14,7 +14,8 @@
 //! these accesses is one controller step, granted by the resource it names.
 //!
 //! The bank logic runs at half core frequency: [`L2Bank::tick`] acts only on
-//! even processor cycles.
+//! even processor cycles, and only from the bank's wake cycle on (DESIGN.md
+//! §10, "A quiet bank is not ticked").
 
 use std::collections::VecDeque;
 
@@ -150,6 +151,9 @@ pub struct L2Bank {
     /// Cached minimum due-cycle over `events` (`u64::MAX` when empty), so
     /// the per-tick completion scan is O(1) when nothing is due.
     events_min: Cycle,
+    /// No tick can act before this cycle: set by every tick that runs,
+    /// lowered by [`L2Bank::submit`] and [`L2Bank::on_mem_response`].
+    wake: Cycle,
     /// Free-slot bitmask over `sms` (bit set = slot free), replacing the
     /// linear `position(Option::is_none)` scan with an O(1) lowest-bit
     /// lookup that allocates the same lowest free index.
@@ -209,6 +213,7 @@ impl L2Bank {
             rr_next: 0,
             events: Vec::new(),
             events_min: u64::MAX,
+            wake: u64::MAX,
             sm_free: {
                 let n = cfg.threads * cfg.sm_per_thread;
                 let mut words = vec![!0u64; n.div_ceil(64)];
@@ -236,21 +241,49 @@ impl L2Bank {
     }
 
     /// Submits a request from the interconnect at `now`; it reaches the
-    /// bank's port after the interconnect latency.
+    /// bank's port after the interconnect latency, and the bank wakes then.
     #[inline]
     pub fn submit(&mut self, req: CacheRequest, now: Cycle) {
-        self.ports[req.thread.index()].push(now + self.cfg.interconnect_latency, req);
+        let ready_at = now + self.cfg.interconnect_latency;
+        self.wake = self.wake.min(ready_at);
+        self.ports[req.thread.index()].push(ready_at, req);
     }
 
     /// Advances the bank. Only even cycles act (the L2 runs at half core
-    /// frequency).
+    /// frequency), and only from the stored wake cycle on: before it, no
+    /// completion is due, no resource can grant and no port can offer a
+    /// new candidate.
+    ///
+    /// Called every cycle and usually a no-op, so that check is inlined
+    /// into the caller.
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
-        if !now.is_multiple_of(2) {
-            return;
+        if now >= self.wake && now.is_multiple_of(2) {
+            self.tick_awake(now);
         }
+    }
+
+    /// The body of [`L2Bank::tick`] on an even cycle from the wake cycle
+    /// on. A tick that admitted a request did not visit the ports after
+    /// the round-robin winner, so it wakes on the next cycle; one that
+    /// admitted nothing visited every port and sleeps until
+    /// [`L2Bank::next_wake`].
+    #[inline(never)]
+    fn tick_awake(&mut self, now: Cycle) {
         self.process_events(now);
-        self.controller_intake(now);
+        let admitted = self.controller_intake(now);
         self.grant(now);
+        self.wake = if admitted { now + 1 } else { self.next_wake() };
+    }
+
+    /// The first cycle a tick can act after a tick that admitted nothing:
+    /// the earliest due completion or port wake. A candidate blocked by a
+    /// full state-machine quota or a line conflict is freed only by a
+    /// completion. A resource with a request pending is busy after the
+    /// tick, and its last grant's completion is due exactly when it frees,
+    /// so `events_min` covers the next grant too.
+    fn next_wake(&self) -> Cycle {
+        self.ports.iter().map(ThreadPort::next_wake).fold(self.events_min, Cycle::min)
     }
 
     /// Delivers a memory fetch completion for `token`.
@@ -266,6 +299,7 @@ impl L2Bank {
             .binary_search_by_key(&token, |&(t, _)| t)
             .expect("memory response matches an outstanding fetch");
         let (_, sm_idx) = self.pending_fetches.remove(idx);
+        self.wake = self.wake.min(now);
         let sm = self.live_sm(sm_idx);
         assert_eq!(sm.fill_parts, 0, "fetching SM is not already filling");
         // Fill parts: the tag update, the data-array line write, and (reads)
@@ -522,8 +556,9 @@ impl L2Bank {
         token
     }
 
-    fn controller_intake(&mut self, now: Cycle) {
-        // One request enters the controller pipeline per L2 cycle.
+    /// Admits at most one request into the controller pipeline (one per
+    /// L2 cycle) and returns whether it did.
+    fn controller_intake(&mut self, now: Cycle) -> bool {
         let threads = self.cfg.threads;
         let mut next = self.rr_next;
         for _ in 0..threads {
@@ -563,8 +598,9 @@ impl L2Bank {
             self.ports[t].take_candidate(&candidate, now);
             self.request(sm_idx, &sm, Step::TagLookup, now);
             self.rr_next = next;
-            break;
+            return true;
         }
+        false
     }
 
     /// Grants the tag array, then the data array, then the data bus; each
@@ -595,6 +631,16 @@ impl L2Bank {
 mod tests {
     use super::*;
     use vpc_arbiters::ArbiterPolicy;
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, ensure_eq};
+
+    /// The bank's `Debug` rendering without its `wake` field.
+    fn without_wake(bank: &L2Bank) -> String {
+        let s = format!("{bank:?}");
+        let start = s.find("wake: ").expect("the bank renders its wake");
+        let len = s[start..].find(", ").expect("wake is not the last field") + 2;
+        format!("{}{}", &s[..start], &s[start + len..])
+    }
 
     /// `L2Bank::tick` on an odd cycle changes nothing, even with arrivals
     /// ready, state machines live and completions due. `SharedL2::tick`
@@ -622,5 +668,130 @@ mod tests {
             }
         }
         assert!(bank.stats().read_misses.get() > 0, "the bank did work on even cycles");
+    }
+
+    /// The inlined no-op check of `tick` changes nothing: every tick
+    /// before the stored wake cycle leaves the bank as it was, both while
+    /// a request crosses the interconnect and while a miss waits on
+    /// memory.
+    #[test]
+    fn ticks_before_wake_change_nothing() {
+        let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+        cfg.total_sets = 64;
+        cfg.interconnect_latency = 9;
+        let mut bank = L2Bank::new(&cfg, 0);
+        let line = LineAddr(4 * cfg.banks as u64);
+        let req = CacheRequest { thread: ThreadId(0), line, kind: AccessKind::Read, token: 1 };
+        bank.submit(req, 0);
+        bank.tick(0);
+        assert_eq!(bank.wake, 9, "the request reaches the port at cycle 9");
+        let before = format!("{bank:?}");
+        for now in 1..10 {
+            bank.tick(now);
+            assert_eq!(format!("{bank:?}"), before, "tick at {now} before the arrival");
+        }
+        bank.tick(10);
+        assert_ne!(
+            format!("{bank:?}"),
+            before,
+            "the first even cycle from cycle 9 admits the read"
+        );
+        // The read misses: once the fetch is sent nothing is due.
+        let mut sent = 11;
+        while bank.peek_mem_request().is_none() {
+            bank.tick(sent);
+            sent += 1;
+        }
+        let fetch = bank.pop_mem_request().expect("the miss fetches its line");
+        assert_eq!(bank.wake, u64::MAX, "a bank waiting on memory alone sleeps");
+        let before = format!("{bank:?}");
+        for now in sent..sent + 500 {
+            bank.tick(now);
+            assert_eq!(format!("{bank:?}"), before, "tick at {now} while waiting on memory");
+        }
+        bank.on_mem_response(fetch.token, sent + 500);
+        assert_eq!(bank.wake, sent + 500, "the response wakes the bank");
+    }
+
+    /// The wake guard skips only ticks that would act on nothing: on
+    /// random loads and stores from 1–4 threads over a few conflicting
+    /// lines, with quiet spells for idle drains and memory answering after
+    /// a fixed latency, a bank ticked through `tick` gives the same
+    /// responses at the same cycles, the same memory requests in the same
+    /// order, the same stats and the same state (apart from `wake`) as one
+    /// whose `tick_awake` runs on every even cycle.
+    #[test]
+    fn guarded_ticks_match_ticking_awake_every_bank_cycle() {
+        check::forall(
+            "guarded_ticks_match_ticking_awake_every_bank_cycle",
+            Config::cases(32),
+            |rng| {
+                let threads = gen::range(rng, 1, 4) as usize;
+                let arbiter = match rng.below(3) {
+                    0 => ArbiterPolicy::Fcfs,
+                    1 => ArbiterPolicy::RowFcfs,
+                    _ => ArbiterPolicy::vpc_equal(threads),
+                };
+                let mut cfg = L2Config::table1(threads, arbiter);
+                cfg.banks = 1;
+                cfg.total_sets = 4;
+                cfg.ways = 8;
+                cfg.capacity = CapacityPolicy::Lru;
+                cfg.sm_per_thread = gen::range(rng, 1, 4) as usize;
+                cfg.sgb_idle_drain = gen::range(rng, 10, 300);
+                let lines = gen::range(rng, 4, 64);
+                let mem_latency = gen::range(rng, 1, 200);
+                let mut guarded = L2Bank::new(&cfg, 0);
+                let mut awake = L2Bank::new(&cfg, 0);
+                // Memory responses in flight: (due cycle, token).
+                let mut fetches: VecDeque<(Cycle, u64)> = VecDeque::new();
+                let (mut token, mut busy, mut spell_end) = (0, true, 0);
+                for now in 0..40_000u64 {
+                    if now >= 5_000 && guarded.is_idle() && awake.is_idle() {
+                        break;
+                    }
+                    if now >= spell_end {
+                        busy = !busy && now < 5_000;
+                        spell_end = now + gen::range(rng, 1, 600);
+                    }
+                    if busy && rng.chance(0.2) {
+                        token += 1;
+                        let req = gen::cache_request(rng, threads, lines, token);
+                        ensure_eq!(guarded.can_accept(req.thread), awake.can_accept(req.thread));
+                        if guarded.can_accept(req.thread) {
+                            guarded.submit(req, now);
+                            awake.submit(req, now);
+                        }
+                    }
+                    guarded.tick(now);
+                    if now.is_multiple_of(2) {
+                        awake.tick_awake(now);
+                    }
+                    while let Some(req) = guarded.pop_mem_request() {
+                        ensure_eq!(awake.pop_mem_request(), Some(req), "memory request at {now}");
+                        if req.kind.is_read() {
+                            fetches.push_back((now + mem_latency, req.token));
+                        }
+                    }
+                    ensure_eq!(awake.pop_mem_request(), None, "memory request at {now}");
+                    while fetches.front().is_some_and(|&(due, _)| due == now) {
+                        let (_, token) = fetches.pop_front().expect("a fetch is due");
+                        guarded.on_mem_response(token, now);
+                        awake.on_mem_response(token, now);
+                    }
+                    while let Some(resp) = guarded.pop_response(now) {
+                        ensure_eq!(awake.pop_response(now), Some(resp), "response at {now}");
+                    }
+                    ensure_eq!(awake.pop_response(now), None, "response at {now}");
+                    if now % 512 == 0 {
+                        ensure_eq!(without_wake(&guarded), without_wake(&awake), "state at {now}");
+                    }
+                }
+                ensure_eq!(format!("{:?}", guarded.stats()), format!("{:?}", awake.stats()));
+                ensure_eq!(without_wake(&guarded), without_wake(&awake), "final states diverged");
+                ensure!(guarded.is_idle(), "the banks drained");
+                Ok(())
+            },
+        );
     }
 }

@@ -254,6 +254,25 @@ impl ThreadPort {
         }
     }
 
+    /// The first cycle this port can act on its own after a bank cycle
+    /// that visited it and admitted none of its requests: its input
+    /// queue's head arrival (unless stalled), or, for a port holding
+    /// stores but no load and not row-inverted, the cycle its stores have
+    /// been idle long enough to drain. Any other candidate it offers waits
+    /// on a completion in the bank. `u64::MAX` when there is no such cycle.
+    pub(crate) fn next_wake(&self) -> Cycle {
+        let arrival = match self.in_q.front() {
+            Some(&(ready_at, _)) if !self.stalled => ready_at,
+            _ => u64::MAX,
+        };
+        let drain = if !self.sgb.is_empty() && self.loads.is_empty() && !self.row_inverted() {
+            self.last_store_activity.saturating_add(self.idle_drain)
+        } else {
+            u64::MAX
+        };
+        arrival.min(drain)
+    }
+
     /// SGB occupancy.
     pub fn sgb_occupancy(&self) -> usize {
         self.sgb.len()

@@ -82,8 +82,11 @@ impl SharedL2 {
     ///
     /// The banks run at half core frequency ([`L2Bank::tick`] acts only on
     /// even cycles), so they are ticked, and can queue a response, only
-    /// on even cycles. Memory requests forward every cycle: the
-    /// controller can make room on any cycle.
+    /// on even cycles; a bank's tick returns at once before its wake
+    /// cycle. Memory requests forward every cycle: the controller can
+    /// make room on any cycle. This tick itself has no gate: one on the
+    /// minimum of the bank and controller wakes measured no gain
+    /// (DESIGN.md §10, "A quiet bank is not ticked").
     pub fn tick(&mut self, now: Cycle) {
         let bank_cycle = now.is_multiple_of(2);
         for bank in &mut self.banks {

@@ -5,11 +5,14 @@
 # `wall_s`, then one line per end-to-end metric that BENCHMARK.json lists,
 # judged in that metric's own `better` direction: both medians, their
 # ratio, the pairs the change won (a tie counts for neither side), the
-# parent's interquartile range and the verdict of the claim rule of
-# perfbench/README.md: `yes` when the change won at least 9 pairs in 10
-# and its median beats the parent's by more than the parent's IQR. Warns
-# when the held-out seed 4242 is not among the seeds. Fails if any run
-# does not report `"correct": true`.
+# parent's interquartile range, the verdict of the claim rule of
+# perfbench/README.md (`yes` when the change won at least 9 pairs in 10
+# and its median beats the parent's by more than the parent's IQR) and a
+# `gate` verdict: `ok` when the change's median is worse than the
+# parent's by no more than the metric's `bound` in BENCHMARK.json (a
+# fraction of the parent's median), `FAIL` otherwise. Warns when the
+# held-out seed 4242 is not among the seeds. Fails if any run does not
+# report `"correct": true`.
 #
 # Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED...
 #
@@ -72,7 +75,7 @@ if cmp -s "$parent_root/$bench" "$change_root/$bench"; then
     echo "both sides built the same perfbench binary"
 fi
 
-# The end-to-end metrics, one "name better" line each, read from the
+# The end-to-end metrics, one "name better bound" line each, read from the
 # `end_to_end` list of BENCHMARK.json (one metric object per line).
 metrics=$(awk '
     /"end_to_end"/ { on = 1; next }
@@ -80,7 +83,8 @@ metrics=$(awk '
     on && /"name"/ {
         name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
         better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
-        print name, better
+        bound = $0; sub(/.*"bound": */, "", bound); sub(/[^0-9.].*/, "", bound)
+        print name, better, bound
     }' BENCHMARK.json)
 if [[ -z $metrics ]]; then
     echo "perfpair: no end_to_end metrics found in BENCHMARK.json" >&2
@@ -127,12 +131,12 @@ for seed in "$@"; do
     i=$((i + 1))
 done
 
-printf '%-18s %-6s %12s %12s %8s %5s %12s %5s\n' \
-    metric better parent_med change_med ratio won parent_iqr claim
-while read -r name better; do
+printf '%-18s %-6s %12s %12s %8s %5s %12s %5s %5s\n' \
+    metric better parent_med change_med ratio won parent_iqr claim gate
+while read -r name better bound; do
     for i in "${!parent_runs[@]}"; do
         echo "$(value_of "$name" "${parent_runs[$i]}") $(value_of "$name" "${change_runs[$i]}")"
-    done | awk -v name="$name" -v better="$better" '
+    done | awk -v name="$name" -v better="$better" -v bound="$bound" '
         # Quantile q of the sorted values v[1..n], interpolated linearly.
         function quantile(v, n, q,    h, lo) {
             h = (n - 1) * q + 1
@@ -162,10 +166,15 @@ while read -r name better; do
             ratio = pm == 0 ? "n/a" : sprintf("%.3f", cm / pm)
             gap = better == "higher" ? cm - pm : pm - cm
             claim = 10 * won >= 9 * n && gap > iqr ? "yes" : "no"
-            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g %5s\n", \
-                name, better, pm, cm, ratio, won, n, iqr, claim
+            gate = bound == "" ? "n/a" : -gap <= bound * pm ? "ok" : "FAIL"
+            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g %5s %5s\n", \
+                name, better, pm, cm, ratio, won, n, iqr, claim, gate
         }'
 done <<<"$metrics"
+
+echo "note: setup_s times a sub-millisecond span once per cell and spreads more" \
+    "between batches than within one (a pair of identical binaries read x1.075):" \
+    "a setup_s verdict from one batch is weak evidence either way"
 
 held_out=4242
 if [[ " $* " != *" $held_out "* ]]; then
