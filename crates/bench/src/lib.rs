@@ -2,7 +2,7 @@
 //!
 //! Every experiment binary parses its command line with
 //! [`Cli::from_env`] — the only place that reads `--quick`, `--json`,
-//! `--jobs`, `--trace`, `--metrics`, `VPC_QUICK` and `VPC_JOBS` — and
+//! `--jobs`, `--trace` and `--metrics` — and
 //! prints the same rows/series as the corresponding figure or table of
 //! the paper. `simulate` reads its own flags through the same grammar
 //! ([`parse_flags`]), and every binary's `--trace` goes through
@@ -26,10 +26,10 @@ use vpc_sim::trace::{self, TraceLog};
 const USAGE: &str = "\
 [--quick] [--json] [--jobs N] [--trace PATH] [--metrics]
 
-  --quick         short simulation windows (or VPC_QUICK=1)
+  --quick         short simulation windows
   --json          machine-readable report on stdout
-  --jobs N        worker threads for the job grid (or VPC_JOBS=N;
-                  default: the host's available parallelism)
+  --jobs N        worker threads for the job grid (default: the host's
+                  available parallelism)
   --trace PATH    write Chrome trace_event JSON of every job's measured
                   window next to PATH
   --metrics       QoS ledgers of the contention scenario on stderr
@@ -54,21 +54,14 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `args` (without the program name). `env` looks up an
-    /// environment variable: `VPC_QUICK=1` selects short windows and
-    /// `VPC_JOBS=N` sets the worker count, and the flags override both.
-    /// Without either, the worker count is [`default_jobs`]. `--metrics`
-    /// is a flag only for a binary that `reads_metrics`.
-    pub fn parse<I>(
-        args: I,
-        env: impl Fn(&str) -> Option<String>,
-        reads_metrics: bool,
-    ) -> Result<Cli, String>
+    /// Parses `args` (without the program name). Without `--jobs`, the
+    /// worker count is [`default_jobs`]. `--metrics` is a flag only for a
+    /// binary that `reads_metrics`.
+    pub fn parse<I>(args: I, reads_metrics: bool) -> Result<Cli, String>
     where
         I: IntoIterator<Item = String>,
     {
-        let mut quick = env("VPC_QUICK").is_some_and(|v| v == "1");
-        let mut jobs = env("VPC_JOBS").map(|v| positive("VPC_JOBS", &v)).transpose()?;
+        let (mut quick, mut jobs) = (false, None);
         let (mut json, mut trace, mut metrics) = (false, None, false);
         parse_flags(args, |flag, value| {
             match flag {
@@ -86,12 +79,12 @@ impl Cli {
         Ok(Cli { opts: RunOptions { budget, jobs }, json, trace, metrics })
     }
 
-    /// Parses the process's arguments and environment as [`Cli::parse`]
-    /// does; on an error prints it with the usage text on stderr and exits
-    /// with code 2. A `--trace` path into a missing directory is such an
-    /// error, so a run never ends in a trace it cannot write.
+    /// Parses the process's arguments as [`Cli::parse`] does; on an error
+    /// prints it with the usage text on stderr and exits with code 2. A
+    /// `--trace` path into a missing directory is such an error, so a run
+    /// never ends in a trace it cannot write.
     pub fn from_env(reads_metrics: bool) -> Cli {
-        Cli::parse(std::env::args().skip(1), |key| std::env::var(key).ok(), reads_metrics)
+        Cli::parse(std::env::args().skip(1), reads_metrics)
             .and_then(|cli| match &cli.trace {
                 Some(path) => check_trace_dir(path).map(|()| cli),
                 None => Ok(cli),
@@ -309,12 +302,10 @@ mod tests {
     use super::*;
 
     type Args = &'static [&'static str];
-    type Env = &'static [(&'static str, &'static str)];
 
     /// Parses as fig5 does, reading `--metrics`.
-    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Cli, String> {
-        let lookup = |key: &str| env.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string());
-        Cli::parse(args.iter().map(|a| a.to_string()), lookup, true)
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|a| a.to_string()), true)
     }
 
     fn cli(budget: RunBudget, jobs: usize) -> Cli {
@@ -322,56 +313,47 @@ mod tests {
     }
 
     #[test]
-    fn parses_flags_and_env() {
+    fn parses_flags() {
         let quick = RunBudget::quick();
         let standard = RunBudget::standard();
+        let host = default_jobs();
         let traced =
             |budget, jobs, path: &str| Cli { trace: Some(path.into()), ..cli(budget, jobs) };
-        let cases: &[(Args, Env, Cli)] = &[
-            (&["--jobs=3"], &[], cli(standard, 3)),
-            (&["--quick", "--jobs", "5"], &[], cli(quick, 5)),
-            (&[], &[("VPC_QUICK", "1")], cli(quick, 4)),
-            (&[], &[("VPC_QUICK", "0")], cli(standard, 4)),
-            (&[], &[("VPC_JOBS", "3")], cli(standard, 3)),
-            (&["--jobs", "2"], &[("VPC_JOBS", "3")], cli(standard, 2)),
-            (&["--quick"], &[("VPC_QUICK", "0"), ("VPC_JOBS", "7")], cli(quick, 7)),
-            (&["--trace", "out.json"], &[], traced(standard, 4, "out.json")),
-            (&["--trace=t.json", "--quick"], &[], traced(quick, 4, "t.json")),
-            (&["--json", "--metrics"], &[], Cli { json: true, metrics: true, ..cli(standard, 4) }),
+        let cases: &[(Args, Cli)] = &[
+            (&["--jobs=3"], cli(standard, 3)),
+            (&["--quick", "--jobs", "5"], cli(quick, 5)),
+            (&["--quick"], cli(quick, host)),
+            (&[], cli(standard, host)),
+            (&["--trace", "out.json"], traced(standard, host, "out.json")),
+            (&["--trace=t.json", "--quick"], traced(quick, host, "t.json")),
+            (&["--json", "--metrics"], Cli { json: true, metrics: true, ..cli(standard, host) }),
         ];
-        for (args, env, want) in cases {
-            // Cases without a worker count pin it through the env lookup,
-            // so the host's parallelism never enters the table.
-            let mut env = env.to_vec();
-            if !env.iter().any(|(k, _)| *k == "VPC_JOBS") {
-                env.push(("VPC_JOBS", "4"));
-            }
-            assert_eq!(parse(args, &env).as_ref(), Ok(want), "args {args:?}, env {env:?}");
+        for (args, want) in cases {
+            assert_eq!(parse(args).as_ref(), Ok(want), "args {args:?}");
         }
-        assert!(parse(&[], &[]).unwrap().opts.jobs >= 1, "default worker count");
+        assert!(host >= 1, "default worker count");
     }
 
     #[test]
     fn rejects_unknown_flags_and_malformed_values() {
-        let cases: &[(Args, Env, &str)] = &[
-            (&["--bogus"], &[], "unknown flag \"--bogus\""),
-            (&["--jbos", "4"], &[], "unknown flag \"--jbos\""),
-            (&["4"], &[], "unknown flag \"4\""),
-            (&["--jobs", "0"], &[], "--jobs needs a positive integer"),
-            (&["--jobs=x"], &[], "--jobs needs a positive integer"),
-            (&["--jobs"], &[], "--jobs needs a value"),
-            (&["--jobs", "--quick"], &[], "--jobs needs a value"),
-            (&["--trace"], &[], "--trace needs a value"),
-            (&["--trace="], &[], "--trace needs a value"),
-            (&["--quick=1"], &[], "unknown flag \"--quick=1\""),
-            (&[], &[("VPC_JOBS", "0")], "VPC_JOBS needs a positive integer"),
+        let cases: &[(Args, &str)] = &[
+            (&["--bogus"], "unknown flag \"--bogus\""),
+            (&["--jbos", "4"], "unknown flag \"--jbos\""),
+            (&["4"], "unknown flag \"4\""),
+            (&["--jobs", "0"], "--jobs needs a positive integer"),
+            (&["--jobs=x"], "--jobs needs a positive integer"),
+            (&["--jobs"], "--jobs needs a value"),
+            (&["--jobs", "--quick"], "--jobs needs a value"),
+            (&["--trace"], "--trace needs a value"),
+            (&["--trace="], "--trace needs a value"),
+            (&["--quick=1"], "unknown flag \"--quick=1\""),
         ];
-        for (args, env, want) in cases {
-            let err = parse(args, env).expect_err(&format!("{args:?} {env:?} parsed"));
+        for (args, want) in cases {
+            let err = parse(args).expect_err(&format!("{args:?} parsed"));
             assert!(err.contains(want), "args {args:?}: error {err:?} lacks {want:?}");
         }
         let args = ["--quick", "--metrics"].map(String::from);
-        let err = Cli::parse(args, |_| None, false).expect_err("--metrics parsed");
+        let err = Cli::parse(args, false).expect_err("--metrics parsed");
         assert!(err.contains("unknown flag \"--metrics\""), "{err}");
     }
 }

@@ -57,13 +57,6 @@ fn bad_arguments_exit_2() {
 }
 
 #[test]
-fn malformed_environment_exits_2() {
-    let bin = env!("CARGO_BIN_EXE_fig6_spec_util");
-    let out = Command::new(bin).env("VPC_JOBS", "0").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
-}
-
-#[test]
 fn zero_share_thread_prints_no_nan() {
     let bin = env!("CARGO_BIN_EXE_simulate");
     let args = ["--workloads", "Loads,Stores", "--shares", "1/1,0/1", "--warmup", "1000"];

@@ -110,6 +110,9 @@ struct Sm {
     /// The dirty victim a miss casts out, written back to memory once its
     /// data-array read completes.
     castout: Option<LineAddr>,
+    /// Whether the line fetch is at memory: set when the fetch is sent,
+    /// cleared by its response.
+    fetching: bool,
     /// Fill accesses still outstanding (tag update, data write and, for
     /// reads, the bus return); zero until the memory response arrives.
     fill_parts: u8,
@@ -154,14 +157,12 @@ pub struct L2Bank {
     /// No tick can act before this cycle: set by every tick that runs,
     /// lowered by [`L2Bank::submit`] and [`L2Bank::on_mem_response`].
     wake: Cycle,
-    /// Free-slot bitmask over `sms` (bit set = slot free), replacing the
-    /// linear `position(Option::is_none)` scan with an O(1) lowest-bit
-    /// lookup that allocates the same lowest free index.
-    sm_free: Vec<u64>,
+    /// The free slots of `sms`, popped by `alloc_sm` and pushed by
+    /// `free_sm`. Which free slot a request gets is unobservable: slots
+    /// only name state machines in arbitration ids and memory tokens.
+    sm_free: Vec<usize>,
     mem_out: VecDeque<MemRequest>,
     responses: VecDeque<(Cycle, CacheResponse)>,
-    pending_fetches: Vec<(u64, usize)>,
-    next_mem_token: u64,
     stats: BankStats,
     /// Per-thread read latency (controller intake to critical word).
     read_latency: Vec<vpc_sim::Histogram>,
@@ -214,18 +215,9 @@ impl L2Bank {
             events: Vec::new(),
             events_min: u64::MAX,
             wake: u64::MAX,
-            sm_free: {
-                let n = cfg.threads * cfg.sm_per_thread;
-                let mut words = vec![!0u64; n.div_ceil(64)];
-                if !n.is_multiple_of(64) {
-                    *words.last_mut().expect("at least one word") = (1u64 << (n % 64)) - 1;
-                }
-                words
-            },
+            sm_free: (0..cfg.threads * cfg.sm_per_thread).rev().collect(),
             mem_out: VecDeque::new(),
             responses: VecDeque::new(),
-            pending_fetches: Vec::new(),
-            next_mem_token: 0,
             stats: BankStats::default(),
             read_latency: (0..cfg.threads).map(|_| vpc_sim::Histogram::new()).collect(),
             cfg: cfg.clone(),
@@ -286,22 +278,22 @@ impl L2Bank {
         self.ports.iter().map(ThreadPort::next_wake).fold(self.events_min, Cycle::min)
     }
 
-    /// Delivers a memory fetch completion for `token`.
+    /// Delivers a memory fetch completion for `token`, which names the
+    /// fetching state machine's slot in its low 48 bits.
     ///
     /// # Panics
     ///
     /// Panics if the token does not match an outstanding fetch.
     pub fn on_mem_response(&mut self, token: u64, now: Cycle) {
-        // Tokens are issued monotonically per bank, so `pending_fetches`
-        // stays sorted by construction and a binary search suffices.
-        let idx = self
-            .pending_fetches
-            .binary_search_by_key(&token, |&(t, _)| t)
+        let sm_idx = (token & ((1 << 48) - 1)) as usize;
+        let sm = self
+            .sms
+            .get_mut(sm_idx)
+            .and_then(Option::as_mut)
+            .filter(|sm| sm.fetching)
             .expect("memory response matches an outstanding fetch");
-        let (_, sm_idx) = self.pending_fetches.remove(idx);
+        sm.fetching = false;
         self.wake = self.wake.min(now);
-        let sm = self.live_sm(sm_idx);
-        assert_eq!(sm.fill_parts, 0, "fetching SM is not already filling");
         // Fill parts: the tag update, the data-array line write, and (reads)
         // the direct-from-memory bus return.
         sm.fill_parts = if sm.kind.is_read() { 3 } else { 2 };
@@ -398,24 +390,20 @@ impl L2Bank {
     fn free_sm(&mut self, sm_idx: usize) {
         if let Some(sm) = self.sms[sm_idx].take() {
             self.sm_used[sm.thread.index()] -= 1;
-            self.sm_free[sm_idx / 64] |= 1 << (sm_idx % 64);
+            self.sm_free.push(sm_idx);
             let pos = self.sm_lines.iter().position(|&l| l == sm.line).expect("live SM line");
             self.sm_lines.swap_remove(pos);
         }
     }
 
-    /// Installs `sm` in the lowest free SM slot (a lowest-set-bit lookup in
-    /// the free mask) and returns the slot.
+    /// Installs `sm` in a free SM slot and returns the slot.
     ///
     /// # Panics
     ///
     /// Panics if the pool is exhausted (the caller's per-thread quota
     /// check guarantees a free slot).
     fn alloc_sm(&mut self, sm: Sm) -> usize {
-        let w = self.sm_free.iter().position(|&word| word != 0).expect("SM pool has a free slot");
-        let word = &mut self.sm_free[w];
-        let sm_idx = w * 64 + word.trailing_zeros() as usize;
-        *word &= *word - 1;
+        let sm_idx = self.sm_free.pop().expect("SM pool has a free slot");
         self.sms[sm_idx] = Some(sm);
         self.sm_used[sm.thread.index()] += 1;
         self.sm_lines.push(sm.line);
@@ -468,12 +456,12 @@ impl L2Bank {
             Step::DataCastout => {
                 self.stats.castouts.inc();
                 let victim = sm.castout.expect("castout victim recorded at miss");
-                self.send_to_memory(sm.thread, victim, AccessKind::Write);
+                self.send_to_memory(sm_idx, &sm, victim, AccessKind::Write);
                 self.request(sm_idx, &sm, Step::TagVictim, now);
             }
             Step::TagVictim => {
-                let token = self.send_to_memory(sm.thread, sm.line, AccessKind::Read);
-                self.pending_fetches.push((token, sm_idx));
+                self.live_sm(sm_idx).fetching = true;
+                self.send_to_memory(sm_idx, &sm, sm.line, AccessKind::Read);
             }
             // Read data goes through the read-claim queue onto the bus.
             Step::DataHit if sm.kind.is_read() => self.request(sm_idx, &sm, Step::BusHit, now),
@@ -547,13 +535,12 @@ impl L2Bank {
         }
     }
 
-    /// Queues a memory request and returns its token (the bank index in
-    /// the top bits routes the response back).
-    fn send_to_memory(&mut self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> u64 {
-        let token = ((self.bank_idx as u64) << 48) | self.next_mem_token;
-        self.next_mem_token += 1;
-        self.mem_out.push_back(MemRequest { thread, line, kind, token });
-        token
+    /// Queues state machine `sm_idx`'s memory request. Its token names the
+    /// bank in the top 16 bits, which route the response back, and the
+    /// slot in the low 48.
+    fn send_to_memory(&mut self, sm_idx: usize, sm: &Sm, line: LineAddr, kind: AccessKind) {
+        let token = ((self.bank_idx as u64) << 48) | sm_idx as u64;
+        self.mem_out.push_back(MemRequest { thread: sm.thread, line, kind, token });
     }
 
     /// Admits at most one request into the controller pipeline (one per
@@ -592,6 +579,7 @@ impl L2Bank {
                 token: req.token,
                 started: now,
                 castout: None,
+                fetching: false,
                 fill_parts: 0,
             };
             let sm_idx = self.alloc_sm(sm);
@@ -711,6 +699,30 @@ mod tests {
         }
         bank.on_mem_response(fetch.token, sent + 500);
         assert_eq!(bank.wake, sent + 500, "the response wakes the bank");
+    }
+
+    /// A second response to a fetch panics, though its state machine is
+    /// still live and filling.
+    #[test]
+    #[should_panic(expected = "memory response matches an outstanding fetch")]
+    fn response_without_outstanding_fetch_panics() {
+        let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+        cfg.total_sets = 64;
+        let mut bank = L2Bank::new(&cfg, 0);
+        let line = LineAddr(4 * cfg.banks as u64);
+        bank.submit(
+            CacheRequest { thread: ThreadId(0), line, kind: AccessKind::Read, token: 1 },
+            0,
+        );
+        let mut now = 0;
+        while bank.peek_mem_request().is_none() {
+            bank.tick(now);
+            now += 1;
+        }
+        let fetch = bank.pop_mem_request().expect("the miss fetches its line");
+        bank.on_mem_response(fetch.token, now);
+        assert!(!bank.is_idle(), "the state machine is filling");
+        bank.on_mem_response(fetch.token, now);
     }
 
     /// The wake guard skips only ticks that would act on nothing: on

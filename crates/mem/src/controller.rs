@@ -29,18 +29,7 @@ pub struct MemRequest {
     pub line: LineAddr,
     /// Fetch (read) or writeback (write).
     pub kind: AccessKind,
-    /// Opaque token returned with the response (reads only).
-    pub token: u64,
-}
-
-/// A completed memory read returning a line to the L2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemResponse {
-    /// Thread the line belongs to.
-    pub thread: ThreadId,
-    /// The fetched line.
-    pub line: LineAddr,
-    /// Token from the originating [`MemRequest`].
+    /// Opaque name of the requester, carried back with a completed read.
     pub token: u64,
 }
 
@@ -55,18 +44,16 @@ struct ThreadQueues {
 /// channel per thread.
 ///
 /// Reads have priority; a thread's buffered writes issue once it has no
-/// read pending. Responses surface through
-/// [`MemoryController::pop_response`] after [`MemoryController::tick`].
+/// read pending. A completed read surfaces as its own [`MemRequest`]
+/// through [`MemoryController::pop_response`] after
+/// [`MemoryController::tick`].
 #[derive(Debug)]
 pub struct MemoryController {
     config: MemConfig,
     channels: Vec<DramChannel>,
     queues: Vec<ThreadQueues>,
-    responses: VecDeque<MemResponse>,
-    /// Tokens completed by channels, pending conversion to responses.
-    scratch: Vec<u64>,
-    /// (token -> (thread, line)) for in-flight reads.
-    pending_reads: Vec<(u64, ThreadId, LineAddr)>,
+    /// Completed reads, in the order the channels drained them.
+    responses: VecDeque<MemRequest>,
     /// No tick before this cycle can issue or complete a transaction
     /// (`u64::MAX` when nothing is buffered or in flight). Set by every
     /// tick that acts, lowered by [`MemoryController::enqueue`].
@@ -87,8 +74,6 @@ impl MemoryController {
                 .map(|_| ThreadQueues { reads: VecDeque::new(), writes: VecDeque::new() })
                 .collect(),
             responses: VecDeque::new(),
-            scratch: Vec::new(),
-            pending_reads: Vec::new(),
             wake: u64::MAX,
             config,
         }
@@ -152,7 +137,7 @@ impl MemoryController {
                 AccessKind::Read => q.reads.pop_front(),
                 AccessKind::Write => q.writes.pop_front(),
             };
-            self.channels[t].issue(req.line, req.kind, req.token, now);
+            self.channels[t].issue(req, now);
             trace::emit(|| TraceEvent {
                 at: now,
                 data: EventData::DramIssue {
@@ -162,26 +147,10 @@ impl MemoryController {
                     kind: req.kind,
                 },
             });
-            if req.kind.is_read() {
-                self.pending_reads.push((req.token, req.thread, req.line));
-            }
         }
-        for c in 0..self.channels.len() {
-            self.scratch.clear();
-            self.channels[c].drain_completed(now, &mut self.scratch);
-            for &token in &self.scratch {
-                let idx = self
-                    .pending_reads
-                    .iter()
-                    .position(|&(t0, _, _)| t0 == token)
-                    .expect("completed read was pending");
-                let (_, thread, line) = self.pending_reads.swap_remove(idx);
-                self.responses.push_back(MemResponse { thread, line, token });
-            }
+        for channel in &mut self.channels {
+            channel.drain_completed(now, &mut self.responses);
         }
-        // Leave the scratch buffer empty so controller state (and its
-        // `Debug` rendering) never depends on how often we were ticked.
-        self.scratch.clear();
         self.wake = self.next_wake();
     }
 
@@ -204,16 +173,15 @@ impl MemoryController {
         q.reads.front().or(q.writes.front()).copied()
     }
 
-    /// Pops the next completed read, if any.
+    /// Pops the next completed read, if any: the request that asked for it.
     #[inline]
-    pub fn pop_response(&mut self) -> Option<MemResponse> {
+    pub fn pop_response(&mut self) -> Option<MemRequest> {
         self.responses.pop_front()
     }
 
     /// Whether any work (buffered, in flight, or unreturned) remains.
     pub fn is_idle(&self) -> bool {
         self.responses.is_empty()
-            && self.pending_reads.is_empty()
             && self.queues.iter().all(|q| q.reads.is_empty() && q.writes.is_empty())
             && self.channels.iter().all(|c| c.in_flight_len() == 0)
     }
@@ -244,7 +212,7 @@ mod tests {
         }
     }
 
-    fn run(mc: &mut MemoryController, from: Cycle, to: Cycle, out: &mut Vec<MemResponse>) {
+    fn run(mc: &mut MemoryController, from: Cycle, to: Cycle, out: &mut Vec<MemRequest>) {
         for now in from..to {
             mc.tick(now);
             while let Some(r) = mc.pop_response() {

@@ -11,9 +11,13 @@
 //!
 //! * [`DramTiming`] — DDR2-800 timing expressed in 2 GHz processor cycles.
 //! * [`DramChannel`] — one channel with ranks × banks, a closed-page policy
-//!   bank state machine, and a shared data bus.
+//!   bank state machine, and a shared data bus that moves one line at a
+//!   time, so transfers complete in issue order.
 //! * [`MemoryController`] — per-thread transaction and write buffers,
 //!   read-priority scheduling with write draining, routing to channels.
+//!
+//! A completed read comes back as the [`MemRequest`] that asked for it;
+//! nothing on the way looks its `token` up.
 //!
 //! # Examples
 //!
@@ -23,7 +27,8 @@
 //!
 //! let mut mc = MemoryController::new(MemConfig::ddr2_800(), 4);
 //! assert!(mc.can_accept(ThreadId(0), AccessKind::Read));
-//! mc.enqueue(MemRequest { thread: ThreadId(0), line: LineAddr(0x40), kind: AccessKind::Read, token: 1 }, 0);
+//! let req = MemRequest { thread: ThreadId(0), line: LineAddr(0x40), kind: AccessKind::Read, token: 1 };
+//! mc.enqueue(req, 0);
 //! let mut response = None;
 //! for now in 0..2_000 {
 //!     mc.tick(now);
@@ -32,7 +37,7 @@
 //!         break;
 //!     }
 //! }
-//! assert_eq!(response.unwrap().token, 1);
+//! assert_eq!(response, Some(req));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,5 +48,5 @@ pub mod controller;
 pub mod timing;
 
 pub use channel::DramChannel;
-pub use controller::{ChannelMode, MemRequest, MemResponse, MemoryController};
+pub use controller::{ChannelMode, MemRequest, MemoryController};
 pub use timing::{DramTiming, MemConfig};

@@ -25,7 +25,7 @@
 //!
 //! The caller passes the worker count explicitly. The experiment runners
 //! take it from `vpc::experiments::RunOptions::jobs`, which the binaries'
-//! command-line parser fills from `--jobs N`, `VPC_JOBS` or
+//! command-line parser fills from `--jobs N` or
 //! [`std::thread::available_parallelism`].
 //!
 //! ```

@@ -37,6 +37,21 @@ if ! target/release/ablations --quick --jobs 2 2>/dev/null | tail -n +3 |
     exit 1
 fi
 
+echo "== figure binaries and ablations: full-budget stdout equals results =="
+# The quick budget is not the published one; a refactor that claims
+# byte-identical output must reproduce the full-budget goldens too.
+for bin in fig5_micro_util fig6_spec_util fig7_store_gathering fig8_loads_stores \
+    fig9_spec_vs_stores fig10_heterogeneous; do
+    if ! target/release/"$bin" --json --jobs 2 2>/dev/null | cmp - "results/$bin.json"; then
+        echo "$bin --json differs from results/$bin.json"
+        exit 1
+    fi
+done
+if ! target/release/ablations --jobs 2 2>/dev/null | cmp - results/ablations.txt; then
+    echo "ablations differs from results/ablations.txt"
+    exit 1
+fi
+
 echo "== table1, fig4_timing: stdout equals results =="
 # Both take no flags and finish in milliseconds; their full output is the
 # golden.
