@@ -16,8 +16,8 @@
 //!   its allocated share `beta_i` of the resource's bandwidth (§4.1), using
 //!   earliest-virtual-finish-time-first (EDF) selection and supporting
 //!   intra-thread read-over-write reordering without losing the guarantee.
-//!   Its registers are a [`vpc_sim::VirtualClock`] whose shares are fixed
-//!   when the arbiter is built.
+//!   Its registers (`beta_i` and `R.S_i`) are a [`vpc_sim::VirtualClock`]
+//!   whose shares are fixed when the arbiter is built.
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
 //!   arbiter and a utilization meter, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.

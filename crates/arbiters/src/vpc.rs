@@ -15,9 +15,10 @@
 //! * Eq. 6:  when a request arrives to an *empty* thread queue and
 //!   `R.S_i <= R.clk`, then `R.S_i <- R.clk`.
 //!
-//! The registers (`beta_i`, the stored `R.L_i = L / beta_i` and `R.S_i`)
-//! and their updates live in [`VirtualClock`]; this arbiter adds the
-//! per-thread request buffers and the EDF pick.
+//! The registers (`beta_i` and `R.S_i`) and their updates live in
+//! [`VirtualClock`], which derives `L / beta_i` rather than storing
+//! Figure 3's `R.L_i`; this arbiter adds the per-thread request buffers
+//! and the EDF pick.
 //!
 //! Because `R.S_i` depends only on the amount of service the thread has
 //! received — not on which specific request is served — requests within a
@@ -61,10 +62,9 @@ type ThreadQueues = [VecDeque<(u64, ArbRequest)>; 2];
 pub struct VpcArbiter {
     /// Pending requests per thread.
     buffers: Vec<ThreadQueues>,
-    /// `beta_i`, `R.L_i` and `R.S_i` per thread.
+    /// `beta_i` and `R.S_i` per thread.
     clock: VirtualClock,
     order: IntraThreadOrder,
-    pending: usize,
     /// Sequence number of the next enqueued request.
     next_seq: u64,
     /// Virtual `(start, finish)` of the most recent guaranteed grant, for
@@ -85,7 +85,6 @@ impl VpcArbiter {
             clock: VirtualClock::new(num_threads, shares),
             buffers: (0..num_threads).map(|_| Default::default()).collect(),
             order,
-            pending: 0,
             next_seq: 0,
             last_virtual: None,
         }
@@ -117,7 +116,6 @@ impl VpcArbiter {
 
     /// Removes and returns the front of `thread`'s queue `queue`.
     fn take(&mut self, thread: usize, queue: usize) -> ArbRequest {
-        self.pending -= 1;
         self.buffers[thread][queue].pop_front().expect("candidate queue is nonempty").1
     }
 }
@@ -125,16 +123,12 @@ impl VpcArbiter {
 impl Arbiter for VpcArbiter {
     fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
         req.arrival = now;
-        // Figure 3 keeps R.L_i in a register: the clock stores it for each
-        // service time the first time a request carries it.
-        self.clock.add_service(req.service_time);
         let queues = &mut self.buffers[req.thread.index()];
         // Eq. 6: arriving to an empty queue resets a stale virtual clock to
         // real time, so R.S_i always holds the next request's virtual start.
         self.clock.on_arrival(req.thread, queues.iter().all(VecDeque::is_empty), now);
         queues[usize::from(!req.kind.is_read())].push_back((self.next_seq, req));
         self.next_seq += 1;
-        self.pending += 1;
     }
 
     fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
@@ -183,7 +177,7 @@ impl Arbiter for VpcArbiter {
     }
 
     fn len(&self) -> usize {
-        self.pending
+        self.buffers.iter().flatten().map(VecDeque::len).sum()
     }
 
     fn last_grant_virtual(&self) -> Option<(u64, u64)> {
@@ -483,7 +477,6 @@ mod tests {
     impl ScanArbiter {
         fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
             req.arrival = now;
-            self.clock.add_service(req.service_time);
             let buffer = &mut self.buffers[req.thread.index()];
             self.clock.on_arrival(req.thread, buffer.is_empty(), now);
             buffer.push_back(req);

@@ -278,14 +278,14 @@ impl L2Bank {
         self.ports.iter().map(ThreadPort::next_wake).fold(self.events_min, Cycle::min)
     }
 
-    /// Delivers a memory fetch completion for `token`, which names the
-    /// fetching state machine's slot in its low 48 bits.
+    /// Delivers a memory fetch completion for `token`, the fetching state
+    /// machine's slot.
     ///
     /// # Panics
     ///
     /// Panics if the token does not match an outstanding fetch.
     pub fn on_mem_response(&mut self, token: u64, now: Cycle) {
-        let sm_idx = (token & ((1 << 48) - 1)) as usize;
+        let sm_idx = token as usize;
         let sm = self
             .sms
             .get_mut(sm_idx)
@@ -314,7 +314,7 @@ impl L2Bank {
         }
     }
 
-    /// Next memory request to forward, if the controller can accept it.
+    /// Next memory request to forward to the memory controller.
     pub fn peek_mem_request(&self) -> Option<&MemRequest> {
         self.mem_out.front()
     }
@@ -535,11 +535,10 @@ impl L2Bank {
         }
     }
 
-    /// Queues state machine `sm_idx`'s memory request. Its token names the
-    /// bank in the top 16 bits, which route the response back, and the
-    /// slot in the low 48.
+    /// Queues state machine `sm_idx`'s memory request. Its token is the
+    /// slot; the fetched line routes the response back to this bank.
     fn send_to_memory(&mut self, sm_idx: usize, sm: &Sm, line: LineAddr, kind: AccessKind) {
-        let token = ((self.bank_idx as u64) << 48) | sm_idx as u64;
+        let token = sm_idx as u64;
         self.mem_out.push_back(MemRequest { thread: sm.thread, line, kind, token });
     }
 

@@ -95,19 +95,17 @@ impl SharedL2 {
                 self.next_response = self.next_response.min(bank.next_response_at());
             }
             // Forward memory requests while the controller has room.
-            while let Some(req) = bank.peek_mem_request() {
-                if self.mem.can_accept(req.thread, req.kind) {
-                    let req = bank.pop_mem_request().expect("peeked request exists");
-                    self.mem.enqueue(req, now);
-                } else {
+            while let Some(&req) = bank.peek_mem_request() {
+                if !self.mem.enqueue(req, now) {
                     break;
                 }
+                bank.pop_mem_request();
             }
         }
         self.mem.tick(now);
+        // A response is a fetch, and the fetched line names its bank.
         while let Some(resp) = self.mem.pop_response() {
-            let bank = (resp.token >> 48) as usize;
-            self.banks[bank].on_mem_response(resp.token, now);
+            self.banks[self.cfg.bank_of(resp.line)].on_mem_response(resp.token, now);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Liveness and conservation properties of the full shared-L2 + memory
 //! stack under randomized traffic: every read is answered exactly once,
 //! writes all retire, and the system drains to idle — under every arbiter
-//! and capacity policy combination.
+//! and capacity policy combination, at 2, 4 and 8 banks.
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::{CapacityPolicy, L2Config, SharedL2};
@@ -31,8 +31,9 @@ fn arbiter_policy(which: u8, threads: usize) -> ArbiterPolicy {
 }
 
 /// Fire random reads and writes from 4 threads into a tiny, heavily
-/// conflicting cache; every read must be answered exactly once and the
-/// whole system must drain.
+/// conflicting cache of 2, 4 or 8 banks; every read must be answered
+/// exactly once and the whole system must drain. Memory responses are
+/// routed to their bank by line, so the bank count is an input.
 #[test]
 fn random_traffic_always_drains() {
     check::forall("random_traffic_always_drains", Config::cases(24), |rng| {
@@ -40,7 +41,8 @@ fn random_traffic_always_drains() {
         let which = rng.below(8) as u8;
         let capacity =
             if which < 4 { CapacityPolicy::Lru } else { CapacityPolicy::vpc_equal(threads) };
-        let cfg = small_cfg(threads, arbiter_policy(which, threads), capacity);
+        let mut cfg = small_cfg(threads, arbiter_policy(which, threads), capacity);
+        cfg.banks = 2 << rng.below(3);
         let mut l2 = SharedL2::new(cfg, MemConfig::ddr2_800());
 
         let mut next_token = 0u64;

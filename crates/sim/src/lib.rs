@@ -7,9 +7,10 @@
 //!   request/response protocol spoken between cores, caches and memory.
 //! * [`share`] — [`Share`], an exact rational bandwidth/capacity share
 //!   `p/q` used by the VPC arbiters and capacity manager. The paper's
-//!   virtual-time bookkeeping (`R.L_i = L / beta_i`) is done in integer
-//!   processor cycles with no floating-point drift, once, in
-//!   [`VirtualClock`]: the per-thread `R.S_i` registers of Eq. 3'–6.
+//!   virtual-time bookkeeping is done in integer processor cycles with no
+//!   floating-point drift: [`Share::scaled_latency`] is Eq. 2's
+//!   `L / beta_i`, and [`VirtualClock`] holds the per-thread `R.S_i`
+//!   registers of Eq. 3'–6 and derives each finish time from the two.
 //! * [`rng`] — [`SplitMix64`], a tiny deterministic RNG so every workload
 //!   and experiment is exactly reproducible from a seed.
 //! * [`stats`] — counters and utilization meters used to produce the

@@ -2,7 +2,7 @@
 //!
 //! The paper allocates each thread a share `beta_i` of every shared bandwidth
 //! resource and `alpha_i` of the cache ways, with `sum(beta_i) <= 1`. The VPC
-//! arbiter's virtual service time is `R.L_i = L / beta_i` (Eq. 2); computing
+//! arbiter's virtual service time is `L / beta_i` (Eq. 2); computing
 //! this with floating point would accumulate drift over billions of cycles,
 //! so [`Share`] keeps the share as an exact rational `num/den` in lowest
 //! terms and scales latencies with integer ceiling division.
@@ -116,6 +116,7 @@ impl Share {
     ///
     /// Returns `None` for the zero share, whose virtual service time is
     /// unbounded — a zero-share thread holds no bandwidth guarantee.
+    #[inline]
     pub fn scaled_latency(self, latency: u64) -> Option<u64> {
         if self.num == 0 {
             return None;
@@ -199,19 +200,19 @@ impl fmt::Display for Share {
 }
 
 /// One resource's fair-queuing register file (Figure 3): for each thread,
-/// its share `beta_i`, its virtual service time `R.L_i = L / beta_i` for
-/// each service time `L` the resource uses, and its virtual-time register
-/// `R.S_i`, updated by Eq. 3'–6. Each VPC arbiter holds one.
+/// its share `beta_i` and its virtual-time register `R.S_i`, updated by
+/// Eq. 3'–6. Each VPC arbiter holds one.
 ///
-/// The shares are fixed at construction. `R.L_i` is stored, as in the
-/// paper's hardware, whenever a service time is registered, so
-/// [`VirtualClock::finish`] adds and never divides.
+/// The shares are fixed at construction. Figure 3 also keeps the virtual
+/// service time `R.L_i = L / beta_i` in a register because a hardware
+/// arbiter cannot divide on every grant; here [`VirtualClock::finish`]
+/// derives it with [`Share::scaled_latency`], the one implementation of
+/// Eq. 2.
 ///
 /// ```
 /// use vpc_sim::{Share, ThreadId, VirtualClock};
 ///
 /// let mut clock = VirtualClock::new(2, &[Share::new(1, 2).unwrap()]);
-/// clock.add_service(8); // stores R.L_i = 8 / beta_i for every thread
 /// let t0 = ThreadId(0);
 /// clock.on_arrival(t0, true, 100); // Eq. 6: an idle thread starts at `now`
 /// assert_eq!(clock.start(t0), 100); // Eq. 3'
@@ -226,11 +227,6 @@ pub struct VirtualClock {
     r_s: Vec<u64>,
     /// `beta_i`: each thread's share of the resource's bandwidth.
     shares: Vec<Share>,
-    /// The service times `L` with a stored `R.L_i`, in registration order.
-    services: Vec<u64>,
-    /// `R.L_i`: entry `k * threads + i` is `services[k] / beta_i`, `None`
-    /// for a zero share.
-    r_l: Vec<Option<u64>>,
 }
 
 impl VirtualClock {
@@ -245,18 +241,7 @@ impl VirtualClock {
         let mut s = vec![Share::ZERO; threads];
         let given = shares.len().min(threads);
         s[..given].copy_from_slice(&shares[..given]);
-        VirtualClock { r_s: vec![0; threads], shares: s, services: Vec::new(), r_l: Vec::new() }
-    }
-
-    /// Stores every thread's `R.L_i` for service time `service`, unless it
-    /// is already stored. A resource registers each of its service times
-    /// before asking [`VirtualClock::finish`] for it.
-    pub fn add_service(&mut self, service: u64) {
-        if self.services.contains(&service) {
-            return;
-        }
-        self.services.push(service);
-        self.r_l.extend(self.shares.iter().map(|s| s.scaled_latency(service)));
+        VirtualClock { r_s: vec![0; threads], shares: s }
     }
 
     /// `thread`'s share `beta_i`.
@@ -283,23 +268,13 @@ impl VirtualClock {
         }
     }
 
-    /// Eq. 4: the virtual finish time `R.S_i + R.L_i` of a `service`-cycle
-    /// request from `thread`, or `None` for a zero share, which holds no
-    /// virtual resource.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` was never registered with
-    /// [`VirtualClock::add_service`].
+    /// Eq. 4: the virtual finish time `R.S_i + L / beta_i` of a
+    /// `service`-cycle request from `thread`, or `None` for a zero share,
+    /// which holds no virtual resource.
     #[inline]
     pub fn finish(&self, thread: ThreadId, service: u64) -> Option<u64> {
         let t = thread.index();
-        let k = self
-            .services
-            .iter()
-            .position(|&l| l == service)
-            .expect("service time registered with add_service");
-        self.r_l[k * self.shares.len() + t].map(|virt| self.r_s[t] + virt)
+        self.shares[t].scaled_latency(service).map(|virt| self.r_s[t] + virt)
     }
 
     /// Eq. 5: granting `thread` a request with virtual finish time
@@ -429,7 +404,6 @@ mod tests {
     /// backlogged threads, earliest virtual finish first, and counts them.
     fn backlogged_grants(clock: &mut VirtualClock, rounds: usize, service: u64) -> Vec<u32> {
         let threads = clock.r_s.len();
-        clock.add_service(service);
         let mut grants = vec![0u32; threads];
         for _ in 0..rounds {
             let (finish, t) = (0..threads)
@@ -477,8 +451,7 @@ mod tests {
 
     #[test]
     fn clock_zero_share_has_no_finish_time() {
-        let mut clock = VirtualClock::new(2, &[Share::FULL]);
-        clock.add_service(70);
+        let clock = VirtualClock::new(2, &[Share::FULL]);
         assert_eq!(clock.share(ThreadId(1)), Share::ZERO, "missing entries are zero");
         assert_eq!(clock.finish(ThreadId(1), 70), None);
         assert_eq!(clock.finish(ThreadId(0), 70), Some(70));
@@ -487,7 +460,6 @@ mod tests {
     #[test]
     fn clock_grant_sets_start_to_finish() {
         let mut clock = VirtualClock::new(1, &[Share::new(1, 4).unwrap()]);
-        clock.add_service(8);
         let t0 = ThreadId(0);
         clock.on_arrival(t0, true, 10);
         let finish = clock.finish(t0, 8).unwrap();
@@ -508,44 +480,6 @@ mod tests {
             ensure!((got as f64) < exact + 1.0, "{s}: {got} above ceiling of {exact}");
             Ok(())
         });
-    }
-
-    /// The stored `R.L_i` equals `Share::scaled_latency` for every thread
-    /// and registered service time, for any shares (zero and missing
-    /// entries included) and for service times no L2 bank uses.
-    #[test]
-    fn stored_virtual_service_matches_scaled_latency() {
-        check::forall("stored_virtual_service_matches_scaled_latency", Config::cases(256), |rng| {
-            let threads = gen::range(rng, 1, 8) as usize;
-            let shares: Vec<Share> = (0..rng.below(threads as u64 + 1))
-                .map(|_| if rng.chance(0.2) { Share::ZERO } else { gen::share(rng, 64) })
-                .collect();
-            let mut clock = VirtualClock::new(threads, &shares);
-            let mut services = Vec::new();
-            for _ in 0..24 {
-                if rng.chance(0.4) {
-                    let service = if rng.chance(0.5) { rng.below(1 << 20) } else { rng.below(32) };
-                    clock.add_service(service);
-                    services.push(service);
-                }
-                clock.on_arrival(ThreadId(0), true, rng.below(1000));
-                for &service in &services {
-                    for t in (0..threads).map(|t| ThreadId(t as u8)) {
-                        let expected = clock.share(t).scaled_latency(service);
-                        let got = clock.finish(t, service).map(|f| f - clock.start(t));
-                        ensure_eq!(got, expected, "R.L of {t:?} for service {service}");
-                    }
-                }
-            }
-            Ok(())
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "registered")]
-    fn finish_requires_a_registered_service_time() {
-        let clock = VirtualClock::new(1, &[Share::FULL]);
-        let _ = clock.finish(ThreadId(0), 8);
     }
 
     #[test]
