@@ -19,7 +19,7 @@
 //!   Its registers (`beta_i` and `R.S_i`) are a [`vpc_sim::VirtualClock`]
 //!   whose shares are fixed when the arbiter is built.
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
-//!   arbiter and a utilization meter, mirroring Figure 2b's
+//!   arbiter and counts each thread's busy cycles, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.
 //!
 //! # Examples

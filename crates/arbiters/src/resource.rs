@@ -1,13 +1,13 @@
 //! A shared resource guarded by an arbiter.
 
 use vpc_sim::trace::{self, EventData, ResourceId, TraceEvent};
-use vpc_sim::{Cycle, ThreadId, UtilizationMeter, MAX_THREADS};
+use vpc_sim::{Cycle, ThreadId, MAX_THREADS};
 
 use crate::arbiter::Arbiter;
 use crate::request::ArbRequest;
 
 /// A non-preemptible, busy-until resource (tag array, data array, or data
-/// bus) together with its arbiter and utilization meter — one of the
+/// bus) together with its arbiter and per-thread busy cycles — one of the
 /// arbiter-plus-resource blocks of the paper's Figure 2b.
 ///
 /// The owner enqueues requests as they become eligible and calls
@@ -23,8 +23,10 @@ use crate::request::ArbRequest;
 /// tag.enqueue(ArbRequest::new(1, ThreadId(0), AccessKind::Read, 4), 0);
 /// let granted = tag.try_grant(0).unwrap();
 /// assert_eq!(granted.id, 1);
-/// assert!(tag.try_grant(2).is_none());  // still busy until cycle 4
-/// assert!(!tag.is_busy(4));
+/// tag.enqueue(ArbRequest::new(2, ThreadId(0), AccessKind::Read, 4), 1);
+/// assert!(tag.try_grant(3).is_none()); // still busy until cycle 4
+/// assert_eq!(tag.try_grant(4).unwrap().id, 2);
+/// assert_eq!(tag.busy_cycles(), 8);
 /// ```
 #[derive(Debug)]
 pub struct ArbitratedResource {
@@ -33,9 +35,7 @@ pub struct ArbitratedResource {
     /// on an empty arbiter costs no dynamic `select` call.
     pending: usize,
     busy_until: Cycle,
-    meter: UtilizationMeter,
     per_thread_busy: [u64; MAX_THREADS],
-    grants: u64,
     trace_id: Option<ResourceId>,
     /// Reused by the per-grant backlog trace report so steady-state grants
     /// allocate nothing.
@@ -49,9 +49,7 @@ impl ArbitratedResource {
             arbiter,
             pending: 0,
             busy_until: 0,
-            meter: UtilizationMeter::default(),
             per_thread_busy: [0; MAX_THREADS],
-            grants: 0,
             trace_id: None,
             backlog_scratch: Vec::new(),
         }
@@ -71,11 +69,6 @@ impl ArbitratedResource {
     pub fn enqueue(&mut self, req: ArbRequest, now: Cycle) {
         self.arbiter.enqueue(req, now);
         self.pending += 1;
-    }
-
-    /// Whether the resource is servicing a request at `now`.
-    pub fn is_busy(&self, now: Cycle) -> bool {
-        now < self.busy_until
     }
 
     /// If the resource is free at `now` and a request is pending, grants it:
@@ -101,9 +94,7 @@ impl ArbitratedResource {
         let req = self.arbiter.select(now).expect("an arbiter grants while requests are pending");
         self.pending -= 1;
         self.busy_until = now + req.service_time;
-        self.meter.add_busy(req.service_time);
         self.per_thread_busy[req.thread.index()] += req.service_time;
-        self.grants += 1;
         if let Some(resource) = self.trace_id {
             if trace::is_enabled() {
                 let virt = self.arbiter.last_grant_virtual();
@@ -131,19 +122,10 @@ impl ArbitratedResource {
         req
     }
 
-    /// Number of requests pending in arbitration.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Total requests granted.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Busy-cycle meter for utilization reporting.
-    pub fn meter(&self) -> UtilizationMeter {
-        self.meter
+    /// Cycles the resource was busy: the service times of every grant,
+    /// summed over threads.
+    pub fn busy_cycles(&self) -> u64 {
+        self.per_thread_busy.iter().sum()
     }
 
     /// Busy cycles attributable to `thread`'s requests — the per-thread
@@ -173,7 +155,7 @@ mod tests {
         assert_eq!(res.try_grant(0).unwrap().id, 1);
         assert!(res.try_grant(4).is_none(), "busy until 8");
         assert_eq!(res.try_grant(8).unwrap().id, 2);
-        assert_eq!(res.grants(), 2);
+        assert!(res.try_grant(16).is_none(), "both requests granted");
     }
 
     #[test]
@@ -183,7 +165,7 @@ mod tests {
         res.enqueue(req(2, 16), 0);
         res.try_grant(0);
         res.try_grant(8);
-        assert_eq!(res.meter().busy_cycles(), 24);
+        assert_eq!(res.busy_cycles(), 24);
     }
 
     #[test]
@@ -195,12 +177,13 @@ mod tests {
         res.try_grant(8);
         assert_eq!(res.thread_busy_cycles(ThreadId(0)), 8);
         assert_eq!(res.thread_busy_cycles(ThreadId(1)), 16);
-        assert_eq!(res.meter().busy_cycles(), 24);
+        assert_eq!(res.busy_cycles(), 24);
     }
 
-    /// The resource's own pending count equals `Arbiter::len` after every
-    /// random enqueue and grant attempt, under FCFS, RoW-FCFS and VPC with
-    /// RoW or FIFO buffers and some zero shares.
+    /// The resource's own pending count equals `Arbiter::len`, and the
+    /// requests enqueued minus those granted, after every random enqueue
+    /// and grant attempt, under FCFS, RoW-FCFS and VPC with RoW or FIFO
+    /// buffers and some zero shares.
     #[test]
     fn pending_count_matches_arbiter_len() {
         check::forall("pending_count_matches_arbiter_len", Config::cases(64), |rng| {
@@ -225,17 +208,21 @@ mod tests {
                 _ => ArbiterPolicy::Vpc { shares, order },
             };
             let mut res = ArbitratedResource::new(policy.build(threads));
+            let (mut enqueued, mut grants) = (0, 0);
             for now in 0..400u64 {
                 for _ in 0..rng.below(3) {
                     let kind = gen::access_kind(rng);
                     let service = if kind.is_read() { 8 } else { 16 };
                     let thread = gen::thread_id(rng, threads);
                     res.enqueue(ArbRequest::new(now, thread, kind, service), now);
+                    enqueued += 1;
                 }
                 let granted = res.try_grant(now);
-                ensure_eq!(res.pending(), res.arbiter.len(), "pending count at {now}");
+                grants += usize::from(granted.is_some());
+                ensure_eq!(res.pending, res.arbiter.len(), "pending count at {now}");
+                ensure_eq!(res.pending, enqueued - grants, "enqueued minus granted at {now}");
                 ensure!(
-                    granted.is_some() || res.pending() == 0 || res.is_busy(now),
+                    granted.is_some() || res.pending == 0 || now < res.busy_until,
                     "a free resource with pending requests granted nothing at {now}"
                 );
             }
@@ -248,11 +235,10 @@ mod tests {
     #[test]
     fn refused_grants_change_nothing() {
         let mut res = ArbitratedResource::new(Box::new(FcfsArbiter::new()));
-        let state = |r: &ArbitratedResource| (r.grants(), r.pending(), r.busy_until, r.meter());
+        let state = |r: &ArbitratedResource| (r.pending, r.busy_until, r.busy_cycles());
         let empty = state(&res);
         assert!(res.try_grant(0).is_none());
         assert_eq!(state(&res), empty, "empty resource");
-        assert!(!res.is_busy(0));
         res.enqueue(req(1, 8), 0);
         res.enqueue(req(2, 8), 0);
         assert_eq!(res.try_grant(0).unwrap().id, 1);

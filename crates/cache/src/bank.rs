@@ -369,9 +369,9 @@ impl L2Bank {
         self.resources[DATA].thread_busy_cycles(thread)
     }
 
-    /// Busy-cycle meters for the tag array, data array and data bus.
-    pub fn meters(&self) -> [vpc_sim::UtilizationMeter; 3] {
-        self.resources.each_ref().map(ArbitratedResource::meter)
+    /// Busy cycles of the tag array, data array and data bus.
+    pub fn busy_cycles(&self) -> [u64; 3] {
+        self.resources.each_ref().map(ArbitratedResource::busy_cycles)
     }
 
     /// Looks a line up without side effects (for tests and debugging).

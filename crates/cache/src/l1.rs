@@ -43,10 +43,6 @@ pub struct L1Stats {
     pub load_hits: Counter,
     /// Load misses (primary + secondary).
     pub load_misses: Counter,
-    /// Store hits (line updated in place).
-    pub store_hits: Counter,
-    /// Store misses (write-through, no allocate).
-    pub store_misses: Counter,
 }
 
 /// One L1 way: the resident line and its last access, for LRU.
@@ -151,17 +147,12 @@ impl L1Cache {
         L1LoadResult::MissPrimary
     }
 
-    /// Applies a store: write-through, no-write-allocate. Returns `true`
-    /// on an L1 hit (the line is updated in place either way the store is
-    /// forwarded to the L2 by the caller).
-    pub fn access_store(&mut self, line: LineAddr, now: Cycle) -> bool {
+    /// Applies a store: write-through, no-write-allocate. A hit updates
+    /// the line in place; either way the caller forwards the store to the
+    /// L2.
+    pub fn access_store(&mut self, line: LineAddr, now: Cycle) {
         if let Some(way) = self.lookup(line) {
             self.ways[way].last_touch = now;
-            self.stats.store_hits.inc();
-            true
-        } else {
-            self.stats.store_misses.inc();
-            false
         }
     }
 
@@ -183,11 +174,6 @@ impl L1Cache {
         self.held[set] = self.held[set].max(way + 1);
         self.ways[set * self.cfg.ways + way] = Way { line, last_touch: now };
         mshr.tokens
-    }
-
-    /// Outstanding line fetches.
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
     }
 
     /// Whether a new primary miss can allocate (MSHR and LMQ capacity).
@@ -221,7 +207,7 @@ mod tests {
     fn load_miss_fill_hit() {
         let mut c = l1();
         assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
-        assert_eq!(c.outstanding_misses(), 1);
+        assert_eq!(c.mshrs.len(), 1);
         let tokens = c.on_fill(LineAddr(5), 10);
         assert_eq!(tokens, vec![1]);
         assert_eq!(c.access_load(LineAddr(5), 2, 20, || true), L1LoadResult::Hit { ready_at: 22 });
@@ -234,7 +220,7 @@ mod tests {
         let mut c = l1();
         assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
         assert_eq!(c.access_load(LineAddr(5), 2, 1, || true), L1LoadResult::MissSecondary);
-        assert_eq!(c.outstanding_misses(), 1, "one MSHR covers both");
+        assert_eq!(c.mshrs.len(), 1, "one MSHR covers both");
         let mut tokens = c.on_fill(LineAddr(5), 10);
         tokens.sort_unstable();
         assert_eq!(tokens, vec![1, 2]);
@@ -288,13 +274,13 @@ mod tests {
     #[test]
     fn stores_write_through_without_allocate() {
         let mut c = l1();
-        assert!(!c.access_store(LineAddr(5), 0), "store miss does not allocate");
-        assert!(!c.probe(LineAddr(5)));
+        c.access_store(LineAddr(5), 0);
+        assert!(!c.probe(LineAddr(5)), "store miss does not allocate");
         c.access_load(LineAddr(5), 1, 0, || true);
         c.on_fill(LineAddr(5), 5);
-        assert!(c.access_store(LineAddr(5), 10), "store hit updates in place");
-        assert_eq!(c.stats().store_hits.get(), 1);
-        assert_eq!(c.stats().store_misses.get(), 1);
+        c.access_store(LineAddr(5), 10);
+        let way = c.lookup(LineAddr(5)).expect("the filled line stays resident");
+        assert_eq!(c.ways[way].last_touch, 10, "store hit updates in place");
     }
 
     #[test]
@@ -343,7 +329,8 @@ mod tests {
                         if let Some(way) = hit {
                             reference[set].touch(way, now);
                         }
-                        let flat_hit = flat.access_store(line, now);
+                        let flat_hit = flat.probe(line);
+                        flat.access_store(line, now);
                         ensure_eq!(flat_hit, hit.is_some(), "store to {line:?} at step {step}");
                     }
                     _ if !flat.mshrs.is_empty() => {

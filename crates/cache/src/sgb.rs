@@ -35,8 +35,6 @@ pub struct SgbStats {
     pub writes_out: Counter,
     /// Loads passed to the L2.
     pub loads_out: Counter,
-    /// Partial flushes triggered by load-store line conflicts.
-    pub partial_flushes: Counter,
 }
 
 impl SgbStats {
@@ -201,7 +199,6 @@ impl ThreadPort {
             // older entries.
             if let Some(pos) = self.sgb.iter().position(|e| e.line == load.line) {
                 self.flushed = pos + 1;
-                self.stats.partial_flushes.inc();
                 return self.oldest_store();
             }
             return Some(PortCandidate { request: load, is_store_retire: false });
@@ -273,11 +270,6 @@ impl ThreadPort {
         arrival.min(drain)
     }
 
-    /// SGB occupancy.
-    pub fn sgb_occupancy(&self) -> usize {
-        self.sgb.len()
-    }
-
     /// Port statistics.
     pub fn stats(&self) -> SgbStats {
         self.stats
@@ -309,7 +301,7 @@ mod tests {
             p.push(0, store(5, t));
         }
         p.pump(0);
-        assert_eq!(p.sgb_occupancy(), 1);
+        assert_eq!(p.sgb.len(), 1);
         assert_eq!(p.stats().stores_in.get(), 4);
         assert_eq!(p.stats().stores_gathered.get(), 3);
         assert!((p.stats().gathering_rate() - 0.75).abs() < 1e-12);
@@ -347,8 +339,8 @@ mod tests {
         let c3 = p.peek_candidate(0).unwrap();
         assert!(!c3.is_store_retire, "load proceeds after the flush");
         assert_eq!(c3.request.line, LineAddr(2));
-        assert_eq!(p.sgb_occupancy(), 1, "younger store still gathered");
-        assert_eq!(p.stats().partial_flushes.get(), 1);
+        assert_eq!(p.sgb.len(), 1, "younger store still gathered");
+        assert_eq!(p.flushed, 0, "the flush ends with its youngest marked store");
     }
 
     #[test]
@@ -363,7 +355,7 @@ mod tests {
         let c = p.peek_candidate(0).unwrap();
         assert!(c.is_store_retire, "retire-at-6 drains stores before loads");
         p.take_candidate(&c, 0);
-        assert_eq!(p.sgb_occupancy(), 5);
+        assert_eq!(p.sgb.len(), 5);
         let c = p.peek_candidate(0).unwrap();
         assert!(!c.is_store_retire, "below high water, loads bypass again");
     }
@@ -379,14 +371,14 @@ mod tests {
         p.push(0, store(100, 8));
         p.push(0, load(200, 9));
         p.pump(0);
-        assert_eq!(p.sgb_occupancy(), 8);
+        assert_eq!(p.sgb.len(), 8);
         assert_eq!(p.input_occupancy(), 2, "store 100 and load 200 wait in order");
         assert_eq!(p.stats().stores_in.get(), 8, "stalled store not counted yet");
         // Drain one store; the stalled store and load then flow in.
         let c = p.peek_candidate(0).unwrap();
         p.take_candidate(&c, 0);
         p.pump(0);
-        assert_eq!(p.sgb_occupancy(), 8);
+        assert_eq!(p.sgb.len(), 8);
         assert_eq!(p.input_occupancy(), 0);
     }
 
@@ -404,8 +396,7 @@ mod tests {
     /// request arrives, and while a full SGB stalls the input queue.
     #[test]
     fn idle_pumps_change_nothing() {
-        let state =
-            |p: &ThreadPort| (p.input_occupancy(), p.sgb_occupancy(), format!("{:?}", p.stats()));
+        let state = |p: &ThreadPort| (p.input_occupancy(), p.sgb.len(), format!("{:?}", p.stats()));
         let mut p = port();
         p.push(10, load(1, 0));
         let before = state(&p);
@@ -419,7 +410,7 @@ mod tests {
             p.push(0, store(i, i));
         }
         p.pump(0);
-        assert_eq!((p.sgb_occupancy(), p.input_occupancy()), (8, 1), "ninth store stalls");
+        assert_eq!((p.sgb.len(), p.input_occupancy()), (8, 1), "ninth store stalls");
         p.push(1, store(3, 9));
         let stalled = state(&p);
         p.pump(1);
@@ -651,7 +642,6 @@ mod prop_tests {
                     for (_, flush) in self.sgb.iter_mut().take(pos + 1) {
                         *flush = true;
                     }
-                    self.stats.partial_flushes.inc();
                     return self.oldest_store();
                 }
                 return Some(PortCandidate { request: load, is_store_retire: false });
@@ -717,14 +707,8 @@ mod prop_tests {
         }
     }
 
-    fn stats_counts(s: SgbStats) -> [u64; 5] {
-        [
-            s.stores_in.get(),
-            s.stores_gathered.get(),
-            s.writes_out.get(),
-            s.loads_out.get(),
-            s.partial_flushes.get(),
-        ]
+    fn stats_counts(s: SgbStats) -> [u64; 4] {
+        [s.stores_in.get(), s.stores_gathered.get(), s.writes_out.get(), s.loads_out.get()]
     }
 
     /// Random push/pump/peek/take sequences: the port with a flush count
@@ -776,7 +760,7 @@ mod prop_tests {
                         }
                     }
                     ensure_eq!(port.row_inverted(), reference.row_inverted(), "step {step}");
-                    ensure_eq!(port.sgb_occupancy(), reference.sgb.len(), "step {step}");
+                    ensure_eq!(port.sgb.len(), reference.sgb.len(), "step {step}");
                     ensure_eq!(port.input_occupancy(), reference.in_q.len(), "step {step}");
                     ensure_eq!(port.loads.len(), reference.loads.len(), "step {step}");
                     ensure_eq!(

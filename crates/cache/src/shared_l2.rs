@@ -1,7 +1,7 @@
 //! The banked shared L2 cache with its memory-side plumbing.
 
 use vpc_mem::{ChannelMode, MemConfig, MemoryController};
-use vpc_sim::{CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, UtilizationMeter};
+use vpc_sim::{CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId};
 
 use crate::bank::{BankStats, L2Bank};
 use crate::config::L2Config;
@@ -149,19 +149,8 @@ impl SharedL2 {
     /// Raw busy-cycle totals for (tag array, data array, data bus), summed
     /// across banks — the primitive measurement windows are built from.
     pub fn busy_cycles(&self) -> (u64, u64, u64) {
-        let [tag, data, bus] = self.meters().map(UtilizationMeter::busy_cycles);
-        (tag, data, bus)
-    }
-
-    /// The tag array, data array and data bus meters summed across banks.
-    fn meters(&self) -> [UtilizationMeter; 3] {
-        let mut total = [UtilizationMeter::default(); 3];
-        for bank in &self.banks {
-            for (sum, meter) in total.iter_mut().zip(bank.meters()) {
-                sum.add_busy(meter.busy_cycles());
-            }
-        }
-        total
+        let sum = |r: usize| self.banks.iter().map(|bank| bank.busy_cycles()[r]).sum();
+        (sum(0), sum(1), sum(2))
     }
 
     /// Sums the per-bank transaction counters.
@@ -187,7 +176,6 @@ impl SharedL2 {
             total.stores_gathered.add(s.stores_gathered.get());
             total.writes_out.add(s.writes_out.get());
             total.loads_out.add(s.loads_out.get());
-            total.partial_flushes.add(s.partial_flushes.get());
         }
         total
     }

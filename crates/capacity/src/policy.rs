@@ -70,11 +70,6 @@ impl VpcCapacityManager {
         let share = Share::new(1, threads as u32).expect("1/threads is a valid share");
         VpcCapacityManager::from_shares(&vec![share; threads], total_ways)
     }
-
-    /// The way quota guaranteed to `thread`.
-    pub fn quota(&self, thread: ThreadId) -> u32 {
-        self.quotas[thread.index()]
-    }
 }
 
 impl ReplacementPolicy for VpcCapacityManager {
@@ -178,17 +173,15 @@ mod tests {
             &[Share::new(1, 2).unwrap(), Share::new(1, 4).unwrap()],
             32,
         );
-        assert_eq!(policy.quota(ThreadId(0)), 16);
-        assert_eq!(policy.quota(ThreadId(1)), 8);
-        assert_eq!(policy.quota(ThreadId(2)), 0);
+        assert_eq!(policy.quotas[0], 16);
+        assert_eq!(policy.quotas[1], 8);
+        assert_eq!(policy.quotas[2], 0);
     }
 
     #[test]
     fn equal_shares_cover_all_ways() {
         let policy = VpcCapacityManager::equal(4, 32);
-        for t in 0..4 {
-            assert_eq!(policy.quota(ThreadId(t)), 8);
-        }
+        assert_eq!(policy.quotas[..4], [8; 4]);
     }
 
     /// A reference private LRU cache set with `q` ways for one thread.
@@ -242,7 +235,7 @@ mod tests {
                 if let Some(owner) = set.owner(victim) {
                     if owner != t {
                         let occ = set.occupancy(owner);
-                        let quota = policy.quota(owner) as usize;
+                        let quota = policy.quotas[owner.index()] as usize;
                         ensure!(occ > quota, "evicted {owner} at occupancy {occ} <= quota {quota}");
                     }
                 }

@@ -117,9 +117,9 @@ pub struct PreemptionPoint {
     /// Subject IPC normalized to its (equally-reconfigured) target.
     pub normalized_ipc: f64,
     /// Subject's mean L2 read latency (intake to critical word).
-    pub mean_read_latency: f64,
+    pub read_latency_mean: f64,
     /// Subject's p95 L2 read latency.
-    pub p95_read_latency: u64,
+    pub read_latency_p95: u64,
 }
 
 /// Result of the preemption-latency sweep.
@@ -136,7 +136,7 @@ impl fmt::Display for PreemptionResult {
             writeln!(
                 f,
                 "  data latency {:2} cycles -> normalized IPC {:.3}, L2 read latency mean {:5.1} / p95 {:3}",
-                p.data_latency, p.normalized_ipc, p.mean_read_latency, p.p95_read_latency
+                p.data_latency, p.normalized_ipc, p.read_latency_mean, p.read_latency_p95
             )?;
         }
         writeln!(f, "  (normalized IPC >= ~1.0 everywhere: preemption latency does not break the QoS target, \u{00a7}4.1.2)")
@@ -177,8 +177,8 @@ pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
             PreemptionPoint {
                 data_latency,
                 normalized_ipc: if *target > 0.0 { ipc / target } else { 0.0 },
-                mean_read_latency: hist.mean(),
-                p95_read_latency: hist.percentile(0.95),
+                read_latency_mean: hist.mean(),
+                read_latency_p95: hist.percentile(0.95),
             }
         })
         .collect();

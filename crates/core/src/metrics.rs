@@ -119,11 +119,6 @@ impl QosLedger {
         self.windows
     }
 
-    /// Thread `t`'s `(beta, alpha)` entitlement.
-    pub fn entitlement(&self, t: usize) -> (Share, Share) {
-        self.entitlements[t]
-    }
-
     /// Records one window: `service[t]` resource-cycles went to thread
     /// `t` out of `capacity` total resource-cycles offered.
     ///

@@ -114,7 +114,6 @@ pub struct Core<W: Workload = Box<dyn Workload>> {
     lrq_count: usize,
     srq_count: usize,
     next_store_at: Cycle,
-    retired: u64,
     stats: CoreStats,
 }
 
@@ -133,7 +132,6 @@ impl<W: Workload> Core<W> {
             lrq_count: 0,
             srq_count: 0,
             next_store_at: 0,
-            retired: 0,
             stats: CoreStats::default(),
             cfg,
             thread,
@@ -146,9 +144,11 @@ impl<W: Workload> Core<W> {
         self.thread
     }
 
-    /// Total retired instructions.
+    /// Total retired instructions: the retired non-memory instructions,
+    /// loads and stores.
     pub fn retired(&self) -> u64 {
-        self.retired
+        let s = self.stats;
+        s.non_mem.get() + s.loads.get() + s.stores.get()
     }
 
     /// Pipeline statistics.
@@ -393,7 +393,6 @@ impl<W: Workload> Core<W> {
                 }
             };
             self.rob_len -= retired;
-            self.retired += retired as u64;
             budget -= retired;
         }
     }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use vpc_sim::{AccessKind, Cycle, LineAddr, UtilizationMeter};
+use vpc_sim::{AccessKind, Cycle, LineAddr};
 
 use crate::controller::MemRequest;
 use crate::timing::MemConfig;
@@ -24,10 +24,6 @@ pub struct DramChannel {
     /// in issue order. Each transfer starts no earlier than the previous
     /// one's `bus_free`, so this is also completion order.
     in_flight: VecDeque<(Cycle, MemRequest)>,
-    bus_meter: UtilizationMeter,
-    reads: u64,
-    writes: u64,
-    read_latency_sum: u64,
 }
 
 impl DramChannel {
@@ -48,10 +44,6 @@ impl DramChannel {
             bank_ready: vec![0; config.total_banks()],
             bus_free: 0,
             in_flight: VecDeque::new(),
-            bus_meter: UtilizationMeter::default(),
-            reads: 0,
-            writes: 0,
-            read_latency_sum: 0,
             config,
         }
     }
@@ -80,20 +72,12 @@ impl DramChannel {
         let data_start = (act + t.t_rcd + t.t_cl).max(self.bus_free);
         let data_done = data_start + t.burst;
         self.bus_free = data_done;
-        self.bus_meter.add_busy(t.burst);
         // Closed page: precharge as soon as timing allows.
         let pre_start = match req.kind {
             AccessKind::Read => data_done.max(act + t.t_ras),
             AccessKind::Write => (data_done + t.t_wr).max(act + t.t_ras),
         };
         self.bank_ready[bank] = pre_start + t.t_rp;
-        match req.kind {
-            AccessKind::Read => {
-                self.reads += 1;
-                self.read_latency_sum += data_done - now;
-            }
-            AccessKind::Write => self.writes += 1,
-        }
         self.in_flight.push_back((data_done, req));
         data_done
     }
@@ -125,30 +109,6 @@ impl DramChannel {
     /// The cycle `line`'s bank is next ready for an activation.
     pub fn bank_ready_at(&self, line: LineAddr) -> Cycle {
         self.bank_ready[self.bank_of(line)]
-    }
-
-    /// Reads serviced.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Writes serviced.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Mean read latency (issue to last data beat) in processor cycles.
-    pub fn mean_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.reads as f64
-        }
-    }
-
-    /// Data-bus utilization meter.
-    pub fn bus_meter(&self) -> UtilizationMeter {
-        self.bus_meter
     }
 }
 
@@ -205,8 +165,6 @@ mod tests {
         ch.drain_completed(r.max(w), &mut out);
         assert_eq!(out, [req(0, AccessKind::Read, 1)]);
         assert_eq!(ch.in_flight_len(), 0);
-        assert_eq!(ch.reads(), 1);
-        assert_eq!(ch.writes(), 1);
     }
 
     #[test]
@@ -296,17 +254,5 @@ mod tests {
         let mut cfg = MemConfig::ddr2_800();
         cfg.banks_per_rank = 6;
         let _ = DramChannel::new(cfg);
-    }
-
-    #[test]
-    fn bus_utilization_accumulates() {
-        let mut ch = channel();
-        for i in 0..4 {
-            let now = ch.bus_free;
-            if ch.bank_available(LineAddr(i), now) {
-                ch.issue(req(i, AccessKind::Read, i), now);
-            }
-        }
-        assert_eq!(ch.bus_meter().busy_cycles(), 4 * ch.config.timing.burst);
     }
 }

@@ -87,7 +87,7 @@ impl MemoryController {
 
     /// Whether `thread`'s buffer for `kind` has room.
     #[inline]
-    pub fn can_accept(&self, thread: ThreadId, kind: AccessKind) -> bool {
+    fn can_accept(&self, thread: ThreadId, kind: AccessKind) -> bool {
         let q = &self.queues[thread.index()];
         match kind {
             AccessKind::Read => q.reads.len() < self.config.transaction_buffer,
@@ -185,12 +185,6 @@ impl MemoryController {
             && self.queues.iter().all(|q| q.reads.is_empty() && q.writes.is_empty())
             && self.channels.iter().all(|c| c.in_flight_len() == 0)
     }
-
-    /// Per-thread channel statistics (reads, writes, mean read latency).
-    pub fn channel_stats(&self, thread: ThreadId) -> (u64, u64, f64) {
-        let ch = &self.channels[thread.index()];
-        (ch.reads(), ch.writes(), ch.mean_read_latency())
-    }
 }
 
 #[cfg(test)]
@@ -212,26 +206,41 @@ mod tests {
         }
     }
 
-    fn run(mc: &mut MemoryController, from: Cycle, to: Cycle, out: &mut Vec<MemRequest>) {
+    /// Ticks `mc` over `from..to`, appending each response with the cycle
+    /// it was popped.
+    fn run(mc: &mut MemoryController, from: Cycle, to: Cycle, out: &mut Vec<(Cycle, MemRequest)>) {
         for now in from..to {
             mc.tick(now);
             while let Some(r) = mc.pop_response() {
-                out.push(r);
+                out.push((now, r));
             }
         }
     }
 
+    /// The kinds of the DRAM issues traced while `f` runs, in issue order.
+    fn issued_kinds(f: impl FnOnce()) -> Vec<AccessKind> {
+        trace::install(1 << 10);
+        f();
+        let log = trace::take().expect("recorder installed");
+        let issues = log.events().iter().filter_map(|e| match e.data {
+            EventData::DramIssue { kind, .. } => Some(kind),
+            _ => None,
+        });
+        issues.collect()
+    }
+
     #[test]
     fn read_completes_with_realistic_latency() {
-        let mut mc = MemoryController::new(MemConfig::ddr2_800(), 1);
+        let cfg = MemConfig::ddr2_800();
+        let mut mc = MemoryController::new(cfg, 1);
         assert!(mc.enqueue(read(0, 0, 7), 0));
         let mut out = Vec::new();
         run(&mut mc, 0, 200, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].token, 7);
-        let (reads, _, lat) = mc.channel_stats(ThreadId(0));
-        assert_eq!(reads, 1);
-        assert!((60.0..120.0).contains(&lat), "idle read latency {lat} out of range");
+        // An idle read: controller overhead, activate, CAS, one burst.
+        let t = cfg.timing;
+        let latency = cfg.controller_overhead + t.t_rcd + t.t_cl + t.burst;
+        assert_eq!(latency, 80, "DDR2-800 idle read latency");
+        assert_eq!(out, [(latency, read(0, 0, 7))]);
     }
 
     #[test]
@@ -241,7 +250,6 @@ mod tests {
         for i in 0..16 {
             assert!(mc.enqueue(read(0, i, i), 0));
         }
-        assert!(!mc.can_accept(ThreadId(0), AccessKind::Read));
         assert!(!mc.enqueue(read(0, 99, 99), 0));
         for i in 0..8 {
             assert!(mc.enqueue(write(0, 100 + i, 0), 0));
@@ -252,13 +260,15 @@ mod tests {
     #[test]
     fn private_channels_isolate_threads() {
         // Thread 1 hammering its channel must not slow thread 0's read.
+        let thread0 = |out: &[(Cycle, MemRequest)]| {
+            out.iter().filter(|(_, r)| r.thread == ThreadId(0)).copied().collect::<Vec<_>>()
+        };
         let mut solo = MemoryController::new(MemConfig::ddr2_800(), 2);
         solo.enqueue(read(0, 0, 1), 0);
         let mut out = Vec::new();
         run(&mut solo, 0, 400, &mut out);
-        let solo_done = out.len();
-        assert_eq!(solo_done, 1);
-        let (_, _, solo_lat) = solo.channel_stats(ThreadId(0));
+        let solo_out = thread0(&out);
+        assert_eq!(solo_out.len(), 1);
 
         let mut shared = MemoryController::new(MemConfig::ddr2_800(), 2);
         for i in 0..16 {
@@ -267,9 +277,8 @@ mod tests {
         shared.enqueue(read(0, 0, 1), 0);
         let mut out = Vec::new();
         run(&mut shared, 0, 400, &mut out);
-        assert!(out.iter().any(|r| r.token == 1));
-        let (_, _, busy_lat) = shared.channel_stats(ThreadId(0));
-        assert_eq!(solo_lat, busy_lat, "private channel latency unaffected by other thread");
+        assert!(out.iter().any(|(_, r)| r.thread == ThreadId(1)), "thread 1 was served too");
+        assert_eq!(thread0(&out), solo_out, "private channel timing unaffected by other thread");
     }
 
     #[test]
@@ -277,11 +286,10 @@ mod tests {
         let mut mc = MemoryController::new(MemConfig::ddr2_800(), 1);
         mc.enqueue(write(0, 0, 0), 0);
         let mut out = Vec::new();
-        run(&mut mc, 0, 400, &mut out);
+        let issued = issued_kinds(|| run(&mut mc, 0, 400, &mut out));
+        assert_eq!(issued, [AccessKind::Write], "the write issued once");
         assert!(out.is_empty(), "writes produce no responses");
         assert!(mc.is_idle());
-        let (_, writes, _) = mc.channel_stats(ThreadId(0));
-        assert_eq!(writes, 1);
     }
 
     #[test]
@@ -290,9 +298,9 @@ mod tests {
         // Below-threshold writes wait while reads flow.
         mc.enqueue(write(0, 50, 0), 0);
         mc.enqueue(read(0, 1, 1), 0);
-        mc.tick(0);
-        let (reads, writes, _) = mc.channel_stats(ThreadId(0));
-        assert_eq!((reads, writes), (1, 0), "read issued first");
+        assert_eq!(issued_kinds(|| mc.tick(0)), [AccessKind::Read], "read issued first");
+        let issued = issued_kinds(|| run(&mut mc, 1, 400, &mut Vec::new()));
+        assert_eq!(issued, [AccessKind::Write], "the write issues once no read is pending");
     }
 
     #[test]

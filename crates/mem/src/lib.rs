@@ -26,9 +26,8 @@
 //! use vpc_sim::{AccessKind, LineAddr, ThreadId};
 //!
 //! let mut mc = MemoryController::new(MemConfig::ddr2_800(), 4);
-//! assert!(mc.can_accept(ThreadId(0), AccessKind::Read));
 //! let req = MemRequest { thread: ThreadId(0), line: LineAddr(0x40), kind: AccessKind::Read, token: 1 };
-//! mc.enqueue(req, 0);
+//! assert!(mc.enqueue(req, 0)); // the thread's read buffer had room
 //! let mut response = None;
 //! for now in 0..2_000 {
 //!     mc.tick(now);
@@ -38,6 +37,12 @@
 //!     }
 //! }
 //! assert_eq!(response, Some(req));
+//!
+//! // A full buffer refuses a request, which stays with the caller to retry.
+//! for i in 0..16 {
+//!     assert!(mc.enqueue(MemRequest { line: LineAddr(i), ..req }, 2_000));
+//! }
+//! assert!(!mc.enqueue(req, 2_000));
 //! ```
 
 #![forbid(unsafe_code)]

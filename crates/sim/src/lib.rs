@@ -13,8 +13,8 @@
 //!   registers of Eq. 3'–6 and derives each finish time from the two.
 //! * [`rng`] — [`SplitMix64`], a tiny deterministic RNG so every workload
 //!   and experiment is exactly reproducible from a seed.
-//! * [`stats`] — counters and utilization meters used to produce the
-//!   figures' utilization series.
+//! * [`stats`] — the event counter and latency histogram the figures'
+//!   outputs are built from.
 //! * [`check`] — the deterministic property-testing microharness every
 //!   crate's randomized tests run on, built on [`SplitMix64`] so the whole
 //!   suite is reproducible offline with zero external dependencies.
@@ -55,5 +55,5 @@ pub mod types;
 
 pub use rng::SplitMix64;
 pub use share::{ParseShareError, Share, ShareError, VirtualClock};
-pub use stats::{Counter, Histogram, UtilizationMeter};
+pub use stats::{Counter, Histogram};
 pub use types::{AccessKind, CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, MAX_THREADS};

@@ -1,4 +1,4 @@
-//! Statistics primitives used to produce the paper's utilization figures.
+//! Statistics primitives the figures' outputs are built from.
 
 use std::fmt;
 
@@ -46,27 +46,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Tracks how many cycles a resource was busy, yielding the utilization
-/// series plotted in Figures 5, 6 and 8.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UtilizationMeter {
-    busy: u64,
-}
-
-impl UtilizationMeter {
-    /// Records `cycles` of busy time (e.g. one 8-cycle data array access).
-    #[inline]
-    pub fn add_busy(&mut self, cycles: u64) {
-        self.busy += cycles;
-    }
-
-    /// Total busy cycles recorded.
-    #[inline]
-    pub fn busy_cycles(self) -> u64 {
-        self.busy
     }
 }
 

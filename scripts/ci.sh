@@ -75,6 +75,16 @@ if ! {
     exit 1
 fi
 
+echo "== examples: each runs to completion =="
+# cargo test compiles the examples but never runs them; each one's cells
+# run at most 200k cycles, so running all four takes about a second.
+for example in quickstart differentiated_service qos_guarantee heterogeneous_mix; do
+    if ! cargo run -q --release --example "$example" >/dev/null; then
+        echo "example $example exited nonzero"
+        exit 1
+    fi
+done
+
 echo "== test (workspace, including formerly-slow ignored tests) =="
 cargo test -q --workspace -- --include-ignored
 
