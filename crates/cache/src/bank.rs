@@ -374,11 +374,6 @@ impl L2Bank {
         self.resources.each_ref().map(ArbitratedResource::busy_cycles)
     }
 
-    /// Looks a line up without side effects (for tests and debugging).
-    pub fn probe(&self, line: LineAddr) -> bool {
-        self.sets[self.cfg.set_of(line)].lookup(line).is_some()
-    }
-
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------

@@ -180,11 +180,6 @@ impl SharedL2 {
         total
     }
 
-    /// Whether `line` is resident (for tests).
-    pub fn probe(&self, line: LineAddr) -> bool {
-        self.banks[self.cfg.bank_of(line)].probe(line)
-    }
-
     /// Data-array busy cycles attributable to `thread`, summed over banks.
     pub fn thread_data_busy(&self, thread: ThreadId) -> u64 {
         self.banks.iter().map(|b| b.thread_data_busy(thread)).sum()
@@ -316,7 +311,6 @@ mod tests {
         let (miss_done, resp) = run_until_response(&mut l2, 0, 2000).expect("miss completes");
         assert_eq!(resp.token, 1);
         assert!(miss_done > 50, "miss must include memory latency, got {miss_done}");
-        assert!(l2.probe(LineAddr(8)), "line filled");
         let now = drain(&mut l2, miss_done + 1, 200);
         assert!(l2.is_idle());
 

@@ -47,20 +47,44 @@ impl CoreConfig {
     }
 }
 
-/// One reorder-buffer entry. Non-memory instructions dispatched back to
-/// back share one entry, so the ROB holds one entry per memory
-/// instruction and per run between them.
+/// The kind of instruction a ROB entry holds; it indexes the core's
+/// retired counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RobEntry {
-    /// A run of this many non-memory instructions. [`Core::tick`] retires
-    /// before it dispatches, so every instruction of a run seen at
-    /// retirement was dispatched in an earlier cycle and has completed
-    /// (unit execute latency).
-    NonMem(usize),
-    /// A load; `done_at` is `u64::MAX` while it is unissued or in flight.
-    Load { line: LineAddr, done_at: Cycle },
-    /// A store, architecturally complete one cycle after dispatch.
-    Store { line: LineAddr, done_at: Cycle },
+enum Kind {
+    NonMem,
+    Load,
+    Store,
+}
+
+/// One reorder-buffer entry: `count` instructions of one `kind` that can
+/// retire from cycle `done_at` on. Non-memory instructions dispatched
+/// back to back share one entry, so the ROB holds one entry per memory
+/// instruction and per run between them.
+///
+/// A run's `done_at` is 0: [`Core::tick`] retires before it dispatches, so
+/// every instruction of a run seen at retirement was dispatched in an
+/// earlier cycle and has completed (unit execute latency). A load's
+/// `done_at` is `u64::MAX` while it is unissued or in flight; a store is
+/// architecturally complete one cycle after dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RobEntry {
+    done_at: Cycle,
+    /// The memory op's line (unused in a run).
+    line: LineAddr,
+    count: u32,
+    kind: Kind,
+}
+
+impl RobEntry {
+    /// A run of `count` non-memory instructions.
+    fn run(count: u32) -> RobEntry {
+        RobEntry { done_at: 0, line: LineAddr(0), count, kind: Kind::NonMem }
+    }
+
+    /// One load or store.
+    fn mem(kind: Kind, line: LineAddr, done_at: Cycle) -> RobEntry {
+        RobEntry { done_at, line, count: 1, kind }
+    }
 }
 
 /// Instruction-mix and stall counters.
@@ -114,7 +138,10 @@ pub struct Core<W: Workload = Box<dyn Workload>> {
     lrq_count: usize,
     srq_count: usize,
     next_store_at: Cycle,
-    stats: CoreStats,
+    /// Retired instructions, indexed by [`Kind`].
+    retired: [Counter; 3],
+    store_stall_cycles: Counter,
+    dispatch_stall_cycles: Counter,
 }
 
 impl<W: Workload> Core<W> {
@@ -122,7 +149,7 @@ impl<W: Workload> Core<W> {
     pub fn new(cfg: CoreConfig, thread: ThreadId, workload: W) -> Core<W> {
         Core {
             l1: L1Cache::new(cfg.l1),
-            rob: vec![RobEntry::NonMem(0); cfg.rob_entries.next_power_of_two()],
+            rob: vec![RobEntry::run(0); cfg.rob_entries.next_power_of_two()],
             head: 0,
             next_slot: 0,
             rob_len: 0,
@@ -132,7 +159,9 @@ impl<W: Workload> Core<W> {
             lrq_count: 0,
             srq_count: 0,
             next_store_at: 0,
-            stats: CoreStats::default(),
+            retired: [Counter::default(); 3],
+            store_stall_cycles: Counter::default(),
+            dispatch_stall_cycles: Counter::default(),
             cfg,
             thread,
             workload,
@@ -147,13 +176,19 @@ impl<W: Workload> Core<W> {
     /// Total retired instructions: the retired non-memory instructions,
     /// loads and stores.
     pub fn retired(&self) -> u64 {
-        let s = self.stats;
-        s.non_mem.get() + s.loads.get() + s.stores.get()
+        self.retired.iter().map(|c| c.get()).sum()
     }
 
     /// Pipeline statistics.
     pub fn stats(&self) -> CoreStats {
-        self.stats
+        let [non_mem, loads, stores] = self.retired;
+        CoreStats {
+            non_mem,
+            loads,
+            stores,
+            store_stall_cycles: self.store_stall_cycles,
+            dispatch_stall_cycles: self.dispatch_stall_cycles,
+        }
     }
 
     /// L1 statistics.
@@ -169,8 +204,8 @@ impl<W: Workload> Core<W> {
             data: EventData::LoadReturn { thread: self.thread, line },
         });
         for slot in self.l1.on_fill(line, now) {
-            if let Some(RobEntry::Load { done_at, .. }) = self.entry_mut(slot) {
-                *done_at = now;
+            if let Some(load) = self.entry_mut(slot) {
+                load.done_at = now;
             }
         }
     }
@@ -240,7 +275,7 @@ impl<W: Workload> Core<W> {
             // A full ROB, or a skid-buffered op without its queue slot,
             // counts a stall and leaves the skid buffer where it is.
             if self.dispatch_blocked() {
-                self.stats.dispatch_stall_cycles.inc();
+                self.dispatch_stall_cycles.inc();
                 return;
             }
             // Structural hazards stall dispatch in order; an op consumed
@@ -256,35 +291,35 @@ impl<W: Workload> Core<W> {
                 }
                 Op::NonMem => {
                     let tail = self.next_slot.wrapping_sub(1);
-                    if let Some(RobEntry::NonMem(run)) = self.entry_mut(tail) {
-                        *run += 1;
+                    if let Some(run) = self.entry_mut(tail).filter(|e| e.kind == Kind::NonMem) {
+                        run.count += 1;
                         self.rob_len += 1;
                         dispatched += 1;
                         continue;
                     }
-                    RobEntry::NonMem(1)
+                    RobEntry::run(1)
                 }
                 Op::Load(line) => {
                     if self.lrq_count >= self.cfg.lrq_entries {
                         self.pending_op = Some(op);
-                        self.stats.dispatch_stall_cycles.inc();
+                        self.dispatch_stall_cycles.inc();
                         return;
                     }
                     self.lrq_count += 1;
                     self.unissued_loads.push_back((self.next_slot, line));
-                    RobEntry::Load { line, done_at: u64::MAX }
+                    RobEntry::mem(Kind::Load, line, u64::MAX)
                 }
                 Op::Store(line) => {
                     if self.srq_count >= self.cfg.srq_entries {
                         self.pending_op = Some(op);
-                        self.stats.dispatch_stall_cycles.inc();
+                        self.dispatch_stall_cycles.inc();
                         return;
                     }
                     self.srq_count += 1;
                     // Stores are architecturally complete at dispatch (weak
                     // consistency; data waits in the SRQ); they gate at
                     // retire.
-                    RobEntry::Store { line, done_at: now + 1 }
+                    RobEntry::mem(Kind::Store, line, now + 1)
                 }
             };
             let at = self.at(self.next_slot);
@@ -301,8 +336,8 @@ impl<W: Workload> Core<W> {
             let Some(&(slot, line)) = self.unissued_loads.front() else { return };
             match self.try_issue_load(line, slot, now, l2) {
                 Some(ready_at) => {
-                    if let Some(RobEntry::Load { done_at, .. }) = self.entry_mut(slot) {
-                        *done_at = ready_at;
+                    if let Some(load) = self.entry_mut(slot) {
+                        load.done_at = ready_at;
                     }
                     self.unissued_loads.pop_front();
                     issued += 1;
@@ -338,62 +373,47 @@ impl<W: Workload> Core<W> {
     }
 
     /// Retires up to `retire_width` instructions in order. A run of
-    /// non-memory instructions at the head retires in bulk.
+    /// non-memory instructions at the head retires in bulk; only a store
+    /// has a gate of its own.
     fn retire(&mut self, now: Cycle, l2: &mut SharedL2) {
         let mut budget = self.cfg.retire_width;
         while budget > 0 {
             let Some(entry) = self.entry(self.head) else { return };
-            let retired = match entry {
-                RobEntry::NonMem(run) => {
-                    let n = run.min(budget);
-                    if n < run {
-                        let at = self.at(self.head);
-                        self.rob[at] = RobEntry::NonMem(run - n);
-                    } else {
-                        self.head += 1;
-                    }
-                    self.stats.non_mem.add(n as u64);
-                    n
+            if entry.done_at > now {
+                return;
+            }
+            if entry.kind == Kind::Store {
+                // Write-through: the store must leave for the L2 at
+                // retirement, throttled by the half-frequency port and the
+                // bank's input credits.
+                if now < self.next_store_at || !l2.can_accept(self.thread, entry.line) {
+                    self.store_stall_cycles.inc();
+                    return;
                 }
-                RobEntry::Load { done_at, .. } => {
-                    if done_at > now {
-                        return;
-                    }
-                    self.head += 1;
-                    self.stats.loads.inc();
-                    self.lrq_count -= 1;
-                    1
-                }
-                RobEntry::Store { line, done_at } => {
-                    if done_at > now {
-                        return;
-                    }
-                    // Write-through: the store must leave for the L2 at
-                    // retirement, throttled by the half-frequency port and
-                    // the bank's input credits.
-                    if now < self.next_store_at || !l2.can_accept(self.thread, line) {
-                        self.stats.store_stall_cycles.inc();
-                        return;
-                    }
-                    self.l1.access_store(line, now);
-                    l2.submit(
-                        CacheRequest {
-                            thread: self.thread,
-                            line,
-                            kind: AccessKind::Write,
-                            token: self.head,
-                        },
-                        now,
-                    );
-                    self.next_store_at = now + self.cfg.store_send_interval;
-                    self.head += 1;
-                    self.stats.stores.inc();
-                    self.srq_count -= 1;
-                    1
-                }
-            };
-            self.rob_len -= retired;
-            budget -= retired;
+                self.l1.access_store(entry.line, now);
+                l2.submit(
+                    CacheRequest {
+                        thread: self.thread,
+                        line: entry.line,
+                        kind: AccessKind::Write,
+                        token: self.head,
+                    },
+                    now,
+                );
+                self.next_store_at = now + self.cfg.store_send_interval;
+            }
+            let n = (entry.count as usize).min(budget);
+            if n < entry.count as usize {
+                let at = self.at(self.head);
+                self.rob[at].count -= n as u32;
+            } else {
+                self.head += 1;
+            }
+            self.retired[entry.kind as usize].add(n as u64);
+            self.lrq_count -= usize::from(entry.kind == Kind::Load);
+            self.srq_count -= usize::from(entry.kind == Kind::Store);
+            self.rob_len -= n;
+            budget -= n;
         }
     }
 }
@@ -546,17 +566,9 @@ mod tests {
         let mut core =
             Core::new(CoreConfig::table1(), ThreadId(0), FixedTrace::new("spin", vec![Op::NonMem]));
         for &entry in entries {
-            core.rob_len += match entry {
-                RobEntry::NonMem(run) => run,
-                RobEntry::Load { .. } => {
-                    core.lrq_count += 1;
-                    1
-                }
-                RobEntry::Store { .. } => {
-                    core.srq_count += 1;
-                    1
-                }
-            };
+            core.rob_len += entry.count as usize;
+            core.lrq_count += usize::from(entry.kind == Kind::Load);
+            core.srq_count += usize::from(entry.kind == Kind::Store);
             let at = core.at(core.next_slot);
             core.rob[at] = entry;
             core.next_slot += 1;
@@ -566,11 +578,11 @@ mod tests {
 
     #[test]
     fn run_longer_than_retire_width_retires_over_two_cycles() {
-        let mut core = core_with_rob(&[RobEntry::NonMem(8)]);
+        let mut core = core_with_rob(&[RobEntry::run(8)]);
         let mut l2 = small_l2(1);
         core.retire(1, &mut l2);
         assert_eq!(core.retired(), 5, "one cycle retires retire_width instructions");
-        assert_eq!(core.entry(core.head), Some(RobEntry::NonMem(3)), "the run keeps its rest");
+        assert_eq!(core.entry(core.head), Some(RobEntry::run(3)), "the run keeps its rest");
         core.retire(2, &mut l2);
         assert_eq!(core.retired(), 8);
         assert_eq!((core.head, core.next_slot, core.rob_len), (1, 1, 0), "the ROB is empty");
@@ -581,9 +593,9 @@ mod tests {
     fn memory_ops_behind_a_run_wait_for_it() {
         let line = LineAddr(3);
         let mut core = core_with_rob(&[
-            RobEntry::NonMem(7),
-            RobEntry::Load { line, done_at: 0 },
-            RobEntry::Store { line, done_at: 0 },
+            RobEntry::run(7),
+            RobEntry::mem(Kind::Load, line, 0),
+            RobEntry::mem(Kind::Store, line, 0),
         ]);
         let mut l2 = small_l2(1);
         core.retire(1, &mut l2);
@@ -593,6 +605,27 @@ mod tests {
         let s = core.stats();
         assert_eq!((s.non_mem.get(), s.loads.get(), s.stores.get()), (7, 1, 1));
         assert_eq!((core.lrq_count, core.srq_count, core.rob_len), (0, 0, 0));
+    }
+
+    #[test]
+    fn stores_at_the_head_leave_one_per_port_interval() {
+        let (a, b) = (LineAddr(3), LineAddr(4));
+        let mut core = core_with_rob(&[
+            RobEntry::mem(Kind::Store, a, 0),
+            RobEntry::mem(Kind::Store, b, 0),
+            RobEntry::run(2),
+            RobEntry::mem(Kind::Load, a, u64::MAX),
+        ]);
+        let mut l2 = small_l2(1);
+        core.retire(1, &mut l2);
+        let s = core.stats();
+        assert_eq!((s.stores.get(), s.store_stall_cycles.get()), (1, 1), "the port gates");
+        core.retire(2, &mut l2);
+        assert_eq!(core.stats().store_stall_cycles.get(), 2, "the interval is two cycles");
+        core.retire(3, &mut l2);
+        let s = core.stats();
+        assert_eq!((s.stores.get(), s.non_mem.get(), s.loads.get()), (2, 2, 0), "the load waits");
+        assert_eq!((core.lrq_count, core.srq_count, core.rob_len), (1, 0, 1));
     }
 
     #[test]

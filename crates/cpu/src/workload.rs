@@ -80,7 +80,10 @@ impl Workload for FixedTrace {
     #[inline]
     fn next_op(&mut self) -> Op {
         let op = self.ops[self.pos];
-        self.pos = (self.pos + 1) % self.ops.len();
+        self.pos += 1;
+        if self.pos == self.ops.len() {
+            self.pos = 0;
+        }
         op
     }
 

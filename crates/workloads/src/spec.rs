@@ -283,11 +283,15 @@ const COLD_BASE: u64 = 1 << 28;
 #[derive(Debug, Clone)]
 pub struct SyntheticSpec {
     params: SpecParams,
-    /// Per-instruction probability of a dispatch bubble (from `base_ipc`).
-    bubble_chance: f64,
-    /// Per-hot-load probability of entering an L2 burst (from
-    /// `l1_miss_rate` and `burst_mean`).
-    burst_entry_chance: f64,
+    /// The [`SplitMix64::threshold`]s of each decision an op makes: a
+    /// dispatch bubble, a load, a load or store, an L2 load missing to
+    /// memory, a hot load entering a burst, a store keeping its line.
+    bubble: u64,
+    load: u64,
+    load_or_store: u64,
+    l2_miss: u64,
+    burst_entry: u64,
+    store_locality: u64,
     base: u64,
     rng: SplitMix64,
     /// Remaining loads in the current L2 burst (Markov burst state).
@@ -300,6 +304,25 @@ pub struct SyntheticSpec {
     cold_next: u64,
 }
 
+/// Per-instruction probability of a dispatch bubble: it makes the
+/// instruction stream's frontend-only IPC match `base_ipc` (cycles/instr
+/// = 1/width + bubbles x len).
+fn bubble_chance(p: &SpecParams) -> f64 {
+    let per_instr_stall = (1.0 / p.base_ipc - 0.2).max(0.0) / f64::from(BUBBLE_LEN);
+    per_instr_stall / (1.0 + per_instr_stall)
+}
+
+/// Per-hot-load probability of entering an L2 burst: the Markov burst
+/// entry keeps the stationary L2 fraction at `l1_miss_rate` with mean
+/// dwell `burst_mean`.
+fn burst_entry_chance(p: &SpecParams) -> f64 {
+    if p.l1_miss_rate >= 1.0 {
+        1.0
+    } else {
+        p.l1_miss_rate / ((1.0 - p.l1_miss_rate) * p.burst_mean)
+    }
+}
+
 impl SyntheticSpec {
     /// Creates a generator for `params`, seeded by benchmark name and
     /// thread so every run is reproducible.
@@ -308,19 +331,14 @@ impl SyntheticSpec {
             .name
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-        // Dispatch bubbles make the instruction stream's frontend-only IPC
-        // match `base_ipc` (cycles/instr = 1/width + bubbles x len).
-        let per_instr_stall = (1.0 / params.base_ipc - 0.2).max(0.0) / f64::from(BUBBLE_LEN);
-        // The Markov burst entry keeps the stationary L2 fraction at
-        // `l1_miss_rate` with mean dwell `burst_mean`.
-        let burst_entry_chance = if params.l1_miss_rate >= 1.0 {
-            1.0
-        } else {
-            params.l1_miss_rate / ((1.0 - params.l1_miss_rate) * params.burst_mean)
-        };
+        let t = SplitMix64::threshold;
         SyntheticSpec {
-            bubble_chance: per_instr_stall / (1.0 + per_instr_stall),
-            burst_entry_chance,
+            bubble: t(bubble_chance(&params)),
+            load: t(params.load_frac),
+            load_or_store: t(params.load_frac + params.store_frac),
+            l2_miss: t(params.l2_miss_rate),
+            burst_entry: t(burst_entry_chance(&params)),
+            store_locality: t(params.store_locality),
             base: u64::from(thread.0) * THREAD_STRIDE,
             rng: SplitMix64::new(name_seed ^ (u64::from(thread.0) << 56) ^ 0x5EED),
             burst_left: 0,
@@ -335,58 +353,60 @@ impl SyntheticSpec {
     pub fn params(&self) -> &SpecParams {
         &self.params
     }
-
-    #[inline]
-    fn gen_load(&mut self) -> Op {
-        let p = self.params;
-        if self.burst_left > 0 {
-            // An L2-targeted load within a burst.
-            self.burst_left -= 1;
-            if self.rng.chance(p.l2_miss_rate) {
-                // Streaming: a never-seen line; always misses to memory.
-                let line = self.base + COLD_BASE + self.cold_next;
-                self.cold_next += 1;
-                return Op::Load(LineAddr(line));
-            }
-            let line = self.base + WARM_BASE + self.rng.below(p.warm_lines);
-            return Op::Load(LineAddr(line));
-        }
-        // Hot (L1-resident) load; possibly start a new burst for later
-        // loads.
-        if self.rng.chance(self.burst_entry_chance) {
-            self.burst_left = self.rng.burst_len(p.burst_mean);
-        }
-        let line = self.base + HOT_BASE + self.rng.below(HOT_LINES);
-        Op::Load(LineAddr(line))
-    }
-
-    #[inline]
-    fn gen_store(&mut self) -> Op {
-        let p = self.params;
-        if !self.rng.chance(p.store_locality) {
-            self.store_line = (self.store_line + 1) % self.store_pool;
-        }
-        Op::Store(LineAddr(self.base + STORE_BASE + self.store_line))
-    }
 }
 
 /// Frontend bubble length used to realize `base_ipc`.
 const BUBBLE_LEN: u8 = 4;
 
 impl Workload for SyntheticSpec {
+    /// Reads the four draws an op can consume ahead, decides the op from
+    /// them, then skips the draws it used: 1 for a bubble, 2 for a
+    /// non-memory op, 3 for a store or a streaming load, 4 for any other
+    /// load. A hot load that enters a burst draws its length and line
+    /// after the three it decided on. The stream equals drawing one value
+    /// per decision, in the order the decisions are made.
     #[inline]
     fn next_op(&mut self) -> Op {
-        if self.rng.chance(self.bubble_chance) {
+        let d = [self.rng.peek(0), self.rng.peek(1), self.rng.peek(2), self.rng.peek(3)];
+        let passes = SplitMix64::passes;
+        if passes(d[0], self.bubble) {
+            self.rng.skip(1);
             return Op::Bubble(BUBBLE_LEN);
         }
-        let r = self.rng.unit_f64();
-        if r < self.params.load_frac {
-            self.gen_load()
-        } else if r < self.params.load_frac + self.params.store_frac {
-            self.gen_store()
-        } else {
-            Op::NonMem
+        if !passes(d[1], self.load) {
+            if passes(d[1], self.load_or_store) {
+                self.rng.skip(3);
+                if !passes(d[2], self.store_locality) {
+                    self.store_line = (self.store_line + 1) % self.store_pool;
+                }
+                return Op::Store(LineAddr(self.base + STORE_BASE + self.store_line));
+            }
+            self.rng.skip(2);
+            return Op::NonMem;
         }
+        let line = if self.burst_left > 0 {
+            // An L2-targeted load within a burst.
+            self.burst_left -= 1;
+            if passes(d[2], self.l2_miss) {
+                // Streaming: a never-seen line; always misses to memory.
+                self.rng.skip(3);
+                let line = COLD_BASE + self.cold_next;
+                self.cold_next += 1;
+                line
+            } else {
+                self.rng.skip(4);
+                WARM_BASE + SplitMix64::scale(d[3], self.params.warm_lines)
+            }
+        } else if passes(d[2], self.burst_entry) {
+            // A hot (L1-resident) load that starts a burst for later loads.
+            self.rng.skip(3);
+            self.burst_left = self.rng.burst_len(self.params.burst_mean);
+            HOT_BASE + self.rng.below(HOT_LINES)
+        } else {
+            self.rng.skip(4);
+            HOT_BASE + SplitMix64::scale(d[3], HOT_LINES)
+        };
+        Op::Load(LineAddr(self.base + line))
     }
 
     fn name(&self) -> &str {
@@ -397,6 +417,94 @@ impl Workload for SyntheticSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as it drew one value per decision, in the order the
+    /// decisions are made: the reference [`SyntheticSpec::next_op`]'s
+    /// draw-ahead stream must equal.
+    struct DrawByDraw {
+        params: SpecParams,
+        bubble_chance: f64,
+        burst_entry_chance: f64,
+        base: u64,
+        rng: SplitMix64,
+        burst_left: u64,
+        store_line: u64,
+        store_pool: u64,
+        cold_next: u64,
+    }
+
+    impl DrawByDraw {
+        fn new(name: &str, thread: ThreadId) -> DrawByDraw {
+            let spec = workload(name, thread).unwrap();
+            let params = spec.params;
+            DrawByDraw {
+                params,
+                bubble_chance: bubble_chance(&params),
+                burst_entry_chance: burst_entry_chance(&params),
+                base: spec.base,
+                rng: spec.rng,
+                burst_left: 0,
+                store_line: 0,
+                store_pool: spec.store_pool,
+                cold_next: 0,
+            }
+        }
+
+        fn gen_load(&mut self) -> Op {
+            let p = self.params;
+            if self.burst_left > 0 {
+                self.burst_left -= 1;
+                if self.rng.chance(p.l2_miss_rate) {
+                    let line = self.base + COLD_BASE + self.cold_next;
+                    self.cold_next += 1;
+                    return Op::Load(LineAddr(line));
+                }
+                let line = self.base + WARM_BASE + self.rng.below(p.warm_lines);
+                return Op::Load(LineAddr(line));
+            }
+            if self.rng.chance(self.burst_entry_chance) {
+                self.burst_left = self.rng.burst_len(p.burst_mean);
+            }
+            let line = self.base + HOT_BASE + self.rng.below(HOT_LINES);
+            Op::Load(LineAddr(line))
+        }
+
+        fn gen_store(&mut self) -> Op {
+            if !self.rng.chance(self.params.store_locality) {
+                self.store_line = (self.store_line + 1) % self.store_pool;
+            }
+            Op::Store(LineAddr(self.base + STORE_BASE + self.store_line))
+        }
+
+        fn next_op(&mut self) -> Op {
+            if self.rng.chance(self.bubble_chance) {
+                return Op::Bubble(BUBBLE_LEN);
+            }
+            let r = self.rng.unit_f64();
+            if r < self.params.load_frac {
+                self.gen_load()
+            } else if r < self.params.load_frac + self.params.store_frac {
+                self.gen_store()
+            } else {
+                Op::NonMem
+            }
+        }
+    }
+
+    #[test]
+    fn draw_ahead_stream_equals_draw_by_draw() {
+        for name in SPEC_NAMES {
+            for thread in 0..4 {
+                let mut fast = workload(name, ThreadId(thread)).unwrap();
+                let mut reference = DrawByDraw::new(name, ThreadId(thread));
+                for i in 0..100_000 {
+                    let op = fast.next_op();
+                    assert_eq!(op, reference.next_op(), "{name} thread {thread}, op {i}");
+                }
+                assert_eq!(fast.rng, reference.rng, "{name} thread {thread}: the rng states");
+            }
+        }
+    }
 
     fn mix_of(name: &str, n: usize) -> (f64, f64, f64) {
         let mut w = workload(name, ThreadId(0)).unwrap();

@@ -132,15 +132,17 @@ if [[ "$last" != *'"correct": true'* ]] ||
     exit 1
 fi
 
-echo "== benchmark smoke (perfbench fig9_stores) =="
+echo "== benchmark smoke (perfbench fig9_stores, traced) =="
 # Three Stores threads keep their store gathering buffers full, so this is
 # the workload that runs the stalled-port path; every row must still equal
-# its golden.
+# its golden. Its replica runs those FixedTrace Stores threads through the
+# cores' store retire gate, so it must not diverge either.
 last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload fig9_stores --seed 1 --seconds 1 --trace 0 | tail -n 1)
-if [[ "$last" != *'"correct": true'* ]]; then
+    --workload fig9_stores --seed 1 --seconds 1 --trace 1 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]] ||
+    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
     echo "$last"
-    echo "perfbench fig9_stores: incorrect rows"
+    echo "perfbench fig9_stores: incorrect rows or a diverged replica"
     exit 1
 fi
 
