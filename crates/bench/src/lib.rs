@@ -1,11 +1,10 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Shared helpers for the `reproduce` and `simulate` binaries.
 //!
-//! Every experiment binary parses its command line with
-//! [`Cli::from_env`] — the only place that reads `--quick`, `--json`,
-//! `--jobs`, `--trace` and `--metrics` — and
-//! prints the same rows/series as the corresponding figure or table of
-//! the paper. `simulate` reads its own flags through the same grammar
-//! ([`parse_flags`]), and every binary's `--trace` goes through
+//! `reproduce` parses its command line with [`Cli::from_env`], the only
+//! place that reads `--quick`, `--jobs`, `--trace` and `--metrics`, and
+//! writes every table and figure of the paper into `results/`.
+//! `simulate` reads its own flags through the same grammar
+//! ([`parse_flags`]), and both binaries' `--trace` goes through
 //! [`write_job_traces`]. Reproduction notes for each experiment live in
 //! `EXPERIMENTS.md` at the repository root.
 
@@ -15,76 +14,70 @@
 use std::fmt;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vpc::experiments::{RunBudget, RunOptions};
 use vpc::json::JsonValue;
-use vpc::report::TimingReport;
-use vpc_sim::trace::{self, TraceLog};
+use vpc_sim::exec;
+use vpc_sim::trace::TraceLog;
 
 /// The usage text of [`Cli::parse`], after the program name.
 const USAGE: &str = "\
-[--quick] [--json] [--jobs N] [--trace PATH] [--metrics]
+[--quick] [--jobs N] [--trace PATH] [--metrics]
 
-  --quick         short simulation windows
-  --json          machine-readable report on stdout
-  --jobs N        worker threads for the job grid (default: the host's
+Writes every table and figure into results/ (results/quick/ under
+--quick), both relative to the working directory.
+
+  --quick         short simulation windows: the goldens of results/quick/
+  --jobs N        worker threads for the job batch (default: the host's
                   available parallelism)
   --trace PATH    write Chrome trace_event JSON of every job's measured
                   window next to PATH
-  --metrics       QoS ledgers of the contention scenario on stderr
-                  (fig5_micro_util only)
+  --metrics       QoS ledgers of the fig5 contention scenario on stderr
 
-An unknown flag, a flag the binary does not read or a malformed value
-prints this text and exits with code 2.";
+An unknown flag or a malformed value prints this text and exits with
+code 2.";
 
-/// The parsed command line shared by the experiment binaries.
+/// The parsed command line of `reproduce`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Simulation windows (`--quick`) and worker count (`--jobs`).
     pub opts: RunOptions,
-    /// `--json`: print the machine-readable report.
-    pub json: bool,
     /// `--trace PATH`: capture per-job traces and write them next to PATH.
     pub trace: Option<PathBuf>,
-    /// `--metrics`: print QoS ledger summaries on **stderr** (stdout
-    /// stays byte-identical with or without the flag). Only a binary that
-    /// reads it accepts it.
+    /// `--metrics`: print QoS ledger summaries on stderr.
     pub metrics: bool,
 }
 
 impl Cli {
     /// Parses `args` (without the program name). Without `--jobs`, the
-    /// worker count is [`default_jobs`]. `--metrics` is a flag only for a
-    /// binary that `reads_metrics`.
-    pub fn parse<I>(args: I, reads_metrics: bool) -> Result<Cli, String>
+    /// worker count is [`default_jobs`].
+    pub fn parse<I>(args: I) -> Result<Cli, String>
     where
         I: IntoIterator<Item = String>,
     {
-        let (mut quick, mut jobs) = (false, None);
-        let (mut json, mut trace, mut metrics) = (false, None, false);
+        let (mut quick, mut jobs, mut trace, mut metrics) = (false, None, None, false);
         parse_flags(args, |flag, value| {
             match flag {
                 "--jobs" => jobs = Some(positive("--jobs", &value()?)?),
                 "--trace" => trace = Some(PathBuf::from(value()?)),
                 "--quick" => quick = true,
-                "--json" => json = true,
-                "--metrics" if reads_metrics => metrics = true,
+                "--metrics" => metrics = true,
                 _ => return Ok(false),
             }
             Ok(true)
         })?;
         let budget = if quick { RunBudget::quick() } else { RunBudget::standard() };
         let jobs = jobs.unwrap_or_else(default_jobs);
-        Ok(Cli { opts: RunOptions { budget, jobs }, json, trace, metrics })
+        Ok(Cli { opts: RunOptions { budget, jobs }, trace, metrics })
     }
 
     /// Parses the process's arguments as [`Cli::parse`] does; on an error
     /// prints it with the usage text on stderr and exits with code 2. A
     /// `--trace` path into a missing directory is such an error, so a run
     /// never ends in a trace it cannot write.
-    pub fn from_env(reads_metrics: bool) -> Cli {
-        Cli::parse(std::env::args().skip(1), reads_metrics)
+    pub fn from_env() -> Cli {
+        Cli::parse(std::env::args().skip(1))
             .and_then(|cli| match &cli.trace {
                 Some(path) => check_trace_dir(path).map(|()| cli),
                 None => Ok(cli),
@@ -157,7 +150,7 @@ fn positive(what: &str, value: &str) -> Result<usize, String> {
     }
 }
 
-/// Writes `args` to stdout, the one path every binary's stdout takes. A
+/// Writes `args` to stdout, the one path `simulate`'s stdout takes. A
 /// reader that has gone away (`| head`) ends the program quietly with
 /// code 0, as it would end a Unix filter; any other write error is
 /// reported on stderr and exits with code 1. Neither ends in a panic.
@@ -191,58 +184,37 @@ pub fn usage_error(err: &str, usage: &str) -> ! {
     std::process::exit(2);
 }
 
-/// For the binaries that take no flags (`table1`, `fig4_timing`): any
-/// argument prints usage and exits with code 2.
-pub fn no_flags() {
-    if let Some(arg) = std::env::args().nth(1) {
-        usage_error(&format!("unexpected argument {arg:?}"), "(takes no flags)");
-    }
-}
-
-/// The whole `main` of a figure binary after parsing. Runs `run` under
-/// the parsed options (capturing per-job traces when `--trace` is given),
-/// prints the JSON report (`--json` with a `json` renderer) or the header
-/// and the result's `Display` on stdout, reports per-job timings on
-/// stderr and writes the traces. Returns the result for any extras.
-pub fn figure<R: fmt::Display>(
-    cli: &Cli,
-    name: &str,
-    title: &str,
-    run: impl FnOnce(RunOptions) -> R,
-    json: Option<fn(&R) -> String>,
-) -> R {
-    trace::set_capture(cli.trace.as_ref().map(|_| trace::DEFAULT_CAPACITY));
-    let start = Instant::now();
-    let result = run(cli.opts);
-    let wall = start.elapsed();
-    match json.filter(|_| cli.json) {
-        Some(json) => outln!("{}", json(&result)),
-        None => {
-            header(title, cli.opts.budget);
-            outln!("{result}");
-        }
-    }
-    report_timings(name, cli.opts.jobs, wall);
-    if let Some(path) = &cli.trace {
-        write_job_traces(path, &trace::take_job_logs());
-    }
-    result
-}
-
-/// Drains the per-job timings behind the run just finished and prints
-/// them to **stderr** (stdout must stay byte-identical across `--jobs`
-/// settings, so wall-clock noise never lands there).
-fn report_timings(what: &str, jobs: usize, wall: Duration) {
-    let timings = TimingReport::drain();
-    if timings.is_empty() {
-        return;
-    }
+/// Drains the per-job timings of the batches just run and prints them
+/// ([`timing_summary`]) to **stderr**: wall-clock noise never lands in an
+/// output file.
+pub fn report_timings(what: &str, jobs: usize, wall: Duration) {
+    let timings = exec::take_timings();
+    let total: Duration = timings.iter().map(|t| t.elapsed).sum();
+    let wall = wall.as_secs_f64();
     eprintln!(
-        "-- {what}: {:.3} s wall at --jobs {jobs}, effective parallelism {:.1}x --",
-        wall.as_secs_f64(),
-        timings.total.as_secs_f64() / wall.as_secs_f64().max(1e-9)
+        "-- {what}: {wall:.3} s wall at --jobs {jobs}, effective parallelism {:.1}x --",
+        total.as_secs_f64() / wall.max(1e-9)
     );
-    eprint!("{timings}");
+    eprint!("{}", timing_summary(timings));
+}
+
+/// The job count and total simulation time of `timings`, then the twelve
+/// slowest jobs (ties by label) and how many more there are.
+pub fn timing_summary(mut timings: Vec<exec::JobTiming>) -> String {
+    let total: Duration = timings.iter().map(|t| t.elapsed).sum();
+    let mut text = format!(
+        "simulation time by job: {} job(s), {:.3} s total\n",
+        timings.len(),
+        total.as_secs_f64()
+    );
+    timings.sort_by(|a, b| b.elapsed.cmp(&a.elapsed).then_with(|| a.label.cmp(&b.label)));
+    for t in timings.iter().take(12) {
+        text += &format!("  {:<44} {:>9.1} ms\n", t.label, t.elapsed.as_secs_f64() * 1e3);
+    }
+    if timings.len() > 12 {
+        text += &format!("  ... {} more job(s)\n", timings.len() - 12);
+    }
+    text
 }
 
 /// Sanitizes a job label into a filename fragment (`fig5/Loads 2B` →
@@ -291,25 +263,18 @@ pub fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
     );
 }
 
-/// Prints a standard experiment header.
-fn header(title: &str, budget: RunBudget) {
-    outln!("== {title} ==");
-    outln!("(warmup {} cycles, measured {} cycles)", budget.warmup, budget.window);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     type Args = &'static [&'static str];
 
-    /// Parses as fig5 does, reading `--metrics`.
     fn parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse(args.iter().map(|a| a.to_string()), true)
+        Cli::parse(args.iter().map(|a| a.to_string()))
     }
 
     fn cli(budget: RunBudget, jobs: usize) -> Cli {
-        Cli { opts: RunOptions { budget, jobs }, json: false, trace: None, metrics: false }
+        Cli { opts: RunOptions { budget, jobs }, trace: None, metrics: false }
     }
 
     #[test]
@@ -326,12 +291,35 @@ mod tests {
             (&[], cli(standard, host)),
             (&["--trace", "out.json"], traced(standard, host, "out.json")),
             (&["--trace=t.json", "--quick"], traced(quick, host, "t.json")),
-            (&["--json", "--metrics"], Cli { json: true, metrics: true, ..cli(standard, host) }),
+            (&["--metrics"], Cli { metrics: true, ..cli(standard, host) }),
         ];
         for (args, want) in cases {
             assert_eq!(parse(args).as_ref(), Ok(want), "args {args:?}");
         }
         assert!(host >= 1, "default worker count");
+    }
+
+    #[test]
+    fn timing_summary_sorts_slowest_first_and_caps_rows() {
+        let timing = |label: &str, ms| exec::JobTiming {
+            label: label.into(),
+            elapsed: Duration::from_millis(ms),
+        };
+        let timings =
+            vec![timing("fig6/mcf", 10), timing("fig6/art", 30), timing("fig5/Loads 2B", 30)];
+        let text = timing_summary(timings);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "simulation time by job: 3 job(s), 0.070 s total", "{text}");
+        let labels: Vec<&str> = lines[1..].iter().map(|l| l[2..46].trim_end()).collect();
+        assert_eq!(labels, ["fig5/Loads 2B", "fig6/art", "fig6/mcf"], "{text}");
+        assert!(lines[3].ends_with("     10.0 ms"), "{text}");
+
+        let text = timing_summary((0..13).map(|i| timing(&format!("job{i:02}"), i)).collect());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 14, "{text}");
+        assert!(lines[1].starts_with("  job12 "), "{text}");
+        assert!(lines[12].starts_with("  job01 "), "{text}");
+        assert_eq!(lines[13], "  ... 1 more job(s)", "{text}");
     }
 
     #[test]
@@ -347,13 +335,11 @@ mod tests {
             (&["--trace"], "--trace needs a value"),
             (&["--trace="], "--trace needs a value"),
             (&["--quick=1"], "unknown flag \"--quick=1\""),
+            (&["--json"], "unknown flag \"--json\""),
         ];
         for (args, want) in cases {
             let err = parse(args).expect_err(&format!("{args:?} parsed"));
             assert!(err.contains(want), "args {args:?}: error {err:?} lacks {want:?}");
         }
-        let args = ["--quick", "--metrics"].map(String::from);
-        let err = Cli::parse(args, false).expect_err("--metrics parsed");
-        assert!(err.contains("unknown flag \"--metrics\""), "{err}");
     }
 }

@@ -1,29 +1,22 @@
-//! Command-line contract of the binaries: an unknown flag, a flag the
-//! binary does not read, or a malformed value exits with code 2 before
-//! anything runs, with the usage text on stderr; every binary that takes
-//! flags reads `--flag value` and `--flag=value` alike; and a reader that
-//! closes stdout early ends a run quietly.
+//! Command-line contract of the binaries: an unknown flag or a malformed
+//! value exits with code 2 before anything runs, with the usage text on
+//! stderr; both binaries read `--flag value` and `--flag=value` alike;
+//! `reproduce` without its output directory exits with code 1 before any
+//! cell runs; and a reader that closes stdout early ends a run quietly.
 
 use std::process::{Command, Stdio};
 
 /// `(binary, arguments)`.
 const CASES: &[(&str, &[&str])] = &[
-    (env!("CARGO_BIN_EXE_fig5_micro_util"), &["--quick", "--jbos", "4", "--jsn"]),
-    (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--jobs", "0"]),
-    (env!("CARGO_BIN_EXE_fig7_store_gathering"), &["--quick", "--jobs"]),
-    (env!("CARGO_BIN_EXE_fig8_loads_stores"), &["--trace"]),
-    (env!("CARGO_BIN_EXE_fig5_micro_util"), &["--quick", "--trace", "/nonexistent/dir/t.json"]),
-    (env!("CARGO_BIN_EXE_fig9_spec_vs_stores"), &["--jobs=many"]),
-    (env!("CARGO_BIN_EXE_fig10_heterogeneous"), &["--no-skip"]),
-    (env!("CARGO_BIN_EXE_ablations"), &["--quick=1"]),
-    (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_fig7_store_gathering"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_fig8_loads_stores"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_fig9_spec_vs_stores"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_fig10_heterogeneous"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_ablations"), &["--quick", "--metrics"]),
-    (env!("CARGO_BIN_EXE_table1"), &["--bogus"]),
-    (env!("CARGO_BIN_EXE_fig4_timing"), &["--jobs", "0", "--quik"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--jbos", "4", "--jsn"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--jobs", "0"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--jobs=many"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--jobs"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--trace"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--quick=1"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--trace", "/nonexistent/dir/t.json"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--no-skip"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--json"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--bogus"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--jobs", "0"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "0"]),
@@ -92,25 +85,41 @@ fn simulate_reads_inline_values() {
     assert_eq!(inline, spaced);
 }
 
+/// Outside the repository root there is no `results/quick/`: `reproduce`
+/// names the missing directory and exits with code 1 before any cell
+/// runs, without a panic.
+#[test]
+fn reproduce_without_results_dir_exits_1() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-results");
+    std::fs::create_dir_all(&dir).expect("create an empty directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--quick", "--jobs", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("results/quick"), "names the directory: {stderr}");
+    assert!(!stderr.contains("job(s)"), "no cell may run: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// `| head` closes stdout before the report is written: the write fails
 /// with a broken pipe, and the run must still exit 0 without a panic.
 #[test]
 fn closed_stdout_exits_quietly() {
-    let runs: [(&str, &[&str]); 2] = [
-        (env!("CARGO_BIN_EXE_fig6_spec_util"), &["--quick"]),
-        (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "20000"]),
-    ];
-    for (bin, args) in runs {
-        let mut child = Command::new(bin)
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary runs");
-        drop(child.stdout.take());
-        let out = child.wait_with_output().expect("binary exits");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{bin} {args:?}: {:?}: {stderr}", out.status);
-        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
-    }
+    let bin = env!("CARGO_BIN_EXE_simulate");
+    let args = ["--cycles", "20000"];
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{bin} {args:?}: {:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
 }

@@ -16,10 +16,10 @@ use std::fmt;
 
 use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_cache::CapacityPolicy;
-use vpc_sim::{Share, ThreadId};
+use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{fig9, run_cells, Cell, RunBudget, RunOptions};
+use crate::experiments::{fig9, Cell, Plan, RunBudget, RunOptions};
 
 /// Result of the intra-thread reordering ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +49,10 @@ impl fmt::Display for ReorderResult {
 /// Runs a load+store mixed subject (vpr) against a Stores partner under
 /// VPC 50/50, with and without intra-thread RoW reordering.
 pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
+    reorder_plan(base, opts.budget).run(opts)
+}
+
+fn reorder_plan(base: &CmpConfig, budget: RunBudget) -> Plan<ReorderResult> {
     let half = Share::new(1, 2).expect("half share");
     let cells = [("fifo", IntraThreadOrder::Fifo), ("row", IntraThreadOrder::ReadOverWrite)].map(
         |(label, order)| {
@@ -57,17 +61,18 @@ pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
                 .with_arbiter(ArbiterPolicy::Vpc { shares: vec![half, half], order })
                 .with_capacity(CapacityPolicy::vpc_equal(2));
             let workloads = vec![WorkloadSpec::Spec("vpr"), WorkloadSpec::Stores];
-            (format!("ablations/reorder/{label}"), Cell::shared(cfg, workloads, opts.budget))
+            (format!("ablations/reorder/{label}"), Cell::shared(cfg, workloads, budget))
         },
     );
-    let [fifo, row] = <[Vec<f64>; 2]>::try_from(run_cells(&cells, opts, |cell| cell.run().1.ipc))
-        .expect("one result per cell");
-    ReorderResult {
-        fifo_ipc: fifo[0],
-        row_ipc: row[0],
-        fifo_partner_ipc: fifo[1],
-        row_partner_ipc: row[1],
-    }
+    Plan::new(cells.into(), |records| {
+        let [fifo, row] = [&records[0].m.ipc, &records[1].m.ipc];
+        ReorderResult {
+            fifo_ipc: fifo[0],
+            row_ipc: row[0],
+            fifo_partner_ipc: fifo[1],
+            row_partner_ipc: row[1],
+        }
+    })
 }
 
 /// Result of the capacity-manager ablation.
@@ -95,7 +100,11 @@ impl fmt::Display for CapacityResult {
 /// streaming threads, under identical FCFS arbiters — isolating the
 /// capacity effect.
 pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
-    let budget = RunBudget { window: opts.budget.window * 2, ..opts.budget };
+    capacity_plan(base, opts.budget).run(opts)
+}
+
+fn capacity_plan(base: &CmpConfig, budget: RunBudget) -> Plan<CapacityResult> {
+    let budget = RunBudget { window: budget.window * 2, ..budget };
     let cells = [("lru", CapacityPolicy::Lru), ("vpc", CapacityPolicy::vpc_equal(4))].map(
         |(label, policy)| {
             let mut cfg = base.clone().with_capacity(policy);
@@ -105,8 +114,10 @@ pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
             (format!("ablations/capacity/{label}"), Cell::shared(cfg, workloads, budget))
         },
     );
-    let ipc = run_cells(&cells, opts, |cell| cell.run().1.ipc[0]);
-    CapacityResult { lru_ipc: ipc[0], vpc_ipc: ipc[1] }
+    Plan::new(cells.into(), |records| CapacityResult {
+        lru_ipc: records[0].m.ipc[0],
+        vpc_ipc: records[1].m.ipc[0],
+    })
 }
 
 /// One point of the preemption-latency sweep.
@@ -150,6 +161,10 @@ impl fmt::Display for PreemptionResult {
 /// have a significant effect on meeting targets — holds if the normalized
 /// IPC stays at or above ~1.0 across the sweep.
 pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
+    preemption_plan(base, opts.budget).run(opts)
+}
+
+fn preemption_plan(base: &CmpConfig, budget: RunBudget) -> Plan<PreemptionResult> {
     let half = Share::new(1, 2).expect("half");
     let quarter = Share::new(1, 4).expect("quarter");
     let latencies = [4u64, 8, 16];
@@ -158,31 +173,28 @@ pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
         let mut cfg = base.clone();
         cfg.l2.data_latency = lat;
         let label = format!("ablations/preemption/data_latency_{lat}");
-        let subject =
-            fig9::subject_cell(&cfg, "mcf", fig9::subject_share_policy(1, 2), opts.budget);
-        let target = Cell::target(&cfg, WorkloadSpec::Spec("mcf"), half, quarter, opts.budget);
+        let subject = fig9::subject_cell(&cfg, "mcf", fig9::subject_share_policy(1, 2), budget);
+        let target = Cell::target(&cfg, WorkloadSpec::Spec("mcf"), half, quarter, budget);
         cells.push((label.clone(), subject));
         cells.push((format!("{label}/target"), target.expect("nonzero share")));
     }
-    // Each cell reports thread 0's IPC and L2 read-latency histogram.
-    let results = run_cells(&cells, opts, |cell| {
-        let (sys, m) = cell.run();
-        (m.ipc[0], sys.l2().read_latency(ThreadId(0)))
-    });
-    let points = latencies
-        .into_iter()
-        .zip(results.chunks_exact(2))
-        .map(|(data_latency, pair)| {
-            let ((ipc, hist), (target, _)) = (&pair[0], &pair[1]);
-            PreemptionPoint {
-                data_latency,
-                normalized_ipc: if *target > 0.0 { ipc / target } else { 0.0 },
-                read_latency_mean: hist.mean(),
-                read_latency_p95: hist.percentile(0.95),
-            }
-        })
-        .collect();
-    PreemptionResult { points }
+    Plan::new(cells, move |records| {
+        let points = latencies
+            .into_iter()
+            .zip(records.chunks_exact(2))
+            .map(|(data_latency, pair)| {
+                let (ipc, target, hist) =
+                    (pair[0].m.ipc[0], pair[1].m.ipc[0], &pair[0].read_latency);
+                PreemptionPoint {
+                    data_latency,
+                    normalized_ipc: if target > 0.0 { ipc / target } else { 0.0 },
+                    read_latency_mean: hist.mean(),
+                    read_latency_p95: hist.percentile(0.95),
+                }
+            })
+            .collect();
+        PreemptionResult { points }
+    })
 }
 
 /// Result of the thread-count scaling check.
@@ -212,6 +224,10 @@ impl fmt::Display for ScalingResult {
 /// shares; checks that each thread still meets its `1/n` target. Bank
 /// count scales with threads as a designer would provision it.
 pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
+    scaling_plan(base, opts.budget).run(opts)
+}
+
+fn scaling_plan(base: &CmpConfig, budget: RunBudget) -> Plan<ScalingResult> {
     let counts = [2usize, 4, 8];
     let mut cells = Vec::new();
     for threads in counts {
@@ -223,21 +239,22 @@ pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
             .with_capacity(CapacityPolicy::Vpc { shares: vec![share; threads] });
         let gcc = WorkloadSpec::Spec("gcc");
         let label = format!("ablations/scaling/{threads}_threads");
-        let target = Cell::target(&banked, gcc, share, share, opts.budget);
-        cells.push((label.clone(), Cell::shared(cfg, vec![gcc; threads], opts.budget)));
+        let target = Cell::target(&banked, gcc, share, share, budget);
+        cells.push((label.clone(), Cell::shared(cfg, vec![gcc; threads], budget)));
         cells.push((format!("{label}/target"), target.expect("nonzero share")));
     }
-    let ipcs = run_cells(&cells, opts, |cell| cell.run().1.ipc);
-    let points = counts
-        .into_iter()
-        .zip(ipcs.chunks_exact(2))
-        .map(|(threads, pair)| {
-            let target = pair[1][0];
-            let met = pair[0].iter().filter(|&&ipc| ipc >= target * 0.9).count();
-            (threads, met as f64 / threads as f64)
-        })
-        .collect();
-    ScalingResult { points }
+    Plan::new(cells, move |records| {
+        let points = counts
+            .into_iter()
+            .zip(records.chunks_exact(2))
+            .map(|(threads, pair)| {
+                let target = pair[1].m.ipc[0];
+                let met = pair[0].m.ipc.iter().filter(|&&ipc| ipc >= target * 0.9).count();
+                (threads, met as f64 / threads as f64)
+            })
+            .collect();
+        ScalingResult { points }
+    })
 }
 
 /// Result of the work-conservation check.
@@ -274,42 +291,47 @@ impl fmt::Display for WorkConservationResult {
 /// Runs Loads at `beta = 1/2` against a busy Stores partner and against an
 /// idle partner.
 pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservationResult {
+    work_conservation_plan(base, opts.budget).run(opts)
+}
+
+fn work_conservation_plan(base: &CmpConfig, budget: RunBudget) -> Plan<WorkConservationResult> {
     let half = Share::new(1, 2).expect("half");
     let cfg =
         base.clone().with_vpc_shares(vec![half, half]).with_capacity(CapacityPolicy::vpc_equal(2));
     let mut cells: Vec<(String, Cell)> =
         [("busy", WorkloadSpec::Stores), ("idle", WorkloadSpec::Idle)]
             .map(|(label, partner)| {
-                let cell =
-                    Cell::shared(cfg.clone(), vec![WorkloadSpec::Loads, partner], opts.budget);
+                let cell = Cell::shared(cfg.clone(), vec![WorkloadSpec::Loads, partner], budget);
                 (format!("ablations/work_conservation/{label}"), cell)
             })
             .into();
     for (label, beta) in [("half_target", half), ("full_target", Share::FULL)] {
-        let target = Cell::target(base, WorkloadSpec::Loads, beta, half, opts.budget);
+        let target = Cell::target(base, WorkloadSpec::Loads, beta, half, budget);
         cells
             .push((format!("ablations/work_conservation/{label}"), target.expect("nonzero share")));
     }
-    let ipc = run_cells(&cells, opts, |cell| cell.run().1.ipc[0]);
-    WorkConservationResult {
-        busy_partner_ipc: ipc[0],
-        idle_partner_ipc: ipc[1],
-        half_target: ipc[2],
-        full_target: ipc[3],
-    }
+    Plan::new(cells, |records| {
+        let ipc = |i: usize| records[i].m.ipc[0];
+        WorkConservationResult {
+            busy_partner_ipc: ipc(0),
+            idle_partner_ipc: ipc(1),
+            half_target: ipc(2),
+            full_target: ipc(3),
+        }
+    })
 }
 
-/// Runs all five ablations in report order and renders them as the
-/// `ablations` binary prints them, one blank line apart.
-pub fn run_all(base: &CmpConfig, opts: RunOptions) -> String {
-    [
-        reorder(base, opts).to_string(),
-        capacity(base, opts).to_string(),
-        preemption(base, opts).to_string(),
-        scaling(base, opts).to_string(),
-        work_conservation(base, opts).to_string(),
-    ]
-    .join("\n")
+/// All five ablations in report order, rendered one blank line apart
+/// (`results/ablations.txt` after its header).
+pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<String> {
+    Plan::join(vec![
+        reorder_plan(base, budget).map(|r| r.to_string()),
+        capacity_plan(base, budget).map(|r| r.to_string()),
+        preemption_plan(base, budget).map(|r| r.to_string()),
+        scaling_plan(base, budget).map(|r| r.to_string()),
+        work_conservation_plan(base, budget).map(|r| r.to_string()),
+    ])
+    .map(|texts| texts.join("\n"))
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{run_cells, Cell, RunBudget, RunOptions};
+use crate::experiments::{Cell, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::{
     harmonic_mean, improvement_pct, mean, minimum, normalized_ipcs, weighted_speedup,
@@ -215,7 +215,14 @@ const CELLS_PER_MIX: usize = 10;
 /// and the FCFS and VPC runs. A benchmark in several mixes has its target
 /// and baseline simulated once.
 pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> Fig10Result {
-    let budget = opts.budget;
+    plan(base, mixes, opts.budget).run(opts)
+}
+
+pub(crate) fn plan(
+    base: &CmpConfig,
+    mixes: &[[&'static str; 4]],
+    budget: RunBudget,
+) -> Plan<Fig10Result> {
     let quarter = Share::new(1, 4).expect("quarter share");
     let unmanaged =
         base.clone().with_arbiter(ArbiterPolicy::RowFcfs).with_capacity(CapacityPolicy::Lru);
@@ -237,25 +244,26 @@ pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> F
         }
     }
 
-    let ipcs = run_cells(&cells, opts, |cell| cell.run().1.ipc);
-    let results = mixes
-        .iter()
-        .zip(ipcs.chunks_exact(CELLS_PER_MIX))
-        .map(|(mix, cell)| {
-            let targets: Vec<f64> = cell[0..4].iter().map(|c| c[0]).collect();
-            let alone: Vec<f64> = cell[4..8].iter().map(|c| c[0]).collect();
-            let fcfs = &cell[8];
-            let vpc = &cell[9];
-            MixResult {
-                mix: *mix,
-                fcfs_norm: normalized_ipcs(fcfs, &targets),
-                vpc_norm: normalized_ipcs(vpc, &targets),
-                fcfs_standalone: normalized_ipcs(fcfs, &alone),
-                vpc_standalone: normalized_ipcs(vpc, &alone),
-            }
-        })
-        .collect();
-    Fig10Result { mixes: results }
+    let mixes = mixes.to_vec();
+    Plan::new(cells, move |records| Fig10Result {
+        mixes: mixes
+            .into_iter()
+            .zip(records.chunks_exact(CELLS_PER_MIX))
+            .map(|(mix, cell)| {
+                let targets: Vec<f64> = cell[0..4].iter().map(|c| c.m.ipc[0]).collect();
+                let alone: Vec<f64> = cell[4..8].iter().map(|c| c.m.ipc[0]).collect();
+                let fcfs = &cell[8].m.ipc;
+                let vpc = &cell[9].m.ipc;
+                MixResult {
+                    mix,
+                    fcfs_norm: normalized_ipcs(fcfs, &targets),
+                    vpc_norm: normalized_ipcs(vpc, &targets),
+                    fcfs_standalone: normalized_ipcs(fcfs, &alone),
+                    vpc_standalone: normalized_ipcs(vpc, &alone),
+                }
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]

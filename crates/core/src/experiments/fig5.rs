@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, run_cells, Cell, RunBudget, RunOptions};
+use crate::experiments::{bar, pct, Cell, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::QosLedger;
 use vpc_arbiters::ArbiterPolicy;
@@ -88,24 +88,32 @@ impl ToJson for Fig5Result {
 
 /// Runs the Figure 5 sweep, one cell per (benchmark, bank count).
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
+    plan(base, opts.budget).run(opts)
+}
+
+pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig5Result> {
     let grid: Vec<(WorkloadSpec, usize)> = [WorkloadSpec::Loads, WorkloadSpec::Stores]
         .into_iter()
         .flat_map(|benchmark| [2usize, 4, 8, 16].map(|banks| (benchmark, banks)))
         .collect();
-    let cells: Vec<(String, Cell)> = grid
+    let cells = grid
         .iter()
         .map(|&(benchmark, banks)| {
-            let cell = Cell::shared(base.clone().with_banks(banks), vec![benchmark], opts.budget);
+            let cell = Cell::shared(base.clone().with_banks(banks), vec![benchmark], budget);
             (format!("fig5/{} {}B", benchmark.name(), banks), cell)
         })
         .collect();
-    let utils = run_cells(&cells, opts, |cell| cell.run().1.util);
-    let rows = grid
-        .iter()
-        .zip(utils)
-        .map(|(&(benchmark, banks), util)| Fig5Row { benchmark: benchmark.name(), banks, util })
-        .collect();
-    Fig5Result { rows }
+    Plan::new(cells, move |records| Fig5Result {
+        rows: grid
+            .iter()
+            .zip(records)
+            .map(|(&(benchmark, banks), r)| Fig5Row {
+                benchmark: benchmark.name(),
+                banks,
+                util: r.m.util,
+            })
+            .collect(),
+    })
 }
 
 /// Accounting window (cycles) of [`contention_ledger`].

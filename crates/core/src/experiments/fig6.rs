@@ -12,7 +12,7 @@ use vpc_cache::L2Utilization;
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::CmpConfig;
-use crate::experiments::{bar, pct, run_solo, RunOptions};
+use crate::experiments::{bar, pct, solo_cells, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::mean;
 
@@ -87,23 +87,29 @@ impl ToJson for Fig6Result {
 /// Runs the full 18-benchmark series, one cell per benchmark alone on
 /// the baseline cache.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig6Result {
-    let rows = SPEC_NAMES
-        .iter()
-        .zip(run_solo(base, "fig6", &SPEC_NAMES, opts))
-        .map(|(&benchmark, m)| Fig6Row { benchmark, util: m.util, ipc: m.ipc[0] })
-        .collect();
-    Fig6Result { rows }
+    plan(base, opts.budget).run(opts)
+}
+
+pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig6Result> {
+    Plan::new(solo_cells(base, "fig6", &SPEC_NAMES, budget), |records| Fig6Result {
+        rows: SPEC_NAMES
+            .iter()
+            .zip(records)
+            .map(|(&benchmark, r)| Fig6Row { benchmark, util: r.m.util, ipc: r.m.ipc[0] })
+            .collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::RunBudget;
+    use crate::config::WorkloadSpec;
+    use crate::experiments::Cell;
 
     /// `benchmark` alone on the baseline cache at the quick budget.
     fn solo(benchmark: &'static str) -> L2Utilization {
-        let opts = RunOptions { budget: RunBudget::quick(), jobs: 1 };
-        run_solo(&CmpConfig::table1(), "fig6", &[benchmark], opts)[0].util
+        let workloads = vec![WorkloadSpec::Spec(benchmark)];
+        Cell::shared(CmpConfig::table1(), workloads, RunBudget::quick()).run().1.util
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::CmpConfig;
-use crate::experiments::{pct, run_solo, RunOptions};
+use crate::experiments::{pct, solo_cells, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::mean;
 
@@ -94,29 +94,37 @@ impl ToJson for Fig7Result {
 /// Runs the full series, one cell per benchmark alone on the baseline
 /// cache.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
-    Fig7Result { rows: rows(base, &SPEC_NAMES, opts) }
+    plan(base, &SPEC_NAMES, opts.budget).run(opts)
 }
 
-fn rows(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Vec<Fig7Row> {
-    benchmarks
-        .iter()
-        .zip(run_solo(base, "fig7", benchmarks, opts))
-        .map(|(&benchmark, m)| Fig7Row {
-            benchmark,
-            l2_write_frac: m.l2_write_frac[0],
-            gathering_rate: m.gathering_rate[0],
-        })
-        .collect()
+pub(crate) fn plan(
+    base: &CmpConfig,
+    benchmarks: &[&'static str],
+    budget: RunBudget,
+) -> Plan<Fig7Result> {
+    let cells = solo_cells(base, "fig7", benchmarks, budget);
+    let benchmarks = benchmarks.to_vec();
+    Plan::new(cells, move |records| Fig7Result {
+        rows: benchmarks
+            .into_iter()
+            .zip(records)
+            .map(|(benchmark, r)| Fig7Row {
+                benchmark,
+                l2_write_frac: r.m.l2_write_frac[0],
+                gathering_rate: r.m.gathering_rate[0],
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::RunBudget;
     use crate::json::to_json;
 
     fn quick_rows(benchmarks: &[&'static str]) -> Vec<Fig7Row> {
-        rows(&CmpConfig::table1(), benchmarks, RunOptions { budget: RunBudget::quick(), jobs: 2 })
+        let opts = RunOptions { budget: RunBudget::quick(), jobs: 2 };
+        plan(&CmpConfig::table1(), benchmarks, opts.budget).run(opts).rows
     }
 
     #[test]

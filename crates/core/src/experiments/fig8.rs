@@ -4,8 +4,9 @@
 //! RoW-FCFS, FCFS, and five VPC configurations (the label "VPC x%" gives
 //! the Stores thread `beta = x`, with the remainder to Loads). The paper's
 //! results: RoW-FCFS lets the load stream *starve* the stores entirely (a
-//! critical design flaw); FCFS splits the data array 67/33 in favor of
-//! stores (writes cost two accesses); and every VPC configuration gives
+//! critical design flaw); FCFS gives Stores twice Loads' IPC, and since
+//! a write costs two data-array accesses, 80% of the data array; and
+//! every VPC configuration gives
 //! each benchmark precisely its allocated bandwidth, meeting its target
 //! IPC.
 
@@ -16,7 +17,7 @@ use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, run_cells, Cell, RunBudget, RunOptions};
+use crate::experiments::{pct, Cell, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 
 /// One x-axis point of Figure 8.
@@ -102,7 +103,10 @@ fn pair_cell(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> Cel
 /// the targets of its nonzero bandwidth shares; the other arbiters
 /// guarantee nothing, so their shares count as zero.
 pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
-    let budget = opts.budget;
+    plan(base, opts.budget).run(opts)
+}
+
+pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig8Result> {
     let alpha = Share::new(1, 2).expect("two threads, equal ways");
     let mut points = vec![
         ("RoW".to_string(), ArbiterPolicy::RowFcfs, [Share::ZERO; 2]),
@@ -134,21 +138,23 @@ pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
         })
         .collect();
 
-    let results = run_cells(&cells, opts, |cell| cell.run().1);
-    let target = |i: Option<usize>| i.map_or(0.0, |i| results[i].ipc[0]);
-    let rows = points
-        .into_iter()
-        .zip(indices)
-        .map(|((label, ..), (shared, [loads, stores]))| Fig8Row {
-            label,
-            loads_ipc: results[shared].ipc[0],
-            stores_ipc: results[shared].ipc[1],
-            loads_target: target(loads),
-            stores_target: target(stores),
-            data_util: results[shared].util.data_array,
-        })
-        .collect();
-    Fig8Result { rows }
+    Plan::new(cells, move |results| {
+        let target = |i: Option<usize>| i.map_or(0.0, |i| results[i].m.ipc[0]);
+        Fig8Result {
+            rows: points
+                .into_iter()
+                .zip(indices)
+                .map(|((label, ..), (shared, [loads, stores]))| Fig8Row {
+                    label,
+                    loads_ipc: results[shared].m.ipc[0],
+                    stores_ipc: results[shared].m.ipc[1],
+                    loads_target: target(loads),
+                    stores_target: target(stores),
+                    data_util: results[shared].m.util.data_array,
+                })
+                .collect(),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, run_cells, Cell, RunBudget, RunOptions};
+use crate::experiments::{pct, Cell, Plan, RunBudget, RunOptions};
 use crate::json::{JsonValue, ToJson};
 
 /// The subject's results for one benchmark.
@@ -165,7 +165,14 @@ const CELLS_PER_ROW: usize = 7;
 /// its targets at `beta_1` = 1, 1/2 and 1/4, and its runs under FCFS and
 /// VPC 25/50/100%.
 pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Fig9Result {
-    let budget = opts.budget;
+    plan(base, benchmarks, opts.budget).run(opts)
+}
+
+pub(crate) fn plan(
+    base: &CmpConfig,
+    benchmarks: &[&'static str],
+    budget: RunBudget,
+) -> Plan<Fig9Result> {
     let quarter = Share::new(1, 4).expect("alpha = 1/4");
     let mut cells = Vec::new();
     for &benchmark in benchmarks {
@@ -192,35 +199,33 @@ pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> F
         }
     }
 
-    // Each cell reports the subject's (IPC, data-array utilization); the
-    // fold reads only the IPC of a target.
-    let results = run_cells(&cells, opts, |cell| {
-        let m = cell.run().1;
-        (m.ipc[0], m.data_util_per_thread[0])
-    });
-    let rows = benchmarks
-        .iter()
-        .zip(results.chunks_exact(CELLS_PER_ROW))
-        .map(|(&benchmark, cell)| {
-            let [t100, t50, t25, fcfs, vpc25, vpc50, vpc100] =
-                <[(f64, f64); CELLS_PER_ROW]>::try_from(cell).expect("7 cells per row");
-            let norm = |ipc: f64| if t100.0 > 0.0 { ipc / t100.0 } else { 0.0 };
-            Fig9Row {
-                benchmark,
-                fcfs_norm: norm(fcfs.0),
-                vpc25_norm: norm(vpc25.0),
-                vpc50_norm: norm(vpc50.0),
-                vpc100_norm: norm(vpc100.0),
-                target25_norm: norm(t25.0),
-                target50_norm: norm(t50.0),
-                fcfs_util: fcfs.1,
-                vpc25_util: vpc25.1,
-                vpc50_util: vpc50.1,
-                vpc100_util: vpc100.1,
-            }
-        })
-        .collect();
-    Fig9Result { rows }
+    // Each row reads the subject's (IPC, data-array utilization) of its
+    // cells, and only the IPC of a target.
+    let benchmarks = benchmarks.to_vec();
+    Plan::new(cells, move |records| Fig9Result {
+        rows: benchmarks
+            .into_iter()
+            .zip(records.chunks_exact(CELLS_PER_ROW))
+            .map(|(benchmark, cell)| {
+                let [t100, t50, t25, fcfs, vpc25, vpc50, vpc100]: [(f64, f64); CELLS_PER_ROW] =
+                    std::array::from_fn(|i| (cell[i].m.ipc[0], cell[i].m.data_util_per_thread[0]));
+                let norm = |ipc: f64| if t100.0 > 0.0 { ipc / t100.0 } else { 0.0 };
+                Fig9Row {
+                    benchmark,
+                    fcfs_norm: norm(fcfs.0),
+                    vpc25_norm: norm(vpc25.0),
+                    vpc50_norm: norm(vpc50.0),
+                    vpc100_norm: norm(vpc100.0),
+                    target25_norm: norm(t25.0),
+                    target50_norm: norm(t50.0),
+                    fcfs_util: fcfs.1,
+                    vpc25_util: vpc25.1,
+                    vpc50_util: vpc50.1,
+                    vpc100_util: vpc100.1,
+                }
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]

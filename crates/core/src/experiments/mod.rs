@@ -4,15 +4,16 @@
 //! ablations DESIGN.md calls out. Every number a figure plots comes from
 //! a [`Cell`]: either a shared-machine run ([`Cell::shared`]) or a §5.3
 //! target, the private machine with `1/beta` latencies and `alpha * ways`
-//! ways ([`Cell::target`]). A runner lists its labelled cells, calls
-//! [`run_cells`] once, and folds the results into its typed result, whose
-//! `Display` prints the same rows or series the paper reports.
-//! [`run_cells`] simulates each distinct cell once, so a figure that lists
-//! the same target under several mixes pays for it once.
+//! ways ([`Cell::target`]). A figure lists its labelled cells and folds
+//! one record per cell into its typed result, whose `Display` prints the
+//! same rows or series the paper reports. Each runner runs its cells as
+//! one [`run_cells`] batch, which simulates each distinct cell once;
+//! [`reproduce`] runs every figure's cells as one batch and renders the
+//! checked-in `results/` files.
 //!
 //! Each runner takes a [`RunOptions`]: its [`RunBudget`] sizes the cells'
-//! windows (tests use short ones, the figure binaries full-length ones),
-//! and its worker count sizes the batch's thread pool.
+//! windows (tests use short ones, `reproduce` the standard ones), and its
+//! worker count sizes the batch's thread pool.
 //!
 //! | Runner | Paper content |
 //! |---|---|
@@ -24,9 +25,10 @@
 //! | [`fig9::run`] | Figure 9: SPEC subject vs. 3 Stores, differentiated service |
 //! | [`fig10::run`] | §1/§5 headline: heterogeneous mixes, FCFS vs. VPC |
 //! | [`ablations`] | reordering, capacity, preemption latency, work conservation |
+//! | [`reproduce`] | every figure and Table 1 as one batch, rendered as files |
 
 use vpc_sim::exec::{self, Job};
-use vpc_sim::{trace, Share, ThreadId};
+use vpc_sim::{trace, Histogram, Share, ThreadId};
 
 use crate::config::{CmpConfig, WorkloadSpec};
 use crate::metrics::QosLedger;
@@ -40,6 +42,9 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod reproduce;
+
+pub use reproduce::{reproduce, FIGURES};
 
 /// Simulation window sizes shared by all experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +56,7 @@ pub struct RunBudget {
 }
 
 impl RunBudget {
-    /// Full-length runs for the figure binaries.
+    /// Full-length runs: the published `results/` files.
     pub const fn standard() -> RunBudget {
         RunBudget { warmup: 60_000, window: 240_000 }
     }
@@ -59,12 +64,6 @@ impl RunBudget {
     /// Short runs for tests.
     pub const fn quick() -> RunBudget {
         RunBudget { warmup: 10_000, window: 40_000 }
-    }
-}
-
-impl Default for RunBudget {
-    fn default() -> Self {
-        RunBudget::standard()
     }
 }
 
@@ -198,22 +197,81 @@ pub fn run_cells<T: Clone + Send>(
     slots.into_iter().map(|i| results[i].clone()).collect()
 }
 
-/// Runs each benchmark alone on `base`, one cell labelled
-/// `{figure}/{benchmark}` each, and returns their measurements in order.
-pub(crate) fn run_solo(
+/// What a batch keeps of one simulated cell: its window's [`Measurement`]
+/// and thread 0's L2 read-latency histogram (the preemption ablation's
+/// columns). Every figure folds these.
+#[derive(Debug, Clone)]
+pub(crate) struct Record {
+    pub m: Measurement,
+    pub read_latency: Histogram,
+}
+
+/// Turns the records of a plan's cells, in listing order, into a result.
+type Fold<R> = Box<dyn FnOnce(&[Record]) -> R>;
+
+/// A figure's labelled cells and the fold that turns their records into
+/// its result.
+pub(crate) struct Plan<R> {
+    cells: Vec<(String, Cell)>,
+    fold: Fold<R>,
+}
+
+impl<R: 'static> Plan<R> {
+    /// The plan of `cells`, folded by `fold`.
+    pub fn new(cells: Vec<(String, Cell)>, fold: impl FnOnce(&[Record]) -> R + 'static) -> Self {
+        Plan { cells, fold: Box::new(fold) }
+    }
+
+    /// The same cells, with `f` applied to the folded result.
+    pub fn map<S: 'static>(self, f: impl FnOnce(R) -> S + 'static) -> Plan<S> {
+        let fold = self.fold;
+        Plan::new(self.cells, move |records| f(fold(records)))
+    }
+
+    /// Runs the cells as one [`run_cells`] batch and folds their records.
+    pub fn run(self, opts: RunOptions) -> R {
+        let records = run_cells(&self.cells, opts, |cell| {
+            let (sys, m) = cell.run();
+            Record { m, read_latency: sys.l2().read_latency(ThreadId(0)) }
+        });
+        (self.fold)(&records)
+    }
+
+    /// One plan listing every plan's cells in order, whose fold hands each
+    /// plan its own records.
+    pub fn join(plans: Vec<Plan<R>>) -> Plan<Vec<R>> {
+        let mut cells = Vec::new();
+        let mut folds = Vec::new();
+        for plan in plans {
+            folds.push((plan.cells.len(), plan.fold));
+            cells.extend(plan.cells);
+        }
+        Plan::new(cells, move |mut records| {
+            let mut results = Vec::new();
+            for (n, fold) in folds {
+                let (mine, rest) = records.split_at(n);
+                results.push(fold(mine));
+                records = rest;
+            }
+            results
+        })
+    }
+}
+
+/// One cell per benchmark, alone on `base`, labelled `{figure}/{benchmark}`.
+pub(crate) fn solo_cells(
     base: &CmpConfig,
     figure: &str,
     benchmarks: &[&'static str],
-    opts: RunOptions,
-) -> Vec<Measurement> {
-    let cells: Vec<(String, Cell)> = benchmarks
+    budget: RunBudget,
+) -> Vec<(String, Cell)> {
+    benchmarks
         .iter()
         .map(|&b| {
-            let cell = Cell::shared(base.clone(), vec![WorkloadSpec::Spec(b)], opts.budget);
+            let cell = Cell::shared(base.clone(), vec![WorkloadSpec::Spec(b)], budget);
             (format!("{figure}/{b}"), cell)
         })
-        .collect();
-    run_cells(&cells, opts, |cell| cell.run().1)
+        .collect()
 }
 
 /// Formats a fraction as a percent with one decimal (figure axes).

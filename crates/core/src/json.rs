@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON document model and pretty printer.
 //!
-//! The workspace is hermetic (std only), so the `--json` output of the
-//! `vpc-bench` binaries is produced by this hand-rolled emitter instead of
+//! The workspace is hermetic (std only), so the `results/*.json` files
+//! `reproduce` writes are produced by this hand-rolled emitter instead of
 //! an external serialization crate. The printer reproduces the layout the
 //! checked-in `results/*.json` files were generated with: two-space
 //! indent, `"key": value` spacing, shortest-roundtrip floats with a
@@ -9,7 +9,7 @@
 //!
 //! Build documents with the [`JsonValue`] constructors, or implement
 //! [`ToJson`] for a result type and call [`to_json`]. Every figure result
-//! implements [`ToJson`] itself, so a figure's `--json` output has no
+//! implements [`ToJson`] itself, so a figure's JSON file has no
 //! second representation to keep in step.
 
 use std::fmt::Write as _;
@@ -424,7 +424,7 @@ impl<'a> Parser<'a> {
 ///
 /// Implemented by every figure result (`FigNResult` in
 /// [`crate::experiments`]) next to its `Display`; [`to_json`] renders it as
-/// the figure binary's `--json` output.
+/// the figure's `results/*.json` file.
 pub trait ToJson {
     /// Converts `self` into a [`JsonValue`] tree.
     fn to_json_value(&self) -> JsonValue;

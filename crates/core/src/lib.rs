@@ -25,7 +25,8 @@
 //!   ablations). Each lists its [`experiments::Cell`]s (shared-machine
 //!   runs and §5.3 targets), runs them with [`experiments::run_cells`],
 //!   which simulates each distinct cell once, and folds the results into
-//!   a typed, printable result.
+//!   a typed, printable result; [`experiments::reproduce`] runs every
+//!   figure as one batch and renders the `results/` files.
 //!
 //! # Quickstart
 //!

@@ -92,7 +92,7 @@ fn job_traces_record_the_measured_window() {
 }
 
 /// Environment variable that switches the golden test into updater mode
-/// (same flow as `tests/golden_quick.rs`).
+/// (as in `tests/eviction_golden.rs`).
 const UPDATE_ENV: &str = "VPC_UPDATE_GOLDENS";
 
 #[test]
