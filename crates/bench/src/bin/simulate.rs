@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use vpc::experiments::{fig5, run_cells, RunOptions};
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
+use vpc::trace::JobTrace;
 use vpc_sim::trace;
 use vpc_workloads::SPEC_NAMES;
 
@@ -165,18 +166,26 @@ fn run(args: Args, cfg: CmpConfig) {
             })
         })
         .collect();
-    trace::set_capture(args.trace.as_ref().map(|_| trace::DEFAULT_CAPACITY));
     let entitlements: Vec<(Share, Share)> = args.shares.iter().map(|&s| (s, s)).collect();
     let opts = RunOptions { budget, jobs: vpc_bench::default_jobs() };
-    let results = run_cells(&cells, opts, |cell| {
+    let mut results = run_cells(&cells, opts, |cell| {
+        if args.trace.is_some() {
+            trace::install(trace::DEFAULT_CAPACITY);
+        }
         let mut ledger = (args.metrics && *cell == shared)
             .then(|| QosLedger::new(entitlements.clone(), fig5::QOS_WINDOW, fig5::QOS_SLACK));
         let (sys, m) = cell.run_with_ledger(ledger.as_mut());
         let latency: Vec<_> =
             (0..cell.workloads.len()).map(|t| sys.l2().read_latency(ThreadId(t as u8))).collect();
-        (m, latency, ledger)
+        (m, latency, ledger, trace::take())
     });
-    let (m, latency, ledger) = &results[0];
+    // One trace per distinct cell, under its first label: a repeated
+    // cell's result is a copy of the first one's.
+    let traces: Vec<JobTrace> = (0..cells.len())
+        .filter(|&i| cells[..i].iter().all(|(_, earlier)| *earlier != cells[i].1))
+        .filter_map(|i| Some((cells[i].0.clone(), results[i].3.take()?)))
+        .collect();
+    let (m, latency, ledger, _) = &results[0];
 
     vpc_bench::outln!(
         "== simulate: {} threads, {} banks, arbiter {} ==",
@@ -219,7 +228,7 @@ fn run(args: Args, cfg: CmpConfig) {
     );
 
     if let Some(path) = &args.trace {
-        vpc_bench::write_job_traces(path, &trace::take_job_logs());
+        vpc_bench::write_job_traces(path, &traces);
     }
     if let Some(ledger) = ledger {
         eprint!("{ledger}");

@@ -1,10 +1,10 @@
 //! Shared helpers for the `reproduce` and `simulate` binaries.
 //!
 //! `reproduce` parses its command line with [`Cli::from_env`], the only
-//! place that reads `--quick`, `--jobs`, `--trace` and `--metrics`, and
-//! writes every table and figure of the paper into `results/`.
-//! `simulate` reads its own flags through the same grammar
-//! ([`parse_flags`]), and both binaries' `--trace` goes through
+//! place that reads `--quick` and `--jobs`, and writes every table and
+//! figure of the paper into `results/`. `simulate` reads its own flags
+//! through the same grammar ([`parse_flags`]); it alone traces and keeps
+//! QoS ledgers, and its `--trace` goes through [`check_trace_dir`] and
 //! [`write_job_traces`]. Reproduction notes for each experiment live in
 //! `EXPERIMENTS.md` at the repository root.
 
@@ -23,7 +23,7 @@ use vpc_sim::trace::TraceLog;
 
 /// The usage text of [`Cli::parse`], after the program name.
 const USAGE: &str = "\
-[--quick] [--jobs N] [--trace PATH] [--metrics]
+[--quick] [--jobs N]
 
 Writes every table and figure into results/ (results/quick/ under
 --quick), both relative to the working directory.
@@ -31,9 +31,6 @@ Writes every table and figure into results/ (results/quick/ under
   --quick         short simulation windows: the goldens of results/quick/
   --jobs N        worker threads for the job batch (default: the host's
                   available parallelism)
-  --trace PATH    write Chrome trace_event JSON of every job's measured
-                  window next to PATH
-  --metrics       QoS ledgers of the fig5 contention scenario on stderr
 
 An unknown flag or a malformed value prints this text and exits with
 code 2.";
@@ -43,10 +40,6 @@ code 2.";
 pub struct Cli {
     /// Simulation windows (`--quick`) and worker count (`--jobs`).
     pub opts: RunOptions,
-    /// `--trace PATH`: capture per-job traces and write them next to PATH.
-    pub trace: Option<PathBuf>,
-    /// `--metrics`: print QoS ledger summaries on stderr.
-    pub metrics: bool,
 }
 
 impl Cli {
@@ -56,33 +49,24 @@ impl Cli {
     where
         I: IntoIterator<Item = String>,
     {
-        let (mut quick, mut jobs, mut trace, mut metrics) = (false, None, None, false);
+        let (mut quick, mut jobs) = (false, None);
         parse_flags(args, |flag, value| {
             match flag {
                 "--jobs" => jobs = Some(positive("--jobs", &value()?)?),
-                "--trace" => trace = Some(PathBuf::from(value()?)),
                 "--quick" => quick = true,
-                "--metrics" => metrics = true,
                 _ => return Ok(false),
             }
             Ok(true)
         })?;
         let budget = if quick { RunBudget::quick() } else { RunBudget::standard() };
         let jobs = jobs.unwrap_or_else(default_jobs);
-        Ok(Cli { opts: RunOptions { budget, jobs }, trace, metrics })
+        Ok(Cli { opts: RunOptions { budget, jobs } })
     }
 
     /// Parses the process's arguments as [`Cli::parse`] does; on an error
-    /// prints it with the usage text on stderr and exits with code 2. A
-    /// `--trace` path into a missing directory is such an error, so a run
-    /// never ends in a trace it cannot write.
+    /// prints it with the usage text on stderr and exits with code 2.
     pub fn from_env() -> Cli {
-        Cli::parse(std::env::args().skip(1))
-            .and_then(|cli| match &cli.trace {
-                Some(path) => check_trace_dir(path).map(|()| cli),
-                None => Ok(cli),
-            })
-            .unwrap_or_else(|err| usage_error(&err, USAGE))
+        Cli::parse(std::env::args().skip(1)).unwrap_or_else(|err| usage_error(&err, USAGE))
     }
 }
 
@@ -244,7 +228,7 @@ fn write_or_exit(path: &Path, doc: &JsonValue) {
 
 /// Writes the merged Chrome trace of `jobs` to `base` (one process lane
 /// per job) and one file per job next to it, and reports what was written
-/// to **stderr**. The trace writer of every binary's `--trace`.
+/// to **stderr**. The trace writer of `simulate --trace`.
 pub fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
     if jobs.is_empty() {
         eprintln!("-- no trace events captured; nothing written to {} --", base.display());
@@ -274,7 +258,7 @@ mod tests {
     }
 
     fn cli(budget: RunBudget, jobs: usize) -> Cli {
-        Cli { opts: RunOptions { budget, jobs }, trace: None, metrics: false }
+        Cli { opts: RunOptions { budget, jobs } }
     }
 
     #[test]
@@ -282,16 +266,11 @@ mod tests {
         let quick = RunBudget::quick();
         let standard = RunBudget::standard();
         let host = default_jobs();
-        let traced =
-            |budget, jobs, path: &str| Cli { trace: Some(path.into()), ..cli(budget, jobs) };
         let cases: &[(Args, Cli)] = &[
             (&["--jobs=3"], cli(standard, 3)),
             (&["--quick", "--jobs", "5"], cli(quick, 5)),
             (&["--quick"], cli(quick, host)),
             (&[], cli(standard, host)),
-            (&["--trace", "out.json"], traced(standard, host, "out.json")),
-            (&["--trace=t.json", "--quick"], traced(quick, host, "t.json")),
-            (&["--metrics"], Cli { metrics: true, ..cli(standard, host) }),
         ];
         for (args, want) in cases {
             assert_eq!(parse(args).as_ref(), Ok(want), "args {args:?}");
@@ -332,10 +311,11 @@ mod tests {
             (&["--jobs=x"], "--jobs needs a positive integer"),
             (&["--jobs"], "--jobs needs a value"),
             (&["--jobs", "--quick"], "--jobs needs a value"),
-            (&["--trace"], "--trace needs a value"),
-            (&["--trace="], "--trace needs a value"),
             (&["--quick=1"], "unknown flag \"--quick=1\""),
             (&["--json"], "unknown flag \"--json\""),
+            (&["--trace", "out.json"], "unknown flag \"--trace\""),
+            (&["--trace=t.json"], "unknown flag \"--trace=t.json\""),
+            (&["--metrics"], "unknown flag \"--metrics\""),
         ];
         for (args, want) in cases {
             let err = parse(args).expect_err(&format!("{args:?} parsed"));

@@ -1,10 +1,16 @@
 //! Command-line contract of the binaries: an unknown flag or a malformed
 //! value exits with code 2 before anything runs, with the usage text on
-//! stderr; both binaries read `--flag value` and `--flag=value` alike;
-//! `reproduce` without its output directory exits with code 1 before any
-//! cell runs; and a reader that closes stdout early ends a run quietly.
+//! stderr; `reproduce` reads only `--quick` and `--jobs`, so `--trace` and
+//! `--metrics` are unknown to it; both binaries read `--flag value` and
+//! `--flag=value` alike; `reproduce` without its output directory exits
+//! with code 1 before any cell runs; a reader that closes stdout early
+//! ends a run quietly; and docs/TRACING.md's `simulate --trace` recipe
+//! records the events of the fig5 trace golden.
 
+use std::path::Path;
 use std::process::{Command, Stdio};
+
+use vpc::json::JsonValue;
 
 /// `(binary, arguments)`.
 const CASES: &[(&str, &[&str])] = &[
@@ -17,6 +23,8 @@ const CASES: &[(&str, &[&str])] = &[
     (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--trace", "/nonexistent/dir/t.json"]),
     (env!("CARGO_BIN_EXE_reproduce"), &["--no-skip"]),
     (env!("CARGO_BIN_EXE_reproduce"), &["--quick", "--json"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--metrics"]),
+    (env!("CARGO_BIN_EXE_reproduce"), &["--trace", "t.json"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--bogus"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--jobs", "0"]),
     (env!("CARGO_BIN_EXE_simulate"), &["--cycles", "0"]),
@@ -122,4 +130,43 @@ fn closed_stdout_exits_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{bin} {args:?}: {:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+/// The non-metadata events of the Chrome trace at `path`, in file order.
+fn trace_events(path: &Path) -> Vec<JsonValue> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("parse {path:?}: {e:?}"));
+    let JsonValue::Object(fields) = doc else { panic!("{path:?} is not a JSON object") };
+    let Some((_, JsonValue::Array(events))) = fields.into_iter().find(|(k, _)| k == "traceEvents")
+    else {
+        panic!("{path:?} has no traceEvents array")
+    };
+    let metadata = ("ph".to_string(), JsonValue::from("M"));
+    let is_metadata = |e: &JsonValue| matches!(e, JsonValue::Object(f) if f.contains(&metadata));
+    events.into_iter().filter(|e| !is_metadata(e)).collect()
+}
+
+/// docs/TRACING.md's VPC command traces the fig5 contention run at the
+/// quick budget's windows: the shared machine's file begins with the 512
+/// events of the golden `results/quick/trace_fig5.json`.
+#[test]
+fn simulate_trace_recipe_starts_with_the_fig5_golden() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-recipe");
+    std::fs::create_dir_all(&dir).expect("create the trace directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--workloads", "Loads,Stores,Stores,Stores", "--arbiter", "vpc"])
+        .args(["--warmup", "10000", "--cycles", "40000", "--trace"])
+        .arg(dir.join("vpc.json"))
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick/trace_fig5.json");
+    let golden = trace_events(&golden);
+    let traced = trace_events(&dir.join("vpc.simulate.json"));
+    std::fs::remove_dir_all(&dir).expect("remove the traces");
+    assert_eq!(golden.len(), 512, "the golden holds a 512-event ring");
+    assert!(traced.len() > golden.len(), "the recipe recorded {} events", traced.len());
+    if let Some(i) = (0..golden.len()).find(|&i| traced[i] != golden[i]) {
+        panic!("event {i} differs: traced {:?}, golden {:?}", traced[i], golden[i]);
+    }
 }

@@ -128,8 +128,8 @@ impl Cell {
     /// [`CmpSystem::measure`]). A trailing partial window is not recorded.
     ///
     /// This is where every simulation's warm-up ends. A trace recorder
-    /// armed on the calling thread (the exec pool's per-job capture, or
-    /// [`trace::install`]) is set aside for the warm-up and re-armed, empty
+    /// armed on the calling thread with [`trace::install`] (in a batch
+    /// job's closure, say) is set aside for the warm-up and re-armed, empty
     /// and at its capacity, when the measured window starts, so a trace is
     /// a prefix of the measured window.
     ///

@@ -27,7 +27,7 @@ use vpc_sim::trace::{EventData, TraceLog};
 
 use crate::json::JsonValue;
 
-/// A `(label, log)` pair as produced by [`vpc_sim::trace::take_job_logs`].
+/// One job's trace under its label: a `(label, log)` pair.
 pub type JobTrace = (String, TraceLog);
 
 fn opt_u64(v: Option<u64>) -> JsonValue {

@@ -42,8 +42,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::trace::{self, TraceLog};
-
 /// A labeled unit of independent work.
 pub struct Job<'a, T> {
     label: String,
@@ -85,26 +83,15 @@ pub fn take_timings() -> Vec<JobTiming> {
 }
 
 /// What one finished job leaves behind: its label, its result (or the
-/// caught panic payload), its wall-clock cost, and — when per-job trace
-/// capture is on — the events it recorded.
-type Outcome<T> = (String, std::thread::Result<T>, Duration, Option<TraceLog>);
+/// caught panic payload) and its wall-clock cost.
+type Outcome<T> = (String, std::thread::Result<T>, Duration);
 
 /// Runs one job, catching panics so a worker thread never unwinds.
-///
-/// With a `capture` capacity the job runs with a fresh thread-local
-/// recorder (each job runs entirely on one thread, so its events cannot
-/// interleave with another job's) and the resulting log travels back with
-/// the outcome.
-fn run_one<T>(job: Job<'_, T>, capture: Option<usize>) -> Outcome<T> {
+fn run_one<T>(job: Job<'_, T>) -> Outcome<T> {
     let Job { label, run } = job;
-    if let Some(capacity) = capture {
-        trace::install(capacity);
-    }
     let start = Instant::now();
     let result = panic::catch_unwind(AssertUnwindSafe(run));
-    let elapsed = start.elapsed();
-    let log = if capture.is_some() { trace::take() } else { None };
-    (label, result, elapsed, log)
+    (label, result, start.elapsed())
 }
 
 /// Renders a caught panic payload for the re-thrown message.
@@ -125,11 +112,8 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// everything runs on the calling thread — the parallel and serial paths
 /// are otherwise identical, which is what makes `--jobs N` output
 /// byte-identical to `--jobs 1`. Per-job timings are recorded for
-/// [`take_timings`] in input order regardless of completion order.
-///
-/// The calling thread's [`trace::set_capture`] request is read once, when
-/// the batch starts; the timings and any captured job logs land in the
-/// calling thread's sinks after the join.
+/// [`take_timings`] in input order regardless of completion order; they
+/// land in the calling thread's sink after the join.
 ///
 /// # Panics
 ///
@@ -139,10 +123,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> &str {
 pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T> {
     let n = jobs.len();
     let workers = parallelism.clamp(1, n.max(1));
-    let capture = trace::capture_capacity();
 
     let mut outcomes: Vec<Option<Outcome<T>>> = if workers <= 1 || n <= 1 {
-        jobs.into_iter().map(|job| Some(run_one(job, capture))).collect()
+        jobs.into_iter().map(|job| Some(run_one(job))).collect()
     } else {
         let slots: Vec<Mutex<Option<Job<'_, T>>>> =
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -160,7 +143,7 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
                         .expect("job slot poisoned")
                         .take()
                         .expect("job claimed twice");
-                    *results[i].lock().expect("result slot poisoned") = Some(run_one(job, capture));
+                    *results[i].lock().expect("result slot poisoned") = Some(run_one(job));
                 });
             }
         });
@@ -168,15 +151,11 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
     };
 
     let mut timings = Vec::with_capacity(n);
-    let mut job_logs = Vec::new();
     let mut out = Vec::with_capacity(n);
     let mut failure: Option<(String, String)> = None;
     for outcome in outcomes.iter_mut() {
-        let (label, result, elapsed, log) = outcome.take().expect("job never ran");
+        let (label, result, elapsed) = outcome.take().expect("job never ran");
         timings.push(JobTiming { label: label.clone(), elapsed });
-        if let Some(log) = log {
-            job_logs.push((label.clone(), log));
-        }
         match result {
             Ok(value) => out.push(value),
             Err(payload) => {
@@ -187,7 +166,6 @@ pub fn map_indexed<T: Send>(jobs: Vec<Job<'_, T>>, parallelism: usize) -> Vec<T>
         }
     }
     TIMINGS.with(|t| t.borrow_mut().extend(timings));
-    trace::push_job_logs(job_logs);
     if let Some((label, message)) = failure {
         panic!("job '{label}' panicked: {message}");
     }
@@ -250,43 +228,27 @@ mod tests {
         );
     }
 
-    /// Runs a six-job batch at parallelism 3 on the calling thread, with
-    /// per-job capture requested or not, and returns the labels of the
-    /// caller's timings and job logs plus whether each job was recorded.
-    /// `both` lines the batch up with another thread's: both capture
-    /// requests are in place before either batch starts, and both batches
-    /// have finished before either thread drains its sinks.
-    fn sink_batch(
-        prefix: &str,
-        capture: bool,
-        both: &Barrier,
-    ) -> (Vec<String>, Vec<String>, Vec<bool>) {
-        if capture {
-            trace::set_capture(Some(16));
-        }
+    /// Runs a six-job batch at parallelism 3 on the calling thread and
+    /// returns the labels of the caller's timings. `both` lines the batch
+    /// up with another thread's: both batches have finished before either
+    /// thread drains its sink.
+    fn sink_batch(prefix: &str, both: &Barrier) -> Vec<String> {
+        let jobs = (0..6).map(|i| Job::new(format!("{prefix}/{i}"), move || i)).collect();
+        map_indexed(jobs, 3);
         both.wait();
-        let jobs = (0..6).map(|i| Job::new(format!("{prefix}/{i}"), trace::is_enabled)).collect();
-        let recorded = map_indexed(jobs, 3);
-        both.wait();
-        let timings = take_timings().into_iter().map(|t| t.label).collect();
-        let logs = trace::take_job_logs().into_iter().map(|(label, _)| label).collect();
-        (timings, logs, recorded)
+        take_timings().into_iter().map(|t| t.label).collect()
     }
 
     #[test]
     fn concurrent_callers_keep_their_own_sinks() {
         let both = Barrier::new(2);
         let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| sink_batch("a", true, &both));
-            let b = s.spawn(|| sink_batch("b", false, &both));
+            let a = s.spawn(|| sink_batch("a", &both));
+            let b = s.spawn(|| sink_batch("b", &both));
             (a.join().expect("thread a panicked"), b.join().expect("thread b panicked"))
         });
         let labels = |p: &str| (0..6).map(|i| format!("{p}/{i}")).collect::<Vec<_>>();
-        assert_eq!(a.0, labels("a"), "thread a's timings");
-        assert_eq!(b.0, labels("b"), "thread b's timings");
-        assert_eq!(a.1, labels("a"), "thread a's job logs");
-        assert!(b.1.is_empty(), "thread b got job logs it never asked for: {:?}", b.1);
-        assert_eq!(a.2, vec![true; 6], "thread a's jobs ran without a recorder");
-        assert_eq!(b.2, vec![false; 6], "thread b's jobs ran with a recorder");
+        assert_eq!(a, labels("a"), "thread a's timings");
+        assert_eq!(b, labels("b"), "thread b's timings");
     }
 }

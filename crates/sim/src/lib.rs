@@ -23,8 +23,8 @@
 //!   keeping output byte-identical to a serial run.
 //! * [`trace`] — a bounded, thread-local cycle-level event recorder
 //!   (arbiter grants/defers with virtual times, bank hits/misses/evicts,
-//!   SGB gathers/drains, DRAM issues) that never perturbs simulated state
-//!   and composes with per-job capture in [`exec`].
+//!   SGB gathers/drains, DRAM issues) that never perturbs simulated state;
+//!   an [`exec`] job that arms it returns its log like any other result.
 //!
 //! # Examples
 //!

@@ -15,12 +15,10 @@
 //!   with tracing on or off.
 //! * **Recording is thread-local.** [`install`] arms the current thread,
 //!   [`take`] disarms it and returns the log. Each [`crate::exec`] job
-//!   runs entirely on one worker thread, so per-job capture (see
-//!   [`set_capture`]) composes with the thread pool: job traces are
-//!   collected in input order regardless of worker count. The capture
-//!   request and the job-log sink belong to the thread that calls
-//!   [`crate::exec::map_indexed`], so concurrent callers never see each
-//!   other's logs.
+//!   runs entirely on one worker thread, so a job that calls [`install`],
+//!   runs its simulation and returns [`take`]'s log with its result
+//!   records exactly its own events: the batch hands the logs back in
+//!   input order regardless of worker count.
 //! * **The log is bounded.** A [`TraceLog`] created with capacity `c`
 //!   retains the *first* `c` events and counts every later event in
 //!   [`TraceLog::dropped`]; retained events are never reordered or
@@ -54,12 +52,12 @@
 //! assert_eq!(log.dropped(), 0);
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::types::{AccessKind, Cycle, LineAddr, ThreadId};
 
-/// Default ring capacity used by the binaries' `--trace` flag.
+/// Default ring capacity of `simulate --trace`.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Which arbitrated (or otherwise shared) resource an event refers to.
@@ -310,15 +308,6 @@ impl TraceLog {
 thread_local! {
     /// The current thread's recorder, if armed.
     static RECORDER: RefCell<Option<TraceLog>> = const { RefCell::new(None) };
-
-    /// This thread's per-job capture request for the batches it runs
-    /// through [`crate::exec::map_indexed`].
-    static CAPTURE_CAPACITY: Cell<Option<usize>> = const { Cell::new(None) };
-
-    /// Per-job logs of the batches this thread ran, filled by
-    /// [`crate::exec::map_indexed`] in input order and drained by
-    /// [`take_job_logs`].
-    static JOB_LOGS: RefCell<Vec<(String, TraceLog)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Arms the current thread with a fresh recorder of the given capacity,
@@ -348,32 +337,6 @@ pub fn emit<F: FnOnce() -> TraceEvent>(f: F) {
             log.push(f());
         }
     });
-}
-
-/// Requests (or cancels, with `None`) per-job trace capture for the
-/// batches the current thread runs through the [`crate::exec`] pool: each
-/// job of a later batch runs with a recorder of the given capacity, and
-/// its log lands in this thread's [`take_job_logs`] sink under the job's
-/// label. The binaries call this when `--trace` is passed.
-pub fn set_capture(capacity: Option<usize>) {
-    CAPTURE_CAPACITY.with(|c| c.set(capacity.filter(|&n| n > 0)));
-}
-
-/// The current thread's per-job capture capacity, if capture is on.
-pub fn capture_capacity() -> Option<usize> {
-    CAPTURE_CAPACITY.with(Cell::get)
-}
-
-/// Drains and returns every per-job log captured by batches the current
-/// thread ran since its last call, in job-batch input order.
-pub fn take_job_logs() -> Vec<(String, TraceLog)> {
-    JOB_LOGS.with(|logs| std::mem::take(&mut *logs.borrow_mut()))
-}
-
-/// Appends a batch of per-job logs to the current thread's sink (called
-/// by [`crate::exec::map_indexed`] on its caller after joining a batch).
-pub(crate) fn push_job_logs(logs: Vec<(String, TraceLog)>) {
-    JOB_LOGS.with(|sink| sink.borrow_mut().extend(logs));
 }
 
 #[cfg(test)]
@@ -427,14 +390,5 @@ mod tests {
         assert_eq!(ResourceId::data_bus(1).to_string(), "bank1.bus");
         let channel = ResourceId { kind: ResourceKind::DramChannel, unit: 2 };
         assert_eq!(channel.to_string(), "chan2.dram");
-    }
-
-    #[test]
-    fn capture_request_roundtrips() {
-        assert_eq!(capture_capacity(), None);
-        set_capture(Some(128));
-        assert_eq!(capture_capacity(), Some(128));
-        set_capture(None);
-        assert_eq!(capture_capacity(), None);
     }
 }

@@ -37,8 +37,8 @@ fn ring_overflow_keeps_prefix_and_counts_drops() {
     });
 }
 
-/// Runs a small contention grid as one `run_cells` batch with per-job
-/// capture of `capacity` events armed on this thread and returns the
+/// Runs a small contention grid as one `run_cells` batch, each job arming
+/// a recorder of `capacity` events and returning its log, and returns the
 /// labeled logs. The warm-up emits far more than 512 events.
 fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLog)> {
     let cells: Vec<(String, Cell)> = [2usize, 4]
@@ -50,12 +50,12 @@ fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLo
             (format!("grid/{banks}B"), cell)
         })
         .collect();
-    trace::set_capture(Some(capacity));
-    run_cells(&cells, RunOptions { budget: GRID_BUDGET, jobs: workers }, |cell| {
+    let logs = run_cells(&cells, RunOptions { budget: GRID_BUDGET, jobs: workers }, |cell| {
+        trace::install(capacity);
         cell.run();
+        trace::take().expect("the cell re-arms the recorder after its warm-up")
     });
-    trace::set_capture(None);
-    trace::take_job_logs()
+    cells.into_iter().map(|(label, _)| label).zip(logs).collect()
 }
 
 /// Windows of [`captured_grid`]'s cells.
