@@ -13,15 +13,14 @@ use vpc::experiments::{reproduce, RunBudget, FIGURES};
 
 fn main() {
     let cli = vpc_bench::Cli::from_env();
-    let dir =
-        Path::new(if cli.opts.budget == RunBudget::quick() { "results/quick" } else { "results" });
+    let dir = Path::new(if cli.budget == RunBudget::quick() { "results/quick" } else { "results" });
     if !dir.is_dir() {
         eprintln!("error: output directory {} does not exist", dir.display());
         exit(1);
     }
     let start = Instant::now();
-    let files = reproduce(&FIGURES, cli.opts);
-    vpc_bench::report_timings("reproduce", cli.opts.jobs, start.elapsed());
+    let files = reproduce(&FIGURES, cli.budget, cli.jobs);
+    vpc_bench::report_timings("reproduce", cli.jobs, start.elapsed());
     for (name, contents) in &files {
         let path = dir.join(name);
         if let Err(err) = std::fs::write(&path, contents) {

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use vpc::experiments::{fig5, run_cells, RunOptions};
+use vpc::experiments::{fig5, run_cells};
 use vpc::metrics::QosLedger;
 use vpc::prelude::*;
 use vpc::trace::JobTrace;
@@ -28,9 +28,9 @@ const USAGE: &str = "\
                 [--shares p/q,...] [--banks N] [--warmup N] [--cycles N]
                 [--lru-capacity] [--trace out.json] [--metrics]
 
---trace writes a Chrome trace_event JSON of every cell's measured window
-(the shared machine, then each distinct target; open in chrome://tracing
-or Perfetto): merged in out.json, one file per cell next to it. --metrics
+--trace writes one Chrome trace_event JSON of every cell's measured window
+to out.json, a process lane per distinct cell (the shared machine, then
+each distinct target; open in chrome://tracing or Perfetto). --metrics
 prints the per-thread QoS ledger and L2 latency percentiles to stderr.
 Neither flag changes stdout. Argument errors exit with code 2.";
 
@@ -167,8 +167,7 @@ fn run(args: Args, cfg: CmpConfig) {
         })
         .collect();
     let entitlements: Vec<(Share, Share)> = args.shares.iter().map(|&s| (s, s)).collect();
-    let opts = RunOptions { budget, jobs: vpc_bench::default_jobs() };
-    let mut results = run_cells(&cells, opts, |cell| {
+    let mut results = run_cells(&cells, vpc_bench::default_jobs(), |cell| {
         if args.trace.is_some() {
             trace::install(trace::DEFAULT_CAPACITY);
         }

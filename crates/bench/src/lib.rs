@@ -13,11 +13,10 @@
 
 use std::fmt;
 use std::io::{ErrorKind, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use vpc::experiments::{RunBudget, RunOptions};
-use vpc::json::JsonValue;
+use vpc::experiments::RunBudget;
 use vpc_sim::exec;
 use vpc_sim::trace::TraceLog;
 
@@ -38,8 +37,10 @@ code 2.";
 /// The parsed command line of `reproduce`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
-    /// Simulation windows (`--quick`) and worker count (`--jobs`).
-    pub opts: RunOptions,
+    /// Simulation windows of every cell (`--quick`).
+    pub budget: RunBudget,
+    /// Worker threads for the batch (`--jobs`).
+    pub jobs: usize,
 }
 
 impl Cli {
@@ -59,8 +60,7 @@ impl Cli {
             Ok(true)
         })?;
         let budget = if quick { RunBudget::quick() } else { RunBudget::standard() };
-        let jobs = jobs.unwrap_or_else(default_jobs);
-        Ok(Cli { opts: RunOptions { budget, jobs } })
+        Ok(Cli { budget, jobs: jobs.unwrap_or_else(default_jobs) })
     }
 
     /// Parses the process's arguments as [`Cli::parse`] does; on an error
@@ -201,46 +201,21 @@ pub fn timing_summary(mut timings: Vec<exec::JobTiming>) -> String {
     text
 }
 
-/// Sanitizes a job label into a filename fragment (`fig5/Loads 2B` →
-/// `fig5-Loads-2B`).
-fn label_slug(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '.' || c == '-' { c } else { '-' })
-        .collect()
-}
-
-/// Derives the per-job trace path `out.<slug>.json` from the main
-/// `--trace` path `out.json`.
-fn job_trace_path(base: &Path, label: &str) -> PathBuf {
-    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-    base.with_file_name(format!("{stem}.{}.json", label_slug(label)))
-}
-
-/// Writes a Chrome trace document to `path`; exits with code 1 if it
-/// cannot.
-fn write_or_exit(path: &Path, doc: &JsonValue) {
-    if let Err(err) = vpc::trace::write_chrome_trace(path, doc) {
+/// Writes the Chrome trace of `jobs` to `path`, one process lane per job,
+/// and reports what was written to **stderr**; exits with code 1 if it
+/// cannot write. The trace writer of `simulate --trace`.
+pub fn write_job_traces(path: &Path, jobs: &[(String, TraceLog)]) {
+    if jobs.is_empty() {
+        eprintln!("-- no trace events captured; nothing written to {} --", path.display());
+        return;
+    }
+    if let Err(err) = vpc::trace::write_chrome_trace(path, &vpc::trace::chrome_trace_jobs(jobs)) {
         eprintln!("error: cannot write trace {}: {err}", path.display());
         std::process::exit(1);
     }
-}
-
-/// Writes the merged Chrome trace of `jobs` to `base` (one process lane
-/// per job) and one file per job next to it, and reports what was written
-/// to **stderr**. The trace writer of `simulate --trace`.
-pub fn write_job_traces(base: &Path, jobs: &[(String, TraceLog)]) {
-    if jobs.is_empty() {
-        eprintln!("-- no trace events captured; nothing written to {} --", base.display());
-        return;
-    }
-    write_or_exit(base, &vpc::trace::chrome_trace_jobs(jobs));
-    for (label, log) in jobs {
-        write_or_exit(&job_trace_path(base, label), &vpc::trace::chrome_trace(label, log));
-    }
     eprintln!(
-        "-- wrote {} ({} jobs, {} events, {} dropped) + per-job traces --",
-        base.display(),
+        "-- wrote {} ({} jobs, {} events, {} dropped) --",
+        path.display(),
         jobs.len(),
         jobs.iter().map(|(_, l)| l.events().len()).sum::<usize>(),
         jobs.iter().map(|(_, l)| l.dropped()).sum::<u64>(),
@@ -257,20 +232,16 @@ mod tests {
         Cli::parse(args.iter().map(|a| a.to_string()))
     }
 
-    fn cli(budget: RunBudget, jobs: usize) -> Cli {
-        Cli { opts: RunOptions { budget, jobs } }
-    }
-
     #[test]
     fn parses_flags() {
         let quick = RunBudget::quick();
         let standard = RunBudget::standard();
         let host = default_jobs();
         let cases: &[(Args, Cli)] = &[
-            (&["--jobs=3"], cli(standard, 3)),
-            (&["--quick", "--jobs", "5"], cli(quick, 5)),
-            (&["--quick"], cli(quick, host)),
-            (&[], cli(standard, host)),
+            (&["--jobs=3"], Cli { budget: standard, jobs: 3 }),
+            (&["--quick", "--jobs", "5"], Cli { budget: quick, jobs: 5 }),
+            (&["--quick"], Cli { budget: quick, jobs: host }),
+            (&[], Cli { budget: standard, jobs: host }),
         ];
         for (args, want) in cases {
             assert_eq!(parse(args).as_ref(), Ok(want), "args {args:?}");

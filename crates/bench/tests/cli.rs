@@ -147,8 +147,10 @@ fn trace_events(path: &Path) -> Vec<JsonValue> {
 }
 
 /// docs/TRACING.md's VPC command traces the fig5 contention run at the
-/// quick budget's windows: the shared machine's file begins with the 512
-/// events of the golden `results/quick/trace_fig5.json`.
+/// quick budget's windows into one file: the shared machine's lane (`pid`
+/// 0, `simulate`) begins with the 512 events of the golden
+/// `results/quick/trace_fig5.json`, and no per-cell copy is written next
+/// to it.
 #[test]
 fn simulate_trace_recipe_starts_with_the_fig5_golden() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-recipe");
@@ -162,8 +164,14 @@ fn simulate_trace_recipe_starts_with_the_fig5_golden() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick/trace_fig5.json");
     let golden = trace_events(&golden);
-    let traced = trace_events(&dir.join("vpc.simulate.json"));
+    let lane = ("pid".to_string(), JsonValue::from(0u64));
+    let traced: Vec<JsonValue> = trace_events(&dir.join("vpc.json"))
+        .into_iter()
+        .filter(|e| matches!(e, JsonValue::Object(f) if f.contains(&lane)))
+        .collect();
+    let files = std::fs::read_dir(&dir).expect("list the trace directory").count();
     std::fs::remove_dir_all(&dir).expect("remove the traces");
+    assert_eq!(files, 1, "the recipe writes vpc.json alone");
     assert_eq!(golden.len(), 512, "the golden holds a 512-event ring");
     assert!(traced.len() > golden.len(), "the recipe recorded {} events", traced.len());
     if let Some(i) = (0..golden.len()).find(|&i| traced[i] != golden[i]) {

@@ -364,6 +364,12 @@ impl L2Bank {
         &self.read_latency[thread.index()]
     }
 
+    /// Empties every thread's read-latency histogram, so that it covers
+    /// only the reads that complete from now on.
+    pub fn reset_read_latency(&mut self) {
+        self.read_latency.iter_mut().for_each(|h| *h = vpc_sim::Histogram::new());
+    }
+
     /// Data-array busy cycles attributable to `thread`.
     pub fn thread_data_busy(&self, thread: ThreadId) -> u64 {
         self.resources[DATA].thread_busy_cycles(thread)

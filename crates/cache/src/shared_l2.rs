@@ -194,6 +194,12 @@ impl SharedL2 {
         }
         total
     }
+
+    /// Empties every bank's read-latency histograms
+    /// ([`L2Bank::reset_read_latency`]).
+    pub fn reset_read_latency(&mut self) {
+        self.banks.iter_mut().for_each(L2Bank::reset_read_latency);
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Ablations of the VPC design choices DESIGN.md calls out.
 //!
-//! These go beyond the paper's figures and probe the mechanisms directly:
+//! These go beyond the paper's figures and probe the mechanisms directly.
+//! Each function returns its [`Plan`]:
 //!
 //! * [`reorder`] — intra-thread read-over-write reordering inside the VPC
 //!   arbiter buffers (§4.1.1's optimization) on vs. off;
@@ -9,6 +10,8 @@
 //! * [`preemption`] — sensitivity of a low-MLP subject to the data array's
 //!   service quantum (the non-preemptible resource's preemption latency,
 //!   §4.1.2);
+//! * [`scaling`] — every thread of an equal-share VPC meets its `1/n`
+//!   target as the CMP grows from 2 to 8 threads;
 //! * [`work_conservation`] — a backlogged thread picks up an idle
 //!   partner's unused bandwidth and exceeds its own allocation's target.
 
@@ -19,7 +22,7 @@ use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{fig9, Cell, Plan, RunBudget, RunOptions};
+use crate::experiments::{fig9, Cell, Plan, RunBudget};
 
 /// Result of the intra-thread reordering ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,13 +49,9 @@ impl fmt::Display for ReorderResult {
     }
 }
 
-/// Runs a load+store mixed subject (vpr) against a Stores partner under
+/// A load+store mixed subject (vpr) against a Stores partner under
 /// VPC 50/50, with and without intra-thread RoW reordering.
-pub fn reorder(base: &CmpConfig, opts: RunOptions) -> ReorderResult {
-    reorder_plan(base, opts.budget).run(opts)
-}
-
-fn reorder_plan(base: &CmpConfig, budget: RunBudget) -> Plan<ReorderResult> {
+pub fn reorder(base: &CmpConfig, budget: RunBudget) -> Plan<ReorderResult> {
     let half = Share::new(1, 2).expect("half share");
     let cells = [("fifo", IntraThreadOrder::Fifo), ("row", IntraThreadOrder::ReadOverWrite)].map(
         |(label, order)| {
@@ -99,11 +98,7 @@ impl fmt::Display for CapacityResult {
 /// streaming threads can actually flush it within the run) with three
 /// streaming threads, under identical FCFS arbiters — isolating the
 /// capacity effect.
-pub fn capacity(base: &CmpConfig, opts: RunOptions) -> CapacityResult {
-    capacity_plan(base, opts.budget).run(opts)
-}
-
-fn capacity_plan(base: &CmpConfig, budget: RunBudget) -> Plan<CapacityResult> {
+pub fn capacity(base: &CmpConfig, budget: RunBudget) -> Plan<CapacityResult> {
     let budget = RunBudget { window: budget.window * 2, ..budget };
     let cells = [("lru", CapacityPolicy::Lru), ("vpc", CapacityPolicy::vpc_equal(4))].map(
         |(label, policy)| {
@@ -160,11 +155,7 @@ impl fmt::Display for PreemptionResult {
 /// the preemption latency of the non-preemptible resources does not often
 /// have a significant effect on meeting targets — holds if the normalized
 /// IPC stays at or above ~1.0 across the sweep.
-pub fn preemption(base: &CmpConfig, opts: RunOptions) -> PreemptionResult {
-    preemption_plan(base, opts.budget).run(opts)
-}
-
-fn preemption_plan(base: &CmpConfig, budget: RunBudget) -> Plan<PreemptionResult> {
+pub fn preemption(base: &CmpConfig, budget: RunBudget) -> Plan<PreemptionResult> {
     let half = Share::new(1, 2).expect("half");
     let quarter = Share::new(1, 4).expect("quarter");
     let latencies = [4u64, 8, 16];
@@ -223,11 +214,7 @@ impl fmt::Display for ScalingResult {
 /// every thread running the same mid-weight profile (gcc) under equal VPC
 /// shares; checks that each thread still meets its `1/n` target. Bank
 /// count scales with threads as a designer would provision it.
-pub fn scaling(base: &CmpConfig, opts: RunOptions) -> ScalingResult {
-    scaling_plan(base, opts.budget).run(opts)
-}
-
-fn scaling_plan(base: &CmpConfig, budget: RunBudget) -> Plan<ScalingResult> {
+pub fn scaling(base: &CmpConfig, budget: RunBudget) -> Plan<ScalingResult> {
     let counts = [2usize, 4, 8];
     let mut cells = Vec::new();
     for threads in counts {
@@ -288,13 +275,9 @@ impl fmt::Display for WorkConservationResult {
     }
 }
 
-/// Runs Loads at `beta = 1/2` against a busy Stores partner and against an
+/// Loads at `beta = 1/2` against a busy Stores partner and against an
 /// idle partner.
-pub fn work_conservation(base: &CmpConfig, opts: RunOptions) -> WorkConservationResult {
-    work_conservation_plan(base, opts.budget).run(opts)
-}
-
-fn work_conservation_plan(base: &CmpConfig, budget: RunBudget) -> Plan<WorkConservationResult> {
+pub fn work_conservation(base: &CmpConfig, budget: RunBudget) -> Plan<WorkConservationResult> {
     let half = Share::new(1, 2).expect("half");
     let cfg =
         base.clone().with_vpc_shares(vec![half, half]).with_capacity(CapacityPolicy::vpc_equal(2));
@@ -325,11 +308,11 @@ fn work_conservation_plan(base: &CmpConfig, budget: RunBudget) -> Plan<WorkConse
 /// (`results/ablations.txt` after its header).
 pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<String> {
     Plan::join(vec![
-        reorder_plan(base, budget).map(|r| r.to_string()),
-        capacity_plan(base, budget).map(|r| r.to_string()),
-        preemption_plan(base, budget).map(|r| r.to_string()),
-        scaling_plan(base, budget).map(|r| r.to_string()),
-        work_conservation_plan(base, budget).map(|r| r.to_string()),
+        reorder(base, budget).map(|r| r.to_string()),
+        capacity(base, budget).map(|r| r.to_string()),
+        preemption(base, budget).map(|r| r.to_string()),
+        scaling(base, budget).map(|r| r.to_string()),
+        work_conservation(base, budget).map(|r| r.to_string()),
     ])
     .map(|texts| texts.join("\n"))
 }
@@ -337,8 +320,6 @@ pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const QUICK: RunOptions = RunOptions { budget: RunBudget::quick(), jobs: 2 };
 
     fn quick_base() -> CmpConfig {
         let mut base = CmpConfig::table1();
@@ -348,7 +329,7 @@ mod tests {
 
     #[test]
     fn qos_scales_to_eight_threads() {
-        let r = scaling(&quick_base(), QUICK);
+        let r = scaling(&quick_base(), RunBudget::quick()).run(2);
         for (threads, met) in &r.points {
             assert!(*met >= 0.99, "every thread must meet its 1/{threads} target: {r}");
         }
@@ -356,7 +337,7 @@ mod tests {
 
     #[test]
     fn work_conservation_redistributes_excess() {
-        let r = work_conservation(&quick_base(), QUICK);
+        let r = work_conservation(&quick_base(), RunBudget::quick()).run(2);
         assert!(
             r.idle_partner_ipc > r.busy_partner_ipc * 1.2,
             "idle partner should free bandwidth: busy {:.3} vs idle {:.3}",
@@ -371,7 +352,7 @@ mod tests {
 
     #[test]
     fn reordering_does_not_break_partner_guarantee() {
-        let r = reorder(&quick_base(), QUICK);
+        let r = reorder(&quick_base(), RunBudget::quick()).run(2);
         // RoW reordering is intra-thread: the partner's bandwidth share is
         // unchanged (within noise).
         let rel = (r.row_partner_ipc - r.fifo_partner_ipc).abs() / r.fifo_partner_ipc.max(1e-9);
@@ -385,7 +366,7 @@ mod tests {
         // 1.004-1.009 of its target; the 3% floor absorbs the short window's
         // sampling error, yet fails FCFS, which leaves the same mix at 0.78
         // of the target (results/quick/fig9_spec_vs_stores.json).
-        let r = preemption(&quick_base(), QUICK);
+        let r = preemption(&quick_base(), RunBudget::quick()).run(2);
         assert_eq!(r.points.len(), 3);
         for p in &r.points {
             assert!(
@@ -398,7 +379,7 @@ mod tests {
 
     #[test]
     fn capacity_manager_protects_working_set() {
-        let r = capacity(&quick_base(), QUICK);
+        let r = capacity(&quick_base(), RunBudget::quick()).run(2);
         assert!(r.vpc_ipc >= r.lru_ipc * 0.95, "VPC quotas must not hurt the subject: {r}");
     }
 }

@@ -24,7 +24,7 @@ use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{Cell, Plan, RunBudget, RunOptions};
+use crate::experiments::{Cell, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::{
     harmonic_mean, improvement_pct, mean, minimum, normalized_ipcs, weighted_speedup,
@@ -208,21 +208,13 @@ pub fn mix_cell(
 /// standalone baselines, and the FCFS and VPC co-scheduled runs.
 const CELLS_PER_MIX: usize = 10;
 
-/// Runs the full headline experiment over `mixes`. Per mix it lists each
-/// thread's equal-share target (the private machine with
-/// `beta = alpha = 1/4`, the paper's QoS reference), each thread's
-/// standalone baseline (alone on the full CMP with an unmanaged cache),
-/// and the FCFS and VPC runs. A benchmark in several mixes has its target
-/// and baseline simulated once.
-pub fn run(base: &CmpConfig, mixes: &[[&'static str; 4]], opts: RunOptions) -> Fig10Result {
-    plan(base, mixes, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(
-    base: &CmpConfig,
-    mixes: &[[&'static str; 4]],
-    budget: RunBudget,
-) -> Plan<Fig10Result> {
+/// The headline experiment over `mixes` (pass [`MIXES`] for the full
+/// set). Per mix it lists each thread's equal-share target (the private
+/// machine with `beta = alpha = 1/4`, the paper's QoS reference), each
+/// thread's standalone baseline (alone on the full CMP with an unmanaged
+/// cache), and the FCFS and VPC runs. A benchmark in several mixes has
+/// its target and baseline simulated once.
+pub fn plan(base: &CmpConfig, mixes: &[[&'static str; 4]], budget: RunBudget) -> Plan<Fig10Result> {
     let quarter = Share::new(1, 4).expect("quarter share");
     let unmanaged =
         base.clone().with_arbiter(ArbiterPolicy::RowFcfs).with_capacity(CapacityPolicy::Lru);
@@ -280,7 +272,7 @@ mod tests {
         let budget = RunBudget { warmup: 1_000, window: 3_000 };
         exec::take_timings();
         let mixes = [["art", "mcf", "equake", "gzip"], ["art", "vpr", "mesa", "crafty"]];
-        let r = run(&base, &mixes, RunOptions { budget, jobs: 2 });
+        let r = plan(&base, &mixes, budget).run(2);
         assert_eq!(r.mixes.len(), 2);
         let labels: Vec<String> = exec::take_timings().into_iter().map(|t| t.label).collect();
         assert_eq!(labels.len(), 18, "{labels:#?}");
@@ -296,11 +288,7 @@ mod tests {
     fn vpc_meets_targets_where_fcfs_fails() {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 2048;
-        let r = run(
-            &base,
-            &[["art", "mcf", "equake", "gzip"]],
-            RunOptions { budget: RunBudget::quick(), jobs: 2 },
-        );
+        let r = plan(&base, &[["art", "mcf", "equake", "gzip"]], RunBudget::quick()).run(2);
         let m = &r.mixes[0];
         assert!(
             m.vpc_min() >= m.fcfs_min() * 0.98,

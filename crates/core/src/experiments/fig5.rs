@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{bar, pct, Cell, Plan, RunBudget, RunOptions};
+use crate::experiments::{bar, pct, Cell, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::QosLedger;
 use vpc_arbiters::ArbiterPolicy;
@@ -86,12 +86,8 @@ impl ToJson for Fig5Result {
     }
 }
 
-/// Runs the Figure 5 sweep, one cell per (benchmark, bank count).
-pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig5Result {
-    plan(base, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig5Result> {
+/// The Figure 5 sweep, one cell per (benchmark, bank count).
+pub fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig5Result> {
     let grid: Vec<(WorkloadSpec, usize)> = [WorkloadSpec::Loads, WorkloadSpec::Stores]
         .into_iter()
         .flat_map(|benchmark| [2usize, 4, 8, 16].map(|banks| (benchmark, banks)))
@@ -156,7 +152,7 @@ mod tests {
     fn microbenchmark_scaling_matches_paper_shape() {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 2048;
-        let r = run(&base, RunOptions { budget: RunBudget::quick(), jobs: 2 });
+        let r = plan(&base, RunBudget::quick()).run(2);
         let loads2 = r.row("Loads", 2).unwrap().util.data_array;
         let loads4 = r.row("Loads", 4).unwrap().util.data_array;
         let loads16 = r.row("Loads", 16).unwrap().util.data_array;

@@ -12,7 +12,7 @@ use vpc_cache::L2Utilization;
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::CmpConfig;
-use crate::experiments::{bar, pct, solo_cells, Plan, RunBudget, RunOptions};
+use crate::experiments::{bar, pct, solo_cells, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::mean;
 
@@ -84,13 +84,9 @@ impl ToJson for Fig6Result {
     }
 }
 
-/// Runs the full 18-benchmark series, one cell per benchmark alone on
-/// the baseline cache.
-pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig6Result {
-    plan(base, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig6Result> {
+/// The full 18-benchmark series, one cell per benchmark alone on the
+/// baseline cache.
+pub fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig6Result> {
     Plan::new(solo_cells(base, "fig6", &SPEC_NAMES, budget), |records| Fig6Result {
         rows: SPEC_NAMES
             .iter()

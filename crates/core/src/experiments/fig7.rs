@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use vpc_workloads::SPEC_NAMES;
-
 use crate::config::CmpConfig;
-use crate::experiments::{pct, solo_cells, Plan, RunBudget, RunOptions};
+use crate::experiments::{pct, solo_cells, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::mean;
 
@@ -91,17 +89,10 @@ impl ToJson for Fig7Result {
     }
 }
 
-/// Runs the full series, one cell per benchmark alone on the baseline
+/// The series for `benchmarks` (pass [`vpc_workloads::SPEC_NAMES`] for
+/// the paper's full set), one cell per benchmark alone on the baseline
 /// cache.
-pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig7Result {
-    plan(base, &SPEC_NAMES, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(
-    base: &CmpConfig,
-    benchmarks: &[&'static str],
-    budget: RunBudget,
-) -> Plan<Fig7Result> {
+pub fn plan(base: &CmpConfig, benchmarks: &[&'static str], budget: RunBudget) -> Plan<Fig7Result> {
     let cells = solo_cells(base, "fig7", benchmarks, budget);
     let benchmarks = benchmarks.to_vec();
     Plan::new(cells, move |records| Fig7Result {
@@ -123,8 +114,7 @@ mod tests {
     use crate::json::to_json;
 
     fn quick_rows(benchmarks: &[&'static str]) -> Vec<Fig7Row> {
-        let opts = RunOptions { budget: RunBudget::quick(), jobs: 2 };
-        plan(&CmpConfig::table1(), benchmarks, opts.budget).run(opts).rows
+        plan(&CmpConfig::table1(), benchmarks, RunBudget::quick()).run(2).rows
     }
 
     #[test]

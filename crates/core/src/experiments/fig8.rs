@@ -17,7 +17,7 @@ use vpc_cache::CapacityPolicy;
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, Cell, Plan, RunBudget, RunOptions};
+use crate::experiments::{pct, Cell, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 
 /// One x-axis point of Figure 8.
@@ -98,15 +98,11 @@ fn pair_cell(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudget) -> Cel
     Cell::shared(cfg, vec![WorkloadSpec::Loads, WorkloadSpec::Stores], budget)
 }
 
-/// Runs the Figure 8 sweep: RoW-FCFS, FCFS, and VPC with the Stores share
-/// at 0%, 25%, 50%, 75% and 100%. Each point lists its shared run and
-/// the targets of its nonzero bandwidth shares; the other arbiters
-/// guarantee nothing, so their shares count as zero.
-pub fn run(base: &CmpConfig, opts: RunOptions) -> Fig8Result {
-    plan(base, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig8Result> {
+/// The Figure 8 sweep: RoW-FCFS, FCFS, and VPC with the Stores share at
+/// 0%, 25%, 50%, 75% and 100%. Each point lists its shared run and the
+/// targets of its nonzero bandwidth shares; the other arbiters guarantee
+/// nothing, so their shares count as zero.
+pub fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig8Result> {
     let alpha = Share::new(1, 2).expect("two threads, equal ways");
     let mut points = vec![
         ("RoW".to_string(), ArbiterPolicy::RowFcfs, [Share::ZERO; 2]),

@@ -15,7 +15,7 @@ use vpc_arbiters::{ArbiterPolicy, IntraThreadOrder};
 use vpc_sim::Share;
 
 use crate::config::{CmpConfig, WorkloadSpec};
-use crate::experiments::{pct, Cell, Plan, RunBudget, RunOptions};
+use crate::experiments::{pct, Cell, Plan, RunBudget};
 use crate::json::{JsonValue, ToJson};
 
 /// The subject's results for one benchmark.
@@ -160,19 +160,11 @@ pub fn subject_cell(
 /// targets plus four co-scheduled runs.
 const CELLS_PER_ROW: usize = 7;
 
-/// Runs the full Figure 9 series for the given benchmarks (pass
+/// The Figure 9 series for the given benchmarks (pass
 /// [`vpc_workloads::SPEC_NAMES`] for the paper's full set): per subject,
 /// its targets at `beta_1` = 1, 1/2 and 1/4, and its runs under FCFS and
 /// VPC 25/50/100%.
-pub fn run(base: &CmpConfig, benchmarks: &[&'static str], opts: RunOptions) -> Fig9Result {
-    plan(base, benchmarks, opts.budget).run(opts)
-}
-
-pub(crate) fn plan(
-    base: &CmpConfig,
-    benchmarks: &[&'static str],
-    budget: RunBudget,
-) -> Plan<Fig9Result> {
+pub fn plan(base: &CmpConfig, benchmarks: &[&'static str], budget: RunBudget) -> Plan<Fig9Result> {
     let quarter = Share::new(1, 4).expect("alpha = 1/4");
     let mut cells = Vec::new();
     for &benchmark in benchmarks {
@@ -241,8 +233,7 @@ mod tests {
     #[test]
     fn vpc_protects_subject_from_stores_background() {
         let base = quick_base();
-        let budget = RunBudget::quick();
-        let r = run(&base, &["art"], RunOptions { budget, jobs: 2 });
+        let r = plan(&base, &["art"], RunBudget::quick()).run(2);
         let row = r.row("art").unwrap();
         // Under VPC the subject's normalized IPC grows with its share and
         // meets the QoS floor; FCFS leaves it below its VPC-100% level.

@@ -6,25 +6,24 @@
 //! target, the private machine with `1/beta` latencies and `alpha * ways`
 //! ways ([`Cell::target`]). A figure lists its labelled cells and folds
 //! one record per cell into its typed result, whose `Display` prints the
-//! same rows or series the paper reports. Each runner runs its cells as
-//! one [`run_cells`] batch, which simulates each distinct cell once;
-//! [`reproduce`] runs every figure's cells as one batch and renders the
-//! checked-in `results/` files.
+//! same rows or series the paper reports. That list and fold is the
+//! figure's [`Plan`], its one entry point: the [`RunBudget`] it is given
+//! sizes its cells' windows (tests use short ones, `reproduce` the
+//! standard ones), and [`Plan::run`] takes the worker count and runs the
+//! cells as one [`run_cells`] batch, which simulates each distinct cell
+//! once. [`reproduce`] runs every figure's cells as one batch and renders
+//! the checked-in `results/` files.
 //!
-//! Each runner takes a [`RunOptions`]: its [`RunBudget`] sizes the cells'
-//! windows (tests use short ones, `reproduce` the standard ones), and its
-//! worker count sizes the batch's thread pool.
-//!
-//! | Runner | Paper content |
+//! | Entry point | Paper content |
 //! |---|---|
 //! | [`fig4::run`] | Figure 4: back-to-back reads to two banks |
-//! | [`fig5::run`] | Figure 5: microbenchmark utilization vs. bank count |
-//! | [`fig6::run`] | Figure 6: SPEC solo L2 utilization |
-//! | [`fig7::run`] | Figure 7: L2 write fraction and store gathering rate |
-//! | [`fig8::run`] | Figure 8: Loads+Stores under each arbiter, with targets |
-//! | [`fig9::run`] | Figure 9: SPEC subject vs. 3 Stores, differentiated service |
-//! | [`fig10::run`] | §1/§5 headline: heterogeneous mixes, FCFS vs. VPC |
-//! | [`ablations`] | reordering, capacity, preemption latency, work conservation |
+//! | [`fig5::plan`] | Figure 5: microbenchmark utilization vs. bank count |
+//! | [`fig6::plan`] | Figure 6: SPEC solo L2 utilization |
+//! | [`fig7::plan`] | Figure 7: L2 write fraction and store gathering rate |
+//! | [`fig8::plan`] | Figure 8: Loads+Stores under each arbiter, with targets |
+//! | [`fig9::plan`] | Figure 9: SPEC subject vs. 3 Stores, differentiated service |
+//! | [`fig10::plan`] | §1/§5 headline: heterogeneous mixes, FCFS vs. VPC |
+//! | [`ablations`] | reordering, capacity, preemption latency, scaling, work conservation |
 //! | [`reproduce`] | every figure and Table 1 as one batch, rendered as files |
 
 use vpc_sim::exec::{self, Job};
@@ -65,17 +64,6 @@ impl RunBudget {
     pub const fn quick() -> RunBudget {
         RunBudget { warmup: 10_000, window: 40_000 }
     }
-}
-
-/// How a runner executes its cells: the simulation windows and the number
-/// of worker threads. The worker count changes only wall-clock time,
-/// never a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Simulation windows of every cell.
-    pub budget: RunBudget,
-    /// Worker threads for the job batch (see [`vpc_sim::exec::map_indexed`]).
-    pub jobs: usize,
 }
 
 /// One simulation of a figure: a machine, one workload per processor, and
@@ -127,11 +115,12 @@ impl Cell {
     /// ledger window, out of window cycles × banks (the denominator of
     /// [`CmpSystem::measure`]). A trailing partial window is not recorded.
     ///
-    /// This is where every simulation's warm-up ends. A trace recorder
-    /// armed on the calling thread with [`trace::install`] (in a batch
-    /// job's closure, say) is set aside for the warm-up and re-armed, empty
-    /// and at its capacity, when the measured window starts, so a trace is
-    /// a prefix of the measured window.
+    /// This is where every simulation's warm-up ends. The L2's read-latency
+    /// histograms are emptied there, so they cover the measured window. A
+    /// trace recorder armed on the calling thread with [`trace::install`]
+    /// (in a batch job's closure, say) is set aside for the warm-up and
+    /// re-armed, empty and at its capacity, when the measured window
+    /// starts, so a trace is a prefix of the measured window.
     ///
     /// # Panics
     ///
@@ -140,6 +129,7 @@ impl Cell {
         let mut sys = CmpSystem::new(self.cfg.clone(), &self.workloads);
         let recorder = trace::take();
         sys.run(self.budget.warmup);
+        sys.reset_read_latency();
         if let Some(log) = recorder {
             trace::install(log.capacity());
         }
@@ -165,8 +155,10 @@ impl Cell {
     }
 }
 
-/// Runs labelled cells as one [`exec::map_indexed`] batch and returns
-/// `run`'s result for each, one per input cell, in input order.
+/// Runs labelled cells as one [`exec::map_indexed`] batch on `jobs`
+/// worker threads and returns `run`'s result for each, one per input
+/// cell, in input order. The worker count changes only wall-clock time,
+/// never a result.
 ///
 /// Each distinct cell (by `==` on the whole cell) is simulated once, as a
 /// job carrying the label of its first occurrence; a repeated cell gets a
@@ -175,7 +167,7 @@ impl Cell {
 /// needs of the finished system and its window's [`Measurement`].
 pub fn run_cells<T: Clone + Send>(
     cells: &[(String, Cell)],
-    opts: RunOptions,
+    jobs: usize,
     run: impl Fn(&Cell) -> T + Sync,
 ) -> Vec<T> {
     let mut distinct: Vec<&(String, Cell)> = Vec::new();
@@ -189,11 +181,11 @@ pub fn run_cells<T: Clone + Send>(
         })
         .collect();
     let run = &run;
-    let jobs = distinct
+    let batch = distinct
         .into_iter()
         .map(|(label, cell)| Job::new(label.clone(), move || run(cell)))
         .collect();
-    let results = exec::map_indexed(jobs, opts.jobs);
+    let results = exec::map_indexed(batch, jobs);
     slots.into_iter().map(|i| results[i].clone()).collect()
 }
 
@@ -210,27 +202,32 @@ pub(crate) struct Record {
 type Fold<R> = Box<dyn FnOnce(&[Record]) -> R>;
 
 /// A figure's labelled cells and the fold that turns their records into
-/// its result.
-pub(crate) struct Plan<R> {
+/// its result: what `fig5::plan` … `fig10::plan` and each ablation return.
+/// [`Plan::run`] simulates it.
+pub struct Plan<R> {
     cells: Vec<(String, Cell)>,
     fold: Fold<R>,
 }
 
 impl<R: 'static> Plan<R> {
     /// The plan of `cells`, folded by `fold`.
-    pub fn new(cells: Vec<(String, Cell)>, fold: impl FnOnce(&[Record]) -> R + 'static) -> Self {
+    pub(crate) fn new(
+        cells: Vec<(String, Cell)>,
+        fold: impl FnOnce(&[Record]) -> R + 'static,
+    ) -> Self {
         Plan { cells, fold: Box::new(fold) }
     }
 
     /// The same cells, with `f` applied to the folded result.
-    pub fn map<S: 'static>(self, f: impl FnOnce(R) -> S + 'static) -> Plan<S> {
+    pub(crate) fn map<S: 'static>(self, f: impl FnOnce(R) -> S + 'static) -> Plan<S> {
         let fold = self.fold;
         Plan::new(self.cells, move |records| f(fold(records)))
     }
 
-    /// Runs the cells as one [`run_cells`] batch and folds their records.
-    pub fn run(self, opts: RunOptions) -> R {
-        let records = run_cells(&self.cells, opts, |cell| {
+    /// Runs the cells as one [`run_cells`] batch on `jobs` worker threads
+    /// and folds their records.
+    pub fn run(self, jobs: usize) -> R {
+        let records = run_cells(&self.cells, jobs, |cell| {
             let (sys, m) = cell.run();
             Record { m, read_latency: sys.l2().read_latency(ThreadId(0)) }
         });
@@ -239,7 +236,7 @@ impl<R: 'static> Plan<R> {
 
     /// One plan listing every plan's cells in order, whose fold hands each
     /// plan its own records.
-    pub fn join(plans: Vec<Plan<R>>) -> Plan<Vec<R>> {
+    pub(crate) fn join(plans: Vec<Plan<R>>) -> Plan<Vec<R>> {
         let mut cells = Vec::new();
         let mut folds = Vec::new();
         for plan in plans {
@@ -325,8 +322,7 @@ mod tests {
     }
 
     fn debug_run(cells: &[(String, Cell)], jobs: usize) -> Vec<String> {
-        let opts = RunOptions { budget: RunBudget::quick(), jobs };
-        run_cells(cells, opts, |cell| format!("{:?}", cell.run().1))
+        run_cells(cells, jobs, |cell| format!("{:?}", cell.run().1))
     }
 
     #[test]

@@ -8,9 +8,7 @@ use vpc_cache::LINE_BYTES;
 use vpc_workloads::SPEC_NAMES;
 
 use crate::config::CmpConfig;
-use crate::experiments::{
-    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, Plan, RunBudget, RunOptions,
-};
+use crate::experiments::{ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, Plan, RunBudget};
 use crate::json::{to_json, ToJson};
 
 /// Every table and figure [`reproduce`] renders, by the stem of its files,
@@ -27,8 +25,9 @@ pub const FIGURES: [&str; 9] = [
     "ablations",
 ];
 
-/// Runs the cells of every figure in `figures` (stems from [`FIGURES`]) as
-/// one batch and returns each file's name and contents, in `figures` order.
+/// Runs the cells of every figure in `figures` (stems from [`FIGURES`]) at
+/// `budget` as one batch on `jobs` worker threads and returns each file's
+/// name and contents, in `figures` order.
 ///
 /// At [`RunBudget::quick`] these are the goldens of `results/quick/`:
 /// `<figure>.json` for Figures 5–10 and the ablations' text without its
@@ -40,9 +39,13 @@ pub const FIGURES: [&str; 9] = [
 /// # Panics
 ///
 /// Panics on a name that is not in [`FIGURES`].
-pub fn reproduce(figures: &[&'static str], opts: RunOptions) -> Vec<(String, String)> {
-    let plans = figures.iter().map(|&name| plan(name, opts.budget)).collect();
-    Plan::join(plans).run(opts).concat()
+pub fn reproduce(
+    figures: &[&'static str],
+    budget: RunBudget,
+    jobs: usize,
+) -> Vec<(String, String)> {
+    let plans = figures.iter().map(|&name| plan(name, budget)).collect();
+    Plan::join(plans).run(jobs).concat()
 }
 
 /// The cells of the figure `name`, folded into its files.

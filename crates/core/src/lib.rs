@@ -21,11 +21,12 @@
 //! * [`experiments::Cell::target`] — the QoS reference: the thread alone
 //!   on the equivalently-provisioned private machine (§5.3), whose IPC is
 //!   its target.
-//! * [`experiments`] — one runner per figure (5 through 10 plus the
-//!   ablations). Each lists its [`experiments::Cell`]s (shared-machine
-//!   runs and §5.3 targets), runs them with [`experiments::run_cells`],
-//!   which simulates each distinct cell once, and folds the results into
-//!   a typed, printable result; [`experiments::reproduce`] runs every
+//! * [`experiments`] — one [`experiments::Plan`] per figure (5 through 10
+//!   plus each ablation): its [`experiments::Cell`]s (shared-machine runs
+//!   and §5.3 targets) and the fold of their records into a typed,
+//!   printable result. [`experiments::Plan::run`] takes a worker count
+//!   and runs the cells with [`experiments::run_cells`], which simulates
+//!   each distinct cell once; [`experiments::reproduce`] runs every
 //!   figure as one batch and renders the `results/` files.
 //!
 //! # Quickstart

@@ -193,7 +193,16 @@ impl CmpSystem {
         }
     }
 
-    /// Convenience: warm up, then measure a window.
+    /// Empties the L2's read-latency histograms: [`SharedL2::read_latency`]
+    /// then covers only the reads that complete from here on.
+    pub fn reset_read_latency(&mut self) {
+        self.l2.reset_read_latency();
+    }
+
+    /// Convenience: warm up, then measure a window. The L2's read-latency
+    /// histograms keep the warm-up's reads (unlike [`Cell::run`]'s).
+    ///
+    /// [`Cell::run`]: crate::experiments::Cell::run
     pub fn run_measured(&mut self, warmup: Cycle, window: Cycle) -> Measurement {
         self.run(warmup);
         let snap = self.snapshot();

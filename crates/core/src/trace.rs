@@ -166,12 +166,6 @@ pub fn chrome_trace_jobs(jobs: &[JobTrace]) -> JsonValue {
     ])
 }
 
-/// Converts a single unlabeled log (e.g. one recorded inline rather than
-/// through the job pool) into a Chrome `trace_event` JSON document.
-pub fn chrome_trace(label: &str, log: &TraceLog) -> JsonValue {
-    chrome_trace_jobs(std::slice::from_ref(&(label.to_string(), log.clone())))
-}
-
 /// Writes a Chrome trace document to `path` (pretty-printed, with a
 /// trailing newline).
 pub fn write_chrome_trace(path: &Path, doc: &JsonValue) -> io::Result<()> {
@@ -226,7 +220,7 @@ mod tests {
 
     #[test]
     fn export_is_valid_json_with_expected_shape() {
-        let doc = chrome_trace("fig5/sample", &sample_log());
+        let doc = chrome_trace_jobs(&[("fig5/sample".to_string(), sample_log())]);
         let parsed = JsonValue::parse(&doc.pretty()).expect("export parses back");
         let JsonValue::Object(fields) = &parsed else { panic!("not an object") };
         let events = fields

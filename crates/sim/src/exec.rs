@@ -17,15 +17,15 @@
 //! propagates the first panic (in input order) with the failing job's
 //! label attached. Per-job wall-clock timings are recorded into a sink
 //! owned by the thread that called [`map_indexed`], which [`take_timings`]
-//! on that same thread drains, so figure binaries can report where
+//! on that same thread drains, so the binaries can report where
 //! simulation time goes. Two threads running batches at the same time
 //! never see each other's timings.
 //!
 //! # Choosing parallelism
 //!
 //! The caller passes the worker count explicitly. The experiment runners
-//! take it from `vpc::experiments::RunOptions::jobs`, which the binaries'
-//! command-line parser fills from `--jobs N` or
+//! take it as an argument (`vpc::experiments::Plan::run(jobs)`), which
+//! `reproduce` fills from `--jobs N` or
 //! [`std::thread::available_parallelism`].
 //!
 //! ```

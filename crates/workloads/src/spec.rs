@@ -506,61 +506,12 @@ mod tests {
         }
     }
 
-    fn mix_of(name: &str, n: usize) -> (f64, f64, f64) {
-        let mut w = workload(name, ThreadId(0)).unwrap();
-        let (mut loads, mut stores, mut other) = (0u64, 0u64, 0u64);
-        for _ in 0..n {
-            match w.next_op() {
-                Op::Load(_) => loads += 1,
-                Op::Store(_) => stores += 1,
-                Op::NonMem => other += 1,
-                Op::Bubble(_) => {}
-            }
-        }
-        let n = (loads + stores + other) as f64;
-        (loads as f64 / n, stores as f64 / n, other as f64 / n)
-    }
-
     #[test]
     fn all_benchmarks_have_profiles() {
         for name in SPEC_NAMES {
             assert!(params_for(name).is_some(), "missing profile for {name}");
         }
         assert!(params_for("nonexistent").is_none());
-    }
-
-    #[test]
-    fn instruction_mix_matches_parameters() {
-        for name in ["art", "mcf", "sixtrack"] {
-            let p = *params_for(name).unwrap();
-            let (l, s, _) = mix_of(name, 100_000);
-            assert!((l - p.load_frac).abs() < 0.02, "{name} load mix {l} vs {}", p.load_frac);
-            assert!((s - p.store_frac).abs() < 0.02, "{name} store mix {s} vs {}", p.store_frac);
-        }
-    }
-
-    #[test]
-    fn l2_load_fraction_matches_l1_miss_rate() {
-        for name in ["art", "gcc", "sixtrack"] {
-            let p = *params_for(name).unwrap();
-            let mut w = workload(name, ThreadId(0)).unwrap();
-            let (mut hot, mut l2) = (0u64, 0u64);
-            for _ in 0..300_000 {
-                if let Op::Load(line) = w.next_op() {
-                    if line.0 < HOT_LINES {
-                        hot += 1;
-                    } else {
-                        l2 += 1;
-                    }
-                }
-            }
-            let frac = l2 as f64 / (l2 + hot) as f64;
-            assert!(
-                (frac - p.l1_miss_rate).abs() < 0.05,
-                "{name}: L2-targeted load fraction {frac} vs {}",
-                p.l1_miss_rate
-            );
-        }
     }
 
     #[test]
@@ -575,26 +526,6 @@ mod tests {
             }
         }
         assert!(cold.len() > 100, "swim should stream");
-    }
-
-    #[test]
-    fn store_locality_produces_runs() {
-        let mut w = workload("gzip", ThreadId(0)).unwrap();
-        let mut prev: Option<LineAddr> = None;
-        let (mut same, mut total) = (0u64, 0u64);
-        for _ in 0..300_000 {
-            if let Op::Store(line) = w.next_op() {
-                if let Some(p) = prev {
-                    total += 1;
-                    if p == line {
-                        same += 1;
-                    }
-                }
-                prev = Some(line);
-            }
-        }
-        let rate = same as f64 / total as f64;
-        assert!(rate > 0.7, "consecutive-store locality {rate} too low for gathering");
     }
 
     #[test]
@@ -613,27 +544,153 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn mcf_bursts_are_short_art_bursts_long() {
-        // Burst length distribution drives latency sensitivity (§4.1.2).
-        fn mean_burst(name: &str) -> f64 {
-            let mut w = workload(name, ThreadId(0)).unwrap();
-            let mut bursts = Vec::new();
-            let mut current = 0u64;
-            for _ in 0..400_000 {
-                if let Op::Load(line) = w.next_op() {
-                    if line.0 % THREAD_STRIDE >= WARM_BASE {
-                        current += 1;
-                    } else if current > 0 {
-                        bursts.push(current);
-                        current = 0;
+    /// What the oracle counts in one profile's op stream.
+    #[derive(Default)]
+    struct Counts {
+        ops: u64,
+        bubbles: u64,
+        bubble_cycles: u64,
+        loads: u64,
+        stores: u64,
+        /// Loads outside the hot region: the L2-targeted burst loads.
+        l2_loads: u64,
+        /// Burst loads to never-seen (streaming) lines.
+        cold_loads: u64,
+        /// Completed runs of consecutive L2-targeted loads, and their loads.
+        runs: u64,
+        run_loads: u64,
+        /// Stores after the first, and those that repeat the previous
+        /// store's line.
+        later_stores: u64,
+        repeated_stores: u64,
+    }
+
+    fn count(name: &str, ops: u64) -> Counts {
+        let mut w = workload(name, ThreadId(0)).unwrap();
+        let mut c = Counts { ops, ..Counts::default() };
+        let (mut run, mut prev_store) = (0u64, None);
+        for _ in 0..ops {
+            match w.next_op() {
+                Op::Bubble(len) => {
+                    c.bubbles += 1;
+                    c.bubble_cycles += u64::from(len);
+                }
+                Op::NonMem => {}
+                Op::Store(line) => {
+                    c.stores += 1;
+                    if let Some(prev) = prev_store {
+                        c.later_stores += 1;
+                        c.repeated_stores += u64::from(prev == line);
+                    }
+                    prev_store = Some(line);
+                }
+                Op::Load(line) if line.0 >= HOT_BASE + HOT_LINES => {
+                    c.loads += 1;
+                    c.l2_loads += 1;
+                    c.cold_loads += u64::from(line.0 >= COLD_BASE);
+                    run += 1;
+                }
+                Op::Load(_) => {
+                    c.loads += 1;
+                    if run > 0 {
+                        c.runs += 1;
+                        c.run_loads += run;
+                        run = 0;
                     }
                 }
             }
-            bursts.iter().sum::<u64>() as f64 / bursts.len() as f64
         }
-        let mcf = mean_burst("mcf");
-        let art = mean_burst("art");
-        assert!(art > 2.0 * mcf, "art bursts ({art}) should dwarf mcf's ({mcf})");
+        c
+    }
+
+    /// Fails unless `got` is within `Z` standard errors `se` of `want`.
+    fn near(name: &str, what: &str, got: f64, want: f64, se: f64) -> Result<(), String> {
+        if (got - want).abs() <= Z * se {
+            Ok(())
+        } else {
+            Err(format!("{name} {what}: {got:.5}, closed form {want:.5} (±{:.5})", Z * se))
+        }
+    }
+
+    /// Standard errors a statistic may stray from its closed form. Every
+    /// check compares one mean over many independent draws, so at 5 SE a
+    /// correct generator fails a check with chance below 1e-6, and the
+    /// 126 checks together below 1e-4, while an error that moves a mean by
+    /// 5 SE (about 0.01 for a share at these counts) is caught.
+    const Z: f64 = 5.0;
+
+    /// Each of the 18 profiles, over 10^6 ops on thread 0, against closed
+    /// forms of its `SpecParams`. Tolerances are `Z` standard errors of
+    /// each statistic at its sample count:
+    ///
+    /// * bubble share of ops: the frontend runs `dispatch_width`
+    ///   instructions a cycle plus `b` bubbles of `len` cycles per
+    ///   instruction, so `base_ipc` = 1 / (1/width + b·len) and the share
+    ///   is `b / (1 + b)`; binomial SE over all ops;
+    /// * load and store shares of non-bubble ops: `load_frac` and
+    ///   `store_frac`; binomial SE over non-bubble ops;
+    /// * share of loads outside the hot region: a hot load enters a burst
+    ///   with chance q = m/((1−m)·B), bursts are geometric with mean B, so
+    ///   each hot load brings X L2 loads with E[X] = qB and
+    ///   E[X²] = q(2B² − B), and the share is qB/(1+qB) = m =
+    ///   `l1_miss_rate`; by the delta method its variance is
+    ///   (1−m)²·Var(X) / (loads·(1+qB));
+    /// * cold share of burst loads: `l2_miss_rate`; binomial SE over burst
+    ///   loads;
+    /// * mean run of consecutive L2-targeted loads: `burst_mean` B, with
+    ///   variance B² − B per run; SE over completed runs;
+    /// * share of stores repeating the previous store's line:
+    ///   `store_locality`; binomial SE over stores after the first.
+    #[test]
+    fn generator_matches_its_parameters() {
+        let width = vpc_cpu::CoreConfig::table1().dispatch_width as f64;
+        let binomial = |p: f64, n: u64| (p * (1.0 - p) / n as f64).sqrt();
+        let mut failures = Vec::new();
+        for p in spec_params() {
+            let name = p.name;
+            let c = count(name, 1_000_000);
+            let ratio = |a: u64, b: u64| a as f64 / b as f64;
+            let len = c.bubble_cycles as f64 / c.bubbles as f64;
+            let per_instr = (1.0 / p.base_ipc - 1.0 / width) / len;
+            let bubble_share = per_instr / (1.0 + per_instr);
+            let instrs = c.ops - c.bubbles;
+            let (m, b) = (p.l1_miss_rate, p.burst_mean);
+            let q = m / ((1.0 - m) * b);
+            let var_x = q * (2.0 * b * b - b) - (q * b).powi(2);
+            let l2_se = (1.0 - m) * (var_x / (c.loads as f64 * (1.0 + q * b))).sqrt();
+            let checks = [
+                (
+                    "bubble share",
+                    ratio(c.bubbles, c.ops),
+                    bubble_share,
+                    binomial(bubble_share, c.ops),
+                ),
+                ("load share", ratio(c.loads, instrs), p.load_frac, binomial(p.load_frac, instrs)),
+                (
+                    "store share",
+                    ratio(c.stores, instrs),
+                    p.store_frac,
+                    binomial(p.store_frac, instrs),
+                ),
+                ("L2 share of loads", ratio(c.l2_loads, c.loads), m, l2_se),
+                (
+                    "cold share of burst loads",
+                    ratio(c.cold_loads, c.l2_loads),
+                    p.l2_miss_rate,
+                    binomial(p.l2_miss_rate, c.l2_loads),
+                ),
+                ("mean burst", ratio(c.run_loads, c.runs), b, ((b * b - b) / c.runs as f64).sqrt()),
+                (
+                    "store locality",
+                    ratio(c.repeated_stores, c.later_stores),
+                    p.store_locality,
+                    binomial(p.store_locality, c.later_stores),
+                ),
+            ];
+            for (what, got, want, se) in checks {
+                failures.extend(near(name, what, got, want, se).err());
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example heterogeneous_mix
 //! ```
 
-use vpc::experiments::{fig10, run_cells, Cell, RunBudget, RunOptions};
+use vpc::experiments::{fig10, RunBudget};
 use vpc::prelude::*;
 
 fn main() {
@@ -18,55 +18,38 @@ fn main() {
 
     println!("== Heterogeneous mix: {} ==\n", mix.join(" + "));
 
-    // One cell per simulation: each thread's equal-share target (the
-    // private machine with beta = alpha = 1/4), then the mix under FCFS
-    // and under VPC.
-    let quarter = Share::new(1, 4).unwrap();
-    let mut cells: Vec<(String, Cell)> = mix
-        .iter()
-        .map(|b| {
-            let target = Cell::target(&base, WorkloadSpec::Spec(b), quarter, quarter, budget);
-            (format!("target/{b}"), target.unwrap())
-        })
-        .collect();
-    for (label, arbiter) in [("fcfs", ArbiterPolicy::Fcfs), ("vpc", ArbiterPolicy::vpc_equal(4))] {
-        cells.push((label.to_string(), fig10::mix_cell(&base, &mix, arbiter, budget)));
-    }
+    // Figure 10's plan for one mix: each thread's equal-share target (the
+    // private machine with beta = alpha = 1/4) and standalone baseline
+    // (alone on the unmanaged CMP), then the mix under FCFS and under VPC.
     let jobs = std::thread::available_parallelism().map_or(1, usize::from);
-    let ipcs = run_cells(&cells, RunOptions { budget, jobs }, |cell| cell.run().1.ipc);
-    let targets: Vec<f64> = ipcs[..4].iter().map(|ipc| ipc[0]).collect();
-    let (fcfs, vpc) = (&ipcs[4], &ipcs[5]);
+    let r = fig10::plan(&base, &[mix], budget).run(jobs);
+    let m = &r.mixes[0];
 
+    println!("IPC normalized to the thread's target, and to the thread alone:");
     println!(
-        "{:<10} {:>9} {:>10} {:>10} {:>11} {:>10}",
-        "thread", "target", "FCFS IPC", "FCFS norm", "VPC IPC", "VPC norm"
+        "{:<10} {:>11} {:>10} {:>12} {:>11}",
+        "thread", "FCFS/target", "VPC/target", "FCFS/alone", "VPC/alone"
     );
-    for i in 0..4 {
+    for (i, thread) in mix.iter().enumerate() {
         println!(
-            "{:<10} {:>9.3} {:>10.3} {:>10.3} {:>11.3} {:>10.3}",
-            mix[i],
-            targets[i],
-            fcfs[i],
-            fcfs[i] / targets[i],
-            vpc[i],
-            vpc[i] / targets[i],
+            "{:<10} {:>11.3} {:>10.3} {:>12.3} {:>11.3}",
+            thread, m.fcfs_norm[i], m.vpc_norm[i], m.fcfs_standalone[i], m.vpc_standalone[i],
         );
     }
 
-    let fcfs_norm = normalized_ipcs(fcfs, &targets);
-    let vpc_norm = normalized_ipcs(vpc, &targets);
     println!(
         "\nharmonic mean: FCFS {:.3} -> VPC {:.3} ({:+.1}%)",
-        harmonic_mean(&fcfs_norm),
-        harmonic_mean(&vpc_norm),
-        improvement_pct(harmonic_mean(&fcfs_norm), harmonic_mean(&vpc_norm)),
+        m.fcfs_hmean(),
+        m.vpc_hmean(),
+        improvement_pct(m.fcfs_hmean(), m.vpc_hmean()),
     );
     println!(
         "minimum:       FCFS {:.3} -> VPC {:.3} ({:+.1}%)",
-        minimum(&fcfs_norm),
-        minimum(&vpc_norm),
-        improvement_pct(minimum(&fcfs_norm), minimum(&vpc_norm)),
+        m.fcfs_min(),
+        m.vpc_min(),
+        improvement_pct(m.fcfs_min(), m.vpc_min()),
     );
+    println!("weighted speedup: FCFS {:.2} -> VPC {:.2}", m.fcfs_ws(), m.vpc_ws());
     println!(
         "\nUnder FCFS the lightest thread falls below its fair-share target\n\
          (normalized < 1.0); the VPC arbiters guarantee every thread its\n\

@@ -47,24 +47,24 @@ if ! diff -r "$snap/results" results; then
 fi
 
 echo "== simulate: three runs' output equals results/simulate.txt =="
-# The default mix; a Loads+3xStores run with --metrics, its stderr ledger
-# block after its stdout; and a zero-share thread.
-sim=target/release/simulate
-if ! {
-    "$sim"
-    "$sim" --workloads Loads,Stores,Stores,Stores --warmup 10000 --cycles 40000 --metrics 2>&1
-    "$sim" --workloads Loads,Stores --shares 1/1,0/1 --warmup 1000 --cycles 5000
-} | cmp - results/simulate.txt; then
+# scripts/simulate_golden.sh defines the runs; it also rewrites the file.
+if ! scripts/simulate_golden.sh | cmp - results/simulate.txt; then
     echo "simulate differs from results/simulate.txt"
     exit 1
 fi
 
-echo "== examples: each runs to completion =="
+echo "== examples: each runs to completion and prints no NaN or inf =="
 # cargo test compiles the examples but never runs them; each one's cells
-# run at most 200k cycles, so running all four takes about a second.
+# run at most 200k cycles, so running all four takes a few seconds. No
+# golden pins their stdout, so a non-finite number (printed as the word
+# NaN, inf or -inf) is caught here.
 for example in quickstart differentiated_service qos_guarantee heterogeneous_mix; do
-    if ! cargo run -q --release --example "$example" >/dev/null; then
+    if ! out=$(cargo run -q --release --example "$example"); then
         echo "example $example exited nonzero"
+        exit 1
+    fi
+    if grep -wE 'NaN|inf' <<<"$out"; then
+        echo "example $example printed a NaN or an infinity (lines above)"
         exit 1
     fi
 done

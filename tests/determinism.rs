@@ -74,3 +74,24 @@ fn experiment_budgets_are_honored() {
     assert_eq!(m.cycles, b.window);
     assert_eq!(sys.now(), b.warmup + b.window);
 }
+
+/// A cell's read-latency histogram covers its measured window, as its
+/// `Measurement` does: its count is the number of reads that a hand-run
+/// system of the same cell completes between the end of the warm-up and
+/// the end of the window.
+#[test]
+fn read_latency_covers_the_measured_window() {
+    let mut cfg = CmpConfig::table1().with_arbiter(ArbiterPolicy::vpc_equal(2));
+    cfg.l2.total_sets = 1024;
+    let budget = RunBudget { warmup: 10_000, window: 20_000 };
+    let cell = Cell::shared(cfg, vec![WorkloadSpec::Spec("mcf"), WorkloadSpec::Stores], budget);
+    let (sys, _) = cell.run();
+
+    let mut hand = CmpSystem::new(cell.cfg.clone(), &cell.workloads);
+    hand.run(budget.warmup);
+    let warmup_reads = hand.l2().read_latency(ThreadId(0)).count();
+    hand.run(budget.window);
+    let window_reads = hand.l2().read_latency(ThreadId(0)).count() - warmup_reads;
+    assert!(warmup_reads > 0 && window_reads > 0, "reads complete in both intervals");
+    assert_eq!(sys.l2().read_latency(ThreadId(0)).count(), window_reads);
+}

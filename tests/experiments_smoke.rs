@@ -2,7 +2,7 @@
 //! and produces structurally complete, printable results.
 
 use vpc::experiments::{
-    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, run_cells, Cell, RunBudget, RunOptions,
+    ablations, fig10, fig4, fig5, fig6, fig7, fig8, fig9, run_cells, Cell, RunBudget,
 };
 use vpc::json::to_json;
 use vpc::prelude::*;
@@ -13,13 +13,10 @@ fn small_base() -> CmpConfig {
     cfg
 }
 
-fn tiny_budget() -> RunBudget {
-    RunBudget { warmup: 6_000, window: 20_000 }
-}
+const TINY: RunBudget = RunBudget { warmup: 6_000, window: 20_000 };
 
-fn tiny() -> RunOptions {
-    RunOptions { budget: tiny_budget(), jobs: 4 }
-}
+/// Worker threads of every batch here.
+const JOBS: usize = 4;
 
 #[test]
 fn fig4_smoke() {
@@ -30,7 +27,7 @@ fn fig4_smoke() {
 
 #[test]
 fn fig5_smoke() {
-    let r = fig5::run(&small_base(), tiny());
+    let r = fig5::plan(&small_base(), TINY).run(JOBS);
     assert_eq!(r.rows.len(), 8, "2 benchmarks x 4 bank counts");
     for row in &r.rows {
         assert!(row.util.data_array >= 0.0 && row.util.data_array <= 1.0);
@@ -43,10 +40,9 @@ fn fig6_and_fig7_smoke_subset() {
     // The full 18-benchmark series runs in the bench binary; here a
     // 3-benchmark subset checks the machinery.
     let benchmarks = ["art", "swim", "sixtrack"];
-    let cells = benchmarks.map(|b| {
-        (b.to_string(), Cell::shared(small_base(), vec![WorkloadSpec::Spec(b)], tiny_budget()))
-    });
-    for (b, m) in benchmarks.iter().zip(run_cells(&cells, tiny(), |cell| cell.run().1)) {
+    let cells = benchmarks
+        .map(|b| (b.to_string(), Cell::shared(small_base(), vec![WorkloadSpec::Spec(b)], TINY)));
+    for (b, m) in benchmarks.iter().zip(run_cells(&cells, JOBS, |cell| cell.run().1)) {
         assert!(m.ipc[0] > 0.0, "{b} must make progress");
         assert!(m.util.data_array > 0.0, "{b} must touch the L2");
     }
@@ -54,7 +50,7 @@ fn fig6_and_fig7_smoke_subset() {
 
 #[test]
 fn fig8_smoke() {
-    let r = fig8::run(&small_base(), tiny());
+    let r = fig8::plan(&small_base(), TINY).run(JOBS);
     assert_eq!(r.rows.len(), 7, "RoW + FCFS + 5 VPC points");
     let row = r.row("RoW").expect("RoW row present");
     // With the tiny warm-up the load stream still has miss gaps that let a
@@ -73,7 +69,7 @@ fn fig8_smoke() {
 
 #[test]
 fn fig9_smoke_one_subject() {
-    let r = fig9::run(&small_base(), &["gcc"], tiny());
+    let r = fig9::plan(&small_base(), &["gcc"], TINY).run(JOBS);
     assert_eq!(r.rows.len(), 1);
     let row = &r.rows[0];
     assert!(row.vpc100_norm > 0.8, "full share approaches standalone: {row:?}");
@@ -82,7 +78,7 @@ fn fig9_smoke_one_subject() {
 
 #[test]
 fn fig10_smoke_one_mix() {
-    let r = fig10::run(&small_base(), &[["gcc", "gzip", "twolf", "ammp"]], tiny());
+    let r = fig10::plan(&small_base(), &[["gcc", "gzip", "twolf", "ammp"]], TINY).run(JOBS);
     assert_eq!(r.mixes.len(), 1);
     assert!(r.vpc_qos_met(0.10) > 0.7, "most threads meet targets: {r:?}");
     assert!(r.to_string().contains("hmean"));
@@ -91,11 +87,11 @@ fn fig10_smoke_one_mix() {
 #[test]
 fn ablation_displays_are_complete() {
     let base = small_base();
-    let wc = ablations::work_conservation(&base, tiny());
+    let wc = ablations::work_conservation(&base, TINY).run(JOBS);
     assert!(wc.to_string().contains("work conservation"));
-    let re = ablations::reorder(&base, tiny());
+    let re = ablations::reorder(&base, TINY).run(JOBS);
     assert!(re.to_string().contains("reordering"));
-    let pre = ablations::preemption(&base, tiny());
+    let pre = ablations::preemption(&base, TINY).run(JOBS);
     assert_eq!(pre.points.len(), 3);
     assert!(pre.to_string().contains("preemption"));
 }
@@ -105,7 +101,7 @@ fn empty_figures_render_without_nan() {
     // JSON writes a non-finite float as null, so the JSON must hold none.
     let fig6 = fig6::Fig6Result { rows: vec![] };
     let fig7 = fig7::Fig7Result { rows: vec![] };
-    let fig10 = fig10::run(&small_base(), &[], tiny());
+    let fig10 = fig10::plan(&small_base(), &[], TINY).run(JOBS);
     for (name, text, json) in [
         ("fig6", fig6.to_string(), to_json(&fig6)),
         ("fig7", fig7.to_string(), to_json(&fig7)),

@@ -84,9 +84,8 @@ fn per_thread_utilization_attribution_sums_to_total() {
 /// by default.
 #[test]
 fn spec_calibration_matches_figure6_shape() {
-    use vpc::experiments::{fig6, RunBudget, RunOptions};
-    let base = CmpConfig::table1();
-    let r = fig6::run(&base, RunOptions { budget: RunBudget::standard(), jobs: 4 });
+    use vpc::experiments::{fig6, RunBudget};
+    let r = fig6::plan(&CmpConfig::table1(), RunBudget::standard()).run(4);
     // Mean data-array utilization near the paper's 26%.
     let mean = r.mean_data_util();
     assert!(

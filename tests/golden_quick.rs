@@ -13,15 +13,13 @@
 
 use std::path::PathBuf;
 
-use vpc::experiments::{reproduce, RunBudget, RunOptions};
+use vpc::experiments::{reproduce, RunBudget};
 
-/// The quick budget on four workers (the output is the same at any count).
-const QUICK: RunOptions = RunOptions { budget: RunBudget::quick(), jobs: 4 };
-
-/// Renders `figure` at the quick budget and compares each of its files
-/// with the golden of the same name.
+/// Renders `figure` at the quick budget on four workers (the output is
+/// the same at any count) and compares each of its files with the golden
+/// of the same name.
 fn check_golden(figure: &'static str) {
-    let files = reproduce(&[figure], QUICK);
+    let files = reproduce(&[figure], RunBudget::quick(), 4);
     assert!(!files.is_empty(), "{figure} renders no quick golden");
     for (name, rendered) in files {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/quick").join(&name);

@@ -1,10 +1,8 @@
 //! Performance-isolation properties: a VPC-protected thread's performance
 //! must be (nearly) independent of what its neighbors run.
 
-use vpc::experiments::{fig9, run_cells, Cell, RunBudget, RunOptions};
+use vpc::experiments::{fig9, run_cells, Cell, RunBudget};
 use vpc::prelude::*;
-
-const QUICK: RunOptions = RunOptions { budget: RunBudget::quick(), jobs: 2 };
 
 fn quick_base() -> CmpConfig {
     let mut cfg = CmpConfig::table1();
@@ -18,9 +16,9 @@ fn with_background(arbiter: ArbiterPolicy, subject: &'static str, bg: WorkloadSp
     Cell::shared(quick_base().with_arbiter(arbiter), workloads, RunBudget::quick())
 }
 
-/// Thread 0's IPC in each cell.
-fn subject_ipcs(cells: &[(String, Cell)], opts: RunOptions) -> Vec<f64> {
-    run_cells(cells, opts, |cell| cell.run().1.ipc[0])
+/// Thread 0's IPC in each cell, run on two workers.
+fn subject_ipcs(cells: &[(String, Cell)]) -> Vec<f64> {
+    run_cells(cells, 2, |cell| cell.run().1.ipc[0])
 }
 
 #[test]
@@ -37,7 +35,7 @@ fn subject_performance_is_insensitive_to_background_choice() {
         cells
             .push((bg.name().to_string(), with_background(ArbiterPolicy::vpc_equal(4), "gcc", bg)));
     }
-    let ipcs = subject_ipcs(&cells, QUICK);
+    let ipcs = subject_ipcs(&cells);
     let guarantee = ipcs[0];
     for (bg, ipc) in backgrounds.iter().zip(&ipcs[1..]) {
         assert!(
@@ -56,7 +54,7 @@ fn fcfs_subject_is_sensitive_to_background_choice() {
     // hard — this is the negative interference the paper eliminates.
     let cells = [WorkloadSpec::Idle, WorkloadSpec::Stores]
         .map(|bg| (bg.name().to_string(), with_background(ArbiterPolicy::Fcfs, "gcc", bg)));
-    let [calm, hostile] = <[f64; 2]>::try_from(subject_ipcs(&cells, QUICK)).unwrap();
+    let [calm, hostile] = <[f64; 2]>::try_from(subject_ipcs(&cells)).unwrap();
     assert!(
         hostile < calm * 0.8,
         "FCFS should expose the subject to interference: calm {calm:.3} vs hostile {hostile:.3}"
@@ -76,7 +74,7 @@ fn capacity_quotas_bound_streaming_pollution() {
         let workloads = ["gzip", "swim", "equake", "swim"].map(WorkloadSpec::Spec).to_vec();
         (label.to_string(), Cell::shared(cfg, workloads, budget))
     });
-    let [lru, vpc] = <[f64; 2]>::try_from(subject_ipcs(&cells, QUICK)).unwrap();
+    let [lru, vpc] = <[f64; 2]>::try_from(subject_ipcs(&cells)).unwrap();
     assert!(
         vpc >= lru * 0.98,
         "way quotas must protect the subject's working set: LRU {lru:.3} vs VPC {vpc:.3}"
@@ -96,7 +94,7 @@ fn performance_is_monotone_in_bandwidth_share() {
             (format!("{num}/{den}"), cell)
         })
         .collect();
-    let ipcs = subject_ipcs(&cells, QUICK);
+    let ipcs = subject_ipcs(&cells);
     for (w, (num, den)) in ipcs.windows(2).zip(&shares[1..]) {
         assert!(
             w[1] >= w[0] * 0.97,

@@ -4,7 +4,7 @@
 //! code did; these check that what it did is what the machine's
 //! parameters imply.
 
-use vpc::experiments::{fig4, fig5, fig8, RunBudget, RunOptions};
+use vpc::experiments::{fig4, fig5, fig8, RunBudget};
 use vpc::prelude::*;
 
 /// Largest relative gap allowed between a simulated Figure 5 or Figure 8
@@ -44,7 +44,7 @@ fn fig8_matches_its_closed_form() {
     // with three data-array accesses per write too.
     let fcfs_loads = 1.0 / (1.0 / loads_solo + 2.0 / stores_solo);
 
-    let r = fig8::run(&base, RunOptions { budget: RunBudget::quick(), jobs: 2 });
+    let r = fig8::plan(&base, RunBudget::quick()).run(2);
     let row = |label: &str| r.row(label).unwrap_or_else(|| panic!("no {label} row"));
     // A bandwidth share of 100% is the solo machine.
     assert_near("Loads target at beta = 1", row("VPC 0%").loads_target, loads_solo);
@@ -124,7 +124,7 @@ fn fig5_matches_its_closed_form() {
             assert_near(&format!("{label} bus"), got.data_bus, bus);
             assert_near(&format!("{label} tag"), got.tag_array, tag);
         };
-    let quick = fig5::run(&base, RunOptions { budget: RunBudget::quick(), jobs: 2 });
+    let quick = fig5::plan(&base, RunBudget::quick()).run(2);
     for &banks in &bank_counts {
         let row = |b: &str| quick.row(b, banks).unwrap_or_else(|| panic!("no {b} {banks}B row"));
         check(format!("Loads {banks}B"), row("Loads").util, loads(banks));

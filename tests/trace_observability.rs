@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use vpc::experiments::{fig5, run_cells, RunOptions};
+use vpc::experiments::{fig5, run_cells};
 use vpc::json::JsonValue;
 use vpc::prelude::*;
 use vpc_sim::check::{self, Config};
@@ -50,7 +50,7 @@ fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLo
             (format!("grid/{banks}B"), cell)
         })
         .collect();
-    let logs = run_cells(&cells, RunOptions { budget: GRID_BUDGET, jobs: workers }, |cell| {
+    let logs = run_cells(&cells, workers, |cell| {
         trace::install(capacity);
         cell.run();
         trace::take().expect("the cell re-arms the recorder after its warm-up")
@@ -101,7 +101,7 @@ fn trace_fig5_matches_golden() {
     fig5::contention_cell(&CmpConfig::table1(), ArbiterPolicy::vpc_equal(4), RunBudget::quick())
         .run();
     let log = trace::take().expect("installed above");
-    let doc = vpc::trace::chrome_trace("fig5/contention Loads+3xStores", &log);
+    let doc = vpc::trace::chrome_trace_jobs(&[("fig5/contention Loads+3xStores".into(), log)]);
     let rendered = doc.pretty() + "\n";
     // The export must round-trip through the in-tree parser.
     let parsed = JsonValue::parse(&rendered).expect("chrome trace parses back");
