@@ -16,8 +16,8 @@
 //!   its allocated share `beta_i` of the resource's bandwidth (§4.1), using
 //!   earliest-virtual-finish-time-first (EDF) selection and supporting
 //!   intra-thread read-over-write reordering without losing the guarantee.
-//!   Its registers (`beta_i` and `R.S_i`) are a [`vpc_sim::VirtualClock`]
-//!   whose shares are fixed when the arbiter is built.
+//!   It holds Figure 3's registers itself: `beta_i`, fixed when the arbiter
+//!   is built, and `R.S_i`, updated by Eq. 3'–6.
 //! * [`ArbitratedResource`] — a busy-until resource wrapper that owns an
 //!   arbiter and counts each thread's busy cycles, mirroring Figure 2b's
 //!   resource-plus-arbiter blocks.

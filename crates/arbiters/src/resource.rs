@@ -11,7 +11,7 @@ use crate::request::ArbRequest;
 /// arbiter-plus-resource blocks of the paper's Figure 2b.
 ///
 /// The owner enqueues requests as they become eligible and calls
-/// [`ArbitratedResource::try_grant`] each (resource) cycle; at most one
+/// [`ArbitratedResource::try_grant`] on every tick it is awake; at most one
 /// request is granted per free period and the resource stays busy for the
 /// request's service time.
 ///
@@ -76,9 +76,10 @@ impl ArbitratedResource {
     /// granted request is returned so the owner can advance its state
     /// machine.
     ///
-    /// Called every bank cycle on each resource and usually a no-op, so
-    /// the no-op check is inlined into the caller and only a grant pays
-    /// for a call (DESIGN.md §10, "An idle poll is not a call").
+    /// Called on each resource on every awake bank tick and often a
+    /// no-op, so the no-op check is inlined into the caller and only a
+    /// grant pays for a call (DESIGN.md §10, "An idle poll is not a
+    /// call").
     #[inline]
     pub fn try_grant(&mut self, now: Cycle) -> Option<ArbRequest> {
         if self.pending == 0 || now < self.busy_until {

@@ -1,10 +1,10 @@
 //! The VPC fair-queuing arbiter (paper §4.1).
 //!
 //! Each shared cache resource (tag array, data array, data bus) gets one
-//! [`VpcArbiter`]. The arbiter keeps, per thread, a small buffer of pending
-//! request IDs and a virtual-time register `R.S_i` tracking when the thread's
-//! *virtual private resource* next becomes available. Selection is earliest
-//! virtual finish time first (EDF):
+//! [`VpcArbiter`], Figure 3's block: per thread, a small buffer of pending
+//! request IDs, the share `beta_i` and a virtual-time register `R.S_i`
+//! tracking when the thread's *virtual private resource* next becomes
+//! available. Selection is earliest virtual finish time first (EDF):
 //!
 //! * Eq. 3': `S_i^k = R.S_i` — the optimized implementation needs no stored
 //!   per-request arrival times.
@@ -15,10 +15,10 @@
 //! * Eq. 6:  when a request arrives to an *empty* thread queue and
 //!   `R.S_i <= R.clk`, then `R.S_i <- R.clk`.
 //!
-//! The registers (`beta_i` and `R.S_i`) and their updates live in
-//! [`VirtualClock`], which derives `L / beta_i` rather than storing
-//! Figure 3's `R.L_i`; this arbiter adds the per-thread request buffers
-//! and the EDF pick.
+//! Figure 3 also keeps the virtual service time `R.L_i = L / beta_i` in a
+//! register because a hardware arbiter cannot divide on every grant; here
+//! each finish time derives it with [`Share::scaled_latency`], the one
+//! implementation of Eq. 2.
 //!
 //! Because `R.S_i` depends only on the amount of service the thread has
 //! received — not on which specific request is served — requests within a
@@ -27,7 +27,7 @@
 
 use std::collections::VecDeque;
 
-use vpc_sim::{Cycle, Share, ThreadId, VirtualClock};
+use vpc_sim::{Cycle, Share, ThreadId};
 
 use crate::arbiter::Arbiter;
 use crate::request::ArbRequest;
@@ -62,8 +62,10 @@ type ThreadQueues = [VecDeque<(u64, ArbRequest)>; 2];
 pub struct VpcArbiter {
     /// Pending requests per thread.
     buffers: Vec<ThreadQueues>,
-    /// `beta_i` and `R.S_i` per thread.
-    clock: VirtualClock,
+    /// `beta_i`: each thread's share of the resource's bandwidth.
+    shares: Vec<Share>,
+    /// `R.S_i`: when each thread's virtual private resource next frees.
+    start: Vec<u64>,
     order: IntraThreadOrder,
     /// Sequence number of the next enqueued request.
     next_seq: u64,
@@ -75,15 +77,18 @@ pub struct VpcArbiter {
 impl VpcArbiter {
     /// Creates an arbiter for `num_threads` threads with bandwidth shares
     /// `shares` (`beta_i`; missing entries get [`Share::ZERO`], extra
-    /// entries are ignored). The shares are fixed for the arbiter's life.
+    /// entries are ignored) and every `R.S_i` at zero. The shares are fixed
+    /// for the arbiter's life.
     ///
     /// # Panics
     ///
     /// Panics if `num_threads` is zero.
     pub fn new(num_threads: usize, shares: &[Share], order: IntraThreadOrder) -> VpcArbiter {
+        assert!(num_threads > 0, "at least one thread required");
         VpcArbiter {
-            clock: VirtualClock::new(num_threads, shares),
             buffers: (0..num_threads).map(|_| Default::default()).collect(),
+            shares: (0..num_threads).map(|t| shares.get(t).copied().unwrap_or_default()).collect(),
+            start: vec![0; num_threads],
             order,
             next_seq: 0,
             last_virtual: None,
@@ -92,12 +97,12 @@ impl VpcArbiter {
 
     /// Returns thread `thread`'s configured share.
     pub fn share(&self, thread: ThreadId) -> Share {
-        self.clock.share(thread)
+        self.shares[thread.index()]
     }
 
     /// `R.S_i` for thread `thread` — exposed for tests and analysis.
     pub fn virtual_start(&self, thread: ThreadId) -> u64 {
-        self.clock.start(thread)
+        self.start[thread.index()]
     }
 
     /// The queue (0 reads, 1 writes) whose front is the request the
@@ -123,57 +128,50 @@ impl VpcArbiter {
 impl Arbiter for VpcArbiter {
     fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
         req.arrival = now;
-        let queues = &mut self.buffers[req.thread.index()];
-        // Eq. 6: arriving to an empty queue resets a stale virtual clock to
-        // real time, so R.S_i always holds the next request's virtual start.
-        self.clock.on_arrival(req.thread, queues.iter().all(VecDeque::is_empty), now);
+        let t = req.thread.index();
+        let queues = &mut self.buffers[t];
+        // Eq. 6: arriving to an empty queue raises a stale virtual clock to
+        // real time, so an idle thread banks no credit; R.S_i never
+        // decreases.
+        if queues.iter().all(VecDeque::is_empty) {
+            self.start[t] = self.start[t].max(now);
+        }
         queues[usize::from(!req.kind.is_read())].push_back((self.next_seq, req));
         self.next_seq += 1;
     }
 
     fn select(&mut self, _now: Cycle) -> Option<ArbRequest> {
-        // Guaranteed threads first: earliest virtual finish time (EDF).
-        let mut best: Option<(u64, u64, usize, usize)> = None; // (F, arrival, thread, queue)
+        // One walk keeps two candidates: the earliest virtual finish time
+        // among guaranteed threads (EDF), and the oldest request among
+        // zero-share threads, which get only the excess bandwidth.
+        let mut edf: Option<((u64, u64, usize), usize)> = None; // ((F, arrival, thread), queue)
+        let mut excess: Option<((u64, usize), usize)> = None; // ((arrival, thread), queue)
         for t in 0..self.buffers.len() {
-            let thread = ThreadId(t as u8);
-            if self.clock.share(thread).is_zero() {
-                continue;
-            }
             let Some((queue, req)) = self.candidate(t) else { continue };
-            let finish = self
-                .clock
-                .finish(thread, req.service_time)
-                .expect("nonzero share has finite virtual service time"); // Eq. 3' + Eq. 4
-            let key = (finish, req.arrival, t, queue);
-            if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                best = Some(key);
+            match self.shares[t].scaled_latency(req.service_time) {
+                Some(virt) => {
+                    let key = (self.start[t] + virt, req.arrival, t); // Eq. 3' + Eq. 4
+                    if edf.is_none_or(|(best, _)| key < best) {
+                        edf = Some((key, queue));
+                    }
+                }
+                None => {
+                    let key = (req.arrival, t);
+                    if excess.is_none_or(|(best, _)| key < best) {
+                        excess = Some((key, queue));
+                    }
+                }
             }
         }
-        if let Some((finish, _arrival, t, queue)) = best {
-            let thread = ThreadId(t as u8);
-            let start = self.clock.start(thread); // Eq. 3': S_i^k = R.S_i
-            let req = self.take(t, queue);
-            self.clock.grant(thread, finish); // Eq. 5
+        if let Some(((finish, _, t), queue)) = edf {
+            let start = std::mem::replace(&mut self.start[t], finish); // Eq. 5
             self.last_virtual = Some((start, finish));
-            return Some(req);
+            return Some(self.take(t, queue));
         }
-
-        // Excess bandwidth for zero-share threads: oldest request first.
-        // R.S_i is untouched because the thread holds no virtual resource.
-        let mut best_free: Option<(u64, usize, usize)> = None; // (arrival, thread, queue)
-        for t in 0..self.buffers.len() {
-            if !self.clock.share(ThreadId(t as u8)).is_zero() {
-                continue;
-            }
-            let Some((queue, req)) = self.candidate(t) else { continue };
-            if best_free.is_none_or(|b| (req.arrival, t) < (b.0, b.1)) {
-                best_free = Some((req.arrival, t, queue));
-            }
-        }
-        let (_, t, queue) = best_free?;
-        let req = self.take(t, queue);
+        // A zero-share thread holds no virtual resource: R.S_i is untouched.
+        let ((_, t), queue) = excess?;
         self.last_virtual = None;
-        Some(req)
+        Some(self.take(t, queue))
     }
 
     fn len(&self) -> usize {
@@ -185,11 +183,11 @@ impl Arbiter for VpcArbiter {
     }
 
     fn backlogged_threads(&self, out: &mut Vec<(ThreadId, Option<u64>)>) {
-        let backlogged = |(_, q): &(usize, &ThreadQueues)| q.iter().any(|b| !b.is_empty());
-        out.extend(self.buffers.iter().enumerate().filter(backlogged).map(|(t, _)| {
-            let thread = ThreadId(t as u8);
-            (thread, Some(self.clock.start(thread)))
-        }));
+        for (t, queues) in self.buffers.iter().enumerate() {
+            if queues.iter().any(|q| !q.is_empty()) {
+                out.push((ThreadId(t as u8), Some(self.start[t])));
+            }
+        }
     }
 }
 
@@ -243,6 +241,32 @@ mod tests {
         // resource frees) keeps the backlogged virtual clock.
         arb.enqueue(read(2, 0, 8), 4);
         assert_eq!(arb.virtual_start(ThreadId(0)), 16);
+    }
+
+    #[test]
+    fn eq6_never_lowers_a_clock() {
+        let mut arb = equal_share_arbiter(2);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        arb.enqueue(read(1, 0, 8), 0);
+        arb.select(0);
+        arb.enqueue(read(2, 0, 8), 10);
+        assert_eq!(arb.virtual_start(t0), 16, "an idle clock ahead of real time stays");
+        // Thread 1 wakes at cycle 1000: its clock starts there, not at zero...
+        arb.enqueue(read(3, 1, 8), 1000);
+        assert_eq!(arb.virtual_start(t1), 1000);
+        // ...and while backlogged it keeps its clock even below real time.
+        arb.enqueue(read(4, 1, 8), 2000);
+        assert_eq!(arb.virtual_start(t1), 1000);
+    }
+
+    #[test]
+    fn equal_shares_alternate() {
+        let mut arb = equal_share_arbiter(2);
+        for id in 0..8 {
+            arb.enqueue(read(id, (id % 2) as u8, 70), 0);
+        }
+        let order: Vec<u8> = (0..8).map(|_| arb.select(0).unwrap().thread.0).collect();
+        assert_eq!(order, [0, 1, 0, 1, 0, 1, 0, 1]);
     }
 
     #[test]
@@ -312,6 +336,7 @@ mod tests {
     #[test]
     fn zero_share_thread_only_gets_excess() {
         let mut arb = VpcArbiter::new(2, &[Share::FULL], IntraThreadOrder::Fifo);
+        assert_eq!(arb.share(ThreadId(1)), Share::ZERO, "missing entries are zero");
         // Thread 1 has zero share.
         arb.enqueue(read(1, 1, 8), 0);
         arb.enqueue(read(2, 0, 8), 0);
@@ -467,19 +492,24 @@ mod tests {
 
     /// The scan-based arbiter the two queues replaced: one buffer per
     /// thread in arrival order, the read-over-write candidate found by a
-    /// scan and granted by `VecDeque::remove`.
+    /// scan and granted by `VecDeque::remove`, guaranteed threads served
+    /// in a pass before zero-share ones. It keeps its own `beta_i` and
+    /// `R.S_i` arithmetic (Eq. 3'–6), sharing none with [`VpcArbiter`].
     struct ScanArbiter {
         buffers: Vec<VecDeque<ArbRequest>>,
-        clock: VirtualClock,
+        shares: Vec<Share>,
+        r_s: Vec<u64>,
         order: IntraThreadOrder,
     }
 
     impl ScanArbiter {
         fn enqueue(&mut self, mut req: ArbRequest, now: Cycle) {
             req.arrival = now;
-            let buffer = &mut self.buffers[req.thread.index()];
-            self.clock.on_arrival(req.thread, buffer.is_empty(), now);
-            buffer.push_back(req);
+            let t = req.thread.index();
+            if self.buffers[t].is_empty() && self.r_s[t] < now {
+                self.r_s[t] = now;
+            }
+            self.buffers[t].push_back(req);
         }
 
         fn candidate_index(&self, t: usize) -> Option<usize> {
@@ -498,24 +528,25 @@ mod tests {
         fn select(&mut self) -> Option<ArbRequest> {
             let mut best: Option<(u64, u64, usize, usize)> = None;
             for t in 0..self.buffers.len() {
-                let thread = ThreadId(t as u8);
-                if self.clock.share(thread).is_zero() {
+                let (num, den) = (self.shares[t].numer(), self.shares[t].denom());
+                if num == 0 {
                     continue;
                 }
                 let Some(pos) = self.candidate_index(t) else { continue };
                 let req = self.buffers[t][pos];
-                let finish = self.clock.finish(thread, req.service_time).unwrap();
+                let virt = (req.service_time * u64::from(den)).div_ceil(u64::from(num));
+                let finish = self.r_s[t] + virt;
                 if best.is_none_or(|b| (finish, req.arrival, t) < (b.0, b.1, b.2)) {
                     best = Some((finish, req.arrival, t, pos));
                 }
             }
             if let Some((finish, _, t, pos)) = best {
-                self.clock.grant(ThreadId(t as u8), finish);
+                self.r_s[t] = finish;
                 return self.buffers[t].remove(pos);
             }
             let mut best_free: Option<(u64, usize, usize)> = None;
             for t in 0..self.buffers.len() {
-                if !self.clock.share(ThreadId(t as u8)).is_zero() {
+                if !self.shares[t].is_zero() {
                     continue;
                 }
                 let Some(pos) = self.candidate_index(t) else { continue };
@@ -529,15 +560,16 @@ mod tests {
         }
     }
 
-    /// The two-queue buffers grant exactly what the scan-based buffer
-    /// granted, under either intra-thread order and with some zero-share
-    /// threads, after every step of a random enqueue/select trace.
+    /// The two-queue buffers and the single selection walk grant exactly
+    /// what the scan-based reference grants, and keep its `R.S_i`, under
+    /// either intra-thread order and with some zero-share threads, after
+    /// every step of a random enqueue/select trace.
     #[test]
     fn queues_match_scan_reference() {
         check::forall("queues_match_scan_reference", Config::cases(128), |rng| {
             let threads = gen::range(rng, 1, 4) as usize;
             let shares: Vec<Share> = (0..threads)
-                .map(|_| if rng.chance(0.25) { Share::ZERO } else { share(1, threads as u32) })
+                .map(|_| if rng.chance(0.25) { Share::ZERO } else { gen::nonzero_share(rng, 8) })
                 .collect();
             let order = if rng.chance(0.5) {
                 IntraThreadOrder::Fifo
@@ -547,7 +579,8 @@ mod tests {
             let mut arb = VpcArbiter::new(threads, &shares, order);
             let mut reference = ScanArbiter {
                 buffers: vec![VecDeque::new(); threads],
-                clock: VirtualClock::new(threads, &shares),
+                shares,
+                r_s: vec![0; threads],
                 order,
             };
             let mut now = 0;
@@ -562,6 +595,9 @@ mod tests {
                     ensure_eq!(arb.select(now), reference.select(), "grant at step {id}");
                 }
                 ensure_eq!(arb.len(), reference.buffers.iter().map(VecDeque::len).sum::<usize>());
+                for (t, &r_s) in reference.r_s.iter().enumerate() {
+                    ensure_eq!(arb.virtual_start(ThreadId(t as u8)), r_s, "R.S_{t} at step {id}");
+                }
                 now += rng.below(3);
             }
             Ok(())

@@ -31,8 +31,10 @@ const USAGE: &str = "\
 --trace writes one Chrome trace_event JSON of every cell's measured window
 to out.json, a process lane per distinct cell (the shared machine, then
 each distinct target; open in chrome://tracing or Perfetto). --metrics
-prints the per-thread QoS ledger and L2 latency percentiles to stderr.
-Neither flag changes stdout. Argument errors exit with code 2.";
+prints the per-thread QoS ledger to stderr, and each thread's L2 read
+latency as p50/p90/p99/max: the percentiles are power-of-two bucket
+bounds, the maximum is exact. Neither flag changes stdout. Argument
+errors exit with code 2.";
 
 #[derive(Debug)]
 struct Args {
@@ -233,11 +235,12 @@ fn run(args: Args, cfg: CmpConfig) {
         eprint!("{ledger}");
         for (w, hist) in args.workloads.iter().zip(latency) {
             eprintln!(
-                "  {} L2 read latency p50/p90/p99: {}/{}/{} cycles",
+                "  {} L2 read latency p50/p90/p99/max: {}/{}/{}/{} cycles",
                 w.name(),
                 hist.p50(),
                 hist.p90(),
                 hist.p99(),
+                hist.max(),
             );
         }
     }

@@ -9,8 +9,8 @@
 //!   `p/q` used by the VPC arbiters and capacity manager. The paper's
 //!   virtual-time bookkeeping is done in integer processor cycles with no
 //!   floating-point drift: [`Share::scaled_latency`] is Eq. 2's
-//!   `L / beta_i`, and [`VirtualClock`] holds the per-thread `R.S_i`
-//!   registers of Eq. 3'–6 and derives each finish time from the two.
+//!   `L / beta_i`, the one implementation both the VPC arbiter's finish
+//!   times and the private target machine's scaled latencies use.
 //! * [`rng`] — [`SplitMix64`], a tiny deterministic RNG so every workload
 //!   and experiment is exactly reproducible from a seed.
 //! * [`stats`] — the event counter and latency histogram the figures'
@@ -54,6 +54,6 @@ pub mod trace;
 pub mod types;
 
 pub use rng::SplitMix64;
-pub use share::{ParseShareError, Share, ShareError, VirtualClock};
+pub use share::{ParseShareError, Share, ShareError};
 pub use stats::{Counter, Histogram};
 pub use types::{AccessKind, CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId, MAX_THREADS};

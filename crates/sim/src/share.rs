@@ -11,8 +11,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::types::ThreadId;
-
 /// An exact rational share in `[0, 1]`, kept in lowest terms.
 ///
 /// ```
@@ -199,92 +197,6 @@ impl fmt::Display for Share {
     }
 }
 
-/// One resource's fair-queuing register file (Figure 3): for each thread,
-/// its share `beta_i` and its virtual-time register `R.S_i`, updated by
-/// Eq. 3'–6. Each VPC arbiter holds one.
-///
-/// The shares are fixed at construction. Figure 3 also keeps the virtual
-/// service time `R.L_i = L / beta_i` in a register because a hardware
-/// arbiter cannot divide on every grant; here [`VirtualClock::finish`]
-/// derives it with [`Share::scaled_latency`], the one implementation of
-/// Eq. 2.
-///
-/// ```
-/// use vpc_sim::{Share, ThreadId, VirtualClock};
-///
-/// let mut clock = VirtualClock::new(2, &[Share::new(1, 2).unwrap()]);
-/// let t0 = ThreadId(0);
-/// clock.on_arrival(t0, true, 100); // Eq. 6: an idle thread starts at `now`
-/// assert_eq!(clock.start(t0), 100); // Eq. 3'
-/// let finish = clock.finish(t0, 8).unwrap(); // Eq. 4: 100 + 8 / (1/2)
-/// clock.grant(t0, finish); // Eq. 5
-/// assert_eq!(clock.start(t0), 116);
-/// assert_eq!(clock.finish(ThreadId(1), 8), None); // zero share: no guarantee
-/// ```
-#[derive(Debug, Clone)]
-pub struct VirtualClock {
-    /// `R.S_i`: when each thread's virtual private resource next frees.
-    r_s: Vec<u64>,
-    /// `beta_i`: each thread's share of the resource's bandwidth.
-    shares: Vec<Share>,
-}
-
-impl VirtualClock {
-    /// Creates the registers for `threads` threads with the given shares
-    /// (missing entries get [`Share::ZERO`]) and every `R.S_i` at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize, shares: &[Share]) -> VirtualClock {
-        assert!(threads > 0, "at least one thread required");
-        let mut s = vec![Share::ZERO; threads];
-        let given = shares.len().min(threads);
-        s[..given].copy_from_slice(&shares[..given]);
-        VirtualClock { r_s: vec![0; threads], shares: s }
-    }
-
-    /// `thread`'s share `beta_i`.
-    #[inline]
-    pub fn share(&self, thread: ThreadId) -> Share {
-        self.shares[thread.index()]
-    }
-
-    /// Eq. 3': the virtual start time of `thread`'s next request,
-    /// `S_i = R.S_i`.
-    #[inline]
-    pub fn start(&self, thread: ThreadId) -> u64 {
-        self.r_s[thread.index()]
-    }
-
-    /// Eq. 6: a request arriving at real time `now` while `thread` is
-    /// `idle` (nothing pending) raises a stale `R.S_i` to `now`, so an idle
-    /// thread banks no credit; `R.S_i` never decreases.
-    #[inline]
-    pub fn on_arrival(&mut self, thread: ThreadId, idle: bool, now: u64) {
-        let r_s = &mut self.r_s[thread.index()];
-        if idle && *r_s < now {
-            *r_s = now;
-        }
-    }
-
-    /// Eq. 4: the virtual finish time `R.S_i + L / beta_i` of a
-    /// `service`-cycle request from `thread`, or `None` for a zero share,
-    /// which holds no virtual resource.
-    #[inline]
-    pub fn finish(&self, thread: ThreadId, service: u64) -> Option<u64> {
-        let t = thread.index();
-        self.shares[t].scaled_latency(service).map(|virt| self.r_s[t] + virt)
-    }
-
-    /// Eq. 5: granting `thread` a request with virtual finish time
-    /// `finish` (from [`VirtualClock::finish`]) sets `R.S_i` to it.
-    #[inline]
-    pub fn grant(&mut self, thread: ThreadId, finish: u64) {
-        self.r_s[thread.index()] = finish;
-    }
-}
-
 /// Error returned when parsing a [`Share`] from a string fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseShareError(String);
@@ -398,75 +310,6 @@ mod tests {
         assert!(" 7 / 8 ".parse::<Share>().is_ok());
         assert!("4/3".parse::<Share>().is_err());
         assert!("abc".parse::<Share>().is_err());
-    }
-
-    /// Serves `rounds` grants of `service`-cycle requests to always
-    /// backlogged threads, earliest virtual finish first, and counts them.
-    fn backlogged_grants(clock: &mut VirtualClock, rounds: usize, service: u64) -> Vec<u32> {
-        let threads = clock.r_s.len();
-        let mut grants = vec![0u32; threads];
-        for _ in 0..rounds {
-            let (finish, t) = (0..threads)
-                .filter_map(|t| clock.finish(ThreadId(t as u8), service).map(|f| (f, t)))
-                .min()
-                .expect("a guaranteed thread");
-            clock.grant(ThreadId(t as u8), finish);
-            grants[t] += 1;
-        }
-        grants
-    }
-
-    #[test]
-    fn clock_equal_shares_alternate() {
-        let half = Share::new(1, 2).unwrap();
-        let mut clock = VirtualClock::new(2, &[half, half]);
-        assert_eq!(backlogged_grants(&mut clock, 8, 70), [4, 4]);
-    }
-
-    #[test]
-    fn clock_three_to_one_shares_give_three_to_one_grants() {
-        let mut clock =
-            VirtualClock::new(2, &[Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()]);
-        let grants = backlogged_grants(&mut clock, 100, 70);
-        let ratio = f64::from(grants[0]) / f64::from(grants[1]);
-        assert!((2.5..3.5).contains(&ratio), "3:1 shares give ~3:1 grants, got {ratio}");
-    }
-
-    #[test]
-    fn clock_idle_thread_is_raised_to_floor_never_lowered() {
-        let half = Share::new(1, 2).unwrap();
-        let mut clock = VirtualClock::new(2, &[half, half]);
-        let (t0, t1) = (ThreadId(0), ThreadId(1));
-        // Thread 1 wakes at t=1000: its clock starts at the floor, not zero.
-        clock.on_arrival(t1, true, 1000);
-        assert_eq!(clock.start(t1), 1000);
-        // A backlogged thread keeps its clock even below the floor...
-        clock.on_arrival(t1, false, 2000);
-        assert_eq!(clock.start(t1), 1000);
-        // ...and an idle thread ahead of the floor is not pulled back.
-        clock.grant(t0, 500);
-        clock.on_arrival(t0, true, 100);
-        assert_eq!(clock.start(t0), 500);
-    }
-
-    #[test]
-    fn clock_zero_share_has_no_finish_time() {
-        let clock = VirtualClock::new(2, &[Share::FULL]);
-        assert_eq!(clock.share(ThreadId(1)), Share::ZERO, "missing entries are zero");
-        assert_eq!(clock.finish(ThreadId(1), 70), None);
-        assert_eq!(clock.finish(ThreadId(0), 70), Some(70));
-    }
-
-    #[test]
-    fn clock_grant_sets_start_to_finish() {
-        let mut clock = VirtualClock::new(1, &[Share::new(1, 4).unwrap()]);
-        let t0 = ThreadId(0);
-        clock.on_arrival(t0, true, 10);
-        let finish = clock.finish(t0, 8).unwrap();
-        assert_eq!(finish, 10 + 32, "Eq. 4: S + L / beta");
-        assert_eq!(clock.start(t0), 10, "finish() alone charges nothing");
-        clock.grant(t0, finish);
-        assert_eq!(clock.start(t0), 42);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Closed-form oracles: quantities the paper's microbenchmark figures
 //! follow from Table 1 by arithmetic, checked against the simulator at
-//! the quick budget unless a test says otherwise. A golden pins what the
-//! code did; these check that what it did is what the machine's
+//! the quick budget unless a test says otherwise, and the VPC arbiter's
+//! bandwidth bound checked against its own arithmetic. A golden pins what
+//! the code did; these check that what it did is what the machine's
 //! parameters imply.
 
 use vpc::experiments::{fig4, fig5, fig8, RunBudget};
@@ -143,4 +144,82 @@ fn fig5_matches_its_closed_form() {
         );
         check(format!("Stores {banks}B, standard budget"), cell.run().1.util, stores(banks));
     }
+}
+
+/// Eq. 3'–6 against §3.2's deadline bound, on a VPC arbiter driven alone.
+///
+/// A thread with `beta_i = k_i/8` sends only `L_i`-cycle requests: 8-cycle
+/// reads or 16-cycle writes. Each grant advances its `R.S_i` by the integer
+/// virtual service time `V_i = ceil(8 L_i / k_i)`, so its guaranteed rate is
+/// `e_i = L_i / V_i`, which equals `beta_i` only when `k_i` divides `8 L_i`.
+/// (The naive `beta_i` bound is false: 3/8 against 5/8 on 8-cycle reads
+/// gives the 3/8 thread 0.3714 of the cycles over 10^5 grants, below 0.375;
+/// its `e_i = 8/22` holds.) Each request finishes by its virtual finish
+/// time plus one maximum service time `L_max`, so a thread backlogged since
+/// cycle 0 has received `S_i(T) >= e_i (T - L_max) - L_i` cycles of service
+/// at every grant completion `T`; the `- L_i` is the one request that may
+/// be in flight. The shared machine and its §5.3 private target round
+/// alike: `L2Config::scaled_private` scales latencies by the same
+/// `Share::scaled_latency`.
+///
+/// `V_i` is computed here from `k_i`, not through `Share::scaled_latency`,
+/// so a broken `scaled_latency` cannot agree with itself.
+#[test]
+fn vpc_clock_meets_its_bandwidth_bound() {
+    use vpc_arbiters::{ArbRequest, Arbiter, VpcArbiter};
+    use vpc_sim::check::{self, gen, Config};
+    use vpc_sim::{ensure, AccessKind};
+
+    check::forall("vpc_clock_meets_its_bandwidth_bound", Config::cases(256), |rng| {
+        // 1–4 threads with nonzero k_i summing to at most 8.
+        let threads = gen::range(rng, 1, 4) as usize;
+        let mut k = Vec::with_capacity(threads);
+        for i in 0..threads {
+            let left = 8 - k.iter().sum::<u64>() - (threads - 1 - i) as u64;
+            k.push(gen::range(rng, 1, left));
+        }
+        let kinds: Vec<AccessKind> = (0..threads).map(|_| gen::access_kind(rng)).collect();
+        let service: Vec<u64> = kinds.iter().map(|k| if k.is_read() { 8 } else { 16 }).collect();
+        let virt: Vec<u64> = (0..threads).map(|i| (8 * service[i]).div_ceil(k[i])).collect();
+        let l_max = *service.iter().max().expect("at least one thread");
+        let order =
+            if rng.chance(0.5) { IntraThreadOrder::Fifo } else { IntraThreadOrder::ReadOverWrite };
+
+        let shares: Vec<Share> = k.iter().map(|&k| Share::new(k as u32, 8).unwrap()).collect();
+        let mut arb = VpcArbiter::new(threads, &shares, order);
+        let mut id = 0;
+        let mut send = |arb: &mut VpcArbiter, t: usize, now: u64| {
+            id += 1;
+            arb.enqueue(ArbRequest::new(id, ThreadId(t as u8), kinds[t], service[t]), now);
+        };
+        // Two requests each at cycle 0, and one more on every grant: no
+        // queue ever empties, so every thread stays backlogged.
+        for t in 0..threads {
+            send(&mut arb, t, 0);
+            send(&mut arb, t, 0);
+        }
+        let mut received = vec![0u64; threads];
+        let mut now = 0;
+        for grant in 0..3000 {
+            let req = arb.select(now).expect("every queue is backlogged");
+            let t = req.thread.index();
+            send(&mut arb, t, now);
+            now += req.service_time;
+            received[t] += req.service_time;
+            // S_i >= L_i (T - L_max) / V_i - L_i, in integers.
+            for i in 0..threads {
+                let bound = service[i] * now.saturating_sub(l_max);
+                ensure!(
+                    (received[i] + service[i]) * virt[i] >= bound,
+                    "grant {grant}, T = {now}: thread {i} (k = {}/8, L = {}) received {} \
+                     cycles, bound {:.1} (k = {k:?}, L = {service:?}, {order:?})",
+                    k[i],
+                    service[i],
+                    received[i],
+                    bound as f64 / virt[i] as f64 - service[i] as f64,
+                );
+            }
+        }
+        Ok(())
+    });
 }
