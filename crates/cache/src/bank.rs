@@ -278,6 +278,13 @@ impl L2Bank {
         self.ports.iter().map(ThreadPort::next_wake).fold(self.events_min, Cycle::min)
     }
 
+    /// No tick before this cycle can act (`u64::MAX` while the bank waits
+    /// on nothing but memory): [`L2Bank::tick`]'s guard.
+    #[inline]
+    pub(crate) fn wake(&self) -> Cycle {
+        self.wake
+    }
+
     /// Delivers a memory fetch completion for `token`, the fetching state
     /// machine's slot.
     ///

@@ -65,6 +65,9 @@ pub struct L1Cache {
     /// Valid ways per set.
     held: Vec<usize>,
     mshrs: Vec<Mshr>,
+    /// The emptied token lists of filled MSHRs, taken by the next primary
+    /// misses, so a miss allocates nothing.
+    spare_tokens: Vec<Vec<u64>>,
     stats: L1Stats,
 }
 
@@ -85,6 +88,7 @@ impl L1Cache {
             ways: vec![Way { line: LineAddr(0), last_touch: 0 }; cfg.sets * cfg.ways],
             held: vec![0; cfg.sets],
             mshrs: Vec::new(),
+            spare_tokens: Vec::new(),
             stats: L1Stats::default(),
             cfg,
         }
@@ -121,7 +125,8 @@ impl L1Cache {
     /// credit toward the L2), asked only when the entry is free; without
     /// either the load is [`L1LoadResult::Blocked`]. On
     /// [`L1LoadResult::MissPrimary`] the caller must issue an L2 read; the
-    /// load's `token` completes when [`L1Cache::on_fill`] later returns it.
+    /// load's `token` completes when [`L1Cache::on_fill`] later hands it
+    /// back.
     pub fn access_load(
         &mut self,
         line: LineAddr,
@@ -143,7 +148,9 @@ impl L1Cache {
             return L1LoadResult::Blocked;
         }
         self.stats.load_misses.inc();
-        self.mshrs.push(Mshr { line, tokens: vec![token] });
+        let mut tokens = self.spare_tokens.pop().unwrap_or_default();
+        tokens.push(token);
+        self.mshrs.push(Mshr { line, tokens });
         L1LoadResult::MissPrimary
     }
 
@@ -156,24 +163,26 @@ impl L1Cache {
         }
     }
 
-    /// Completes a fill for `line`: installs it and returns the tokens of
-    /// every load waiting on it.
+    /// Completes a fill for `line`: installs it and hands `wake` the token
+    /// of every load waiting on it, in the order the loads looked it up.
+    /// The emptied token list is kept for the next primary miss.
     ///
     /// # Panics
     ///
     /// Panics if `line` has no outstanding MSHR.
-    pub fn on_fill(&mut self, line: LineAddr, now: Cycle) -> Vec<u64> {
+    pub fn on_fill(&mut self, line: LineAddr, now: Cycle, wake: impl FnMut(u64)) {
         let idx = self
             .mshrs
             .iter()
             .position(|m| m.line == line)
             .expect("fill matches an outstanding MSHR");
-        let mshr = self.mshrs.swap_remove(idx);
+        let mut tokens = self.mshrs.swap_remove(idx).tokens;
         let set = self.set_of(line);
         let way = self.fill_way(set);
         self.held[set] = self.held[set].max(way + 1);
         self.ways[set * self.cfg.ways + way] = Way { line, last_touch: now };
-        mshr.tokens
+        tokens.drain(..).for_each(wake);
+        self.spare_tokens.push(tokens);
     }
 
     /// Whether a new primary miss can allocate (MSHR and LMQ capacity).
@@ -203,13 +212,19 @@ mod tests {
         L1Cache::new(L1Config::table1())
     }
 
+    /// Fills `line` and returns the tokens it hands back, in order.
+    fn fill(c: &mut L1Cache, line: LineAddr, now: Cycle) -> Vec<u64> {
+        let mut tokens = Vec::new();
+        c.on_fill(line, now, |token| tokens.push(token));
+        tokens
+    }
+
     #[test]
     fn load_miss_fill_hit() {
         let mut c = l1();
         assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
         assert_eq!(c.mshrs.len(), 1);
-        let tokens = c.on_fill(LineAddr(5), 10);
-        assert_eq!(tokens, vec![1]);
+        assert_eq!(fill(&mut c, LineAddr(5), 10), vec![1]);
         assert_eq!(c.access_load(LineAddr(5), 2, 20, || true), L1LoadResult::Hit { ready_at: 22 });
         assert_eq!(c.stats().load_hits.get(), 1);
         assert_eq!(c.stats().load_misses.get(), 1);
@@ -221,9 +236,34 @@ mod tests {
         assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
         assert_eq!(c.access_load(LineAddr(5), 2, 1, || true), L1LoadResult::MissSecondary);
         assert_eq!(c.mshrs.len(), 1, "one MSHR covers both");
-        let mut tokens = c.on_fill(LineAddr(5), 10);
-        tokens.sort_unstable();
-        assert_eq!(tokens, vec![1, 2]);
+        assert_eq!(fill(&mut c, LineAddr(5), 10), vec![1, 2]);
+    }
+
+    /// A fill hands its tokens back in the order the loads looked the line
+    /// up, and keeps the emptied list: the next primary miss takes it, and
+    /// it holds only that miss's tokens.
+    #[test]
+    fn fills_return_tokens_in_arrival_order_and_reuse_their_lists() {
+        let mut c = l1();
+        let (a, b) = (LineAddr(5), LineAddr(6));
+        assert_eq!(c.access_load(a, 30, 0, || true), L1LoadResult::MissPrimary);
+        assert_eq!(c.access_load(b, 40, 0, || true), L1LoadResult::MissPrimary);
+        for token in [10, 20] {
+            assert_eq!(c.access_load(a, token, 1, || true), L1LoadResult::MissSecondary);
+        }
+        assert_eq!(fill(&mut c, a, 10), vec![30, 10, 20]);
+        assert_eq!(c.spare_tokens.len(), 1, "the emptied list is kept");
+        let capacity = c.spare_tokens[0].capacity();
+        let d = LineAddr(7);
+        assert_eq!(c.access_load(d, 2, 11, || true), L1LoadResult::MissPrimary);
+        assert!(c.spare_tokens.is_empty(), "the primary miss took the kept list");
+        let reused = c.mshrs.iter().find(|m| m.line == d).expect("an MSHR for the line");
+        assert_eq!(reused.tokens, vec![2], "the reused list starts empty");
+        assert_eq!(reused.tokens.capacity(), capacity, "the list is the kept one");
+        assert_eq!(c.access_load(d, 1, 12, || true), L1LoadResult::MissSecondary);
+        assert_eq!(fill(&mut c, d, 20), vec![2, 1]);
+        assert_eq!(fill(&mut c, b, 21), vec![40]);
+        assert_eq!(c.spare_tokens.len(), 2);
     }
 
     #[test]
@@ -246,7 +286,7 @@ mod tests {
         assert_eq!(c.access_load(LineAddr(5), 1, 0, || true), L1LoadResult::MissPrimary);
         let secondary = c.access_load(LineAddr(5), 2, 1, || unreachable!("no credit needed"));
         assert_eq!(secondary, L1LoadResult::MissSecondary);
-        c.on_fill(LineAddr(5), 10);
+        fill(&mut c, LineAddr(5), 10);
         let hit = c.access_load(LineAddr(5), 3, 20, || unreachable!("no credit needed"));
         assert_eq!(hit, L1LoadResult::Hit { ready_at: 22 });
     }
@@ -277,7 +317,7 @@ mod tests {
         c.access_store(LineAddr(5), 0);
         assert!(!c.probe(LineAddr(5)), "store miss does not allocate");
         c.access_load(LineAddr(5), 1, 0, || true);
-        c.on_fill(LineAddr(5), 5);
+        fill(&mut c, LineAddr(5), 5);
         c.access_store(LineAddr(5), 10);
         let way = c.lookup(LineAddr(5)).expect("the filled line stays resident");
         assert_eq!(c.ways[way].last_touch, 10, "store hit updates in place");
@@ -290,7 +330,7 @@ mod tests {
         // Fill one set's 4 ways plus one more; the LRU line is evicted.
         for i in 0..5u64 {
             c.access_load(LineAddr(i * sets), i, i, || true);
-            c.on_fill(LineAddr(i * sets), i);
+            fill(&mut c, LineAddr(i * sets), i);
         }
         assert!(!c.probe(LineAddr(0)), "LRU line evicted");
         assert!(c.probe(LineAddr(4 * sets)));
@@ -339,7 +379,7 @@ mod tests {
                         let way = reference[set].find_way_for(line, ThreadId(0), &TrueLru);
                         ensure_eq!(flat.fill_way(set), way, "victim for {line:?} at step {step}");
                         reference[set].fill(way, line, ThreadId(0), now);
-                        flat.on_fill(line, now);
+                        fill(&mut flat, line, now);
                     }
                     _ => {}
                 }

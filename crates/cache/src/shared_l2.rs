@@ -32,6 +32,10 @@ pub struct SharedL2 {
     /// (`u64::MAX` when none is queued): lowered by every bank tick,
     /// recomputed by a [`SharedL2::pop_response`] that finds nothing.
     next_response: Cycle,
+    /// No tick before this cycle can act (`u64::MAX` when nothing is
+    /// anywhere in the cache or memory system): set by every tick body
+    /// that runs, lowered by [`SharedL2::submit`].
+    wake: Cycle,
 }
 
 impl SharedL2 {
@@ -46,7 +50,7 @@ impl SharedL2 {
         cfg.check_geometry();
         let banks = (0..cfg.banks).map(|b| L2Bank::new(&cfg, b)).collect();
         let mem = MemoryController::new(mem_cfg, cfg.threads);
-        SharedL2 { banks, mem, cfg, next_response: u64::MAX }
+        SharedL2 { banks, mem, cfg, next_response: u64::MAX, wake: u64::MAX }
     }
 
     /// [`SharedL2::new`] under its former name; the frozen benchmark still
@@ -67,7 +71,8 @@ impl SharedL2 {
         self.banks[self.cfg.bank_of(line)].can_accept(thread)
     }
 
-    /// Routes a request to its bank.
+    /// Routes a request to its bank, and wakes the cache by the first bank
+    /// cycle from the request's arrival.
     ///
     /// The caller must respect [`SharedL2::can_accept`]; the input queue is
     /// a hardware structure and over-filling it panics.
@@ -76,19 +81,33 @@ impl SharedL2 {
         debug_assert!(self.can_accept(req.thread, req.line), "input port over-filled");
         let bank = self.cfg.bank_of(req.line);
         self.banks[bank].submit(req, now);
+        self.wake = self.wake.min(bank_wake(&self.banks[bank]));
     }
 
     /// Advances the cache and memory system one processor cycle.
     ///
-    /// The banks run at half core frequency ([`L2Bank::tick`] acts only on
-    /// even cycles), so they are ticked, and can queue a response, only
-    /// on even cycles; a bank's tick returns at once before its wake
-    /// cycle. Memory requests forward every cycle: the controller can
-    /// make room on any cycle. This tick itself has no gate: one on the
-    /// minimum of the bank and controller wakes measured no gain
-    /// (DESIGN.md §10, "A quiet bank is not ticked").
+    /// Before the stored wake cycle no bank can act, no memory request
+    /// waits to be forwarded and the memory controller cannot act, so
+    /// that check is inlined into the caller and only an acting tick pays
+    /// for a call (DESIGN.md §10, "A quiet cache is not ticked").
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
+        if now >= self.wake {
+            self.tick_awake(now);
+        }
+    }
+
+    /// The body of [`SharedL2::tick`]. The banks run at half core
+    /// frequency ([`L2Bank::tick`] acts only on even cycles), so they are
+    /// ticked, and can queue a response, only on even cycles. Memory
+    /// requests, queued only by bank bodies, forward on any cycle the
+    /// controller has room, so a bank left holding one wakes the cache on
+    /// the next cycle; otherwise it sleeps until the first bank or
+    /// controller wake.
+    #[inline(never)]
+    fn tick_awake(&mut self, now: Cycle) {
         let bank_cycle = now.is_multiple_of(2);
+        let mut forward_blocked = false;
         for bank in &mut self.banks {
             if bank_cycle {
                 bank.tick(now);
@@ -97,6 +116,7 @@ impl SharedL2 {
             // Forward memory requests while the controller has room.
             while let Some(&req) = bank.peek_mem_request() {
                 if !self.mem.enqueue(req, now) {
+                    forward_blocked = true;
                     break;
                 }
                 bank.pop_mem_request();
@@ -107,6 +127,11 @@ impl SharedL2 {
         while let Some(resp) = self.mem.pop_response() {
             self.banks[self.cfg.bank_of(resp.line)].on_mem_response(resp.token, now);
         }
+        self.wake = if forward_blocked {
+            now + 1
+        } else {
+            self.banks.iter().map(bank_wake).fold(self.mem.wake(), Cycle::min)
+        };
     }
 
     /// Always the next cycle: the run loop ticks every cycle. A vestige
@@ -202,13 +227,21 @@ impl SharedL2 {
     }
 }
 
+/// The first cycle `bank` can act: its wake, rounded up to an even cycle
+/// (the banks run at half core frequency).
+#[inline]
+fn bank_wake(bank: &L2Bank) -> Cycle {
+    let wake = bank.wake();
+    wake.saturating_add(wake & 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CapacityPolicy;
     use vpc_arbiters::ArbiterPolicy;
     use vpc_sim::check::{self, gen, Config};
-    use vpc_sim::{ensure_eq, AccessKind};
+    use vpc_sim::{ensure, ensure_eq, AccessKind};
 
     fn small_cfg(threads: usize, arbiter: ArbiterPolicy) -> L2Config {
         let mut cfg = L2Config::table1(threads, arbiter);
@@ -297,6 +330,70 @@ mod tests {
                     }
                 }
             }
+            Ok(())
+        });
+    }
+
+    /// The wake guard skips only ticks that would act on nothing: on
+    /// random loads and stores from 1–4 threads over 1, 2 or 4 banks of a
+    /// tiny cache (so lines conflict and dirty lines are cast out), with
+    /// quiet spells for idle drains and memory buffers small enough that
+    /// forwarding backs up, a cache ticked through `tick` pops the same
+    /// responses on every cycle and has the same `Debug` rendering after
+    /// every cycle as one whose `tick_awake` runs on every cycle.
+    #[test]
+    fn guarded_ticks_match_ticking_awake_every_cycle() {
+        check::forall("shared_l2_guarded_ticks_match_ticking_awake", Config::cases(10), |rng| {
+            let threads = gen::range(rng, 1, 4) as usize;
+            let arbiter = match rng.below(3) {
+                0 => ArbiterPolicy::Fcfs,
+                1 => ArbiterPolicy::RowFcfs,
+                _ => ArbiterPolicy::vpc_equal(threads),
+            };
+            let mut cfg = small_cfg(threads, arbiter);
+            cfg.banks = 1 << rng.below(3);
+            cfg.total_sets = 2 * cfg.banks;
+            cfg.ways = 4;
+            cfg.capacity = CapacityPolicy::Lru;
+            cfg.sm_per_thread = gen::range(rng, 1, 8) as usize;
+            cfg.sgb_idle_drain = gen::range(rng, 10, 300);
+            let mut mem = MemConfig::ddr2_800();
+            mem.transaction_buffer = gen::range(rng, 1, 4) as usize;
+            mem.write_buffer = gen::range(rng, 1, 4) as usize;
+            let lines = gen::range(rng, 8, 128);
+            let mut guarded = SharedL2::new(cfg.clone(), mem);
+            let mut awake = SharedL2::new(cfg, mem);
+            let (mut token, mut busy, mut spell_end) = (0, true, 0);
+            for now in 0..20_000u64 {
+                if now >= 2_000 && guarded.is_idle() && awake.is_idle() {
+                    break;
+                }
+                if now >= spell_end {
+                    busy = !busy && now < 2_000;
+                    spell_end = now + gen::range(rng, 1, 300);
+                }
+                if busy && rng.chance(0.3) {
+                    token += 1;
+                    let req = gen::cache_request(rng, threads, lines, token);
+                    let accepts = guarded.can_accept(req.thread, req.line);
+                    ensure_eq!(accepts, awake.can_accept(req.thread, req.line), "credit at {now}");
+                    if accepts {
+                        guarded.submit(req, now);
+                        awake.submit(req, now);
+                    }
+                }
+                guarded.tick(now);
+                awake.tick_awake(now);
+                loop {
+                    let popped = guarded.pop_response(now);
+                    ensure_eq!(popped, awake.pop_response(now), "response at {now}");
+                    if popped.is_none() {
+                        break;
+                    }
+                }
+                ensure_eq!(format!("{guarded:?}"), format!("{awake:?}"), "state at {now}");
+            }
+            ensure!(guarded.is_idle(), "the caches drained");
             Ok(())
         });
     }

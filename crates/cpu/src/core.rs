@@ -135,6 +135,10 @@ pub struct Core<W: Workload = Box<dyn Workload>> {
     /// Unissued loads' slots and lines, oldest first (loads issue in LRQ
     /// order). An unissued load cannot complete, so it is still live.
     unissued_loads: VecDeque<(u64, LineAddr)>,
+    /// The head unissued load found the LMQ full: it cannot issue before
+    /// a fill frees an entry, so issue waits for
+    /// [`Core::on_l2_response`], which clears this.
+    lmq_blocked: bool,
     lrq_count: usize,
     srq_count: usize,
     next_store_at: Cycle,
@@ -156,6 +160,7 @@ impl<W: Workload> Core<W> {
             pending_op: None,
             frontend_stall_until: 0,
             unissued_loads: VecDeque::new(),
+            lmq_blocked: false,
             lrq_count: 0,
             srq_count: 0,
             next_store_at: 0,
@@ -197,17 +202,21 @@ impl<W: Workload> Core<W> {
     }
 
     /// Delivers an L2 read response (critical word) for `line`: fills the
-    /// L1 and wakes every load waiting on the line.
+    /// L1, wakes every load waiting on the line and lets a load blocked on
+    /// the full LMQ try again.
     pub fn on_l2_response(&mut self, line: LineAddr, now: Cycle) {
         trace::emit(|| TraceEvent {
             at: now,
             data: EventData::LoadReturn { thread: self.thread, line },
         });
-        for slot in self.l1.on_fill(line, now) {
-            if let Some(load) = self.entry_mut(slot) {
-                load.done_at = now;
+        let (rob, live) = (&mut self.rob, self.head..self.next_slot);
+        let mask = rob.len() - 1;
+        self.l1.on_fill(line, now, |slot| {
+            if live.contains(&slot) {
+                rob[slot as usize & mask].done_at = now;
             }
-        }
+        });
+        self.lmq_blocked = false;
     }
 
     /// The ring position of `slot`.
@@ -330,7 +339,14 @@ impl<W: Workload> Core<W> {
         }
     }
 
+    /// Issues up to `load_issue_width` loads in LRQ order. A head load
+    /// blocked on the full LMQ would find the same L1 tags, MSHRs and LMQ
+    /// occupancy on every cycle until a fill, so issue waits for one; a
+    /// head load blocked on a port credit is retried every cycle.
     fn issue_loads(&mut self, now: Cycle, l2: &mut SharedL2) {
+        if self.lmq_blocked {
+            return;
+        }
         let mut issued = 0;
         while issued < self.cfg.load_issue_width {
             let Some(&(slot, line)) = self.unissued_loads.front() else { return };
@@ -344,7 +360,10 @@ impl<W: Workload> Core<W> {
                 }
                 // Structural block (LMQ full or no port credit): loads
                 // issue in order from the LRQ, so stop here.
-                None => return,
+                None => {
+                    self.lmq_blocked = !self.l1.can_allocate_miss();
+                    return;
+                }
             }
         }
     }
@@ -558,6 +577,54 @@ mod tests {
             wide.retired(),
             throttled.retired()
         );
+    }
+
+    /// The LMQ gate skips only issue attempts that would be refused: on a
+    /// stream of load misses with a 2-entry LMQ, interleaved with stores
+    /// that take the L2 port credits (one per port), a core whose
+    /// `lmq_blocked` flag is cleared before every tick, so that it retries
+    /// its head load on every cycle, reaches the same state after every
+    /// cycle and the same L1 statistics. Both kinds of block occur.
+    #[test]
+    fn lmq_gate_matches_retrying_every_cycle() {
+        let mut ops: Vec<Op> = (0..96).map(|i| Op::Load(LineAddr(i))).collect();
+        for i in 0..32 {
+            ops.insert(3 * i, Op::Store(LineAddr(2 * i as u64)));
+        }
+        let mut cfg = CoreConfig::table1();
+        cfg.l1.lmq_entries = 2;
+        let core = || Core::new(cfg, ThreadId(0), FixedTrace::new("misses", ops.clone()));
+        let l2 = || {
+            let mut l2cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
+            l2cfg.total_sets = 128;
+            l2cfg.input_queue_cap = 1;
+            SharedL2::new(l2cfg, MemConfig::ddr2_800())
+        };
+        let (mut gated, mut retrying) = (core(), core());
+        let (mut l2_gated, mut l2_retrying) = (l2(), l2());
+        let (mut lmq_waits, mut credit_blocks) = (0, 0);
+        for now in 0..20_000 {
+            retrying.lmq_blocked = false;
+            lmq_waits += u64::from(gated.lmq_blocked);
+            let head = gated.unissued_loads.front().copied();
+            let tried = head.is_some() && !gated.lmq_blocked;
+            gated.tick(now, &mut l2_gated);
+            credit_blocks += u64::from(
+                tried && gated.unissued_loads.front().copied() == head && !gated.lmq_blocked,
+            );
+            retrying.tick(now, &mut l2_retrying);
+            for (core, l2) in [(&mut gated, &mut l2_gated), (&mut retrying, &mut l2_retrying)] {
+                l2.tick(now);
+                while let Some(resp) = l2.pop_response(now) {
+                    core.on_l2_response(resp.line, now);
+                }
+            }
+            assert_eq!(format!("{gated:?}"), format!("{retrying:?}"), "state at {now}");
+        }
+        assert_eq!(format!("{:?}", gated.l1_stats()), format!("{:?}", retrying.l1_stats()));
+        assert!(lmq_waits > 1_000, "the LMQ gate skipped {lmq_waits} issue calls");
+        assert!(credit_blocks > 50, "{credit_blocks} head loads blocked on a port credit");
+        assert!(gated.stats().loads.get() > 1_000, "the loads retired");
     }
 
     /// A core holding `entries` at the head of its ROB, with the queue

@@ -173,6 +173,13 @@ impl MemoryController {
         q.reads.front().or(q.writes.front()).copied()
     }
 
+    /// No tick before this cycle can act (`u64::MAX` when nothing is
+    /// buffered or in flight): [`MemoryController::tick`]'s guard.
+    #[inline]
+    pub fn wake(&self) -> Cycle {
+        self.wake
+    }
+
     /// Pops the next completed read, if any: the request that asked for it.
     #[inline]
     pub fn pop_response(&mut self) -> Option<MemRequest> {

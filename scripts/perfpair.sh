@@ -14,7 +14,12 @@
 # held-out seed 4242 is not among the seeds. Fails if any run does not
 # report `"correct": true`.
 #
-# Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED...
+# Seeds after a `--` form a second batch, run and summarized on its own
+# after the first. With two batches the script ends with each metric's
+# claim verdict per batch and whether both batches pass, the two-batch
+# rule of CONTRIBUTING.md.
+#
+# Usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED... [-- SEED...]
 #
 # Both sides are built from the same source path, target/perfpair/src/,
 # each into its own target directory: the build embeds the source path,
@@ -31,14 +36,33 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
+usage="usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED... [-- SEED...]"
 if [[ $# -lt 4 ]]; then
-    echo "usage: scripts/perfpair.sh PARENT WORKLOAD SECONDS SEED..." >&2
+    echo "$usage" >&2
     exit 2
 fi
 parent=$(git rev-parse --verify "$1^{commit}")
 workload=$2
 seconds=$3
 shift 3
+first=()
+second=()
+while [[ $# -gt 0 && $1 != -- ]]; do
+    first+=("$1")
+    shift
+done
+if [[ $# -gt 0 ]]; then
+    shift
+    second=("$@")
+    if [[ ${#second[@]} -eq 0 ]]; then
+        echo "$usage" >&2
+        exit 2
+    fi
+fi
+if [[ ${#first[@]} -eq 0 ]]; then
+    echo "$usage" >&2
+    exit 2
+fi
 
 perf=$PWD/target/perfpair
 parent_root=$perf/$parent
@@ -112,72 +136,100 @@ run() {
     echo "$last"
 }
 
-echo "workload $workload, --seconds $seconds, parent ${parent:0:12} vs this checkout"
-echo "seed parent_wall_s change_wall_s"
-parent_runs=()
-change_runs=()
-i=0
-for seed in "$@"; do
-    if ((i % 2 == 0)); then
-        p=$(run parent "$parent_root" "$seed")
-        c=$(run change "$change_root" "$seed")
-    else
-        c=$(run change "$change_root" "$seed")
-        p=$(run parent "$parent_root" "$seed")
-    fi
-    echo "$seed $(value_of wall_s "$p") $(value_of wall_s "$c")"
-    parent_runs+=("$p")
-    change_runs+=("$c")
-    i=$((i + 1))
-done
+# Each metric's claim verdicts, one word per batch.
+declare -A claims
 
-printf '%-18s %-6s %12s %12s %8s %5s %12s %5s %5s\n' \
-    metric better parent_med change_med ratio won parent_iqr claim gate
-while read -r name better bound; do
-    for i in "${!parent_runs[@]}"; do
-        echo "$(value_of "$name" "${parent_runs[$i]}") $(value_of "$name" "${change_runs[$i]}")"
-    done | awk -v name="$name" -v better="$better" -v bound="$bound" '
-        # Quantile q of the sorted values v[1..n], interpolated linearly.
-        function quantile(v, n, q,    h, lo) {
-            h = (n - 1) * q + 1
-            lo = int(h)
-            return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-        }
-        function sort(v, n,    i, j, x) {
-            for (i = 2; i <= n; i++) {
-                x = v[i]
-                for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
-                v[j + 1] = x
+# Runs one batch of pairs, one per seed in "$@", prints each pair's
+# `wall_s` and one summary row per metric, and appends each metric's
+# claim verdict to `claims`.
+batch() {
+    local parent_runs=() change_runs=() i=0 seed p c name better bound row
+    echo "seed parent_wall_s change_wall_s"
+    for seed in "$@"; do
+        if ((i % 2 == 0)); then
+            p=$(run parent "$parent_root" "$seed")
+            c=$(run change "$change_root" "$seed")
+        else
+            c=$(run change "$change_root" "$seed")
+            p=$(run parent "$parent_root" "$seed")
+        fi
+        echo "$seed $(value_of wall_s "$p") $(value_of wall_s "$c")"
+        parent_runs+=("$p")
+        change_runs+=("$c")
+        i=$((i + 1))
+    done
+
+    printf '%-18s %-6s %12s %12s %8s %5s %12s %5s %5s\n' \
+        metric better parent_med change_med ratio won parent_iqr claim gate
+    while read -r name better bound; do
+        row=$(for i in "${!parent_runs[@]}"; do
+            echo "$(value_of "$name" "${parent_runs[$i]}") $(value_of "$name" "${change_runs[$i]}")"
+        done | awk -v name="$name" -v better="$better" -v bound="$bound" '
+            # Quantile q of the sorted values v[1..n], interpolated linearly.
+            function quantile(v, n, q,    h, lo) {
+                h = (n - 1) * q + 1
+                lo = int(h)
+                return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
             }
-        }
-        NF < 2 { missing = 1; next }
-        {
-            n++; p[n] = $1; c[n] = $2
-            if (better == "higher" ? $2 > $1 : $2 < $1) won++
-        }
-        END {
-            if (missing || n == 0) {
-                printf "%-18s %-6s missing from some runs\n", name, better
-                exit
+            function sort(v, n,    i, j, x) {
+                for (i = 2; i <= n; i++) {
+                    x = v[i]
+                    for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+                    v[j + 1] = x
+                }
             }
-            sort(p, n); sort(c, n)
-            pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-            iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-            ratio = pm == 0 ? "n/a" : sprintf("%.3f", cm / pm)
-            gap = better == "higher" ? cm - pm : pm - cm
-            claim = 10 * won >= 9 * n && gap > iqr ? "yes" : "no"
-            gate = bound == "" ? "n/a" : -gap <= bound * pm ? "ok" : "FAIL"
-            printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g %5s %5s\n", \
-                name, better, pm, cm, ratio, won, n, iqr, claim, gate
-        }'
-done <<<"$metrics"
+            NF < 2 { missing = 1; next }
+            {
+                n++; p[n] = $1; c[n] = $2
+                if (better == "higher" ? $2 > $1 : $2 < $1) won++
+            }
+            END {
+                if (missing || n == 0) {
+                    printf "%-18s %-6s missing from some runs\n", name, better
+                    exit
+                }
+                sort(p, n); sort(c, n)
+                pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+                iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+                ratio = pm == 0 ? "n/a" : sprintf("%.3f", cm / pm)
+                gap = better == "higher" ? cm - pm : pm - cm
+                claim = 10 * won >= 9 * n && gap > iqr ? "yes" : "no"
+                gate = bound == "" ? "n/a" : -gap <= bound * pm ? "ok" : "FAIL"
+                printf "%-18s %-6s %12.6g %12.6g %8s %2d/%-2d %12.6g %5s %5s\n", \
+                    name, better, pm, cm, ratio, won, n, iqr, claim, gate
+            }')
+        echo "$row"
+        if [[ $row == *" yes "* ]]; then
+            claims[$name]+=" yes"
+        else
+            claims[$name]+=" no"
+        fi
+    done <<<"$metrics"
+}
+
+echo "workload $workload, --seconds $seconds, parent ${parent:0:12} vs this checkout"
+if [[ ${#second[@]} -eq 0 ]]; then
+    batch "${first[@]}"
+else
+    echo "batch 1: seeds ${first[*]}"
+    batch "${first[@]}"
+    echo "batch 2: seeds ${second[*]}"
+    batch "${second[@]}"
+    echo "two-batch claim rule: a claim holds only if both batches pass it"
+    printf '%-18s %6s %6s %6s\n' metric batch1 batch2 both
+    while read -r name _; do
+        read -r one two <<<"${claims[$name]}"
+        both=$([[ $one == yes && $two == yes ]] && echo yes || echo no)
+        printf '%-18s %6s %6s %6s\n' "$name" "$one" "$two" "$both"
+    done <<<"$metrics"
+fi
 
 echo "note: setup_s times a sub-millisecond span once per cell and spreads more" \
     "between batches than within one (a pair of identical binaries read x1.075):" \
     "a setup_s verdict from one batch is weak evidence either way"
 
 held_out=4242
-if [[ " $* " != *" $held_out "* ]]; then
+if [[ " ${first[*]} ${second[*]} " != *" $held_out "* ]]; then
     echo "perfpair: warning: the held-out seed $held_out is not among the seeds;" \
         "a claim must include it" >&2
 fi
