@@ -170,23 +170,19 @@ fn run(args: Args, cfg: CmpConfig) {
         .collect();
     let entitlements: Vec<(Share, Share)> = args.shares.iter().map(|&s| (s, s)).collect();
     let mut results = run_cells(&cells, vpc_bench::default_jobs(), |cell| {
-        if args.trace.is_some() {
-            trace::install(trace::DEFAULT_CAPACITY);
-        }
-        let mut ledger = (args.metrics && *cell == shared)
-            .then(|| QosLedger::new(entitlements.clone(), fig5::QOS_WINDOW, fig5::QOS_SLACK));
-        let (sys, m) = cell.run_with_ledger(ledger.as_mut());
-        let latency: Vec<_> =
-            (0..cell.workloads.len()).map(|t| sys.l2().read_latency(ThreadId(t as u8))).collect();
-        (m, latency, ledger, trace::take())
+        cell.run(Observe {
+            trace: args.trace.is_some().then_some(trace::DEFAULT_CAPACITY),
+            ledger: (args.metrics && *cell == shared)
+                .then(|| QosLedger::new(entitlements.clone(), fig5::QOS_WINDOW, fig5::QOS_SLACK)),
+        })
     });
     // One trace per distinct cell, under its first label: a repeated
     // cell's result is a copy of the first one's.
     let traces: Vec<JobTrace> = (0..cells.len())
         .filter(|&i| cells[..i].iter().all(|(_, earlier)| *earlier != cells[i].1))
-        .filter_map(|i| Some((cells[i].0.clone(), results[i].3.take()?)))
+        .filter_map(|i| Some((cells[i].0.clone(), results[i].trace.take()?)))
         .collect();
-    let (m, latency, ledger, _) = &results[0];
+    let Observed { m, read_latency: latency, ledger, .. } = &results[0];
 
     vpc_bench::outln!(
         "== simulate: {} threads, {} banks, arbiter {} ==",
@@ -205,7 +201,7 @@ fn run(args: Args, cfg: CmpConfig) {
         "gathering"
     );
     for (i, w) in args.workloads.iter().enumerate() {
-        let target = targets[i].map_or(0.0, |t| results[t].0.ipc[0]);
+        let target = targets[i].map_or(0.0, |t| results[t].m.ipc[0]);
         // A zero-share thread runs on excess bandwidth only and has no
         // target to normalize by.
         let norm =

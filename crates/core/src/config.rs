@@ -262,7 +262,7 @@ mod tests {
     use std::panic::{self, AssertUnwindSafe};
 
     use super::*;
-    use crate::system::CmpSystem;
+    use crate::experiments::{Cell, Observe, RunBudget};
     use vpc_sim::check::{self, gen, Config};
     use vpc_sim::{ensure, ensure_eq, SplitMix64};
 
@@ -355,7 +355,7 @@ mod tests {
 
     /// `validate` is the build boundary: a configuration it accepts runs
     /// 5k cycles with every IPC finite, and one it rejects makes
-    /// `CmpSystem::new` panic with the error's message.
+    /// `CmpSystem::new`, so the cell's run, panic with the error's message.
     #[test]
     fn validate_is_the_build_boundary() {
         check::forall("validate_is_the_build_boundary", Config::cases(96), |rng| {
@@ -364,12 +364,15 @@ mod tests {
                 .map(|t| if t % 2 == 0 { WorkloadSpec::Loads } else { WorkloadSpec::Stores })
                 .collect();
             let verdict = cfg.validate();
-            let built =
-                panic::catch_unwind(AssertUnwindSafe(|| CmpSystem::new(cfg.clone(), &workloads)));
-            match (verdict, built) {
-                (Ok(()), Ok(mut sys)) => {
-                    let m = sys.run_measured(0, 5_000);
-                    for (t, ipc) in m.ipc.iter().enumerate() {
+            let cell = Cell {
+                cfg: cfg.clone(),
+                workloads,
+                budget: RunBudget { warmup: 0, window: 5_000 },
+            };
+            let run = panic::catch_unwind(AssertUnwindSafe(|| cell.run(Observe::default())));
+            match (verdict, run) {
+                (Ok(()), Ok(run)) => {
+                    for (t, ipc) in run.m.ipc.iter().enumerate() {
                         ensure!(ipc.is_finite(), "thread {t} IPC {ipc} on {cfg:?}");
                     }
                 }

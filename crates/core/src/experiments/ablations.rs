@@ -175,7 +175,7 @@ pub fn preemption(base: &CmpConfig, budget: RunBudget) -> Plan<PreemptionResult>
             .zip(records.chunks_exact(2))
             .map(|(data_latency, pair)| {
                 let (ipc, target, hist) =
-                    (pair[0].m.ipc[0], pair[1].m.ipc[0], &pair[0].read_latency);
+                    (pair[0].m.ipc[0], pair[1].m.ipc[0], &pair[0].read_latency[0]);
                 PreemptionPoint {
                     data_latency,
                     normalized_ipc: if target > 0.0 { ipc / target } else { 0.0 },

@@ -133,10 +133,11 @@ pub fn contention_cell(base: &CmpConfig, arbiter: ArbiterPolicy, budget: RunBudg
 }
 
 /// An empty ledger for [`contention_cell`]: equal `1/4` entitlements,
-/// [`QOS_WINDOW`]-cycle windows, [`QOS_SLACK`] tolerance. Filled by
-/// [`Cell::run_with_ledger`] under [`ArbiterPolicy::vpc_equal`], every
-/// thread's sustained excess is zero; under [`ArbiterPolicy::Fcfs`] the
-/// store threads run up nonzero excess at the Loads thread's expense.
+/// [`QOS_WINDOW`]-cycle windows, [`QOS_SLACK`] tolerance. Handed to
+/// [`Cell::run`] as [`Observe::ledger`](super::Observe::ledger) and filled
+/// under [`ArbiterPolicy::vpc_equal`], every thread's sustained excess is
+/// zero; under [`ArbiterPolicy::Fcfs`] the store threads run up nonzero
+/// excess at the Loads thread's expense.
 pub fn contention_ledger() -> QosLedger {
     let beta = Share::new(1, 4).expect("1/4 is a valid share");
     QosLedger::new(vec![(beta, beta); 4], QOS_WINDOW, QOS_SLACK)
@@ -145,8 +146,8 @@ pub fn contention_ledger() -> QosLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Observe;
     use crate::json::to_json;
-    use vpc_sim::trace;
 
     #[test]
     fn microbenchmark_scaling_matches_paper_shape() {
@@ -222,10 +223,9 @@ mod tests {
     }
 
     fn ledger(arbiter: ArbiterPolicy) -> QosLedger {
-        let mut ledger = contention_ledger();
-        contention_cell(&test_base(), arbiter, RunBudget::quick())
-            .run_with_ledger(Some(&mut ledger));
-        ledger
+        let observe = Observe { trace: None, ledger: Some(contention_ledger()) };
+        let cell = contention_cell(&test_base(), arbiter, RunBudget::quick());
+        cell.run(observe).ledger.expect("a ledger was handed in")
     }
 
     #[test]
@@ -254,18 +254,10 @@ mod tests {
         );
     }
 
-    /// The measured window of `cell`, traced with a `capacity`-event
-    /// recorder installed on this thread.
-    fn traced(cell: &Cell, capacity: usize) -> (trace::TraceLog, String) {
-        trace::install(capacity);
-        let m = cell.run().1;
-        (trace::take().expect("installed above"), format!("{m:?}"))
-    }
-
     #[test]
     fn contention_trace_emits_grants_with_virtual_times_for_all_threads() {
         let cell = contention_cell(&test_base(), ArbiterPolicy::vpc_equal(4), RunBudget::quick());
-        let (log, _) = traced(&cell, 4096);
+        let log = cell.run(Observe { trace: Some(4096), ledger: None }).trace.expect("traced");
         let mut granted = [false; 4];
         let mut deferred = [false; 4];
         for event in log.events() {
@@ -292,14 +284,21 @@ mod tests {
         assert!(log.dropped() > 0, "quick window should overflow a 4096-event ring");
     }
 
+    /// Observing a run changes none of its simulated cycles: the cell run
+    /// plain, traced, and traced while filling a ledger (which steps the
+    /// window in ledger windows) measures the same window with the same
+    /// read latencies.
     #[test]
     fn tracing_does_not_perturb_measurement() {
         let budget = RunBudget { warmup: 5_000, window: 10_000 };
         let cell = contention_cell(&test_base(), ArbiterPolicy::vpc_equal(4), budget);
-        assert_eq!(
-            format!("{:?}", cell.run().1),
-            traced(&cell, 1024).1,
-            "tracing changed simulated behavior"
-        );
+        let plain = cell.run(Observe::default());
+        let traced = cell.run(Observe { trace: Some(1024), ledger: None });
+        let both = cell.run(Observe { trace: Some(1024), ledger: Some(contention_ledger()) });
+        for (how, run) in [("tracing", &traced), ("tracing with a ledger", &both)] {
+            assert_eq!(format!("{:?}", run.m), format!("{:?}", plain.m), "{how} changed m");
+            assert_eq!(run.read_latency, plain.read_latency, "{how} changed read latency");
+        }
+        assert!(traced.trace.is_some() && both.trace.is_some() && both.ledger.is_some());
     }
 }

@@ -100,12 +100,15 @@ pub fn plan(base: &CmpConfig, budget: RunBudget) -> Plan<Fig6Result> {
 mod tests {
     use super::*;
     use crate::config::WorkloadSpec;
-    use crate::experiments::Cell;
+    use crate::experiments::{Cell, Observe};
 
     /// `benchmark` alone on the baseline cache at the quick budget.
     fn solo(benchmark: &'static str) -> L2Utilization {
         let workloads = vec![WorkloadSpec::Spec(benchmark)];
-        Cell::shared(CmpConfig::table1(), workloads, RunBudget::quick()).run().1.util
+        Cell::shared(CmpConfig::table1(), workloads, RunBudget::quick())
+            .run(Observe::default())
+            .m
+            .util
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! a [`Cell`]: either a shared-machine run ([`Cell::shared`]) or a §5.3
 //! target, the private machine with `1/beta` latencies and `alpha * ways`
 //! ways ([`Cell::target`]). A figure lists its labelled cells and folds
-//! one record per cell into its typed result, whose `Display` prints the
-//! same rows or series the paper reports. That list and fold is the
+//! each one's [`Observed`] into its typed result, whose `Display` prints
+//! the same rows or series the paper reports. That list and fold is the
 //! figure's [`Plan`], its one entry point: the [`RunBudget`] it is given
 //! sizes its cells' windows (tests use short ones, `reproduce` the
 //! standard ones), and [`Plan::run`] takes the worker count and runs the
@@ -105,54 +105,69 @@ impl Cell {
         })
     }
 
-    /// Builds the cell's machine, runs its warm-up and measures its window.
-    pub fn run(&self) -> (CmpSystem, Measurement) {
-        self.run_with_ledger(None)
-    }
-
-    /// [`Cell::run`], also filling `ledger`, when given, from the measured
-    /// window: the data-array service each thread received in every full
-    /// ledger window, out of window cycles × banks (the denominator of
-    /// [`CmpSystem::measure`]). A trailing partial window is not recorded.
-    ///
-    /// This is where every simulation's warm-up ends. The L2's read-latency
-    /// histograms are emptied there, so they cover the measured window. A
-    /// trace recorder armed on the calling thread with [`trace::install`]
-    /// (in a batch job's closure, say) is set aside for the warm-up and
-    /// re-armed, empty and at its capacity, when the measured window
-    /// starts, so a trace is a prefix of the measured window.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ledger` tracks one thread per processor.
-    pub fn run_with_ledger(&self, ledger: Option<&mut QosLedger>) -> (CmpSystem, Measurement) {
+    /// Builds the cell's machine, runs its warm-up and measures its window,
+    /// keeping what `observe` asks for. This is where every simulation's
+    /// warm-up ends: the L2's read-latency histograms are emptied there,
+    /// and an asked-for trace recorder is armed there on the calling thread
+    /// and taken when the window ends, so a trace is a prefix of the
+    /// window. A ledger (one entry per processor) records each thread's
+    /// data-array service in every full ledger window of the measured one,
+    /// out of window cycles × banks (the denominator of
+    /// [`CmpSystem::measure`]). Observing changes no simulated cycle.
+    pub fn run(&self, observe: Observe) -> Observed {
+        let Observe { trace: capacity, mut ledger } = observe;
         let mut sys = CmpSystem::new(self.cfg.clone(), &self.workloads);
-        let recorder = trace::take();
         sys.run(self.budget.warmup);
         sys.reset_read_latency();
-        if let Some(log) = recorder {
-            trace::install(log.capacity());
+        if let Some(capacity) = capacity {
+            trace::install(capacity);
         }
         let snap = sys.snapshot();
         let mut left = self.budget.window;
-        if let Some(ledger) = ledger {
-            assert_eq!(ledger.threads(), self.workloads.len(), "one ledger entry per thread");
+        let threads = (0..self.workloads.len() as u8).map(ThreadId);
+        if let Some(ledger) = &mut ledger {
             let step = ledger.window().max(1);
-            let threads = 0..self.workloads.len() as u8;
-            let busy = |sys: &CmpSystem, t| sys.l2().thread_data_busy(ThreadId(t));
+            let busy = |sys: &CmpSystem, t| sys.l2().thread_data_busy(t);
             while left >= step {
                 let before: Vec<u64> = threads.clone().map(|t| busy(&sys, t)).collect();
                 sys.run(step);
                 let service: Vec<u64> =
-                    threads.clone().map(|t| busy(&sys, t) - before[t as usize]).collect();
+                    threads.clone().map(|t| busy(&sys, t) - before[t.index()]).collect();
                 ledger.record_window(&service, step * self.cfg.l2.banks as u64);
                 left -= step;
             }
         }
         sys.run(left);
-        let m = sys.measure(&snap);
-        (sys, m)
+        Observed {
+            m: sys.measure(&snap),
+            read_latency: threads.map(|t| sys.l2().read_latency(t)).collect(),
+            trace: capacity.and_then(|_| trace::take()),
+            ledger,
+        }
     }
+}
+
+/// What [`Cell::run`] observes besides the [`Measurement`]; the default
+/// observes nothing.
+#[derive(Debug, Default)]
+pub struct Observe {
+    /// Trace the measured window into a ring of this many events.
+    pub trace: Option<usize>,
+    /// Fill this empty ledger from the measured window.
+    pub ledger: Option<QosLedger>,
+}
+
+/// What [`Cell::run`] kept of one run.
+#[derive(Debug, Clone)]
+pub struct Observed {
+    /// The measured window.
+    pub m: Measurement,
+    /// Each thread's L2 read latency over the measured window.
+    pub read_latency: Vec<Histogram>,
+    /// The measured window's trace, if [`Observe::trace`] asked for one.
+    pub trace: Option<trace::TraceLog>,
+    /// The [`Observe::ledger`], filled.
+    pub ledger: Option<QosLedger>,
 }
 
 /// Runs labelled cells as one [`exec::map_indexed`] batch on `jobs`
@@ -162,9 +177,8 @@ impl Cell {
 ///
 /// Each distinct cell (by `==` on the whole cell) is simulated once, as a
 /// job carrying the label of its first occurrence; a repeated cell gets a
-/// copy of that result. `run` simulates the cell it is given, with
-/// [`Cell::run`] or [`Cell::run_with_ledger`], and keeps what the caller
-/// needs of the finished system and its window's [`Measurement`].
+/// copy of that result. `run` simulates the cell it is given with
+/// [`Cell::run`] and keeps what the caller needs of its [`Observed`].
 pub fn run_cells<T: Clone + Send>(
     cells: &[(String, Cell)],
     jobs: usize,
@@ -189,20 +203,11 @@ pub fn run_cells<T: Clone + Send>(
     slots.into_iter().map(|i| results[i].clone()).collect()
 }
 
-/// What a batch keeps of one simulated cell: its window's [`Measurement`]
-/// and thread 0's L2 read-latency histogram (the preemption ablation's
-/// columns). Every figure folds these.
-#[derive(Debug, Clone)]
-pub(crate) struct Record {
-    pub m: Measurement,
-    pub read_latency: Histogram,
-}
+/// Turns what a plan's cells observed, in listing order, into a result.
+type Fold<R> = Box<dyn FnOnce(&[Observed]) -> R>;
 
-/// Turns the records of a plan's cells, in listing order, into a result.
-type Fold<R> = Box<dyn FnOnce(&[Record]) -> R>;
-
-/// A figure's labelled cells and the fold that turns their records into
-/// its result: what `fig5::plan` … `fig10::plan` and each ablation return.
+/// A figure's labelled cells and the fold that turns what they observed
+/// into its result: what `fig5::plan` … `fig10::plan` and each ablation return.
 /// [`Plan::run`] simulates it.
 pub struct Plan<R> {
     cells: Vec<(String, Cell)>,
@@ -213,7 +218,7 @@ impl<R: 'static> Plan<R> {
     /// The plan of `cells`, folded by `fold`.
     pub(crate) fn new(
         cells: Vec<(String, Cell)>,
-        fold: impl FnOnce(&[Record]) -> R + 'static,
+        fold: impl FnOnce(&[Observed]) -> R + 'static,
     ) -> Self {
         Plan { cells, fold: Box::new(fold) }
     }
@@ -221,21 +226,17 @@ impl<R: 'static> Plan<R> {
     /// The same cells, with `f` applied to the folded result.
     pub(crate) fn map<S: 'static>(self, f: impl FnOnce(R) -> S + 'static) -> Plan<S> {
         let fold = self.fold;
-        Plan::new(self.cells, move |records| f(fold(records)))
+        Plan::new(self.cells, move |runs| f(fold(runs)))
     }
 
     /// Runs the cells as one [`run_cells`] batch on `jobs` worker threads
-    /// and folds their records.
+    /// and folds what they observed.
     pub fn run(self, jobs: usize) -> R {
-        let records = run_cells(&self.cells, jobs, |cell| {
-            let (sys, m) = cell.run();
-            Record { m, read_latency: sys.l2().read_latency(ThreadId(0)) }
-        });
-        (self.fold)(&records)
+        (self.fold)(&run_cells(&self.cells, jobs, |cell| cell.run(Observe::default())))
     }
 
     /// One plan listing every plan's cells in order, whose fold hands each
-    /// plan its own records.
+    /// plan its own runs.
     pub(crate) fn join(plans: Vec<Plan<R>>) -> Plan<Vec<R>> {
         let mut cells = Vec::new();
         let mut folds = Vec::new();
@@ -243,12 +244,12 @@ impl<R: 'static> Plan<R> {
             folds.push((plan.cells.len(), plan.fold));
             cells.extend(plan.cells);
         }
-        Plan::new(cells, move |mut records| {
+        Plan::new(cells, move |mut runs| {
             let mut results = Vec::new();
             for (n, fold) in folds {
-                let (mine, rest) = records.split_at(n);
+                let (mine, rest) = runs.split_at(n);
                 results.push(fold(mine));
-                records = rest;
+                runs = rest;
             }
             results
         })
@@ -322,7 +323,7 @@ mod tests {
     }
 
     fn debug_run(cells: &[(String, Cell)], jobs: usize) -> Vec<String> {
-        run_cells(cells, jobs, |cell| format!("{:?}", cell.run().1))
+        run_cells(cells, jobs, |cell| format!("{:?}", cell.run(Observe::default()).m))
     }
 
     #[test]
@@ -347,7 +348,8 @@ mod tests {
     #[test]
     fn every_cell_gets_its_solo_result() {
         let pool = pool();
-        let solo: Vec<String> = pool.iter().map(|c| format!("{:?}", c.run().1)).collect();
+        let solo: Vec<String> =
+            pool.iter().map(|c| format!("{:?}", c.run(Observe::default()).m)).collect();
         check::forall("every_cell_gets_its_solo_result", Config::cases(16), |rng| {
             let (picks, cells) = draw(rng, &pool);
             for (i, got) in debug_run(&cells, 2).iter().enumerate() {
@@ -376,7 +378,8 @@ mod tests {
     fn target(workload: WorkloadSpec, beta: Share, alpha: Share, budget: RunBudget) -> f64 {
         let mut base = CmpConfig::table1();
         base.l2.total_sets = 512;
-        Cell::target(&base, workload, beta, alpha, budget).map_or(0.0, |cell| cell.run().1.ipc[0])
+        Cell::target(&base, workload, beta, alpha, budget)
+            .map_or(0.0, |cell| cell.run(Observe::default()).m.ipc[0])
     }
 
     #[test]

@@ -41,14 +41,14 @@
 //! cfg.l2.total_sets = 512; // doc-test sized
 //! let budget = RunBudget { warmup: 10_000, window: 20_000 };
 //! let workloads = vec![WorkloadSpec::Loads, WorkloadSpec::Stores];
-//! let (_, m) = Cell::shared(cfg.clone(), workloads, budget).run();
-//! assert!(m.ipc[0] > 0.0 && m.ipc[1] > 0.0);
+//! let run = Cell::shared(cfg.clone(), workloads, budget).run(Observe::default());
+//! assert!(run.m.ipc[0] > 0.0 && run.read_latency[0].count() > 0);
 //!
 //! // Stores' QoS target: its IPC alone on the private machine with a
 //! // quarter of the bandwidth and half of the ways.
 //! let half = Share::new(1, 2).unwrap();
 //! let target = Cell::target(&cfg, WorkloadSpec::Stores, shares[1], half, budget)
-//!     .map_or(0.0, |cell| cell.run().1.ipc[0]);
+//!     .map_or(0.0, |cell| cell.run(Observe::default()).m.ipc[0]);
 //! assert!(target > 0.0);
 //! ```
 
@@ -69,7 +69,7 @@ pub use system::{CmpSystem, Measurement, Snapshot};
 /// Convenient glob-import surface for examples and experiment binaries.
 pub mod prelude {
     pub use crate::config::{CmpConfig, WorkloadSpec};
-    pub use crate::experiments::{Cell, RunBudget};
+    pub use crate::experiments::{Cell, Observe, Observed, RunBudget};
     pub use crate::metrics::{
         harmonic_mean, improvement_pct, minimum, normalized_ipcs, weighted_speedup,
     };

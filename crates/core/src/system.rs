@@ -199,8 +199,9 @@ impl CmpSystem {
         self.l2.reset_read_latency();
     }
 
-    /// Convenience: warm up, then measure a window. The L2's read-latency
-    /// histograms keep the warm-up's reads (unlike [`Cell::run`]'s).
+    /// Warms up, then measures a window, keeping the warm-up's reads in the
+    /// L2's read-latency histograms. A vestige only the frozen benchmark
+    /// calls (DESIGN §10); a run is measured with [`Cell::run`].
     ///
     /// [`Cell::run`]: crate::experiments::Cell::run
     pub fn run_measured(&mut self, warmup: Cycle, window: Cycle) -> Measurement {
@@ -225,6 +226,7 @@ impl CmpSystem {
 mod tests {
     use super::*;
     use crate::config::WorkloadSpec;
+    use crate::experiments::{Cell, Observe, RunBudget};
 
     fn quick_config(threads: usize) -> CmpConfig {
         let mut cfg = CmpConfig::table1_with_threads(threads);
@@ -232,11 +234,17 @@ mod tests {
         cfg
     }
 
+    /// The measured window of `workloads` on [`quick_config`] after a
+    /// `warmup`-cycle warm-up.
+    fn measured(workloads: Vec<WorkloadSpec>, warmup: Cycle, window: Cycle) -> Measurement {
+        let cell =
+            Cell::shared(quick_config(workloads.len()), workloads, RunBudget { warmup, window });
+        cell.run(Observe::default()).m
+    }
+
     #[test]
     fn loads_alone_saturates_two_banks() {
-        let cfg = quick_config(1);
-        let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads]);
-        let m = sys.run_measured(20_000, 60_000);
+        let m = measured(vec![WorkloadSpec::Loads], 20_000, 60_000);
         assert!(
             m.util.data_array > 0.85,
             "Loads should nearly saturate 2 banks' data arrays: {:?}",
@@ -254,9 +262,7 @@ mod tests {
 
     #[test]
     fn stores_alone_saturates_two_banks() {
-        let cfg = quick_config(1);
-        let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Stores]);
-        let m = sys.run_measured(20_000, 60_000);
+        let m = measured(vec![WorkloadSpec::Stores], 20_000, 60_000);
         assert!(
             m.util.data_array > 0.85,
             "Stores should saturate 2 banks' data arrays: {:?}",
@@ -281,9 +287,7 @@ mod tests {
 
     #[test]
     fn measurement_display_is_complete() {
-        let cfg = quick_config(2);
-        let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Idle]);
-        let m = sys.run_measured(2_000, 4_000);
+        let m = measured(vec![WorkloadSpec::Loads, WorkloadSpec::Idle], 2_000, 4_000);
         let text = m.to_string();
         assert!(text.contains("T0:") && text.contains("T1:"));
         assert!(text.contains("utilization"));

@@ -5,7 +5,7 @@
 //! `traceEvents` array of events with microsecond-style timestamps (we
 //! emit processor cycles directly — the viewer's time unit is then
 //! "cycles", off by a fixed 10^6 label), thread/process metadata, and an
-//! `otherData` block recording the ring's capacity and drop counter.
+//! `otherData` block recording the retained and dropped event counts.
 //!
 //! Mapping:
 //!

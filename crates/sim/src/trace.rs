@@ -15,8 +15,8 @@
 //!   with tracing on or off.
 //! * **Recording is thread-local.** [`install`] arms the current thread,
 //!   [`take`] disarms it and returns the log. Each [`crate::exec`] job
-//!   runs entirely on one worker thread, so a job that calls [`install`],
-//!   runs its simulation and returns [`take`]'s log with its result
+//!   runs entirely on one worker thread, so a run that calls [`install`]
+//!   and [`take`] around its window (the `vpc` crate's `Cell::run`)
 //!   records exactly its own events: the batch hands the logs back in
 //!   input order regardless of worker count.
 //! * **The log is bounded.** A [`TraceLog`] created with capacity `c`
@@ -287,11 +287,6 @@ impl TraceLog {
     /// The retained events, in the order they were recorded.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// The configured retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events pushed after the log filled up (lost, not retained).

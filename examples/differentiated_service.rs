@@ -12,13 +12,13 @@
 use vpc::prelude::*;
 
 fn main() {
-    let (warmup, window) = (40_000, 160_000);
+    let budget = RunBudget { warmup: 40_000, window: 160_000 };
     println!("== Differentiated service: Figure 1b's asymmetric allocation ==\n");
 
     // The demanding multimedia thread is modeled by `art` (the most
     // bandwidth-hungry profile); the best-effort threads by mid-weight
     // profiles.
-    let workloads = [
+    let workloads = vec![
         WorkloadSpec::Spec("art"),
         WorkloadSpec::Spec("gcc"),
         WorkloadSpec::Spec("twolf"),
@@ -36,15 +36,13 @@ fn main() {
     let cfg = CmpConfig::table1()
         .with_vpc_shares(shares.clone())
         .with_capacity(CapacityPolicy::Vpc { shares: shares.clone() });
-    let mut sys = CmpSystem::new(cfg, &workloads);
-    let m = sys.run_measured(warmup, window);
+    let m = Cell::shared(cfg, workloads.clone(), budget).run(Observe::default()).m;
 
     let base = CmpConfig::table1();
     println!("{:<12} {:>6} {:>8} {:>8} {:>10}", "thread", "share", "IPC", "target", "status");
     for (i, w) in workloads.iter().enumerate() {
-        let budget = RunBudget { warmup, window };
         let target = Cell::target(&base, *w, shares[i], shares[i], budget)
-            .map_or(0.0, |cell| cell.run().1.ipc[0]);
+            .map_or(0.0, |cell| cell.run(Observe::default()).m.ipc[0]);
         let status = if m.ipc[i] >= target * 0.95 { "QoS met" } else { "MISSED" };
         println!(
             "{:<12} {:>6} {:>8.3} {:>8.3} {:>10}",

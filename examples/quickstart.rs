@@ -15,12 +15,13 @@ fn main() {
     // two threads this example uses: a 16 MB, 32-way, 2-bank shared L2 at
     // half core frequency behind per-thread DDR2-800 channels.
     println!("== Virtual Private Caches: quickstart ==\n");
+    let budget = RunBudget { warmup: 30_000, window: 120_000 };
+    let pair = vec![WorkloadSpec::Loads, WorkloadSpec::Stores];
 
     // 1. The problem: under the conventional read-over-write arbiter, a
     //    thread streaming loads starves a neighbor's stores completely.
     let cfg = CmpConfig::table1_with_threads(2).with_arbiter(ArbiterPolicy::RowFcfs);
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-    let m = sys.run_measured(30_000, 120_000);
+    let m = Cell::shared(cfg, pair.clone(), budget).run(Observe::default()).m;
     println!("RoW-FCFS arbiter (conventional uniprocessor policy):");
     println!("  Loads  IPC = {:.3}", m.ipc[0]);
     println!("  Stores IPC = {:.3}   <- starved by the load stream\n", m.ipc[1]);
@@ -29,19 +30,17 @@ fn main() {
     //    bandwidth (tag array, data array, data bus) and Loads the rest.
     let shares = vec![Share::new(3, 4).unwrap(), Share::new(1, 4).unwrap()];
     let cfg = CmpConfig::table1_with_threads(2).with_vpc_shares(shares);
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-    let m = sys.run_measured(30_000, 120_000);
+    let m = Cell::shared(cfg, pair, budget).run(Observe::default()).m;
 
     // The QoS reference: each thread's IPC on a *real private machine*
     // provisioned like its VPC (Section 5.3 of the paper).
     let base = CmpConfig::table1_with_threads(2);
     let half_ways = Share::new(1, 2).unwrap();
-    let budget = RunBudget { warmup: 30_000, window: 120_000 };
     let [loads_target, stores_target] =
         [(WorkloadSpec::Loads, 3), (WorkloadSpec::Stores, 1)].map(|(workload, quarters)| {
             let beta = Share::new(quarters, 4).unwrap();
             let cell = Cell::target(&base, workload, beta, half_ways, budget).unwrap();
-            cell.run().1.ipc[0]
+            cell.run(Observe::default()).m.ipc[0]
         });
 
     println!("VPC arbiters (Loads 75% / Stores 25%):");

@@ -25,7 +25,8 @@ echo "== reproduce: every results/ file, quick and full budget, byte-identical =
 # refactor that claims byte-identical output must reproduce the
 # full-budget files too.
 snap=$(mktemp -d)
-trap 'rm -rf "$snap"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$snap" "$tmp"' EXIT
 cp -a results "$snap"
 restore() {
     rm -rf results
@@ -50,6 +51,18 @@ echo "== simulate: three runs' output equals results/simulate.txt =="
 # scripts/simulate_golden.sh defines the runs; it also rewrites the file.
 if ! scripts/simulate_golden.sh | cmp - results/simulate.txt; then
     echo "simulate differs from results/simulate.txt"
+    exit 1
+fi
+
+echo "== simulate: observing a run leaves stdout unchanged =="
+# A trace and a QoS ledger are kept by the same Cell::run that measures,
+# so a traced run with --metrics must print exactly what a plain run
+# prints (its ledger goes to stderr, its trace to the file).
+args=(--workloads Loads,Stores,Stores,Stores --warmup 10000 --cycles 40000)
+target/release/simulate "${args[@]}" >"$tmp/plain.txt"
+target/release/simulate "${args[@]}" --metrics --trace "$tmp/t.json" >"$tmp/traced.txt" 2>/dev/null
+if ! cmp "$tmp/plain.txt" "$tmp/traced.txt" || [[ ! -s "$tmp/t.json" ]]; then
+    echo "simulate --metrics --trace changed stdout or wrote no trace"
     exit 1
 fi
 

@@ -64,15 +64,25 @@ fn measurement_windows_compose() {
     );
 }
 
+/// A cell measures `window` cycles after exactly `warmup` cycles: the
+/// trace of its saturating Loads stream, which holds the whole window,
+/// starts in the window's first 100 cycles and ends in its last 100.
 #[test]
 fn experiment_budgets_are_honored() {
     let b = RunBudget::quick();
     let mut cfg = CmpConfig::table1_with_threads(1);
     cfg.l2.total_sets = 1024;
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Idle]);
-    let m = sys.run_measured(b.warmup, b.window);
-    assert_eq!(m.cycles, b.window);
-    assert_eq!(sys.now(), b.warmup + b.window);
+    let run = Cell::shared(cfg, vec![WorkloadSpec::Loads], b)
+        .run(Observe { trace: Some(1 << 20), ledger: None });
+    assert_eq!(run.m.cycles, b.window);
+    let log = run.trace.expect("traced");
+    assert_eq!(log.dropped(), 0, "the ring holds the whole window");
+    let (first, last) = (log.events()[0].at, log.events()[log.events().len() - 1].at);
+    assert!((b.warmup..b.warmup + 100).contains(&first), "first event at {first}");
+    assert!(
+        (b.warmup + b.window - 100..b.warmup + b.window).contains(&last),
+        "last event at {last}"
+    );
 }
 
 /// A cell's read-latency histogram covers its measured window, as its
@@ -85,7 +95,7 @@ fn read_latency_covers_the_measured_window() {
     cfg.l2.total_sets = 1024;
     let budget = RunBudget { warmup: 10_000, window: 20_000 };
     let cell = Cell::shared(cfg, vec![WorkloadSpec::Spec("mcf"), WorkloadSpec::Stores], budget);
-    let (sys, _) = cell.run();
+    let run = cell.run(Observe::default());
 
     let mut hand = CmpSystem::new(cell.cfg.clone(), &cell.workloads);
     hand.run(budget.warmup);
@@ -93,5 +103,5 @@ fn read_latency_covers_the_measured_window() {
     hand.run(budget.window);
     let window_reads = hand.l2().read_latency(ThreadId(0)).count() - warmup_reads;
     assert!(warmup_reads > 0 && window_reads > 0, "reads complete in both intervals");
-    assert_eq!(sys.l2().read_latency(ThreadId(0)).count(), window_reads);
+    assert_eq!(run.read_latency[0].count(), window_reads);
 }

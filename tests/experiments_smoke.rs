@@ -42,7 +42,9 @@ fn fig6_and_fig7_smoke_subset() {
     let benchmarks = ["art", "swim", "sixtrack"];
     let cells = benchmarks
         .map(|b| (b.to_string(), Cell::shared(small_base(), vec![WorkloadSpec::Spec(b)], TINY)));
-    for (b, m) in benchmarks.iter().zip(run_cells(&cells, JOBS, |cell| cell.run().1)) {
+    for (b, m) in
+        benchmarks.iter().zip(run_cells(&cells, JOBS, |cell| cell.run(Observe::default()).m))
+    {
         assert!(m.ipc[0] > 0.0, "{b} must make progress");
         assert!(m.util.data_array > 0.0, "{b} must touch the L2");
     }

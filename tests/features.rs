@@ -53,8 +53,12 @@ fn boxed_workloads_measure_what_static_ones_do() {
             cell.workloads.iter().enumerate().map(|(i, w)| w.build(ThreadId(i as u8))).collect();
         let mut statics = CmpSystem::new(cell.cfg.clone(), &cell.workloads);
         let mut dynamic = CmpSystem::with_workloads(cell.cfg.clone(), boxed);
-        let m_static = statics.run_measured(budget.warmup, budget.window);
-        let m_dynamic = dynamic.run_measured(budget.warmup, budget.window);
+        let [m_static, m_dynamic] = [&mut statics, &mut dynamic].map(|sys| {
+            sys.run(budget.warmup);
+            let snap = sys.snapshot();
+            sys.run(budget.window);
+            sys.measure(&snap)
+        });
         assert_eq!(format!("{m_static:?}"), format!("{m_dynamic:?}"), "{:?}", cell.workloads);
         for t in (0..cell.workloads.len()).map(|t| ThreadId(t as u8)) {
             assert_eq!(statics.core(t).retired(), dynamic.core(t).retired());
@@ -67,8 +71,8 @@ fn boxed_workloads_measure_what_static_ones_do() {
 #[test]
 fn per_thread_utilization_attribution_sums_to_total() {
     let cfg = quick_config(2).with_arbiter(ArbiterPolicy::vpc_equal(2));
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-    let m = sys.run_measured(10_000, 40_000);
+    let workloads = vec![WorkloadSpec::Loads, WorkloadSpec::Stores];
+    let m = Cell::shared(cfg, workloads, RunBudget::quick()).run(Observe::default()).m;
     let sum: f64 = m.data_util_per_thread.iter().sum();
     assert!(
         (sum - m.util.data_array).abs() < 0.02,

@@ -18,7 +18,7 @@ fn with_background(arbiter: ArbiterPolicy, subject: &'static str, bg: WorkloadSp
 
 /// Thread 0's IPC in each cell, run on two workers.
 fn subject_ipcs(cells: &[(String, Cell)]) -> Vec<f64> {
-    run_cells(cells, 2, |cell| cell.run().1.ipc[0])
+    run_cells(cells, 2, |cell| cell.run(Observe::default()).m.ipc[0])
 }
 
 #[test]

@@ -15,12 +15,16 @@ fn quick_base(threads: usize) -> CmpConfig {
 /// without a bandwidth share.
 fn qos_target(base: &CmpConfig, workload: WorkloadSpec, beta: Share, alpha: Share) -> f64 {
     Cell::target(base, workload, beta, alpha, RunBudget::quick())
-        .map_or(0.0, |cell| cell.run().1.ipc[0])
+        .map_or(0.0, |cell| cell.run(Observe::default()).m.ipc[0])
+}
+
+/// The measured window of `workloads` sharing `cfg`.
+fn measure(cfg: CmpConfig, workloads: Vec<WorkloadSpec>, budget: RunBudget) -> Measurement {
+    Cell::shared(cfg, workloads, budget).run(Observe::default()).m
 }
 
 fn run_pair(cfg: CmpConfig, budget: RunBudget) -> Vec<f64> {
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Stores]);
-    sys.run_measured(budget.warmup, budget.window).ipc
+    measure(cfg, vec![WorkloadSpec::Loads, WorkloadSpec::Stores], budget).ipc
 }
 
 #[test]
@@ -35,9 +39,10 @@ fn row_fcfs_starves_stores_end_to_end() {
 
 #[test]
 fn fcfs_splits_data_array_two_to_one_for_stores() {
-    // §5.3: FCFS gives Stores about twice Loads' IPC, which at two
-    // data-array accesses per write is 80% of the data array
-    // (tests/oracles.rs derives the exact values).
+    // §5.3: FCFS gives Stores about twice Loads' IPC and 80% of the data
+    // array. The 2:1 is Stores' 8 state machines per bank against Loads'
+    // 4 reads in flight per bank, not the write's cost (the paper's own
+    // split, 67% or 80%, is not settled; tests/oracles.rs derives ours).
     let budget = RunBudget::quick();
     let ipc = run_pair(quick_base(2).with_arbiter(ArbiterPolicy::Fcfs), budget);
     let ratio = ipc[1] / ipc[0];
@@ -94,8 +99,7 @@ fn excess_bandwidth_is_work_conserved() {
     let budget = RunBudget::quick();
     let half = Share::new(1, 2).unwrap();
     let cfg = quick_base(2).with_vpc_shares(vec![half, half]);
-    let mut sys = CmpSystem::new(cfg, &[WorkloadSpec::Loads, WorkloadSpec::Idle]);
-    let m = sys.run_measured(budget.warmup, budget.window);
+    let m = measure(cfg, vec![WorkloadSpec::Loads, WorkloadSpec::Idle], budget);
     let base = quick_base(2);
     let guarantee = qos_target(&base, WorkloadSpec::Loads, half, half);
     assert!(
@@ -126,8 +130,7 @@ fn four_thread_system_meets_equal_share_targets() {
     let cfg = base.clone().with_arbiter(ArbiterPolicy::vpc_equal(4));
     let mix = ["art", "mcf", "gcc", "gzip"];
     let workloads: Vec<WorkloadSpec> = mix.iter().map(|b| WorkloadSpec::Spec(b)).collect();
-    let mut sys = CmpSystem::new(cfg, &workloads);
-    let m = sys.run_measured(budget.warmup, budget.window);
+    let m = measure(cfg, workloads, budget);
     let quarter = Share::new(1, 4).unwrap();
     for (i, b) in mix.iter().enumerate() {
         let target = qos_target(&base, WorkloadSpec::Spec(b), quarter, quarter);

@@ -72,7 +72,7 @@ fn meets_targets(
             guaranteed.push(i);
         }
     }
-    let ipc = run_cells(&cells, 2, |cell| cell.run().1.ipc);
+    let ipc = run_cells(&cells, 2, |cell| cell.run(Observe::default()).m.ipc);
     for (&i, target) in guaranteed.iter().zip(&ipc[1..]) {
         let normalized = ipc[0][i] / target[0];
         if normalized < 1.0 - EPSILON {

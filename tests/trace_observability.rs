@@ -37,9 +37,9 @@ fn ring_overflow_keeps_prefix_and_counts_drops() {
     });
 }
 
-/// Runs a small contention grid as one `run_cells` batch, each job arming
-/// a recorder of `capacity` events and returning its log, and returns the
-/// labeled logs. The warm-up emits far more than 512 events.
+/// Runs a small contention grid as one `run_cells` batch, each cell traced
+/// into a ring of `capacity` events, and returns the labeled logs. The
+/// warm-up emits far more than 512 events.
 fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLog)> {
     let cells: Vec<(String, Cell)> = [2usize, 4]
         .into_iter()
@@ -51,9 +51,7 @@ fn captured_grid(workers: usize, capacity: usize) -> Vec<(String, trace::TraceLo
         })
         .collect();
     let logs = run_cells(&cells, workers, |cell| {
-        trace::install(capacity);
-        cell.run();
-        trace::take().expect("the cell re-arms the recorder after its warm-up")
+        cell.run(Observe { trace: Some(capacity), ledger: None }).trace.expect("traced")
     });
     cells.into_iter().map(|(label, _)| label).zip(logs).collect()
 }
@@ -97,10 +95,14 @@ const UPDATE_ENV: &str = "VPC_UPDATE_GOLDENS";
 
 #[test]
 fn trace_fig5_matches_golden() {
-    trace::install(512);
-    fig5::contention_cell(&CmpConfig::table1(), ArbiterPolicy::vpc_equal(4), RunBudget::quick())
-        .run();
-    let log = trace::take().expect("installed above");
+    let log = fig5::contention_cell(
+        &CmpConfig::table1(),
+        ArbiterPolicy::vpc_equal(4),
+        RunBudget::quick(),
+    )
+    .run(Observe { trace: Some(512), ledger: None })
+    .trace
+    .expect("traced");
     let doc = vpc::trace::chrome_trace_jobs(&[("fig5/contention Loads+3xStores".into(), log)]);
     let rendered = doc.pretty() + "\n";
     // The export must round-trip through the in-tree parser.
