@@ -31,10 +31,9 @@ const USAGE: &str = "\
 --trace writes one Chrome trace_event JSON of every cell's measured window
 to out.json, a process lane per distinct cell (the shared machine, then
 each distinct target; open in chrome://tracing or Perfetto). --metrics
-prints the per-thread QoS ledger to stderr, and each thread's L2 read
-latency as p50/p90/p99/max: the percentiles are power-of-two bucket
-bounds, the maximum is exact. Neither flag changes stdout. Argument
-errors exit with code 2.";
+prints the per-thread QoS ledger to stderr, and each thread's exact worst
+L2 read latency (its mean is on stdout). Neither flag changes stdout.
+Argument errors exit with code 2.";
 
 #[derive(Debug)]
 struct Args {
@@ -230,14 +229,7 @@ fn run(args: Args, cfg: CmpConfig) {
     if let Some(ledger) = ledger {
         eprint!("{ledger}");
         for (w, hist) in args.workloads.iter().zip(latency) {
-            eprintln!(
-                "  {} L2 read latency p50/p90/p99/max: {}/{}/{}/{} cycles",
-                w.name(),
-                hist.p50(),
-                hist.p90(),
-                hist.p99(),
-                hist.max(),
-            );
+            eprintln!("  {} L2 read latency max: {} cycles", w.name(), hist.max());
         }
     }
 }

@@ -13,9 +13,11 @@
 //! the data returns to the processor directly over the data bus. Each of
 //! these accesses is one controller step, granted by the resource it names.
 //!
-//! The bank logic runs at half core frequency: [`L2Bank::tick`] acts only on
-//! even processor cycles, and only from the bank's wake cycle on (DESIGN.md
-//! §10, "A quiet bank is not ticked").
+//! The bank logic runs at half core frequency: `SharedL2` ticks it on even
+//! processor cycles only, and [`L2Bank::tick`] acts only from the bank's
+//! wake cycle on (DESIGN.md §10, "A quiet bank is not ticked"). A read's
+//! response and latency sample go to the cache-wide [`Returns`] at its bus
+//! grant.
 
 use std::collections::VecDeque;
 
@@ -27,6 +29,7 @@ use vpc_sim::{AccessKind, CacheRequest, CacheResponse, Counter, Cycle, LineAddr,
 
 use crate::config::{CapacityPolicy, L2Config};
 use crate::sgb::{SgbStats, ThreadPort};
+use crate::shared_l2::Returns;
 
 /// One controller step: a state machine's access to one of the bank's
 /// three arbitrated resources. Packed with the state machine's index into
@@ -162,20 +165,13 @@ pub struct L2Bank {
     /// only name state machines in arbitration ids and memory tokens.
     sm_free: Vec<usize>,
     mem_out: VecDeque<MemRequest>,
-    responses: VecDeque<(Cycle, CacheResponse)>,
     stats: BankStats,
-    /// Per-thread read latency (controller intake to critical word).
-    read_latency: Vec<vpc_sim::Histogram>,
 }
 
 impl L2Bank {
-    /// Creates bank `bank_idx` of a cache described by `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`L2Config::check_geometry`].
+    /// Creates bank `bank_idx` of a cache described by `cfg`, whose
+    /// geometry `SharedL2::new` has checked.
     pub fn new(cfg: &L2Config, bank_idx: usize) -> L2Bank {
-        cfg.check_geometry();
         let policy: Box<dyn ReplacementPolicy> = match &cfg.capacity {
             CapacityPolicy::Lru => Box::new(TrueLru),
             CapacityPolicy::Vpc { shares } => {
@@ -217,9 +213,7 @@ impl L2Bank {
             wake: u64::MAX,
             sm_free: (0..cfg.threads * cfg.sm_per_thread).rev().collect(),
             mem_out: VecDeque::new(),
-            responses: VecDeque::new(),
             stats: BankStats::default(),
-            read_latency: (0..cfg.threads).map(|_| vpc_sim::Histogram::new()).collect(),
             cfg: cfg.clone(),
             bank_idx,
         }
@@ -241,30 +235,30 @@ impl L2Bank {
         self.ports[req.thread.index()].push(ready_at, req);
     }
 
-    /// Advances the bank. Only even cycles act (the L2 runs at half core
-    /// frequency), and only from the stored wake cycle on: before it, no
-    /// completion is due, no resource can grant and no port can offer a
-    /// new candidate.
+    /// Advances the bank one bank cycle, `now` being an even processor
+    /// cycle (the L2 runs at half core frequency), and queues the reads it
+    /// grants the bus on `returns`. Only ticks from the stored wake cycle
+    /// on act: before it, no completion is due, no resource can grant and
+    /// no port can offer a new candidate.
     ///
-    /// Called every cycle and usually a no-op, so that check is inlined
-    /// into the caller.
+    /// Called every bank cycle and usually a no-op, so that check is
+    /// inlined into the caller.
     #[inline]
-    pub fn tick(&mut self, now: Cycle) {
-        if now >= self.wake && now.is_multiple_of(2) {
-            self.tick_awake(now);
+    pub fn tick(&mut self, now: Cycle, returns: &mut Returns) {
+        if now >= self.wake {
+            self.tick_awake(now, returns);
         }
     }
 
-    /// The body of [`L2Bank::tick`] on an even cycle from the wake cycle
-    /// on. A tick that admitted a request did not visit the ports after
-    /// the round-robin winner, so it wakes on the next cycle; one that
-    /// admitted nothing visited every port and sleeps until
-    /// [`L2Bank::next_wake`].
+    /// The body of [`L2Bank::tick`] from the wake cycle on. A tick that
+    /// admitted a request did not visit the ports after the round-robin
+    /// winner, so it wakes on the next cycle; one that admitted nothing
+    /// visited every port and sleeps until [`L2Bank::next_wake`].
     #[inline(never)]
-    fn tick_awake(&mut self, now: Cycle) {
+    fn tick_awake(&mut self, now: Cycle, returns: &mut Returns) {
         self.process_events(now);
         let admitted = self.controller_intake(now);
-        self.grant(now);
+        self.grant(now, returns);
         self.wake = if admitted { now + 1 } else { self.next_wake() };
     }
 
@@ -331,27 +325,11 @@ impl L2Bank {
         self.mem_out.pop_front()
     }
 
-    /// Pops the next response whose critical word has reached the core.
-    pub fn pop_response(&mut self, now: Cycle) -> Option<CacheResponse> {
-        if self.responses.front().is_some_and(|&(at, _)| at <= now) {
-            self.responses.pop_front().map(|(_, r)| r)
-        } else {
-            None
-        }
-    }
-
-    /// The cycle the oldest queued response reaches its core (`u64::MAX`
-    /// when none is queued). Responses queue in the order they mature.
-    pub(crate) fn next_response_at(&self) -> Cycle {
-        self.responses.front().map_or(u64::MAX, |&(at, _)| at)
-    }
-
     /// Whether the bank holds no work at all.
     pub fn is_idle(&self) -> bool {
         self.sm_lines.is_empty()
             && self.ports.iter().all(ThreadPort::is_empty)
             && self.mem_out.is_empty()
-            && self.responses.is_empty()
             && self.events.is_empty()
     }
 
@@ -363,18 +341,6 @@ impl L2Bank {
     /// Store-gathering statistics for `thread`'s port.
     pub fn port_stats(&self, thread: ThreadId) -> SgbStats {
         self.ports[thread.index()].stats()
-    }
-
-    /// `thread`'s read-latency histogram (controller intake to critical
-    /// word), covering hits and misses.
-    pub fn read_latency(&self, thread: ThreadId) -> &vpc_sim::Histogram {
-        &self.read_latency[thread.index()]
-    }
-
-    /// Empties every thread's read-latency histogram, so that it covers
-    /// only the reads that complete from now on.
-    pub fn reset_read_latency(&mut self) {
-        self.read_latency.iter_mut().for_each(|h| *h = vpc_sim::Histogram::new());
     }
 
     /// Data-array busy cycles attributable to `thread`.
@@ -600,7 +566,7 @@ impl L2Bank {
 
     /// Grants the tag array, then the data array, then the data bus; each
     /// grants at most once per free period (busy-until blocks the rest).
-    fn grant(&mut self, now: Cycle) {
+    fn grant(&mut self, now: Cycle, returns: &mut Returns) {
         for r in [TAG, DATA, BUS] {
             let Some(granted) = self.resources[r].try_grant(now) else { continue };
             let (sm_idx, step) = Step::decode(granted.id);
@@ -609,11 +575,8 @@ impl L2Bank {
                 // The requesting core receives the critical word shortly
                 // after the transfer starts.
                 let ready = now + self.cfg.critical_word_latency;
-                self.read_latency[sm.thread.index()].record(ready - sm.started);
-                self.responses.push_back((
-                    ready,
-                    CacheResponse { thread: sm.thread, line: sm.line, token: sm.token },
-                ));
+                let resp = CacheResponse { thread: sm.thread, line: sm.line, token: sm.token };
+                returns.push(ready, sm.started, resp);
             }
             let done = now + granted.service_time;
             self.events_min = self.events_min.min(done);
@@ -637,34 +600,6 @@ mod tests {
         format!("{}{}", &s[..start], &s[start + len..])
     }
 
-    /// `L2Bank::tick` on an odd cycle changes nothing, even with arrivals
-    /// ready, state machines live and completions due. `SharedL2::tick`
-    /// relies on this when it ticks the banks on even cycles only.
-    #[test]
-    fn odd_cycle_ticks_change_nothing() {
-        let mut cfg = L2Config::table1(2, ArbiterPolicy::Fcfs);
-        cfg.total_sets = 64;
-        let mut bank = L2Bank::new(&cfg, 0);
-        let mut token = 0;
-        for now in 0..400u64 {
-            let thread = ThreadId((now % 2) as u8);
-            if now % 3 == 0 && bank.can_accept(thread) {
-                token += 1;
-                let kind = if now % 4 == 0 { AccessKind::Write } else { AccessKind::Read };
-                let line = LineAddr((now % 40) * cfg.banks as u64);
-                bank.submit(CacheRequest { thread, line, kind, token }, now);
-            }
-            if now % 2 == 1 {
-                let before = format!("{bank:?}");
-                bank.tick(now);
-                assert_eq!(format!("{bank:?}"), before, "odd cycle {now}");
-            } else {
-                bank.tick(now);
-            }
-        }
-        assert!(bank.stats().read_misses.get() > 0, "the bank did work on even cycles");
-    }
-
     /// The inlined no-op check of `tick` changes nothing: every tick
     /// before the stored wake cycle leaves the bank as it was, both while
     /// a request crosses the interconnect and while a miss waits on
@@ -675,33 +610,34 @@ mod tests {
         cfg.total_sets = 64;
         cfg.interconnect_latency = 9;
         let mut bank = L2Bank::new(&cfg, 0);
+        let mut returns = Returns::new(cfg.threads);
         let line = LineAddr(4 * cfg.banks as u64);
         let req = CacheRequest { thread: ThreadId(0), line, kind: AccessKind::Read, token: 1 };
         bank.submit(req, 0);
-        bank.tick(0);
+        bank.tick(0, &mut returns);
         assert_eq!(bank.wake, 9, "the request reaches the port at cycle 9");
         let before = format!("{bank:?}");
-        for now in 1..10 {
-            bank.tick(now);
+        for now in [2, 4, 6, 8] {
+            bank.tick(now, &mut returns);
             assert_eq!(format!("{bank:?}"), before, "tick at {now} before the arrival");
         }
-        bank.tick(10);
+        bank.tick(10, &mut returns);
         assert_ne!(
             format!("{bank:?}"),
             before,
-            "the first even cycle from cycle 9 admits the read"
+            "the first bank cycle from cycle 9 admits the read"
         );
         // The read misses: once the fetch is sent nothing is due.
-        let mut sent = 11;
+        let mut sent = 12;
         while bank.peek_mem_request().is_none() {
-            bank.tick(sent);
-            sent += 1;
+            bank.tick(sent, &mut returns);
+            sent += 2;
         }
         let fetch = bank.pop_mem_request().expect("the miss fetches its line");
         assert_eq!(bank.wake, u64::MAX, "a bank waiting on memory alone sleeps");
         let before = format!("{bank:?}");
-        for now in sent..sent + 500 {
-            bank.tick(now);
+        for now in (sent..sent + 500).step_by(2) {
+            bank.tick(now, &mut returns);
             assert_eq!(format!("{bank:?}"), before, "tick at {now} while waiting on memory");
         }
         bank.on_mem_response(fetch.token, sent + 500);
@@ -716,6 +652,7 @@ mod tests {
         let mut cfg = L2Config::table1(1, ArbiterPolicy::Fcfs);
         cfg.total_sets = 64;
         let mut bank = L2Bank::new(&cfg, 0);
+        let mut returns = Returns::new(cfg.threads);
         let line = LineAddr(4 * cfg.banks as u64);
         bank.submit(
             CacheRequest { thread: ThreadId(0), line, kind: AccessKind::Read, token: 1 },
@@ -723,8 +660,8 @@ mod tests {
         );
         let mut now = 0;
         while bank.peek_mem_request().is_none() {
-            bank.tick(now);
-            now += 1;
+            bank.tick(now, &mut returns);
+            now += 2;
         }
         let fetch = bank.pop_mem_request().expect("the miss fetches its line");
         bank.on_mem_response(fetch.token, now);
@@ -735,10 +672,11 @@ mod tests {
     /// The wake guard skips only ticks that would act on nothing: on
     /// random loads and stores from 1–4 threads over a few conflicting
     /// lines, with quiet spells for idle drains and memory answering after
-    /// a fixed latency, a bank ticked through `tick` gives the same
-    /// responses at the same cycles, the same memory requests in the same
-    /// order, the same stats and the same state (apart from `wake`) as one
-    /// whose `tick_awake` runs on every even cycle.
+    /// a fixed latency, a bank ticked through `tick` on every even cycle
+    /// queues the same responses (each bank on a queue of its own) at the
+    /// same cycles, and gives the same memory requests in the same order,
+    /// the same stats and the same state (apart from `wake`) as one whose
+    /// `tick_awake` runs on every even cycle.
     #[test]
     fn guarded_ticks_match_ticking_awake_every_bank_cycle() {
         check::forall(
@@ -762,6 +700,8 @@ mod tests {
                 let mem_latency = gen::range(rng, 1, 200);
                 let mut guarded = L2Bank::new(&cfg, 0);
                 let mut awake = L2Bank::new(&cfg, 0);
+                let mut guarded_returns = Returns::new(threads);
+                let mut awake_returns = Returns::new(threads);
                 // Memory responses in flight: (due cycle, token).
                 let mut fetches: VecDeque<(Cycle, u64)> = VecDeque::new();
                 let (mut token, mut busy, mut spell_end) = (0, true, 0);
@@ -782,9 +722,9 @@ mod tests {
                             awake.submit(req, now);
                         }
                     }
-                    guarded.tick(now);
                     if now.is_multiple_of(2) {
-                        awake.tick_awake(now);
+                        guarded.tick(now, &mut guarded_returns);
+                        awake.tick_awake(now, &mut awake_returns);
                     }
                     while let Some(req) = guarded.pop_mem_request() {
                         ensure_eq!(awake.pop_mem_request(), Some(req), "memory request at {now}");
@@ -798,15 +738,16 @@ mod tests {
                         guarded.on_mem_response(token, now);
                         awake.on_mem_response(token, now);
                     }
-                    while let Some(resp) = guarded.pop_response(now) {
-                        ensure_eq!(awake.pop_response(now), Some(resp), "response at {now}");
+                    while let Some(resp) = guarded_returns.pop(now) {
+                        ensure_eq!(awake_returns.pop(now), Some(resp), "response at {now}");
                     }
-                    ensure_eq!(awake.pop_response(now), None, "response at {now}");
+                    ensure_eq!(awake_returns.pop(now), None, "response at {now}");
                     if now % 512 == 0 {
                         ensure_eq!(without_wake(&guarded), without_wake(&awake), "state at {now}");
                     }
                 }
                 ensure_eq!(format!("{:?}", guarded.stats()), format!("{:?}", awake.stats()));
+                ensure_eq!(format!("{guarded_returns:?}"), format!("{awake_returns:?}"));
                 ensure_eq!(without_wake(&guarded), without_wake(&awake), "final states diverged");
                 ensure!(guarded.is_idle(), "the banks drained");
                 Ok(())

@@ -5,16 +5,16 @@
 //!
 //! * [`L1Cache`] — private, write-through, no-write-allocate L1 data caches
 //!   with MSHRs and an LMQ depth limit.
-//! * [`ThreadPort`] / store gathering buffers — per-thread, per-bank store
-//!   gathering with read-over-write bypassing, partial flush, and the
-//!   retire-at-n policy ([`sgb`]).
-//! * [`L2Bank`] — controller state machines and the arbitrated tag array,
-//!   data array, and data bus pipeline ([`bank`]). The arbiters come from
-//!   [`vpc_arbiters`] (FCFS / RoW-FCFS baselines or the VPC fair-queuing
-//!   arbiter), and the replacement policy from [`vpc_capacity`] (true LRU
-//!   or the VPC Capacity Manager).
 //! * [`SharedL2`] — the banked cache plus crossbar credits and the DDR2
-//!   memory system from [`vpc_mem`].
+//!   memory system from [`vpc_mem`]. Inside, each bank has per-thread
+//!   input ports with store gathering buffers (read-over-write bypassing,
+//!   partial flush and the retire-at-n policy; [`SgbStats`]), controller
+//!   state machines and the arbitrated tag array, data array and data bus
+//!   pipeline ([`BankStats`]). The arbiters come from [`vpc_arbiters`]
+//!   (FCFS / RoW-FCFS baselines or the VPC fair-queuing arbiter), and the
+//!   replacement policy from [`vpc_capacity`] (true LRU or the VPC
+//!   Capacity Manager). The reads of every bank return to the cores
+//!   through one queue, in the order their critical words arrive.
 //!
 //! # Examples
 //!
@@ -44,14 +44,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
+mod bank;
 pub mod config;
 pub mod l1;
-pub mod sgb;
+mod sgb;
 pub mod shared_l2;
 
-pub use bank::{BankStats, L2Bank};
+pub use bank::BankStats;
 pub use config::{CapacityPolicy, L1Config, L2Config, LINE_BYTES};
 pub use l1::{L1Cache, L1LoadResult, L1Stats};
-pub use sgb::{PortCandidate, SgbStats, ThreadPort};
+pub use sgb::SgbStats;
 pub use shared_l2::{L2Utilization, SharedL2};

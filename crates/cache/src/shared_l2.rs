@@ -1,7 +1,9 @@
 //! The banked shared L2 cache with its memory-side plumbing.
 
+use std::collections::VecDeque;
+
 use vpc_mem::{ChannelMode, MemConfig, MemoryController};
-use vpc_sim::{CacheRequest, CacheResponse, Cycle, LineAddr, ThreadId};
+use vpc_sim::{CacheRequest, CacheResponse, Cycle, Histogram, LineAddr, ThreadId};
 
 use crate::bank::{BankStats, L2Bank};
 use crate::config::L2Config;
@@ -28,14 +30,52 @@ pub struct SharedL2 {
     cfg: L2Config,
     banks: Vec<L2Bank>,
     mem: MemoryController,
-    /// No bank's oldest queued response matures before this cycle
-    /// (`u64::MAX` when none is queued): lowered by every bank tick,
-    /// recomputed by a [`SharedL2::pop_response`] that finds nothing.
-    next_response: Cycle,
+    returns: Returns,
     /// No tick before this cycle can act (`u64::MAX` when nothing is
     /// anywhere in the cache or memory system): set by every tick body
     /// that runs, lowered by [`SharedL2::submit`].
     wake: Cycle,
+}
+
+/// The reads on their way back to the cores, and each thread's read
+/// latency. A read's critical word reaches its core a fixed
+/// `critical_word_latency` after its bank's bus grant, so the reads of
+/// all banks mature in grant order: one queue.
+#[derive(Debug)]
+pub(crate) struct Returns {
+    /// `(cycle the critical word arrives, response)`, in grant order.
+    queue: VecDeque<(Cycle, CacheResponse)>,
+    /// Per-thread read latency (controller intake to critical word).
+    latency: Vec<Histogram>,
+}
+
+impl Returns {
+    pub(crate) fn new(threads: usize) -> Returns {
+        Returns { queue: VecDeque::new(), latency: vec![Histogram::new(); threads] }
+    }
+
+    /// Queues `resp`, whose critical word arrives at `ready`, and records
+    /// its latency from controller intake at `started`.
+    pub(crate) fn push(&mut self, ready: Cycle, started: Cycle, resp: CacheResponse) {
+        debug_assert!(
+            self.queue.back().is_none_or(|&(at, _)| at <= ready),
+            "reads return in grant order"
+        );
+        self.latency[resp.thread.index()].record(ready - started);
+        self.queue.push_back((ready, resp));
+    }
+
+    /// Pops the oldest read if its critical word has arrived by `now`.
+    #[inline]
+    pub(crate) fn pop(&mut self, now: Cycle) -> Option<CacheResponse> {
+        match self.queue.front() {
+            Some(&(at, resp)) if at <= now => {
+                self.queue.pop_front();
+                Some(resp)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl SharedL2 {
@@ -50,7 +90,8 @@ impl SharedL2 {
         cfg.check_geometry();
         let banks = (0..cfg.banks).map(|b| L2Bank::new(&cfg, b)).collect();
         let mem = MemoryController::new(mem_cfg, cfg.threads);
-        SharedL2 { banks, mem, cfg, next_response: u64::MAX, wake: u64::MAX }
+        let returns = Returns::new(cfg.threads);
+        SharedL2 { banks, mem, returns, cfg, wake: u64::MAX }
     }
 
     /// [`SharedL2::new`] under its former name; the frozen benchmark still
@@ -81,7 +122,7 @@ impl SharedL2 {
         debug_assert!(self.can_accept(req.thread, req.line), "input port over-filled");
         let bank = self.cfg.bank_of(req.line);
         self.banks[bank].submit(req, now);
-        self.wake = self.wake.min(bank_wake(&self.banks[bank]));
+        self.wake = self.wake.min(bank_cycle(self.banks[bank].wake()));
     }
 
     /// Advances the cache and memory system one processor cycle.
@@ -98,20 +139,21 @@ impl SharedL2 {
     }
 
     /// The body of [`SharedL2::tick`]. The banks run at half core
-    /// frequency ([`L2Bank::tick`] acts only on even cycles), so they are
-    /// ticked, and can queue a response, only on even cycles. Memory
-    /// requests, queued only by bank bodies, forward on any cycle the
-    /// controller has room, so a bank left holding one wakes the cache on
-    /// the next cycle; otherwise it sleeps until the first bank or
-    /// controller wake.
+    /// frequency, so they are ticked, and can queue a response, only on
+    /// even cycles. Memory requests, queued only by bank bodies, forward
+    /// on any cycle the controller has room, so a bank left holding one
+    /// wakes the cache on the next cycle; otherwise it sleeps until the
+    /// first bank or controller wake. Every bank that could act this
+    /// cycle has been ticked, so each bank's term counts from the next
+    /// cycle on: a fetch routed on an even cycle wakes the cache two
+    /// cycles later, not on the odd cycle between.
     #[inline(never)]
     fn tick_awake(&mut self, now: Cycle) {
-        let bank_cycle = now.is_multiple_of(2);
+        let even = now.is_multiple_of(2);
         let mut forward_blocked = false;
         for bank in &mut self.banks {
-            if bank_cycle {
-                bank.tick(now);
-                self.next_response = self.next_response.min(bank.next_response_at());
+            if even {
+                bank.tick(now, &mut self.returns);
             }
             // Forward memory requests while the controller has room.
             while let Some(&req) = bank.peek_mem_request() {
@@ -130,6 +172,7 @@ impl SharedL2 {
         self.wake = if forward_blocked {
             now + 1
         } else {
+            let bank_wake = |bank: &L2Bank| bank_cycle(bank.wake().max(now + 1));
             self.banks.iter().map(bank_wake).fold(self.mem.wake(), Cycle::min)
         };
     }
@@ -142,33 +185,16 @@ impl SharedL2 {
     }
 
     /// Pops the next read response whose critical word has arrived.
-    ///
-    /// Polled every cycle and usually empty-handed, so the response gate
-    /// is inlined into the caller.
     #[inline]
     pub fn pop_response(&mut self, now: Cycle) -> Option<CacheResponse> {
-        if now < self.next_response {
-            return None;
-        }
-        self.pop_matured(now)
-    }
-
-    /// The body of [`SharedL2::pop_response`] once the gate has opened.
-    #[inline(never)]
-    fn pop_matured(&mut self, now: Cycle) -> Option<CacheResponse> {
-        for bank in &mut self.banks {
-            if let Some(resp) = bank.pop_response(now) {
-                return Some(resp);
-            }
-        }
-        self.next_response =
-            self.banks.iter().map(L2Bank::next_response_at).min().unwrap_or(u64::MAX);
-        None
+        self.returns.pop(now)
     }
 
     /// Whether no request is anywhere in the cache or memory system.
     pub fn is_idle(&self) -> bool {
-        self.banks.iter().all(L2Bank::is_idle) && self.mem.is_idle()
+        self.banks.iter().all(L2Bank::is_idle)
+            && self.returns.queue.is_empty()
+            && self.mem.is_idle()
     }
 
     /// Raw busy-cycle totals for (tag array, data array, data bus), summed
@@ -210,29 +236,24 @@ impl SharedL2 {
         self.banks.iter().map(|b| b.thread_data_busy(thread)).sum()
     }
 
-    /// `thread`'s read-latency histogram merged across banks (controller
-    /// intake to critical word; hits and misses).
-    pub fn read_latency(&self, thread: ThreadId) -> vpc_sim::Histogram {
-        let mut total = vpc_sim::Histogram::new();
-        for bank in &self.banks {
-            total.merge(bank.read_latency(thread));
-        }
-        total
+    /// `thread`'s read-latency histogram (controller intake to critical
+    /// word; hits and misses).
+    pub fn read_latency(&self, thread: ThreadId) -> Histogram {
+        self.returns.latency[thread.index()].clone()
     }
 
-    /// Empties every bank's read-latency histograms
-    /// ([`L2Bank::reset_read_latency`]).
+    /// Empties every thread's read-latency histogram, so that it covers
+    /// only the reads that return from now on.
     pub fn reset_read_latency(&mut self) {
-        self.banks.iter_mut().for_each(L2Bank::reset_read_latency);
+        self.returns.latency.fill(Histogram::new());
     }
 }
 
-/// The first cycle `bank` can act: its wake, rounded up to an even cycle
-/// (the banks run at half core frequency).
+/// The first bank cycle from `at`: the banks run at half core frequency,
+/// on even cycles.
 #[inline]
-fn bank_wake(bank: &L2Bank) -> Cycle {
-    let wake = bank.wake();
-    wake.saturating_add(wake & 1)
+fn bank_cycle(at: Cycle) -> Cycle {
+    at.saturating_add(at & 1)
 }
 
 #[cfg(test)]
@@ -241,7 +262,7 @@ mod tests {
     use crate::config::CapacityPolicy;
     use vpc_arbiters::ArbiterPolicy;
     use vpc_sim::check::{self, gen, Config};
-    use vpc_sim::{ensure, ensure_eq, AccessKind};
+    use vpc_sim::{ensure, ensure_eq, AccessKind, Share};
 
     fn small_cfg(threads: usize, arbiter: ArbiterPolicy) -> L2Config {
         let mut cfg = L2Config::table1(threads, arbiter);
@@ -295,43 +316,104 @@ mod tests {
         now
     }
 
-    /// The response gate hides no matured response: on random traffic,
-    /// popped every k cycles, `pop_response` returns a response exactly
-    /// when polling every bank finds one, and from the first such bank.
+    /// The reads of every bank come back through one queue in the order
+    /// they mature: on random traffic from 1–4 threads over 1–8 banks, and
+    /// on private machines scaled to a share in eighths, popped every 1–8
+    /// cycles, the queued cycles never decrease, `pop_response` returns
+    /// exactly the reads that have matured, in queue order, and each
+    /// thread's histogram counts each of its reads once.
     #[test]
-    fn response_gate_matches_polling_every_bank() {
-        check::forall("response_gate_matches_polling_every_bank", Config::cases(24), |rng| {
-            let threads = 2;
+    fn reads_return_through_one_queue_in_maturity_order() {
+        check::forall("reads_return_through_one_queue", Config::cases(24), |rng| {
+            let threads = gen::range(rng, 1, 4) as usize;
             let mut cfg = small_cfg(threads, ArbiterPolicy::vpc_equal(threads));
-            cfg.banks = 1 << rng.below(3);
+            cfg.banks = 1 << rng.below(4);
+            if rng.chance(0.5) {
+                let beta = Share::new(gen::range(rng, 1, 8) as u32, 8).expect("a share");
+                cfg = cfg.scaled_private(beta, Share::FULL);
+            }
+            let threads = cfg.threads;
             let mut l2 = SharedL2::new(cfg, MemConfig::ddr2_800());
-            let pop_every = 1 + rng.below(8);
+            let pop_every = gen::range(rng, 1, 8);
+            let mut popped = vec![0; threads];
             let mut token = 0;
-            for now in 0..3_000u64 {
-                if rng.chance(0.3) {
-                    let thread = gen::thread_id(rng, threads);
-                    let line = gen::line_addr(rng, 256);
-                    if l2.can_accept(thread, line) {
-                        token += 1;
-                        let kind = gen::access_kind(rng);
-                        l2.submit(CacheRequest { thread, line, kind, token }, now);
+            for now in 0..50_000u64 {
+                if now >= 3_000 && l2.is_idle() {
+                    break;
+                }
+                if now < 3_000 && rng.chance(0.3) {
+                    token += 1;
+                    let req = gen::cache_request(rng, threads, 256, token);
+                    if l2.can_accept(req.thread, req.line) {
+                        l2.submit(req, now);
                     }
                 }
                 l2.tick(now);
+                let queue = &l2.returns.queue;
+                ensure!(
+                    queue.iter().zip(queue.iter().skip(1)).all(|(a, b)| a.0 <= b.0),
+                    "queued cycles decrease at {now}: {queue:?}"
+                );
                 if now % pop_every != 0 {
                     continue;
                 }
-                loop {
-                    let polled = l2.banks.iter().position(|b| b.next_response_at() <= now);
-                    let popped = l2.pop_response(now);
-                    ensure_eq!(popped.map(|r| l2.cfg.bank_of(r.line)), polled, "bank at {now}");
-                    if popped.is_none() {
-                        break;
-                    }
+                let matured: Vec<_> =
+                    queue.iter().filter(|&&(at, _)| at <= now).map(|&(_, r)| r).collect();
+                let got: Vec<_> = std::iter::from_fn(|| l2.pop_response(now)).collect();
+                ensure_eq!(got, matured, "popped at {now}");
+                for resp in got {
+                    popped[resp.thread.index()] += 1;
+                }
+                for (t, &done) in popped.iter().enumerate() {
+                    let thread = ThreadId(t as u8);
+                    let queued =
+                        l2.returns.queue.iter().filter(|(_, r)| r.thread == thread).count();
+                    ensure_eq!(
+                        l2.read_latency(thread).count(),
+                        (done + queued) as u64,
+                        "thread {t}'s samples at {now}"
+                    );
                 }
             }
+            ensure!(l2.is_idle(), "every read returned");
             Ok(())
         });
+    }
+
+    /// A fetch routed on an even cycle wakes its bank on the next bank
+    /// cycle, two cycles on: the odd cycle between has no shell body to
+    /// run.
+    #[test]
+    fn a_fetch_routed_on_an_even_cycle_skips_the_odd_cycle() {
+        let mut l2 = l2(1);
+        let mut now = 0;
+        // Read misses to fresh lines, one at a time, each submitted one
+        // cycle later than the last, until one's fetch is routed on an
+        // even cycle: the only way a bank's wake is `now` after a tick on
+        // an even cycle, which ticked every bank that could act.
+        for line in 0..32u64 {
+            l2.submit(read(0, line, line), now);
+            let mut routed = false;
+            while !l2.is_idle() {
+                l2.tick(now);
+                let _ = l2.pop_response(now);
+                if now.is_multiple_of(2) && l2.banks.iter().any(|b| b.wake() == now) {
+                    routed = true;
+                    break;
+                }
+                now += 1;
+            }
+            if !routed {
+                now += 1;
+                continue;
+            }
+            assert!(l2.wake >= now + 2, "wake {} after a fetch routed at {now}", l2.wake);
+            let before = format!("{l2:?}");
+            l2.tick(now + 1);
+            assert_eq!(format!("{l2:?}"), before, "the odd cycle after {now} acted");
+            return;
+        }
+        panic!("no fetch was routed on an even cycle");
     }
 
     /// The wake guard skips only ticks that would act on nothing: on

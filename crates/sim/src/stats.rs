@@ -121,11 +121,6 @@ impl Histogram {
         self.percentile(0.5)
     }
 
-    /// 90th-percentile sample bound — shorthand for `percentile(0.9)`.
-    pub fn p90(&self) -> u64 {
-        self.percentile(0.9)
-    }
-
     /// 99th-percentile sample bound — shorthand for `percentile(0.99)`.
     pub fn p99(&self) -> u64 {
         self.percentile(0.99)

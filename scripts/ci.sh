@@ -120,45 +120,26 @@ echo "== benchmark build (perfbench, offline) =="
 # so a crate API change that breaks the benchmark fails here.
 cargo build --release --manifest-path perfbench/Cargo.toml
 
-echo "== benchmark smoke (perfbench solo_spec, traced) =="
-# A one-second traced run: every row must equal its golden and the traced
+# One-second traced runs: every row must equal its golden and the traced
 # loop replica must not diverge from the real run loop.
-last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload solo_spec --seed 1 --seconds 1 --trace 1 | tail -n 1)
-if [[ "$last" != *'"correct": true'* ]] ||
-    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
-    echo "$last"
-    echo "perfbench solo_spec: incorrect rows or a diverged replica"
-    exit 1
-fi
-
-echo "== benchmark smoke (perfbench fig9_stores, traced) =="
-# Three Stores threads keep their store gathering buffers full, so this is
-# the workload that runs the stalled-port path; every row must still equal
-# its golden. Its replica runs those FixedTrace Stores threads through the
-# cores' store retire gate, so it must not diverge either.
-last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload fig9_stores --seed 1 --seconds 1 --trace 1 | tail -n 1)
-if [[ "$last" != *'"correct": true'* ]] ||
-    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
-    echo "$last"
-    echo "perfbench fig9_stores: incorrect rows or a diverged replica"
-    exit 1
-fi
-
-echo "== benchmark smoke (perfbench fig10_mixes, traced) =="
-# Four-thread SPEC mixes under FCFS and VPC with way quotas; with the two
-# runs above every benchmark workload is smoke-tested. Every row must
-# still equal its golden, and the traced loop replica must not diverge
-# from the real run loop on a multi-thread workload either.
-last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload fig10_mixes --seed 1 --seconds 1 --trace 1 | tail -n 1)
-if [[ "$last" != *'"correct": true'* ]] ||
-    [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
-    echo "$last"
-    echo "perfbench fig10_mixes: incorrect rows or a diverged replica"
-    exit 1
-fi
+# - solo_spec: one SPEC profile alone.
+# - fig9_stores: three Stores threads keep their store gathering buffers
+#   full, so this is the workload that runs the stalled-port path; its
+#   replica runs those FixedTrace Stores threads through the cores' store
+#   retire gate.
+# - fig10_mixes: four-thread SPEC mixes under FCFS and VPC with way
+#   quotas, so the replica is checked on a multi-thread workload too.
+for workload in solo_spec fig9_stores fig10_mixes; do
+    echo "== benchmark smoke (perfbench $workload, traced) =="
+    last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    if [[ "$last" != *'"correct": true'* ]] ||
+        [[ "$last" != *'"fidelity.replica_diverged_cells": {"value": 0'* ]]; then
+        echo "$last"
+        echo "perfbench $workload: incorrect rows or a diverged replica"
+        exit 1
+    fi
+done
 
 echo "== non-test Rust lines under crates/ (report in every PR) =="
 scripts/loc.sh
